@@ -161,6 +161,8 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         terms = [Term(lam, linear_form([a, b]), d)
                  for lam, (a, b) in zip(lambdas, nodes)
                  if not scalar_is_zero(lam, eps, scale=p.norm())]
+        if not terms:
+            continue
         dec = Decomposition(terms, meta={"theorem": "sylvester", "order": r})
         if not dec.verify(p, max(eps, 1e-7)):
             continue
@@ -549,85 +551,147 @@ def quartic_two_fixed(p: Form, l1: Form, l2: Form,
 # -- Monte Carlo representation counting ------------------------------------------------
 
 
-def _vec_power(v: np.ndarray, k: int) -> np.ndarray:
-    """k-th power of a binary form given as its raw coefficient vector."""
-    out = np.array([1 + 0j])
+# Newton starts run as one stacked system per batch of this many trials.  Each
+# row's arithmetic reads only its own row, so a count does not depend on it.
+_MC_BATCH = 256
+
+
+def _row_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two stacks of raw coefficient vectors.
+
+    A shift-and-add convolution, so row i of the result depends only on
+    row i of a and b.
+    """
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
+def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise k-th powers of a stack of binary forms."""
+    out = np.ones((len(rows), 1), dtype=complex)
     for _ in range(k):
-        out = np.convolve(out, v)
+        out = _row_mul(out, rows)
     return out
 
 
 def _mc_system(d: int, e: list[int], fixed_forms, p: Form):
-    """Newton residual and Jacobian for membership in the mixed-power shape.
+    """Newton residuals and Jacobians for membership in the mixed-power shape.
 
     Binary forms are raw coefficient vectors (ascending y-exponent), so
-    products are convolutions and monomial multiples are shifts.
+    products are convolutions and monomial multiples are shifts.  The
+    returned function maps a (K, N) stack of unknowns, the multipliers t_j
+    then the coefficients of each f_k, to the (K, d+1) residuals, the
+    (K, d+1, N) Jacobians and the (K, len(e), d+1) powers f_k^(d/e_k).
     """
     m = len(fixed_forms)
-    powers = [d // ek for ek in e]
-    fixed_vecs = np.array(
-        [_vec_power(np.array([complex(v) for v in linear_coeffs(lin)]), d)
-         for lin in fixed_forms], dtype=complex).reshape(m, d + 1)
+    lins = np.array([[complex(v) for v in linear_coeffs(lin)]
+                     for lin in fixed_forms], dtype=complex).reshape(m, 2)
+    fixed_vecs = _row_power(lins, d)
     target = np.array([complex(p.raw((d - j, j))) for j in range(d + 1)])
 
-    def split(z):
-        ts = z[:m]
-        blocks = []
+    def system(z):
+        res = np.zeros((len(z), d + 1), dtype=complex)
+        jac = np.zeros((len(z), d + 1, z.shape[1]), dtype=complex)
+        powers = np.empty((len(z), len(e), d + 1), dtype=complex)
+        for i in range(m):
+            res += z[:, i, None] * fixed_vecs[i]
+            jac[:, :, i] = fixed_vecs[i]
         at = m
-        for ek in e:
-            blocks.append(z[at:at + ek + 1])
-            at += ek + 1
-        return ts, blocks
-
-    def residual(z):
-        ts, blocks = split(z)
-        total = ts @ fixed_vecs if m else np.zeros(d + 1, dtype=complex)
-        for block, mk in zip(blocks, powers):
-            total = total + _vec_power(block, mk)
-        return total - target
-
-    def jacobian(z):
-        _, blocks = split(z)
-        cols = [fixed_vecs[i] for i in range(m)]
-        for block, ek, mk in zip(blocks, e, powers):
-            fk1 = mk * _vec_power(block, mk - 1)
+        for k, ek in enumerate(e):
+            block = z[:, at:at + ek + 1]
+            lower = _row_power(block, d // ek - 1)
+            powers[:, k] = _row_mul(lower, block)
+            res += powers[:, k]
+            slope = (d // ek) * lower
             for ell in range(ek + 1):
-                col = np.zeros(d + 1, dtype=complex)
-                col[ell:ell + len(fk1)] = fk1
-                cols.append(col)
-        return np.array(cols, dtype=complex).T
+                jac[:, ell:ell + slope.shape[1], at + ell] = slope
+            at += ek + 1
+        return res - target, jac, powers
 
-    return split, residual, jacobian
-
-
-def _mc_signature(z, e, powers, split):
-    ts, blocks = split(z)
-    groups: dict[int, list[np.ndarray]] = {}
-    for block, ek, mk in zip(blocks, e, powers):
-        groups.setdefault(ek, []).append(_vec_power(block, mk))
-    return np.array(list(ts), dtype=complex), groups
+    return system
 
 
-def _signatures_match(sig_a, sig_b, tol: float) -> bool:
-    ts_a, groups_a = sig_a
-    ts_b, groups_b = sig_b
-    scale = max(1.0, float(np.max(np.abs(ts_a))) if ts_a.size else 1.0,
-                max((float(np.max(np.abs(v))) for vs in groups_a.values()
-                     for v in vs), default=1.0))
-    if ts_a.size and float(np.max(np.abs(ts_a - ts_b))) > tol * scale:
-        return False
-    for ek, vecs_a in groups_a.items():
-        vecs_b = list(groups_b[ek])
-        for va in vecs_a:
-            hit = None
-            for idx, vb in enumerate(vecs_b):
-                if float(np.max(np.abs(va - vb))) <= tol * scale:
-                    hit = idx
-                    break
-            if hit is None:
-                return False
-            vecs_b.pop(hit)
-    return True
+def _solve_rows(jac: np.ndarray, r: np.ndarray):
+    """Newton steps for a stack of systems, and the mask of rows solved.
+
+    One stacked solve; if it fails, each row is solved alone, so a singular
+    row retires only itself and every other row gets the step it would get
+    on its own.
+    """
+    try:
+        return (np.linalg.solve(jac, r[..., None])[..., 0],
+                np.ones(len(r), dtype=bool))
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(r)
+    solved = np.ones(len(r), dtype=bool)
+    for i in range(len(r)):
+        try:
+            step[i] = np.linalg.solve(jac[i], r[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return step, solved
+
+
+def _mc_newton(system, z: np.ndarray, scale: float) -> np.ndarray:
+    """At most 60 Newton steps on each row of z, in place; the converged mask.
+
+    Rows whose residual reaches 1e-12*scale leave the active set, as do
+    rows whose solve fails, which count as not converged.  Diverging rows
+    overflow to inf or nan without a warning and never converge.
+    """
+    converged = np.zeros(len(z), dtype=bool)
+    active = np.arange(len(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(60):
+            r, jac, _ = system(z[active])
+            done = np.max(np.abs(r), axis=1) <= 1e-12 * scale
+            converged[active[done]] = True
+            active, r, jac = active[~done], r[~done], jac[~done]
+            if not active.size:
+                break
+            step, solved = _solve_rows(jac, r)
+            active = active[solved]
+            z[active] -= step[solved]
+    return converged
+
+
+def _max_dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(S, F) table of max-abs differences between rows u[s] and v[f]."""
+    out = np.zeros((len(u), len(v)))
+    for k in range(u.shape[1]):
+        np.maximum(out, np.abs(u[:, None, k] - v[None, :, k]), out=out)
+    return out
+
+
+def _signature_hits(ts, powers, found_ts, found_powers, groups,
+                    tol: float = 1e-6) -> np.ndarray:
+    """(S, F) table: does new signature s match found signature f?
+
+    A signature is a solution's multipliers t_j and its powers f_k^(d/e_k).
+    Two match when the multipliers agree and, within each group of like
+    summands, every new power pairs with a distinct found power, taking
+    the first free hit in order.  Agreement is a max-abs difference of at
+    most tol times the new signature's largest entry (or 1).
+    """
+    scale = np.maximum(np.max(np.abs(ts), axis=1, initial=1.0),
+                       np.max(np.abs(powers), axis=(1, 2)))
+    lim = (tol * scale)[:, None]
+    hits = _max_dist(ts, found_ts) <= lim
+    for lo, hi in groups:
+        close = np.stack([np.stack(
+            [_max_dist(powers[:, a], found_powers[:, b]) <= lim
+             for b in range(lo, hi)], axis=-1) for a in range(lo, hi)], axis=2)
+        used = np.zeros(close.shape[:3], dtype=bool)
+        for a in range(hi - lo):
+            free = close[:, :, a] & ~used
+            has = free.any(axis=2)
+            first = np.argmax(free, axis=2)
+            hits &= has
+            used |= has[..., None] & (np.arange(hi - lo) == first[..., None])
+    return hits
 
 
 def count_reps_monte_carlo(d: int, e: list[int], m: int,
@@ -636,12 +700,16 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     """Estimated number of representations p = sum t_j l_j^d + sum f_k^(d/e_k).
 
     Seeded Newton iterations from random starts, deduplicated under
-    permutation of like summands and f^k ~ (zeta f)^k.  The result is an
-    ESTIMATE, never authoritative.
+    permutation of like summands and f^k ~ (zeta f)^k.  Trial t starts from
+    its own generator seeded seed + t + 1; starts run in stacked batches
+    and are read in trial order, stopping after `patience` trials in a row
+    find nothing new.  The result is an ESTIMATE, never authoritative.
     """
     e = sorted((int(v) for v in e), reverse=True)
-    if any(d % ek or ek >= d or ek < 1 for ek in e):
+    if any(ek < 1 or ek >= d or d % ek for ek in e):
         raise UnsupportedShape("each e_k must properly divide d")
+    if m < 0:
+        raise UnsupportedShape("m must be >= 0")
     if m + sum(ek + 1 for ek in e) != d + 1:
         raise UnsupportedShape(f"m + sum(e_k + 1) must equal d+1 = {d + 1}")
     rng = np.random.default_rng(seed)
@@ -658,8 +726,7 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
         c = rng.integers(-100, 101, size=4)
         fixed_forms.append(linear_form([complex(c[0], c[1]), complex(c[2], c[3])]))
 
-    split, residual, jacobian = _mc_system(d, e, fixed_forms, p)
-    powers = [d // ek for ek in e]
+    system = _mc_system(d, e, fixed_forms, p)
     nvars = d + 1
     scale = max(p.norm(), 1.0)
     if trials is None:
@@ -673,34 +740,37 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     for ek in e:
         start_mag[at:at + ek + 1] = scale ** (ek / d)
         at += ek + 1
+    groups = [(e.index(ek), e.index(ek) + e.count(ek))
+              for ek in sorted(set(e), reverse=True)]
 
-    found: list = []
+    found_ts = np.empty((0, m), dtype=complex)
+    found_powers = np.empty((0, len(e), d + 1), dtype=complex)
     since_new = 0
-    for trial in range(trials):
-        sub = np.random.default_rng(seed + trial + 1)
-        z = (sub.standard_normal(nvars) + 1j * sub.standard_normal(nvars)) * start_mag
-        converged = False
-        for _ in range(60):
-            r = residual(z)
-            if float(np.max(np.abs(r))) <= 1e-12 * scale:
-                converged = True
-                break
-            try:
-                step = np.linalg.solve(jacobian(z), r)
-            except np.linalg.LinAlgError:
-                break
-            z = z - step
-        if not converged or float(np.max(np.abs(residual(z)))) > 1e-9 * scale:
+    for first in range(0, trials, _MC_BATCH):
+        starts = []
+        for trial in range(first, min(first + _MC_BATCH, trials)):
+            sub = np.random.default_rng(seed + trial + 1)
+            starts.append(sub.standard_normal(nvars)
+                          + 1j * sub.standard_normal(nvars))
+        z = np.array(starts) * start_mag
+        rows = np.flatnonzero(_mc_newton(system, z, scale))
+        r, _, powers = system(z[rows])
+        ok = np.max(np.abs(r), axis=1) <= 1e-9 * scale
+        rows, ts, powers = rows[ok], z[rows[ok], :m], powers[ok]
+        dup = _signature_hits(ts, powers, found_ts, found_powers,
+                              groups).any(axis=1)
+        good = np.zeros(len(z), dtype=bool)
+        good[rows] = True
+        for i, j in enumerate(np.cumsum(good) - 1):
+            if good[i] and not dup[j]:
+                found_ts = np.concatenate([found_ts, ts[j:j + 1]])
+                found_powers = np.concatenate([found_powers, powers[j:j + 1]])
+                dup[j + 1:] |= _signature_hits(ts[j + 1:], powers[j + 1:],
+                                               ts[j:j + 1], powers[j:j + 1],
+                                               groups)[:, 0]
+                since_new = 0
+                continue
             since_new += 1
             if since_new >= patience:
-                break
-            continue
-        sig = _mc_signature(z, e, powers, split)
-        if any(_signatures_match(sig, other, 1e-6) for other in found):
-            since_new += 1
-        else:
-            found.append(sig)
-            since_new = 0
-        if since_new >= patience:
-            break
-    return len(found)
+                return len(found_ts)
+    return len(found_ts)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -16,8 +17,9 @@ from fractions import Fraction
 from . import binary, canonicity, enumeration, multivar
 from .apolarity import apply_diff, hankel, hankel_kernel
 from .errors import CanonformError, ParseError
-from .forms import (Decomposition, Form, binary_factor, dim,
-                    form_to_json, forms_close, index_set, parse_form)
+from .forms import (Decomposition, Form, _monomial_text, binary_factor,
+                    dim, form_to_json, forms_close, index_set, multinomial,
+                    parse_form, var_names)
 from .scalars import EPS_DEFAULT, QQi, scalar_to_json
 
 _DECOMPOSE_ALGOS = ("sylvester", "mixed", "two-squares", "quartic-six",
@@ -28,7 +30,27 @@ _DECOMPOSE_ALGOS = ("sylvester", "mixed", "two-squares", "quartic-six",
 def _read_form(text: str, n=None, d=None) -> Form:
     if text == "-":
         text = sys.stdin.read()
-    return parse_form(text, n=n, d=d)
+    return _parse_float_range_form(text, n=n, d=d)
+
+
+def _parse_float_range_form(text: str, n=None, d=None) -> Form:
+    """parse_form, refusing a coefficient that does not fit in a float.
+
+    Every algorithm behind the CLI meets floats (norms, tolerances, the
+    approximate backend), so such an input is a usage error here; the
+    library itself stays unbounded.
+    """
+    p = parse_form(text, n=n, d=d)
+    for idx, c in p.items():
+        try:
+            fits = math.isfinite(abs(complex(c)) * multinomial(idx))
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ParseError(f"the coefficient of "
+                             f"{_monomial_text(idx, var_names(p.n))} does not "
+                             f"fit in a float")
+    return p
 
 
 def _parse_scalar_token(tok: str):
@@ -86,7 +108,7 @@ def _cmd_decompose(args) -> int:
         if not args.fixed:
             print("mixed needs at least one --fixed form", file=sys.stderr)
             return 1
-        fixed = [parse_form(f, n=2, d=1) for f in args.fixed]
+        fixed = [_parse_float_range_form(f, n=2, d=1) for f in args.fixed]
         r = (p.d + 1 - len(fixed)) // 2
         dec = binary.mixed_decompose(p, binary.MixedSpec(fixed, r), eps)
     elif algo == "two-squares":
@@ -112,8 +134,9 @@ def _cmd_decompose(args) -> int:
         if not (args.l1 and args.l2):
             print("quartic-two-fixed needs --l1 and --l2", file=sys.stderr)
             return 1
-        decs = binary.quartic_two_fixed(p, parse_form(args.l1, n=2, d=1),
-                                        parse_form(args.l2, n=2, d=1), eps)
+        decs = binary.quartic_two_fixed(
+            p, _parse_float_range_form(args.l1, n=2, d=1),
+            _parse_float_range_form(args.l2, n=2, d=1), eps)
         if args.json:
             print(json.dumps([_decomposition_payload(t) for t in decs],
                              sort_keys=True))

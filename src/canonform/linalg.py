@@ -8,8 +8,6 @@ relative to the matrix max-magnitude.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .scalars import EPS_DEFAULT, QQi, Scalar, is_exact
@@ -327,7 +325,3 @@ def cluster_roots(roots: list[complex], eps: float) -> list[tuple[complex, int]]
         out.append((center, len(members)))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
-
-
-def principal_sqrt(z: complex) -> complex:
-    return cmath.sqrt(z)

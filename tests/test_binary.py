@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from canonform import QQi, forms_close, linear_form, parse_form, power_of_linear, random_form
+from canonform import QQi, binary, forms_close, linear_form, parse_form, power_of_linear, random_form
 from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               mixed_decompose, quartic_normalize,
                               quartic_power_ratio, quartic_six_for_form,
@@ -11,6 +12,7 @@ from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               sylvester_decompose, two_squares_all)
 from canonform.errors import (DegenerateLambda, LeadingZero, RepeatedRoot,
                               UnsupportedShape, ZeroForm)
+from canonform.forms import Form
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 
@@ -414,8 +416,90 @@ class TestMonteCarlo:
             count_reps_monte_carlo(4, [2, 2], 0)
         with pytest.raises(UnsupportedShape):
             count_reps_monte_carlo(6, [4], 0)
+        with pytest.raises(UnsupportedShape):
+            count_reps_monte_carlo(4, [0], 4)
+        with pytest.raises(UnsupportedShape):
+            count_reps_monte_carlo(4, [2, 2, 2], -4)
 
     def test_deterministic_given_seed(self):
         a = count_reps_monte_carlo(4, [2], 2, seed=123, trials=400)
         b = count_reps_monte_carlo(4, [2], 2, seed=123, trials=400)
         assert a == b
+
+    def test_pinned_estimates(self):
+        assert count_reps_monte_carlo(6, [3, 2], 0, trials=2000, seed=0) == 32
+        assert count_reps_monte_carlo(6, [3, 2], 0, trials=777, seed=0) == 31
+        assert count_reps_monte_carlo(4, [2], 2, trials=400, seed=123) == 2
+
+    def test_count_does_not_depend_on_batch_size(self, monkeypatch):
+        # Neither budget is a multiple of 7, so the last batch is partial;
+        # (6;[2,1,1];0) pairs its two like summands in the dedup.
+        runs = [((4, [2], 2), 400, 123), ((6, [2, 1, 1], 0), 100, 2)]
+        want = [count_reps_monte_carlo(*shape, trials=t, seed=s)
+                for shape, t, s in runs]
+        for size in (1, 7):
+            monkeypatch.setattr(binary, "_MC_BATCH", size)
+            got = [count_reps_monte_carlo(*shape, trials=t, seed=s)
+                   for shape, t, s in runs]
+            assert got == want, size
+
+    def test_singular_row_retires_alone(self):
+        rng = np.random.default_rng(3)
+        jac = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        jac[1, :, 4] = 0
+        r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        step, solved = binary._solve_rows(jac, r)
+        assert solved.tolist() == [True, False, True]
+        for i in (0, 2):
+            assert np.array_equal(step[i], np.linalg.solve(jac[i], r[i]))
+
+        # A start whose square block is zero has a singular Jacobian: Newton
+        # retires that row and steps the others exactly as it would alone.
+        p = Form(2, 4, {(4, 0): 3 + 1j, (2, 2): -2.0, (1, 3): 5.0, (0, 4): 1.0})
+        system = binary._mc_system(4, [2], [linear_form([1, 0]),
+                                            linear_form([0, 1])], p)
+        z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        z[1, 2:] = 0
+        stacked = z.copy()
+        converged = binary._mc_newton(system, stacked, 1.0)
+        assert not converged[1] and np.array_equal(stacked[1], z[1])
+        for i in (0, 2):
+            alone = z[i:i + 1].copy()
+            assert binary._mc_newton(system, alone, 1.0)[0] == converged[i]
+            assert np.array_equal(alone[0], stacked[i])
+
+    def test_signature_hits_match_the_pairwise_loop(self):
+        # Reference: the pairwise greedy match the counter used per trial.
+        def pair_match(ts_a, pw_a, ts_b, pw_b, groups, tol=1e-6):
+            scale = max(1.0, float(np.max(np.abs(ts_a))) if ts_a.size else 1.0,
+                        float(np.max(np.abs(pw_a))))
+            if ts_a.size and float(np.max(np.abs(ts_a - ts_b))) > tol * scale:
+                return False
+            for lo, hi in groups:
+                free = list(range(lo, hi))
+                for a in range(lo, hi):
+                    hit = next((b for b in free if float(np.max(
+                        np.abs(pw_a[a] - pw_b[b]))) <= tol * scale), None)
+                    if hit is None:
+                        return False
+                    free.remove(hit)
+            return True
+
+        rng = np.random.default_rng(11)
+        groups = [(0, 1), (1, 4)]
+        base_ts = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        base_pw = (rng.standard_normal((4, 4, 5))
+                   + 1j * rng.standard_normal((4, 4, 5))) * 30
+        ts, pw = [], []
+        for _ in range(60):
+            k = rng.integers(4)
+            perm = np.concatenate([[0], 1 + rng.permutation(3)])
+            noise = rng.choice([0.0, 1e-7, 5e-6, 3e-5])
+            ts.append(base_ts[k] + noise * rng.standard_normal(2))
+            pw.append(base_pw[k][perm] + noise * rng.standard_normal((4, 5)))
+        ts, pw = np.array(ts), np.array(pw)
+        got = binary._signature_hits(ts, pw, ts[:25], pw[:25], groups)
+        want = [[pair_match(ts[i], pw[i], ts[j], pw[j], groups)
+                 for j in range(25)] for i in range(60)]
+        assert got.tolist() == want
+        assert 0 < got.sum() < got.size

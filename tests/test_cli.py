@@ -157,3 +157,24 @@ def test_quartic_six_model(capsys):
     target = parse_form("x^4 + y^4")
     for ln in lines:
         assert parse_decomposition(ln).reconstruct() == target
+
+
+def test_sylvester_skips_an_order_with_every_multiplier_negligible(capsys):
+    # At order 5 every multiplier of this nonic drops out as negligible; the
+    # search must go on to the next order instead of failing internally.
+    src = ("-x1^9 - 8*x1^8*x2 + 4*x1^7*x2^2 - 7*x1^6*x2^3 - 2*x1^5*x2^4 "
+           "+ 9*x1^4*x2^5 + 2*x2^9")
+    code, out, _ = run_cli(["decompose", "sylvester", src], capsys=capsys)
+    assert code == 0
+    rec = parse_decomposition(out.strip()).reconstruct()
+    assert forms_close(rec.approx(), parse_form(src).approx(), 1e-8)
+
+
+def test_coefficient_beyond_float_range_is_a_usage_error(capsys):
+    for argv in (["decompose", "sylvester", "(1e400)*x^3+y^3"],
+                 ["--backend", "approx", "decompose", "sylvester",
+                  "(1e400)*x^3+y^3"],
+                 ["decompose", "mixed", "x^3+y^3", "--fixed", "1e400*x+y"]):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 1 and out == ""
+        assert "coefficient of x" in err and "float" in err
