@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ShapeMismatch
 from .forms import Form, MultiIndex, Scalar, multinomial
-from .linalg import approx_kernel, exact_kernel, matrix_is_exact
-from .scalars import EPS_DEFAULT, QQi, format_scalar, is_exact
+from .linalg import mat_kernel
+from .scalars import EPS_DEFAULT, QQi, format_scalar
 
 
 def pair(p: Form, q: Form) -> Scalar:
@@ -24,7 +24,7 @@ def pair(p: Form, q: Form) -> Scalar:
     total: Scalar = QQi(0) if (p.exact and q.exact) else 0j
     for idx, ap in p.items():
         aq = q.a(idx)
-        if (is_exact(aq) and not aq) or aq == 0:
+        if not aq:
             continue
         total = total + multinomial(idx) * ap * aq
     return total
@@ -99,10 +99,7 @@ def hankel(p: Form, r: int) -> HankelMatrix:
 def hankel_kernel(h: HankelMatrix, eps: float = EPS_DEFAULT) -> list[list[Scalar]]:
     """Kernel basis of A_r(p); vectors c give h_c = sum c_t x^(r-t) y^t
     with h_c(D)p = 0."""
-    rows = h.rows()
-    if matrix_is_exact(rows):
-        return exact_kernel(rows, ncols=h.r + 1)
-    return approx_kernel(rows, eps)
+    return mat_kernel(h.rows(), eps)
 
 
 def kernel_vector_form(c: list[Scalar]) -> Form:

@@ -25,8 +25,8 @@ from .forms import (Decomposition, Form, Term, binary_factor,
                     linear_coeffs, linear_form, monomial_form, parse_form,
                     power_of_linear)
 from .linalg import mat_inverse, mat_solve
-from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
-                      scalar_sqrt, to_complex)
+from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
+                      scalar_is_zero, scalar_sqrt)
 
 # -- squarefree testing -------------------------------------------------------
 
@@ -63,16 +63,14 @@ def _binary_squarefree(h: Form, eps: float) -> bool:
     Exact inputs use the Euclidean gcd; approximate ones decide by root
     clustering, which is the stable version of the same question.
     """
-    d = h.d
-    u = [h.raw((d - j, j)) for j in range(d + 1)]
-    exact = all(is_exact(v) for v in u)
-    if not exact:
+    if not h.exact:
         try:
             _, factors = binary_factor(h, eps)
         except (ZeroForm, ShapeMismatch):
             return False
         return all(mult == 1 for _, mult in factors)
-    scale = max((abs(complex(v)) for v in u), default=1.0)
+    d = h.d
+    u = [h.raw((d - j, j)) for j in range(d + 1)]
     m = next((j for j in range(len(u) - 1, -1, -1) if u[j]), -1)
     if m < 0 or d - m > 1:
         return False
@@ -350,7 +348,7 @@ class QuarticNormal:
 
 
 def _projective_zero(lin: Form) -> tuple[complex, complex]:
-    cx, cy = (to_complex(v) for v in linear_coeffs(lin))
+    cx, cy = (complex(v) for v in linear_coeffs(lin))
     return (-cy, cx)
 
 
@@ -444,7 +442,6 @@ def _y() -> Form:
 def quartic_six_reps(lam: Scalar, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     """The six (quadratic)^2 + c (linear)^4 representations of
     x^4 + 6 lambda x^2 y^2 + y^4."""
-    from .scalars import as_scalar
     lam = as_scalar(lam if not isinstance(lam, Fraction) else QQi(lam))
     one = QQi(1)
     for sign, label in ((one, "3*lambda + 1"), (-one, "3*lambda - 1")):
@@ -479,7 +476,7 @@ def quartic_power_ratio(dec: Decomposition) -> complex | None:
     """t5/t4 of the fourth-power linear form; None encodes infinity."""
     for t in dec.terms:
         if t.power == 4:
-            t4, t5 = (to_complex(v) for v in linear_coeffs(t.base))
+            t4, t5 = (complex(v) for v in linear_coeffs(t.base))
             if t4 == 0:
                 return None
             return t5 / t4
@@ -496,7 +493,7 @@ def quartic_six_for_form(p: Form, eps: float = EPS_DEFAULT) -> list[Decompositio
     inv = mat_inverse(transform)
     out = []
     for rep in quartic_six_reps(normal.lam, eps):
-        terms = [Term(scale_c * to_complex(t.multiplier),
+        terms = [Term(scale_c * complex(t.multiplier),
                       t.base.approx().substitute(inv), t.power)
                  for t in rep.terms]
         out.append(Decomposition(terms, meta=dict(rep.meta)))

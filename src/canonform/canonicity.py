@@ -16,8 +16,9 @@ from fractions import Fraction
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, dim, index_set, linear_form,
                     monomial_form, multinomial)
-from .linalg import approx_rank, exact_rank, mat_det, matrix_is_exact
-from .scalars import EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact, scalars_close
+from .linalg import mat_det, mat_rank
+from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
+                      scalar_is_zero, scalars_close)
 
 # -- expression tree -----------------------------------------------------------
 
@@ -185,10 +186,7 @@ class CertifyReport:
 
 
 def _rank_at(pmap: ParamMap, t, eps: float) -> int:
-    rows = pmap.jacobian_rows(t)
-    if matrix_is_exact(rows):
-        return exact_rank(rows)
-    return approx_rank(rows, eps)
+    return mat_rank(pmap.jacobian_rows(t), eps)
 
 
 def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
@@ -235,9 +233,7 @@ def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bo
     to every parameter partial."""
     idxs = index_set(pmap.n, pmap.d)
     rows = [[multinomial(i) * df.a(i) for i in idxs] for df in pmap.gradient(t)]
-    if matrix_is_exact(rows):
-        return exact_rank(rows) == pmap.target
-    return approx_rank(rows, eps) == pmap.target
+    return mat_rank(rows, eps) == pmap.target
 
 
 # -- catalog --------------------------------------------------------------------
@@ -495,9 +491,9 @@ def _build_sylwake(s: int) -> ParamMap:
 
 def _build_hyperplane(c) -> ParamMap:
     c = [as_scalar(v) for v in c]
-    if all(not v if is_exact(v) else v == 0 for v in c):
+    if not any(c):
         raise AllZero("hyperplane coefficients are all zero")
-    pivot = 3 if _nonzero(c[3]) else max(k for k in range(4) if _nonzero(c[k]))
+    pivot = 3 if c[3] else max(k for k in range(4) if c[k])
     free = [k for k in range(4) if k != pivot]
     slot_mono = {0: (1, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1)}
 
@@ -533,10 +529,6 @@ def _build_zerosum(s: int) -> ParamMap:
     terms.append(Pow(last, 2 * s))
     return ParamMap("zerosum", 2, 2 * s, 2 * s + 1, Sum(tuple(terms)),
                     params={"s": s})
-
-
-def _nonzero(v: Scalar) -> bool:
-    return bool(v) if is_exact(v) else v != 0
 
 
 _CATALOG = {
@@ -623,15 +615,15 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
     parameter witness with nonvanishing partial determinant is produced.
     """
     c = [as_scalar(v) for v in c]
-    if all(not _nonzero(v) for v in c):
+    if not any(c):
         raise AllZero("hyperplane coefficients are all zero")
     scale = max(abs(complex(v)) for v in c)
     for epsilon in (QQi(0, 1), QQi(0, -1)):
         if (scalars_close(c[2], epsilon * c[0], eps, scale)
                 and scalars_close(c[3], epsilon * c[1], eps, scale)):
-            if _nonzero(c[3]):
+            if c[3]:
                 zero_point = (-c[0] / c[3], -c[1] / c[3])
-            elif _nonzero(c[0]):
+            elif c[0]:
                 zero_point = (QQi(1), c[1] / c[0])
             else:
                 zero_point = (QQi(0), QQi(1))
@@ -648,7 +640,7 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
             continue
         rows = [[df.a(i) for i in basis] for df in pmap.gradient(t_free)]
         det = mat_det(rows)
-        if _nonzero(det) if is_exact(det) else abs(det) > eps:
+        if not scalar_is_zero(det, eps):
             full = [None] * 4
             for i, k in enumerate(free):
                 full[k] = t_free[i]

@@ -11,20 +11,25 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
 from . import binary, canonicity, enumeration, multivar
 from .apolarity import apply_diff, hankel, hankel_kernel
 from .errors import CanonformError, ParseError
-from .forms import (Decomposition, Form, _monomial_text, binary_factor,
-                    dim, form_to_json, forms_close, index_set, multinomial,
+from .forms import (Decomposition, Form, _monomial_text,
+                    _parse_complex_literal, binary_factor, dim, form_to_json,
+                    forms_close, index_set, monomial_form, multinomial,
                     parse_form, var_names)
+from .linalg import exact_det
 from .scalars import EPS_DEFAULT, QQi, scalar_to_json
 
 _DECOMPOSE_ALGOS = ("sylvester", "mixed", "two-squares", "quartic-six",
                     "quartic-two-fixed", "uppertri", "reichstein",
                     "reichstein-step", "slinky", "slowpoke", "quartic-lift")
+# the algorithms that --shear applies to; the others ignore it
+_SHEARING_ALGOS = ("uppertri", "reichstein", "reichstein-step", "slinky")
 
 
 def _read_form(text: str, n=None, d=None) -> Form:
@@ -33,24 +38,46 @@ def _read_form(text: str, n=None, d=None) -> Form:
     return _parse_float_range_form(text, n=n, d=d)
 
 
-def _parse_float_range_form(text: str, n=None, d=None) -> Form:
-    """parse_form, refusing a coefficient that does not fit in a float.
+def _fits_float(v, weight: int = 1) -> bool:
+    """Whether |v| * weight fits in a float.
 
     Every algorithm behind the CLI meets floats (norms, tolerances, the
-    approximate backend), so such an input is a usage error here; the
-    library itself stays unbounded.
+    approximate backend), so a coefficient that does not is a usage error
+    here; the library itself stays unbounded.
     """
+    try:
+        return math.isfinite(abs(complex(v)) * weight)
+    except OverflowError:
+        return False
+
+
+def _parse_float_range_form(text: str, n=None, d=None) -> Form:
+    """parse_form, refusing a coefficient that does not fit in a float."""
     p = parse_form(text, n=n, d=d)
     for idx, c in p.items():
-        try:
-            fits = math.isfinite(abs(complex(c)) * multinomial(idx))
-        except OverflowError:
-            fits = False
-        if not fits:
+        if not _fits_float(c, multinomial(idx)):
             raise ParseError(f"the coefficient of "
                              f"{_monomial_text(idx, var_names(p.n))} does not "
                              f"fit in a float")
     return p
+
+
+def _hyperplane_c(value) -> list:
+    """The hyperplane coefficient vector from a parsed parameter value."""
+    c = value if isinstance(value, list) else [value]
+    for k, v in enumerate(c):
+        if not _fits_float(v):
+            raise ParseError(f"the hyperplane coefficient c{k + 1} does not "
+                             f"fit in a float")
+    return c
+
+
+def _below(flag: str, value: int, least: int) -> bool:
+    """Report a numeric option below its least allowed value."""
+    if value >= least:
+        return False
+    print(f"{flag} must be at least {least}, got {value}", file=sys.stderr)
+    return True
 
 
 def _parse_scalar_token(tok: str):
@@ -64,7 +91,6 @@ def _parse_scalar_token(tok: str):
     except (ValueError, ZeroDivisionError):
         pass
     if tok.startswith("(") and tok.endswith(")"):
-        from .forms import _parse_complex_literal
         return _parse_complex_literal(tok)
     raise ParseError(f"cannot parse scalar {tok!r}")
 
@@ -82,15 +108,25 @@ def _parse_param_value(text: str):
     return vals if len(parts) > 1 else vals[0]
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, output) -> None:
+    """Write a command's result to stdout; nothing else prints there.
+
+    output is the JSON payload under --json, else the text; a list of text
+    is printed one item per line, so an empty list prints nothing.
+    """
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+        print(json.dumps(output, sort_keys=True))
+        return
+    for line in output if isinstance(output, list) else [output]:
+        print(line)
 
 
-def _decomposition_payload(dec: Decomposition) -> dict:
-    return dec.to_json()
+def _render(args, item):
+    """One decompose result, a decomposition or an uppertri row l_k (shown
+    as (l_k)^2), as a JSON payload or as text."""
+    if isinstance(item, Form):
+        return form_to_json(item) if args.json else f"({item})^2"
+    return item.to_json() if args.json else str(item)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -102,92 +138,59 @@ def _cmd_decompose(args) -> int:
         p = p.approx()
     eps = args.epsilon
     algo = args.algo
+    if args.shear and algo in _SHEARING_ALGOS:
+        p = _sheared(p, args.seed)
     if algo == "sylvester":
-        dec = binary.sylvester_decompose(p, eps)
+        result = binary.sylvester_decompose(p, eps)
     elif algo == "mixed":
         if not args.fixed:
             print("mixed needs at least one --fixed form", file=sys.stderr)
             return 1
         fixed = [_parse_float_range_form(f, n=2, d=1) for f in args.fixed]
         r = (p.d + 1 - len(fixed)) // 2
-        dec = binary.mixed_decompose(p, binary.MixedSpec(fixed, r), eps)
+        result = binary.mixed_decompose(p, binary.MixedSpec(fixed, r), eps)
     elif algo == "two-squares":
-        decs = binary.two_squares_all(p, eps)
-        if args.json:
-            print(json.dumps([_decomposition_payload(t) for t in decs],
-                             sort_keys=True))
-        else:
-            for t in decs:
-                print(t)
-        return 0
+        result = binary.two_squares_all(p, eps)
     elif algo == "quartic-six":
-        decs = (binary.quartic_six_reps(_parse_scalar_token(args.lam), eps)
-                if args.lam is not None else binary.quartic_six_for_form(p, eps))
-        if args.json:
-            print(json.dumps([_decomposition_payload(t) for t in decs],
-                             sort_keys=True))
-        else:
-            for t in decs:
-                print(t)
-        return 0
+        result = (binary.quartic_six_reps(_parse_scalar_token(args.lam), eps)
+                  if args.lam is not None
+                  else binary.quartic_six_for_form(p, eps))
     elif algo == "quartic-two-fixed":
         if not (args.l1 and args.l2):
             print("quartic-two-fixed needs --l1 and --l2", file=sys.stderr)
             return 1
-        decs = binary.quartic_two_fixed(
+        result = binary.quartic_two_fixed(
             p, _parse_float_range_form(args.l1, n=2, d=1),
             _parse_float_range_form(args.l2, n=2, d=1), eps)
-        if args.json:
-            print(json.dumps([_decomposition_payload(t) for t in decs],
-                             sort_keys=True))
-        else:
-            for t in decs:
-                print(t)
-        return 0
     elif algo == "uppertri":
-        if args.shear:
-            p = _sheared(p, args.seed)
-        tri = multivar.uppertri(p, eps)
-        if args.json:
-            print(json.dumps([form_to_json(r) for r in tri.rows], sort_keys=True))
-        else:
-            for row in tri.rows:
-                print(f"({row})^2")
-        return 0
+        result = multivar.uppertri(p, eps).rows
     elif algo == "reichstein":
-        if args.shear:
-            p = _sheared(p, args.seed)
-        dec = multivar.reichstein_full(p, eps)
+        result = multivar.reichstein_full(p, eps)
     elif algo == "reichstein-step":
-        if args.shear:
-            p = _sheared(p, args.seed)
         cubes, residual = multivar.reichstein_step(p, eps)
-        dec = Decomposition(cubes.terms, residual=residual,
-                            meta=dict(cubes.meta))
+        result = Decomposition(cubes.terms, residual=residual,
+                               meta=dict(cubes.meta))
     elif algo == "slinky":
-        if args.shear:
-            p = _sheared(p, args.seed)
-        dec = multivar.slinky(p, eps)
+        result = multivar.slinky(p, eps)
     elif algo == "slowpoke":
-        dec = multivar.slowpoke(p, eps)
+        result = multivar.slowpoke(p, eps)
     elif algo == "quartic-lift":
-        dec = multivar.quartic_lift(p, eps)
+        result = multivar.quartic_lift(p, eps)
     else:
         print(f"unknown algorithm {algo!r}", file=sys.stderr)
         return 1
-    _emit(args, _decomposition_payload(dec), str(dec))
+    _emit(args, [_render(args, r) for r in result]
+          if isinstance(result, list) else _render(args, result))
     return 0
 
 
 def _sheared(p: Form, seed: int) -> Form:
     """Documented random change of variables applied before decomposing."""
-    import random
     rng = random.Random(seed)
     n = p.n
     while True:
         m = [[QQi(Fraction(rng.randint(-3, 3))) for _ in range(n)]
              for _ in range(n)]
-        from .linalg import exact_det
         if exact_det(m):
             return p.substitute(m)
 
@@ -200,9 +203,8 @@ def _cmd_certify(args) -> int:
             return 1
         key, val = item.split("=", 1)
         params[key.strip()] = _parse_param_value(val)
-    if args.name == "hyperplane" and "c" in params and not isinstance(
-            params["c"], list):
-        params["c"] = [params["c"]]
+    if args.name == "hyperplane" and "c" in params:
+        params["c"] = _hyperplane_c(params["c"])
     pmap = canonicity.build_map(args.name, **params)
     witness = None
     if args.witness:
@@ -211,51 +213,47 @@ def _cmd_certify(args) -> int:
     report = canonicity.jacobian_certify(pmap, witness=witness,
                                          trials=args.trials, seed=args.seed,
                                          eps=args.epsilon)
-    text = f"{report.verdict} (rank {report.rank}/{report.target})"
-    _emit(args, report.to_json(), text)
+    _emit(args, report.to_json() if args.json
+          else f"{report.verdict} (rank {report.rank}/{report.target})")
     return 0 if report.certified else 2
 
 
 def _cmd_classify_hyperplane(args) -> int:
-    c = _parse_param_value(args.c)
-    if not isinstance(c, list):
-        c = [c]
+    c = _hyperplane_c(_parse_param_value(args.c))
     verdict = canonicity.hyperplane_classify(c, eps=args.epsilon, seed=args.seed)
     if verdict.kind == "Exceptional":
-        payload = {"kind": "Exceptional",
-                   "epsilon": scalar_to_json(verdict.epsilon),
-                   "zero_point": [scalar_to_json(v) for v in verdict.zero_point]}
-        text = (f"Exceptional (epsilon = {verdict.epsilon}, zero point = "
-                f"({verdict.zero_point[0]}, {verdict.zero_point[1]}))")
-        _emit(args, payload, text)
+        _emit(args, {"kind": "Exceptional",
+                     "epsilon": scalar_to_json(verdict.epsilon),
+                     "zero_point": [scalar_to_json(v)
+                                    for v in verdict.zero_point]}
+              if args.json else
+              f"Exceptional (epsilon = {verdict.epsilon}, zero point = "
+              f"({verdict.zero_point[0]}, {verdict.zero_point[1]}))")
         return 2
-    payload = {"kind": "Canonical",
-               "witness": [scalar_to_json(v) for v in verdict.witness]}
-    _emit(args, payload, "Canonical (witness t = ("
+    _emit(args, {"kind": "Canonical",
+                 "witness": [scalar_to_json(v) for v in verdict.witness]}
+          if args.json else "Canonical (witness t = ("
           + ", ".join(str(v) for v in verdict.witness) + "))")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     if args.what == "neat":
+        if _below("--r", args.r, 1):
+            return 1
         forms = enumeration.neat_enumerate(args.r)
-        if args.json:
-            print(json.dumps([{"d": f.d, "e": list(f.e)} for f in forms],
-                             sort_keys=True))
-        else:
-            for f in forms:
-                print(f"d={f.d}  e={list(f.e)}")
-            print(f"total: {len(forms)}")
+        _emit(args, [{"d": f.d, "e": list(f.e)} for f in forms] if args.json
+              else [f"d={f.d}  e={list(f.e)}" for f in forms]
+              + [f"total: {len(forms)}"])
         return 0
     if args.what == "obstruction":
+        if _below("--d", args.d, 2):
+            return 1
         members = [n for n in range(1, args.max + 1)
                    if enumeration.obstruction_A(args.d, n)]
-        if args.json:
-            print(json.dumps({"d": args.d, "max": args.max, "members": members},
-                             sort_keys=True))
-        else:
-            print(" ".join(map(str, members)) if members else
-                  f"no members of A_{args.d} up to {args.max}")
+        _emit(args, {"d": args.d, "max": args.max, "members": members}
+              if args.json else " ".join(map(str, members))
+              or f"no members of A_{args.d} up to {args.max}")
         return 0
     print(f"unknown enumeration {args.what!r}", file=sys.stderr)
     return 1
@@ -266,26 +264,31 @@ def _cmd_count(args) -> int:
         if args.d is None:
             print("count s needs --d", file=sys.stderr)
             return 1
+        if _below("--d", args.d, 1):
+            return 1
         value = enumeration.s_of_d(args.d)
-        _emit(args, {"d": args.d, "s": value}, str(value))
+        _emit(args, {"d": args.d, "s": value} if args.json else str(value))
         return 0
     if args.what == "S":
         if args.N is None:
             print("count S needs --N", file=sys.stderr)
             return 1
+        if _below("--N", args.N, 1):
+            return 1
         value = enumeration.partial_sum_S(args.N)
-        _emit(args, {"N": args.N, "S": value}, str(value))
+        _emit(args, {"N": args.N, "S": value} if args.json else str(value))
         return 0
     if args.what == "reps":
         if args.d is None or args.e is None:
             print("count reps needs --d and --e", file=sys.stderr)
             return 1
-        e = args.e if isinstance(args.e, list) else [args.e]
+        e = _parse_param_value(args.e)
+        e = e if isinstance(e, list) else [e]
         value = binary.count_reps_monte_carlo(args.d, e, args.m,
                                               trials=args.trials,
                                               seed=args.seed)
         _emit(args, {"d": args.d, "e": e, "m": args.m, "estimate": value,
-                     "flag": "ESTIMATE"},
+                     "flag": "ESTIMATE"} if args.json else
               f"ESTIMATE: {value} representations (Monte Carlo, seed "
               f"{args.seed}; never authoritative)")
         return 0
@@ -355,7 +358,6 @@ def _paper_examples() -> list[tuple[str, object]]:
         return binary.count_reps_monte_carlo(4, [2], 2, seed=2026) == 2
 
     def chk_drab():
-        from .forms import monomial_form
         for m in range(1, 9):
             fam = multivar.drab_family(m)
             total = fam[0]
@@ -462,7 +464,6 @@ def _paper_examples() -> list[tuple[str, object]]:
 
 
 def _cmd_verify_examples(args) -> int:
-    failures = 0
     results = []
     for label, check in _paper_examples():
         try:
@@ -471,14 +472,11 @@ def _cmd_verify_examples(args) -> int:
             ok = False
             label = f"{label} [{type(exc).__name__}: {exc}]"
         results.append({"example": label, "pass": ok})
-        if not args.json:
-            print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        failures += 0 if ok else 1
-    if args.json:
-        print(json.dumps({"results": results, "failures": failures},
-                         sort_keys=True))
-    else:
-        print(f"{len(results) - failures}/{len(results)} examples pass")
+    failures = sum(not r["pass"] for r in results)
+    _emit(args, {"results": results, "failures": failures} if args.json
+          else [f"{'PASS' if r['pass'] else 'FAIL'}  {r['example']}"
+                for r in results]
+          + [f"{len(results) - failures}/{len(results)} examples pass"])
     return 0 if failures == 0 else 3
 
 
@@ -560,9 +558,6 @@ def main(argv=None) -> int:
     if args.epsilon <= 0:
         print("--epsilon must be positive", file=sys.stderr)
         return 1
-    if getattr(args, "e", None) is not None and isinstance(args.e, str):
-        val = _parse_param_value(args.e)
-        args.e = val if isinstance(val, list) else [val]
     try:
         return args.func(args)
     except ParseError as exc:

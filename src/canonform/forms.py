@@ -22,7 +22,7 @@ from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
 from .scalars import (EPS_DEFAULT, SNAP_MAX_DEN, QQi, Scalar, as_scalar,
                       format_scalar, is_exact, scalar_from_json,
-                      scalar_to_json, snap_scalar, to_complex)
+                      scalar_is_zero, scalar_to_json, snap_scalar)
 
 MultiIndex = tuple[int, ...]
 
@@ -64,7 +64,7 @@ def multinomial(idx: MultiIndex) -> int:
 class Form:
     """Immutable homogeneous form; coefficients live in one scalar backend."""
 
-    __slots__ = ("n", "d", "_a")
+    __slots__ = ("n", "d", "_a", "exact")
 
     def __init__(self, n: int, d: int, coeffs: dict | None = None):
         """coeffs maps multi-indices to normalized a(p;i) values."""
@@ -79,13 +79,15 @@ class Form:
             idx = tuple(idx)
             s = as_scalar(v)
             if approx:
-                s = to_complex(s)
-            if (is_exact(s) and not s) or s == 0:
+                s = complex(s)
+            if not s:
                 continue
             if len(idx) != n or sum(idx) != d or any(e < 0 for e in idx):
                 raise ShapeMismatch(f"index {idx} does not fit shape ({n}, {d})")
             clean[idx] = s
         self._a = clean
+        # an empty form counts as exact whatever backend it came from
+        self.exact = not (approx and clean)
 
     # -- constructors --------------------------------------------------------
 
@@ -115,10 +117,6 @@ class Form:
 
     def raw_items(self):
         return [(i, v * multinomial(i)) for i, v in self.items()]
-
-    @property
-    def exact(self) -> bool:
-        return all(is_exact(v) for v in self._a.values())
 
     def __bool__(self) -> bool:
         return bool(self._a)
@@ -156,7 +154,7 @@ class Form:
         out = dict(self._a)
         for idx, v in other._a.items():
             s = out.get(idx, 0) + v
-            if (is_exact(s) and not s) or s == 0:
+            if not s:
                 out.pop(idx, None)
             else:
                 out[idx] = s
@@ -170,7 +168,7 @@ class Form:
 
     def scale(self, s) -> "Form":
         s = as_scalar(s)
-        if (is_exact(s) and not s) or s == 0:
+        if not s:
             return Form.zero(self.n, self.d)
         return Form(self.n, self.d, {i: v * s for i, v in self._a.items()})
 
@@ -257,7 +255,7 @@ class Form:
     # -- backend conversion ----------------------------------------------------
 
     def approx(self) -> "Form":
-        return Form(self.n, self.d, {i: to_complex(v) for i, v in self._a.items()})
+        return Form(self.n, self.d, {i: complex(v) for i, v in self._a.items()})
 
     def snapped(self, max_den: int = SNAP_MAX_DEN) -> "Form":
         """Rational reconstruction of all coefficients (caller must verify)."""
@@ -400,11 +398,7 @@ def biermann_point(p: Form, eps: float = EPS_DEFAULT) -> MultiIndex:
         raise ZeroForm("the zero form vanishes on the whole grid")
     scale = p.norm() * float(p.d + 1) ** p.d
     for idx in index_set(p.n, p.d):
-        v = p.evaluate(idx)
-        if is_exact(v):
-            if v:
-                return idx
-        elif abs(v) > eps * max(scale, 1.0):
+        if not scalar_is_zero(p.evaluate(idx), eps, scale):
             return idx
     raise ZeroForm("no nonvanishing grid point found")
 
@@ -441,8 +435,8 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
     if p.is_zero():
         raise ZeroForm("cannot factor the zero form")
     u = _univariate_coeffs(p)
-    m = max(j for j, v in enumerate(u) if not (is_exact(v) and not v)
-            and not (not is_exact(v) and abs(complex(v)) <= eps * max(p.norm(), 1.0)))
+    scale = p.norm()
+    m = max(j for j, v in enumerate(u) if not scalar_is_zero(v, eps, scale))
     factors: list[tuple[Form, int]] = []
     constant: Scalar = u[m]
     if p.d - m > 0:
@@ -450,7 +444,7 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
     u = u[:m + 1]
 
     roots: list[tuple[Scalar, int]] = []
-    if all(is_exact(v) for v in u):
+    if p.exact:
         # clustered roots lose accuracy, so try a ladder of denominator bounds
         bounds = [b for b in (1, 12, 10**3, max_den) if b <= max_den] or [max_den]
         work = list(u)

@@ -20,16 +20,6 @@ def matrix_is_exact(rows: Matrix) -> bool:
     return all(is_exact(v) for row in rows for v in row)
 
 
-def identity(n: int, exact: bool = True) -> Matrix:
-    one, zero = (QQi(1), QQi(0)) if exact else (1 + 0j, 0j)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_vec(rows: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(1, len(v))), row[0] * v[0])
-            for row in rows]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
     return [[sum((row[k] * col[k] for k in range(1, len(col))), row[0] * col[0])
@@ -68,12 +58,9 @@ def exact_rank(rows: Matrix) -> int:
     return len(exact_rref(rows)[1])
 
 
-def exact_kernel(rows: Matrix, ncols: int | None = None) -> list[Vector]:
+def exact_kernel(rows: Matrix) -> list[Vector]:
     """Kernel basis, each vector scaled so its first nonzero entry is 1."""
-    if not rows:
-        n = ncols or 0
-        return [[QQi(1) if j == k else QQi(0) for j in range(n)] for k in range(n)]
-    n = len(rows[0])
+    n = len(rows[0]) if rows else 0
     rref, pivots = exact_rref(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -122,7 +109,8 @@ def exact_det(rows: Matrix) -> QQi:
 
 def exact_inverse(rows: Matrix) -> Matrix | None:
     n = len(rows)
-    aug = [list(rows[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + [QQi(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
     rref, pivots = exact_rref(aug)
     if pivots != list(range(n)):
         return None

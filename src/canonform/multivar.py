@@ -21,7 +21,7 @@ from .forms import (Decomposition, Form, Term, biermann_point, forms_close,
 from .linalg import (Matrix, mat_inverse, mat_mul, pencil_charpoly,
                      poly_roots)
 from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
-                      scalar_sqrt, to_complex)
+                      scalar_sqrt)
 
 
 def quadratic_matrix(p: Form) -> Matrix:
@@ -105,7 +105,7 @@ def uppertri(p: Form, eps: float = EPS_DEFAULT) -> TriangularSquares:
     for _, a, lrow in pairs:
         root = scalar_sqrt(a)
         rows.append(lrow.scale(1 / root) if is_exact(root) and is_exact(a)
-                    and lrow.exact else lrow.approx().scale(1.0 / to_complex(root)))
+                    and lrow.exact else lrow.approx().scale(1.0 / complex(root)))
     return TriangularSquares(rows)
 
 

@@ -150,10 +150,6 @@ class QQi:
         return f"QQi({self.re!r}, {self.im!r})"
 
 
-ZERO = QQi(Fraction(0))
-ONE = QQi(Fraction(1))
-I = QQi(Fraction(0), Fraction(1))
-
 Scalar = QQi | complex
 
 
@@ -170,10 +166,6 @@ def as_scalar(v) -> Scalar:
     if isinstance(v, float):
         return complex(v)
     raise TypeError(f"cannot interpret {v!r} as a scalar")
-
-
-def to_complex(v: Scalar) -> complex:
-    return complex(v)
 
 
 def scalar_is_zero(v: Scalar, eps: float = EPS_DEFAULT, scale: float = 1.0) -> bool:

@@ -9,7 +9,7 @@ from canonform import (QQi, apply_diff, hankel, hankel_kernel, pair,
 from canonform.apolarity import kernel_vector_form
 from canonform.errors import ShapeMismatch
 from canonform.forms import index_set
-from canonform.linalg import exact_rank
+from canonform.linalg import exact_kernel, exact_rank
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 EX41 = parse_form("-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 "
@@ -140,3 +140,7 @@ def test_grid_powers_span():
             rows = [[power_of_linear(i, d).a(j) for j in index_set(n, d)]
                     for i in index_set(n, d)]
             assert exact_rank(rows) == len(rows)
+
+
+def test_exact_kernel_of_no_rows_is_empty():
+    assert exact_kernel([]) == []

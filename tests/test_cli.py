@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import sys
+
+import pytest
 
 from canonform import forms_close, parse_form
 from canonform.cli import main
@@ -178,3 +181,135 @@ def test_coefficient_beyond_float_range_is_a_usage_error(capsys):
         code, out, err = run_cli(argv, capsys=capsys)
         assert code == 1 and out == ""
         assert "coefficient of x" in err and "float" in err
+
+
+# Exact stdout of the decompose paths that print lists, shear, or ignore
+# --shear: text bytes literally, --json bytes by sha256.  Several outputs are
+# floats from numpy's root finders and SVD, so they pin this numpy/LAPACK
+# build's rounding as well as the output format.
+_GOLDEN_DECOMPOSE = [
+    (['decompose', 'two-squares', 'x^4 - y^4'],
+     ('(x^2+(0+1*i)*y^2)^2 + ((-1+1*i)*x*y)^2\n'
+      '(x^2+(0-1*i)*y^2)^2 + ((1+1*i)*x*y)^2\n'
+      '(x^2)^2 + ((0+1*i)*y^2)^2\n'),
+     '09d08abe7836c93d53aa103a416fc429cbb70d6941a2bfc25eb9a325271fdd89'),
+    (['decompose', 'quartic-six', 'x^4+y^4', '--lam', '1/5'],
+     ('(x^2+3/5*y^2)^2 + 16/25*y^4\n'
+      '(3/5*x^2+y^2)^2 + 16/25*x^4\n'
+      '5/4*(x^2+2/5*x*y+y^2)^2 - 1/4*(x+y)^4\n'
+      '5*(x^2+(0+8/5*i)*x*y-y^2)^2 - 4*(x+(0+1*i)*y)^4\n'
+      '5/4*(x^2-2/5*x*y+y^2)^2 - 1/4*(x-y)^4\n'
+      '5*(x^2+(0-8/5*i)*x*y-y^2)^2 - 4*(x+(0-1*i)*y)^4\n'),
+     '1fc1f6ef77a0b7e2eb26967e8f5d74247305d0a4b975cc88c756c8fffb462ed5'),
+    (['decompose', 'quartic-six', 'x^4 + 2*x^3*y + 3*y^4'],
+     ('(0.0051387417299431325-0.005062671580013644*i)*'
+      '((27.623096667605402+11.321388368090252*i)*'
+      'x^2+(83.72393148559304+34.31444184038136*i)*x*'
+      'y+(75.95839185424646+31.131717936823705*i)*y^2)^2 + '
+      '(-0.2502655145159677+0.24656076806014116*i)*'
+      '((0.3831760269222353-1.9453013210763652*i)*'
+      'x+(0.6523642131267957-3.311911175163499*i)*y)^4\n'
+      '(0.0051387417299431325-0.005062671580013644*i)*'
+      '((-17.594979537830195-7.211341982160356*i)*'
+      'x^2+(12.940638350431831+5.3037497663343025*i)*x*'
+      'y+(-22.03167411762746-9.029731245786671*i)*y^2)^2 + '
+      '(-0.2502655145159677+0.24656076806014116*i)*'
+      '((-1.4351773640561198-0.28269428202694474*i)*'
+      'x+(1.302062178220548+0.2564738978227812*i)*y)^4\n'
+      '(-0.001698773309434573+0.0016736259198329724*i)*'
+      '((-10.511295326681278+20.922919578902288*i)*'
+      'x^2+(-23.01887705505716+10.63111869719478*i)*x*'
+      'y+(4.761957594522562-37.02027186442983*i)*y^2)^2 + '
+      '(0.006837515039377705-0.006736297499846616*i)*'
+      '((-1.0520013371338846-2.22799560310331*i)*'
+      'x+(1.9544263913473436-3.055437277340718*i)*y)^4\n'
+      '(0.0012767148949042065-0.0012578153473930614*i)*'
+      '((21.85240224309797+8.956256264344649*i)*'
+      'x^2+(21.704394100972152+8.895594794024719*i)*x*'
+      'y+(-12.904253739255132-5.288837451516377*i)*y^2)^2 + '
+      '(0.003862026835038926-0.003804856232620583*i)*'
+      '((0.5101239570202454+0.10048174489529055*i)*'
+      'x+(4.613973353384047+0.9088381109495769*i)*y)^4\n'
+      '(-0.001698773309434573+0.0016736259198329724*i)*'
+      '((7.196184620750877-22.28162516635608*i)*'
+      'x^2+(-8.936648214594952-23.72816268315476*i)*x*'
+      'y+(-22.589136614355162+29.713762401727706*i)*y^2)^2 + '
+      '(0.006837515039377705-0.006736297499846616*i)*'
+      '((-1.8183533909783551+1.6626070390494205*i)*'
+      'x+(0.6496979650937522+3.5683850729862803*i)*y)^4\n'
+      '(0.0012767148949042065-0.0012578153473930614*i)*'
+      '((-10.618019500334203-4.351819200785507*i)*'
+      'x^2+(-4.118360514296617-1.687919330088702*i)*x*'
+      'y+(37.24978098183984+15.266906610665265*i)*y^2)^2 + '
+      '(0.003862026835038926-0.003804856232620583*i)*'
+      '((-3.380478685132485-0.66587030894918*i)*'
+      'x+(-2.009848996942951-0.39589031530401453*i)*y)^4\n'),
+     'f7e0f962f0210c7c23c26052aa4ab18ff844958ee23d86984fae6b59ef204df7'),
+    (['decompose', 'quartic-two-fixed',
+      'x^4 + 4*x^3*y + 5*x^2*y^2 + 2*x*y^3 + y^4', '--l1', 'x', '--l2', 'y'],
+     ('(x^2+2*x*y+1/2*y^2)^2 + 0*x^4 + 3/4*y^4\n'
+      '4*(x^2+1/2*x*y+1/2*y^2)^2 - 3*x^4 + 0*y^4\n'),
+     '56b6808407ecc9513c4c8af9440b3b8ab20b1edab181aad9df66cfbbfb7cbc16'),
+    (['decompose', 'uppertri', 'x^2 + 2*x*y + 5*y^2'],
+     ('(x + y)^2\n'
+      '(2*y)^2\n'),
+     'de01862e995f37324c7af9958aa68ebebca358562601d4c00f1e73cc7d22e48f'),
+    (['decompose', 'uppertri', '0*x^2+0*y^2'],
+     '',
+     '37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570'),
+    (['decompose', 'reichstein-step', 'x^3 + 3*x^2*y + 6*x*y^2 + 2*y^3'],
+     ('-0.502896319656381*(-0.6628271480711835*x+0.9373791423113474*'
+      'y)^3 + 0.2083064760691883*(1.600206290382531*'
+      'x+2.2630334384537147*y)^3\n'),
+     '30d252a8c72ec75acdaaecdbc0a2e79a1f32d3ab08542993e7fc11f62b9c0bc7'),
+    (['--seed', '3', 'decompose', 'uppertri', 'x^2 + 2*x*y + 5*y^2 + z^2',
+      '--shear'],
+     ('(5.65685424949238*x + 1.414213562373095*y - 2.82842712474619*'
+      'z)^2\n'
+      '(2.4494897427831783*y + 0.8164965809277261*z)^2\n'
+      '(0.5773502691896257*z)^2\n'),
+     'bbf186eca5f5de7d6342f41a9e6d496721f0897240cf72be4e62b2242fe7543a'),
+    (['--seed', '5', 'decompose', 'slinky', 'x^3 + 3*x^2*y + 6*x*y^2 + 2*y^3',
+      '--shear'],
+     '-1/15390*(-90*x+57*y)^3 + 100/3*(1/10*y)^3 - 7/19*x^3\n',
+     'a25ec0ac6643ecccecfe1234e7d61a21a2cd7f5de5051cf342b856021ca36d1e'),
+    (['decompose', 'sylvester', '2*x^3+3*x^2*y-21*x*y^2-41*y^3', '--shear'],
+     '5*(x+2*y)^3 - 3*(x+3*y)^3\n',
+     '2d08b559305db1b9730e759143d1feb998aa99b8d4d10c2b9cae64305d9b4a66'),
+]
+
+
+@pytest.mark.parametrize("argv,text,json_sha256", _GOLDEN_DECOMPOSE,
+                         ids=[" ".join(c[0]) for c in _GOLDEN_DECOMPOSE])
+def test_decompose_golden_stdout(capsys, argv, text, json_sha256):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (0, text, "")
+    code, out, err = run_cli(["--json"] + argv, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "neat", "--r", "0"], "--r must be at least 1, got 0"),
+    (["count", "s", "--d", "0"], "--d must be at least 1, got 0"),
+    (["count", "S", "--N", "-1"], "--N must be at least 1, got -1"),
+    (["enumerate", "obstruction", "--d", "0"],
+     "--d must be at least 2, got 0"),
+    (["count", "reps", "--d", "4", "--e", "abc"], "cannot parse scalar 'abc'"),
+])
+def test_bad_enumeration_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_hyperplane_coefficient_beyond_float_range_is_a_usage_error(capsys):
+    for argv in (["classify-hyperplane", "1e400,0,i,0"],
+                 ["certify", "hyperplane", "--param", "c=1e400,0,i,0"]):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out) == (1, "")
+        assert "hyperplane coefficient c1 does not fit in a float" in err
+    # a scalar option stays exact and unbounded
+    code, out, _ = run_cli(["decompose", "quartic-six", "x^4+y^4", "--lam",
+                            "1e400"], capsys=capsys)
+    assert code == 0 and len(out.splitlines()) == 6

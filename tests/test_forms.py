@@ -82,6 +82,19 @@ def test_substitute_inverse_round_trip():
         assert p.substitute(m).substitute(inv) == p
 
 
+def test_backend_tag_is_fixed_at_construction():
+    # one complex coefficient turns the whole form approximate
+    mixed = Form(2, 2, {(2, 0): QQi(1), (1, 1): 2, (0, 2): 0.5 + 1j})
+    assert not mixed.exact
+    assert all(type(v) is complex for _, v in mixed.items())
+    assert type(mixed.a((1, 1))) is complex
+    # a form with no coefficients counts as exact, whatever built it
+    p = parse_form("x^2 + 3*x*y")
+    zero = p.approx() - p.approx()
+    assert zero.exact and not zero
+    assert type(zero.a((2, 0))) is QQi and zero.a((2, 0)) == QQi(0)
+
+
 def test_normalized_coefficient_convention():
     p = parse_form(EX310)
     assert [p.a((3 - j, j)) for j in range(4)] == [QQi(2), QQi(1), QQi(-7),
