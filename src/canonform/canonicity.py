@@ -2,9 +2,11 @@
 
 A candidate canonical form is a polynomial map from C^M into the degree-d
 forms; it hits a general form exactly when the span of its parameter partials
-is the whole space at some point u.  Ranks are computed exactly over the
-Gaussian rationals whenever the witness is rational, so a Certified verdict
-is a proof for that witness.
+is the whole space at some point u.  At a rational witness the Jacobian is
+first built and ranked modulo the prime MOD_P; full rank there is a proof of
+full rank over the Gaussian rationals.  Otherwise the rank is computed
+exactly over the Gaussian rationals, so a Certified verdict is a proof for
+that witness either way.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, dim, index_set, linear_form,
                     monomial_form, multinomial)
-from .linalg import mat_det, mat_rank
+from .linalg import mat_det, mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
                       scalar_is_zero, scalars_close)
 
@@ -58,39 +61,151 @@ class Scale:
     part: object
 
 
-def _one(n: int) -> Form:
-    return Form(n, 0, {(0,) * n: QQi(1)})
+# Ranks are decided modulo this prime first (p = 1 mod 4, so i maps to a
+# fixed square root of -1).  Reduction mod p is a ring map from the Gaussian
+# rationals whose denominators p does not divide, so a minor that is nonzero
+# mod p is nonzero over Q(i): full rank mod p is a proof, a smaller rank only
+# sends the question to exact arithmetic.
+MOD_P = 2305843009213693921
+MOD_I = 583529827753931384
 
 
-def _eval_grad(node, t, n: int) -> tuple[Form, dict[int, Form]]:
-    """Value and full parameter gradient (sparse dict j -> dF/dt_j)."""
+class _NoImage(ArithmeticError):
+    """A scalar with no image mod MOD_P: inexact, or p divides a denominator."""
+
+
+def _mod_p(v) -> int:
+    if not isinstance(v, QQi):
+        raise _NoImage
+    try:
+        re = v.re.numerator * pow(v.re.denominator, -1, MOD_P)
+        im = v.im.numerator * pow(v.im.denominator, -1, MOD_P)
+    except ValueError:
+        raise _NoImage from None
+    return (re + im * MOD_I) % MOD_P
+
+
+class _ModPoly:
+    """A polynomial in n variables mod MOD_P, monomial -> actual coefficient.
+
+    Only what the expression walk uses: scale, +, * and ** k.
+    """
+
+    __slots__ = ("n", "c")
+
+    def __init__(self, n: int, c: dict):
+        self.n = n
+        self.c = c
+
+    def scale(self, s: int) -> "_ModPoly":
+        return _ModPoly(self.n, {k: v * s % MOD_P for k, v in self.c.items()}
+                        if s else {})
+
+    def __add__(self, other: "_ModPoly") -> "_ModPoly":
+        out = dict(self.c)
+        for k, v in other.c.items():
+            s = (out.get(k, 0) + v) % MOD_P
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return _ModPoly(self.n, out)
+
+    def __mul__(self, other: "_ModPoly") -> "_ModPoly":
+        out: dict = {}
+        for i, u in self.c.items():
+            for j, v in other.c.items():
+                k = tuple(map(add, i, j))
+                out[k] = out.get(k, 0) + u * v
+        return _ModPoly(self.n, {k: r for k, v in out.items()
+                                 if (r := v % MOD_P)})
+
+    def __pow__(self, k: int) -> "_ModPoly":
+        result = _ModPoly(self.n, {(0,) * self.n: 1})
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+
+class _FormRing:
+    """Leaves of the expression walk as Forms over the scalar backend."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def one(self) -> Form:
+        return Form(self.n, 0, {(0,) * self.n: QQi(1)})
+
+    def monomial(self, mono: MultiIndex) -> Form:
+        return monomial_form(self.n, mono)
+
+    def fixed(self, form: Form) -> Form:
+        return form
+
+    def coeff(self, c: Scalar) -> Scalar:
+        return c
+
+
+class _ModPRing:
+    """Leaves of the expression walk as polynomials mod MOD_P; raises
+    _NoImage on a scalar that has none."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def one(self) -> _ModPoly:
+        return _ModPoly(self.n, {(0,) * self.n: 1})
+
+    def monomial(self, mono: MultiIndex) -> _ModPoly:
+        return _ModPoly(self.n, {tuple(mono): 1})
+
+    def fixed(self, form: Form) -> _ModPoly:
+        return _ModPoly(self.n, {i: r for i, a in form.items()
+                                 if (r := _mod_p(a) * multinomial(i) % MOD_P)})
+
+    def coeff(self, c: Scalar) -> int:
+        return _mod_p(c)
+
+
+def _eval_grad(node, t, ring):
+    """Value and full parameter gradient (sparse dict j -> dF/dt_j).
+
+    ring builds the leaves (a _FormRing or a _ModPRing) and t holds scalars
+    of that ring; the rest of the walk only uses scale, +, * and **.
+    """
     if isinstance(node, Param):
-        mono = monomial_form(n, node.monomial)
+        mono = ring.monomial(node.monomial)
         return mono.scale(t[node.index]), {node.index: mono}
     if isinstance(node, Fixed):
-        return node.form, {}
+        return ring.fixed(node.form), {}
     if isinstance(node, Scale):
-        v, g = _eval_grad(node.part, t, n)
-        return v.scale(node.coeff), {j: df.scale(node.coeff) for j, df in g.items()}
+        c = ring.coeff(node.coeff)
+        v, g = _eval_grad(node.part, t, ring)
+        return v.scale(c), {j: df.scale(c) for j, df in g.items()}
     if isinstance(node, Sum):
-        vals, grads = zip(*(_eval_grad(p, t, n) for p in node.parts))
+        vals, grads = zip(*(_eval_grad(p, t, ring) for p in node.parts))
         total = vals[0]
         for v in vals[1:]:
             total = total + v
-        grad: dict[int, Form] = {}
+        grad: dict = {}
         for g in grads:
             for j, df in g.items():
                 grad[j] = grad[j] + df if j in grad else df
         return total, grad
     if isinstance(node, Prod):
-        vals, grads = zip(*(_eval_grad(p, t, n) for p in node.parts))
+        vals, grads = zip(*(_eval_grad(p, t, ring) for p in node.parts))
         k = len(vals)
         prefix = [None] * (k + 1)
         suffix = [None] * (k + 1)
-        prefix[0] = _one(n)
+        prefix[0] = ring.one()
         for i in range(k):
             prefix[i + 1] = prefix[i] * vals[i]
-        suffix[k] = _one(n)
+        suffix[k] = ring.one()
         for i in range(k - 1, -1, -1):
             suffix[i] = vals[i] * suffix[i + 1]
         grad = {}
@@ -103,9 +218,9 @@ def _eval_grad(node, t, n: int) -> tuple[Form, dict[int, Form]]:
                 grad[j] = grad[j] + term if j in grad else term
         return prefix[k], grad
     if isinstance(node, Pow):
-        v, g = _eval_grad(node.base, t, n)
+        v, g = _eval_grad(node.base, t, ring)
         if node.k == 0:
-            return _one(n), {}
+            return ring.one(), {}
         value = v ** node.k
         if not g:
             return value, {}
@@ -140,14 +255,14 @@ class ParamMap:
         return [as_scalar(v) for v in t]
 
     def evaluate(self, t) -> Form:
-        value, _ = _eval_grad(self.expr, self._coerce_t(t), self.n)
+        value, _ = _eval_grad(self.expr, self._coerce_t(t), _FormRing(self.n))
         if (value.n, value.d) != (self.n, self.d):
             raise ShapeMismatch("expression does not produce the declared shape")
         return value
 
     def gradient(self, t) -> list[Form]:
         """[dF/dt_j at t for j in 0..M-1]."""
-        _, grad = _eval_grad(self.expr, self._coerce_t(t), self.n)
+        _, grad = _eval_grad(self.expr, self._coerce_t(t), _FormRing(self.n))
         zero = Form.zero(self.n, self.d)
         return [grad.get(j, zero) for j in range(self.m)]
 
@@ -185,7 +300,28 @@ class CertifyReport:
                 "seed": self.seed, "trials": self.trials}
 
 
+def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
+    """Whether the Jacobian at t has full rank mod MOD_P, a proof of full
+    rank over Q(i); False also when t or the map has no image mod p.
+
+    Its rows are the partials' actual monomial coefficients, the
+    Lasker-Wakeford matrix, one column scaling away from jacobian_rows.
+    """
+    try:
+        t = [_mod_p(v) for v in pmap._coerce_t(t)]
+        _, grad = _eval_grad(pmap.expr, t, _ModPRing(pmap.n))
+    except _NoImage:
+        return False
+    idxs = index_set(pmap.n, pmap.d)
+    empty = _ModPoly(pmap.n, {})
+    rows = [[grad.get(j, empty).c.get(i, 0) for i in idxs]
+            for j in range(pmap.m)]
+    return modp_rank(rows, MOD_P) == pmap.target
+
+
 def _rank_at(pmap: ParamMap, t, eps: float) -> int:
+    if _full_rank_mod_p(pmap, t):
+        return pmap.target
     return mat_rank(pmap.jacobian_rows(t), eps)
 
 
@@ -194,9 +330,10 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
     """Certified iff the M x N(n,d) Jacobian has full rank at some witness.
 
     A given witness is checked alone; otherwise the catalog's stored witness
-    is tried first, then seeded random integer points in [-9, 9]^M.  Rank is
-    exact for rational witnesses, so Certified is a proof; the negative
-    verdict only reports the witnesses tried.
+    is tried first, then seeded random integer points in [-9, 9]^M.  Full
+    rank is proved mod MOD_P or in exact arithmetic for rational witnesses,
+    so Certified is a proof; the negative verdict only reports the
+    witnesses tried.
     """
     target = pmap.target
     if witness is not None:
@@ -231,6 +368,8 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
 def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bool:
     """Apolar reformulation: full rank at t iff only the zero form is apolar
     to every parameter partial."""
+    if _full_rank_mod_p(pmap, t):
+        return True
     idxs = index_set(pmap.n, pmap.d)
     rows = [[multinomial(i) * df.a(i) for i in idxs] for df in pmap.gradient(t)]
     return mat_rank(rows, eps) == pmap.target
@@ -489,10 +628,17 @@ def _build_sylwake(s: int) -> ParamMap:
     return ParamMap("sylwake", 2, 2 * s, j, Sum(tuple(terms)), params={"s": s})
 
 
-def _build_hyperplane(c) -> ParamMap:
+def _hyperplane_coefficients(c) -> list[Scalar]:
     c = [as_scalar(v) for v in c]
+    if len(c) != 4:
+        raise BadShape(f"hyperplane needs 4 coefficients c1..c4, got {len(c)}")
     if not any(c):
         raise AllZero("hyperplane coefficients are all zero")
+    return c
+
+
+def _build_hyperplane(c) -> ParamMap:
+    c = _hyperplane_coefficients(c)
     pivot = 3 if c[3] else max(k for k in range(4) if c[k])
     free = [k for k in range(4) if k != pivot]
     slot_mono = {0: (1, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1)}
@@ -614,9 +760,7 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
     then every feasible form vanishes at the returned point.  Otherwise a
     parameter witness with nonvanishing partial determinant is produced.
     """
-    c = [as_scalar(v) for v in c]
-    if not any(c):
-        raise AllZero("hyperplane coefficients are all zero")
+    c = _hyperplane_coefficients(c)
     scale = max(abs(complex(v)) for v in c)
     for epsilon in (QQi(0, 1), QQi(0, -1)):
         if (scalars_close(c[2], epsilon * c[0], eps, scale)
@@ -638,15 +782,16 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
         t_free = [QQi(Fraction(rng.randint(-9, 9))) for _ in range(3)]
         if not any(v for v in t_free):
             continue
-        rows = [[df.a(i) for i in basis] for df in pmap.gradient(t_free)]
-        det = mat_det(rows)
-        if not scalar_is_zero(det, eps):
-            full = [None] * 4
-            for i, k in enumerate(free):
-                full[k] = t_free[i]
-            full[pivot] = sum((-c[k] / c[pivot]) * t_free[i]
-                              for i, k in enumerate(free))
-            return HyperplaneVerdict("Canonical", witness=full)
+        if not _full_rank_mod_p(pmap, t_free):
+            rows = [[df.a(i) for i in basis] for df in pmap.gradient(t_free)]
+            if scalar_is_zero(mat_det(rows), eps):
+                continue
+        full = [None] * 4
+        for i, k in enumerate(free):
+            full[k] = t_free[i]
+        full[pivot] = sum((-c[k] / c[pivot]) * t_free[i]
+                          for i, k in enumerate(free))
+        return HyperplaneVerdict("Canonical", witness=full)
     raise ShapeMismatch("no nondegenerate parameter point found; the "
                         "determinant locus should be proper for this c")
 

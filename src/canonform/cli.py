@@ -63,8 +63,11 @@ def _parse_float_range_form(text: str, n=None, d=None) -> Form:
 
 
 def _hyperplane_c(value) -> list:
-    """The hyperplane coefficient vector from a parsed parameter value."""
+    """The hyperplane coefficient vector c1..c4 from a parsed parameter value."""
     c = value if isinstance(value, list) else [value]
+    if len(c) != 4:
+        raise ParseError(f"the hyperplane needs exactly 4 coefficients "
+                         f"c1,c2,c3,c4, got {len(c)}")
     for k, v in enumerate(c):
         if not _fits_float(v):
             raise ParseError(f"the hyperplane coefficient c{k + 1} does not "
@@ -284,6 +287,9 @@ def _cmd_count(args) -> int:
             return 1
         e = _parse_param_value(args.e)
         e = e if isinstance(e, list) else [e]
+        for v in e:
+            if not isinstance(v, int):
+                raise ParseError(f"--e entries must be integers, got {v}")
         value = binary.count_reps_monte_carlo(args.d, e, args.m,
                                               trials=args.trials,
                                               seed=args.seed)

@@ -1,7 +1,8 @@
 """Small dense linear algebra over both scalar backends, plus root finding.
 
 Exact routines run Gaussian elimination over the Gaussian rationals with no
-rounding, so rank decisions are proofs for the given matrix.  Approximate
+rounding, so rank decisions are proofs for the given matrix; `modp_rank`
+does the same over a prime field for integer matrices.  Approximate
 routines use fully pivoted elimination with rank decided at a threshold
 relative to the matrix max-magnitude.
 """
@@ -56,6 +57,28 @@ def exact_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 def exact_rank(rows: Matrix) -> int:
     return len(exact_rref(rows)[1])
+
+
+def modp_rank(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over the field of p elements, p prime.
+
+    Each step drops the pivot row and the pivot column, so the rows left
+    hold only the columns not yet eliminated.
+    """
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    while m and m[0]:
+        pr = next((i for i, row in enumerate(m) if row[0]), None)
+        if pr is None:
+            m = [row[1:] for row in m]
+            continue
+        pivot = m.pop(pr)
+        inv = pow(pivot[0], -1, p)
+        rest = pivot[1:]
+        m = [[(a - f * b) % p for a, b in zip(row[1:], rest)]
+             if (f := row[0] * inv % p) else row[1:] for row in m]
+        rank += 1
+    return rank
 
 
 def exact_kernel(rows: Matrix) -> list[Vector]:

@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from canonform import QQi, dim, parse_form
-from canonform.canonicity import (CertifyReport, build_map, catalog_names,
-                                  hyperplane_classify, hyperplane_form,
-                                  jacobian_certify, lasker_wakeford_full_rank,
-                                  zerosum_verify)
+from canonform import QQi, canonicity, dim, parse_form
+from canonform.canonicity import (MOD_I, MOD_P, CertifyReport, build_map,
+                                  catalog_names, hyperplane_classify,
+                                  hyperplane_form, jacobian_certify,
+                                  lasker_wakeford_full_rank, zerosum_verify)
 from canonform.errors import AllZero, BadShape, UnknownName
+from canonform.linalg import exact_rank, modp_rank
+from canonform.scalars import EPS_DEFAULT
 
 
 def test_unknown_name():
@@ -236,3 +241,103 @@ def test_zerosum_boundary_reports_without_claim():
 
 def test_catalog_names_stable():
     assert "omnibus" in catalog_names() and "hyperplane" in catalog_names()
+
+
+def test_hyperplane_needs_four_coefficients():
+    for c in ([1, 2], [1], [1, 2, 3, 4, 5]):
+        with pytest.raises(BadShape):
+            build_map("hyperplane", c=c)
+        with pytest.raises(BadShape):
+            hyperplane_classify(c)
+
+
+# -- the modular rank path ------------------------------------------------------
+
+
+def test_modulus_is_a_prime_with_a_square_root_of_minus_one():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(MOD_P)
+    assert MOD_P % 4 == 1
+    assert MOD_I * MOD_I % MOD_P == MOD_P - 1
+
+
+def test_modp_rank_can_only_fall_short_of_the_exact_rank():
+    assert modp_rank([[1, 2], [3, 4]], MOD_P) == 2
+    assert modp_rank([[MOD_P, 0], [0, 1]], MOD_P) == 1
+    assert exact_rank([[QQi(MOD_P), QQi(0)], [QQi(0), QQi(1)]]) == 2
+    assert modp_rank([[0, 0, 5], [0, 0, 7]], MOD_P) == 1
+    assert modp_rank([], MOD_P) == 0
+
+
+# small maps, rank-deficient ones included: both excluded quarticgen
+# patterns (a forced square factor) and a map certified only generically
+SMALL_MAPS = [
+    ("uppertri", {"n": 3}),
+    ("sextican", {}),
+    ("wakeford", {"n": 2, "d": 3}),
+    ("quarticgen", {"d": 5, "B": (0, 1, 3, 4)}),
+    ("quarticgen", {"d": 5, "B": (4, 5, 0, 2)}),
+    ("quarticgen", {"d": 4, "B": (0, 2, 1, 3)}),
+    ("omnibus", {"d": 6, "e": [3, 2], "m": 0}),
+    ("so2s", {"s": 2}),
+    ("slinkymap", {"n": 2}),
+    ("hyperplane", {"c": [QQi(1), QQi(2), QQi(0, 1), QQi(5)]}),
+    ("zerosum", {"s": 2}),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=st.sampled_from(range(len(SMALL_MAPS))),
+       values=st.lists(st.integers(-3, 3), min_size=15, max_size=15))
+@example(case=3, values=[0] * 15)
+@example(case=0, values=[0] * 15)
+def test_modular_first_rank_equals_exact_rank(case, values):
+    name, params = SMALL_MAPS[case]
+    pmap = build_map(name, **params)
+    t = [QQi(v) for v in values[:pmap.m]]
+    exact = exact_rank(pmap.jacobian_rows(t))
+    assert canonicity._rank_at(pmap, t, EPS_DEFAULT) == exact
+    # the modular verdict is only ever "full rank", and then it is right
+    if canonicity._full_rank_mod_p(pmap, t):
+        assert exact == pmap.target
+    assert lasker_wakeford_full_rank(pmap, t) == (exact == pmap.target)
+
+
+def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
+    calls = []
+
+    def spy(rows, eps):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(canonicity, "mat_rank", spy)
+    for name, params, witness, verdict in (
+            ("sextican", {}, [1, 0, 0, 0, 0, 0, 1], "Certified"),
+            ("quarticgen", {"d": 5, "B": (0, 1, 3, 4)}, [1, 0, 0, 1, 1, 1],
+             "NotFullRankAtWitness")):
+        pmap = build_map(name, **params)
+        t = [QQi(Fraction(v, MOD_P)) for v in witness]
+        assert not canonicity._full_rank_mod_p(pmap, t)
+        calls.clear()
+        rep = jacobian_certify(pmap, witness=t)
+        assert calls == [pmap.m]
+        assert rep.verdict == verdict
+        assert rep.rank == exact_rank(pmap.jacobian_rows(t))
+
+
+def test_modular_path_keeps_hyperplane_and_lasker_wakeford_verdicts(
+        monkeypatch):
+    cs = [[0, 0, 0, 1], [1, 1, 1, 1], [QQi(1), QQi(2), QQi(3), QQi(5)],
+          [QQi(Fraction(1, 3)), QQi(0, 2), QQi(-7), QQi(0)],
+          [1.5, 0.0, 2.0, 1.0]]
+    rng = random.Random(56)
+    lw_cases = []
+    for name, params in SMALL_MAPS:
+        pmap = build_map(name, **params)
+        lw_cases.append((pmap, [QQi(rng.randint(-3, 3)) for _ in range(pmap.m)]))
+    fast = ([hyperplane_classify(c, seed=s) for c in cs for s in (0, 1)],
+            [lasker_wakeford_full_rank(pmap, t) for pmap, t in lw_cases])
+    monkeypatch.setattr(canonicity, "_full_rank_mod_p", lambda pmap, t: False)
+    exact = ([hyperplane_classify(c, seed=s) for c in cs for s in (0, 1)],
+             [lasker_wakeford_full_rank(pmap, t) for pmap, t in lw_cases])
+    assert fast == exact

@@ -313,3 +313,21 @@ def test_hyperplane_coefficient_beyond_float_range_is_a_usage_error(capsys):
     code, out, _ = run_cli(["decompose", "quartic-six", "x^4+y^4", "--lam",
                             "1e400"], capsys=capsys)
     assert code == 0 and len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify-hyperplane", "1,2"], "exactly 4 coefficients c1,c2,c3,c4, got 2"),
+    (["certify", "hyperplane", "--param", "c=1"],
+     "exactly 4 coefficients c1,c2,c3,c4, got 1"),
+    (["certify", "hyperplane", "--param", "c=1,2,3,4,5"],
+     "exactly 4 coefficients c1,c2,c3,c4, got 5"),
+    (["count", "reps", "--d", "4", "--e", "1/2"],
+     "--e entries must be integers, got 1/2"),
+    (["count", "reps", "--d", "4", "--e", "2,(1+i)"],
+     "--e entries must be integers, got (1+1*i)"),
+])
+def test_malformed_hyperplane_and_exponent_vectors_are_usage_errors(
+        capsys, argv, message):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert message in err
