@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
@@ -78,11 +77,10 @@ def _mod_p(v) -> int:
     if not isinstance(v, QQi):
         raise _NoImage
     try:
-        re = v.re.numerator * pow(v.re.denominator, -1, MOD_P)
-        im = v.im.numerator * pow(v.im.denominator, -1, MOD_P)
+        inv = pow(v.d, -1, MOD_P)
     except ValueError:
         raise _NoImage from None
-    return (re + im * MOD_I) % MOD_P
+    return (v.a + v.b * MOD_I) * inv % MOD_P
 
 
 class _ModPoly:
@@ -333,8 +331,11 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
     is tried first, then seeded random integer points in [-9, 9]^M.  Full
     rank is proved mod MOD_P or in exact arithmetic for rational witnesses,
     so Certified is a proof; the negative verdict only reports the
-    witnesses tried.
+    witnesses tried.  A map with no parameters is refused (BadShape): it
+    cannot have full rank, and it has no nonzero random witness.
     """
+    if pmap.m < 1:
+        raise BadShape(f"{pmap.name} has no parameters")
     target = pmap.target
     if witness is not None:
         t = [as_scalar(v) for v in witness]
@@ -349,7 +350,7 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
         candidates.append([as_scalar(v) for v in pmap.witness])
     rng = random.Random(seed)
     while len(candidates) < trials + (1 if pmap.witness is not None else 0):
-        t = [QQi(Fraction(rng.randint(-9, 9))) for _ in range(pmap.m)]
+        t = [QQi(rng.randint(-9, 9)) for _ in range(pmap.m)]
         if any(v for v in t):
             candidates.append(t)
     for t in candidates:
@@ -407,6 +408,8 @@ def _raw_coeffs_as_witness(f: Form, monomials: list[MultiIndex]) -> list:
 
 
 def _build_uppertri(n: int) -> ParamMap:
+    if n < 1:
+        raise BadShape("uppertri needs n >= 1")
     terms = []
     witness = []
     j = 0
@@ -603,6 +606,8 @@ def _build_reichmap(n: int) -> ParamMap:
 
 
 def _build_slinkymap(n: int) -> ParamMap:
+    if n < 1:
+        raise BadShape("slinkymap needs n >= 1")
     terms = []
     j = 0
     for i in range(n):
@@ -779,7 +784,7 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
     rng = random.Random(seed)
     basis = index_set(2, 2)
     for _ in range(trials):
-        t_free = [QQi(Fraction(rng.randint(-9, 9))) for _ in range(3)]
+        t_free = [QQi(rng.randint(-9, 9)) for _ in range(3)]
         if not any(v for v in t_free):
             continue
         if not _full_rank_mod_p(pmap, t_free):

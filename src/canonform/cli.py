@@ -75,6 +75,28 @@ def _hyperplane_c(value) -> list:
     return c
 
 
+# Catalog parameters that take a list of integers; every other parameter
+# but the hyperplane's c takes one integer.
+_INT_LIST_PARAMS = ("B", "e")
+
+
+def _catalog_param(name: str, key: str, text: str):
+    """A certify --param value, parsed and checked for the catalog builder."""
+    value = _parse_param_value(text)
+    if name == "hyperplane" and key == "c":
+        return _hyperplane_c(value)
+    if key in _INT_LIST_PARAMS:
+        value = value if isinstance(value, list) else [value]
+        entries = value
+    elif isinstance(value, list):
+        raise ParseError(f"--param {key} takes one integer, got {text!r}")
+    else:
+        entries = [value]
+    if not all(isinstance(v, int) for v in entries):
+        raise ParseError(f"--param {key} needs integer values, got {text!r}")
+    return value
+
+
 def _below(flag: str, value: int, least: int) -> bool:
     """Report a numeric option below its least allowed value."""
     if value >= least:
@@ -192,7 +214,7 @@ def _sheared(p: Form, seed: int) -> Form:
     rng = random.Random(seed)
     n = p.n
     while True:
-        m = [[QQi(Fraction(rng.randint(-3, 3))) for _ in range(n)]
+        m = [[QQi(rng.randint(-3, 3)) for _ in range(n)]
              for _ in range(n)]
         if exact_det(m):
             return p.substitute(m)
@@ -205,9 +227,8 @@ def _cmd_certify(args) -> int:
             print(f"--param needs key=value, got {item!r}", file=sys.stderr)
             return 1
         key, val = item.split("=", 1)
-        params[key.strip()] = _parse_param_value(val)
-    if args.name == "hyperplane" and "c" in params:
-        params["c"] = _hyperplane_c(params["c"])
+        key = key.strip()
+        params[key] = _catalog_param(args.name, key, val)
     pmap = canonicity.build_map(args.name, **params)
     witness = None
     if args.witness:

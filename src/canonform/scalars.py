@@ -1,17 +1,18 @@
 """Scalar backends: exact Gaussian rationals and approximate complex doubles.
 
 A computation runs uniformly in one backend.  The exact backend stores a
-complex number as a pair of arbitrary-precision Fractions and is closed under
-+, -, *, / with no rounding.  The approximate backend is the builtin complex,
-with comparisons made at a relative tolerance carried by the caller
+complex number as one normalised integer triple (a, b, d), the value
+(a + b*i)/d with d > 0 and gcd(a, b, d) == 1, and is closed under +, -, *, /
+with no rounding.  The approximate backend is the builtin complex, with
+comparisons made at a relative tolerance carried by the caller
 (default EPS_DEFAULT).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 EPS_DEFAULT = 1e-9
 
@@ -19,91 +20,145 @@ EPS_DEFAULT = 1e-9
 SNAP_MAX_DEN = 10**6
 
 _EXACT_PARTS = (int, Fraction)
+_INEXACT = (float, complex)
 
 
-@dataclass(frozen=True)
 class QQi:
-    """A Gaussian rational: re + im*i with Fraction parts."""
+    """A Gaussian rational (a + b*i)/d with Python int a, b and d.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    d > 0 and gcd(a, b, d) == 1, so equal values have equal triples.  The
+    parts read as Fractions through re and im.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # lowest-terms parts over the lcm of their denominators are
+            # already coprime to it: no gcd is needed
+            d = re.denominator * im.denominator // gcd(re.denominator,
+                                                       im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QQi, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, _EXACT_PARTS):
-            return QQi(Fraction(other))
-        return None
+    # Only __rsub__, __rtruediv__ and __pow__ call other operators, so the
+    # operator call counts in bench/tracing.py measure the same work as
+    # before the integer triple.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) + other
+        if isinstance(other, QQi):
+            c, e, f = other.a, other.b, other.d
+        elif isinstance(other, int):
+            # gcd(a + k*d, b, d) == gcd(a, b, d) == 1
+            return _triple(self.a + other * self.d, self.b, self.d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        elif isinstance(other, _INEXACT):
+            return complex(self) + other
+        else:
             return NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
+        d = self.d
+        if d == f:
+            return _normalised(self.a + c, self.b + e, d)
+        return _normalised(self.a * f + c * d, self.b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
+        if isinstance(other, QQi):
+            c, e, f = other.a, other.b, other.d
+        elif isinstance(other, int):
+            return _triple(self.a - other * self.d, self.b, self.d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        elif isinstance(other, _INEXACT):
+            return complex(self) - other
+        else:
             return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
+        d = self.d
+        if d == f:
+            return _normalised(self.a - c, self.b - e, d)
+        return _normalised(self.a * f - c * d, self.b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) * other
-            return NotImplemented
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+        if isinstance(other, QQi):
+            a, b, c, e = self.a, self.b, other.a, other.b
+            return _normalised(a * c - b * e, a * e + b * c, self.d * other.d)
+        if isinstance(other, int):
+            return _normalised(self.a * other, self.b * other, self.d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _normalised(self.a * n, self.b * n,
+                               self.d * other.denominator)
+        if isinstance(other, _INEXACT):
+            return complex(self) * other
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) / other
+        if isinstance(other, QQi):
+            c, e, f = other.a, other.b, other.d
+        elif isinstance(other, int):
+            c, e, f = other, 0, 1
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        elif isinstance(other, _INEXACT):
+            return complex(self) / other
+        else:
             return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / n2,
-                   (self.im * o.re - self.re * o.im) / n2)
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _normalised(self.a * f, self.b * f, self.d * c)
+        # z / ((c + e*i)/f) = z * f * (c - e*i) / (c^2 + e^2)
+        a, b = self.a, self.b
+        return _normalised((a * c + b * e) * f, (b * c - a * e) * f,
+                           self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return other / complex(self)
-            return NotImplemented
-        return o / self
+        if isinstance(other, _EXACT_PARTS):
+            return QQi(other) / self
+        if isinstance(other, _INEXACT):
+            return other / complex(self)
+        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return (QQi(1) / self) ** (-k)
-        result = QQi(1)
+            return (_ONE / self) ** (-k)
+        result = _ONE
         base = self
         while k:
             if k & 1:
@@ -115,31 +170,38 @@ class QQi:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does, and
+        # raises the same OverflowError for values beyond float range
+        return complex(self.a / self.d, self.b / self.d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) == other
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, QQi):
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (not self.b and self.d == other.denominator
+                    and self.a == other.numerator)
+        if isinstance(other, _INEXACT):
+            return complex(self) == other
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -148,6 +210,41 @@ class QQi:
 
     def __repr__(self) -> str:
         return f"QQi({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_a = QQi.a.__set__
+_set_b = QQi.b.__set__
+_set_d = QQi.d.__set__
+
+
+def _triple(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d of a triple that is already normalised."""
+    z = _new(QQi)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _normalised(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d for any d != 0 (the body of _triple is inlined:
+    every arithmetic result passes through here)."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(QQi)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+_ONE = _triple(1, 0, 1)
 
 
 Scalar = QQi | complex
@@ -162,7 +259,7 @@ def as_scalar(v) -> Scalar:
     if isinstance(v, (QQi, complex)):
         return v
     if isinstance(v, _EXACT_PARTS):
-        return QQi(Fraction(v))
+        return QQi(v)
     if isinstance(v, float):
         return complex(v)
     raise TypeError(f"cannot interpret {v!r} as a scalar")

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi, canonicity, dim, parse_form
-from canonform.canonicity import (MOD_I, MOD_P, CertifyReport, build_map,
-                                  catalog_names, hyperplane_classify,
+from canonform.canonicity import (MOD_I, MOD_P, CertifyReport, ParamMap,
+                                  Sum, build_map, catalog_names, hyperplane_classify,
                                   hyperplane_form, jacobian_certify,
                                   lasker_wakeford_full_rank, zerosum_verify)
 from canonform.errors import AllZero, BadShape, UnknownName
@@ -237,6 +237,16 @@ def test_zerosum_boundary_reports_without_claim():
     rep = zerosum_verify(5, trials=3, seed=7)
     assert isinstance(rep, CertifyReport)
     assert rep.verdict in ("Certified", "NotFullRankAtWitness")
+
+
+def test_maps_with_no_parameters_are_refused():
+    for name in ("uppertri", "slinkymap"):
+        for n in (0, -1):
+            with pytest.raises(BadShape, match=f"{name} needs n >= 1"):
+                build_map(name, n=n)
+    # refused up front: no witness search for a map that cannot span
+    with pytest.raises(BadShape, match="empty has no parameters"):
+        jacobian_certify(ParamMap("empty", 2, 2, 0, Sum(())))
 
 
 def test_catalog_names_stable():

@@ -331,3 +331,31 @@ def test_malformed_hyperplane_and_exponent_vectors_are_usage_errors(
     code, out, err = run_cli(argv, capsys=capsys)
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "zerosum", "--param", "s=1/2"],
+     "--param s needs integer values, got '1/2'"),
+    (["certify", "uppertri", "--param", "n=i"],
+     "--param n needs integer values, got 'i'"),
+    (["certify", "wakeford", "--param", "n=2,3", "--param", "d=3"],
+     "--param n takes one integer, got '2,3'"),
+    (["certify", "omnibus", "--param", "d=1/2", "--param", "e=1",
+      "--param", "m=0"], "--param d needs integer values, got '1/2'"),
+    (["certify", "quarticgen", "--param", "d=5", "--param", "B=0,1,2,i"],
+     "--param B needs integer values, got '0,1,2,i'"),
+    (["certify", "sylv622", "--param", "s=1/2"],
+     "--param s needs integer values, got '1/2'"),
+])
+def test_certify_parameters_of_the_wrong_type_are_usage_errors(
+        capsys, argv, message):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_certify_list_parameter_with_one_entry(capsys):
+    code, out, _ = run_cli(["certify", "omnibus", "--param", "d=4",
+                            "--param", "e=2", "--param", "m=2"], capsys=capsys)
+    assert code == 0 and out.strip() == "Certified (rank 5/5)"
+
