@@ -7,16 +7,20 @@ forms written Sum binom(d,j) a_j x^(d-j) y^j therefore store exactly the a_j
 sequence, which is what the catalecticant construction consumes.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs.
+function of its inputs.  Form(...) checks every index and value; the ring
+operations trust the indices they build and skip those checks.  Storage
+stays normalised: moving c(i) into the values would reorder float
+operations ((s/c)*c != s for some doubles) and change approximate results.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
@@ -51,6 +55,7 @@ def index_set(n: int, d: int) -> list[MultiIndex]:
     return out
 
 
+@functools.cache
 def multinomial(idx: MultiIndex) -> int:
     """c(i) = d! / prod(i_k!)."""
     total = sum(idx)
@@ -72,12 +77,10 @@ class Form:
             raise ValueError(f"bad shape ({n}, {d})")
         self.n = n
         self.d = d
+        items = [(tuple(i), as_scalar(v)) for i, v in (coeffs or {}).items()]
+        approx = not all(is_exact(s) for _, s in items)
         clean: dict[MultiIndex, Scalar] = {}
-        coeffs = coeffs or {}
-        approx = any(not is_exact(as_scalar(v)) for v in coeffs.values())
-        for idx, v in coeffs.items():
-            idx = tuple(idx)
-            s = as_scalar(v)
+        for idx, s in items:
             if approx:
                 s = complex(s)
             if not s:
@@ -113,7 +116,7 @@ class Form:
 
     def items(self):
         """(index, normalized coefficient) pairs in graded-lex order."""
-        return sorted(self._a.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self._a.items(), reverse=True)
 
     def raw_items(self):
         return [(i, v * multinomial(i)) for i, v in self.items()]
@@ -122,8 +125,6 @@ class Form:
         return bool(self._a)
 
     def is_zero(self, eps: float = 0.0, scale: float = 1.0) -> bool:
-        if not self._a:
-            return True
         if self.exact or eps == 0.0:
             return not self._a
         return all(abs(complex(v)) * multinomial(i) <= eps * max(scale, 1.0)
@@ -158,10 +159,13 @@ class Form:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-        return Form(self.n, self.d, out)
+        if self._a and other._a and self.exact != other.exact:
+            return Form(self.n, self.d, out)  # mixed: survivors pick the backend
+        return _trusted(self.n, self.d, out, self.exact and other.exact)
 
     def __neg__(self) -> "Form":
-        return Form(self.n, self.d, {i: -v for i, v in self._a.items()})
+        return _trusted(self.n, self.d, {i: -v for i, v in self._a.items()},
+                        self.exact)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -170,18 +174,29 @@ class Form:
         s = as_scalar(s)
         if not s:
             return Form.zero(self.n, self.d)
-        return Form(self.n, self.d, {i: v * s for i, v in self._a.items()})
+        if type(s) not in (QQi, complex):  # a subclass such as numpy's
+            return Form(self.n, self.d, {i: v * s for i, v in self._a.items()})
+        return _trusted(self.n, self.d,
+                        {i: w for i, v in self._a.items() if (w := v * s)},
+                        self.exact and is_exact(s))
 
     def __mul__(self, other):
         if isinstance(other, Form):
             if self.n != other.n:
                 raise ShapeMismatch("variable counts differ")
+            # float sums keep graded-lex order; exact sums need none
+            exact = self.exact and other.exact
+            mine, theirs = ([(i, v * multinomial(i)) for i, v in
+                             (f._a.items() if exact else f.items())]
+                            for f in (self, other))
             raw: dict[MultiIndex, Scalar] = {}
-            for i, u in self.raw_items():
-                for j, v in other.raw_items():
-                    k = tuple(a + b for a, b in zip(i, j))
+            for i, u in mine:
+                for j, v in theirs:
+                    k = tuple(map(add, i, j))
                     raw[k] = raw.get(k, 0) + u * v
-            return Form.from_raw(self.n, self.d + other.d, raw)
+            return _trusted(self.n, self.d + other.d,
+                            {k: s for k, v in raw.items()
+                             if (s := v / multinomial(k))}, exact)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -220,22 +235,37 @@ class Form:
         if len(m) != self.n:
             raise ShapeMismatch(f"matrix has {len(m)} rows, need {self.n}")
         n_new = len(m[0])
-        lins = [linear_form([as_scalar(v) for v in row]) for row in m]
+        rows = [[as_scalar(v) for v in row] for row in m]
+        if self.d == 1 and all(
+                len(row) == n_new and all(is_exact(w) == self.exact for w in row)
+                for row in (rows[idx.index(1)] for idx in self._a)):
+            # a vector-matrix product that repeats the scalar steps below value
+            # for value (linear_form, one * lin, scale, running sum)
+            one = QQi(1) if self.exact else 1 + 0j
+            unit, out = index_set(n_new, 1), {}
+            for idx, v in self.items():
+                rawc = v * 1
+                for k, w in zip(unit, rows[idx.index(1)]):
+                    lin = w / 1 if self.exact else complex(w / 1)
+                    if lin and (s := (0 + one * (lin * 1)) / 1 * rawc):
+                        out[k] = out.get(k, 0) + s
+                        if not out[k]:
+                            del out[k]
+            return _trusted(n_new, 1, out, self.exact)
+        lins = [linear_form(row) for row in rows]
+        unit_form = Form(n_new, 0, {(0,) * n_new: QQi(1)})
         powers: list[list[Form]] = []
         for k in range(self.n):
-            maxe = max((idx[k] for idx in self._a), default=0)
-            cache = [Form(n_new, 0, {(0,) * n_new: QQi(1)})]
-            for _ in range(maxe):
+            cache = [unit_form]
+            for _ in range(max((idx[k] for idx in self._a), default=0)):
                 cache.append(cache[-1] * lins[k])
             powers.append(cache)
         out = Form.zero(n_new, self.d)
         for idx, rawc in self.raw_items():
-            term = None
+            term = unit_form
             for k, e in enumerate(idx):
                 if e:
-                    term = powers[k][e] if term is None else term * powers[k][e]
-            if term is None:
-                term = Form(n_new, 0, {(0,) * n_new: QQi(1)})
+                    term = powers[k][e] if term is unit_form else term * powers[k][e]
             out = out + term.scale(rawc)
         return out
 
@@ -243,19 +273,25 @@ class Form:
         """d p / d x_j, degree d-1."""
         if self.d == 0:
             raise ValueError("cannot differentiate a constant form")
-        raw: dict[MultiIndex, Scalar] = {}
-        for idx, rawc in self.raw_items():
-            if idx[j] == 0:
+        a: dict[MultiIndex, Scalar] = {}
+        for idx, v in self._a.items():
+            e = idx[j]
+            if not e:
                 continue
-            new = list(idx)
-            new[j] -= 1
-            raw[tuple(new)] = rawc * idx[j]
-        return Form.from_raw(self.n, self.d - 1, raw)
+            new = idx[:j] + (e - 1,) + idx[j + 1:]
+            if self.exact:
+                a[new] = v * self.d  # c(idx) * e / c(new) == d
+            elif s := v * multinomial(idx) * e / multinomial(new):
+                a[new] = s
+        return _trusted(self.n, self.d - 1, a, self.exact)
 
     # -- backend conversion ----------------------------------------------------
 
     def approx(self) -> "Form":
-        return Form(self.n, self.d, {i: complex(v) for i, v in self._a.items()})
+        if not self.exact:
+            return self
+        return _trusted(self.n, self.d, {i: w for i, v in self._a.items()
+                                         if (w := complex(v))}, False)
 
     def snapped(self, max_den: int = SNAP_MAX_DEN) -> "Form":
         """Rational reconstruction of all coefficients (caller must verify)."""
@@ -266,10 +302,9 @@ class Form:
         """Drop coefficients below eps relative to the form's own scale."""
         if self.exact:
             return self
-        s = self.norm() if scale is None else scale
-        return Form(self.n, self.d,
-                    {i: v for i, v in self._a.items()
-                     if abs(complex(v)) * multinomial(i) > eps * max(s, 1e-300)})
+        cut = eps * max(self.norm() if scale is None else scale, 1e-300)
+        return _trusted(self.n, self.d, {i: v for i, v in self._a.items()
+                                         if abs(complex(v)) * multinomial(i) > cut}, False)
 
     # -- comparisons ------------------------------------------------------------
 
@@ -288,6 +323,14 @@ class Form:
         return f"Form({self.n}, {self.d}, {format_form(self)!r})"
 
 
+def _trusted(n: int, d: int, a: dict, exact: bool) -> Form:
+    """Form(n, d, a) without its checks, for indices of shape (n, d) and
+    nonzero values that are all QQi if `exact` and all complex if not."""
+    f = object.__new__(Form)
+    f.n, f.d, f._a, f.exact = n, d, a, exact or not a
+    return f
+
+
 def forms_close(p: Form, q: Form, eps: float = EPS_DEFAULT) -> bool:
     """Coefficientwise agreement within eps times the larger form's scale."""
     if (p.n, p.d) != (q.n, q.d):
@@ -304,23 +347,14 @@ def forms_close(p: Form, q: Form, eps: float = EPS_DEFAULT) -> bool:
 def linear_form(coeffs) -> Form:
     """The degree-1 form sum_j coeffs[j] x_j."""
     n = len(coeffs)
-    raw = {}
-    for j, v in enumerate(coeffs):
-        idx = [0] * n
-        idx[j] = 1
-        raw[tuple(idx)] = as_scalar(v)
-    return Form.from_raw(n, 1, raw)
+    return Form.from_raw(n, 1, {(0,) * j + (1,) + (0,) * (n - j - 1): v
+                                for j, v in enumerate(coeffs)})
 
 
 def linear_coeffs(f: Form) -> list[Scalar]:
     if f.d != 1:
         raise ShapeMismatch("not a linear form")
-    out = []
-    for j in range(f.n):
-        idx = [0] * f.n
-        idx[j] = 1
-        out.append(f.raw(tuple(idx)))
-    return out
+    return [f.raw(idx) for idx in index_set(f.n, 1)]
 
 
 def power_of_linear(alpha, d: int) -> Form:
@@ -719,10 +753,6 @@ def form_to_json(p: Form) -> dict:
 def form_from_json(obj: dict) -> Form:
     coeffs = {tuple(c["idx"]): scalar_from_json(c) for c in obj["coeffs"]}
     return Form(obj["n"], obj["d"], coeffs)
-
-
-def form_to_json_text(p: Form) -> str:
-    return json.dumps(form_to_json(p), sort_keys=True)
 
 
 # -- decompositions -------------------------------------------------------------------

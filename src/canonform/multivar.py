@@ -377,18 +377,26 @@ def _diagonalize_any_quadratic(q: Form, floor: float) -> list[Form]:
         mform = linear_form([v / root for v in mw])
         out.append(mform)
         work = (work - mform * mform).chop(1e-13)
+    # floor shrinks with each slowpoke level, so rounding noise can pass it;
+    # the forms made from noise depend on the earlier ones and are dropped
+    while out and not _independent([linear_coeffs(f) for f in out]):
+        out.pop()
     return out
+
+
+def _independent(rows) -> bool:
+    import numpy as np
+    return np.linalg.matrix_rank(np.array(rows), tol=1e-8) == len(rows)
 
 
 def _complete_basis(rows: list[list[complex]], n: int) -> list[list[complex]]:
     """Extend independent rows to an invertible n x n matrix with unit rows."""
-    import numpy as np
     mat = [list(r) for r in rows]
     for j in range(n):
         cand = [0.0 + 0j] * n
         cand[j] = 1.0 + 0j
         trial = mat + [cand]
-        if np.linalg.matrix_rank(np.array(trial), tol=1e-8) == len(trial):
+        if _independent(trial):
             mat.append(cand)
         if len(mat) == n:
             break

@@ -276,6 +276,58 @@ _GOLDEN_DECOMPOSE = [
     (['decompose', 'sylvester', '2*x^3+3*x^2*y-21*x*y^2-41*y^3', '--shear'],
      '5*(x+2*y)^3 - 3*(x+3*y)^3\n',
      '2d08b559305db1b9730e759143d1feb998aa99b8d4d10c2b9cae64305d9b4a66'),
+    (['decompose', 'slowpoke',
+      'x1^3 + 2*x1*x2*x3 - x2^2*x4 + 3*x3*x4^2 + x4^3 - x1*x4^2'],
+     ('0.25*(x1+(-0.13608276348795434-0.13608276348795434*i)*x2+(-0.136'
+      '08276348795434+0.13608276348795434*i)*x3+(-5.892084659582816e-17'
+      '+0.9622504486493765*i)*x4)^3 + 0.25*(x1+(0.6804138174397717-0.13'
+      '608276348795434*i)*x2+(0.6804138174397717+0.13608276348795434*i)'
+      '*x3+(1.1784169319165633e-17-0.19245008972987523*i)*x4)^3 + 0.25*'
+      '(x1+(-0.1360827634879544+0.6804138174397717*i)*x2+(-0.1360827634'
+      '879543-0.6804138174397717*i)*x3+(1.1784169319165633e-17-0.192450'
+      '08972987523*i)*x4)^3 + 0.25*(x1+(-0.408248290463863-0.4082482904'
+      '63863*i)*x2+(-0.408248290463863+0.408248290463863*i)*x3+(3.53525'
+      '079574969e-17-0.5773502691896258*i)*x4)^3 + (-0.0100560876639600'
+      '19+0.01693135829873983*i)*(x2+(-2.6054232044690924+2.99846873231'
+      '3806*i)*x3+(0.31441878448525395+2.560732542098205*i)*x4)^3 + (0.'
+      '06174920095150582+0.039774547625854056*i)*(x2+(1.097817856701455'
+      '6+1.8273876123354693*i)*x3+(-0.6314481119500837+1.53910376628136'
+      '7*i)*x4)^3 + (0.04464189532472851-0.16402763271157583*i)*((1.0-4'
+      '.249023381433485e-18*i)*x2+(-0.5529823313783656-1.20574689851484'
+      '03*i)*x3+(-0.04036368780609516-1.2570302104366746*i)*x4)^3 + (-0'
+      '.15901201359815373+0.3760868620650416*i)*((1.0-4.802041789205228'
+      'e-17*i)*x2+(-0.36327177190589255-0.709680106161753*i)*x3)^3 + (-'
+      '0.001021878103034129+0.0014156411299802178*i)*(x2+(2.12140974112'
+      '19224+9.402546373218287*i)*x3)^3 + (-0.08750418745325787-0.11897'
+      '770586586824*i)*(x2+x3)^3\n'),
+     '65ed31bc143b5a7a6ab92111352a9a7caacbdc620b95a6e22c3d06c2b762b4d5'),
+    (['--backend', 'approx', 'decompose', 'slowpoke',
+      'x^3 + 2*x*y*z - y^2*z + 3*z^3 + x*y^2'],
+     ('0.3333333333333333*(x+0.7886751345948129*y+(0.7886751345948128-0'
+      '.21132486540518713*i)*z)^3 + 0.3333333333333333*(x-0.21132486540'
+      '518713*y+(-0.21132486540518713+0.7886751345948129*i)*z)^3 + 0.33'
+      '33333333333333*(x-0.5773502691896257*y+(-0.5773502691896256-0.57'
+      '73502691896257*i)*z)^3 - 0.048112522432468795*(y+(5.289598212107'
+      '522+3.1963850945646284*i)*z)^3 - 0.048112522432468795*(y+(3.6386'
+      '05018167987-5.196385094564628*i)*z)^3 + (-9.928203230275509+8.54'
+      '3303050815757*i)*z^3\n'),
+     '2512e6428227f79e1de349f4cca3a389f579f1d596e8bcba4834432fc611f982'),
+    (['--backend', 'approx', 'decompose', 'quartic-lift',
+      'x^4 + 2*x^3*y - x*y^2*z + 3*z^4 + y^4 + x^2*z^2 + y*z^3'],
+     ('(0.12499999999999985+1.930659734144111e-17*i)*((5.72376645386371'
+      '9e-17-0.6354561953312908*i)*x+(-3.46175404942473e-17+0.577350269'
+      '1896254*i)*y+(2.5653603885618625e-16+1.0491150634216497*i)*z)^4 '
+      '+ (0.125-5.727930714625022e-17*i)*((0.5503212081491045-0.3177280'
+      '9766564547*i)*x+(-1.20325571765733e-16-0.577350269189626*i)*y+(0'
+      '.9085602964160696+0.5245575317108244*i)*z)^4 + (0.12500000000000'
+      '006+2.291172285850009e-17*i)*((0.5503212081491043+0.317728097665'
+      '64547*i)*x+(-5.035552331398885e-17+0.577350269189626*i)*y+(0.908'
+      '5602964160695-0.5245575317108243*i)*z)^4 + (2.999999999999999+8.'
+      '326672684688674e-17*i)*z^4 + (x^4+(2.222222222222222+1.553270190'
+      '223357e-17*i)*x^3*y+(2.706168622523819e-16-1.0408340855860843e-1'
+      '7*i)*x^2*y^2+(-3.5735303605122226e-16+6.245004513516506e-17*i)*x'
+      '*y^3+(0.9583333333333333+5.075239658332559e-18*i)*y^4)\n'),
+     'f9310a2253fa770680651ab476ce1b390d2ad971851acb95ddfa6e71520e90cf'),
 ]
 
 

@@ -136,6 +136,20 @@ def test_zero_form_has_shape():
         z + Form.zero(3, 5)
 
 
+@pytest.mark.parametrize("coeffs", [{(2, 2): 1}, {(4, -1): 1},
+                                    {(1, 1, 1): 1}])
+def test_constructor_rejects_indices_off_the_shape(coeffs):
+    with pytest.raises(ShapeMismatch):
+        Form(2, 3, coeffs)
+
+
+def test_constructor_rejects_non_numbers():
+    with pytest.raises(TypeError):
+        Form(2, 3, {(3, 0): "1"})
+    with pytest.raises(TypeError):
+        Form(2, 3, {(3, 0): 1, (0, 3): None})
+
+
 def test_biermann_examples():
     assert biermann_point(parse_form("x*y")) == (1, 1)
     assert biermann_point(parse_form("x^4", n=3, d=4)) == (4, 0, 0)

@@ -4,6 +4,7 @@ import pytest
 
 from canonform import QQi, forms_close, monomial_form, parse_form, random_form
 from canonform.binary import sylvester_decompose
+from canonform.cli import main
 from canonform.errors import (DegeneratePencil, DegenerateStage, PivotZero,
                               ZeroForm)
 from canonform.forms import Form
@@ -244,6 +245,18 @@ class TestSlowpoke:
                 dec = slowpoke(p)
                 assert len(dec.terms) <= n * (n + 1) // 2
                 assert dec.verify(p, 1e-7)
+
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_chain_cubics(self, k, capsys):
+        # deep levels have a tiny noise floor: a square made from rounding
+        # noise must not reach the basis completion as a dependent row
+        text = "+".join(f"x{i}*x{i + 1}*x{i + 2}" for i in range(1, k + 1))
+        p = parse_form(text)
+        dec = slowpoke(p)
+        assert len(dec.terms) <= p.n * (p.n + 1) // 2
+        assert dec.verify(p, 1e-7)
+        assert main(["decompose", "slowpoke", text]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestQuarticLift:
