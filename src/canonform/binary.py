@@ -164,12 +164,8 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         dec = Decomposition(terms, meta={"theorem": "sylvester", "order": r})
         if not dec.verify(p, max(eps, 1e-7)):
             continue
-        if p.exact and not all(t.base.exact and is_exact(t.multiplier)
-                               for t in terms):
-            snapped = dec.snapped(p)
-            if snapped is not None:
-                snapped.meta.update(dec.meta)
-                return snapped
+        if not all(t.base.exact and is_exact(t.multiplier) for t in terms):
+            dec = dec.snapped(p) or dec
         return dec
     raise NotGeneric("no squarefree annihilator up to order d "
                      "(repeated-root case is out of scope)")
@@ -324,12 +320,7 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         g2 = Form(2, s, {i: c for i, c in g2.items() if i != (s, 0)})
         dec = Decomposition([Term(1, f2, 2), Term(1, g2, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
-        if p.exact:
-            snapped = dec.snapped(p)
-            if snapped is not None:
-                snapped.meta.update(dec.meta)
-                dec = snapped
-        out.append(dec)
+        out.append(dec.snapped(p) or dec)
     return out
 
 
@@ -536,12 +527,7 @@ def quartic_two_fixed(p: Form, l1: Form, l2: Form,
             meta={"theorem": "quartic-two-fixed", "branch": f"sign={sign}"})
         if not dec.verify(p, max(eps, 1e-7)):
             raise DegenerateInput("reconstruction check failed")
-        if p.exact:
-            snapped = dec.snapped(p)
-            if snapped is not None:
-                snapped.meta.update(dec.meta)
-                dec = snapped
-        out.append(dec)
+        out.append(dec.snapped(p) or dec)
     return out
 
 

@@ -368,12 +368,10 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
 
 def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bool:
     """Apolar reformulation: full rank at t iff only the zero form is apolar
-    to every parameter partial."""
-    if _full_rank_mod_p(pmap, t):
-        return True
-    idxs = index_set(pmap.n, pmap.d)
-    rows = [[multinomial(i) * df.a(i) for i in idxs] for df in pmap.gradient(t)]
-    return mat_rank(rows, eps) == pmap.target
+    to every parameter partial.  Its matrix, the partials' actual monomial
+    coefficients, is one nonzero column scaling away from jacobian_rows, so
+    the rank is the Jacobian's."""
+    return _rank_at(pmap, t, eps) == pmap.target
 
 
 # -- catalog --------------------------------------------------------------------
@@ -521,7 +519,7 @@ def _omnibus_fixed_forms(m: int) -> list[Form]:
     return out
 
 
-def _build_omnibus(d: int, e: list[int], m: int, name: str = "omnibus") -> ParamMap:
+def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:
     e = sorted((int(v) for v in e), reverse=True)
     if m < 0 or d < 1:
         raise BadShape("omnibus needs d >= 1 and m >= 0")
@@ -543,8 +541,17 @@ def _build_omnibus(d: int, e: list[int], m: int, name: str = "omnibus") -> Param
         terms.append(Pow(span, d // ek))
         tilde = linear_form([QQi(1), QQi(m + k + 1)])
         witness.extend(_raw_coeffs_as_witness(tilde ** ek, index_set(2, ek)))
-    return ParamMap(name, 2, d, j, Sum(tuple(terms)), witness=witness,
+    return ParamMap("omnibus", 2, d, j, Sum(tuple(terms)), witness=witness,
                     params={"d": d, "e": e, "m": m})
+
+
+def _build_sylv622(s: int) -> ParamMap:
+    s = int(s)
+    if s < 2:
+        raise BadShape("sylv622 needs s >= 2")
+    pmap = _build_omnibus(2 * s, [2] + [1] * (s - 1), 0)
+    pmap.name, pmap.params = "sylv622", {"s": s}
+    return pmap
 
 
 def _build_sylvgen(u: int, v: int) -> ParamMap:
@@ -642,6 +649,17 @@ def _hyperplane_coefficients(c) -> list[Scalar]:
     return c
 
 
+def _hyperplane_epsilon(c: list[Scalar], eps: float) -> Scalar | None:
+    """The epsilon in {i, -i} with c3 = epsilon*c1 and c4 = epsilon*c2 (within
+    eps), or None when the hyperplane is canonical."""
+    scale = max(abs(complex(v)) for v in c)
+    for epsilon in (QQi(0, 1), QQi(0, -1)):
+        if (scalars_close(c[2], epsilon * c[0], eps, scale)
+                and scalars_close(c[3], epsilon * c[1], eps, scale)):
+            return epsilon
+    return None
+
+
 def _build_hyperplane(c) -> ParamMap:
     c = _hyperplane_coefficients(c)
     pivot = 3 if c[3] else max(k for k in range(4) if c[k])
@@ -659,14 +677,9 @@ def _build_hyperplane(c) -> ParamMap:
 
     first = Sum((coord_expr(0), coord_expr(1)))
     second = Sum((coord_expr(2), coord_expr(3)))
-    scale = max(abs(complex(v)) for v in c)
-    exceptional = any(
-        scalars_close(c[2], epsilon * c[0], EPS_DEFAULT, scale)
-        and scalars_close(c[3], epsilon * c[1], EPS_DEFAULT, scale)
-        for epsilon in (QQi(0, 1), QQi(0, -1)))
     return ParamMap("hyperplane", 2, 2, 3, Sum((Pow(first, 2), Pow(second, 2))),
                     params={"c": [str(v) for v in c], "pivot": pivot + 1},
-                    noncanonical=exceptional)
+                    noncanonical=_hyperplane_epsilon(c, EPS_DEFAULT) is not None)
 
 
 def _build_zerosum(s: int) -> ParamMap:
@@ -690,7 +703,7 @@ _CATALOG = {
     "notclebsch": (_build_notclebsch, ()),
     "omnibus": (_build_omnibus, ("d", "e", "m")),
     "sylvgen": (_build_sylvgen, ("u", "v")),
-    "sylv622": (None, ("s",)),
+    "sylv622": (_build_sylv622, ("s",)),
     "so2s": (_build_so2s, ("s",)),
     "so3s": (_build_so3s, ()),
     "reichmap": (_build_reichmap, ("n",)),
@@ -714,15 +727,6 @@ def build_map(name: str, **params) -> ParamMap:
     if name not in _CATALOG:
         raise UnknownName(f"no catalog entry named {name!r}; "
                           f"known: {', '.join(catalog_names())}")
-    if name == "sylv622":
-        s = int(params.pop("s"))
-        if params:
-            raise BadShape(f"unexpected parameters {sorted(params)}")
-        if s < 2:
-            raise BadShape("sylv622 needs s >= 2")
-        pmap = _build_omnibus(2 * s, [2] + [1] * (s - 1), 0, name="sylv622")
-        pmap.params = {"s": s}
-        return pmap
     builder, wanted = _CATALOG[name]
     missing = [k for k in wanted if k not in params]
     extra = [k for k in params if k not in wanted]
@@ -766,18 +770,16 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
     parameter witness with nonvanishing partial determinant is produced.
     """
     c = _hyperplane_coefficients(c)
-    scale = max(abs(complex(v)) for v in c)
-    for epsilon in (QQi(0, 1), QQi(0, -1)):
-        if (scalars_close(c[2], epsilon * c[0], eps, scale)
-                and scalars_close(c[3], epsilon * c[1], eps, scale)):
-            if c[3]:
-                zero_point = (-c[0] / c[3], -c[1] / c[3])
-            elif c[0]:
-                zero_point = (QQi(1), c[1] / c[0])
-            else:
-                zero_point = (QQi(0), QQi(1))
-            return HyperplaneVerdict("Exceptional", epsilon=epsilon,
-                                     zero_point=zero_point)
+    epsilon = _hyperplane_epsilon(c, eps)
+    if epsilon is not None:
+        if c[3]:
+            zero_point = (-c[0] / c[3], -c[1] / c[3])
+        elif c[0]:
+            zero_point = (QQi(1), c[1] / c[0])
+        else:
+            zero_point = (QQi(0), QQi(1))
+        return HyperplaneVerdict("Exceptional", epsilon=epsilon,
+                                 zero_point=zero_point)
     pmap = build_map("hyperplane", c=c)
     pivot = pmap.params["pivot"] - 1
     free = [k for k in range(4) if k != pivot]

@@ -199,11 +199,8 @@ def _cmd_decompose(args) -> int:
         result = multivar.slinky(p, eps)
     elif algo == "slowpoke":
         result = multivar.slowpoke(p, eps)
-    elif algo == "quartic-lift":
-        result = multivar.quartic_lift(p, eps)
     else:
-        print(f"unknown algorithm {algo!r}", file=sys.stderr)
-        return 1
+        result = multivar.quartic_lift(p, eps)
     _emit(args, [_render(args, r) for r in result]
           if isinstance(result, list) else _render(args, result))
     return 0
@@ -270,17 +267,14 @@ def _cmd_enumerate(args) -> int:
               else [f"d={f.d}  e={list(f.e)}" for f in forms]
               + [f"total: {len(forms)}"])
         return 0
-    if args.what == "obstruction":
-        if _below("--d", args.d, 2):
-            return 1
-        members = [n for n in range(1, args.max + 1)
-                   if enumeration.obstruction_A(args.d, n)]
-        _emit(args, {"d": args.d, "max": args.max, "members": members}
-              if args.json else " ".join(map(str, members))
-              or f"no members of A_{args.d} up to {args.max}")
-        return 0
-    print(f"unknown enumeration {args.what!r}", file=sys.stderr)
-    return 1
+    if _below("--d", args.d, 2):
+        return 1
+    members = [n for n in range(1, args.max + 1)
+               if enumeration.obstruction_A(args.d, n)]
+    _emit(args, {"d": args.d, "max": args.max, "members": members}
+          if args.json else " ".join(map(str, members))
+          or f"no members of A_{args.d} up to {args.max}")
+    return 0
 
 
 def _cmd_count(args) -> int:
@@ -302,25 +296,21 @@ def _cmd_count(args) -> int:
         value = enumeration.partial_sum_S(args.N)
         _emit(args, {"N": args.N, "S": value} if args.json else str(value))
         return 0
-    if args.what == "reps":
-        if args.d is None or args.e is None:
-            print("count reps needs --d and --e", file=sys.stderr)
-            return 1
-        e = _parse_param_value(args.e)
-        e = e if isinstance(e, list) else [e]
-        for v in e:
-            if not isinstance(v, int):
-                raise ParseError(f"--e entries must be integers, got {v}")
-        value = binary.count_reps_monte_carlo(args.d, e, args.m,
-                                              trials=args.trials,
-                                              seed=args.seed)
-        _emit(args, {"d": args.d, "e": e, "m": args.m, "estimate": value,
-                     "flag": "ESTIMATE"} if args.json else
-              f"ESTIMATE: {value} representations (Monte Carlo, seed "
-              f"{args.seed}; never authoritative)")
-        return 0
-    print(f"unknown count {args.what!r}", file=sys.stderr)
-    return 1
+    if args.d is None or args.e is None:
+        print("count reps needs --d and --e", file=sys.stderr)
+        return 1
+    e = _parse_param_value(args.e)
+    e = e if isinstance(e, list) else [e]
+    for v in e:
+        if not isinstance(v, int):
+            raise ParseError(f"--e entries must be integers, got {v}")
+    value = binary.count_reps_monte_carlo(args.d, e, args.m,
+                                          trials=args.trials, seed=args.seed)
+    _emit(args, {"d": args.d, "e": e, "m": args.m, "estimate": value,
+                 "flag": "ESTIMATE"} if args.json else
+          f"ESTIMATE: {value} representations (Monte Carlo, seed "
+          f"{args.seed}; never authoritative)")
+    return 0
 
 
 # -- verify-examples ------------------------------------------------------------

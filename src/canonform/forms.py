@@ -604,7 +604,10 @@ _COMPLEX_PART_RE = re.compile(
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad number {text!r}") from None
 
 
 def _parse_complex_literal(text: str) -> QQi:

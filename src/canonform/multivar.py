@@ -84,14 +84,7 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
             continue
         if scalar_is_zero(a, eps, scale):
             raise PivotZero(k + 1)
-        row_coeffs = [None] * n
-        for j in range(n):
-            idx = [0] * n
-            idx[k] += 1
-            idx[j] += 1
-            v = work.raw(tuple(idx))
-            row_coeffs[j] = v if j == k else v / 2
-        lrow = linear_form(row_coeffs)
+        lrow = linear_form(quadratic_matrix(work)[k])
         out.append((k, a, lrow))
         work = work - (lrow * lrow).scale(QQi(1) / a if is_exact(a) else 1.0 / a)
     return out
@@ -160,7 +153,10 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
         columns.append(v / s ** 0.5)
         eigs.append(c)
     vmat = np.array(columns).T
-    w = np.linalg.inv(vmat)
+    try:
+        w = np.linalg.inv(vmat)
+    except np.linalg.LinAlgError:
+        raise DegeneratePencil("dependent pencil eigenvectors") from None
     forms = [linear_form([complex(w[i][j]) for j in range(n)]) for i in range(n)]
     diag = PencilDiag(forms, eigs)
     recon = Form.zero(n, 2)
@@ -174,22 +170,15 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
 # -- Reichstein's completion of the cube -------------------------------------------
 
 
-def _drop_vars_checked(p: Form, kill: list[int], eps: float, scale: float,
-                       what: str) -> Form:
-    """Zero all monomials involving the given variables, verifying that only
-    numerical noise is discarded."""
+def _eliminate(p: Form, kill: list[int], tol: float, scale: float) -> Form | None:
+    """p without its monomials in the variables `kill`, or None if one of
+    them is more than noise: exact and nonzero, or above tol * max(scale, 1)."""
     keep = {}
-    dropped = 0.0
     for idx, v in p.items():
-        if any(idx[k] for k in kill):
-            dropped = max(dropped, abs(complex(v)))
-            if is_exact(v) and v:
-                raise DegeneratePencil(f"{what}: residual depends on x_"
-                                       f"{[k + 1 for k in kill]}")
-        else:
+        if not any(idx[k] for k in kill):
             keep[idx] = v
-    if dropped > max(1e-6, eps) * max(scale, 1.0):
-        raise DegeneratePencil(f"{what}: residual depends on eliminated variables")
+        elif (is_exact(v) and v) or abs(complex(v)) > tol * max(scale, 1.0):
+            return None
     return Form(p.n, p.d, keep)
 
 
@@ -223,7 +212,10 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
     q = pw
     for t in terms:
         q = q - t.form()
-    q = _drop_vars_checked(q, [0, 1], eps, p.norm(), "reichstein residual")
+    q = _eliminate(q, [0, 1], max(1e-6, eps), p.norm())
+    if q is None:
+        raise DegeneratePencil("reichstein residual: residual depends on "
+                               "eliminated variables")
     dec = Decomposition(terms, meta={"theorem": "reichstein"})
     return dec, q
 
@@ -301,7 +293,9 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
             base = pad_form(lrow, n, list(range(t + 1)))
             terms.append(Term(mult, base, 3))
             current = current - Term(mult, base, 3).form()
-        current = _slinky_drop(current, t, eps, p.norm(), stage)
+        current = _eliminate(current, [t], max(1e-7, eps), p.norm())
+        if current is None:
+            raise DegenerateStage(stage, "residual kept the eliminated variable")
     if not current.is_zero(eps, scale=max(p.norm(), 1.0)):
         c = current.raw(tuple([3] + [0] * (n - 1)))
         terms.append(Term(c, linear_form([1] + [0] * (n - 1)), 3))
@@ -310,18 +304,6 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     if not dec.verify(p, max(eps, 1e-8)):
         raise DegenerateStage(n, "reconstruction check failed")
     return dec
-
-
-def _slinky_drop(p: Form, var: int, eps: float, scale: float, stage: int) -> Form:
-    keep = {}
-    for idx, v in p.items():
-        if idx[var]:
-            mag = abs(complex(v))
-            if (is_exact(v) and v) or mag > max(1e-7, eps) * max(scale, 1.0):
-                raise DegenerateStage(stage, "residual kept the eliminated variable")
-        else:
-            keep[idx] = v
-    return Form(p.n, p.d, keep)
 
 
 # -- every cubic: the slowpoke construction ------------------------------------------
@@ -475,14 +457,10 @@ def _slowpoke_rec(p: Form, eps: float, floor: float) -> list[tuple[complex, Form
     terms.extend(g_forms)
 
     # residual lives in the tail variables; recurse
-    tail_keep = {}
-    for idx, v in q.items():
-        if idx[0]:
-            if abs(complex(v)) > max(1e-7, eps) * max(p3.norm(), 1.0):
-                raise DegenerateStage(n, "slowpoke residual kept y_1")
-        else:
-            tail_keep[idx[1:]] = v
-    q_tail = Form(n - 1, 3, tail_keep) if tail_keep else Form.zero(n - 1, 3)
+    q = _eliminate(q, [0], max(1e-7, eps), p3.norm())
+    if q is None:
+        raise DegenerateStage(n, "slowpoke residual kept y_1")
+    q_tail = restrict_form(q, list(range(1, n)))
     for mu, lf in _slowpoke_rec(q_tail, eps, floor / max(abs(c), 1.0)):
         coeffs = [0.0 + 0j] + [complex(v) for v in linear_coeffs(lf)]
         terms.append((mu, linear_form(coeffs)))
@@ -519,14 +497,10 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         base = linear_form([v / lead for v in coeffs])
         terms.append(Term(mu * lead ** 3, base, 3))
     dec = Decomposition(terms, meta={"theorem": "slowpoke"})
-    if p.exact:
-        snapped = dec.snapped(p)
-        if snapped is not None:
-            snapped.meta.update(dec.meta)
-            return snapped
-    if not dec.verify(p, max(eps, 1e-7)):
+    snapped = dec.snapped(p)
+    if snapped is None and not dec.verify(p, max(eps, 1e-7)):
         raise DegenerateStage(0, "slowpoke reconstruction check failed")
-    return dec
+    return snapped or dec
 
 
 # -- quartic lift ------------------------------------------------------------------------
@@ -563,14 +537,9 @@ def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
                               for t in terms) else p
     for t in terms:
         q = q - t.form()
-    keep = {}
-    for idx, v in q.items():
-        if idx[last]:
-            if abs(complex(v)) > max(1e-6, eps) * max(p.norm(), 1.0):
-                raise DegenerateStage(1, "residual kept x_n")
-        else:
-            keep[idx] = v
-    residual = Form(n, 4, keep)
+    residual = _eliminate(q, [last], max(1e-6, eps), p.norm())
+    if residual is None:
+        raise DegenerateStage(1, "residual kept x_n")
     dec = Decomposition(terms, residual=residual,
                         meta={"theorem": "quartic-lift",
                               "stages": [{"stage": 1, "eliminated": n,

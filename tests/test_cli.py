@@ -411,3 +411,39 @@ def test_certify_list_parameter_with_one_entry(capsys):
                             "--param", "e=2", "--param", "m=2"], capsys=capsys)
     assert code == 0 and out.strip() == "Certified (rank 5/5)"
 
+
+
+@pytest.mark.parametrize("argv,number", [
+    (["decompose", "sylvester", "1/0*x^3+y^3"], "'1/0'"),
+    (["decompose", "sylvester", "1.5/2*x^3+y^3"], "'1.5/2'"),
+    (["decompose", "sylvester", "(1.5/2+i)*x^3+y^3"], "'1.5/2'"),
+    (["certify", "zerosum", "--param", "s=(1/0)"], "'1/0'"),
+])
+def test_malformed_numbers_are_usage_errors(capsys, argv, number):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert f"bad number {number}" in err
+
+
+@pytest.mark.parametrize("algo", ["reichstein-step", "reichstein"])
+def test_dependent_pencil_eigenvectors_are_degenerate_input(capsys, algo):
+    # a repeated pencil eigenvalue whose float roots pass the separation test
+    code, out, err = run_cli(["--backend", "approx", "decompose", algo,
+                              "1/3*z^3 + 7*x^3 + 5*x^2*y + 1/3*x*z^2"],
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "DegeneratePencil" in err
+
+
+@pytest.mark.parametrize("argv", [["decompose", "nosuch", "x"],
+                                  ["enumerate", "nosuch"], ["count", "nosuch"]])
+def test_unknown_subcommand_choices_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'nosuch'" in err
+
+
+def test_catalog_map_missing_a_parameter_is_degenerate_input(capsys):
+    code, out, err = run_cli(["certify", "sylv622"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "sylv622 takes parameters ['s']; missing ['s']" in err

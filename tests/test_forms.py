@@ -8,9 +8,11 @@ from canonform import (QQi, ZeroForm, biermann_point, binary_factor, dim,
                        forms_close, index_set, linear_form, multinomial,
                        parse_form, power_of_linear, random_form)
 from canonform.errors import ParseError, ShapeMismatch
-from canonform.forms import (Form, form_from_json, form_to_json,
+from canonform.binary import sylvester_decompose
+from canonform.forms import (Decomposition, Form, form_from_json, form_to_json,
                              parse_decomposition)
 from canonform.linalg import exact_inverse
+from canonform.multivar import quartic_lift, slowpoke
 
 
 def count_monomials(n, d):
@@ -207,3 +209,16 @@ def test_parse_decomposition_round_trip():
     text = "5*(x+2*y)^3 - 3*(x+3*y)^3"
     dec = parse_decomposition(text)
     assert dec.reconstruct() == parse_form(EX310)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sylvester_decompose(parse_form(EX310)),
+    lambda: slowpoke(random_form(3, 3, random.Random(5)).approx()),
+    lambda: quartic_lift(random_form(3, 4, random.Random(41))),
+], ids=["exact-sylvester", "approx-slowpoke", "quartic-lift-residual"])
+def test_decomposition_json_round_trip(make):
+    dec = make()
+    blob = json.dumps(dec.to_json(), sort_keys=True)
+    back = Decomposition.from_json(json.loads(blob))
+    assert json.dumps(back.to_json(), sort_keys=True) == blob
+    assert back.reconstruct() == dec.reconstruct()

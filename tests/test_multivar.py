@@ -8,9 +8,9 @@ from canonform.cli import main
 from canonform.errors import (DegeneratePencil, DegenerateStage, PivotZero,
                               ZeroForm)
 from canonform.forms import Form
-from canonform.multivar import (drab_family, pencil_diagonalize, quartic_lift,
-                                reichstein_full, reichstein_step, slinky,
-                                slowpoke, uppertri, uppertri_pairs)
+from canonform.multivar import (_eliminate, drab_family, pencil_diagonalize,
+                                quartic_lift, reichstein_full, reichstein_step,
+                                slinky, slowpoke, uppertri, uppertri_pairs)
 
 
 def term_vectors(dec):
@@ -283,3 +283,38 @@ class TestQuarticLift:
         from canonform import dim
         for n in range(2, 8):
             assert dim(n, 3) + dim(n - 1, 4) == dim(n, 4)
+
+
+class TestEliminate:
+    """The one rule set behind every construction's variable elimination."""
+
+    def test_refuses_an_exact_nonzero(self):
+        p = parse_form("1/1000000000000*x*y^2 + y^3")
+        assert _eliminate(p, [0], 1e-6, p.norm()) is None
+        # the same value as a float is noise
+        assert _eliminate(p.approx(), [0], 1e-6, p.norm()) == parse_form("y^3").approx()
+
+    def test_refuses_a_float_above_the_bound(self):
+        p = Form(2, 3, {(1, 2): 3e-6, (0, 3): 1.0})
+        assert _eliminate(p, [0], 1e-6, 1.0) is None
+        # the bound is tol * max(scale, 1): a larger scale lets it through
+        assert _eliminate(p, [0], 1e-6, 10.0) == Form(2, 3, {(0, 3): 1.0})
+        # and a scale below 1 does not tighten it
+        q = Form(2, 3, {(1, 2): 5e-7, (0, 3): 1.0})
+        assert _eliminate(q, [0], 1e-6, 0.01) == Form(2, 3, {(0, 3): 1.0})
+
+    def test_drops_float_noise_below_the_bound(self):
+        p = Form(3, 2, {(2, 0, 0): 1e-9, (0, 1, 1): 2.0 + 1j,
+                        (1, 0, 1): -1e-8j, (0, 0, 2): -3.0})
+        got = _eliminate(p, [0], 1e-7, p.norm())
+        assert got == Form(3, 2, {(0, 1, 1): 2.0 + 1j, (0, 0, 2): -3.0})
+        assert not got.exact
+
+    def test_keeps_the_other_monomials_unchanged(self):
+        p = random_form(4, 3, random.Random(3))
+        rest = Form(4, 3, {i: v for i, v in p.items() if not (i[1] or i[3])})
+        assert rest and _eliminate(rest, [1, 3], 1e-6, 1.0).items() == rest.items()
+        noise = {(0, 3, 0, 0): 1e-12, (1, 1, 0, 1): -1e-13j}
+        noisy = Form(4, 3, dict(rest.approx().items()) | noise)
+        got = _eliminate(noisy, [1, 3], 1e-6, noisy.norm())
+        assert got.items() == rest.approx().items()
