@@ -19,8 +19,9 @@ from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, dim, index_set, linear_form,
                     monomial_form, multinomial)
 from .linalg import mat_det, mat_rank, modp_rank
-from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
-                      scalar_is_zero, scalars_close)
+from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
+                      is_exact, mod_p, scalar_is_zero, scalars_close)
+from .scalars import MOD_I  # noqa: F401  (importable from here, as before)
 
 # -- expression tree -----------------------------------------------------------
 
@@ -58,29 +59,6 @@ class Pow:
 class Scale:
     coeff: Scalar
     part: object
-
-
-# Ranks are decided modulo this prime first (p = 1 mod 4, so i maps to a
-# fixed square root of -1).  Reduction mod p is a ring map from the Gaussian
-# rationals whose denominators p does not divide, so a minor that is nonzero
-# mod p is nonzero over Q(i): full rank mod p is a proof, a smaller rank only
-# sends the question to exact arithmetic.
-MOD_P = 2305843009213693921
-MOD_I = 583529827753931384
-
-
-class _NoImage(ArithmeticError):
-    """A scalar with no image mod MOD_P: inexact, or p divides a denominator."""
-
-
-def _mod_p(v) -> int:
-    if not isinstance(v, QQi):
-        raise _NoImage
-    try:
-        inv = pow(v.d, -1, MOD_P)
-    except ValueError:
-        raise _NoImage from None
-    return (v.a + v.b * MOD_I) * inv % MOD_P
 
 
 class _ModPoly:
@@ -164,10 +142,10 @@ class _ModPRing:
 
     def fixed(self, form: Form) -> _ModPoly:
         return _ModPoly(self.n, {i: r for i, a in form.items()
-                                 if (r := _mod_p(a) * multinomial(i) % MOD_P)})
+                                 if (r := mod_p(a) * multinomial(i) % MOD_P)})
 
     def coeff(self, c: Scalar) -> int:
-        return _mod_p(c)
+        return mod_p(c)
 
 
 def _eval_grad(node, t, ring):
@@ -306,7 +284,7 @@ def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
     Lasker-Wakeford matrix, one column scaling away from jacobian_rows.
     """
     try:
-        t = [_mod_p(v) for v in pmap._coerce_t(t)]
+        t = [mod_p(v) for v in pmap._coerce_t(t)]
         _, grad = _eval_grad(pmap.expr, t, _ModPRing(pmap.n))
     except _NoImage:
         return False

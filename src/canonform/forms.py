@@ -24,9 +24,10 @@ from operator import add
 
 from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
-from .scalars import (EPS_DEFAULT, SNAP_MAX_DEN, QQi, Scalar, as_scalar,
-                      format_scalar, is_exact, scalar_from_json,
-                      scalar_is_zero, scalar_to_json, snap_scalar)
+from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar,
+                      _NoImage, as_scalar, format_scalar, is_exact, mod_p,
+                      scalar_from_json, scalar_is_zero, scalar_to_json,
+                      snap_scalar)
 
 MultiIndex = tuple[int, ...]
 
@@ -816,6 +817,8 @@ class Decomposition:
                       t.power) for t in self.terms]
         residual = self.residual.snapped(max_den) if self.residual is not None else None
         cand = Decomposition(terms, residual, dict(self.meta))
+        if _differs_mod_p(cand, target):
+            return None
         if cand.reconstruct() == target:
             return cand
         return None
@@ -840,6 +843,54 @@ class Decomposition:
                       t["power"]) for t in obj["terms"]]
         residual = form_from_json(obj["residual"]) if "residual" in obj else None
         return cls(terms, residual, obj.get("meta", {}))
+
+
+# The fixed point of F_p^n at which a snapped candidate is compared with its
+# target has coordinates k * _PROBE mod MOD_P, k = 1..n: a constant, not a
+# random draw, so output and seed streams stay as they are.
+_PROBE = 0x9E3779B97F4A7C15
+
+
+def _differs_mod_p(dec: Decomposition, target: Form) -> bool:
+    """Whether dec.reconstruct() != target is proved at one point mod MOD_P.
+
+    Evaluation at a point and reduction mod MOD_P are ring maps, so values
+    that differ there come from different forms.  False decides nothing: it
+    is also the answer when a scalar has no image mod MOD_P or a part's
+    shape does not fit target, which leaves those cases to the exact rebuild.
+    """
+    n, d = target.n, target.d
+    parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
+    if dec.residual is not None:
+        parts.append((QQi(1), dec.residual, 1))
+    if not parts or any(f.n != n or k < 0 or f.d * k != d
+                        for _, f, k in parts):
+        return False
+    top = max(d, *(f.d for _, f, _ in parts))
+    powers = []
+    for k in range(1, n + 1):
+        u, row = k * _PROBE % MOD_P, [1]
+        for _ in range(top):
+            row.append(row[-1] * u % MOD_P)
+        powers.append(row)
+    try:
+        value = sum(mod_p(c) * pow(_value_mod_p(f, powers), k, MOD_P)
+                    for c, f, k in parts) - _value_mod_p(target, powers)
+    except _NoImage:
+        return False
+    return value % MOD_P != 0
+
+
+def _value_mod_p(p: Form, powers: list[list[int]]) -> int:
+    """p at the point whose coordinate powers are given, from the raw
+    coefficients a(i) * c(i), mod MOD_P."""
+    total = 0
+    for idx, v in p._a.items():
+        m = mod_p(v) * multinomial(idx)
+        for row, e in zip(powers, idx):
+            m = m * row[e] % MOD_P
+        total += m
+    return total % MOD_P
 
 
 def format_decomposition(dec: Decomposition) -> str:

@@ -24,21 +24,28 @@ from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
                       scalar_sqrt)
 
 
-def quadratic_matrix(p: Form) -> Matrix:
-    """Symmetric matrix M with p(x) = x^T M x."""
+_HALF = QQi(1) / 2
+
+
+def quadratic_row(p: Form, i: int) -> list[Scalar]:
+    """Row i of the symmetric matrix M with p(x) = x^T M x."""
     if p.d != 2:
         raise ShapeMismatch("need a quadratic form")
     n = p.n
-    half = QQi(1) / 2 if p.exact else 0.5
-    m = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            idx = [0] * n
-            idx[i] += 1
-            idx[j] += 1
-            v = p.raw(tuple(idx))
-            m[i][j] = v if i == j else v * half
-    return m
+    half = _HALF if p.exact else 0.5
+    row = []
+    for j in range(n):
+        idx = [0] * n
+        idx[i] += 1
+        idx[j] += 1
+        v = p.raw(tuple(idx))
+        row.append(v if i == j else v * half)
+    return row
+
+
+def quadratic_matrix(p: Form) -> Matrix:
+    """Symmetric matrix M with p(x) = x^T M x."""
+    return [quadratic_row(p, i) for i in range(p.n)]
 
 
 # -- completion of squares ---------------------------------------------------
@@ -84,7 +91,7 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
             continue
         if scalar_is_zero(a, eps, scale):
             raise PivotZero(k + 1)
-        lrow = linear_form(quadratic_matrix(work)[k])
+        lrow = linear_form(quadratic_row(work, k))
         out.append((k, a, lrow))
         work = work - (lrow * lrow).scale(QQi(1) / a if is_exact(a) else 1.0 / a)
     return out

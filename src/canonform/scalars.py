@@ -278,6 +278,33 @@ def scalars_close(a: Scalar, b: Scalar, eps: float = EPS_DEFAULT,
     return abs(complex(a) - complex(b)) <= eps * max(scale, 1.0)
 
 
+# -- image modulo a prime -----------------------------------------------------
+
+# Exact questions are tried modulo this prime first (p = 1 mod 4, so i maps
+# to a fixed square root of -1).  Reduction mod p is a ring map from the
+# Gaussian rationals whose denominators p does not divide: a minor that is
+# nonzero mod p is nonzero over Q(i), and two values that differ mod p
+# differ over Q(i).  Agreement mod p only sends the question to exact
+# arithmetic.
+MOD_P = 2305843009213693921
+MOD_I = 583529827753931384
+
+
+class _NoImage(ArithmeticError):
+    """A scalar with no image mod MOD_P: inexact, or p divides a denominator."""
+
+
+def mod_p(v) -> int:
+    """The image of an exact scalar in the integers mod MOD_P."""
+    if not isinstance(v, QQi):
+        raise _NoImage
+    try:
+        inv = pow(v.d, -1, MOD_P)
+    except ValueError:
+        raise _NoImage from None
+    return (v.a + v.b * MOD_I) * inv % MOD_P
+
+
 # -- exact square roots -----------------------------------------------------
 
 def sqrt_fraction(f: Fraction) -> Fraction | None:

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import canonform
 from canonform import forms_close, parse_form
 from canonform.cli import main
 from canonform.forms import parse_decomposition
@@ -328,6 +332,18 @@ _GOLDEN_DECOMPOSE = [
       '7*i)*x^2*y^2+(-3.5735303605122226e-16+6.245004513516506e-17*i)*x'
       '*y^3+(0.9583333333333333+5.075239658332559e-18*i)*y^4)\n'),
      'f9310a2253fa770680651ab476ce1b390d2ad971851acb95ddfa6e71520e90cf'),
+    # float constructions whose exact snap is accepted
+    (['decompose', 'sylvester', 'x^3+y^3'], 'y^3 + x^3\n',
+     '78dc7b3b801213327a23709bd600792185009a326f2b2a99b0efa776a8be7814'),
+    (['decompose', 'slowpoke', 'x^3+y^3+z^3'], 'x^3 + y^3 + z^3\n',
+     'b7aebdff100ea9118daab21d51216abd7ac475fe2f1a1c697fa51b44fb203b95'),
+    (['decompose', 'quartic-two-fixed', 'x^4+x^3*y+x^2*y^2+x*y^3+y^4',
+      '--l1', 'x', '--l2', 'y'],
+     ('(1/4-1/4*i)*(x^2+(1+1*i)*x*y+y^2)^2 + (3/4+1/4*i)*x^4 + '
+      '(3/4+1/4*i)*y^4\n'
+      '(1/4+1/4*i)*(x^2+(1-1*i)*x*y+y^2)^2 + (3/4-1/4*i)*x^4 + '
+      '(3/4-1/4*i)*y^4\n'),
+     '500ce405d68883f6f38663b5cf13c1c6ac8309cdef782d63a03d9886c37c38d9'),
 ]
 
 
@@ -447,3 +463,27 @@ def test_catalog_map_missing_a_parameter_is_degenerate_input(capsys):
     code, out, err = run_cli(["certify", "sylv622"], capsys=capsys)
     assert (code, out) == (2, "")
     assert "sylv622 takes parameters ['s']; missing ['s']" in err
+
+
+def test_form_starting_with_a_minus_sign_after_double_dash(capsys):
+    code, out, err = run_cli(["decompose", "sylvester", "--", "-x^3+y^3"],
+                             capsys=capsys)
+    assert (code, out, err) == (0, "y^3 - x^3\n", "")
+
+
+def test_closed_output_pipe_is_not_an_internal_error():
+    src = str(Path(canonform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "canonform.cli", "decompose",
+             "two-squares", "x^4 - y^4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "internal error" not in proc.stderr

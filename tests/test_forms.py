@@ -3,16 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonform import (QQi, ZeroForm, biermann_point, binary_factor, dim,
                        forms_close, index_set, linear_form, multinomial,
                        parse_form, power_of_linear, random_form)
 from canonform.errors import ParseError, ShapeMismatch
 from canonform.binary import sylvester_decompose
-from canonform.forms import (Decomposition, Form, form_from_json, form_to_json,
-                             parse_decomposition)
+from canonform.forms import (Decomposition, Form, Term, form_from_json,
+                             form_to_json, parse_decomposition)
 from canonform.linalg import exact_inverse
 from canonform.multivar import quartic_lift, slowpoke
+from canonform.scalars import MOD_P, SNAP_MAX_DEN, snap_scalar
 
 
 def count_monomials(n, d):
@@ -222,3 +225,101 @@ def test_decomposition_json_round_trip(make):
     back = Decomposition.from_json(json.loads(blob))
     assert json.dumps(back.to_json(), sort_keys=True) == blob
     assert back.reconstruct() == dec.reconstruct()
+
+
+# -- exact snapping --------------------------------------------------------------
+
+
+def snapped_reference(dec, target, max_den=SNAP_MAX_DEN):
+    """Decomposition.snapped decided by the exact rebuild alone."""
+    if not target.exact:
+        return None
+    terms = [Term(snap_scalar(t.multiplier, max_den), t.base.snapped(max_den),
+                  t.power) for t in dec.terms]
+    residual = (dec.residual.snapped(max_den) if dec.residual is not None
+                else None)
+    cand = Decomposition(terms, residual, dict(dec.meta))
+    return cand if cand.reconstruct() == target else None
+
+
+def approx_of(dec):
+    return Decomposition([Term(complex(t.multiplier), t.base.approx(), t.power)
+                          for t in dec.terms],
+                         dec.residual.approx() if dec.residual is not None
+                         else None, dict(dec.meta))
+
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+gaussian = st.builds(QQi, small, small)
+
+
+@st.composite
+def exact_decompositions(draw):
+    n = draw(st.integers(1, 3))
+    power = draw(st.integers(1, 4))
+    terms = [Term(draw(gaussian),
+                  linear_form([draw(gaussian) for _ in range(n)]), power)
+             for _ in range(draw(st.integers(1, 3)))]
+    residual = None
+    if draw(st.booleans()):
+        residual = Form(n, power, {idx: draw(gaussian)
+                                   for idx in index_set(n, power)})
+    return Decomposition(terms, residual, {"theorem": "test"})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(dec=exact_decompositions(), nudge=gaussian, at=st.integers(0, 20),
+       den=st.sampled_from([1, 7, SNAP_MAX_DEN + 1, MOD_P]))
+def test_snapped_matches_the_exact_only_reference(dec, nudge, at, den):
+    exact = dec.reconstruct()
+    idx = index_set(exact.n, exact.d)
+    target = exact + Form(exact.n, exact.d,
+                          {idx[at % len(idx)]: nudge / den})
+    for want in (exact, target):
+        approx = approx_of(dec)
+        got = approx.snapped(want)
+        assert got == snapped_reference(approx, want)
+        if want == exact:
+            assert got is not None and got.reconstruct() == exact
+
+
+def test_snapped_refutes_a_perturbed_candidate_without_rebuilding(monkeypatch):
+    target = parse_form(EX310)
+    dec = approx_of(parse_decomposition("5*(x+2*y)^3 - 3*(x+3*y)^3"))
+    assert dec.snapped(target).reconstruct() == target
+    base = dec.terms[1].base
+    dec.terms[1] = Term(dec.terms[1].multiplier,
+                        base + Form(2, 1, {(0, 1): 1 / 7 + 0j}), 3)
+
+    def refuse(self):
+        raise AssertionError("the exact rebuild ran")
+
+    monkeypatch.setattr(Decomposition, "reconstruct", refuse)
+    assert dec.snapped(target) is None
+
+
+def test_snapped_target_with_no_image_mod_p_reaches_the_exact_rebuild(
+        monkeypatch):
+    rebuild = Decomposition.reconstruct
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return rebuild(self)
+
+    monkeypatch.setattr(Decomposition, "reconstruct", counted)
+    target = parse_form(EX310) + Form(2, 3, {(0, 3): QQi(Fraction(1, MOD_P))})
+    dec = approx_of(parse_decomposition("5*(x+2*y)^3 - 3*(x+3*y)^3"))
+    assert dec.snapped(target) is None
+    assert len(calls) == 1
+
+
+def test_snapped_candidate_that_does_not_fit_raises_as_before():
+    target = parse_form(EX310)
+    with pytest.raises(ValueError, match="empty decomposition"):
+        Decomposition([]).snapped(target)
+    x = linear_form([1, 0]).approx()
+    with pytest.raises(ShapeMismatch):
+        Decomposition([Term(1 + 0j, x, 3), Term(1 + 0j, x, 2)]).snapped(target)
+    wide = Decomposition([Term(1 + 0j, linear_form([1, 0, 0]).approx(), 3)])
+    assert wide.snapped(target) is None

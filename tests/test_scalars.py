@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonform.scalars import (QQi, exact_sqrt, format_exact, scalar_sqrt,
+from canonform import canonicity
+from canonform.scalars import (MOD_I, MOD_P, QQi, _NoImage, exact_sqrt,
+                               format_exact, mod_p, scalar_sqrt,
                                scalar_to_json, snap_scalar, sqrt_fraction)
 
 
@@ -241,3 +243,36 @@ def test_scalar_is_immutable_and_copies_by_value(x):
         del z.a
     assert same(z, x)
     assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+
+
+# -- the image modulo MOD_P ------------------------------------------------------
+
+
+@props
+@given(x=pairs, y=pairs)
+def test_mod_p_is_a_ring_map(x, y):
+    z, w = QQi(*x), QQi(*y)
+    assert mod_p(z * w) == mod_p(z) * mod_p(w) % MOD_P
+    assert mod_p(z + w) == (mod_p(z) + mod_p(w)) % MOD_P
+    assert mod_p(z - w) == (mod_p(z) - mod_p(w)) % MOD_P
+    if w:
+        assert mod_p(z / w) == mod_p(z) * pow(mod_p(w), -1, MOD_P) % MOD_P
+
+
+def test_mod_p_sends_i_to_a_square_root_of_minus_one():
+    assert mod_p(QQi(0, 1)) == MOD_I
+    assert mod_p(QQi(-1)) == MOD_P - 1
+    assert mod_p(QQi(Fraction(1, 2))) * 2 % MOD_P == 1
+
+
+@pytest.mark.parametrize("v", [1.5, 1 + 2j, QQi(Fraction(1, MOD_P)),
+                               QQi(1, Fraction(3, 2 * MOD_P))],
+                         ids=["float", "complex", "over-p", "imaginary-over-p"])
+def test_mod_p_has_no_image_for_inexact_values_or_a_denominator_of_p(v):
+    with pytest.raises(_NoImage):
+        mod_p(v)
+
+
+def test_canonicity_reads_the_one_modular_image():
+    assert canonicity.MOD_P is MOD_P and canonicity.MOD_I is MOD_I
+    assert canonicity.mod_p is mod_p and canonicity._NoImage is _NoImage
