@@ -320,7 +320,10 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         g2 = Form(2, s, {i: c for i, c in g2.items() if i != (s, 0)})
         dec = Decomposition([Term(1, f2, 2), Term(1, g2, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
-        out.append(dec.snapped(p) or dec)
+        snapped = dec.snapped(p)
+        if snapped is None and not dec.verify(p, max(eps, 1e-7)):
+            raise DegenerateInput("reconstruction check failed")
+        out.append(snapped or dec)
     return out
 
 

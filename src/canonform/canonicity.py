@@ -18,9 +18,9 @@ from operator import add
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, dim, index_set, linear_form,
                     monomial_form, multinomial)
-from .linalg import mat_det, mat_rank, modp_rank
+from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
-                      is_exact, mod_p, scalar_is_zero, scalars_close)
+                      is_exact, mod_p, scalars_close)
 from .scalars import MOD_I  # noqa: F401  (importable from here, as before)
 
 # -- expression tree -----------------------------------------------------------
@@ -301,6 +301,19 @@ def _rank_at(pmap: ParamMap, t, eps: float) -> int:
     return mat_rank(pmap.jacobian_rows(t), eps)
 
 
+def _witnesses(pmap: ParamMap, trials: int, seed: int):
+    """The stored witness, if any, then `trials` seeded nonzero integer
+    points of [-9, 9]^M; each is drawn only when it is asked for."""
+    if pmap.witness is not None:
+        yield [as_scalar(v) for v in pmap.witness]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        t = []
+        while not any(t):
+            t = [QQi(rng.randint(-9, 9)) for _ in range(pmap.m)]
+        yield t
+
+
 def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
                      seed: int = 0, eps: float = EPS_DEFAULT) -> CertifyReport:
     """Certified iff the M x N(n,d) Jacobian has full rank at some witness.
@@ -323,15 +336,7 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
     best_rank = -1
     best_witness = None
     tried = 0
-    candidates = []
-    if pmap.witness is not None:
-        candidates.append([as_scalar(v) for v in pmap.witness])
-    rng = random.Random(seed)
-    while len(candidates) < trials + (1 if pmap.witness is not None else 0):
-        t = [QQi(rng.randint(-9, 9)) for _ in range(pmap.m)]
-        if any(v for v in t):
-            candidates.append(t)
-    for t in candidates:
+    for t in _witnesses(pmap, trials, seed):
         tried += 1
         rank = _rank_at(pmap, t, eps)
         if rank == target:
@@ -357,26 +362,16 @@ def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bo
 
 def _linear_span(n: int, start: int, positions: list[int]) -> tuple[Sum, int]:
     """Sum of Param leaves t_j x_k over the given variable positions."""
-    parts = []
-    j = start
-    for k in positions:
-        mono = [0] * n
-        mono[k] = 1
-        parts.append(Param(j, tuple(mono)))
-        j += 1
-    return Sum(tuple(parts)), j
+    units = [tuple(int(i == k) for i in range(n)) for k in positions]
+    return _monomial_span(n, 1, start, units)
 
 
 def _monomial_span(n: int, d: int, start: int,
                    monomials: list[MultiIndex] | None = None) -> tuple[Sum, int]:
     """Sum of Param leaves over a monomial list (default: all of I(n,d))."""
     monos = monomials if monomials is not None else index_set(n, d)
-    parts = []
-    j = start
-    for mono in monos:
-        parts.append(Param(j, tuple(mono)))
-        j += 1
-    return Sum(tuple(parts)), j
+    parts = tuple(Param(start + k, tuple(mono)) for k, mono in enumerate(monos))
+    return Sum(parts), start + len(parts)
 
 
 def _raw_coeffs_as_witness(f: Form, monomials: list[MultiIndex]) -> list:
@@ -744,8 +739,9 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
     """Decide whether the constraint sum c_j t_j = 0 leaves a canonical form.
 
     Exceptional exactly when c3 = eps*c1 and c4 = eps*c2 with eps in {i,-i};
-    then every feasible form vanishes at the returned point.  Otherwise a
-    parameter witness with nonvanishing partial determinant is produced.
+    then every feasible form vanishes at the returned point.  Otherwise the
+    witness search of jacobian_certify finds the free parameters of a point
+    with nonvanishing partial determinant, and the pivot one is solved for.
     """
     c = _hyperplane_coefficients(c)
     epsilon = _hyperplane_epsilon(c, eps)
@@ -759,26 +755,16 @@ def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
         return HyperplaneVerdict("Exceptional", epsilon=epsilon,
                                  zero_point=zero_point)
     pmap = build_map("hyperplane", c=c)
+    report = jacobian_certify(pmap, trials=trials, seed=seed, eps=eps)
+    if not report.certified:
+        raise ShapeMismatch("no nondegenerate parameter point found; the "
+                            "determinant locus should be proper for this c")
     pivot = pmap.params["pivot"] - 1
     free = [k for k in range(4) if k != pivot]
-    rng = random.Random(seed)
-    basis = index_set(2, 2)
-    for _ in range(trials):
-        t_free = [QQi(rng.randint(-9, 9)) for _ in range(3)]
-        if not any(v for v in t_free):
-            continue
-        if not _full_rank_mod_p(pmap, t_free):
-            rows = [[df.a(i) for i in basis] for df in pmap.gradient(t_free)]
-            if scalar_is_zero(mat_det(rows), eps):
-                continue
-        full = [None] * 4
-        for i, k in enumerate(free):
-            full[k] = t_free[i]
-        full[pivot] = sum((-c[k] / c[pivot]) * t_free[i]
-                          for i, k in enumerate(free))
-        return HyperplaneVerdict("Canonical", witness=full)
-    raise ShapeMismatch("no nondegenerate parameter point found; the "
-                        "determinant locus should be proper for this c")
+    full = list(report.witness)
+    full.insert(pivot, sum((-c[k] / c[pivot]) * t
+                           for k, t in zip(free, report.witness)))
+    return HyperplaneVerdict("Canonical", witness=full)
 
 
 def zerosum_verify(s: int, trials: int = 40, seed: int = 0) -> CertifyReport:

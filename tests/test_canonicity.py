@@ -6,13 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi, canonicity, dim, parse_form
-from canonform.canonicity import (MOD_I, MOD_P, CertifyReport, ParamMap,
-                                  Sum, build_map, catalog_names, hyperplane_classify,
+from canonform.canonicity import (MOD_I, MOD_P, CertifyReport,
+                                  HyperplaneVerdict, Param, ParamMap, Sum,
+                                  build_map, catalog_names, hyperplane_classify,
                                   hyperplane_form, jacobian_certify,
                                   lasker_wakeford_full_rank, zerosum_verify)
-from canonform.errors import AllZero, BadShape, UnknownName
-from canonform.linalg import exact_rank, modp_rank
-from canonform.scalars import EPS_DEFAULT
+from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
+from canonform.forms import index_set
+from canonform.linalg import exact_rank, mat_det, modp_rank
+from canonform.scalars import EPS_DEFAULT, as_scalar, scalar_is_zero
 
 
 def test_unknown_name():
@@ -351,3 +353,127 @@ def test_modular_path_keeps_hyperplane_and_lasker_wakeford_verdicts(
     exact = ([hyperplane_classify(c, seed=s) for c in cs for s in (0, 1)],
              [lasker_wakeford_full_rank(pmap, t) for pmap, t in lw_cases])
     assert fast == exact
+
+
+# -- one lazy witness search ----------------------------------------------------
+
+
+def _eager_witnesses(pmap, trials, seed):
+    """The candidate list jacobian_certify used to build before trying any."""
+    candidates = []
+    if pmap.witness is not None:
+        candidates.append([as_scalar(v) for v in pmap.witness])
+    rng = random.Random(seed)
+    while len(candidates) < trials + (1 if pmap.witness is not None else 0):
+        t = [QQi(rng.randint(-9, 9)) for _ in range(pmap.m)]
+        if any(v for v in t):
+            candidates.append(t)
+    return candidates
+
+
+# stored witness or not; the one-parameter map draws all-zero points often
+WITNESS_MAPS = [
+    build_map("sextican"),
+    build_map("uppertri", n=1),
+    build_map("sylwake", s=2),
+    build_map("hyperplane", c=[1, 2, 3, 4]),
+    ParamMap("line", 1, 1, 1, Param(0, (1,))),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.sampled_from(range(len(WITNESS_MAPS))),
+       trials=st.sampled_from([0, 1, 12]), seed=st.integers(0, 10 ** 6))
+@example(case=4, trials=12, seed=0)  # draws 0 at the eighth point
+def test_witnesses_are_the_eager_candidate_list(case, trials, seed):
+    pmap = WITNESS_MAPS[case]
+    assert (list(canonicity._witnesses(pmap, trials, seed))
+            == _eager_witnesses(pmap, trials, seed))
+
+
+def _count_randint(monkeypatch):
+    calls = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            calls.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(canonicity.random, "Random", CountingRandom)
+    return calls
+
+
+def test_stored_witness_that_certifies_draws_nothing(monkeypatch):
+    calls = _count_randint(monkeypatch)
+    rep = jacobian_certify(build_map("sextican"))
+    assert rep.certified and rep.trials == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, params, trials, seed, random_tried", [
+    ("sylwake", {"s": 2}, 40, 9, 1),
+    ("sylwake", {"s": 2}, 40, 3, 2),
+    ("quarticgen", {"d": 5, "B": (0, 1, 2, 3)}, 4, 0, 4),  # never certifies
+])
+def test_only_the_witnesses_tried_are_drawn(monkeypatch, name, params, trials,
+                                            seed, random_tried):
+    pmap = build_map(name, **params)
+    calls = _count_randint(monkeypatch)
+    rep = jacobian_certify(pmap, trials=trials, seed=seed)
+    assert rep.trials == random_tried + (pmap.witness is not None)
+    assert len(calls) == pmap.m * random_tried
+
+
+def _looped_hyperplane_classify(c, eps=EPS_DEFAULT, seed=0, trials=64):
+    """hyperplane_classify as it was, with its own search and rank test."""
+    c = canonicity._hyperplane_coefficients(c)
+    epsilon = canonicity._hyperplane_epsilon(c, eps)
+    if epsilon is not None:
+        if c[3]:
+            zero_point = (-c[0] / c[3], -c[1] / c[3])
+        elif c[0]:
+            zero_point = (QQi(1), c[1] / c[0])
+        else:
+            zero_point = (QQi(0), QQi(1))
+        return HyperplaneVerdict("Exceptional", epsilon=epsilon,
+                                 zero_point=zero_point)
+    pmap = build_map("hyperplane", c=c)
+    pivot = pmap.params["pivot"] - 1
+    free = [k for k in range(4) if k != pivot]
+    rng = random.Random(seed)
+    basis = index_set(2, 2)
+    for _ in range(trials):
+        t_free = [QQi(rng.randint(-9, 9)) for _ in range(3)]
+        if not any(v for v in t_free):
+            continue
+        if not canonicity._full_rank_mod_p(pmap, t_free):
+            rows = [[df.a(i) for i in basis] for df in pmap.gradient(t_free)]
+            if scalar_is_zero(mat_det(rows), eps):
+                continue
+        full = [None] * 4
+        for i, k in enumerate(free):
+            full[k] = t_free[i]
+        full[pivot] = sum((-c[k] / c[pivot]) * t_free[i]
+                          for i, k in enumerate(free))
+        return HyperplaneVerdict("Canonical", witness=full)
+    raise ShapeMismatch("no nondegenerate parameter point found")
+
+
+_small_qqi = st.builds(lambda a, b, d: QQi(Fraction(a, d), Fraction(b, d)),
+                       st.integers(-4, 4), st.integers(-4, 4),
+                       st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(c=st.lists(_small_qqi, min_size=4, max_size=4),
+       exceptional=st.sampled_from([None, QQi(0, 1), QQi(0, -1)]))
+@example(c=[QQi(0), QQi(0), QQi(0), QQi(1)], exceptional=None)
+@example(c=[QQi(1), QQi(0), QQi(0), QQi(0)], exceptional=QQi(0, 1))
+def test_hyperplane_classify_keeps_the_looped_verdicts(c, exceptional):
+    if exceptional is not None:
+        c = c[:2] + [exceptional * c[0], exceptional * c[1]]
+    if not any(c):
+        return
+    for seed in (0, 1, 2):
+        assert hyperplane_classify(c, seed=seed) == \
+            _looped_hyperplane_classify(c, seed=seed)

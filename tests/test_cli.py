@@ -451,6 +451,18 @@ def test_dependent_pencil_eigenvectors_are_degenerate_input(capsys, algo):
     assert "DegeneratePencil" in err
 
 
+@pytest.mark.parametrize("backend", [[], ["--backend", "approx"]])
+def test_two_squares_that_miss_the_input_are_degenerate_input(capsys, backend):
+    # at height 1e12 every split rebuilds the input only to about 1e-4
+    form = ("531226592575*x1^6 - 253143392605*x1^5*x2 - 790449943128*x1^4*x2^2"
+            " + 171068877588*x1^3*x2^3 + 242840731257*x1^2*x2^4"
+            " - 354407936282*x1*x2^5 + 310406819769*x2^6")
+    code, out, err = run_cli(backend + ["decompose", "two-squares", form],
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "reconstruction check failed" in err
+
+
 @pytest.mark.parametrize("argv", [["decompose", "nosuch", "x"],
                                   ["enumerate", "nosuch"], ["count", "nosuch"]])
 def test_unknown_subcommand_choices_are_usage_errors(capsys, argv):
