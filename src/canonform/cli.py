@@ -8,6 +8,7 @@ identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -218,6 +219,8 @@ def _sheared(p: Form, seed: int) -> Form:
 
 
 def _cmd_certify(args) -> int:
+    if _below("--trials", args.trials, 0):
+        return 1
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -298,6 +301,8 @@ def _cmd_count(args) -> int:
         return 0
     if args.d is None or args.e is None:
         print("count reps needs --d and --e", file=sys.stderr)
+        return 1
+    if args.trials is not None and _below("--trials", args.trials, 1):
         return 1
     e = _parse_param_value(args.e)
     e = e if isinstance(e, list) else [e]
@@ -500,15 +505,22 @@ def _cmd_verify_examples(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    main calls this once per request, so an in-process caller pays for the
+    argparse tree once.  The parser reads nothing from the environment:
+    main resolves the --seed default from $CANONFORM_SEED on each call.
+    Every caller gets the same object, so none may add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="canonform",
         description="Canonical decompositions and certification for complex "
                     "homogeneous forms.")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (deterministic bytes)")
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("CANONFORM_SEED", "0")),
+    parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: $CANONFORM_SEED or 0)")
     parser.add_argument("--epsilon", type=float, default=EPS_DEFAULT,
                         help="relative tolerance for the approximate backend")
@@ -567,13 +579,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if args.seed is None:
+        env_seed = os.environ.get("CANONFORM_SEED", "0")
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            print(f"$CANONFORM_SEED must be an integer, got {env_seed!r}",
+                  file=sys.stderr)
+            return 1
     if args.epsilon <= 0:
         print("--epsilon must be positive", file=sys.stderr)
+        return 1
+    if not math.isfinite(args.epsilon):
+        print(f"--epsilon must be finite, got {args.epsilon}", file=sys.stderr)
         return 1
     try:
         code = args.func(args)

@@ -232,6 +232,8 @@ def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     stage-m cubes involve only x_(1+2m)..x_n."""
     if p.d != 3:
         raise ShapeMismatch("need a cubic form")
+    if p.is_zero():
+        raise ZeroForm("cannot decompose the zero form")
     n = p.n
     terms = []
     stages = []
@@ -276,6 +278,8 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     """
     if p.d != 3:
         raise ShapeMismatch("need a cubic form")
+    if p.is_zero():
+        raise ZeroForm("cannot decompose the zero form")
     n = p.n
     current = p
     terms = []

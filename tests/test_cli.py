@@ -1,15 +1,17 @@
+import argparse
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import canonform
-from canonform import forms_close, parse_form
+from canonform import cli, forms_close, parse_form
 from canonform.cli import main
 from canonform.forms import parse_decomposition
 
@@ -499,3 +501,119 @@ def test_closed_output_pipe_is_not_an_internal_error():
         os.close(write_end)
     assert proc.returncode == 1
     assert "internal error" not in proc.stderr
+
+
+# -- the shared parser -------------------------------------------------------
+
+
+def test_build_parser_returns_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    run_cli(["count", "s", "--d", "15"], capsys=capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (["count", "s", "--d", "15"], ["certify", "sextican"],
+                 ["decompose", "sylvester", "x^3+2*y^3"],
+                 ["decompose", "nosuch", "x"], ["--json", "enumerate", "neat"]):
+        run_cli(argv, capsys=capsys)
+    assert built == []
+
+
+def test_env_seed_is_read_on_each_call(capsys, monkeypatch):
+    argv = ["--json", "certify", "sylvgen", "--param", "u=2", "--param",
+            "v=2", "--trials", "6"]
+    for seed in ("77", "78"):
+        monkeypatch.setenv("CANONFORM_SEED", seed)
+        code, out, _ = run_cli(argv, capsys=capsys)
+        assert code == 0 and json.loads(out)["seed"] == int(seed)
+    monkeypatch.delenv("CANONFORM_SEED")
+    code, out, _ = run_cli(argv, capsys=capsys)
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    argv = ["decompose", "sylvester", "2*x^3+3*x^2*y-21*x*y^2-41*y^3"]
+    want = run_cli(argv, capsys=capsys)
+    code, out, err = run_cli(["decompose", "nosuchalgo", "x"], capsys=capsys)
+    assert (code, out) == (1, "") and "invalid choice" in err
+    assert run_cli(argv, capsys=capsys) == want == (
+        0, "5*(x+2*y)^3 - 3*(x+3*y)^3\n", "")
+
+
+def test_threads_share_the_parser():
+    argvs = [["decompose", "sylvester", "x^3+y^3"],
+             ["--json", "--seed", "4", "certify", "sextican", "--trials", "3"],
+             ["--backend", "approx", "decompose", "mixed", "x^5",
+              "--fixed", "x+y", "--fixed", "x-y"],
+             ["--epsilon", "1e-6", "count", "reps", "--d", "4", "--e", "2,1"],
+             ["enumerate", "obstruction", "--d", "6", "--max", "20"],
+             ["classify-hyperplane", "1,0,i,0"],
+             ["certify", "omnibus", "--param", "d=4", "--param", "e=2"],
+             ["verify-examples"]] * 6
+
+    def parse(argv):
+        return vars(cli.build_parser().parse_args(argv))
+
+    serial = [parse(argv) for argv in argvs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            shared = list(pool.map(parse, argvs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == serial
+
+
+# -- inputs that reached a traceback or exit 3 -------------------------------
+
+
+def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CANONFORM_SEED", "abc")
+    code, out, err = run_cli(["certify", "sextican"], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "$CANONFORM_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed never reads the variable
+    code, out, err = run_cli(["--seed", "5", "certify", "sextican"],
+                             capsys=capsys)
+    assert (code, out, err) == (0, "Certified (rank 7/7)\n", "")
+
+
+@pytest.mark.parametrize("eps,form", [("nan", "x^3+2*y^3"),
+                                      ("inf", "x^3+2*y^3+x*y^2")])
+def test_non_finite_epsilon_is_a_usage_error(capsys, eps, form):
+    code, out, err = run_cli(["--epsilon", eps, "--backend", "approx",
+                              "decompose", "sylvester", form], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"--epsilon must be finite, got {eps}\n"
+
+
+@pytest.mark.parametrize("argv,least,got", [
+    (["certify", "sylwake", "--param", "s=2", "--trials", "-3"], 0, -3),
+    (["--json", "count", "reps", "--d", "4", "--e", "2,1", "--trials", "-5"],
+     1, -5),
+    (["--json", "count", "reps", "--d", "4", "--e", "2,1", "--trials", "0"],
+     1, 0),
+])
+def test_trials_below_the_least_are_usage_errors(capsys, argv, least, got):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"--trials must be at least {least}, got {got}\n"
+
+
+@pytest.mark.parametrize("algo", ["reichstein", "slinky"])
+@pytest.mark.parametrize("flags", [[], ["--backend", "approx"]])
+@pytest.mark.parametrize("shear", [[], ["--shear"]])
+def test_zero_cubic_is_degenerate_input(capsys, algo, flags, shear):
+    code, out, err = run_cli(flags + ["decompose", algo, "0*x*y*z"] + shear,
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "ZeroForm: cannot decompose the zero form\n"

@@ -318,3 +318,10 @@ class TestEliminate:
         noisy = Form(4, 3, dict(rest.approx().items()) | noise)
         got = _eliminate(noisy, [1, 3], 1e-6, noisy.norm())
         assert got.items() == rest.approx().items()
+
+
+@pytest.mark.parametrize("construction", [reichstein_full, slinky])
+def test_zero_cubic_is_refused_up_front(construction):
+    for p in (Form.zero(3, 3), parse_form("0*x*y*z").approx()):
+        with pytest.raises(ZeroForm):
+            construction(p)
