@@ -18,12 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
+from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
                      ShapeMismatch, UnsupportedShape, ZeroForm)
 from .forms import (Decomposition, Form, Term, binary_factor,
-                    linear_coeffs, linear_form, monomial_form, parse_form,
-                    power_of_linear)
+                    check_decomposable, linear_coeffs, linear_form,
+                    monomial_form, parse_form, power_of_linear)
 from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
                       scalar_is_zero, scalar_sqrt)
@@ -140,10 +141,8 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     solve a Vandermonde system.  Exact inputs with rational nodes come back
     exact.
     """
-    if p.n != 2:
-        raise ShapeMismatch("Sylvester's algorithm needs a binary form")
-    if p.is_zero():
-        raise ZeroForm("cannot decompose the zero form")
+    check_decomposable(p, p.n == 2,
+                       "Sylvester's algorithm needs a binary form")
     d = p.d
     for r in range(1, d + 1):
         kernel = hankel_kernel(hankel(p, r), eps)
@@ -212,10 +211,8 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
     Differentiates away the fixed forms, Sylvester-decomposes the remainder,
     rescales the free powers, then solves for the fixed multipliers.
     """
-    if p.n != 2:
-        raise ShapeMismatch("mixed decomposition needs a binary form")
-    if p.is_zero():
-        raise ZeroForm("cannot decompose the zero form")
+    check_decomposable(p, p.n == 2,
+                       "mixed decomposition needs a binary form")
     d = p.d
     m, r = spec.m, spec.r
     if m + 2 * r != d + 1:
@@ -283,10 +280,8 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     s-products gives one representation after the rotation that kills the
     x^s coefficient of the second square.
     """
-    if p.n != 2 or p.d % 2:
-        raise ShapeMismatch("need a binary form of even degree")
-    if p.is_zero():
-        raise ZeroForm("cannot decompose the zero form")
+    check_decomposable(p, p.n == 2 and not p.d % 2,
+                       "need a binary form of even degree")
     s = p.d // 2
     if scalar_is_zero(p.raw((p.d, 0)), eps, scale=p.norm()):
         raise LeadingZero("p(1,0) = 0: the rotation normalization needs a "
@@ -425,14 +420,6 @@ def quartic_normalize(p: Form, eps: float = EPS_DEFAULT) -> QuarticNormal:
     raise NormalizationFailed("no root pairing gave a consistent transform")
 
 
-def _x() -> Form:
-    return linear_form([QQi(1), QQi(0)])
-
-
-def _y() -> Form:
-    return linear_form([QQi(0), QQi(1)])
-
-
 def quartic_six_reps(lam: Scalar, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     """The six (quadratic)^2 + c (linear)^4 representations of
     x^4 + 6 lambda x^2 y^2 + y^4."""
@@ -442,7 +429,7 @@ def quartic_six_reps(lam: Scalar, eps: float = EPS_DEFAULT) -> list[Decompositio
         if scalar_is_zero(3 * lam + sign, eps):
             raise DegenerateLambda(f"{label} = 0")
     i_unit = QQi(0, Fraction(1))
-    x, y = _x(), _y()
+    x, y = linear_form([QQi(1), QQi(0)]), linear_form([QQi(0), QQi(1)])
     x2 = monomial_form(2, (2, 0))
     y2 = monomial_form(2, (0, 2))
     xy = monomial_form(2, (1, 1))
@@ -490,7 +477,10 @@ def quartic_six_for_form(p: Form, eps: float = EPS_DEFAULT) -> list[Decompositio
         terms = [Term(scale_c * complex(t.multiplier),
                       t.base.approx().substitute(inv), t.power)
                  for t in rep.terms]
-        out.append(Decomposition(terms, meta=dict(rep.meta)))
+        dec = Decomposition(terms, meta=dict(rep.meta))
+        if not dec.verify(p, max(eps, 1e-7)):
+            raise DegenerateInput("reconstruction check failed")
+        out.append(dec)
     return out
 
 
@@ -692,22 +682,15 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     find nothing new.  The result is an ESTIMATE, never authoritative.
     """
     e = sorted((int(v) for v in e), reverse=True)
-    if any(ek < 1 or ek >= d or d % ek for ek in e):
-        raise UnsupportedShape("each e_k must properly divide d")
-    if m < 0:
-        raise UnsupportedShape("m must be >= 0")
-    if m + sum(ek + 1 for ek in e) != d + 1:
-        raise UnsupportedShape(f"m + sum(e_k + 1) must equal d+1 = {d + 1}")
+    if reason := shape_error(d, e, m):
+        raise UnsupportedShape(reason)
     rng = np.random.default_rng(seed)
     if form is None:
         coeffs = rng.integers(-100, 101, size=(d + 1, 2))
         form = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
     p = form.approx()
-    fixed_forms = []
-    if m >= 1:
-        fixed_forms.append(_x())
-    if m >= 2:
-        fixed_forms.append(_y())
+    fixed_forms = [linear_form([QQi(1), QQi(0)]),
+                   linear_form([QQi(0), QQi(1)])][:m]
     for extra in range(m - 2):
         c = rng.integers(-100, 101, size=4)
         fixed_forms.append(linear_form([complex(c[0], c[1]), complex(c[2], c[3])]))

@@ -15,12 +15,13 @@ import random
 from dataclasses import dataclass, field
 from operator import add
 
+from .enumeration import shape_error
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, dim, index_set, linear_form,
                     monomial_form, multinomial)
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
-                      is_exact, mod_p, scalars_close)
+                      is_exact, mod_p, power, scalars_close)
 from .scalars import MOD_I  # noqa: F401  (importable from here, as before)
 
 # -- expression tree -----------------------------------------------------------
@@ -97,15 +98,7 @@ class _ModPoly:
                                  if (r := v % MOD_P)})
 
     def __pow__(self, k: int) -> "_ModPoly":
-        result = _ModPoly(self.n, {(0,) * self.n: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, _ModPoly(self.n, {(0,) * self.n: 1}))
 
 
 class _FormRing:
@@ -494,13 +487,8 @@ def _omnibus_fixed_forms(m: int) -> list[Form]:
 
 def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:
     e = sorted((int(v) for v in e), reverse=True)
-    if m < 0 or d < 1:
-        raise BadShape("omnibus needs d >= 1 and m >= 0")
-    if any(ek < 1 or ek >= d or d % ek for ek in e):
-        raise BadShape("each e_k must satisfy e_k | d and e_k < d")
-    if m + sum(ek + 1 for ek in e) != d + 1:
-        raise BadShape(f"m + sum(e_k + 1) = {m + sum(ek + 1 for ek in e)} "
-                       f"!= d + 1 = {d + 1}")
+    if reason := shape_error(d, e, m):
+        raise BadShape(reason)
     fixed = _omnibus_fixed_forms(m)
     terms = []
     witness = []

@@ -128,7 +128,6 @@ def _parse_param_value(text: str):
         tok = tok.strip()
         try:
             vals.append(int(tok))
-            continue
         except ValueError:
             vals.append(_parse_scalar_token(tok))
     return vals if len(parts) > 1 else vals[0]
@@ -281,28 +280,24 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.what == "s":
-        if args.d is None:
-            print("count s needs --d", file=sys.stderr)
+    if args.what in ("s", "S"):
+        key, count = (("d", enumeration.s_of_d) if args.what == "s"
+                      else ("N", enumeration.partial_sum_S))
+        arg = getattr(args, key)
+        if arg is None:
+            print(f"count {args.what} needs --{key}", file=sys.stderr)
             return 1
-        if _below("--d", args.d, 1):
+        if _below(f"--{key}", arg, 1):
             return 1
-        value = enumeration.s_of_d(args.d)
-        _emit(args, {"d": args.d, "s": value} if args.json else str(value))
-        return 0
-    if args.what == "S":
-        if args.N is None:
-            print("count S needs --N", file=sys.stderr)
-            return 1
-        if _below("--N", args.N, 1):
-            return 1
-        value = enumeration.partial_sum_S(args.N)
-        _emit(args, {"N": args.N, "S": value} if args.json else str(value))
+        value = count(arg)
+        _emit(args, {key: arg, args.what: value} if args.json else str(value))
         return 0
     if args.d is None or args.e is None:
         print("count reps needs --d and --e", file=sys.stderr)
         return 1
     if args.trials is not None and _below("--trials", args.trials, 1):
+        return 1
+    if _below("--seed", args.seed, 0):  # numpy's generators take seeds >= 0
         return 1
     e = _parse_param_value(args.e)
     e = e if isinstance(e, list) else [e]
@@ -321,173 +316,121 @@ def _cmd_count(args) -> int:
 # -- verify-examples ------------------------------------------------------------
 
 
-def _paper_examples() -> list[tuple[str, object]]:
-    ex310 = "2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3"
-    ex41 = ("-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 - 505*x*y^4 "
-            "+ 483*y^5")
+_EX310 = "2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3"
+_EX41 = "-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 - 505*x*y^4 + 483*y^5"
 
-    def chk_index_set():
-        return len(index_set(3, 4)) == 15 and dim(3, 4) == 5 * dim(3, 1)
 
-    def chk_evaluate():
-        return parse_form(ex310).evaluate((1, 0)) == QQi(2)
+def _factor_product_ok() -> bool:
+    c, fs = binary_factor(parse_form("6*x^2 - 5*x*y + y^2"))
+    prod = None
+    for f, mult in fs:
+        t = f ** mult
+        prod = t if prod is None else prod * t
+    return prod.scale(c) == parse_form("6*x^2 - 5*x*y + y^2") and len(fs) == 2
 
-    def chk_factor():
-        c, fs = binary_factor(parse_form("6*x^2 - 5*x*y + y^2"))
-        prod = None
-        for f, mult in fs:
-            t = f ** mult
-            prod = t if prod is None else prod * t
-        return prod.scale(c) == parse_form("6*x^2 - 5*x*y + y^2") and len(fs) == 2
 
-    def chk_diff_kernel():
-        h = parse_form("6*x^2 - 5*x*y + y^2")
-        return apply_diff(h, parse_form(ex310)).is_zero()
+def _hankel_kernel_ok() -> bool:
+    basis = hankel_kernel(hankel(parse_form(_EX310), 2))
+    return (len(basis) == 1
+            and [x * 6 for x in basis[0]] == [QQi(6), QQi(-5), QQi(1)])
 
-    def chk_diff_ex41():
-        f = parse_form("3*x^2 - 2*x*y - y^2")
-        target = parse_form("160*x^3 + 240*x^2*y - 1680*x*y^2 - 3280*y^3")
-        return apply_diff(f, parse_form(ex41)) == target
 
-    def chk_hankel():
-        h = hankel(parse_form(ex310), 2)
-        want = [[QQi(2), QQi(1), QQi(-7)], [QQi(1), QQi(-7), QQi(-41)]]
-        return h.rows() == want
-
-    def chk_kernel_vector():
-        h = hankel(parse_form(ex310), 2)
-        basis = hankel_kernel(h)
-        if len(basis) != 1:
+def _drab_identities_ok() -> bool:
+    for m in range(1, 9):
+        fam = multivar.drab_family(m)
+        total = fam[0]
+        sq = fam[0] * fam[0]
+        for f in fam[1:]:
+            total = total + f
+            sq = sq + f * f
+        target = None
+        for k in range(m):
+            idx = [0] * m
+            idx[k] = 2
+            t = monomial_form(m, tuple(idx))
+            target = t if target is None else target + t
+        if not total.is_zero(1e-12, scale=1.0):
             return False
-        v = basis[0]
-        scaled = [x * 6 for x in v]
-        return scaled == [QQi(6), QQi(-5), QQi(1)]
+        if not forms_close(sq, target.approx(), 1e-12):
+            return False
+    return True
 
-    def chk_sylvester():
-        dec = binary.sylvester_decompose(parse_form(ex310))
-        return str(dec) == "5*(x+2*y)^3 - 3*(x+3*y)^3"
 
-    def chk_mixed():
-        spec = binary.MixedSpec([parse_form("x + y"), parse_form("-x + 3*y")], 2)
-        dec = binary.mixed_decompose(parse_form(ex41), spec)
-        mults = sorted(str(t.multiplier) for t in dec.terms)
-        return mults == sorted(["-4", "1", "7/2", "3/2"])
-
-    def chk_mc_6():
-        return binary.count_reps_monte_carlo(4, [2, 1], 0, seed=2026) == 6
-
-    def chk_mc_2():
-        return binary.count_reps_monte_carlo(4, [2], 2, seed=2026) == 2
-
-    def chk_drab():
-        for m in range(1, 9):
-            fam = multivar.drab_family(m)
-            total = fam[0]
-            sq = fam[0] * fam[0]
-            for f in fam[1:]:
-                total = total + f
-                sq = sq + f * f
-            target = None
-            for k in range(m):
-                idx = [0] * m
-                idx[k] = 2
-                t = monomial_form(m, tuple(idx))
-                target = t if target is None else target + t
-            if not total.is_zero(1e-12, scale=1.0):
-                return False
-            if not forms_close(sq, target.approx(), 1e-12):
-                return False
-        return True
-
-    def chk_sextican():
-        rep = canonicity.jacobian_certify(canonicity.build_map("sextican"))
-        return rep.certified and rep.rank == 7 and rep.trials == 1
-
-    def chk_uppertri_witness():
-        rep = canonicity.jacobian_certify(canonicity.build_map("uppertri", n=4))
-        return rep.certified and rep.trials == 1
-
-    def chk_quarticgen_excluded():
-        pmap = canonicity.build_map("quarticgen", d=5, B=(0, 1, 2, 3))
-        rep = canonicity.jacobian_certify(pmap, trials=8, seed=1)
-        return rep.verdict == "NotFullRankAtWitness"
-
-    def chk_hyperplane():
-        verdict = canonicity.hyperplane_classify([QQi(1), QQi(0), QQi(0, 1),
-                                                  QQi(0)])
-        return (verdict.kind == "Exceptional" and verdict.epsilon == QQi(0, 1))
-
-    def chk_zerosum_1():
-        return canonicity.zerosum_verify(1, trials=10, seed=0).certified
-
-    def chk_zerosum_4():
-        return canonicity.zerosum_verify(4, trials=10, seed=0).certified
-
-    def chk_omnibus_84():
-        pmap = canonicity.build_map("omnibus", d=84, e=[42, 28, 12], m=0)
-        return pmap.m == 85 == pmap.target
-
-    def chk_s15():
-        return enumeration.s_of_d(15) == 2
-
-    def chk_s99():
-        return enumeration.s_of_d(99) == 3
-
-    def chk_s7316000():
-        return enumeration.s_of_d(7316000) == 12
-
-    def chk_neat2():
-        got = [(f.d, f.e) for f in enumeration.neat_enumerate(2)]
-        return got == [(3, (1, 1)), (4, (2, 1)), (6, (3, 2))]
-
-    def chk_neat3():
-        return len(enumeration.neat_enumerate(3)) == 22
-
-    def chk_a4_12():
-        return enumeration.obstruction_A(4, 12)
-
-    def chk_smallest():
-        wants = {6: 10, 8: 1792, 10: 6, 12: 242, 14: 338, 15: 273}
-        return all(enumeration.smallest_in_A(d) == n for d, n in wants.items())
-
-    def chk_a_prime():
-        return all(enumeration.smallest_in_A(p, 200) is None
-                   for p in (2, 3, 5, 7))
-
-    return [
-        ("index_set N(3,4) = 15 = 5 N(3,1)", chk_index_set),
-        ("evaluate cubic at (1,0) = 2", chk_evaluate),
-        ("binary_factor 6x^2-5xy+y^2 = (2x-y)(3x-y)", chk_factor),
-        ("h(D)p = 0 for the catalecticant kernel form", chk_diff_kernel),
-        ("f(D)p = 160x^3+240x^2y-1680xy^2-3280y^3", chk_diff_ex41),
-        ("Hankel A_2 = [[2,1,-7],[1,-7,-41]]", chk_hankel),
-        ("Hankel kernel contains (6,-5,1)", chk_kernel_vector),
-        ("Sylvester: 5(x+2y)^3 - 3(x+3y)^3", chk_sylvester),
-        ("mixed coefficients {-4, 1, 7/2, 3/2}", chk_mixed),
-        ("Monte Carlo (4;[2,1];0) = 6", chk_mc_6),
-        ("Monte Carlo (4;[2];2) = 2", chk_mc_2),
-        ("zero-sum family identities, m <= 8", chk_drab),
-        ("sextican certified at f=x^3, g=y^2 (rank 7/7)", chk_sextican),
-        ("uppertri certified at the delta witness", chk_uppertri_witness),
-        ("quarticgen excluded B never certified", chk_quarticgen_excluded),
-        ("hyperplane (1,0,i,0) exceptional with eps=i", chk_hyperplane),
-        ("zerosum degree 2 certified", chk_zerosum_1),
-        ("zerosum degree 8 certified", chk_zerosum_4),
-        ("omnibus(84;[42,28,12];0) has 85 = d+1 parameters", chk_omnibus_84),
-        ("s(15) = 2", chk_s15),
-        ("s(99) = 3", chk_s99),
-        ("s(7316000) = 12", chk_s7316000),
-        ("neat r=2: (3;1,1), (4;2,1), (6;3,2)", chk_neat2),
-        ("neat r=3: twenty-two forms", chk_neat3),
-        ("12 in A_4", chk_a4_12),
-        ("smallest of A_6, A_8, A_10, A_12, A_14, A_15", chk_smallest),
-        ("A_p empty for p in {2,3,5,7}", chk_a_prime),
-    ]
+# The paper's worked examples that verify-examples replays, in order: a label
+# and a check that returns whether the example holds.
+_PAPER_EXAMPLES = [
+    ("index_set N(3,4) = 15 = 5 N(3,1)",
+     lambda: len(index_set(3, 4)) == 15 and dim(3, 4) == 5 * dim(3, 1)),
+    ("evaluate cubic at (1,0) = 2",
+     lambda: parse_form(_EX310).evaluate((1, 0)) == QQi(2)),
+    ("binary_factor 6x^2-5xy+y^2 = (2x-y)(3x-y)", _factor_product_ok),
+    ("h(D)p = 0 for the catalecticant kernel form",
+     lambda: apply_diff(parse_form("6*x^2 - 5*x*y + y^2"),
+                        parse_form(_EX310)).is_zero()),
+    ("f(D)p = 160x^3+240x^2y-1680xy^2-3280y^3",
+     lambda: apply_diff(parse_form("3*x^2 - 2*x*y - y^2"), parse_form(_EX41))
+     == parse_form("160*x^3 + 240*x^2*y - 1680*x*y^2 - 3280*y^3")),
+    ("Hankel A_2 = [[2,1,-7],[1,-7,-41]]",
+     lambda: hankel(parse_form(_EX310), 2).rows()
+     == [[QQi(2), QQi(1), QQi(-7)], [QQi(1), QQi(-7), QQi(-41)]]),
+    ("Hankel kernel contains (6,-5,1)", _hankel_kernel_ok),
+    ("Sylvester: 5(x+2y)^3 - 3(x+3y)^3",
+     lambda: str(binary.sylvester_decompose(parse_form(_EX310)))
+     == "5*(x+2*y)^3 - 3*(x+3*y)^3"),
+    ("mixed coefficients {-4, 1, 7/2, 3/2}",
+     lambda: sorted(str(t.multiplier) for t in binary.mixed_decompose(
+         parse_form(_EX41), binary.MixedSpec(
+             [parse_form("x + y"), parse_form("-x + 3*y")], 2)).terms)
+     == sorted(["-4", "1", "7/2", "3/2"])),
+    ("Monte Carlo (4;[2,1];0) = 6",
+     lambda: binary.count_reps_monte_carlo(4, [2, 1], 0, seed=2026) == 6),
+    ("Monte Carlo (4;[2];2) = 2",
+     lambda: binary.count_reps_monte_carlo(4, [2], 2, seed=2026) == 2),
+    ("zero-sum family identities, m <= 8", _drab_identities_ok),
+    ("sextican certified at f=x^3, g=y^2 (rank 7/7)",
+     lambda: (rep := canonicity.jacobian_certify(
+         canonicity.build_map("sextican"))).certified
+     and rep.rank == 7 and rep.trials == 1),
+    ("uppertri certified at the delta witness",
+     lambda: (rep := canonicity.jacobian_certify(
+         canonicity.build_map("uppertri", n=4))).certified
+     and rep.trials == 1),
+    ("quarticgen excluded B never certified",
+     lambda: canonicity.jacobian_certify(
+         canonicity.build_map("quarticgen", d=5, B=(0, 1, 2, 3)),
+         trials=8, seed=1).verdict == "NotFullRankAtWitness"),
+    ("hyperplane (1,0,i,0) exceptional with eps=i",
+     lambda: (v := canonicity.hyperplane_classify(
+         [QQi(1), QQi(0), QQi(0, 1), QQi(0)])).kind == "Exceptional"
+     and v.epsilon == QQi(0, 1)),
+    ("zerosum degree 2 certified",
+     lambda: canonicity.zerosum_verify(1, trials=10, seed=0).certified),
+    ("zerosum degree 8 certified",
+     lambda: canonicity.zerosum_verify(4, trials=10, seed=0).certified),
+    ("omnibus(84;[42,28,12];0) has 85 = d+1 parameters",
+     lambda: (pmap := canonicity.build_map(
+         "omnibus", d=84, e=[42, 28, 12], m=0)).m == 85 == pmap.target),
+    ("s(15) = 2", lambda: enumeration.s_of_d(15) == 2),
+    ("s(99) = 3", lambda: enumeration.s_of_d(99) == 3),
+    ("s(7316000) = 12", lambda: enumeration.s_of_d(7316000) == 12),
+    ("neat r=2: (3;1,1), (4;2,1), (6;3,2)",
+     lambda: [(f.d, f.e) for f in enumeration.neat_enumerate(2)]
+     == [(3, (1, 1)), (4, (2, 1)), (6, (3, 2))]),
+    ("neat r=3: twenty-two forms",
+     lambda: len(enumeration.neat_enumerate(3)) == 22),
+    ("12 in A_4", lambda: enumeration.obstruction_A(4, 12)),
+    ("smallest of A_6, A_8, A_10, A_12, A_14, A_15",
+     lambda: all(enumeration.smallest_in_A(d) == n for d, n in
+                 {6: 10, 8: 1792, 10: 6, 12: 242, 14: 338, 15: 273}.items())),
+    ("A_p empty for p in {2,3,5,7}",
+     lambda: all(enumeration.smallest_in_A(p, 200) is None
+                 for p in (2, 3, 5, 7))),
+]
 
 
 def _cmd_verify_examples(args) -> int:
     results = []
-    for label, check in _paper_examples():
+    for label, check in _PAPER_EXAMPLES:
         try:
             ok = bool(check())
         except Exception as exc:  # a failing example must not stop the replay

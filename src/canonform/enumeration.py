@@ -14,6 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def shape_error(d: int, e, m: int = 0) -> str | None:
+    """Why (d; e; m) is not a mixed-power shape, or None if it is one.
+
+    A shape has d >= 1, each e_k >= 1 dividing d with e_k < d, m >= 0 and
+    m + sum(e_k + 1) = d + 1.
+    """
+    if d < 1 or any(ek < 1 or ek >= d or d % ek for ek in e):
+        return "need d >= 1 and each e_k | d with 1 <= e_k < d"
+    if m < 0:
+        return "m must be >= 0"
+    if m + sum(ek + 1 for ek in e) != d + 1:
+        return (f"m + sum(e_k + 1) = {m + sum(ek + 1 for ek in e)} "
+                f"!= d + 1 = {d + 1}")
+    return None
+
+
 @dataclass(frozen=True, order=True)
 class NeatForm:
     """Degree plus the weakly decreasing divisor exponents (m = 0 shape)."""
@@ -26,10 +42,8 @@ class NeatForm:
             raise ValueError("a neat form needs at least one summand")
         if list(self.e) != sorted(self.e, reverse=True):
             raise ValueError("exponents must be weakly decreasing")
-        if any(ek >= self.d or ek < 1 or self.d % ek for ek in self.e):
-            raise ValueError("each e_k must properly divide d")
-        if sum(ek + 1 for ek in self.e) != self.d + 1:
-            raise ValueError("sum(e_k + 1) must equal d + 1")
+        if reason := shape_error(self.d, self.e):
+            raise ValueError(reason)
 
     @property
     def r(self) -> int:

@@ -26,7 +26,7 @@ from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
 from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar,
                       _NoImage, as_scalar, format_scalar, is_exact, mod_p,
-                      scalar_from_json, scalar_is_zero, scalar_to_json,
+                      power, scalar_from_json, scalar_is_zero, scalar_to_json,
                       snap_scalar)
 
 MultiIndex = tuple[int, ...]
@@ -206,14 +206,8 @@ class Form:
     def __pow__(self, k: int) -> "Form":
         if k < 0:
             raise ValueError("negative form power")
-        result = Form(self.n, 0, {(0,) * self.n: QQi(1) if self.exact else 1 + 0j})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        one = QQi(1) if self.exact else 1 + 0j
+        return power(self, k, Form(self.n, 0, {(0,) * self.n: one}))
 
     # -- evaluation and substitution ------------------------------------------
 
@@ -760,6 +754,15 @@ def form_from_json(obj: dict) -> Form:
 
 
 # -- decompositions -------------------------------------------------------------------
+
+
+def check_decomposable(p: Form, shape_ok: bool, need: str) -> None:
+    """The entry check of a decomposer: ShapeMismatch(need) unless shape_ok,
+    then ZeroForm for the zero form."""
+    if not shape_ok:
+        raise ShapeMismatch(need)
+    if p.is_zero():
+        raise ZeroForm("cannot decompose the zero form")
 
 
 @dataclass

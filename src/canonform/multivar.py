@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .errors import (DegeneratePencil, DegenerateStage, PivotZero,
                      ShapeMismatch, ZeroForm)
-from .forms import (Decomposition, Form, Term, biermann_point, forms_close,
-                    linear_coeffs, linear_form, pad_form, restrict_form)
+from .forms import (Decomposition, Form, Term, biermann_point,
+                    check_decomposable, forms_close, linear_coeffs,
+                    linear_form, pad_form, restrict_form)
 from .linalg import (Matrix, mat_inverse, mat_mul, pencil_charpoly,
                      poly_roots)
 from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
@@ -230,10 +231,7 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
 def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     """Iterate the cube-completion: floor((n+1)^2/4) cubes for a general cubic;
     stage-m cubes involve only x_(1+2m)..x_n."""
-    if p.d != 3:
-        raise ShapeMismatch("need a cubic form")
-    if p.is_zero():
-        raise ZeroForm("cannot decompose the zero form")
+    check_decomposable(p, p.d == 3, "need a cubic form")
     n = p.n
     terms = []
     stages = []
@@ -260,6 +258,9 @@ def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         current = pad_form(restrict_form(q, list(range(2, len(live)))), n, live[2:]) \
             if len(live) > 2 else Form.zero(n, 3)
         offset += 2
+    if not terms:
+        raise ZeroForm(f"the cubic is zero to within the tolerance "
+                       f"{eps * max(p.norm(), 1.0):g}")
     dec = Decomposition(terms, meta={"theorem": "reichstein-full", "stages": stages})
     if not dec.verify(p, max(eps, 1e-8)):
         raise DegeneratePencil("full reconstruction check failed")
@@ -276,10 +277,7 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     Stays exact on exact input: the cube of row L is taken as
     L^3 / (3 a t_n) where a is the pivot and t_n the trailing coefficient.
     """
-    if p.d != 3:
-        raise ShapeMismatch("need a cubic form")
-    if p.is_zero():
-        raise ZeroForm("cannot decompose the zero form")
+    check_decomposable(p, p.d == 3, "need a cubic form")
     n = p.n
     current = p
     terms = []
@@ -311,6 +309,9 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         c = current.raw(tuple([3] + [0] * (n - 1)))
         terms.append(Term(c, linear_form([1] + [0] * (n - 1)), 3))
         stages.append({"stage": n, "eliminated": 1, "cubes": 1})
+    if not terms:
+        raise ZeroForm(f"the cubic is zero to within the tolerance "
+                       f"{eps * max(p.norm(), 1.0):g}")
     dec = Decomposition(terms, meta={"theorem": "slinky", "stages": stages})
     if not dec.verify(p, max(eps, 1e-8)):
         raise DegenerateStage(n, "reconstruction check failed")
@@ -492,10 +493,7 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     Biermann point, clears the quadratic term, diagonalizes the coefficient
     quadratic, and subtracts a zero-sum family of cubes.
     """
-    if p.d != 3:
-        raise ShapeMismatch("need a cubic form")
-    if p.is_zero():
-        raise ZeroForm("cannot decompose the zero form")
+    check_decomposable(p, p.d == 3, "need a cubic form")
     floor = 1e-12 * max(p.norm(), 1.0)
     raw_terms = _slowpoke_rec(p.approx(), eps, floor)
     terms = []
@@ -507,6 +505,8 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         lead = next(v for v in coeffs if abs(v) > 1e-9 * mag)
         base = linear_form([v / lead for v in coeffs])
         terms.append(Term(mu * lead ** 3, base, 3))
+    if not terms:
+        raise ZeroForm(f"the cubic is zero to within the tolerance {floor:g}")
     dec = Decomposition(terms, meta={"theorem": "slowpoke"})
     snapped = dec.snapped(p)
     if snapped is None and not dec.verify(p, max(eps, 1e-7)):

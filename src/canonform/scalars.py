@@ -23,6 +23,19 @@ _EXACT_PARTS = (int, Fraction)
 _INEXACT = (float, complex)
 
 
+def power(base, k: int, one):
+    """base ** k for k >= 0 by repeated squaring: multiply from one and skip
+    the last squaring, so a float result does not depend on the caller."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class QQi:
     """A Gaussian rational (a + b*i)/d with Python int a, b and d.
 
@@ -158,14 +171,7 @@ class QQi:
             return NotImplemented
         if k < 0:
             return (_ONE / self) ** (-k)
-        result = _ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, _ONE)
 
     # -- structure ----------------------------------------------------------
 

@@ -149,6 +149,17 @@ def test_verify_examples(capsys):
     assert len(lines) >= 25
 
 
+def test_verify_examples_bytes_are_pinned(capsys):
+    # every label, its order and the JSON layout, by sha256 of stdout
+    for flags, sha in (([], "6d7115158a772bf034756aa9b6f1874e"
+                            "3f9a7ba40960d254c63fda441fc28007"),
+                       (["--json"], "5c00549cc57238da13b361aad1975c87"
+                                    "de81f5887a0f98e7cdd1052b90e48635")):
+        code, out, _ = run_cli(flags + ["verify-examples"], capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_approx_backend_flag(capsys):
     code, out, _ = run_cli(["--backend", "approx", "decompose", "sylvester",
                             "x^3 + y^3"], capsys=capsys)
@@ -617,3 +628,50 @@ def test_zero_cubic_is_degenerate_input(capsys, algo, flags, shear):
                              capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "ZeroForm: cannot decompose the zero form\n"
+
+
+@pytest.mark.parametrize("argv,env,got", [
+    (["--seed", "-5", "count", "reps", "--d", "4", "--e", "2,1",
+      "--trials", "5"], None, -5),
+    (["count", "reps", "--d", "4", "--e", "2,1", "--trials", "5"], "-3", -3),
+])
+def test_negative_seed_in_count_is_a_usage_error(capsys, monkeypatch, argv,
+                                                 env, got):
+    # numpy's generators take no negative seed, from --seed or the variable
+    if env is not None:
+        monkeypatch.setenv("CANONFORM_SEED", env)
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"--seed must be at least 0, got {got}\n"
+
+
+_SCALED_P = "1e-12*x^3+2e-12*y^3+3e-12*x*y*z+5e-12*z^3+1e-12*x^2*z"
+
+
+@pytest.mark.parametrize("argv,tol", [
+    (["--backend", "approx", "decompose", "reichstein", "1e-20*x*y*z"],
+     "1e-09"),
+    (["--backend", "approx", "decompose", "slinky", "1e-20*x*y*z"], "1e-09"),
+    (["--backend", "approx", "decompose", "slowpoke", "1e-20*x*y*z"],
+     "1e-12"),
+    (["decompose", "slowpoke", "1e-20*x^3+1e-20*y^3+1e-20*z^3"], "1e-12"),
+    (["--backend", "approx", "decompose", "reichstein", _SCALED_P, "--shear"],
+     "1e-09"),
+    (["--backend", "approx", "decompose", "slinky", _SCALED_P, "--shear"],
+     "1e-09"),
+])
+def test_cubic_below_the_tolerance_is_zero_form(capsys, argv, tol):
+    # every cube drops out under the tolerance; the input itself is nonzero
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ZeroForm: the cubic is zero to within the tolerance {tol}\n"
+
+
+def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):
+    # each of the six representations misses this quartic by about 1e-6
+    code, out, err = run_cli(
+        ["decompose", "quartic-six", "399999999*x^4 - 300000000*x^3*y "
+         "- 500000000*x^2*y^2 + 300000000*x*y^3 + 100000000*y^4"],
+        capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "DegenerateInput: reconstruction check failed\n"
