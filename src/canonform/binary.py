@@ -527,9 +527,23 @@ def quartic_two_fixed(p: Form, l1: Form, l2: Form,
 # -- Monte Carlo representation counting ------------------------------------------------
 
 
-# Newton starts run as one stacked system per batch of this many trials.  Each
-# row's arithmetic reads only its own row, so a count does not depend on it.
-_MC_BATCH = 256
+# Newton starts run as one stacked system per batch of at most this many
+# trials; it caps memory only.  Each row's arithmetic reads only its own row,
+# so a count does not depend on it.
+_MC_BATCH = 512
+
+
+def _mc_starts(seed: int, first: int, size: int, n: int) -> np.ndarray:
+    """Standard complex normal starts for trials first .. first + size - 1.
+
+    Row i is default_rng(seed + first + i + 1)'s standard_normal(n) plus
+    1j times a second standard_normal(n), drawn as one call of length 2n.
+    """
+    gen, bits = np.random.Generator, np.random.PCG64
+    buf = np.empty((size, 2 * n))
+    for i in range(size):
+        gen(bits(seed + first + i + 1)).standard_normal(out=buf[i])
+    return buf[:, :n] + 1j * buf[:, n:]
 
 
 def _row_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -670,6 +684,11 @@ def _signature_hits(ts, powers, found_ts, found_powers, groups,
     return hits
 
 
+def default_trials(d: int) -> int:
+    """The Monte Carlo trial budget for degree d: 200 * s**5, s = (d+1)//2."""
+    return 200 * ((d + 1) // 2) ** 5
+
+
 def count_reps_monte_carlo(d: int, e: list[int], m: int,
                            trials: int | None = None, seed: int = 0,
                            form: Form | None = None) -> int:
@@ -679,7 +698,8 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     permutation of like summands and f^k ~ (zeta f)^k.  Trial t starts from
     its own generator seeded seed + t + 1; starts run in stacked batches
     and are read in trial order, stopping after `patience` trials in a row
-    find nothing new.  The result is an ESTIMATE, never authoritative.
+    find nothing new.  A batch never runs past the earliest trial at which
+    that stop could fall.  The result is an ESTIMATE, never authoritative.
     """
     e = sorted((int(v) for v in e), reverse=True)
     if reason := shape_error(d, e, m):
@@ -699,8 +719,7 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     nvars = d + 1
     scale = max(p.norm(), 1.0)
     if trials is None:
-        s = (d + 1) // 2
-        trials = 200 * s ** 5
+        trials = default_trials(d)
     patience = max(120, trials // 5)
 
     start_mag = np.empty(nvars)
@@ -714,14 +733,12 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
 
     found_ts = np.empty((0, m), dtype=complex)
     found_powers = np.empty((0, len(e), d + 1), dtype=complex)
-    since_new = 0
-    for first in range(0, trials, _MC_BATCH):
-        starts = []
-        for trial in range(first, min(first + _MC_BATCH, trials)):
-            sub = np.random.default_rng(seed + trial + 1)
-            starts.append(sub.standard_normal(nvars)
-                          + 1j * sub.standard_normal(nvars))
-        z = np.array(starts) * start_mag
+    since_new = first = 0
+    while first < trials:
+        # no stop can fall before the last row of this batch
+        size = min(_MC_BATCH, patience - since_new, trials - first)
+        z = _mc_starts(seed, first, size, nvars) * start_mag
+        first += size
         rows = np.flatnonzero(_mc_newton(system, z, scale))
         r, _, powers = system(z[rows])
         ok = np.max(np.abs(r), axis=1) <= 1e-9 * scale

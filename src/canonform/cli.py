@@ -106,6 +106,14 @@ def _below(flag: str, value: int, least: int) -> bool:
     return True
 
 
+def _above(flag: str, value: int, most: int) -> bool:
+    """Report a numeric option above its greatest allowed value."""
+    if value <= most:
+        return False
+    print(f"{flag} must be at most {most}, got {value}", file=sys.stderr)
+    return True
+
+
 def _parse_scalar_token(tok: str):
     tok = tok.strip()
     if tok in ("i", "+i"):
@@ -279,6 +287,15 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# The largest inputs `count` takes; the library itself is unbounded.  A
+# degree-d power of a random line leaves the float range from d ~ 160, each
+# Monte Carlo trial is a Newton run, and s(d) finds divisors by trial
+# division up to sqrt(d) (0.7 s at 10**14; S(N) loops to sqrt(N)).
+_COUNT_MAX_D = 30
+_COUNT_MAX_TRIALS = 10 ** 6
+_COUNT_MAX_ARG = 10 ** 14
+
+
 def _cmd_count(args) -> int:
     if args.what in ("s", "S"):
         key, count = (("d", enumeration.s_of_d) if args.what == "s"
@@ -287,7 +304,8 @@ def _cmd_count(args) -> int:
         if arg is None:
             print(f"count {args.what} needs --{key}", file=sys.stderr)
             return 1
-        if _below(f"--{key}", arg, 1):
+        if (_below(f"--{key}", arg, 1)
+                or _above(f"--{key}", arg, _COUNT_MAX_ARG)):
             return 1
         value = count(arg)
         _emit(args, {key: arg, args.what: value} if args.json else str(value))
@@ -298,6 +316,15 @@ def _cmd_count(args) -> int:
     if args.trials is not None and _below("--trials", args.trials, 1):
         return 1
     if _below("--seed", args.seed, 0):  # numpy's generators take seeds >= 0
+        return 1
+    if _above("--d", args.d, _COUNT_MAX_D):
+        return 1
+    if args.trials is None:
+        flag, budget = (f"--trials (default for --d {args.d})",
+                        binary.default_trials(args.d))
+    else:
+        flag, budget = "--trials", args.trials
+    if _above(flag, budget, _COUNT_MAX_TRIALS):
         return 1
     e = _parse_param_value(args.e)
     e = e if isinstance(e, list) else [e]

@@ -443,6 +443,39 @@ class TestMonteCarlo:
                    for shape, t, s in runs]
             assert got == want, size
 
+    @pytest.mark.parametrize("shape,kw,stop", [
+        ((4, [2, 1], 0), {"seed": 5}, 1291),
+        ((6, [3, 2], 0), {"trials": 2000, "seed": 0}, 1235),
+    ])
+    def test_batches_end_at_the_stop_trial(self, monkeypatch, shape, kw, stop):
+        # Both runs stop on patience well inside their budget; no batch size
+        # may run a start past the stop trial or change the count.
+        newton = binary._mc_newton
+        counts = set()
+        for size in (7, 512, 10 ** 6):
+            rows = []
+
+            def spy(system, z, scale):
+                rows.append(len(z))
+                return newton(system, z, scale)
+
+            monkeypatch.setattr(binary, "_mc_newton", spy)
+            monkeypatch.setattr(binary, "_MC_BATCH", size)
+            counts.add(count_reps_monte_carlo(*shape, **kw))
+            assert sum(rows) == stop + 1, size
+            assert max(rows) <= size
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_starts_match_two_default_rng_draws(self, n):
+        for seed in (0, 1, 5, 123, 2026):
+            starts = binary._mc_starts(seed, 10, 3, n)
+            assert starts.shape == (3, n)
+            for i, row in enumerate(starts):
+                rng = np.random.default_rng(seed + 10 + i + 1)
+                want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                assert row.tobytes() == want.tobytes()
+
     def test_singular_row_retires_alone(self):
         rng = np.random.default_rng(3)
         jac = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))

@@ -377,6 +377,21 @@ def test_decompose_golden_stdout(capsys, argv, text, json_sha256):
     (["enumerate", "obstruction", "--d", "0"],
      "--d must be at least 2, got 0"),
     (["count", "reps", "--d", "4", "--e", "abc"], "cannot parse scalar 'abc'"),
+    (["count", "reps", "--d", "1100", "--e", "1", "--m", "1099", "--trials",
+      "1"], "--d must be at most 30, got 1100"),
+    (["count", "reps", "--d", "31", "--e", "1", "--m", "30", "--trials", "1"],
+     "--d must be at most 30, got 31"),
+    (["count", "reps", "--d", "4", "--e", "2,1", "--trials",
+      "99999999999999999999"],
+     "--trials must be at most 1000000, got 99999999999999999999"),
+    (["count", "reps", "--d", "12", "--e", "6", "--m", "5"],
+     "--trials (default for --d 12) must be at most 1000000, got 1555200"),
+    (["count", "s", "--d", str(10 ** 23)],
+     f"--d must be at most 100000000000000, got {10 ** 23}"),
+    (["count", "s", "--d", str(10 ** 14 + 1)],
+     "--d must be at most 100000000000000, got 100000000000001"),
+    (["count", "S", "--N", str(10 ** 23)],
+     f"--N must be at most 100000000000000, got {10 ** 23}"),
 ])
 def test_bad_enumeration_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(argv, capsys=capsys)
