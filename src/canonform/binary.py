@@ -10,6 +10,7 @@ representation counts for other shapes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -533,16 +534,85 @@ def quartic_two_fixed(p: Form, l1: Form, l2: Form,
 _MC_BATCH = 512
 
 
+def _hash_consts(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constant pairs of count successive hash steps."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return list(zip(consts, consts[1:]))
+
+
+# numpy's SeedSequence hash (NEP 19) on its 4-word pool: 4 + 12 hashmix steps
+# (INIT_A, MULT_A) fill and mix the pool, with MIX_MULT_L/R (0xCA01F9DD,
+# 0x4973F715) in the mix; 8 steps (INIT_B, MULT_B) read out 4 uint64 words
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash_step(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _seed_states(lo: int, hi: int) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for s in lo .. hi - 1.
+
+    Seeds below 2**128 fill at most the 4-word pool, so their hash runs for
+    all of them at once in uint32 arithmetic, which wraps as numpy's does.
+    Larger seeds mix further words; numpy hashes those one at a time.
+    """
+    cut = min(max(lo, 1 << 128), hi)
+    words = np.frombuffer(b"".join(s.to_bytes(16, "little")
+                                   for s in range(lo, cut)),
+                          dtype="<u4").reshape(-1, 4).astype(np.uint32)
+    steps = iter(_POOL_HASH)
+    pool = [_hash_step(words[:, k], steps) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst]
+                         - 0x4973F715 * _hash_step(pool[src], steps))
+                pool[dst] = mixed ^ (mixed >> 16)
+    steps = iter(_STATE_HASH)
+    state = np.stack([_hash_step(pool[k % 4], steps) for k in range(8)],
+                     axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    rest = [np.random.SeedSequence(s).generate_state(4, np.uint64)
+            for s in range(cut, hi)]
+    return np.concatenate([state, np.array(rest, np.uint64).reshape(-1, 4)])
+
+
+@functools.cache
+def _given_state():
+    """A seed sequence class that hands PCG64 four precomputed words.
+
+    PCG64 seeds itself with one generate_state(4, np.uint64) call; an
+    instance answers it with the words it was given.
+
+    Built on first use, so that importing canonform leaves numpy.random
+    unimported.
+    """
+    class GivenState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return GivenState
+
+
 def _mc_starts(seed: int, first: int, size: int, n: int) -> np.ndarray:
     """Standard complex normal starts for trials first .. first + size - 1.
 
     Row i is default_rng(seed + first + i + 1)'s standard_normal(n) plus
-    1j times a second standard_normal(n), drawn as one call of length 2n.
+    1j times a second standard_normal(n), drawn as one call of length 2n
+    from a PCG64 seeded with that seed's SeedSequence state.
     """
-    gen, bits = np.random.Generator, np.random.PCG64
+    gen, bits, given = np.random.Generator, np.random.PCG64, _given_state()
+    states = _seed_states(seed + first + 1, seed + first + size + 1)
     buf = np.empty((size, 2 * n))
-    for i in range(size):
-        gen(bits(seed + first + i + 1)).standard_normal(out=buf[i])
+    for words, row in zip(states, buf):
+        gen(bits(given(words))).standard_normal(out=row)
     return buf[:, :n] + 1j * buf[:, n:]
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonform import QQi, binary, forms_close, linear_form, parse_form, power_of_linear, random_form
 from canonform.binary import (MixedSpec, count_reps_monte_carlo,
@@ -15,6 +17,15 @@ from canonform.errors import (DegenerateLambda, LeadingZero, RepeatedRoot,
 from canonform.forms import Form
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
+
+
+def assert_starts_match_default_rng(seed, first, size, n):
+    starts = binary._mc_starts(seed, first, size, n)
+    assert starts.shape == (size, n)
+    for i, row in enumerate(starts):
+        rng = np.random.default_rng(seed + first + i + 1)
+        want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert row.tobytes() == want.tobytes(), (seed, first, i, n)
 
 
 def node_of(term):
@@ -475,6 +486,29 @@ class TestMonteCarlo:
                 rng = np.random.default_rng(seed + 10 + i + 1)
                 want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 31])
+    @pytest.mark.parametrize("size", [1, 12])
+    @pytest.mark.parametrize("seed", [2 ** 32 - 7, 2 ** 64 - 7, 2 ** 128 - 7,
+                                      2 ** 160 + 3])
+    def test_starts_match_default_rng_across_word_boundaries(self, seed,
+                                                             size, n):
+        # A batch of 12 from trial 0 crosses the boundary: seeds below it
+        # hash as a batch, seeds from 2**128 on one at a time.
+        assert_starts_match_default_rng(seed, 0, size, n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 200).flatmap(
+               lambda bits: st.integers(0, 2 ** bits - 1)),
+           first=st.integers(0, 10 ** 6),
+           size=st.integers(1, 6), n=st.integers(1, 8))
+    def test_starts_match_default_rng_for_any_seed(self, seed, first, size, n):
+        assert_starts_match_default_rng(seed, first, size, n)
+
+    @pytest.mark.parametrize("seed", [-1, -2])
+    def test_negative_seed_is_refused(self, seed):
+        with pytest.raises(ValueError):
+            count_reps_monte_carlo(4, [2], 2, trials=5, seed=seed)
 
     def test_singular_row_retires_alone(self):
         rng = np.random.default_rng(3)

@@ -511,10 +511,15 @@ def test_form_starting_with_a_minus_sign_after_double_dash(capsys):
     assert (code, out, err) == (0, "y^3 - x^3\n", "")
 
 
-def test_closed_output_pipe_is_not_an_internal_error():
+def subprocess_env():
+    """The environment for a child interpreter that imports this canonform."""
     src = str(Path(canonform.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_closed_output_pipe_is_not_an_internal_error():
+    env = subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -527,6 +532,21 @@ def test_closed_output_pipe_is_not_an_internal_error():
         os.close(write_end)
     assert proc.returncode == 1
     assert "internal error" not in proc.stderr
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy 2 imports numpy.random on first use; importing it at start-up
+    # would add to every CLI call's set-up time
+    code = ("import sys; import numpy; before = 'numpy.random' in sys.modules;"
+            " import canonform, canonform.cli;"
+            " print(before, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=subprocess_env(), text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert after == "False"
 
 
 # -- the shared parser -------------------------------------------------------

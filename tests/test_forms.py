@@ -124,6 +124,23 @@ def test_parse_print_round_trip():
         assert parse_form(str(p)) == p
 
 
+gaussian_rationals = st.builds(
+    QQi, *[st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)] * 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 3), d=st.integers(0, 4))
+def test_parse_print_round_trip_on_random_forms(data, n, d):
+    idx = index_set(n, d)
+    p = Form(n, d, {i: data.draw(gaussian_rationals)
+                    for i in data.draw(st.lists(st.sampled_from(idx),
+                                                unique=True))})
+    assert parse_form(str(p), n, d) == p
+    # without n and d the text fixes them once the last variable shows
+    if any(i[-1] for i, _ in p.items()):
+        assert parse_form(str(p)) == p
+
+
 def test_json_round_trip_bit_exact():
     p = parse_form("(1-1/3*i)*x^5 + 2/7*x^2*y^3 - y^5")
     blob = json.dumps(form_to_json(p), sort_keys=True)
