@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import add
 
 from .enumeration import shape_error
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
-from .forms import (Form, MultiIndex, dim, index_set, linear_form,
+from .forms import (Form, MultiIndex, _pack, dim, index_set, linear_form,
                     monomial_form, multinomial)
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
@@ -63,42 +64,41 @@ class Scale:
 
 
 class _ModPoly:
-    """A polynomial in n variables mod MOD_P, monomial -> actual coefficient.
+    """A polynomial mod MOD_P, packed monomial code -> actual coefficient.
 
-    Only what the expression walk uses: scale, +, * and ** k.
+    Codes are in base top + 1 (forms._pack), top the map's declared degree,
+    so while the total degree (at most deg) stays at most top a product's
+    codes are sums of codes; one above top raises _NoImage.  Only what the
+    expression walk uses: scale, + and *.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("top", "deg", "c")
 
-    def __init__(self, n: int, c: dict):
-        self.n = n
+    def __init__(self, top: int, deg: int, c: dict):
+        if deg > top:
+            raise _NoImage
+        self.top = top
+        self.deg = deg
         self.c = c
 
     def scale(self, s: int) -> "_ModPoly":
-        return _ModPoly(self.n, {k: v * s % MOD_P for k, v in self.c.items()}
-                        if s else {})
+        return _ModPoly(self.top, self.deg,
+                        {k: v * s % MOD_P for k, v in self.c.items()} if s else {})
 
     def __add__(self, other: "_ModPoly") -> "_ModPoly":
         out = dict(self.c)
         for k, v in other.c.items():
-            s = (out.get(k, 0) + v) % MOD_P
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _ModPoly(self.n, out)
+            out[k] = (out.get(k, 0) + v) % MOD_P  # a zero entry reads as absent
+        return _ModPoly(self.top, max(self.deg, other.deg), out)
 
     def __mul__(self, other: "_ModPoly") -> "_ModPoly":
         out: dict = {}
+        get = out.get
         for i, u in self.c.items():
             for j, v in other.c.items():
-                k = tuple(map(add, i, j))
-                out[k] = out.get(k, 0) + u * v
-        return _ModPoly(self.n, {k: r for k, v in out.items()
-                                 if (r := v % MOD_P)})
-
-    def __pow__(self, k: int) -> "_ModPoly":
-        return power(self, k, _ModPoly(self.n, {(0,) * self.n: 1}))
+                out[i + j] = get(i + j, 0) + u * v
+        return _ModPoly(self.top, self.deg + other.deg,
+                        {k: r for k, v in out.items() if (r := v % MOD_P)})
 
 
 class _FormRing:
@@ -121,31 +121,33 @@ class _FormRing:
 
 
 class _ModPRing:
-    """Leaves of the expression walk as polynomials mod MOD_P; raises
-    _NoImage on a scalar that has none."""
+    """Leaves of the expression walk as polynomials mod MOD_P of degree at
+    most top; raises _NoImage on a scalar that has none or a leaf above top."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, top: int):
+        self.top = top
 
     def one(self) -> _ModPoly:
-        return _ModPoly(self.n, {(0,) * self.n: 1})
+        return _ModPoly(self.top, 0, {0: 1})
 
     def monomial(self, mono: MultiIndex) -> _ModPoly:
-        return _ModPoly(self.n, {tuple(mono): 1})
+        return _ModPoly(self.top, sum(mono), {_pack(mono, self.top + 1): 1})
 
     def fixed(self, form: Form) -> _ModPoly:
-        return _ModPoly(self.n, {i: r for i, a in form.items()
-                                 if (r := mod_p(a) * multinomial(i) % MOD_P)})
+        return _ModPoly(self.top, form.d, {
+            _pack(i, self.top + 1): r for i, a in form.items()
+            if (r := mod_p(a) * multinomial(i) % MOD_P)})
 
     def coeff(self, c: Scalar) -> int:
         return mod_p(c)
 
 
-def _eval_grad(node, t, ring):
+def _eval_grad(node, t, ring, value: bool = True):
     """Value and full parameter gradient (sparse dict j -> dF/dt_j).
 
     ring builds the leaves (a _FormRing or a _ModPRing) and t holds scalars
-    of that ring; the rest of the walk only uses scale, +, * and **.
+    of that ring; the rest of the walk only uses scale, + and *.  With value
+    False it skips the products only the value needs, which may be None.
     """
     if isinstance(node, Param):
         mono = ring.monomial(node.monomial)
@@ -154,13 +156,12 @@ def _eval_grad(node, t, ring):
         return ring.fixed(node.form), {}
     if isinstance(node, Scale):
         c = ring.coeff(node.coeff)
-        v, g = _eval_grad(node.part, t, ring)
-        return v.scale(c), {j: df.scale(c) for j, df in g.items()}
+        v, g = _eval_grad(node.part, t, ring, value)
+        return v if v is None else v.scale(c), {j: df.scale(c)
+                                                for j, df in g.items()}
     if isinstance(node, Sum):
-        vals, grads = zip(*(_eval_grad(p, t, ring) for p in node.parts))
-        total = vals[0]
-        for v in vals[1:]:
-            total = total + v
+        vals, grads = zip(*(_eval_grad(p, t, ring, value) for p in node.parts))
+        total = reduce(add, vals) if value else None
         grad: dict = {}
         for g in grads:
             for j, df in g.items():
@@ -172,10 +173,10 @@ def _eval_grad(node, t, ring):
         prefix = [None] * (k + 1)
         suffix = [None] * (k + 1)
         prefix[0] = ring.one()
-        for i in range(k):
+        for i in range(k if value else k - 1):
             prefix[i + 1] = prefix[i] * vals[i]
         suffix[k] = ring.one()
-        for i in range(k - 1, -1, -1):
+        for i in range(k - 1, 0, -1):
             suffix[i] = vals[i] * suffix[i + 1]
         grad = {}
         for i, g in enumerate(grads):
@@ -190,11 +191,11 @@ def _eval_grad(node, t, ring):
         v, g = _eval_grad(node.base, t, ring)
         if node.k == 0:
             return ring.one(), {}
-        value = v ** node.k
+        out = power(v, node.k, ring.one()) if value or not g else None
         if not g:
-            return value, {}
-        shell = (v ** (node.k - 1)).scale(node.k)
-        return value, {j: shell * df for j, df in g.items()}
+            return out, {}
+        shell = power(v, node.k - 1, ring.one()).scale(node.k)
+        return out, {j: shell * df for j, df in g.items()}
     raise TypeError(f"unknown expression node {node!r}")
 
 
@@ -231,7 +232,8 @@ class ParamMap:
 
     def gradient(self, t) -> list[Form]:
         """[dF/dt_j at t for j in 0..M-1]."""
-        _, grad = _eval_grad(self.expr, self._coerce_t(t), _FormRing(self.n))
+        _, grad = _eval_grad(self.expr, self._coerce_t(t), _FormRing(self.n),
+                             False)
         zero = Form.zero(self.n, self.d)
         return [grad.get(j, zero) for j in range(self.m)]
 
@@ -271,19 +273,19 @@ class CertifyReport:
 
 def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
     """Whether the Jacobian at t has full rank mod MOD_P, a proof of full
-    rank over Q(i); False also when t or the map has no image mod p.
+    rank over Q(i); False also when t or the map has no image mod p, or the
+    expression goes above the declared degree.
 
     Its rows are the partials' actual monomial coefficients, the
     Lasker-Wakeford matrix, one column scaling away from jacobian_rows.
     """
     try:
         t = [mod_p(v) for v in pmap._coerce_t(t)]
-        _, grad = _eval_grad(pmap.expr, t, _ModPRing(pmap.n))
+        _, grad = _eval_grad(pmap.expr, t, _ModPRing(pmap.d), False)
     except _NoImage:
         return False
-    idxs = index_set(pmap.n, pmap.d)
-    empty = _ModPoly(pmap.n, {})
-    rows = [[grad.get(j, empty).c.get(i, 0) for i in idxs]
+    codes = [_pack(i, pmap.d + 1) for i in index_set(pmap.n, pmap.d)]
+    rows = [[grad[j].c.get(k, 0) if j in grad else 0 for k in codes]
             for j in range(pmap.m)]
     return modp_rank(rows, MOD_P) == pmap.target
 
@@ -401,23 +403,14 @@ def _build_wakeford(n: int, d: int) -> ParamMap:
     for _ in range(n):
         span, j = _linear_span(n, j, list(range(n)))
         xs.append(span)
-    removed = set()
-    for i in range(n):
-        mono = [0] * n
-        mono[i] = d
-        removed.add(tuple(mono))
-        for k in range(n):
-            if k != i:
-                mono = [0] * n
-                mono[i] = d - 1
-                mono[k] = 1
-                removed.add(tuple(mono))
     terms = [Pow(x, d) for x in xs]
     witness = []
     for i in range(n):
         witness.extend([1 if k == i else 0 for k in range(n)])
+    # one more summand for each monomial but x_i^d and x_i^(d-1) x_k, which
+    # for d >= 3 are those with an exponent of at least d - 1
     for mono in index_set(n, d):
-        if mono in removed:
+        if max(mono) >= d - 1:
             continue
         parts = [Param(j, (0,) * n)]
         j += 1
@@ -475,14 +468,9 @@ def _build_notclebsch() -> ParamMap:
 
 
 def _omnibus_fixed_forms(m: int) -> list[Form]:
-    out = []
-    if m >= 1:
-        out.append(linear_form([QQi(1), QQi(0)]))
-    if m >= 2:
-        out.append(linear_form([QQi(0), QQi(1)]))
-    for j in range(3, m + 1):
-        out.append(linear_form([QQi(1), QQi(j - 2)]))
-    return out
+    """x, y, then x + (j - 2) y for j = 3..m, the first m of them."""
+    return ([linear_form([QQi(1), QQi(0)]), linear_form([QQi(0), QQi(1)])][:m]
+            + [linear_form([QQi(1), QQi(j - 2)]) for j in range(3, m + 1)])
 
 
 def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:

@@ -25,9 +25,9 @@ from operator import add
 from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
 from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar,
-                      _NoImage, as_scalar, format_scalar, is_exact, mod_p,
-                      power, scalar_from_json, scalar_is_zero, scalar_to_json,
-                      snap_scalar)
+                      _NoImage, _normalised, as_scalar, format_scalar,
+                      is_exact, mod_p, power, scalar_from_json,
+                      scalar_is_zero, scalar_to_json, snap_scalar)
 
 MultiIndex = tuple[int, ...]
 
@@ -185,10 +185,10 @@ class Form:
         if isinstance(other, Form):
             if self.n != other.n:
                 raise ShapeMismatch("variable counts differ")
-            # float sums keep graded-lex order; exact sums need none
-            exact = self.exact and other.exact
-            mine, theirs = ([(i, v * multinomial(i)) for i, v in
-                             (f._a.items() if exact else f.items())]
+            if self.exact and other.exact:
+                return _exact_product(self, other)
+            # float sums keep graded-lex order
+            mine, theirs = ([(i, v * multinomial(i)) for i, v in f.items()]
                             for f in (self, other))
             raw: dict[MultiIndex, Scalar] = {}
             for i, u in mine:
@@ -197,7 +197,7 @@ class Form:
                     raw[k] = raw.get(k, 0) + u * v
             return _trusted(self.n, self.d + other.d,
                             {k: s for k, v in raw.items()
-                             if (s := v / multinomial(k))}, exact)
+                             if (s := v / multinomial(k))}, False)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -324,6 +324,40 @@ def _trusted(n: int, d: int, a: dict, exact: bool) -> Form:
     f = object.__new__(Form)
     f.n, f.d, f._a, f.exact = n, d, a, exact or not a
     return f
+
+
+def _pack(idx: MultiIndex, base: int) -> int:
+    """idx as the digits of one int in base: while every exponent stays
+    below base, a product monomial's code is the sum of its factors'."""
+    code = 0
+    for e in idx:
+        code = code * base + e
+    return code
+
+
+def _exact_product(p: Form, q: Form) -> Form:
+    """p * q for exact forms: each factor's actual coefficients as Gaussian
+    integers over the lcm of its denominators, summed as int pairs under
+    packed codes in base d + 1, each sum normalised once."""
+    n, d = p.n, p.d + q.d
+    base, den, factors = d + 1, 1, []
+    for f in (p, q):
+        lcm = math.lcm(*(v.d for v in f._a.values()))
+        scaled = ((i, lcm // v.d * multinomial(i), v) for i, v in f._a.items())
+        factors.append([(_pack(i, base), v.a * m, v.b * m) for i, m, v in scaled])
+        den *= lcm
+    re, im = {}, {}
+    for i, a, b in factors[0]:
+        for j, c, e in factors[1]:
+            k = i + j
+            re[k] = re.get(k, 0) + a * c - b * e
+            im[k] = im.get(k, 0) + a * e + b * c
+    out = {}
+    for k, x in re.items():
+        if x or im[k]:
+            idx = tuple(k // base ** s % base for s in range(n - 1, -1, -1))
+            out[idx] = _normalised(x, im[k], den * multinomial(idx))
+    return _trusted(n, d, out, True)
 
 
 def forms_close(p: Form, q: Form, eps: float = EPS_DEFAULT) -> bool:

@@ -63,19 +63,20 @@ def modp_rank(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over the field of p elements, p prime.
 
     Each step drops the pivot row and the pivot column, so the rows left
-    hold only the columns not yet eliminated.
+    hold only the columns not yet eliminated.  Only the pivot row and the
+    multipliers are reduced mod p, so an entry grows by less than p^2 a step.
     """
-    m = [[v % p for v in row] for row in rows]
+    m = [list(row) for row in rows]
     rank = 0
     while m and m[0]:
-        pr = next((i for i, row in enumerate(m) if row[0]), None)
+        pr = next((i for i, row in enumerate(m) if row[0] % p), None)
         if pr is None:
             m = [row[1:] for row in m]
             continue
         pivot = m.pop(pr)
         inv = pow(pivot[0], -1, p)
-        rest = pivot[1:]
-        m = [[(a - f * b) % p for a, b in zip(row[1:], rest)]
+        rest = [v % p for v in pivot[1:]]
+        m = [[a - f * b for a, b in zip(row[1:], rest)]
              if (f := row[0] * inv % p) else row[1:] for row in m]
         rank += 1
     return rank

@@ -356,13 +356,35 @@ def scalar_sqrt(v: Scalar) -> Scalar:
 
 # -- rational reconstruction ------------------------------------------------
 
+def _limit_denominator(x: float, max_den: int) -> tuple[int, int]:
+    """Fraction(x).limit_denominator(max_den) as a coprime (numerator,
+    denominator) pair, by the same continued fraction in plain ints."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1, whole = 0, 1, 1, 0, d
+    while (q2 := q0 + (a := n // d) * q1) <= max_den:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # p1/q1 wins unless the semiconvergent is strictly nearer x: the two lie
+    # 1/(q1 (q0 + k q1)) apart, and p1/q1 lies d/(q1 whole) from x
+    if 2 * d * (q0 + k * q1) <= whole:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def snap_scalar(v: Scalar, max_den: int = SNAP_MAX_DEN) -> QQi:
     """Nearest Gaussian rational with bounded denominator (continued fractions)."""
     if isinstance(v, QQi):
         return v
+    if max_den < 1:
+        raise ValueError("max_denominator should be at least 1")
     z = complex(v)
-    return QQi(Fraction(z.real).limit_denominator(max_den),
-               Fraction(z.imag).limit_denominator(max_den))
+    (a, c), (b, e) = (_limit_denominator(x, max_den) for x in (z.real, z.imag))
+    # lowest-terms parts over the lcm of their denominators are coprime to it
+    d = c // gcd(c, e) * e
+    return _triple(a * (d // c), b * (d // e), d)
 
 
 # -- text formatting --------------------------------------------------------

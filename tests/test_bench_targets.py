@@ -1,23 +1,36 @@
-"""Every name the benchmark's tracer patches must exist in canonform.
+"""Checks that tie the benchmark's files to canonform, reading them only.
 
 bench/tracing.py wraps functions and methods by name; a renamed or deleted
-one breaks only traced benchmark runs, so it is checked here instead.
+one breaks only traced benchmark runs, so it is checked here instead.  The
+certify round's outputs must keep the digests in bench/reference.json.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from canonform import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(monkeypatch, name):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def _span_targets(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SPAN_TARGETS
+    return _bench_module(monkeypatch, "tracing").SPAN_TARGETS
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -31,3 +44,17 @@ def test_every_traced_name_resolves(monkeypatch):
         if obj is None:
             missing.append(f"canonform.{modname}.{target}")
     assert missing == []
+
+
+def test_certify_round_keeps_its_reference_digests(monkeypatch):
+    refs = json.loads((BENCH / "reference.json").read_text())["requests"]
+    requests = _bench_module(monkeypatch, "workloads").certify_round()
+    assert requests
+    for req in requests:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(req.argv))
+        ref = refs[req.key]
+        assert code == ref["exit"], req.argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+            ref["sha256"], req.argv

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from canonform import QQi, canonicity, dim, parse_form
 from canonform.canonicity import (MOD_I, MOD_P, CertifyReport,
-                                  HyperplaneVerdict, Param, ParamMap, Sum,
-                                  build_map, catalog_names, hyperplane_classify,
-                                  hyperplane_form, jacobian_certify,
-                                  lasker_wakeford_full_rank, zerosum_verify)
+                                  HyperplaneVerdict, Param, ParamMap, Pow,
+                                  Prod, Sum, build_map, catalog_names,
+                                  hyperplane_classify, hyperplane_form,
+                                  jacobian_certify, lasker_wakeford_full_rank,
+                                  zerosum_verify)
 from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
-from canonform.forms import index_set
+from canonform.forms import index_set, multinomial
 from canonform.linalg import exact_rank, mat_det, modp_rank
-from canonform.scalars import EPS_DEFAULT, as_scalar, scalar_is_zero
+from canonform.scalars import EPS_DEFAULT, as_scalar, mod_p, scalar_is_zero
 
 
 def test_unknown_name():
@@ -353,6 +354,96 @@ def test_modular_path_keeps_hyperplane_and_lasker_wakeford_verdicts(
     exact = ([hyperplane_classify(c, seed=s) for c in cs for s in (0, 1)],
              [lasker_wakeford_full_rank(pmap, t) for pmap, t in lw_cases])
     assert fast == exact
+
+
+# -- packed monomial codes mod p ----------------------------------------------
+
+
+def modular_rows(monkeypatch, pmap, t):
+    """The rows _full_rank_mod_p ranks at t, or None if it ranks none."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(canonicity, "modp_rank", lambda rows, p: seen.append(rows))
+        canonicity._full_rank_mod_p(pmap, t)
+    return seen[0] if seen else None
+
+
+@pytest.mark.parametrize("name, params", SMALL_MAPS + [
+    ("notclebsch", {}), ("omnibus", {"d": 36, "e": [18, 12, 4], "m": 0})])
+def test_modular_rows_are_the_exact_partials_mod_p(monkeypatch, name, params):
+    pmap = build_map(name, **params)
+    rng = random.Random(name)
+    points = [[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                   rng.randint(-2, 2)) for _ in range(pmap.m)]]
+    if pmap.witness is not None:
+        points.append([as_scalar(v) for v in pmap.witness])
+    for t in points:
+        want = [[mod_p(df.a(i)) * multinomial(i) % MOD_P
+                 for i in index_set(pmap.n, pmap.d)] for df in pmap.gradient(t)]
+        assert modular_rows(monkeypatch, pmap, t) == want
+
+
+def _over_degree_map() -> ParamMap:
+    """A quartic expression declared quadratic: in base 3 the quartic codes
+    of x^1*y^3 and y^4 are those of x^2 and x*y."""
+    lin = Sum((Param(0, (1, 0)), Param(1, (0, 1))))
+    return ParamMap("overdeg", 2, 2, 3,
+                    Sum((Pow(lin, 4), Prod((Param(2, (0, 0)), Pow(lin, 4))))))
+
+
+def test_expression_above_the_declared_degree_gets_no_modular_verdict(
+        monkeypatch):
+    pmap = _over_degree_map()
+    calls = []
+
+    def spy(rows, eps):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(canonicity, "mat_rank", spy)
+    t = [QQi(1), QQi(2), QQi(3)]
+    assert modular_rows(monkeypatch, pmap, t) is None
+    assert not canonicity._full_rank_mod_p(pmap, t)
+    # the exact rows read no quartic coefficient, so the rank is 0
+    rep = jacobian_certify(pmap, witness=t)
+    assert (rep.rank, rep.target, rep.verdict, rep.trials) == (
+        0, 3, "NotFullRankAtWitness", 0)
+    rep = jacobian_certify(pmap, trials=3, seed=4)
+    assert (rep.rank, rep.verdict, rep.trials) == (0, "NotFullRankAtWitness", 3)
+    assert rep.witness == [QQi(-2), QQi(0), QQi(-6)]
+    assert calls == [3] * 4
+
+
+STORED_WITNESS_MAPS = (
+    [("uppertri", {"n": n}) for n in range(2, 7)]
+    + [("sextican", {}), ("notclebsch", {}), ("so3s", {})]
+    + [("wakeford", {"n": n, "d": d}) for n in (2, 3) for d in (3, 4)]
+    + [("quarticgen", {"d": d, "B": b}) for d, b in (
+        (4, (0, 2, 1, 3)), (5, (0, 1, 3, 4)), (5, (1, 3, 0, 5)),
+        (6, (2, 4, 1, 5)))]
+    + [("omnibus", {"d": d, "e": e, "m": m}) for d, e, m in (
+        (6, [3, 2], 0), (12, [6, 4], 1), (36, [18, 12, 4], 0),
+        (48, [24, 16, 6], 0))]
+    + [("sylv622", {"s": s}) for s in (2, 3, 4)]
+    + [("so2s", {"s": s}) for s in (1, 2, 3)])
+
+
+def test_stored_witness_certificates_never_reach_exact_rank(monkeypatch):
+    def refuse(rows, eps):
+        raise AssertionError("the stored witness took the exact path")
+
+    certified = 0
+    for name, params in STORED_WITNESS_MAPS:
+        pmap = build_map(name, **params)
+        if not jacobian_certify(pmap, witness=pmap.witness).certified:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(canonicity, "mat_rank", refuse)
+            rep = jacobian_certify(pmap)
+        assert rep.certified and rep.trials == 1
+        certified += 1
+    # all but quarticgen d=5, B=(0, 1, 3, 4), an excluded pattern
+    assert certified == len(STORED_WITNESS_MAPS) - 1
 
 
 # -- one lazy witness search ----------------------------------------------------

@@ -143,6 +143,46 @@ def test_product_matches_reference(pq):
     assert r.exact == (p.exact and q.exact) or not r
 
 
+# pairwise coprime denominators up to 13, so that the lcm of a factor's
+# denominators grows; the real and imaginary parts get their own
+coprime_dens = st.sampled_from([1, 2, 3, 5, 7, 11, 13])
+wide_exact_values = st.builds(
+    lambda a, b, c, e: QQi(Fraction(a, c), Fraction(b, e)),
+    st.integers(-30, 30), st.integers(-30, 30), coprime_dens, coprime_dens)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Exact factors with n <= 4 and degree <= 4 each.  The second factor
+    may be the zero form, or the first with its last variable negated, so
+    that every coefficient odd in that variable cancels to zero."""
+    n = draw(st.integers(1, 4))
+
+    def factor(d):
+        dense = draw(st.booleans())
+        return Form(n, d, {i: draw(wide_exact_values)
+                           for i in draw(st.permutations(index_set(n, d)))
+                           if dense or draw(st.booleans())})
+
+    p = factor(draw(st.integers(0, 4)))
+    other = draw(st.sampled_from(["random", "zero", "mirror"]))
+    if other == "zero":
+        return p, Form.zero(n, draw(st.integers(0, 4)))
+    if other == "mirror":
+        return p, Form(n, p.d, {i: -v if i[-1] % 2 else v
+                                for i, v in p.items()})
+    return p, factor(draw(st.integers(0, 4)))
+
+
+@props
+@given(pq=exact_pairs())
+def test_exact_product_over_one_denominator_matches_reference(pq):
+    p, q = pq
+    r = p * q
+    assert bits(r) == bits(ref_mul(p, q))
+    assert r.exact
+
+
 @props
 @given(pq=pairs(same_degree=True))
 def test_sum_difference_and_negation_match_reference(pq):

@@ -244,6 +244,62 @@ def test_decomposition_json_round_trip(make):
     assert back.reconstruct() == dec.reconstruct()
 
 
+json_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e-300]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+json_scalars = st.one_of(
+    st.builds(QQi, st.builds(Fraction, st.integers(-10**20, 10**20),
+                             st.integers(1, 10**6)),
+              st.builds(Fraction, st.integers(-99, 99), st.integers(1, 13))),
+    st.builds(complex, json_floats, json_floats))
+
+
+@st.composite
+def generated_decompositions(draw):
+    """Exact, approximate and mixed terms of any power, with and without a
+    residual, and JSON-safe meta."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def form(deg):
+        return Form(n, deg, {i: draw(json_scalars) for i in index_set(n, deg)
+                             if draw(st.booleans())})
+
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        power = draw(st.integers(1, 3))
+        terms.append(Term(draw(json_scalars), form(d), power))
+    residual = form(d * terms[0].power if terms else d) if (
+        not terms or draw(st.booleans())) else None
+    meta = draw(st.dictionaries(
+        st.sampled_from(["stage", "algorithm", "é"]),
+        st.one_of(st.integers(), st.sampled_from(["exact", "ü"]), json_floats,
+                  st.lists(st.integers(-9, 9), max_size=3)), max_size=2))
+    return Decomposition(terms, residual, {"theorem": "generated", **meta})
+
+
+def scalar_bits(v):
+    if isinstance(v, QQi):
+        return ("QQi", v.a, v.b, v.d)
+    return ("complex", v.real.hex(), v.imag.hex())
+
+
+def decomposition_bits(dec):
+    def form(p):
+        return p.n, p.d, p.exact, {i: scalar_bits(v) for i, v in p._a.items()}
+
+    return ([(scalar_bits(t.multiplier), form(t.base), t.power)
+             for t in dec.terms],
+            None if dec.residual is None else form(dec.residual), dec.meta)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dec=generated_decompositions())
+def test_generated_decomposition_json_round_trips(dec):
+    blob = json.dumps(dec.to_json(), sort_keys=True)
+    back = Decomposition.from_json(json.loads(blob))
+    assert decomposition_bits(back) == decomposition_bits(dec)
+    assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
 # -- exact snapping --------------------------------------------------------------
 
 

@@ -232,6 +232,40 @@ def test_complex_conversion_rounds_like_float_of_fraction(re, im):
         assert complex(z) == want
 
 
+# signed zeros, subnormals, huge values, integers, ratios that round, and
+# ties: k + 2**-(m+1) lies midway between k and k + 2**-m, neighbours among
+# the fractions of denominator at most 2**m
+snap_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),
+    st.builds(lambda a, b: a / b, st.integers(-999, 999), st.integers(1, 9999)))
+snap_ties = st.builds(lambda k, m, s: (s * (k + 2.0 ** -(m + 1)), 2 ** m),
+                      st.integers(0, 50), st.integers(0, 20),
+                      st.sampled_from([1, -1]))
+
+
+@props
+@given(re=snap_parts, im=snap_parts,
+       max_den=st.one_of(st.integers(1, 50), st.just(10**6),
+                         st.integers(1, 10**12)),
+       tie=snap_ties)
+def test_snap_matches_fraction_limit_denominator(re, im, max_den, tie):
+    def want(x, bound):
+        return Fraction(x).limit_denominator(bound)
+
+    z = snap_scalar(complex(re, im), max_den)
+    assert same(z, (want(re, max_den), want(im, max_den)))
+    x, bound = tie
+    assert snap_scalar(x, bound) == QQi(want(x, bound))
+
+
+def test_snap_refuses_a_bound_below_one():
+    with pytest.raises(ValueError):
+        snap_scalar(0.5, 0)
+
+
 @props
 @given(x=pairs)
 def test_scalar_is_immutable_and_copies_by_value(x):
