@@ -14,15 +14,13 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import binary, canonicity, enumeration, multivar
 from .apolarity import apply_diff, hankel, hankel_kernel
 from .errors import CanonformError, ParseError
-from .forms import (Decomposition, Form, _monomial_text,
-                    _parse_complex_literal, binary_factor, dim, form_to_json,
-                    forms_close, index_set, monomial_form, multinomial,
-                    parse_form, var_names)
+from .forms import (Decomposition, Form, _monomial_text, binary_factor, dim,
+                    form_to_json, forms_close, index_set, monomial_form,
+                    multinomial, parse_form, parse_scalar, var_names)
 from .linalg import exact_det
 from .scalars import EPS_DEFAULT, QQi, scalar_to_json
 
@@ -114,21 +112,6 @@ def _above(flag: str, value: int, most: int) -> bool:
     return True
 
 
-def _parse_scalar_token(tok: str):
-    tok = tok.strip()
-    if tok in ("i", "+i"):
-        return QQi(0, 1)
-    if tok == "-i":
-        return QQi(0, -1)
-    try:
-        return QQi(Fraction(tok))
-    except (ValueError, ZeroDivisionError):
-        pass
-    if tok.startswith("(") and tok.endswith(")"):
-        return _parse_complex_literal(tok)
-    raise ParseError(f"cannot parse scalar {tok!r}")
-
-
 def _parse_param_value(text: str):
     parts = text.split(",")
     vals = []
@@ -137,7 +120,7 @@ def _parse_param_value(text: str):
         try:
             vals.append(int(tok))
         except ValueError:
-            vals.append(_parse_scalar_token(tok))
+            vals.append(parse_scalar(tok))
     return vals if len(parts) > 1 else vals[0]
 
 
@@ -185,7 +168,7 @@ def _cmd_decompose(args) -> int:
     elif algo == "two-squares":
         result = binary.two_squares_all(p, eps)
     elif algo == "quartic-six":
-        result = (binary.quartic_six_reps(_parse_scalar_token(args.lam), eps)
+        result = (binary.quartic_six_reps(parse_scalar(args.lam), eps)
                   if args.lam is not None
                   else binary.quartic_six_for_form(p, eps))
     elif algo == "quartic-two-fixed":
@@ -240,7 +223,7 @@ def _cmd_certify(args) -> int:
     witness = None
     if args.witness:
         with open(args.witness) as fh:
-            witness = [_parse_scalar_token(tok) for tok in fh.read().split()]
+            witness = [parse_scalar(tok) for tok in fh.read().split()]
     report = canonicity.jacobian_certify(pmap, witness=witness,
                                          trials=args.trials, seed=args.seed,
                                          eps=args.epsilon)

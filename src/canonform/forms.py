@@ -616,20 +616,21 @@ def format_form(p: Form, compact: bool = False) -> str:
     return "".join(pieces) if compact else " ".join(pieces)
 
 
-_NUM_PAT = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?"
-
+# One token regex and one recursive-descent reader serve form text, scalar
+# text and decomposition text:
+#   sum     := [+|-] product {(+|-) product}
+#   product := factor {[*] factor}   (the * may be left out only before a variable)
+#   factor  := number | i | var [^ k] | ( sum ) [^ k]
+# A parenthesised sum without a variable is a number; one with a variable is
+# the base of a decomposition term.
 _TOKEN_RE = re.compile(
-    rf"""\s*(?:(?P<complex>\([^()]+\))
-          |(?P<number>{_NUM_PAT})
-          |(?P<var>x\d+|[xyz])(?!\w)
-          |(?P<imag>i)(?!\w)
-          |(?P<op>[+\-*^]))""",
-    re.VERBOSE,
-)
-
-_COMPLEX_PART_RE = re.compile(
-    rf"\s*(?P<sign>[+-]?)\s*(?:(?P<num>{_NUM_PAT})\s*(?:\*\s*(?P<i>i))?"
-    r"|(?P<ionly>i))\s*")
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?:/\d+)?)"
+    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()])|(?P<bad>\S))")
+_VAR_RE = re.compile(r"x[1-9]\d*|[xyz]")
+_VAR_INDEX = {"x": 0, "y": 1, "z": 2}
+# Deeper parentheses are a parse error, before the reader's recursion (three
+# Python frames per level) can reach the interpreter's limit.
+_MAX_NESTING = 100
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -639,136 +640,160 @@ def _parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad number {text!r}") from None
 
 
-def _parse_complex_literal(text: str) -> QQi:
-    inner = text.strip()[1:-1]
-    pos = 0
-    re_part, im_part = Fraction(0), Fraction(0)
-    while pos < len(inner):
-        m = _COMPLEX_PART_RE.match(inner, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad complex literal {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("ionly") or m.group("i"):
-            mag = _parse_rational(m.group("num")) if m.group("num") else Fraction(1)
-            im_part += sign * mag
-        else:
-            re_part += sign * _parse_rational(m.group("num"))
-        pos = m.end()
-    return QQi(re_part, im_part)
+class _Reader:
+    """The tokens of one text, read by the grammar above.
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    text = text.replace("−", "-").replace("–", "-")
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-        for kind in ("complex", "number", "var", "imag", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
-        pos = m.end()
-    return tokens
-
-
-_VAR_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
-def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
-    """Parse the text grammar: terms `coef*x1^a*x2^b...` joined by +/-.
-
-    Variables x, y, z alias x1, x2, x3; coefficients are integers, p/q
-    rationals, decimals, or complex literals like (1+2*i).
+    A product reads as (coefficient, {variable: exponent}, base), where base
+    is None or (the products of a parenthesised form, its exponent); bases
+    are allowed only where the caller reads decomposition text.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty form text")
-    terms: list[tuple[QQi, dict[int, int]]] = []
-    pos = 0
-    sign = QQi(1)
-    if tokens[0] == ("op", "+"):
-        pos = 1
-    elif tokens[0] == ("op", "-"):
-        sign, pos = QQi(-1), 1
-    while pos < len(tokens):
-        coeff = sign
-        expo: dict[int, int] = {}
-        saw_factor = False
-        expect_factor = True
-        while pos < len(tokens):
-            kind, val = tokens[pos]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                pos += 1
-                expect_factor = True
-                continue
-            if not expect_factor and kind in ("number", "complex", "imag"):
-                raise ParseError(f"missing operator before {val!r}")
-            if kind == "number":
-                coeff = coeff * QQi(_parse_rational(val))
-            elif kind == "complex":
-                coeff = coeff * _parse_complex_literal(val)
-            elif kind == "imag":
-                coeff = coeff * QQi(Fraction(0), Fraction(1))
-            elif kind == "var":
-                vi = _VAR_INDEX[val] if val in _VAR_INDEX else int(val[1:]) - 1
-                e = 1
-                if pos + 2 < len(tokens) and tokens[pos + 1] == ("op", "^"):
-                    ek, ev = tokens[pos + 2]
-                    if ek != "number" or not ev.isdigit():
-                        raise ParseError("exponent must be a nonnegative integer")
-                    e = int(ev)
-                    pos += 2
-                expo[vi] = expo.get(vi, 0) + e
-            else:
-                raise ParseError(f"unexpected token {val!r}")
-            saw_factor = True
-            expect_factor = False
-            pos += 1
-        if not saw_factor:
-            raise ParseError("empty term")
-        terms.append((coeff, expo))
-        sign = QQi(1)
-        if pos < len(tokens):
-            op = tokens[pos][1]
-            sign = QQi(-1) if op == "-" else QQi(1)
-            pos += 1
-            if pos == len(tokens):
-                raise ParseError("dangling operator")
 
-    inferred_n = max((max(e) + 1 for _, e in terms if e), default=0)
+    def __init__(self, text: str, bases: bool = False):
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text.replace("−", "-").replace("–", "-")):
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group('bad')!r} "
+                                 f"at {m.start('bad')}")
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        self.tokens.append(("end", ""))
+        self.pos = 0
+        self.bases = bases
+
+    def read(self) -> list:
+        if len(self.tokens) == 1:
+            raise ParseError("empty form text")
+        products = self._sum()
+        kind, val = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError("unbalanced parentheses" if val == ")"
+                             else f"missing operator before {val!r}")
+        return products
+
+    def _at(self, ops: str) -> bool:
+        kind, val = self.tokens[self.pos]
+        return kind == "op" and val in ops
+
+    def _sum(self, depth: int = 0) -> list:
+        products = []
+        while True:
+            sign = QQi(-1) if self._at("-") else QQi(1)
+            self.pos += self._at("+-")
+            products.append(self._product(sign, depth))
+            if not self._at("+-"):
+                return products
+
+    def _product(self, coeff: QQi, depth: int) -> tuple:
+        expo: dict[int, int] = {}
+        base = None
+        while True:
+            kind, val = self._factor(depth)
+            if kind == "num":
+                coeff = coeff * val
+            elif kind == "var":
+                expo[val[0]] = expo.get(val[0], 0) + val[1]
+            elif base is None:
+                base = val
+            else:
+                raise ParseError("a term has more than one parenthesised form")
+            if self._at("*"):
+                self.pos += 1
+            elif self.tokens[self.pos][0] != "name" or \
+                    self.tokens[self.pos][1] == "i":
+                return coeff, expo, base
+
+    def _factor(self, depth: int) -> tuple:
+        kind, val = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            return "num", QQi(_parse_rational(val))
+        if val == "i":
+            return "num", QQi(0, 1)
+        if kind == "name":
+            if not _VAR_RE.fullmatch(val):
+                raise ParseError(f"unknown name {val!r}: variables are x, y, z "
+                                 f"or x1, x2, ...")
+            var = _VAR_INDEX[val] if val in _VAR_INDEX else int(val[1:]) - 1
+            return "var", (var, self._exponent())
+        if val != "(":
+            raise ParseError(f"unexpected {val!r}" if val
+                             else "dangling operator")
+        if depth == _MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}")
+        inner = self._sum(depth + 1)
+        if not self._at(")"):
+            raise ParseError("unbalanced parentheses")
+        self.pos += 1
+        k = self._exponent()
+        if not any(expo or base for _, expo, base in inner):
+            return "num", sum((c for c, _, _ in inner), QQi(0)) ** k
+        if not self.bases or any(base for _, _, base in inner):
+            raise ParseError("a parenthesised form is allowed only as the base "
+                             "of a decomposition term")
+        return "base", (inner, k)
+
+    def _exponent(self) -> int:
+        if not self._at("^"):
+            return 1
+        kind, val = self.tokens[self.pos + 1]
+        if kind != "num" or not val.isdigit():
+            raise ParseError("exponent must be a nonnegative integer")
+        self.pos += 2
+        return int(val)
+
+
+def _width(products: list) -> int:
+    """One more than the largest variable index in products and their bases."""
+    width = 0
+    for _, expo, base in products:
+        width = max(width, max(expo, default=-1) + 1,
+                    _width(base[0]) if base else 0)
+    return width
+
+
+def _form(products: list, n: int | None, d: int | None) -> Form:
+    """The form that a sum of products without bases denotes."""
+    inferred_n = _width(products)
     if n is None:
         n = max(inferred_n, 1)
     elif inferred_n > n:
         raise ParseError(f"form uses {inferred_n} variables, n={n} given")
-    degrees = {sum(e.values()) for _, e in terms}
-    nonzero = [t for t in terms if t[0]]
-    if nonzero:
-        degrees = {sum(e.values()) for _, e in nonzero}
+    # a zero coefficient does not count toward the degree, unless all are zero
+    degrees = ({sum(e.values()) for c, e, _ in products if c}
+               or {sum(e.values()) for _, e, _ in products})
     if len(degrees) > 1:
         raise ParseError(f"form is not homogeneous: degrees {sorted(degrees)}")
-    term_d = degrees.pop() if degrees else None
+    term_d = degrees.pop()
     if d is None:
-        if term_d is None:
-            raise ParseError("cannot infer degree of the zero form; pass d")
         d = term_d
-    elif term_d is not None and term_d != d and nonzero:
+    elif term_d != d and any(c for c, _, _ in products):
         raise ParseError(f"form has degree {term_d}, d={d} given")
-
     raw: dict[MultiIndex, Scalar] = {}
-    for coeff, expo in terms:
-        idx = [0] * n
-        for k, e in expo.items():
-            idx[k] = e
-        key = tuple(idx)
+    for coeff, expo, _ in products:
+        key = tuple(expo.get(v, 0) for v in range(n))
         raw[key] = raw.get(key, QQi(0)) + coeff
     return Form.from_raw(n, d, raw)
+
+
+def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
+    """Parse form text: products such as `coef*x1^a*x2^b` joined by +/-.
+
+    Variables are x, y, z (aliases of x1, x2, x3) or x1, x2, ...; a number
+    is an integer, p/q rational or decimal, i, or a parenthesised sum of
+    these such as (1+2*i) or (1+i)^2.
+    """
+    return _form(_Reader(text).read(), n, d)
+
+
+def parse_scalar(text: str) -> QQi:
+    """Parse a scalar in the form grammar: a sum without a variable, such as
+    -3, 1/2, .5, 1e3, i, 2*i, (1-2*i) or (1+i)^2."""
+    try:
+        products = _Reader(text).read()
+    except ParseError as exc:
+        raise ParseError(f"cannot parse scalar {text!r}: {exc}") from None
+    if any(expo for _, expo, _ in products):
+        raise ParseError(f"cannot parse scalar {text!r}: it has a variable")
+    return sum((c for c, _, _ in products), QQi(0))
 
 
 # -- JSON format ---------------------------------------------------------------------
@@ -953,82 +978,24 @@ def format_decomposition(dec: Decomposition) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-def _matching_paren(s: str, start: int) -> int:
-    depth = 0
-    for i in range(start, len(s)):
-        if s[i] == "(":
-            depth += 1
-        elif s[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise ParseError(f"unbalanced parentheses in {s!r}")
-
-
-def _parse_term_text(s: str, n: int | None) -> Term:
-    if s.startswith("("):
-        close = _matching_paren(s, 0)
-        rest = s[close + 1:]
-        if not rest:
-            return Term(QQi(1), parse_form(s[1:-1], n=n), 1)
-        if rest.startswith("^"):
-            return Term(QQi(1), parse_form(s[1:close], n=n), int(rest[1:]))
-        if not rest.startswith("*"):
-            raise ParseError(f"bad term {s!r}")
-        coeff = _parse_complex_literal(s[:close + 1])
-        body = rest[1:]
-    else:
-        at = s.find("*(")
-        if at == -1:
-            return Term(QQi(1), parse_form(s, n=n), 1)
-        coeff = QQi(Fraction(s[:at]))
-        body = s[at + 1:]
-    if not body.startswith("("):
-        # coefficient times a bare monomial, e.g. 5*x^3 or (..)*z^4
-        return Term(coeff, parse_form(body, n=n), 1)
-    close = _matching_paren(body, 0)
-    base = parse_form(body[1:close], n=n)
-    power = 1
-    if close + 1 < len(body):
-        if body[close + 1] != "^":
-            raise ParseError(f"bad term {s!r}")
-        power = int(body[close + 2:])
-    return Term(coeff, base, power)
-
-
 def parse_decomposition(text: str, n: int | None = None) -> Decomposition:
-    """Parse the decomposition text format back into terms.
+    """Parse decomposition text back into terms; inverse of format_decomposition.
 
-    Inverse of format_decomposition for round-trip checks; the parenthesized
-    pieces are compact forms, so whitespace only separates top-level terms.
+    A term reads as c*(f)^k -> Term(c, f, k), c*v^k for a variable v ->
+    Term(c, v, k), and c times any other monomial m -> Term(c, m, 1).
     """
-    text = text.strip().replace("−", "-")
-    if not text or text == "0":
+    if text.strip() in ("", "0"):
         raise ParseError("cannot infer the shape of an empty decomposition")
-    chunks = [c for c in text.split(" ") if c]
-    signed: list[tuple[int, str]] = []
-    sign = 1
-    expect_term = True
-    for chunk in chunks:
-        if expect_term:
-            body, s = chunk, sign
-            if body.startswith("-"):
-                s, body = -s, body[1:]
-            signed.append((s, body))
-            expect_term = False
-            sign = 1
-        elif chunk in ("+", "-"):
-            sign = -1 if chunk == "-" else 1
-            expect_term = True
-        else:
-            raise ParseError(f"expected + or - before {chunk!r}")
-    if expect_term:
-        raise ParseError("dangling operator in decomposition text")
-    probe = [_parse_term_text(b, None) for _, b in signed]
-    n_all = max(t.base.n for t in probe) if n is None else n
+    products = _Reader(text, bases=True).read()
+    n = max(_width(products), 1) if n is None else n
     terms = []
-    for sgn, body in signed:
-        t = _parse_term_text(body, n_all)
-        terms.append(Term(-t.multiplier if sgn < 0 else t.multiplier,
-                          t.base, t.power))
+    for coeff, expo, base in products:
+        if base is None and len(expo) == 1:
+            (v, k), = expo.items()
+            base = ([(QQi(1), {v: 1}, None)], k)
+        elif base is None:
+            base = ([(QQi(1), expo, None)], 1)
+        elif expo:
+            raise ParseError("a term is a scalar times a power of one form")
+        terms.append(Term(coeff, _form(base[0], n, None), base[1]))
     return Decomposition(terms, meta={"theorem": "parsed"})

@@ -13,6 +13,7 @@ import pytest
 import canonform
 from canonform import cli, forms_close, parse_form
 from canonform.cli import main
+from canonform.errors import ParseError
 from canonform.forms import parse_decomposition
 
 
@@ -455,6 +456,88 @@ def test_certify_list_parameter_with_one_entry(capsys):
                             "--param", "e=2", "--param", "m=2"], capsys=capsys)
     assert code == 0 and out.strip() == "Certified (rank 5/5)"
 
+
+
+@pytest.mark.parametrize("form", ["x0^3 + y^3", "x0*y", "x01^3 + y^3"])
+def test_variable_x0_is_a_parse_error(capsys, form):
+    code, out, err = run_cli(["decompose", "sylvester", form], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: unknown name 'x0")
+
+
+# Each of these once read as some other form (or was accepted with a stray *).
+@pytest.mark.parametrize("form", [
+    "(3i)*x^3 + y^3", "(1 2)*x^3 + y^3", "(2 i 2)*x^3 + y^3", "*x", "2**x",
+    "x^3 + y^3*",
+])
+def test_misreadable_forms_are_parse_errors(capsys, form):
+    with pytest.raises(ParseError):
+        parse_form(form)
+    code, out, err = run_cli(["decompose", "sylvester", form], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: ")
+
+
+def _same_outputs(argvs, capsys):
+    """The (exit, stdout) that every argv gives, asserting that they agree."""
+    results = {run_cli(argv, capsys=capsys)[:2] for argv in argvs}
+    assert len(results) == 1
+    return results.pop()
+
+
+def _rejected(argv, capsys, message):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_lam_is_read_in_the_form_grammar(capsys):
+    quartic = ["decompose", "quartic-six", "x^4+y^4", "--lam"]
+    code, out = _same_outputs([quartic + [lam] for lam in
+                               ("2*i", "(1+i)^2", "(0+2*i)")], capsys)
+    assert code == 0 and len(out.splitlines()) == 6
+    assert _same_outputs([quartic + [lam] for lam in (".5", "1/2", "5e-1")],
+                         capsys)[0] == 0
+    _rejected(quartic + ["1_000"], capsys, "cannot parse scalar '1_000'")
+
+
+def test_param_is_read_in_the_form_grammar(capsys):
+    code, out = _same_outputs(
+        [["certify", "hyperplane", "--param", f"c=1,0,{c},0"]
+         for c in ("2*i", "(1+i)^2", "(0+2*i)")], capsys)
+    assert (code, out) == (0, "Certified (rank 3/3)\n")
+    _rejected(["certify", "hyperplane", "--param", "c=1,0,2 i,0"], capsys,
+              "cannot parse scalar '2 i'")
+
+
+def test_witness_is_read_in_the_form_grammar(capsys, tmp_path):
+    path = tmp_path / "witness.txt"
+    path.write_text("(1+i)^0 0 .0 0*i 0 0 -i*i\n")
+    code, out, _ = run_cli(["certify", "sextican", "--witness", str(path)],
+                           capsys=capsys)
+    assert (code, out) == (0, "Certified (rank 7/7)\n")
+    path.write_text("1 0 0 0 0 0 1_000\n")
+    _rejected(["certify", "sextican", "--witness", str(path)], capsys,
+              "cannot parse scalar '1_000'")
+
+
+def test_e_is_read_in_the_form_grammar(capsys):
+    code, out = _same_outputs(
+        [["--seed", "3", "count", "reps", "--d", "4", "--e", e, "--trials",
+          "40"] for e in ("2,1", " 2 , 1 ")], capsys)
+    assert code == 0 and out.startswith("ESTIMATE: ")
+    _rejected(["count", "reps", "--d", "4", "--e", "2,2*i"], capsys,
+              "--e entries must be integers, got (0+2*i)")
+    _rejected(["count", "reps", "--d", "4", "--e", "2,x"], capsys,
+              "cannot parse scalar 'x'")
+
+
+def test_classify_hyperplane_is_read_in_the_form_grammar(capsys):
+    code, out = _same_outputs([["classify-hyperplane", f"1,0,{c},0"]
+                               for c in ("2*i", "(1+i)^2")], capsys)
+    assert code == 0 and out.startswith("Canonical (witness t = ")
+    _rejected(["classify-hyperplane", "1,0,(2 i 2),0"], capsys,
+              "cannot parse scalar '(2 i 2)'")
 
 
 @pytest.mark.parametrize("argv,number", [

@@ -1,6 +1,10 @@
+import functools
+import hashlib
 import json
+import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +13,14 @@ from hypothesis import strategies as st
 from canonform import (QQi, ZeroForm, biermann_point, binary_factor, dim,
                        forms_close, index_set, linear_form, multinomial,
                        parse_form, power_of_linear, random_form)
-from canonform.errors import ParseError, ShapeMismatch
-from canonform.binary import sylvester_decompose
+from canonform.errors import DegenerateStage, ParseError, ShapeMismatch
+from canonform.binary import sylvester_decompose, two_squares_all
 from canonform.forms import (Decomposition, Form, Term, form_from_json,
-                             form_to_json, parse_decomposition)
+                             form_to_json, monomial_form, parse_decomposition,
+                             parse_scalar)
 from canonform.linalg import exact_inverse
-from canonform.multivar import quartic_lift, slowpoke
-from canonform.scalars import MOD_P, SNAP_MAX_DEN, snap_scalar
+from canonform.multivar import quartic_lift, slinky, slowpoke
+from canonform.scalars import MOD_P, SNAP_MAX_DEN, format_scalar, snap_scalar
 
 
 def count_monomials(n, d):
@@ -229,6 +234,137 @@ def test_parse_decomposition_round_trip():
     text = "5*(x+2*y)^3 - 3*(x+3*y)^3"
     dec = parse_decomposition(text)
     assert dec.reconstruct() == parse_form(EX310)
+
+
+def _form_digest(p: Form) -> str:
+    blob = json.dumps(form_to_json(p), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_parse_corpus_reads_as_recorded():
+    # each row: kind, digest, source, text (see the header of the file)
+    rows = [line.split("\t") for line in
+            (Path(__file__).parent / "parse_corpus.tsv").read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert len(rows) > 800
+    changed = []
+    for kind, digest, source, text in rows:
+        try:
+            p = (parse_form(text) if kind == "form"
+                 else parse_decomposition(text).reconstruct())
+        except ParseError as exc:
+            changed.append((source, text, str(exc)))
+            continue
+        if _form_digest(p) != digest:
+            changed.append((source, text, "another form"))
+    assert changed == []
+
+
+@pytest.mark.parametrize("text", ["x0^3 + y^3", "x0*y", "x01^2", "x1*x02"])
+def test_variables_are_numbered_from_x1_without_leading_zeros(text):
+    with pytest.raises(ParseError):
+        parse_form(text)
+
+
+def test_variable_numbering():
+    assert parse_form("x10").n == 10
+    assert parse_form("x*x1 + y^2") == parse_form("x1^2 + x2^2")
+    assert parse_form("2x^2y") == parse_form("2*x^2*y")
+
+
+@pytest.mark.parametrize("text,value", [
+    (".5", QQi(Fraction(1, 2))), ("5.", QQi(5)), ("i", QQi(0, 1)),
+    ("-i", QQi(0, -1)), ("+i", QQi(0, 1)), ("1/2", QQi(Fraction(1, 2))),
+    ("1e3", QQi(1000)), ("-2.5e-1", QQi(Fraction(-1, 4))),
+    ("(1-2*i)", QQi(1, -2)), ("2*i", QQi(0, 2)), ("(1+i)^2", QQi(0, 2)),
+    (" ( 1/2 + i*3 ) ", QQi(Fraction(1, 2), 3)), ("((2))^3", QQi(8)),
+])
+def test_parse_scalar(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "x", "abc", "1_000", "2 i", "(1 2)",
+                                  "1/0", "1.5/2", "(1+i", "i^2", "2**i"])
+def test_parse_scalar_rejects(text):
+    with pytest.raises(ParseError, match="cannot parse scalar"):
+        parse_scalar(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(z=gaussian_rationals)
+def test_parse_scalar_inverts_format_scalar(z):
+    assert parse_scalar(format_scalar(z)) == z
+
+
+def _triples(dec):
+    return [(t.multiplier, t.base, t.power) for t in dec.terms]
+
+
+def test_parse_decomposition_term_readings():
+    x, y = linear_form([1, 0]), linear_form([0, 1])
+    text = ("5*x^3 - 3*(x+3*y)^3 + 2*x^2*y + (1+i)^2*y^3 - (x^2*y)"
+            " + 7/2*(x^3-y^3)")
+    assert _triples(parse_decomposition(text)) == [
+        (QQi(5), x, 3), (QQi(-3), linear_form([1, 3]), 3),
+        (QQi(2), parse_form("x^2*y"), 1), (QQi(0, 2), y, 3),
+        (QQi(-1), parse_form("x^2*y"), 1),
+        (QQi(Fraction(7, 2)), parse_form("x^3 - y^3"), 1)]
+    # n widens every base to the stated variable count
+    assert parse_decomposition("x^3", n=3).terms[0].base == linear_form([1, 0, 0])
+
+
+@pytest.mark.parametrize("text", [
+    "x*(x+y)^2", "5*y5*(1+2*i)^3", "(x+y)*(x-y)", "((x+y))^2", "(x+y", "0",
+    "x^3 +", "(x+y)^2*(1 2)", "(x+y)^1.5",
+])
+def test_parse_decomposition_rejects(text):
+    with pytest.raises(ParseError):
+        parse_decomposition(text)
+
+
+def test_parenthesis_nesting_is_bounded():
+    assert parse_scalar("(" * 100 + "2" + ")" * 100) == QQi(2)
+    with pytest.raises(ParseError, match="nested deeper than 100"):
+        parse_form("(" * 5000 + "2" + ")" * 5000 + "*x")
+
+
+def test_parenthesised_forms_only_in_decomposition_text():
+    with pytest.raises(ParseError, match="decomposition term"):
+        parse_form("(x+y)^2")
+    with pytest.raises(ParseError, match="cannot parse scalar"):
+        parse_scalar("(x+y)")
+
+
+def _is_exact(dec):
+    return all(isinstance(t.multiplier, QQi) and t.base.exact
+               for t in dec.terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_parse_decomposition_inverts_the_printer(seed):
+    rng = random.Random(seed)
+    d = rng.randint(3, 6)
+    # sums of (d+1)//2 rational d-th powers and products of four rational
+    # lines, which sylvester and two-squares decompose exactly
+    binary = functools.reduce(operator.add, [
+        (linear_form([1, t]) ** d).scale(rng.choice([1, 2, -3, 5]))
+        for t in rng.sample(range(-6, 7), (d + 1) // 2)])
+    quartic = functools.reduce(operator.mul, [
+        linear_form([1, t]) for t in rng.sample(range(-6, 7), 4)])
+    decs = [sylvester_decompose(binary), *two_squares_all(quartic)]
+    try:
+        decs.append(slinky(random_form(3, 3, rng)))
+    except DegenerateStage:  # a special cubic, which slinky declines
+        pass
+    assert all(map(_is_exact, decs))
+    n = rng.randint(2, 3)
+    dec = slowpoke(monomial_form(n, rng.choice(index_set(n, 3)),
+                                 rng.choice([1, -1, 2, 3])))
+    decs += [dec] if _is_exact(dec) else []
+    for dec in decs:
+        n = dec.terms[0].base.n  # the text does not show unused variables
+        assert _triples(parse_decomposition(str(dec), n)) == _triples(dec)
 
 
 @pytest.mark.parametrize("make", [
