@@ -2,23 +2,24 @@
 
 A candidate canonical form is a polynomial map from C^M into the degree-d
 forms; it hits a general form exactly when the span of its parameter partials
-is the whole space at some point u.  At a rational witness the Jacobian is
-first built and ranked modulo the prime MOD_P; full rank there is a proof of
-full rank over the Gaussian rationals.  Otherwise the rank is computed
-exactly over the Gaussian rationals, so a Certified verdict is a proof for
-that witness either way.
+is the whole space at some point u.  At a rational witness the partials are
+first evaluated modulo the prime MOD_P at the N(n, d) points I(n, d), and
+those rows ranked; full rank there is a proof of full rank over the Gaussian
+rationals.  Otherwise the rank is computed exactly over the Gaussian
+rationals, so a Certified verdict is a proof for that witness either way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 
 from .enumeration import shape_error
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
-from .forms import (Form, MultiIndex, _pack, dim, index_set, linear_form,
+from .forms import (Form, MultiIndex, dim, index_set, linear_form,
                     monomial_form, multinomial)
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
@@ -63,42 +64,29 @@ class Scale:
     part: object
 
 
-class _ModPoly:
-    """A polynomial mod MOD_P, packed monomial code -> actual coefficient.
+class _Values:
+    """A form's values mod MOD_P at the points I(n, d), each multi-index read
+    as an integer point; scale, + and * act pointwise."""
 
-    Codes are in base top + 1 (forms._pack), top the map's declared degree,
-    so while the total degree (at most deg) stays at most top a product's
-    codes are sums of codes; one above top raises _NoImage.  Only what the
-    expression walk uses: scale, + and *.
-    """
+    __slots__ = ("v",)
 
-    __slots__ = ("top", "deg", "c")
+    def __init__(self, v):
+        self.v = v
 
-    def __init__(self, top: int, deg: int, c: dict):
-        if deg > top:
-            raise _NoImage
-        self.top = top
-        self.deg = deg
-        self.c = c
+    def scale(self, s: int) -> "_Values":
+        return self if s == 1 else _Values([a * s % MOD_P for a in self.v])
 
-    def scale(self, s: int) -> "_ModPoly":
-        return _ModPoly(self.top, self.deg,
-                        {k: v * s % MOD_P for k, v in self.c.items()} if s else {})
+    def __add__(self, other: "_Values") -> "_Values":
+        return _Values([(a + b) % MOD_P for a, b in zip(self.v, other.v)])
 
-    def __add__(self, other: "_ModPoly") -> "_ModPoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = (out.get(k, 0) + v) % MOD_P  # a zero entry reads as absent
-        return _ModPoly(self.top, max(self.deg, other.deg), out)
+    def __mul__(self, other: "_Values") -> "_Values":
+        return _Values([a * b % MOD_P for a, b in zip(self.v, other.v)])
 
-    def __mul__(self, other: "_ModPoly") -> "_ModPoly":
-        out: dict = {}
-        get = out.get
-        for i, u in self.c.items():
-            for j, v in other.c.items():
-                out[i + j] = get(i + j, 0) + u * v
-        return _ModPoly(self.top, self.deg + other.deg,
-                        {k: r for k, v in out.items() if (r := v % MOD_P)})
+
+@cache
+def _monomial_values(mono: MultiIndex, d: int) -> tuple[int, ...]:
+    return tuple(math.prod(z ** e for z, e in zip(point, mono)) % MOD_P
+                 for point in index_set(len(mono), d))
 
 
 class _FormRing:
@@ -120,32 +108,51 @@ class _FormRing:
         return c
 
 
-class _ModPRing:
-    """Leaves of the expression walk as polynomials mod MOD_P of degree at
-    most top; raises _NoImage on a scalar that has none or a leaf above top."""
+class _PointRing:
+    """Leaves of the expression walk as their _Values at the points I(n, d);
+    raises _NoImage on a scalar that has none."""
 
-    def __init__(self, top: int):
-        self.top = top
+    def __init__(self, n: int, d: int):
+        self.d, self.size = d, dim(n, d)
 
-    def one(self) -> _ModPoly:
-        return _ModPoly(self.top, 0, {0: 1})
+    def one(self) -> _Values:
+        return _Values([1] * self.size)
 
-    def monomial(self, mono: MultiIndex) -> _ModPoly:
-        return _ModPoly(self.top, sum(mono), {_pack(mono, self.top + 1): 1})
+    def monomial(self, mono: MultiIndex) -> _Values:
+        return _Values(_monomial_values(mono, self.d))
 
-    def fixed(self, form: Form) -> _ModPoly:
-        return _ModPoly(self.top, form.d, {
-            _pack(i, self.top + 1): r for i, a in form.items()
-            if (r := mod_p(a) * multinomial(i) % MOD_P)})
+    def fixed(self, form: Form) -> _Values:
+        return sum((self.monomial(i).scale(mod_p(a) * multinomial(i))
+                    for i, a in form.items()), _Values([0] * self.size))
 
     def coeff(self, c: Scalar) -> int:
         return mod_p(c)
 
 
+def _degree(node, n: int) -> int | None:
+    """The x-degree of a homogeneous expression in n variables, else None:
+    parts of unequal degree, a leaf of another width or an unknown node."""
+    if isinstance(node, Param):
+        return sum(node.monomial) if len(node.monomial) == n else None
+    if isinstance(node, Fixed):
+        return node.form.d if node.form.n == n else None
+    if isinstance(node, Scale):
+        return _degree(node.part, n)
+    if isinstance(node, Pow):
+        d = _degree(node.base, n)
+        return None if d is None else d * node.k
+    degrees = [_degree(p, n) for p in getattr(node, "parts", ())]
+    if None in degrees:
+        return None
+    if isinstance(node, Prod):
+        return sum(degrees)
+    return degrees[0] if len(set(degrees)) == 1 else None
+
+
 def _eval_grad(node, t, ring, value: bool = True):
     """Value and full parameter gradient (sparse dict j -> dF/dt_j).
 
-    ring builds the leaves (a _FormRing or a _ModPRing) and t holds scalars
+    ring builds the leaves (a _FormRing or a _PointRing) and t holds scalars
     of that ring; the rest of the walk only uses scale, + and *.  With value
     False it skips the products only the value needs, which may be None.
     """
@@ -274,19 +281,21 @@ class CertifyReport:
 def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
     """Whether the Jacobian at t has full rank mod MOD_P, a proof of full
     rank over Q(i); False also when t or the map has no image mod p, or the
-    expression goes above the declared degree.
+    expression is not homogeneous of the declared degree.
 
-    Its rows are the partials' actual monomial coefficients, the
-    Lasker-Wakeford matrix, one column scaling away from jacobian_rows.
+    Row j holds dF/dt_j at the points I(n, d): the Jacobian times their
+    evaluation matrix, which is invertible mod p as the points are
+    unisolvent, so the rank is the Jacobian's rank mod p.
     """
+    if _degree(pmap.expr, pmap.n) != pmap.d:
+        return False
     try:
-        t = [mod_p(v) for v in pmap._coerce_t(t)]
-        _, grad = _eval_grad(pmap.expr, t, _ModPRing(pmap.d), False)
+        grad = _eval_grad(pmap.expr, [mod_p(v) for v in pmap._coerce_t(t)],
+                          _PointRing(pmap.n, pmap.d), False)[1]
     except _NoImage:
         return False
-    codes = [_pack(i, pmap.d + 1) for i in index_set(pmap.n, pmap.d)]
-    rows = [[grad[j].c.get(k, 0) if j in grad else 0 for k in codes]
-            for j in range(pmap.m)]
+    zero = [0] * pmap.target
+    rows = [grad[j].v if j in grad else zero for j in range(pmap.m)]
     return modp_rank(rows, MOD_P) == pmap.target
 
 
@@ -346,9 +355,7 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
 
 def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bool:
     """Apolar reformulation: full rank at t iff only the zero form is apolar
-    to every parameter partial.  Its matrix, the partials' actual monomial
-    coefficients, is one nonzero column scaling away from jacobian_rows, so
-    the rank is the Jacobian's."""
+    to every parameter partial, that is, iff the Jacobian has full rank."""
     return _rank_at(pmap, t, eps) == pmap.target
 
 
@@ -367,10 +374,6 @@ def _monomial_span(n: int, d: int, start: int,
     monos = monomials if monomials is not None else index_set(n, d)
     parts = tuple(Param(start + k, tuple(mono)) for k, mono in enumerate(monos))
     return Sum(parts), start + len(parts)
-
-
-def _raw_coeffs_as_witness(f: Form, monomials: list[MultiIndex]) -> list:
-    return [f.raw(m) for m in monomials]
 
 
 def _build_uppertri(n: int) -> ParamMap:
@@ -457,9 +460,8 @@ def _build_quarticgen(d: int, B: tuple[int, int, int, int]) -> ParamMap:
 def _build_notclebsch() -> ParamMap:
     q, j = _monomial_span(3, 2, 0)
     terms = [Pow(q, 2)]
-    witness = _raw_coeffs_as_witness(
-        monomial_form(3, (1, 1, 0)) + monomial_form(3, (1, 0, 1))
-        + monomial_form(3, (0, 1, 1)), index_set(3, 2))
+    witness = [(monomial_form(3, (1, 1, 0)) + monomial_form(3, (1, 0, 1))
+                + monomial_form(3, (0, 1, 1))).raw(m) for m in index_set(3, 2)]
     for k in range(3):
         span, j = _linear_span(3, j, [0, 1, 2])
         terms.append(Pow(span, 4))
@@ -482,14 +484,14 @@ def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:
     witness = []
     j = 0
     for lin in fixed:
-        terms.append(Prod((Param(j, (0, 0)), Fixed(lin ** d))))
+        terms.append(Prod((Param(j, (0, 0)), Pow(Fixed(lin), d))))
         witness.append(1)
         j += 1
     for k, ek in enumerate(e):
         span, j = _monomial_span(2, ek, j)
         terms.append(Pow(span, d // ek))
         tilde = linear_form([QQi(1), QQi(m + k + 1)])
-        witness.extend(_raw_coeffs_as_witness(tilde ** ek, index_set(2, ek)))
+        witness.extend(map((tilde ** ek).raw, index_set(2, ek)))
     return ParamMap("omnibus", 2, d, j, Sum(tuple(terms)), witness=witness,
                     params={"d": d, "e": e, "m": m})
 
@@ -539,9 +541,9 @@ def _build_so3s() -> ParamMap:
     q2, j = _monomial_span(3, 2, j, monomials=m2)
     m3 = [m for m in all_m if m not in ((2, 0, 0), (0, 2, 0))]
     q3, j = _monomial_span(3, 2, j, monomials=m3)
-    witness = _raw_coeffs_as_witness(monomial_form(3, (2, 0, 0)), all_m)
-    witness += _raw_coeffs_as_witness(monomial_form(3, (0, 2, 0)), m2)
-    witness += _raw_coeffs_as_witness(monomial_form(3, (0, 0, 2)), m3)
+    witness = [monomial_form(3, (2, 0, 0)).raw(m) for m in all_m]
+    witness += [monomial_form(3, (0, 2, 0)).raw(m) for m in m2]
+    witness += [monomial_form(3, (0, 0, 2)).raw(m) for m in m3]
     return ParamMap("so3s", 3, 4, j, Sum((Pow(q1, 2), Pow(q2, 2), Pow(q3, 2))),
                     witness=witness)
 

@@ -113,15 +113,11 @@ def _above(flag: str, value: int, most: int) -> bool:
 
 
 def _parse_param_value(text: str):
-    parts = text.split(",")
-    vals = []
-    for tok in parts:
-        tok = tok.strip()
-        try:
-            vals.append(int(tok))
-        except ValueError:
-            vals.append(parse_scalar(tok))
-    return vals if len(parts) > 1 else vals[0]
+    """One scalar in the form grammar, or a comma-separated list of them; a
+    real scalar with denominator 1 is read as an int."""
+    vals = [v.a if not v.b and v.d == 1 else v
+            for v in map(parse_scalar, text.split(","))]
+    return vals if len(vals) > 1 else vals[0]
 
 
 def _emit(args, output) -> None:

@@ -633,9 +633,9 @@ _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 _MAX_NESTING = 100
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> int | Fraction:
     try:
-        return Fraction(text)
+        return int(text) if text.isdigit() else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad number {text!r}") from None
 
@@ -998,4 +998,6 @@ def parse_decomposition(text: str, n: int | None = None) -> Decomposition:
         elif expo:
             raise ParseError("a term is a scalar times a power of one form")
         terms.append(Term(coeff, _form(base[0], n, None), base[1]))
+    if len(degrees := {t.base.d * t.power for t in terms}) > 1:
+        raise ParseError(f"decomposition is not homogeneous: {sorted(degrees)}")
     return Decomposition(terms, meta={"theorem": "parsed"})

@@ -291,9 +291,9 @@ def scalars_close(a: Scalar, b: Scalar, eps: float = EPS_DEFAULT,
 # Gaussian rationals whose denominators p does not divide: a minor that is
 # nonzero mod p is nonzero over Q(i), and two values that differ mod p
 # differ over Q(i).  Agreement mod p only sends the question to exact
-# arithmetic.
-MOD_P = 2305843009213693921
-MOD_I = 583529827753931384
+# arithmetic.  p < 2^30 keeps each residue to one CPython digit.
+MOD_P = 1073741789
+MOD_I = 933053945
 
 
 class _NoImage(ArithmeticError):

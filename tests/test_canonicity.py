@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from canonform.canonicity import (MOD_I, MOD_P, CertifyReport,
                                   jacobian_certify, lasker_wakeford_full_rank,
                                   zerosum_verify)
 from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
-from canonform.forms import index_set, multinomial
+from canonform.forms import index_set
 from canonform.linalg import exact_rank, mat_det, modp_rank
 from canonform.scalars import EPS_DEFAULT, as_scalar, mod_p, scalar_is_zero
 
@@ -356,7 +357,7 @@ def test_modular_path_keeps_hyperplane_and_lasker_wakeford_verdicts(
     assert fast == exact
 
 
-# -- packed monomial codes mod p ----------------------------------------------
+# -- values at the points I(n, d) mod p ----------------------------------------
 
 
 def modular_rows(monkeypatch, pmap, t):
@@ -378,9 +379,22 @@ def test_modular_rows_are_the_exact_partials_mod_p(monkeypatch, name, params):
     if pmap.witness is not None:
         points.append([as_scalar(v) for v in pmap.witness])
     for t in points:
-        want = [[mod_p(df.a(i)) * multinomial(i) % MOD_P
-                 for i in index_set(pmap.n, pmap.d)] for df in pmap.gradient(t)]
+        want = [[mod_p(df.evaluate([QQi(z) for z in point]))
+                 for point in index_set(pmap.n, pmap.d)]
+                for df in pmap.gradient(t)]
         assert modular_rows(monkeypatch, pmap, t) == want
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_points_are_unisolvent_mod_p(n):
+    """The evaluation matrix of I(n, d) has full rank mod MOD_P, so ranking
+    values at those points loses no full rank."""
+    degrees = range(85) if n == 2 else [d for d in range(6) if dim(n, d) <= 126]
+    for d in degrees:
+        points = index_set(n, d)
+        rows = [[math.prod(z ** e for z, e in zip(point, mono)) % MOD_P
+                 for point in points] for mono in points]
+        assert modp_rank(rows, MOD_P) == dim(n, d), (n, d)
 
 
 def _over_degree_map() -> ParamMap:
@@ -414,6 +428,25 @@ def test_expression_above_the_declared_degree_gets_no_modular_verdict(
     assert calls == [3] * 4
 
 
+def _mixed_degree_map() -> ParamMap:
+    """A quadratic expression with one summand of degree 1."""
+    lin = Sum((Param(0, (1, 0)), Param(1, (0, 1))))
+    return ParamMap("mixed", 2, 2, 3, Sum((Pow(lin, 2), Param(2, (1, 1)),
+                                           Param(2, (1, 0)))))
+
+
+def test_mixed_degree_expression_raises_on_every_path():
+    pmap = _mixed_degree_map()
+    t = [QQi(1), QQi(2), QQi(3)]
+    assert not canonicity._full_rank_mod_p(pmap, t)
+    for run in (pmap.evaluate, pmap.jacobian_rows,
+                lambda t: jacobian_certify(pmap, witness=t),
+                lambda t: jacobian_certify(pmap),
+                lambda t: lasker_wakeford_full_rank(pmap, t)):
+        with pytest.raises(ShapeMismatch):
+            run(t)
+
+
 STORED_WITNESS_MAPS = (
     [("uppertri", {"n": n}) for n in range(2, 7)]
     + [("sextican", {}), ("notclebsch", {}), ("so3s", {})]
@@ -444,6 +477,23 @@ def test_stored_witness_certificates_never_reach_exact_rank(monkeypatch):
         certified += 1
     # all but quarticgen d=5, B=(0, 1, 3, 4), an excluded pattern
     assert certified == len(STORED_WITNESS_MAPS) - 1
+
+
+@pytest.mark.parametrize("name, params", SMALL_MAPS + [
+    ("quarticgen", {"d": 5, "B": (0, 1, 2, 3)})])
+def test_certified_rank_is_the_sympy_rank(name, params):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    pmap = build_map(name, **params)
+    rng = random.Random(f"oracle {name}")
+    t = [QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+         for _ in range(pmap.m)]
+    rows = [[sympy.Rational(v.a, v.d) + sympy.I * sympy.Rational(v.b, v.d)
+             for v in row] for row in pmap.jacobian_rows(t)]
+    want = DomainMatrix.from_list_sympy(pmap.m, pmap.target, rows)
+    assert jacobian_certify(pmap, witness=t).rank == want.convert_to(QQ_I).rank()
 
 
 # -- one lazy witness search ----------------------------------------------------

@@ -510,6 +510,17 @@ def test_param_is_read_in_the_form_grammar(capsys):
               "cannot parse scalar '2 i'")
 
 
+def test_hyperplane_c_rejects_what_the_form_grammar_rejects(capsys):
+    _rejected(["classify-hyperplane", "1_000,0,i,0"], capsys,
+              "cannot parse scalar '1_000'")
+    _rejected(["certify", "hyperplane", "--param", "c=1_000,0,i,0"], capsys,
+              "cannot parse scalar '1_000'")
+    # other spellings of an integer still give the same result
+    assert _same_outputs([["classify-hyperplane", c] for c in
+                          ("1000,0,i,0", "1e3,0,i,0", "2000/2,0,i,0")],
+                         capsys)[0] == 0
+
+
 def test_witness_is_read_in_the_form_grammar(capsys, tmp_path):
     path = tmp_path / "witness.txt"
     path.write_text("(1+i)^0 0 .0 0*i 0 0 -i*i\n")

@@ -315,7 +315,7 @@ def test_parse_decomposition_term_readings():
 
 @pytest.mark.parametrize("text", [
     "x*(x+y)^2", "5*y5*(1+2*i)^3", "(x+y)*(x-y)", "((x+y))^2", "(x+y", "0",
-    "x^3 +", "(x+y)^2*(1 2)", "(x+y)^1.5",
+    "x^3 +", "(x+y)^2*(1 2)", "(x+y)^1.5", "x^2 + y^3",
 ])
 def test_parse_decomposition_rejects(text):
     with pytest.raises(ParseError):
