@@ -19,8 +19,8 @@ from operator import add
 
 from .enumeration import shape_error
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
-from .forms import (Form, MultiIndex, dim, index_set, linear_form,
-                    monomial_form, multinomial)
+from .forms import (Form, MultiIndex, _monomials, dim, index_set,
+                    linear_form, monomial_form, multinomial)
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
                       is_exact, mod_p, power, scalars_close)
@@ -86,7 +86,7 @@ class _Values:
 @cache
 def _monomial_values(mono: MultiIndex, d: int) -> tuple[int, ...]:
     return tuple(math.prod(z ** e for z, e in zip(point, mono)) % MOD_P
-                 for point in index_set(len(mono), d))
+                 for point in _monomials(len(mono), d))
 
 
 class _FormRing:
@@ -248,7 +248,7 @@ class ParamMap:
         return self.gradient(t)[j]
 
     def jacobian_rows(self, t) -> list[list[Scalar]]:
-        idxs = index_set(self.n, self.d)
+        idxs = _monomials(self.n, self.d)
         return [[df.a(i) for i in idxs] for df in self.gradient(t)]
 
 
@@ -371,7 +371,7 @@ def _linear_span(n: int, start: int, positions: list[int]) -> tuple[Sum, int]:
 def _monomial_span(n: int, d: int, start: int,
                    monomials: list[MultiIndex] | None = None) -> tuple[Sum, int]:
     """Sum of Param leaves over a monomial list (default: all of I(n,d))."""
-    monos = monomials if monomials is not None else index_set(n, d)
+    monos = monomials if monomials is not None else _monomials(n, d)
     parts = tuple(Param(start + k, tuple(mono)) for k, mono in enumerate(monos))
     return Sum(parts), start + len(parts)
 

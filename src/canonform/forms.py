@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 
 from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
@@ -43,17 +42,20 @@ def index_set(n: int, d: int) -> list[MultiIndex]:
     Within the fixed degree this is descending lexicographic order, so for
     binary forms the sequence is (d,0), (d-1,1), ..., (0,d).
     """
+    return list(_monomials(n, d))
+
+
+@functools.cache
+def _monomials(n: int, d: int) -> tuple[MultiIndex, ...]:
+    """index_set(n, d) as a shared tuple, for callers that only read it."""
     if n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in index_set(n - 1, d - first):
-            out.append((first,) + rest)
-    return out
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in _monomials(n - 1, d - first))
 
 
 @functools.cache
@@ -153,16 +155,7 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._require_same_shape(other)
-        out = dict(self._a)
-        for idx, v in other._a.items():
-            s = out.get(idx, 0) + v
-            if not s:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        if self._a and other._a and self.exact != other.exact:
-            return Form(self.n, self.d, out)  # mixed: survivors pick the backend
-        return _trusted(self.n, self.d, out, self.exact and other.exact)
+        return _sum_into(dict(self._a), self, other)
 
     def __neg__(self) -> "Form":
         return _trusted(self.n, self.d, {i: -v for i, v in self._a.items()},
@@ -187,17 +180,22 @@ class Form:
                 raise ShapeMismatch("variable counts differ")
             if self.exact and other.exact:
                 return _exact_product(self, other)
-            # float sums keep graded-lex order
-            mine, theirs = ([(i, v * multinomial(i)) for i, v in f.items()]
+            # float sums keep graded-lex order of (i, j), which is descending
+            # code order; each sum is divided once by its multinomial
+            n, d = self.n, self.d + other.d
+            mine, theirs = (sorted(((_pack(i, d + 1), v * multinomial(i))
+                                    for i, v in f._a.items()), reverse=True)
                             for f in (self, other))
-            raw: dict[MultiIndex, Scalar] = {}
+            raw: dict[int, Scalar] = {}
             for i, u in mine:
                 for j, v in theirs:
-                    k = tuple(map(add, i, j))
-                    raw[k] = raw.get(k, 0) + u * v
-            return _trusted(self.n, self.d + other.d,
-                            {k: s for k, v in raw.items()
-                             if (s := v / multinomial(k))}, False)
+                    raw[i + j] = raw.get(i + j, 0) + u * v
+            table, out = _Codes(n, d), {}
+            for k, v in raw.items():
+                idx, m = table[k]
+                if s := v / m:
+                    out[idx] = s
+            return _trusted(n, d, out, False)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -237,7 +235,7 @@ class Form:
             # a vector-matrix product that repeats the scalar steps below value
             # for value (linear_form, one * lin, scale, running sum)
             one = QQi(1) if self.exact else 1 + 0j
-            unit, out = index_set(n_new, 1), {}
+            unit, out = _monomials(n_new, 1), {}
             for idx, v in self.items():
                 rawc = v * 1
                 for k, w in zip(unit, rows[idx.index(1)]):
@@ -255,13 +253,16 @@ class Form:
             for _ in range(max((idx[k] for idx in self._a), default=0)):
                 cache.append(cache[-1] * lins[k])
             powers.append(cache)
-        out = Form.zero(n_new, self.d)
+        # terms[idx[:k]] is the product over the first k variables, shared by
+        # the monomials that start with those exponents
+        out, terms = Form.zero(n_new, self.d), {(): unit_form}
         for idx, rawc in self.raw_items():
-            term = unit_form
             for k, e in enumerate(idx):
-                if e:
-                    term = powers[k][e] if term is unit_form else term * powers[k][e]
-            out = out + term.scale(rawc)
+                if (head := idx[:k + 1]) not in terms:
+                    term = terms[idx[:k]]
+                    terms[head] = (term if not e else powers[k][e]
+                                   if term is unit_form else term * powers[k][e])
+            out = _sum_into(out._a, out, terms[idx].scale(rawc))
         return out
 
     def partial(self, j: int) -> "Form":
@@ -326,6 +327,22 @@ def _trusted(n: int, d: int, a: dict, exact: bool) -> Form:
     return f
 
 
+def _sum_into(out: dict, p: Form, q: Form) -> Form:
+    """p + q, summed into out: a copy of p's coefficients, or p's own dict
+    where p is a running sum that nothing else holds."""
+    mixed = p._a and q._a and p.exact != q.exact
+    for idx, v in q._a.items():
+        s = out.get(idx, 0) + v
+        if not s:
+            out.pop(idx, None)
+        else:
+            out[idx] = s
+    if mixed:
+        return Form(p.n, p.d, out)  # mixed: survivors pick the backend
+    return _trusted(p.n, p.d, out, p.exact and q.exact)
+
+
+@functools.cache
 def _pack(idx: MultiIndex, base: int) -> int:
     """idx as the digits of one int in base: while every exponent stays
     below base, a product monomial's code is the sum of its factors'."""
@@ -333,6 +350,21 @@ def _pack(idx: MultiIndex, base: int) -> int:
     for e in idx:
         code = code * base + e
     return code
+
+
+@functools.cache
+class _Codes(dict):
+    """Packed code in base d + 1 -> (index, multinomial) for shape (n, d),
+    entered when first read: a sparse product lists no other monomial."""
+
+    def __init__(self, n: int, d: int):
+        self.n, self.base = n, d + 1
+
+    def __missing__(self, code: int) -> tuple[MultiIndex, int]:
+        idx = tuple(code // self.base ** s % self.base
+                    for s in range(self.n - 1, -1, -1))
+        self[code] = entry = (idx, multinomial(idx))
+        return entry
 
 
 def _exact_product(p: Form, q: Form) -> Form:
@@ -352,11 +384,11 @@ def _exact_product(p: Form, q: Form) -> Form:
             k = i + j
             re[k] = re.get(k, 0) + a * c - b * e
             im[k] = im.get(k, 0) + a * e + b * c
-    out = {}
+    table, out = _Codes(n, d), {}
     for k, x in re.items():
         if x or im[k]:
-            idx = tuple(k // base ** s % base for s in range(n - 1, -1, -1))
-            out[idx] = _normalised(x, im[k], den * multinomial(idx))
+            idx, m = table[k]
+            out[idx] = _normalised(x, im[k], den * m)
     return _trusted(n, d, out, True)
 
 
@@ -383,7 +415,7 @@ def linear_form(coeffs) -> Form:
 def linear_coeffs(f: Form) -> list[Scalar]:
     if f.d != 1:
         raise ShapeMismatch("not a linear form")
-    return [f.raw(idx) for idx in index_set(f.n, 1)]
+    return [f.raw(idx) for idx in _monomials(f.n, 1)]
 
 
 def power_of_linear(alpha, d: int) -> Form:
@@ -391,7 +423,7 @@ def power_of_linear(alpha, d: int) -> Form:
     al = [as_scalar(v) for v in alpha]
     n = len(al)
     coeffs = {}
-    for idx in index_set(n, d):
+    for idx in _monomials(n, d):
         v: Scalar = QQi(1)
         for k, e in enumerate(idx):
             if e:
@@ -416,7 +448,7 @@ def random_form(n: int, d: int, rng, lo: int = -9, hi: int = 9,
     convention used for the numeric experiments.
     """
     coeffs = {}
-    for idx in index_set(n, d):
+    for idx in _monomials(n, d):
         re = rng.randint(lo, hi)
         im = rng.randint(lo, hi) if gaussian else 0
         coeffs[idx] = QQi(Fraction(re), Fraction(im))
@@ -460,7 +492,7 @@ def biermann_point(p: Form, eps: float = EPS_DEFAULT) -> MultiIndex:
     if p.is_zero():
         raise ZeroForm("the zero form vanishes on the whole grid")
     scale = p.norm() * float(p.d + 1) ** p.d
-    for idx in index_set(p.n, p.d):
+    for idx in _monomials(p.n, p.d):
         if not scalar_is_zero(p.evaluate(idx), eps, scale):
             return idx
     raise ZeroForm("no nonvanishing grid point found")
@@ -788,6 +820,8 @@ def parse_scalar(text: str) -> QQi:
     """Parse a scalar in the form grammar: a sum without a variable, such as
     -3, 1/2, .5, 1e3, i, 2*i, (1-2*i) or (1+i)^2."""
     try:
+        if (digits := text.strip()).isdecimal():  # what the reader reads as int
+            return QQi(_parse_rational(digits))
         products = _Reader(text).read()
     except ParseError as exc:
         raise ParseError(f"cannot parse scalar {text!r}: {exc}") from None

@@ -58,3 +58,25 @@ def test_certify_round_keeps_its_reference_digests(monkeypatch):
         assert code == ref["exit"], req.argv
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
             ref["sha256"], req.argv
+
+
+def test_decompose_pool_keeps_its_reference_digests(monkeypatch):
+    """Every decompose request with an exact reference keeps its digest, and
+    variant 0 of every slot passes the bench's own check."""
+    refs = json.loads((BENCH / "reference.json").read_text())["requests"]
+    workloads = _bench_module(monkeypatch, "workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it
+    checks = _bench_module(monkeypatch, "checks")
+    exact = [req for req in workloads.decompose_pool() if refs[req.key]["exact"]]
+    assert exact
+    first = [workloads.decompose_request(slot, 0)
+             for slot in workloads.DECOMPOSE_SLOTS]
+    for req in exact + first:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(req.argv))
+        ref = refs[req.key]
+        assert code == ref["exit"], req.argv
+        if ref["exact"]:
+            assert checks.digest(out.getvalue()) == ref["sha256"], req.argv
+        assert checks.check(req, code, out.getvalue(), ref) is None, req.argv

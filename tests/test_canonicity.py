@@ -398,8 +398,9 @@ def test_points_are_unisolvent_mod_p(n):
 
 
 def _over_degree_map() -> ParamMap:
-    """A quartic expression declared quadratic: in base 3 the quartic codes
-    of x^1*y^3 and y^4 are those of x^2 and x*y."""
+    """A quartic expression declared quadratic: its static degree is 4, not
+    the declared 2, and its quartic coefficients lie outside the quadratic
+    monomials that the Jacobian rows read."""
     lin = Sum((Param(0, (1, 0)), Param(1, (0, 1))))
     return ParamMap("overdeg", 2, 2, 3,
                     Sum((Pow(lin, 4), Prod((Param(2, (0, 0)), Pow(lin, 4))))))

@@ -7,6 +7,7 @@ order.  The operations must give the same indices, bit-equal floats and the
 same backend tag.
 """
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi
-from canonform.forms import Form, index_set, linear_form
+from canonform.forms import Form, _trusted, index_set, linear_form, multinomial
 from canonform.scalars import as_scalar
 
 props = settings(max_examples=150, deadline=None, derandomize=True)
@@ -228,3 +229,131 @@ def test_substitute_matches_reference(data, n, n_new, d, backend, entries):
               "mixed": st.one_of(exact_values, outside_values)}[entries]
     m = [[data.draw(values) for _ in range(n_new)] for _ in range(n)]
     assert bits(p.substitute(m)) == bits(ref_substitute(p, m))
+
+
+# -- the float kernels against their tuple-keyed versions ------------------------
+#
+# The float product and the general substitution sum under packed monomial
+# codes, in place.  These are the versions they replaced, kept as the
+# reference: the results must match value bits and dict order, since a
+# later sum runs in that order.
+
+
+def tuple_keyed_add(p, q):
+    out = dict(p._a)
+    for idx, v in q._a.items():
+        s = out.get(idx, 0) + v
+        if not s:
+            out.pop(idx, None)
+        else:
+            out[idx] = s
+    if p._a and q._a and p.exact != q.exact:
+        return Form(p.n, p.d, out)
+    return _trusted(p.n, p.d, out, p.exact and q.exact)
+
+
+def tuple_keyed_mul(p, q):
+    if p.exact and q.exact:
+        return p * q
+    mine, theirs = ([(i, v * multinomial(i)) for i, v in f.items()]
+                    for f in (p, q))
+    raw = {}
+    for i, u in mine:
+        for j, v in theirs:
+            k = tuple(map(operator.add, i, j))
+            raw[k] = raw.get(k, 0) + u * v
+    return _trusted(p.n, p.d + q.d, {k: s for k, v in raw.items()
+                                     if (s := v / multinomial(k))}, False)
+
+
+def tuple_keyed_substitute(p, m):
+    """The general path of Form.substitute, one copy of the sum per term."""
+    n_new = len(m[0])
+    lins = [linear_form([as_scalar(v) for v in row]) for row in m]
+    unit_form = Form(n_new, 0, {(0,) * n_new: QQi(1)})
+    powers = []
+    for k in range(p.n):
+        cache = [unit_form]
+        for _ in range(max((idx[k] for idx in p._a), default=0)):
+            cache.append(tuple_keyed_mul(cache[-1], lins[k]))
+        powers.append(cache)
+    out = Form.zero(n_new, p.d)
+    for idx, rawc in p.raw_items():
+        term = unit_form
+        for k, e in enumerate(idx):
+            if e:
+                term = (powers[k][e] if term is unit_form
+                        else tuple_keyed_mul(term, powers[k][e]))
+        out = tuple_keyed_add(out, term.scale(rawc))
+    return out
+
+
+def ordered_bits(p: Form):
+    """bits(p) with the coefficients listed in dict order."""
+    n, d, exact, values = bits(p)
+    return n, d, exact, list(values.items())
+
+
+# small halves and signed zeros, so that sums cancel to exact zero and -0.0
+# parts meet +0.0 ones
+cancelling = st.builds(complex, st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0,
+                                                 3.0, -3.0]),
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]))
+kernel_values = st.one_of(cancelling, approx_values)
+
+
+@st.composite
+def kernel_forms(draw, n, d, values):
+    dense = draw(st.booleans())
+    return Form(n, d, {i: draw(values)
+                       for i in draw(st.permutations(index_set(n, d)))
+                       if dense or draw(st.booleans())})
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Forms with n <= 6 and degrees summing to at most 4.  The second
+    factor may be the first with its last variable negated, so that the
+    product's odd part cancels."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    p = draw(kernel_forms(n, d, kernel_values))
+    if draw(st.booleans()):
+        return p, Form(n, d, {i: -v if i[-1] % 2 else v for i, v in p.items()})
+    e = draw(st.integers(0, 4 - d))
+    return p, draw(kernel_forms(n, e, st.one_of(kernel_values, exact_values)))
+
+
+@props
+@given(pq=kernel_pairs())
+def test_float_product_keeps_tuple_keyed_bits_and_order(pq):
+    p, q = pq
+    if p.d + q.d <= 4:
+        assert ordered_bits(p * q) == ordered_bits(tuple_keyed_mul(p, q))
+        assert ordered_bits(q * p) == ordered_bits(tuple_keyed_mul(q, p))
+
+
+@props
+@given(data=st.data(), n=st.integers(1, 6), n_new=st.integers(1, 6),
+       d=st.integers(0, 4),
+       entries=st.sampled_from(["approx", "equal rows", "mixed rows"]))
+def test_substitution_keeps_tuple_keyed_bits_and_order(data, n, n_new, d, entries):
+    # "equal rows": the pure powers c x1^d - c x2^d + c x3^d ... under one
+    # row each, so the running sum cancels to exact zero every second term.
+    # "mixed rows": an exact form under a matrix whose rows are each exact
+    # or float, so that the running sum meets terms of both backends
+    if entries == "approx":
+        p = data.draw(kernel_forms(n, d, kernel_values))
+        m = [[data.draw(kernel_values) for _ in range(n_new)] for _ in range(n)]
+    elif entries == "equal rows":
+        c = data.draw(cancelling.filter(bool))
+        p = Form(n, d, {i: c * (-1) ** i.index(d) for i in index_set(n, d)
+                        if d in i})
+        m = [[data.draw(cancelling) for _ in range(n_new)]] * n
+    else:
+        p = data.draw(kernel_forms(n, d, exact_values))
+        m = [[data.draw(values) for _ in range(n_new)]
+             for values in data.draw(st.lists(
+                 st.sampled_from([exact_values, kernel_values]),
+                 min_size=n, max_size=n))]
+    assert ordered_bits(p.substitute(m)) == \
+        ordered_bits(tuple_keyed_substitute(p, m))

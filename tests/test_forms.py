@@ -15,9 +15,9 @@ from canonform import (QQi, ZeroForm, biermann_point, binary_factor, dim,
                        parse_form, power_of_linear, random_form)
 from canonform.errors import DegenerateStage, ParseError, ShapeMismatch
 from canonform.binary import sylvester_decompose, two_squares_all
-from canonform.forms import (Decomposition, Form, Term, form_from_json,
-                             form_to_json, monomial_form, parse_decomposition,
-                             parse_scalar)
+from canonform.forms import (Decomposition, Form, Term, _Reader,
+                             form_from_json, form_to_json, monomial_form,
+                             parse_decomposition, parse_scalar)
 from canonform.linalg import exact_inverse
 from canonform.multivar import quartic_lift, slinky, slowpoke
 from canonform.scalars import MOD_P, SNAP_MAX_DEN, format_scalar, snap_scalar
@@ -34,6 +34,15 @@ def test_index_set_examples():
     assert index_set(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert len(index_set(3, 4)) == 15
     assert index_set(1, 5) == [(5,)]
+
+
+def test_index_set_returns_a_fresh_list():
+    first = index_set(3, 2)
+    first.append((9, 9, 9))
+    first[0] = (0, 0, 0)
+    assert index_set(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0),
+                               (0, 1, 1), (0, 0, 2)]
+    assert index_set(3, 2) is not index_set(3, 2)
 
 
 def test_index_set_length_matches_recursive_count():
@@ -288,6 +297,39 @@ def test_parse_scalar(text, value):
 def test_parse_scalar_rejects(text):
     with pytest.raises(ParseError, match="cannot parse scalar"):
         parse_scalar(text)
+
+
+def _reader_scalar(text):
+    """parse_scalar through the reader alone, without its digit fast path."""
+    try:
+        products = _Reader(text).read()
+    except ParseError as exc:
+        raise ParseError(f"cannot parse scalar {text!r}: {exc}") from None
+    if any(expo for _, expo, _ in products):
+        raise ParseError(f"cannot parse scalar {text!r}: it has a variable")
+    return sum((c for c, _, _ in products), QQi(0))
+
+
+def _outcome(read, text):
+    try:
+        return "value", read(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+# the fast path takes str.isdecimal text, which is what the reader's \d+
+# matches: '٥' (Arabic-Indic five) is a digit to both, '²' (superscript
+# two) to neither, and 1_000 is not an integer literal here
+@pytest.mark.parametrize("text,kind", [
+    ("5", "value"), ("05", "value"), ("+5", "value"), ("-5", "value"),
+    (" 5 ", "value"), ("\t5\n", "value"), ("1_000", "error"),
+    ("\u0665", "value"), ("\u00b2", "error"), ("5/1", "value"),
+    ("5" * 5000, "error"), ("", "error"), (" ", "error"),
+])
+def test_parse_scalar_fast_path_reads_as_the_reader(text, kind):
+    got = _outcome(parse_scalar, text)
+    assert got == _outcome(_reader_scalar, text)
+    assert got[0] == kind
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
