@@ -37,18 +37,14 @@ def _poly_derivative(u: list[Scalar]) -> list[Scalar]:
     return [u[j] * j for j in range(1, len(u))]
 
 
-def _poly_mod(a: list, b: list, eps: float) -> list:
-    """Remainder of a / b over the scalar field, with relative zero chopping."""
-    a = list(a)
-    scale = max((abs(complex(v)) for v in a + b), default=1.0)
-    exact = all(is_exact(v) for v in a + b)
-
+def _poly_mod(a: list, b: list) -> list:
+    """Remainder of a / b over the Gaussian rationals, zero tail dropped."""
     def trim(u):
-        while u and (not u[-1] if exact else abs(complex(u[-1])) <= eps * scale):
+        while u and not u[-1]:
             u.pop()
         return u
 
-    a, b = trim(a), trim(list(b))
+    a, b = trim(list(a)), trim(list(b))
     while len(a) >= len(b) > 0:
         f = a[-1] / b[-1]
         shift = len(a) - len(b)
@@ -81,7 +77,7 @@ def _binary_squarefree(h: Form, eps: float) -> bool:
     while True:
         if not b or all(not v for v in b):
             return len(a) <= 1
-        a, b = b, _poly_mod(a, b, eps)
+        a, b = b, _poly_mod(a, b)
 
 
 # -- Sylvester's algorithm ----------------------------------------------------
@@ -616,57 +612,50 @@ def _mc_starts(seed: int, first: int, size: int, n: int) -> np.ndarray:
     return buf[:, :n] + 1j * buf[:, n:]
 
 
-def _row_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products of two stacks of raw coefficient vectors.
-
-    A shift-and-add convolution, so row i of the result depends only on
-    row i of a and b.
-    """
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=complex)
-    for j in range(b.shape[1]):
-        out[:, j:j + a.shape[1]] += a * b[:, j, None]
-    return out
-
-
-def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise k-th powers of a stack of binary forms."""
-    out = np.ones((len(rows), 1), dtype=complex)
-    for _ in range(k):
-        out = _row_mul(out, rows)
-    return out
-
-
 def _mc_system(d: int, e: list[int], fixed_forms, p: Form):
     """Newton residuals and Jacobians for membership in the mixed-power shape.
 
-    Binary forms are raw coefficient vectors (ascending y-exponent), so
-    products are convolutions and monomial multiples are shifts.  The
+    A binary form is held by its values at the d+1 points (1, w^i), w =
+    exp(2 pi i/(d+1)): coefficients z_j (ascending y-exponent) have the
+    values sum_j z_j w^(ij).  Products and powers are pointwise, and every
+    array operation is elementwise within a row.  The values determine the
+    form, so the Newton steps are those of the coefficient equations.  The
     returned function maps a (K, N) stack of unknowns, the multipliers t_j
-    then the coefficients of each f_k, to the (K, d+1) residuals, the
-    (K, d+1, N) Jacobians and the (K, len(e), d+1) powers f_k^(d/e_k).
+    then the coefficients of each f_k, to the (K, d+1) values of the
+    residual F(z) - p, the (K, d+1, N) Jacobians and the (K, len(e), d+1)
+    values of the powers f_k^(d/e_k).
     """
     m = len(fixed_forms)
-    lins = np.array([[complex(v) for v in linear_coeffs(lin)]
-                     for lin in fixed_forms], dtype=complex).reshape(m, 2)
-    fixed_vecs = _row_power(lins, d)
-    target = np.array([complex(p.raw((d - j, j))) for j in range(d + 1)])
+    idx = np.arange(d + 1)
+    waves = np.exp(2j * np.pi / (d + 1) * (np.outer(idx, idx) % (d + 1)))
+
+    def values(coeffs):
+        out = coeffs[..., :1] * waves[0]
+        for j in range(1, coeffs.shape[-1]):
+            out += coeffs[..., j, None] * waves[j]
+        return out
+
+    fixed_vals = [values(np.array(linear_coeffs(lin), dtype=complex)) ** d
+                  for lin in fixed_forms]
+    target = values(np.array([p.raw((d - j, j)) for j in range(d + 1)],
+                             dtype=complex))
 
     def system(z):
         res = np.zeros((len(z), d + 1), dtype=complex)
-        jac = np.zeros((len(z), d + 1, z.shape[1]), dtype=complex)
+        jac = np.empty((len(z), d + 1, z.shape[1]), dtype=complex)
         powers = np.empty((len(z), len(e), d + 1), dtype=complex)
         for i in range(m):
-            res += z[:, i, None] * fixed_vecs[i]
-            jac[:, :, i] = fixed_vecs[i]
+            res += z[:, i, None] * fixed_vals[i]
+            jac[:, :, i] = fixed_vals[i]
         at = m
         for k, ek in enumerate(e):
-            block = z[:, at:at + ek + 1]
-            lower = _row_power(block, d // ek - 1)
-            powers[:, k] = _row_mul(lower, block)
+            f = values(z[:, at:at + ek + 1])
+            lower = f if d == 2 * ek else f ** (d // ek - 1)
+            np.multiply(lower, f, out=powers[:, k])
             res += powers[:, k]
             slope = (d // ek) * lower
-            for ell in range(ek + 1):
-                jac[:, ell:ell + slope.shape[1], at + ell] = slope
+            for j in range(ek + 1):
+                np.multiply(slope, waves[j], out=jac[:, :, at + j])
             at += ek + 1
         return res - target, jac, powers
 
@@ -698,9 +687,10 @@ def _solve_rows(jac: np.ndarray, r: np.ndarray):
 def _mc_newton(system, z: np.ndarray, scale: float) -> np.ndarray:
     """At most 60 Newton steps on each row of z, in place; the converged mask.
 
-    Rows whose residual reaches 1e-12*scale leave the active set, as do
-    rows whose solve fails, which count as not converged.  Diverging rows
-    overflow to inf or nan without a warning and never converge.
+    Rows whose largest residual value (see _mc_system) reaches 1e-12*scale
+    leave the active set, as do rows whose solve fails, which count as not
+    converged.  Diverging rows overflow to inf or nan without a warning and
+    never converge.
     """
     converged = np.zeros(len(z), dtype=bool)
     active = np.arange(len(z))
@@ -730,11 +720,12 @@ def _signature_hits(ts, powers, found_ts, found_powers, groups,
                     tol: float = 1e-6) -> np.ndarray:
     """(S, F) table: does new signature s match found signature f?
 
-    A signature is a solution's multipliers t_j and its powers f_k^(d/e_k).
-    Two match when the multipliers agree and, within each group of like
-    summands, every new power pairs with a distinct found power, taking
-    the first free hit in order.  Agreement is a max-abs difference of at
-    most tol times the new signature's largest entry (or 1).
+    A signature is a solution's multipliers t_j and the values of its
+    powers f_k^(d/e_k) at the points of _mc_system.  Two match when the
+    multipliers agree and, within each group of like summands, every new
+    power pairs with a distinct found power, taking the first free hit in
+    order.  Agreement is a max-abs difference of at most tol times the new
+    signature's largest entry (or 1).
     """
     scale = np.maximum(np.max(np.abs(ts), axis=1, initial=1.0),
                        np.max(np.abs(powers), axis=(1, 2)))

@@ -24,7 +24,6 @@ from .forms import (Form, MultiIndex, _monomials, dim, index_set,
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
                       is_exact, mod_p, power, scalars_close)
-from .scalars import MOD_I  # noqa: F401  (importable from here, as before)
 
 # -- expression tree -----------------------------------------------------------
 

@@ -544,8 +544,7 @@ def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
                           scale=max(abs(complex(v)) for v in linear_coeffs(t.base))):
             raise DegenerateStage(1, "a cube misses x_n (t_mn = 0)")
         terms.append(Term(t.multiplier / (4 * tail), t.base, 4))
-    q = p.approx() if not all(is_exact(t.multiplier) and t.base.exact
-                              for t in terms) else p
+    q = p.approx()
     for t in terms:
         q = q - t.form()
     residual = _eliminate(q, [last], max(1e-6, eps), p.norm())

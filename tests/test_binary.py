@@ -28,6 +28,47 @@ def assert_starts_match_default_rng(seed, first, size, n):
         assert row.tobytes() == want.tobytes(), (seed, first, i, n)
 
 
+def _row_mul(a, b):
+    """Row-wise products of two stacks of raw coefficient vectors."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
+def _row_power(rows, k):
+    """Row-wise k-th powers of a stack of binary forms."""
+    out = np.ones((len(rows), 1), dtype=complex)
+    for _ in range(k):
+        out = _row_mul(out, rows)
+    return out
+
+
+def coefficient_system(d, e, lins, target, z):
+    """The counter's equations on raw coefficient vectors, by convolution.
+
+    Returns the (K, d+1) residuals, (K, d+1, N) Jacobians and (K, len(e),
+    d+1) powers f_k^(d/e_k), each as coefficients (ascending y-exponent).
+    """
+    fixed = _row_power(lins, d)
+    res = np.zeros((len(z), d + 1), dtype=complex)
+    jac = np.zeros((len(z), d + 1, z.shape[1]), dtype=complex)
+    powers = np.empty((len(z), len(e), d + 1), dtype=complex)
+    for i in range(len(lins)):
+        res += z[:, i, None] * fixed[i]
+        jac[:, :, i] = fixed[i]
+    at = len(lins)
+    for k, ek in enumerate(e):
+        block = z[:, at:at + ek + 1]
+        lower = _row_power(block, d // ek - 1)
+        powers[:, k] = _row_mul(lower, block)
+        res += powers[:, k]
+        for ell in range(ek + 1):
+            jac[:, ell:ell + lower.shape[1], at + ell] = (d // ek) * lower
+        at += ek + 1
+    return res - target, jac, powers
+
+
 def node_of(term):
     cx, cy = term.base.raw((1, 0)), term.base.raw((0, 1))
     return cx, cy
@@ -442,6 +483,12 @@ class TestMonteCarlo:
         assert count_reps_monte_carlo(6, [3, 2], 0, trials=777, seed=0) == 31
         assert count_reps_monte_carlo(4, [2], 2, trials=400, seed=123) == 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pinned_estimates_with_random_fixed_forms(self, seed):
+        # m > 2: the fixed forms after x and y are drawn from the seed's rng
+        assert count_reps_monte_carlo(6, [2], 4, trials=3000, seed=seed) == 5
+        assert count_reps_monte_carlo(4, [1], 3, seed=seed) == 1
+
     def test_count_does_not_depend_on_batch_size(self, monkeypatch):
         # Neither budget is a multiple of 7, so the last batch is partial;
         # (6;[2,1,1];0) pairs its two like summands in the dedup.
@@ -534,6 +581,42 @@ class TestMonteCarlo:
             alone = z[i:i + 1].copy()
             assert binary._mc_newton(system, alone, 1.0)[0] == converged[i]
             assert np.array_equal(alone[0], stacked[i])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 30), data=st.data())
+    def test_system_values_are_the_coefficient_system_evaluated(self, d,
+                                                                data):
+        # E[i, j] = w^(ij) evaluates a raw coefficient vector at (1, w^i)
+        divisors = [k for k in range(1, d) if d % k == 0]
+        e, m = [], d + 1
+        while not e or data.draw(st.booleans()):
+            fits = [k for k in divisors if k + 1 <= m]
+            if not fits:
+                break
+            e.append(data.draw(st.sampled_from(fits)))
+            m -= e[-1] + 1
+        e.sort(reverse=True)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        lins, z = gaussian(m, 2), gaussian(4, d + 1)
+        p = Form(2, d, {(d - j, j): complex(v)
+                        for j, v in enumerate(gaussian(d + 1))})
+        target = np.array([complex(p.raw((d - j, j))) for j in range(d + 1)])
+        system = binary._mc_system(d, e, [linear_form(list(map(complex, row)))
+                                          for row in lins], p)
+        evaluate = np.exp(2j * np.pi / (d + 1)
+                          * np.outer(np.arange(d + 1), np.arange(d + 1)))
+        # the residual, Jacobian and powers hold their d+1 values on axis 1,
+        # 1 and 2
+        for got, want, axis in zip(system(z), coefficient_system(
+                d, e, lins, target, z), (1, 1, 2)):
+            want = np.moveaxis(evaluate @ np.moveaxis(want, axis, -2), -2,
+                               axis)
+            err = np.max(np.abs(got - want), axis=axis)
+            assert np.all(err <= 1e-9 * np.max(np.abs(want), axis=axis))
 
     def test_signature_hits_match_the_pairwise_loop(self):
         # Reference: the pairwise greedy match the counter used per trial.

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi, canonicity, dim, parse_form
-from canonform.canonicity import (MOD_I, MOD_P, CertifyReport,
+from canonform.canonicity import (MOD_P, CertifyReport,
                                   HyperplaneVerdict, Param, ParamMap, Pow,
                                   Prod, Sum, build_map, catalog_names,
                                   hyperplane_classify, hyperplane_form,
@@ -16,7 +16,8 @@ from canonform.canonicity import (MOD_I, MOD_P, CertifyReport,
 from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from canonform.forms import index_set
 from canonform.linalg import exact_rank, mat_det, modp_rank
-from canonform.scalars import EPS_DEFAULT, as_scalar, mod_p, scalar_is_zero
+from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p,
+                               scalar_is_zero)
 
 
 def test_unknown_name():

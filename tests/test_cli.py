@@ -804,3 +804,18 @@ def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):
         capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "DegenerateInput: reconstruction check failed\n"
+
+
+@pytest.mark.parametrize("form,l2,message", [
+    ("x^4 + y^4", "y", "coefficient a1 vanishes after the change of variables"),
+    ("x^4 + x^3*y + y^4", "y",
+     "coefficient a3 vanishes after the change of variables"),
+    ("x^4 + x^3*y + 2*x^2*y^2 + 2*x*y^3 + y^4", "y",
+     "the quadratic for t2/t1 has a repeated root"),
+    ("x^4 + x^3*y + y^4", "2*x", "fixed linear forms are proportional"),
+])
+def test_quartic_two_fixed_degenerate_exits(capsys, form, l2, message):
+    code, out, err = run_cli(["decompose", "quartic-two-fixed", form,
+                              "--l1", "x", "--l2", l2], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"DegenerateInput: {message}\n"

@@ -308,5 +308,5 @@ def test_mod_p_has_no_image_for_inexact_values_or_a_denominator_of_p(v):
 
 
 def test_canonicity_reads_the_one_modular_image():
-    assert canonicity.MOD_P is MOD_P and canonicity.MOD_I is MOD_I
+    assert canonicity.MOD_P is MOD_P
     assert canonicity.mod_p is mod_p and canonicity._NoImage is _NoImage
