@@ -30,93 +30,38 @@ from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
                       scalar_is_zero, scalar_sqrt)
 
-# -- squarefree testing -------------------------------------------------------
-
-
-def _poly_derivative(u: list[Scalar]) -> list[Scalar]:
-    return [u[j] * j for j in range(1, len(u))]
-
-
-def _poly_mod(a: list, b: list) -> list:
-    """Remainder of a / b over the Gaussian rationals, zero tail dropped."""
-    def trim(u):
-        while u and not u[-1]:
-            u.pop()
-        return u
-
-    a, b = trim(list(a)), trim(list(b))
-    while len(a) >= len(b) > 0:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for j in range(len(b)):
-            a[shift + j] = a[shift + j] - f * b[j]
-        a.pop()
-        trim(a)
-    return a
-
-
-def _binary_squarefree(h: Form, eps: float) -> bool:
-    """gcd(h, h') constant, counting the root at infinity.
-
-    Exact inputs use the Euclidean gcd; approximate ones decide by root
-    clustering, which is the stable version of the same question.
-    """
-    if not h.exact:
-        try:
-            _, factors = binary_factor(h, eps)
-        except (ZeroForm, ShapeMismatch):
-            return False
-        return all(mult == 1 for _, mult in factors)
-    d = h.d
-    u = [h.raw((d - j, j)) for j in range(d + 1)]
-    m = next((j for j in range(len(u) - 1, -1, -1) if u[j]), -1)
-    if m < 0 or d - m > 1:
-        return False
-    u = u[:m + 1]
-    a, b = u, _poly_derivative(u)
-    while True:
-        if not b or all(not v for v in b):
-            return len(a) <= 1
-        a, b = b, _poly_mod(a, b)
-
-
 # -- Sylvester's algorithm ----------------------------------------------------
 
 
-def _squarefree_kernel_form(vectors, r: int, eps: float) -> Form | None:
-    """A squarefree form in the span of the kernel vectors, if one exists.
+def _squarefree_nodes(vectors, r: int, eps: float):
+    """Nodes of the first squarefree form in the span of the kernel vectors.
 
     Tries each basis vector, then moment-curve combinations; genericity means
     a handful of integer weights suffice when any squarefree member exists.
+    A candidate h = const * prod(beta x - alpha y) is factored once; its
+    projective nodes (alpha, beta), sorted, come back when every factor is
+    simple, and None when no candidate is squarefree.
     """
-    for v in vectors:
-        h = kernel_vector_form(v)
-        if _binary_squarefree(h, eps):
-            return h
-    if len(vectors) > 1:
-        for k in range(1, r * (r + 2) + 2):
-            combo = [sum(v[j] * (k ** i) for i, v in enumerate(vectors))
-                     for j in range(r + 1)]
-            h = kernel_vector_form(combo)
-            if h and _binary_squarefree(h, eps):
-                return h
+    weights = range(1, r * (r + 2) + 2) if len(vectors) > 1 else ()
+    combos = (kernel_vector_form([sum(v[j] * (k ** i) for i, v in enumerate(vectors))
+                                  for j in range(r + 1)]) for k in weights)
+    for h in itertools.chain(map(kernel_vector_form, vectors), combos):
+        try:
+            _, factors = binary_factor(h, eps)
+        except ZeroForm:
+            continue
+        if any(mult != 1 for _, mult in factors):
+            continue
+        nodes = []
+        for lin, _ in factors:
+            cx, cy = linear_coeffs(lin)
+            alpha, beta = -cy, cx
+            lead = alpha if not scalar_is_zero(alpha, eps) else beta
+            nodes.append((alpha / lead, beta / lead))
+        return sorted(nodes, key=lambda ab: (
+            complex(ab[0]).real, complex(ab[0]).imag,
+            complex(ab[1]).real, complex(ab[1]).imag))
     return None
-
-
-def _nodes_from_annihilator(h: Form, eps: float):
-    """Projective nodes (alpha, beta) with h = const * prod(beta x - alpha y)."""
-    _, factors = binary_factor(h, eps)
-    nodes = []
-    for lin, mult in factors:
-        if mult != 1:
-            raise NotGeneric("annihilator has a repeated factor")
-        cx, cy = linear_coeffs(lin)
-        alpha, beta = -cy, cx
-        lead = alpha if not scalar_is_zero(alpha, eps) else beta
-        nodes.append((alpha / lead, beta / lead))
-    nodes.sort(key=lambda ab: (complex(ab[0]).real, complex(ab[0]).imag,
-                               complex(ab[1]).real, complex(ab[1]).imag))
-    return nodes
 
 
 def _solve_power_multipliers(p: Form, nodes, eps: float):
@@ -131,24 +76,30 @@ def _solve_power_multipliers(p: Form, nodes, eps: float):
 
 
 def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
-    """Write p as a sum of d-th powers of the smallest possible width.
+    """Write p as a sum of d-th powers from the first order that gives one.
 
     Searches orders r = 1, 2, ... for a squarefree kernel form of the
     catalecticant; its linear factors give the nodes, and the multipliers
-    solve a Vandermonde system.  Exact inputs with rational nodes come back
-    exact.
+    solve a Vandermonde system.  By Comas and Seiguer (Found. Comput. Math.
+    11, 2011), when the first order r0 with a kernel has no squarefree kernel
+    form, no order below d - r0 + 2 has one, so exact input goes straight
+    there; approximate input, whose kernels are tolerance decisions, walks on
+    order by order.  A failed solve or check moves on to the next order.
+    Exact inputs with rational nodes come back exact.
     """
     check_decomposable(p, p.n == 2,
                        "Sylvester's algorithm needs a binary form")
-    d = p.d
-    for r in range(1, d + 1):
-        kernel = hankel_kernel(hankel(p, r), eps)
-        if not kernel:
+    d, r, walk = p.d, 1, not p.exact
+    while r <= d:
+        order, r = r, r + 1
+        kernel = hankel_kernel(hankel(p, order), eps)
+        nodes = _squarefree_nodes(kernel, order, eps) if kernel else None
+        if kernel and not walk:
+            walk = True
+            if nodes is None:
+                r = max(r, d - order + 2)  # Comas-Seiguer's jump
+        if nodes is None:
             continue
-        h = _squarefree_kernel_form(kernel, r, eps)
-        if h is None:
-            continue
-        nodes = _nodes_from_annihilator(h, eps)
         lambdas = _solve_power_multipliers(p, nodes, eps)
         if lambdas is None:
             continue
@@ -157,7 +108,7 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
                  if not scalar_is_zero(lam, eps, scale=p.norm())]
         if not terms:
             continue
-        dec = Decomposition(terms, meta={"theorem": "sylvester", "order": r})
+        dec = Decomposition(terms, meta={"theorem": "sylvester", "order": order})
         if not dec.verify(p, max(eps, 1e-7)):
             continue
         if not all(t.base.exact and is_exact(t.multiplier) for t in terms):
@@ -716,20 +667,23 @@ def _max_dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signature_hits(ts, powers, found_ts, found_powers, groups,
-                    tol: float = 1e-6) -> np.ndarray:
+# relative max-abs distance within which two Newton signatures match
+_SIGNATURE_TOL = 1e-6
+
+
+def _signature_hits(ts, powers, found_ts, found_powers, groups) -> np.ndarray:
     """(S, F) table: does new signature s match found signature f?
 
     A signature is a solution's multipliers t_j and the values of its
     powers f_k^(d/e_k) at the points of _mc_system.  Two match when the
     multipliers agree and, within each group of like summands, every new
     power pairs with a distinct found power, taking the first free hit in
-    order.  Agreement is a max-abs difference of at most tol times the new
-    signature's largest entry (or 1).
+    order.  Agreement is a max-abs difference of at most _SIGNATURE_TOL times
+    the new signature's largest entry (or 1).
     """
     scale = np.maximum(np.max(np.abs(ts), axis=1, initial=1.0),
                        np.max(np.abs(powers), axis=(1, 2)))
-    lim = (tol * scale)[:, None]
+    lim = (_SIGNATURE_TOL * scale)[:, None]
     hits = _max_dist(ts, found_ts) <= lim
     for lo, hi in groups:
         close = np.stack([np.stack(

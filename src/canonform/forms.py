@@ -229,22 +229,6 @@ class Form:
             raise ShapeMismatch(f"matrix has {len(m)} rows, need {self.n}")
         n_new = len(m[0])
         rows = [[as_scalar(v) for v in row] for row in m]
-        if self.d == 1 and all(
-                len(row) == n_new and all(is_exact(w) == self.exact for w in row)
-                for row in (rows[idx.index(1)] for idx in self._a)):
-            # a vector-matrix product that repeats the scalar steps below value
-            # for value (linear_form, one * lin, scale, running sum)
-            one = QQi(1) if self.exact else 1 + 0j
-            unit, out = _monomials(n_new, 1), {}
-            for idx, v in self.items():
-                rawc = v * 1
-                for k, w in zip(unit, rows[idx.index(1)]):
-                    lin = w / 1 if self.exact else complex(w / 1)
-                    if lin and (s := (0 + one * (lin * 1)) / 1 * rawc):
-                        out[k] = out.get(k, 0) + s
-                        if not out[k]:
-                            del out[k]
-            return _trusted(n_new, 1, out, self.exact)
         lins = [linear_form(row) for row in rows]
         unit_form = Form(n_new, 0, {(0,) * n_new: QQi(1)})
         powers: list[list[Form]] = []
@@ -583,7 +567,7 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
                 factors.append((linear_form([QQi(0), QQi(1)]), mult))
         else:
             z = complex(t0)
-            if abs(z) > eps:
+            if z:
                 factors.append((linear_form([1 + 0j, -1 / z]), mult))
                 constant = constant * (-z) ** mult
             else:

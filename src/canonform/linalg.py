@@ -282,7 +282,11 @@ def pencil_charpoly(mg: Matrix, mf: Matrix) -> Vector:
 # -- univariate root finding ----------------------------------------------------
 
 
-def poly_roots(coeffs: list[complex], polish_steps: int = 2) -> list[complex]:
+# Newton steps that polish each companion-matrix root
+_POLISH_STEPS = 2
+
+
+def poly_roots(coeffs: list[complex]) -> list[complex]:
     """Roots of c_0 + c_1 t + ... + c_m t^m with c_m != 0 (companion matrix)."""
     c = [complex(v) for v in coeffs]
     m = len(c) - 1
@@ -291,7 +295,7 @@ def poly_roots(coeffs: list[complex], polish_steps: int = 2) -> list[complex]:
     if m == 1:
         return [-c[0] / c[1]]
     roots = [complex(z) for z in np.roots(c[::-1])]
-    for _ in range(polish_steps):
+    for _ in range(_POLISH_STEPS):
         polished = []
         for z in roots:
             val, der = 0j, 0j

@@ -335,8 +335,9 @@ def drab_family(m: int) -> list[Form]:
     return out
 
 
-def _diagonalize_any_quadratic(q: Form, floor: float) -> list[Form]:
-    """Complex linear forms m_k with q = sum m_k^2, rank many; total over C."""
+def _diagonalize_any_quadratic(q: Form, floor: float) -> list[list[complex]]:
+    """Coefficients of complex linear forms m_k with q = sum m_k^2, rank many;
+    total over C."""
     n = q.n
     work = q.approx()
     out = []
@@ -368,12 +369,12 @@ def _diagonalize_any_quadratic(q: Form, floor: float) -> list[Form]:
         qw = complex(work.evaluate(w))
         mw = [sum(complex(m[i][j]) * w[j] for j in range(n)) for i in range(n)]
         root = complex(qw) ** 0.5
-        mform = linear_form([v / root for v in mw])
-        out.append(mform)
+        out.append([v / root for v in mw])
+        mform = linear_form(out[-1])
         work = (work - mform * mform).chop(1e-13)
     # floor shrinks with each slowpoke level, so rounding noise can pass it;
     # the forms made from noise depend on the earlier ones and are dropped
-    while out and not _independent([linear_coeffs(f) for f in out]):
+    while out and not _independent(out):
         out.pop()
     return out
 
@@ -397,13 +398,17 @@ def _complete_basis(rows: list[list[complex]], n: int) -> list[list[complex]]:
     return mat
 
 
-def _slowpoke_rec(p: Form, eps: float, floor: float) -> list[tuple[complex, Form]]:
+def _slowpoke_rec(p: Form, eps: float, floor: float) -> list[tuple[complex, list]]:
+    """Multipliers and linear-form coefficients (mu, l) with p = sum mu l^3."""
     n = p.n
     if p.norm() <= floor:
         return []
     if n == 1:
-        return [(complex(p.raw((3,))), linear_form([1.0 + 0j]))]
-    u = biermann_point(p, eps)
+        return [(complex(p.raw((3,))), [1.0 + 0j])]
+    try:
+        u = biermann_point(p, eps)
+    except ZeroForm:
+        return []  # p is below every grid test: noise the final check judges
     c = complex(p.evaluate(u))
     j0 = max(range(n), key=lambda j: u[j])
     m1 = [[0.0 + 0j] * n for _ in range(n)]
@@ -440,8 +445,7 @@ def _slowpoke_rec(p: Form, eps: float, floor: float) -> list[tuple[complex, Form
     ms = _diagonalize_any_quadratic(h2_form, floor / max(abs(c), 1.0))
     rho = len(ms)
     r = rho + 1
-    rows = [[complex(v) for v in linear_coeffs(mf)] for mf in ms]
-    cmat = _complete_basis(rows, n - 1)
+    cmat = _complete_basis(ms, n - 1)
     cinv = mat_inverse(cmat)
     m3 = [[0.0 + 0j] * n for _ in range(n)]
     m3[0][0] = 1.0 + 0j
@@ -450,40 +454,35 @@ def _slowpoke_rec(p: Form, eps: float, floor: float) -> list[tuple[complex, Form
             m3[i + 1][j + 1] = complex(cinv[i][j])
     p3 = p2.substitute(m3)
 
-    terms: list[tuple[complex, Form]] = []
     if rho == 0:
-        g_forms = [(1.0 + 0j, linear_form([1.0 + 0j] + [0.0 + 0j] * (n - 1)))]
+        terms = [(1.0 + 0j, [1.0 + 0j] + [0.0 + 0j] * (n - 1))]
     else:
         fam = drab_family(rho)
         sr = complex(r) ** 0.5
-        g_forms = []
+        terms = []
         for lf in fam:
             coeffs = [1.0 + 0j] + [0.0 + 0j] * (n - 1)
             fam_coeffs = linear_coeffs(lf)
             for k in range(rho):
                 coeffs[1 + k] = sr * complex(fam_coeffs[k])
-            g_forms.append((1.0 / r, linear_form(coeffs)))
+            terms.append((1.0 / r, coeffs))
     q = p3
-    for mu, lf in g_forms:
-        q = q - (lf ** 3).scale(mu)
-    terms.extend(g_forms)
+    for mu, coeffs in terms:
+        q = q - (linear_form(coeffs) ** 3).scale(mu)
 
     # residual lives in the tail variables; recurse
     q = _eliminate(q, [0], max(1e-7, eps), p3.norm())
     if q is None:
         raise DegenerateStage(n, "slowpoke residual kept y_1")
     q_tail = restrict_form(q, list(range(1, n)))
-    for mu, lf in _slowpoke_rec(q_tail, eps, floor / max(abs(c), 1.0)):
-        coeffs = [0.0 + 0j] + [complex(v) for v in linear_coeffs(lf)]
-        terms.append((mu, linear_form(coeffs)))
+    terms += [(mu, [0.0 + 0j] + coeffs) for mu, coeffs in
+              _slowpoke_rec(q_tail, eps, floor / max(abs(c), 1.0))]
 
     # map back through m1 m2 m3 and rescale by c
     mtot = mat_mul(mat_mul(m1, m2), m3)
     minv = mat_inverse(mtot)
-    out = []
-    for mu, lf in terms:
-        out.append((c * mu, lf.substitute(minv)))
-    return out
+    return [(c * mu, [sum(v * row[j] for v, row in zip(coeffs, minv))
+                      for j in range(n)]) for mu, coeffs in terms]
 
 
 def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
@@ -497,8 +496,7 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     floor = 1e-12 * max(p.norm(), 1.0)
     raw_terms = _slowpoke_rec(p.approx(), eps, floor)
     terms = []
-    for mu, lf in raw_terms:
-        coeffs = [complex(v) for v in linear_coeffs(lf)]
+    for mu, coeffs in raw_terms:
         mag = max(abs(v) for v in coeffs) if coeffs else 0.0
         if mag == 0.0 or abs(mu) * mag ** 3 <= floor:
             continue

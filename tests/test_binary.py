@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi, binary, forms_close, linear_form, parse_form, power_of_linear, random_form
+from canonform.apolarity import hankel
 from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               mixed_decompose, quartic_normalize,
                               quartic_power_ratio, quartic_six_for_form,
@@ -119,6 +120,33 @@ class TestSylvester:
                 assert len(got) == s
                 for g, w in zip(got, want):
                     assert abs(g[0] - w[0]) < 1e-6 and abs(g[1] - w[1]) < 1e-6
+
+    def test_exact_search_skips_the_orders_comas_seiguer_rules_out(
+            self, monkeypatch):
+        # r0 = 3 and order 3 has no squarefree kernel form, so no order below
+        # d - r0 + 2 = 17 has one; approximate kernels are tolerance
+        # decisions, so there the search walks every order
+        orders = []
+
+        def recording(p, r):
+            orders.append(r)
+            return hankel(p, r)
+
+        monkeypatch.setattr(binary, "hankel", recording)
+        p = parse_form("x^18 + 3*x*y^17 + y^18")
+        for form, want in ((p, [1, 2, 3, 17, 18]),
+                           (p.approx(), list(range(1, 19)))):
+            orders.clear()
+            dec = sylvester_decompose(form)
+            assert orders == want
+            assert dec.verify(p, 1e-7)
+
+    def test_repeated_factor_moves_on_to_the_next_candidate(self):
+        # the numeric factorization of a kernel form here finds a repeated
+        # factor; that candidate is passed over, and the search goes on
+        p = parse_form("3/4*x^3 - (4+2*i)*x^2*y + 10471421586*x*y^2 + 7*y^3")
+        dec = sylvester_decompose(p)
+        assert dec.verify(p, 1e-7)
 
     def test_even_degree_width(self):
         rng = random.Random(21)

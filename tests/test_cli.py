@@ -1,8 +1,10 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +16,7 @@ import canonform
 from canonform import cli, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
-from canonform.forms import parse_decomposition
+from canonform.forms import parse_decomposition, var_names
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -819,3 +821,80 @@ def test_quartic_two_fixed_degenerate_exits(capsys, form, l2, message):
                               "--l1", "x", "--l2", l2], capsys=capsys)
     assert (code, out) == (2, "")
     assert err == f"DegenerateInput: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "two-squares", "--", "1/8*x^2 - 207312311173*x*y + 3*y^2"],
+    ["decompose", "sylvester", "--", "-650983368132*x + 4/7*y"],
+    ["decompose", "slowpoke", "--",
+     "- 847344730712*x1*x4^2 + 9*x3^2*x5 - 9*x2*x3*x4 + x1*x2*x3"
+     " + 4.7*x2*x4*x5 + 17837214065*x1*x2*x4 - 8*x1^3"],
+])
+def test_inputs_with_tiny_roots_or_noise_levels_decompose(capsys, argv):
+    # a factor's root below eps in absolute value is not a root at 0, and a
+    # slowpoke level that vanishes on the grid is noise
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, err) == (0, "") and out
+
+
+# algorithm: (variable counts, degrees, extra argv) for the fuzz below
+FUZZ_SHAPES = {
+    "sylvester": ((2,), (1, 2, 3, 4, 5, 6, 7), []),
+    "mixed": ((2,), (2, 3, 4, 5), ["--fixed", "x+2*y"]),
+    "two-squares": ((2,), (2, 4, 6), []),
+    "quartic-six": ((2,), (4,), []),
+    "quartic-two-fixed": ((2,), (4,), ["--l1", "x+y", "--l2", "x-3*y"]),
+    "uppertri": ((2, 3, 4), (2,), []),
+    "reichstein": ((3, 4), (3,), []),
+    "reichstein-step": ((3, 4), (3,), []),
+    "slinky": ((3, 4), (3,), []),
+    "slowpoke": ((3, 4, 5), (3,), []),
+    "quartic-lift": ((3,), (4,), []),
+}
+
+
+def _fuzz_coeff(rng):
+    return rng.choice([
+        lambda: f"({rng.randint(-9, 9)})",
+        lambda: f"({rng.randint(-9, 9)}/{rng.randint(1, 9)})",
+        lambda: f"({rng.randint(-9, 9)}+{rng.randint(1, 9)}*i)",
+        lambda: f"({rng.randint(-10**12, 10**12)})",
+        lambda: f"({rng.randint(-99, 99) / 10})",
+        lambda: "0"])()
+
+
+def _fuzz_form(rng, n, d):
+    names = var_names(n)
+    monos = [idx for idx in canonform.index_set(n, d) if rng.random() < 0.8]
+    return " + ".join(
+        _fuzz_coeff(rng) + "*" + "*".join(
+            f"{names[k]}^{e}" if e > 1 else names[k]
+            for k, e in enumerate(idx) if e)
+        for idx in monos or canonform.index_set(n, d)[:1])
+
+
+def test_seeded_decompose_fuzz_has_no_internal_error():
+    """550 seeded random inputs, 50 per algorithm, on both backends and about
+    a third with --shear: every one exits 0, 1 or 2, never 3."""
+    rng, algos = random.Random(1), list(FUZZ_SHAPES)
+    seen, failures = set(), []
+    for i in range(550):
+        algo = algos[i % len(algos)]
+        ns, ds, extra = FUZZ_SHAPES[algo]
+        n, d = rng.choice(ns), rng.choice(ds)
+        backend = rng.choice(["exact", "approx"])
+        argv = ["--seed", str(rng.randint(0, 99)), "--backend", backend,
+                "decompose", algo] + extra
+        if rng.random() < 0.3:
+            argv.append("--shear")
+        argv += ["--", _fuzz_form(rng, n, d)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        seen.add((algo, backend, "--shear" in argv))
+        if code == 3:
+            failures.append((argv, err.getvalue()))
+    assert not failures, failures[:3]
+    assert {a for a, _, _ in seen} == set(FUZZ_SHAPES)
+    assert {(b, s) for _, b, s in seen} == {(b, s) for b in ("exact", "approx")
+                                          for s in (False, True)}

@@ -239,6 +239,15 @@ def test_binary_factor_x_power_and_reconstruction():
         assert forms_close(got.approx(), q.approx(), 1e-8)
 
 
+def test_binary_factor_keeps_a_tiny_nonzero_root():
+    # the root 1/1234567890123 of p(1, t) is below eps in absolute value but
+    # not zero, so its factor is x - 1234567890123*y, not y
+    p = parse_form("x - 1234567890123*y")
+    c, fs = binary_factor(p)
+    assert [m for _, m in fs] == [1] and fs[0][0].raw((1, 0)) == 1
+    assert forms_close(reconstruct(c, fs).approx(), p.approx(), 1e-12)
+
+
 def test_parse_decomposition_round_trip():
     text = "5*(x+2*y)^3 - 3*(x+3*y)^3"
     dec = parse_decomposition(text)
