@@ -19,7 +19,7 @@ from operator import add
 
 from .enumeration import shape_error
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
-from .forms import (Form, MultiIndex, _monomials, dim, index_set,
+from .forms import (Form, MultiIndex, _monomials, dim,
                     linear_form, monomial_form, multinomial)
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
@@ -30,10 +30,12 @@ from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
 
 @dataclass(frozen=True)
 class Param:
-    """Leaf t_j * x^monomial: the parameter's value weights one monomial."""
+    """Leaf coeff * t_j * x^monomial: the parameter's value weights one
+    monomial, times a constant coefficient."""
 
     index: int
     monomial: MultiIndex
+    coeff: Scalar = 1
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,6 @@ class Prod:
 class Pow:
     base: object
     k: int
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: Scalar
-    part: object
 
 
 class _Values:
@@ -135,8 +131,6 @@ def _degree(node, n: int) -> int | None:
         return sum(node.monomial) if len(node.monomial) == n else None
     if isinstance(node, Fixed):
         return node.form.d if node.form.n == n else None
-    if isinstance(node, Scale):
-        return _degree(node.part, n)
     if isinstance(node, Pow):
         d = _degree(node.base, n)
         return None if d is None else d * node.k
@@ -157,14 +151,11 @@ def _eval_grad(node, t, ring, value: bool = True):
     """
     if isinstance(node, Param):
         mono = ring.monomial(node.monomial)
+        if node.coeff != 1:
+            mono = mono.scale(ring.coeff(node.coeff))
         return mono.scale(t[node.index]), {node.index: mono}
     if isinstance(node, Fixed):
         return ring.fixed(node.form), {}
-    if isinstance(node, Scale):
-        c = ring.coeff(node.coeff)
-        v, g = _eval_grad(node.part, t, ring, value)
-        return v if v is None else v.scale(c), {j: df.scale(c)
-                                                for j, df in g.items()}
     if isinstance(node, Sum):
         vals, grads = zip(*(_eval_grad(p, t, ring, value) for p in node.parts))
         total = reduce(add, vals) if value else None
@@ -361,68 +352,64 @@ def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bo
 # -- catalog --------------------------------------------------------------------
 
 
-def _linear_span(n: int, start: int, positions: list[int]) -> tuple[Sum, int]:
-    """Sum of Param leaves t_j x_k over the given variable positions."""
-    units = [tuple(int(i == k) for i in range(n)) for k in positions]
-    return _monomial_span(n, 1, start, units)
+class _Params:
+    """Allocates a catalog map's Param leaves in order, each with its witness
+    value; None stands for no value, as when no stored witness is known."""
 
+    def __init__(self, n: int):
+        self.n, self.witness = n, []
 
-def _monomial_span(n: int, d: int, start: int,
-                   monomials: list[MultiIndex] | None = None) -> tuple[Sum, int]:
-    """Sum of Param leaves over a monomial list (default: all of I(n,d))."""
-    monos = monomials if monomials is not None else _monomials(n, d)
-    parts = tuple(Param(start + k, tuple(mono)) for k, mono in enumerate(monos))
-    return Sum(parts), start + len(parts)
+    def param(self, mono: MultiIndex | None = None, at=None) -> Param:
+        """The next leaf t_j * x^mono, by default on the constant monomial."""
+        self.witness.append(at)
+        return Param(len(self.witness) - 1,
+                     (0,) * self.n if mono is None else mono)
+
+    def span(self, monos, at: dict | None = None) -> Sum:
+        """Sum of leaves over monos; at maps a monomial to its leaf's witness
+        value (0 when absent), so {x: 1} gives the unit witness."""
+        return Sum(tuple(self.param(mono, None if at is None
+                                    else at.get(mono, 0)) for mono in monos))
+
+    def map(self, name: str, d: int, terms, /, **params) -> ParamMap:
+        """The map Sum(terms) over the leaves made so far; its witness is
+        stored when every leaf has a value."""
+        known = [v is not None for v in self.witness]
+        if any(known) and not all(known):
+            raise ValueError(f"{name} has witness values for only some of "
+                             f"its parameters")
+        return ParamMap(name, self.n, d, len(self.witness), Sum(tuple(terms)),
+                        witness=self.witness if all(known) else None,
+                        params=params)
 
 
 def _build_uppertri(n: int) -> ParamMap:
     if n < 1:
         raise BadShape("uppertri needs n >= 1")
-    terms = []
-    witness = []
-    j = 0
-    for k in range(n):
-        span, j = _linear_span(n, j, list(range(k, n)))
-        terms.append(Pow(span, 2))
-        witness.extend([1 if m == k else 0 for m in range(k, n)])
-    return ParamMap("uppertri", n, 2, j, Sum(tuple(terms)), witness=witness,
-                    params={"n": n})
+    p, x = _Params(n), _monomials(n, 1)
+    return p.map("uppertri", 2, [Pow(p.span(x[k:], {x[k]: 1}), 2)
+                                 for k in range(n)], n=n)
 
 
 def _build_sextican() -> ParamMap:
-    f, j = _monomial_span(2, 3, 0)
-    g, j = _monomial_span(2, 2, j)
-    expr = Sum((Pow(f, 2), Pow(g, 3)))
-    witness = [1, 0, 0, 0, 0, 0, 1]  # f = x^3, g = y^2
-    return ParamMap("sextican", 2, 6, j, expr, witness=witness)
+    p = _Params(2)
+    f = p.span(_monomials(2, 3), {(3, 0): 1})
+    g = p.span(_monomials(2, 2), {(0, 2): 1})
+    return p.map("sextican", 6, [Pow(f, 2), Pow(g, 3)])
 
 
 def _build_wakeford(n: int, d: int) -> ParamMap:
     if n < 2 or d < 3:
         raise BadShape("wakeford needs n >= 2 and d >= 3")
-    xs = []
-    j = 0
-    for _ in range(n):
-        span, j = _linear_span(n, j, list(range(n)))
-        xs.append(span)
-    terms = [Pow(x, d) for x in xs]
-    witness = []
-    for i in range(n):
-        witness.extend([1 if k == i else 0 for k in range(n)])
+    p, x = _Params(n), _monomials(n, 1)
+    xs = [p.span(x, {x[i]: 1}) for i in range(n)]
+    terms = [Pow(lin, d) for lin in xs]
     # one more summand for each monomial but x_i^d and x_i^(d-1) x_k, which
     # for d >= 3 are those with an exponent of at least d - 1
-    for mono in index_set(n, d):
-        if max(mono) >= d - 1:
-            continue
-        parts = [Param(j, (0,) * n)]
-        j += 1
-        witness.append(0)
-        for i, e in enumerate(mono):
-            if e:
-                parts.append(Pow(xs[i], e))
-        terms.append(Prod(tuple(parts)))
-    return ParamMap("wakeford", n, d, j, Sum(tuple(terms)), witness=witness,
-                    params={"n": n, "d": d})
+    terms += [Prod((p.param(at=0), *(Pow(lin, e) for lin, e in zip(xs, mono)
+                                     if e)))
+              for mono in _monomials(n, d) if max(mono) < d - 1]
+    return p.map("wakeford", d, terms, n=n, d=d)
 
 
 def _build_quarticgen(d: int, B: tuple[int, int, int, int]) -> ParamMap:
@@ -431,41 +418,29 @@ def _build_quarticgen(d: int, B: tuple[int, int, int, int]) -> ParamMap:
         raise BadShape("quarticgen needs four distinct indices in 0..d")
     m1, m2, n1, n2 = b
     excluded = {frozenset((m1, m2))} & {frozenset((0, 1)), frozenset((d - 1, d))}
-    x_span, j = _linear_span(2, 0, [0, 1])
-    y_span, j = _linear_span(2, j, [0, 1])
-    witness = [1, 0, 0, 1]
+    p = _Params(2)
+    x_span = p.span(_monomials(2, 1), {(1, 0): 1})
+    y_span = p.span(_monomials(2, 1), {(0, 1): 1})
 
     def xy_power(k: int):
-        parts = []
-        if d - k:
-            parts.append(Pow(x_span, d - k))
-        if k:
-            parts.append(Pow(y_span, k))
-        return Prod(tuple(parts))
+        return Prod(tuple(Pow(span, e) for span, e in ((x_span, d - k),
+                                                       (y_span, k)) if e))
 
     terms = [xy_power(n1), xy_power(n2)]
-    for k in range(d + 1):
-        if k in b:
-            continue
-        terms.append(Prod((Param(j, (0, 0)), xy_power(k))))
-        witness.append(1)
-        j += 1
+    terms += [Prod((p.param(at=1), xy_power(k)))
+              for k in range(d + 1) if k not in b]
     # the two excluded patterns force a square factor; the certifier still
     # reports them as NotFullRankAtWitness, never as a proof
-    return ParamMap("quarticgen", 2, d, j, Sum(tuple(terms)), witness=witness,
-                    params={"d": d, "B": list(b), "excluded": bool(excluded)})
+    return p.map("quarticgen", d, terms, d=d, B=list(b),
+                 excluded=bool(excluded))
 
 
 def _build_notclebsch() -> ParamMap:
-    q, j = _monomial_span(3, 2, 0)
-    terms = [Pow(q, 2)]
-    witness = [(monomial_form(3, (1, 1, 0)) + monomial_form(3, (1, 0, 1))
-                + monomial_form(3, (0, 1, 1))).raw(m) for m in index_set(3, 2)]
-    for k in range(3):
-        span, j = _linear_span(3, j, [0, 1, 2])
-        terms.append(Pow(span, 4))
-        witness.extend([1 if i == k else 0 for i in range(3)])
-    return ParamMap("notclebsch", 3, 4, j, Sum(tuple(terms)), witness=witness)
+    p, x = _Params(3), _monomials(3, 1)
+    q = p.span(_monomials(3, 2), dict.fromkeys(((1, 1, 0), (1, 0, 1),
+                                                (0, 1, 1)), 1))
+    return p.map("notclebsch", 4, [Pow(q, 2)] + [Pow(p.span(x, {x[k]: 1}), 4)
+                                                 for k in range(3)])
 
 
 def _omnibus_fixed_forms(m: int) -> list[Form]:
@@ -478,21 +453,15 @@ def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:
     e = sorted((int(v) for v in e), reverse=True)
     if reason := shape_error(d, e, m):
         raise BadShape(reason)
-    fixed = _omnibus_fixed_forms(m)
-    terms = []
-    witness = []
-    j = 0
-    for lin in fixed:
-        terms.append(Prod((Param(j, (0, 0)), Pow(Fixed(lin), d))))
-        witness.append(1)
-        j += 1
+    p = _Params(2)
+    terms = [Prod((p.param(at=1), Pow(Fixed(lin), d)))
+             for lin in _omnibus_fixed_forms(m)]
     for k, ek in enumerate(e):
-        span, j = _monomial_span(2, ek, j)
-        terms.append(Pow(span, d // ek))
-        tilde = linear_form([QQi(1), QQi(m + k + 1)])
-        witness.extend(map((tilde ** ek).raw, index_set(2, ek)))
-    return ParamMap("omnibus", 2, d, j, Sum(tuple(terms)), witness=witness,
-                    params={"d": d, "e": e, "m": m})
+        # witnessed at (x + c y)^ek, whose coefficients are C(ek, i) c^i
+        c = m + k + 1
+        tilde = {(ek - i, i): math.comb(ek, i) * c ** i for i in range(ek + 1)}
+        terms.append(Pow(p.span(_monomials(2, ek), tilde), d // ek))
+    return p.map("omnibus", d, terms, d=d, e=e, m=m)
 
 
 def _build_sylv622(s: int) -> ParamMap:
@@ -509,85 +478,58 @@ def _build_sylvgen(u: int, v: int) -> ParamMap:
         raise BadShape("sylvgen needs u >= 1 and v >= 2")
     d = u * v
     r, s = divmod(d + 1, u + 1)
-    terms = []
-    j = 0
-    for _ in range(r):
-        span, j = _monomial_span(2, u, j)
-        terms.append(Pow(span, v))
+    p = _Params(2)
+    terms = [Pow(p.span(_monomials(2, u)), v) for _ in range(r)]
     if s:
-        monos = [(u - k, k) for k in range(s)]
-        span, j = _monomial_span(2, u, j, monomials=monos)
-        terms.append(Pow(span, v))
-    return ParamMap("sylvgen", 2, d, j, Sum(tuple(terms)),
-                    params={"u": u, "v": v})
+        terms.append(Pow(p.span([(u - k, k) for k in range(s)]), v))
+    return p.map("sylvgen", d, terms, u=u, v=v)
 
 
 def _build_so2s(s: int) -> ParamMap:
     if s < 1:
         raise BadShape("so2s needs s >= 1")
-    f, j = _monomial_span(2, s, 0)
-    g_monos = [(s - k, k) for k in range(1, s + 1)]
-    g, j = _monomial_span(2, s, j, monomials=g_monos)
-    witness = [1] + [0] * (s + s - 1) + [1]  # f = x^s, g = y^s
-    return ParamMap("so2s", 2, 2 * s, j, Sum((Pow(f, 2), Pow(g, 2))),
-                    witness=witness, params={"s": s})
+    p = _Params(2)
+    f = p.span(_monomials(2, s), {(s, 0): 1})
+    g = p.span([(s - k, k) for k in range(1, s + 1)], {(0, s): 1})
+    return p.map("so2s", 2 * s, [Pow(f, 2), Pow(g, 2)], s=s)
 
 
 def _build_so3s() -> ParamMap:
-    all_m = index_set(3, 2)
-    q1, j = _monomial_span(3, 2, 0)
-    m2 = [m for m in all_m if m != (2, 0, 0)]
-    q2, j = _monomial_span(3, 2, j, monomials=m2)
-    m3 = [m for m in all_m if m not in ((2, 0, 0), (0, 2, 0))]
-    q3, j = _monomial_span(3, 2, j, monomials=m3)
-    witness = [monomial_form(3, (2, 0, 0)).raw(m) for m in all_m]
-    witness += [monomial_form(3, (0, 2, 0)).raw(m) for m in m2]
-    witness += [monomial_form(3, (0, 0, 2)).raw(m) for m in m3]
-    return ParamMap("so3s", 3, 4, j, Sum((Pow(q1, 2), Pow(q2, 2), Pow(q3, 2))),
-                    witness=witness)
+    p, squares = _Params(3), ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    # q_k omits the squares before its own, at which it is witnessed
+    qs = [p.span([m for m in _monomials(3, 2) if m not in squares[:k]],
+                 {squares[k]: 1}) for k in range(3)]
+    return p.map("so3s", 4, [Pow(q, 2) for q in qs])
 
 
 def _build_reichmap(n: int) -> ParamMap:
     if n < 2:
         raise BadShape("reichmap needs n >= 2")
-    terms = []
-    j = 0
-    for _ in range(n):
-        span, j = _linear_span(n, j, list(range(n)))
-        terms.append(Pow(span, 3))
+    p, x = _Params(n), _monomials(n, 1)
+    terms = [Pow(p.span(x), 3) for _ in range(n)]
     if n > 2:
-        tail = [m for m in index_set(n, 3) if not (m[0] or m[1])]
-        span, j = _monomial_span(n, 3, j, monomials=tail)
-        terms.append(span)
-    return ParamMap("reichmap", n, 3, j, Sum(tuple(terms)), params={"n": n})
+        terms.append(p.span([m for m in _monomials(n, 3)
+                             if not (m[0] or m[1])]))
+    return p.map("reichmap", 3, terms, n=n)
 
 
 def _build_slinkymap(n: int) -> ParamMap:
     if n < 1:
         raise BadShape("slinkymap needs n >= 1")
-    terms = []
-    j = 0
-    for i in range(n):
-        for jj in range(i, n):
-            span, j = _linear_span(n, j, list(range(i, jj + 1)))
-            terms.append(Pow(span, 3))
-    return ParamMap("slinkymap", n, 3, j, Sum(tuple(terms)), params={"n": n})
+    p, x = _Params(n), _monomials(n, 1)
+    return p.map("slinkymap", 3, [Pow(p.span(x[i:k + 1]), 3)
+                                  for i in range(n) for k in range(i, n)], n=n)
 
 
 def _build_sylwake(s: int) -> ParamMap:
     # s = 1 collapses to (1 + lambda) l^2, which cannot span
     if s < 2:
         raise BadShape("sylwake needs s >= 2")
-    lins = []
-    j = 0
-    for _ in range(s):
-        span, j = _linear_span(2, j, [0, 1])
-        lins.append(span)
-    lam = Param(j, (0, 0))
-    j += 1
+    p = _Params(2)
+    lins = [p.span(_monomials(2, 1)) for _ in range(s)]
     terms = [Pow(lin, 2 * s) for lin in lins]
-    terms.append(Prod(tuple([lam] + [Pow(lin, 2) for lin in lins])))
-    return ParamMap("sylwake", 2, 2 * s, j, Sum(tuple(terms)), params={"s": s})
+    terms.append(Prod((p.param(), *(Pow(lin, 2) for lin in lins))))
+    return p.map("sylwake", 2 * s, terms, s=s)
 
 
 def _hyperplane_coefficients(c) -> list[Scalar]:
@@ -619,11 +561,8 @@ def _build_hyperplane(c) -> ParamMap:
     def coord_expr(k: int):
         if k != pivot:
             return Param(free.index(k), slot_mono[k])
-        parts = []
-        for i in free:
-            a_i = -c[i] / c[pivot]
-            parts.append(Scale(a_i, Param(free.index(i), slot_mono[k])))
-        return Sum(tuple(parts))
+        return Sum(tuple(Param(free.index(i), slot_mono[k], -c[i] / c[pivot])
+                         for i in free))
 
     first = Sum((coord_expr(0), coord_expr(1)))
     second = Sum((coord_expr(2), coord_expr(3)))
@@ -638,7 +577,7 @@ def _build_zerosum(s: int) -> ParamMap:
     terms = []
     for jj in range(s):
         terms.append(Pow(Sum((Param(jj, (1, 0)), Param(s + 1 + jj, (0, 1)))), 2 * s))
-    last_y = [Scale(QQi(-1), Param(k, (0, 1))) for k in range(2 * s + 1)]
+    last_y = [Param(k, (0, 1), QQi(-1)) for k in range(2 * s + 1)]
     last = Sum(tuple([Param(s, (1, 0))] + last_y))
     terms.append(Pow(last, 2 * s))
     return ParamMap("zerosum", 2, 2 * s, 2 * s + 1, Sum(tuple(terms)),

@@ -218,8 +218,16 @@ def _cmd_certify(args) -> int:
     pmap = canonicity.build_map(args.name, **params)
     witness = None
     if args.witness:
-        with open(args.witness) as fh:
-            witness = [parse_scalar(tok) for tok in fh.read().split()]
+        try:
+            with open(args.witness, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = (exc.strerror if isinstance(exc, OSError)
+                      else "not UTF-8 text")
+            print(f"cannot read --witness {args.witness}: {reason}",
+                  file=sys.stderr)
+            return 1
+        witness = [parse_scalar(tok) for tok in text.split()]
     report = canonicity.jacobian_certify(pmap, witness=witness,
                                          trials=args.trials, seed=args.seed,
                                          eps=args.epsilon)
@@ -247,16 +255,26 @@ def _cmd_classify_hyperplane(args) -> int:
     return 0
 
 
+# The largest inputs `enumerate` takes; the library itself is unbounded.
+# The neat search grows about 70-fold per summand (r = 6 takes about 40 s),
+# and obstruction_A(d, n) may compute n binomials whose size grows with d
+# (the slowest d <= 100 found, 96, scans up to 10**4 in about 10 s).
+_ENUM_MAX_R = 6
+_ENUM_MAX_D = 100
+_ENUM_MAX_SCAN = 10 ** 4
+
+
 def _cmd_enumerate(args) -> int:
     if args.what == "neat":
-        if _below("--r", args.r, 1):
+        if _below("--r", args.r, 1) or _above("--r", args.r, _ENUM_MAX_R):
             return 1
         forms = enumeration.neat_enumerate(args.r)
         _emit(args, [{"d": f.d, "e": list(f.e)} for f in forms] if args.json
               else [f"d={f.d}  e={list(f.e)}" for f in forms]
               + [f"total: {len(forms)}"])
         return 0
-    if _below("--d", args.d, 2):
+    if (_below("--d", args.d, 2) or _above("--d", args.d, _ENUM_MAX_D)
+            or _above("--max", args.max, _ENUM_MAX_SCAN)):
         return 1
     members = [n for n in range(1, args.max + 1)
                if enumeration.obstruction_A(args.d, n)]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -620,3 +622,61 @@ def test_hyperplane_classify_keeps_the_looped_verdicts(c, exceptional):
     for seed in (0, 1, 2):
         assert hyperplane_classify(c, seed=seed) == \
             _looped_hyperplane_classify(c, seed=seed)
+
+
+# -- the catalog's meaning, pinned ------------------------------------------------
+
+
+PINNED_SWEEP = (
+    [("uppertri", {"n": n}) for n in (0, 1, 2, 4)]
+    + [("sextican", {}), ("notclebsch", {}), ("so3s", {})]
+    + [("wakeford", {"n": n, "d": d}) for n, d in ((2, 3), (3, 3), (2, 4),
+                                                   (2, 2), (1, 3))]
+    + [("quarticgen", {"d": d, "B": b}) for d, b in (
+        (4, (0, 2, 1, 3)), (5, (0, 1, 2, 3)), (5, (4, 5, 0, 2)),
+        (4, (0, 0, 1, 2)), (3, (0, 1, 2, 4)))]
+    + [("omnibus", {"d": d, "e": e, "m": m}) for d, e, m in (
+        (6, [3, 2], 0), (12, [6, 4], 1), (4, [2], 2), (5, [1], 4),
+        (6, [4], 2), (6, [3, 2], 1))]
+    + [("sylvgen", {"u": u, "v": v}) for u, v in ((1, 2), (2, 3), (3, 2),
+                                                  (0, 2))]
+    + [("sylv622", {"s": s}) for s in (1, 2, 3)]
+    + [("so2s", {"s": s}) for s in (0, 1, 2, 3)]
+    + [("reichmap", {"n": n}) for n in (1, 2, 3)]
+    + [("slinkymap", {"n": n}) for n in (0, 1, 3)]
+    + [("sylwake", {"s": s}) for s in (1, 2, 3)]
+    + [("hyperplane", {"c": c}) for c in (
+        [1, 2, 3, 4], [1, 0, QQi(0, 1), 0], [0, 0, 1, 0], [1, 0, 0, 0],
+        [QQi(Fraction(1, 2)), 3, QQi(0, -1), QQi(2, 1)], [1, 2, 3],
+        [0, 0, 0, 0])]
+    + [("zerosum", {"s": s}) for s in (0, 1, 2)]
+    + [("nosuch", {}), ("uppertri", {}), ("uppertri", {"n": 2, "d": 3})])
+
+
+def _catalog_meaning(name, params) -> list:
+    """What a catalog request means, read only through the public ParamMap
+    API: the shape, params and stored witness, then the exact value and
+    gradient at one seeded rational point; or the refusal and its message."""
+    try:
+        pmap = build_map(name, **params)
+    except (AllZero, BadShape, UnknownName) as exc:
+        return [type(exc).__name__, str(exc)]
+    rng = random.Random(f"pin {name} {params}")
+    t = [QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+         for _ in range(pmap.m)]
+    basis = index_set(pmap.n, pmap.d)
+    return [pmap.n, pmap.d, pmap.m, pmap.params, pmap.noncanonical,
+            None if pmap.witness is None else [str(v) for v in pmap.witness],
+            [str(pmap.evaluate(t).a(i)) for i in basis],
+            [[str(df.a(i)) for i in basis] for df in pmap.gradient(t)]]
+
+
+def test_catalog_meaning_is_pinned():
+    # recorded before the builders moved to one parameter allocator; any
+    # later rewrite of the catalog must keep every entry's meaning
+    records = [[name, repr(params), _catalog_meaning(name, params)]
+               for name, params in PINNED_SWEEP]
+    assert {r[0] for r in records} >= set(catalog_names())
+    text = json.dumps(records, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ca9316f052951853c94c9d08905e32c77bb8d2a31f02d81c133c7e513622582")

@@ -402,6 +402,30 @@ def test_bad_enumeration_arguments_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "neat", "--r", "7"], "--r must be at most 6, got 7"),
+    (["enumerate", "obstruction", "--d", "101"],
+     "--d must be at most 100, got 101"),
+    (["enumerate", "obstruction", "--d", "1000000", "--max", "200"],
+     "--d must be at most 100, got 1000000"),
+    (["enumerate", "obstruction", "--max", "10001"],
+     "--max must be at most 10000, got 10001"),
+])
+def test_enumerate_above_its_caps_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_enumerate_takes_inputs_at_its_caps(capsys, monkeypatch):
+    scanned = []
+    monkeypatch.setattr(cli.enumeration, "obstruction_A",
+                        lambda d, n: scanned.append((d, n)) or n == 7)
+    code, out, _ = run_cli(["enumerate", "obstruction", "--d", "100",
+                            "--max", "10000"], capsys=capsys)
+    assert (code, out) == (0, "7\n")
+    assert scanned == [(100, n) for n in range(1, 10001)]
+
+
 def test_hyperplane_coefficient_beyond_float_range_is_a_usage_error(capsys):
     for argv in (["classify-hyperplane", "1e400,0,i,0"],
                  ["certify", "hyperplane", "--param", "c=1e400,0,i,0"]):
@@ -532,6 +556,21 @@ def test_witness_is_read_in_the_form_grammar(capsys, tmp_path):
     path.write_text("1 0 0 0 0 0 1_000\n")
     _rejected(["certify", "sextican", "--witness", str(path)], capsys,
               "cannot parse scalar '1_000'")
+
+
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"1 0 0 0 0 0 \xff\n"), "not UTF-8 text"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_witness_file_is_a_usage_error(capsys, tmp_path, make,
+                                                  reason):
+    path = tmp_path / "witness.txt"
+    make(path)
+    code, out, err = run_cli(["certify", "sextican", "--witness", str(path)],
+                             capsys=capsys)
+    assert (code, out, err) == (
+        1, "", f"cannot read --witness {path}: {reason}\n")
 
 
 def test_e_is_read_in_the_form_grammar(capsys):

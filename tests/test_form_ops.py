@@ -357,3 +357,86 @@ def test_substitution_keeps_tuple_keyed_bits_and_order(data, n, n_new, d, entrie
                  min_size=n, max_size=n))]
     assert ordered_bits(p.substitute(m)) == \
         ordered_bits(tuple_keyed_substitute(p, m))
+
+
+# -- expansion against sympy ------------------------------------------------------
+
+
+def sympy_of(p: Form, gens):
+    """p as a sympy expression in gens, from its actual coefficients."""
+    import sympy
+    return sum((sympy_scalar(c) * sympy.Mul(*(g ** e for g, e in zip(gens, i)))
+                for i, c in p.raw_items()), sympy.Integer(0))
+
+
+def sympy_scalar(c: QQi):
+    import sympy
+    return sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d)
+
+
+def expanded(expr, gens) -> dict:
+    """The actual coefficients of sympy's expansion of expr, as QQi."""
+    import sympy
+    out = {}
+    for mono, c in sympy.Poly(sympy.expand(expr), *gens).terms():
+        if c:
+            re, im = c.as_real_imag()
+            out[mono] = QQi(Fraction(int(re.p), int(re.q)),
+                            Fraction(int(im.p), int(im.q)))
+    return out
+
+
+def agrees(got: Form, want: dict, exact: bool) -> bool:
+    """got's actual coefficients are want's: equal when exact, else within a
+    relative 1e-12 of the largest."""
+    have = dict(got.raw_items())
+    if exact:
+        return got.exact and have == want
+    top = max((abs(complex(v)) for v in want.values()), default=1.0)
+    return not got.exact and all(
+        abs(complex(have.get(i, 0)) - complex(want.get(i, 0))) <= 1e-12 * top
+        for i in set(have) | set(want))
+
+
+oracle = settings(max_examples=12, deadline=None, derandomize=True)
+small_shapes = st.tuples(st.integers(1, 3), st.integers(0, 4))
+
+
+@oracle
+@given(data=st.data(), shape=small_shapes, e=st.integers(0, 4),
+       backend=backends)
+def test_product_is_sympys_expansion(data, shape, e, backend):
+    sympy = pytest.importorskip("sympy")
+    n, d = shape
+    gens = sympy.symbols(f"x:{n}")
+    p = data.draw(forms(n, d, "exact"))
+    q = data.draw(forms(n, e, "exact"))
+    want = expanded(sympy_of(p, gens) * sympy_of(q, gens), gens)
+    if backend == "approx":
+        p, q = p.approx(), q.approx()
+    assert agrees(p * q, want, backend == "exact")
+
+
+@oracle
+@given(data=st.data(), shape=small_shapes)
+def test_power_is_sympys_expansion(data, shape):
+    sympy = pytest.importorskip("sympy")
+    n, d = shape
+    gens = sympy.symbols(f"x:{n}")
+    p = data.draw(forms(n, d, "exact"))
+    for k in range(4 if d <= 2 else 3):  # sympy's expand is slow
+        assert agrees(p ** k, expanded(sympy_of(p, gens) ** k, gens), True)
+
+
+@oracle
+@given(data=st.data(), shape=small_shapes, n_new=st.integers(1, 3))
+def test_substitution_is_sympys_expansion(data, shape, n_new):
+    sympy = pytest.importorskip("sympy")
+    n, d = shape
+    xs, ys = sympy.symbols(f"x:{n}"), sympy.symbols(f"y:{n_new}")
+    p = data.draw(forms(n, d, "exact"))
+    m = [[data.draw(exact_values) for _ in range(n_new)] for _ in range(n)]
+    image = {x: sum(sympy_scalar(v) * y for v, y in zip(row, ys))
+             for x, row in zip(xs, m)}
+    want = expanded(sympy_of(p, xs).subs(image, simultaneous=True), ys)
+    assert agrees(p.substitute(m), want, True)
