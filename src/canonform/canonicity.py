@@ -61,21 +61,27 @@ class Pow:
 
 class _Values:
     """A form's values mod MOD_P at the points I(n, d), each multi-index read
-    as an integer point; scale, + and * act pointwise."""
+    as an integer point, with its degree d; scale, + and * act pointwise,
+    and + of unequal degrees raises _NoImage, so d is the true degree."""
 
-    __slots__ = ("v",)
+    __slots__ = ("v", "d")
 
-    def __init__(self, v):
-        self.v = v
+    def __init__(self, v, d: int):
+        self.v, self.d = v, d
 
     def scale(self, s: int) -> "_Values":
-        return self if s == 1 else _Values([a * s % MOD_P for a in self.v])
+        return self if s == 1 else _Values([a * s % MOD_P for a in self.v],
+                                           self.d)
 
     def __add__(self, other: "_Values") -> "_Values":
-        return _Values([(a + b) % MOD_P for a, b in zip(self.v, other.v)])
+        if self.d != other.d:
+            raise _NoImage
+        return _Values([(a + b) % MOD_P for a, b in zip(self.v, other.v)],
+                       self.d)
 
     def __mul__(self, other: "_Values") -> "_Values":
-        return _Values([a * b % MOD_P for a, b in zip(self.v, other.v)])
+        return _Values([a * b % MOD_P for a, b in zip(self.v, other.v)],
+                       self.d + other.d)
 
 
 @cache
@@ -93,53 +99,38 @@ class _FormRing:
     def one(self) -> Form:
         return Form(self.n, 0, {(0,) * self.n: QQi(1)})
 
-    def monomial(self, mono: MultiIndex) -> Form:
-        return monomial_form(self.n, mono)
+    def leaf(self, param: Param) -> Form:
+        mono = monomial_form(self.n, param.monomial)
+        return mono if param.coeff == 1 else mono.scale(param.coeff)
 
     def fixed(self, form: Form) -> Form:
         return form
 
-    def coeff(self, c: Scalar) -> Scalar:
-        return c
-
 
 class _PointRing:
-    """Leaves of the expression walk as their _Values at the points I(n, d);
-    raises _NoImage on a scalar that has none."""
+    """Leaves of the expression walk as their degree-tagged _Values at the
+    points I(n, d); raises _NoImage on a scalar that has none, and on a leaf
+    whose width is not n, whose values would be read at other points."""
 
     def __init__(self, n: int, d: int):
-        self.d, self.size = d, dim(n, d)
+        self.n, self.d, self.size = n, d, dim(n, d)
 
     def one(self) -> _Values:
-        return _Values([1] * self.size)
+        return _Values([1] * self.size, 0)
 
-    def monomial(self, mono: MultiIndex) -> _Values:
-        return _Values(_monomial_values(mono, self.d))
+    def leaf(self, param: Param) -> _Values:
+        if len(param.monomial) != self.n:
+            raise _NoImage
+        mono = _Values(_monomial_values(param.monomial, self.d),
+                       sum(param.monomial))
+        return mono if param.coeff == 1 else mono.scale(mod_p(param.coeff))
 
     def fixed(self, form: Form) -> _Values:
-        return sum((self.monomial(i).scale(mod_p(a) * multinomial(i))
-                    for i, a in form.items()), _Values([0] * self.size))
-
-    def coeff(self, c: Scalar) -> int:
-        return mod_p(c)
-
-
-def _degree(node, n: int) -> int | None:
-    """The x-degree of a homogeneous expression in n variables, else None:
-    parts of unequal degree, a leaf of another width or an unknown node."""
-    if isinstance(node, Param):
-        return sum(node.monomial) if len(node.monomial) == n else None
-    if isinstance(node, Fixed):
-        return node.form.d if node.form.n == n else None
-    if isinstance(node, Pow):
-        d = _degree(node.base, n)
-        return None if d is None else d * node.k
-    degrees = [_degree(p, n) for p in getattr(node, "parts", ())]
-    if None in degrees:
-        return None
-    if isinstance(node, Prod):
-        return sum(degrees)
-    return degrees[0] if len(set(degrees)) == 1 else None
+        if form.n != self.n:
+            raise _NoImage
+        return sum((_Values(_monomial_values(i, self.d), form.d)
+                    .scale(mod_p(a) * multinomial(i)) for i, a in form.items()),
+                   _Values([0] * self.size, form.d))
 
 
 def _eval_grad(node, t, ring, value: bool = True):
@@ -150,10 +141,8 @@ def _eval_grad(node, t, ring, value: bool = True):
     False it skips the products only the value needs, which may be None.
     """
     if isinstance(node, Param):
-        mono = ring.monomial(node.monomial)
-        if node.coeff != 1:
-            mono = mono.scale(ring.coeff(node.coeff))
-        return mono.scale(t[node.index]), {node.index: mono}
+        leaf = ring.leaf(node)
+        return leaf.scale(t[node.index]), {node.index: leaf}
     if isinstance(node, Fixed):
         return ring.fixed(node.form), {}
     if isinstance(node, Sum):
@@ -270,19 +259,21 @@ class CertifyReport:
 
 def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
     """Whether the Jacobian at t has full rank mod MOD_P, a proof of full
-    rank over Q(i); False also when t or the map has no image mod p, or the
-    expression is not homogeneous of the declared degree.
+    rank over Q(i); False also when t or a leaf has no image mod p, or a
+    partial is not homogeneous of the declared degree.
 
-    Row j holds dF/dt_j at the points I(n, d): the Jacobian times their
-    evaluation matrix, which is invertible mod p as the points are
-    unisolvent, so the rank is the Jacobian's rank mod p.
+    Row j holds dF/dt_j at the points I(n, d) with its degree, which every
+    addition that built it checked, so a row of degree d is a degree-d
+    form's values: the Jacobian times the points' evaluation matrix, which
+    is invertible mod p as the points are unisolvent, so the rank is the
+    Jacobian's rank mod p.
     """
-    if _degree(pmap.expr, pmap.n) != pmap.d:
-        return False
     try:
         grad = _eval_grad(pmap.expr, [mod_p(v) for v in pmap._coerce_t(t)],
                           _PointRing(pmap.n, pmap.d), False)[1]
     except _NoImage:
+        return False
+    if any(df.d != pmap.d for df in grad.values()):
         return False
     zero = [0] * pmap.target
     rows = [grad[j].v if j in grad else zero for j in range(pmap.m)]

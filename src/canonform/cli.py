@@ -258,7 +258,7 @@ def _cmd_classify_hyperplane(args) -> int:
 # The largest inputs `enumerate` takes; the library itself is unbounded.
 # The neat search grows about 70-fold per summand (r = 6 takes about 40 s),
 # and obstruction_A(d, n) may compute n binomials whose size grows with d
-# (the slowest d <= 100 found, 96, scans up to 10**4 in about 10 s).
+# (the slowest d <= 100 found, 96, scans up to 10**4 in about 1.3 s).
 _ENUM_MAX_R = 6
 _ENUM_MAX_D = 100
 _ENUM_MAX_SCAN = 10 ** 4

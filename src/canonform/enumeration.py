@@ -75,18 +75,10 @@ def s_of_d(d: int) -> int:
 
 
 def partial_sum_S(n: int) -> int:
-    """S(N) = sum_{d<=N} s(d) via the floor-sum over e <= sqrt(N).
-
-    Cross-checked against direct summation for N <= 10^4.
-    """
+    """S(N) = sum_{d<=N} s(d) via the floor-sum over e <= sqrt(N)."""
     if n < 1:
         raise ValueError("N must be positive")
-    total = sum((n - e) // (e * e + e) for e in range(1, math.isqrt(n) + 1))
-    if n <= 10 ** 4:
-        direct = sum(s_of_d(d) for d in range(1, n + 1))
-        if direct != total:
-            raise ArithmeticError(f"floor-sum {total} != direct sum {direct}")
-    return total
+    return sum((n - e) // (e * e + e) for e in range(1, math.isqrt(n) + 1))
 
 
 def neat_enumerate(r: int) -> list[NeatForm]:
@@ -165,13 +157,19 @@ def neat_upto(dmax: int) -> list[NeatForm]:
 
 def obstruction_A(d: int, n: int) -> bool:
     """Whether n lies in A_d: no 0 <= m < n has
-    n | binom(n+d-1, d) - binom(m+d-1, d)."""
+    n | binom(n+d-1, d) - binom(m+d-1, d).
+
+    binom(m+d-1, d) is 0 at m = 0 and 1 at m = 1, and is walked upward by
+    the factor (m+d)/m, so no binomial but the top one is computed afresh.
+    """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     top = math.comb(n + d - 1, d) % n
+    b = 0
     for m in range(n):
-        if (top - math.comb(m + d - 1, d)) % n == 0:
+        if (top - b) % n == 0:
             return False
+        b = b * (m + d) // m if m else 1
     return True
 
 

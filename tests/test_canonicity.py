@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi, canonicity, dim, parse_form
-from canonform.canonicity import (MOD_P, CertifyReport,
+from canonform.canonicity import (MOD_P, CertifyReport, Fixed,
                                   HyperplaneVerdict, Param, ParamMap, Pow,
                                   Prod, Sum, build_map, catalog_names,
                                   hyperplane_classify, hyperplane_form,
@@ -449,6 +449,62 @@ def test_mixed_degree_expression_raises_on_every_path():
                 lambda t: lasker_wakeford_full_rank(pmap, t)):
         with pytest.raises(ShapeMismatch):
             run(t)
+
+
+def _lin():
+    return Sum((Param(0, (1, 0)), Param(1, (0, 1))))
+
+
+# Binary quadratic maps in 3 parameters with their reports at t = (1, 2, 3),
+# from a search of 3 trials with seed 4, and what evaluate raises.  Only the
+# value-only map may get a modular verdict: its partials are quadratic.
+HAND_BUILT_MAPS = {
+    "wide param": (Sum((Pow(_lin(), 2), Param(2, (0, 1, 1)))),
+                   ShapeMismatch, ShapeMismatch, ShapeMismatch),
+    "wide fixed": (Sum((Pow(_lin(), 2), Prod((Param(2, (0, 0)),
+                                              Fixed(parse_form("x*y + y*z")))))),
+                   ShapeMismatch, ShapeMismatch, ShapeMismatch),
+    "unknown node": (Sum((Pow(_lin(), 2), Prod((Param(2, (0, 0)),
+                                                parse_form("x*y"))))),
+                     TypeError, TypeError, TypeError),
+    "value-only cubic": (
+        Sum((Pow(_lin(), 2), Param(2, (1, 1)), Fixed(parse_form("x^3", n=2)))),
+        (3, "Certified", 0, [1, 2, 3]), (3, "Certified", 2, [3, 6, -5]),
+        ShapeMismatch),
+    "over degree": (_over_degree_map().expr,
+                    (0, "NotFullRankAtWitness", 0, [1, 2, 3]),
+                    (0, "NotFullRankAtWitness", 3, [-2, 0, -6]),
+                    ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_MAPS)
+def test_hand_built_maps_get_a_modular_verdict_only_when_sound(
+        monkeypatch, name):
+    expr, at_witness, searched, evaluated = HAND_BUILT_MAPS[name]
+    pmap = ParamMap(name, 2, 2, 3, expr)
+    t = [QQi(1), QQi(2), QQi(3)]
+    for run, want in ((lambda: jacobian_certify(pmap, witness=t), at_witness),
+                      (lambda: jacobian_certify(pmap, trials=3, seed=4),
+                       searched)):
+        if isinstance(want, type):
+            with pytest.raises(want):
+                run()
+        else:
+            rank, verdict, trials, witness = want
+            rep = run()
+            assert (rep.rank, rep.target, rep.verdict, rep.trials) == (
+                rank, 3, verdict, trials)
+            assert rep.witness == [QQi(v) for v in witness]
+    with pytest.raises(evaluated):
+        pmap.evaluate(t)
+    if name != "value-only cubic":
+        # no modular verdict, and no rows ranked
+        try:
+            assert modular_rows(monkeypatch, pmap, t) is None
+            assert canonicity._full_rank_mod_p(pmap, t) is False
+        except TypeError:  # the unknown node may already raise here
+            assert name == "unknown node"
 
 
 STORED_WITNESS_MAPS = (

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -88,6 +89,19 @@ def test_obstruction_examples():
     assert obstruction_A(10, 6)
     assert smallest_in_A(10, 100) == 6
     assert smallest_in_A(6, 100) == 10
+
+
+def test_obstruction_walk_matches_the_binomials():
+    def reference(d, n):
+        top = math.comb(n + d - 1, d) % n
+        return all((top - math.comb(m + d - 1, d)) % n for m in range(n))
+
+    rng = random.Random(11)
+    cases = [(d, n) for d in range(2, 41) for n in range(1, 201)]
+    cases += [(rng.randint(2, 1000), rng.randint(1, 400)) for _ in range(400)]
+    got = [obstruction_A(d, n) for d, n in cases]
+    assert got == [reference(d, n) for d, n in cases]
+    assert any(got) and not all(got)
 
 
 def test_obstruction_prime_degrees_empty():
