@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from operator import add
+from operator import add, mul
 
 from .enumeration import shape_error
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
@@ -23,7 +23,7 @@ from .forms import (Form, MultiIndex, _monomials, dim,
                     linear_form, monomial_form, multinomial)
 from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
-                      is_exact, mod_p, power, scalars_close)
+                      is_exact, mod_p, scalars_close)
 
 # -- expression tree -----------------------------------------------------------
 
@@ -61,8 +61,9 @@ class Pow:
 
 class _Values:
     """A form's values mod MOD_P at the points I(n, d), each multi-index read
-    as an integer point, with its degree d; scale, + and * act pointwise,
-    and + of unequal degrees raises _NoImage, so d is the true degree."""
+    as an integer point, with its degree d; scale, +, * and ** act
+    pointwise, and + of unequal degrees raises _NoImage, so d is the true
+    degree."""
 
     __slots__ = ("v", "d")
 
@@ -83,6 +84,10 @@ class _Values:
         return _Values([a * b % MOD_P for a, b in zip(self.v, other.v)],
                        self.d + other.d)
 
+    def __pow__(self, k: int) -> "_Values":
+        return self if k == 1 else _Values([pow(a, k, MOD_P) for a in self.v],
+                                           self.d * k)
+
 
 @cache
 def _monomial_values(mono: MultiIndex, d: int) -> tuple[int, ...]:
@@ -91,7 +96,7 @@ def _monomial_values(mono: MultiIndex, d: int) -> tuple[int, ...]:
 
 
 class _FormRing:
-    """Leaves of the expression walk as Forms over the scalar backend."""
+    """Leaves of the expression program as Forms over the scalar backend."""
 
     def __init__(self, n: int):
         self.n = n
@@ -108,7 +113,7 @@ class _FormRing:
 
 
 class _PointRing:
-    """Leaves of the expression walk as their degree-tagged _Values at the
+    """Leaves of the expression program as their degree-tagged _Values at the
     points I(n, d); raises _NoImage on a scalar that has none, and on a leaf
     whose width is not n, whose values would be read at other points."""
 
@@ -133,56 +138,107 @@ class _PointRing:
                    _Values([0] * self.size, form.d))
 
 
-def _eval_grad(node, t, ring, value: bool = True):
-    """Value and full parameter gradient (sparse dict j -> dF/dt_j).
+class _Program:
+    """An expression as a straight-line program (Baur and Strassen): one
+    slot (kind, node, parts, positions of the parts that depend on some
+    t_j) per distinct node object, after the slots of its parts.  The
+    adjoint of a slot is dF/d(slot); None stands for the root's, 1."""
 
-    ring builds the leaves (a _FormRing or a _PointRing) and t holds scalars
-    of that ring; the rest of the walk only uses scale, + and *.  With value
-    False it skips the products only the value needs, which may be None.
-    """
-    if isinstance(node, Param):
-        leaf = ring.leaf(node)
-        return leaf.scale(t[node.index]), {node.index: leaf}
-    if isinstance(node, Fixed):
-        return ring.fixed(node.form), {}
-    if isinstance(node, Sum):
-        vals, grads = zip(*(_eval_grad(p, t, ring, value) for p in node.parts))
-        total = reduce(add, vals) if value else None
-        grad: dict = {}
-        for g in grads:
-            for j, df in g.items():
-                grad[j] = grad[j] + df if j in grad else df
-        return total, grad
-    if isinstance(node, Prod):
-        vals, grads = zip(*(_eval_grad(p, t, ring) for p in node.parts))
-        k = len(vals)
-        prefix = [None] * (k + 1)
-        suffix = [None] * (k + 1)
-        prefix[0] = ring.one()
-        for i in range(k if value else k - 1):
-            prefix[i + 1] = prefix[i] * vals[i]
-        suffix[k] = ring.one()
-        for i in range(k - 1, 0, -1):
-            suffix[i] = vals[i] * suffix[i + 1]
-        grad = {}
-        for i, g in enumerate(grads):
-            if not g:
+    def __init__(self, expr):
+        self.expr, self.ops = expr, []
+        self._compile(expr, {})
+        # the sweep reads each part of a live product but a lone live one,
+        # and the base of a live power above 1; a value reads its parts'
+        # values, but a 0th power reads none
+        need = [False] * len(self.ops)
+        for s in range(len(self.ops) - 1, -1, -1):
+            kind, node, parts, live = self.ops[s]
+            for i, c in enumerate(parts if kind is not Pow or node.k else ()):
+                swept = kind is Prod and live != (i,) or kind is Pow and node.k > 1
+                need[c] = need[c] or need[s] or bool(live) and swept
+        self.needed = [s for s, n in enumerate(need) if n]
+
+    def _compile(self, node, slots: dict) -> int:
+        slot = slots.get(id(node))
+        if slot is not None:
+            return slot
+        for kind in (Param, Sum, Pow, Prod, Fixed):
+            if isinstance(node, kind):
+                break
+        else:
+            raise TypeError(f"unknown expression node {node!r}")
+        if (kind is Pow and (not isinstance(node.k, int) or node.k < 0)
+                or kind in (Sum, Prod) and not node.parts):
+            raise BadShape(f"a negative or non-int power, or no parts: {node!r}")
+        parts, live = [], []
+        for i, sub in enumerate((node.base,) if kind is Pow else
+                                node.parts if kind in (Sum, Prod) else ()):
+            parts.append(c := self._compile(sub, slots))
+            if (kind is not Pow or node.k) and (self.ops[c][0] is Param
+                                                or self.ops[c][3]):
+                live.append(i)
+        slots[id(node)] = slot = len(self.ops)
+        self.ops.append((kind, node, tuple(parts), tuple(live)))
+        return slot
+
+    def _forward(self, t, ring, slots, leaves: dict) -> list:
+        """The values of the given slots, from one forward pass; each Param
+        slot's leaf is kept in leaves."""
+        vals = [None] * len(self.ops)
+        for s in slots:
+            kind, node, parts, _ = self.ops[s]
+            if kind is Param:
+                leaves[s] = ring.leaf(node)
+                vals[s] = leaves[s].scale(t[node.index])
+            elif kind is Fixed:
+                vals[s] = ring.fixed(node.form)
+            elif kind is Pow:
+                vals[s] = vals[parts[0]] ** node.k if node.k else ring.one()
+            else:
+                vals[s] = reduce(add if kind is Sum else mul,
+                                 [vals[c] for c in parts])
+        return vals
+
+    def value(self, t, ring):
+        return self._forward(t, ring, range(len(self.ops)), {})[-1]
+
+    def gradient(self, t, ring) -> dict:
+        """{j: dF/dt_j} at t: one forward pass over the values that one
+        reverse sweep of the adjoints reads, then that sweep."""
+        leaves: dict = {}
+        vals = self._forward(t, ring, self.needed, leaves)
+        adjoint, grad = {len(self.ops) - 1: None}, {}
+        for s in range(len(self.ops) - 1, -1, -1):
+            if s not in adjoint:  # no t_j below, or only below a 0th power
                 continue
-            around = prefix[i] * suffix[i + 1]
-            for j, df in g.items():
-                term = around * df
-                grad[j] = grad[j] + term if j in grad else term
-        return prefix[k], grad
-    if isinstance(node, Pow):
-        v, g = _eval_grad(node.base, t, ring)
-        if node.k == 0:
-            return ring.one(), {}
-        out = power(v, node.k, ring.one()) if value or not g else None
-        if not g:
-            return out, {}
-        shell = power(v, node.k - 1, ring.one()).scale(node.k)
-        return out, {j: shell * df for j, df in g.items()}
-    raise TypeError(f"unknown expression node {node!r}")
+            a = adjoint.pop(s)
+            kind, node, parts, live = self.ops[s]
+            if kind is Param:
+                df = _times(a, leaves[s] if s in leaves else ring.leaf(node))
+                j = node.index
+                grad[j] = grad[j] + df if j in grad else df
+                continue
+            if kind is Prod:  # the others' product is prefix[i] * suffix[i + 1]
+                prefix, suffix = [None] * (live[-1] + 1), [None] * (len(parts) + 1)
+                for i in range(live[-1]):
+                    prefix[i + 1] = _times(prefix[i], vals[parts[i]])
+                for i in range(len(parts) - 1, live[0], -1):
+                    suffix[i] = _times(vals[parts[i]], suffix[i + 1])
+                outs = [_times(a, _times(prefix[i], suffix[i + 1])) for i in live]
+            elif kind is Pow and node.k > 1:
+                outs = [_times(a, (vals[parts[0]] ** (node.k - 1)).scale(node.k))]
+            else:
+                outs = [a] * len(live)
+            for c, out in zip([parts[i] for i in live], outs):
+                adjoint[c] = out if c not in adjoint else (
+                    (ring.one() if adjoint[c] is None else adjoint[c])
+                    + (ring.one() if out is None else out))
+        return grad
+
+
+def _times(a, b):
+    """a * b, where None is the identity."""
+    return b if a is None else a if b is None else a * b
 
 
 # -- parameter maps ---------------------------------------------------------------
@@ -210,16 +266,23 @@ class ParamMap:
             raise ShapeMismatch(f"{self.name} takes {self.m} parameters, got {len(t)}")
         return [as_scalar(v) for v in t]
 
+    def _program(self) -> _Program:
+        """The expression compiled once, and again if expr is replaced."""
+        if getattr(self, "_compiled", None) is None or self._compiled.expr is not self.expr:
+            self._compiled = _Program(self.expr)
+        return self._compiled
+
     def evaluate(self, t) -> Form:
-        value, _ = _eval_grad(self.expr, self._coerce_t(t), _FormRing(self.n))
+        t = self._coerce_t(t)
+        value = self._program().value(t, _FormRing(self.n))
         if (value.n, value.d) != (self.n, self.d):
             raise ShapeMismatch("expression does not produce the declared shape")
         return value
 
     def gradient(self, t) -> list[Form]:
         """[dF/dt_j at t for j in 0..M-1]."""
-        _, grad = _eval_grad(self.expr, self._coerce_t(t), _FormRing(self.n),
-                             False)
+        t = self._coerce_t(t)
+        grad = self._program().gradient(t, _FormRing(self.n))
         zero = Form.zero(self.n, self.d)
         return [grad.get(j, zero) for j in range(self.m)]
 
@@ -269,8 +332,8 @@ def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
     Jacobian's rank mod p.
     """
     try:
-        grad = _eval_grad(pmap.expr, [mod_p(v) for v in pmap._coerce_t(t)],
-                          _PointRing(pmap.n, pmap.d), False)[1]
+        t = [mod_p(v) for v in pmap._coerce_t(t)]
+        grad = pmap._program().gradient(t, _PointRing(pmap.n, pmap.d))
     except _NoImage:
         return False
     if any(df.d != pmap.d for df in grad.values()):

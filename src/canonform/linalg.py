@@ -62,24 +62,32 @@ def exact_rank(rows: Matrix) -> int:
 def modp_rank(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over the field of p elements, p prime.
 
-    Each step drops the pivot row and the pivot column, so the rows left
-    hold only the columns not yet eliminated.  Only the pivot row and the
-    multipliers are reduced mod p, so an entry grows by less than p^2 a step.
+    Each row is packed into one int, column c in the c-th slot, so one
+    big-int multiply-add updates a row.  The pivot row is normalised to 1 at
+    the pivot and reduced mod p slot by slot, and each other row gets (-entry
+    mod p) times it, adding below p^2 to a slot; a slot that starts below p
+    thus stays below (min(rows, cols) + 1) p^2, within its width, and never
+    carries.  The finished column is shifted out of every row.
     """
-    m = [list(row) for row in rows]
-    rank = 0
-    while m and m[0]:
-        pr = next((i for i, row in enumerate(m) if row[0] % p), None)
-        if pr is None:
-            m = [row[1:] for row in m]
+    ncols = len(rows[0]) if rows else 0
+    width = (((min(len(rows), ncols) + 1) * p * p).bit_length() + 7) // 8
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+    m = [int.from_bytes(b"".join([(v % p).to_bytes(width, "little")
+                                  for v in row]), "little") for row in rows]
+    for left in range(ncols * bits, 0, -bits):
+        for i, row in enumerate(m):
+            if (row & mask) % p:
+                break
+        else:
+            m = [row >> bits for row in m]
             continue
-        pivot = m.pop(pr)
-        inv = pow(pivot[0], -1, p)
-        rest = [v % p for v in pivot[1:]]
-        m = [[a - f * b for a, b in zip(row[1:], rest)]
-             if (f := row[0] * inv % p) else row[1:] for row in m]
-        rank += 1
-    return rank
+        del m[i]
+        inv, pivot = pow(row & mask, -1, p), 0
+        for k in range(left - bits, -1, -bits):
+            pivot = pivot << bits | (row >> k & mask) * inv % p
+        m = [(r + f * pivot) >> bits if (f := -(r & mask) % p) else r >> bits
+             for r in m]
+    return len(rows) - len(m)
 
 
 def exact_kernel(rows: Matrix) -> list[Vector]:

@@ -80,3 +80,27 @@ def test_decompose_pool_keeps_its_reference_digests(monkeypatch):
         if ref["exact"]:
             assert checks.digest(out.getvalue()) == ref["sha256"], req.argv
         assert checks.check(req, code, out.getvalue(), ref) is None, req.argv
+
+
+def test_certify_round_stays_on_the_modular_path(monkeypatch):
+    """Every map of the certify round has full rank mod p at the witness it
+    certifies at; a slip to the exact path would keep the digests above but
+    lose the speed."""
+    from canonform import canonicity
+
+    requests = _bench_module(monkeypatch, "workloads").certify_round()
+    assert requests
+    for req in requests:
+        argv = list(req.argv)
+        name = argv[argv.index("certify") + 1]
+        params = dict(argv[i + 1].split("=", 1) for i, a in enumerate(argv)
+                      if a == "--param")
+        pmap = canonicity.build_map(name, **{
+            k: cli._catalog_param(name, k, v) for k, v in params.items()})
+        witness = pmap.witness
+        if witness is None:
+            rep = canonicity.jacobian_certify(
+                pmap, trials=int(argv[argv.index("--trials") + 1]),
+                seed=int(argv[argv.index("--seed") + 1]))
+            witness = rep.witness
+        assert canonicity._full_rank_mod_p(pmap, witness), argv

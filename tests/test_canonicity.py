@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import random
+import threading
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +18,11 @@ from canonform.canonicity import (MOD_P, CertifyReport, Fixed,
                                   hyperplane_classify, hyperplane_form,
                                   jacobian_certify, lasker_wakeford_full_rank,
                                   zerosum_verify)
+from canonform.enumeration import neat_upto
 from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from canonform.forms import index_set
 from canonform.linalg import exact_rank, mat_det, modp_rank
-from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p,
+from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p, power,
                                scalar_is_zero)
 
 
@@ -284,6 +288,70 @@ def test_modp_rank_can_only_fall_short_of_the_exact_rank():
     assert exact_rank([[QQi(MOD_P), QQi(0)], [QQi(0), QQi(1)]]) == 2
     assert modp_rank([[0, 0, 5], [0, 0, 7]], MOD_P) == 1
     assert modp_rank([], MOD_P) == 0
+
+
+def _list_modp_rank(rows, p):
+    """modp_rank as a list elimination, the reference for the packed rows."""
+    m = [list(row) for row in rows]
+    rank = 0
+    while m and m[0]:
+        pr = next((i for i, row in enumerate(m) if row[0] % p), None)
+        if pr is None:
+            m = [row[1:] for row in m]
+            continue
+        pivot = m.pop(pr)
+        inv = pow(pivot[0], -1, p)
+        rest = [v % p for v in pivot[1:]]
+        m = [[a - f * b for a, b in zip(row[1:], rest)]
+             if (f := row[0] * inv % p) else row[1:] for row in m]
+        rank += 1
+    return rank
+
+
+def _matrix_of_rank(rng, nrows, ncols, k, p):
+    """An nrows x ncols matrix of rank exactly k mod p: B C with an identity
+    block in each factor, rows and columns shuffled, and each entry moved by
+    a multiple of p, so that some are negative and some at least p."""
+    b = [[int(i == j) if i < k else rng.randrange(p) for j in range(k)]
+         for i in range(nrows)]
+    c = [[int(i == j) if j < k else rng.randrange(p) for j in range(ncols)]
+         for i in range(k)]
+    rows = [[sum(b[i][t] * c[t][j] for t in range(k)) % p
+             for j in range(ncols)] for i in range(nrows)]
+    rng.shuffle(rows)
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    return [[row[j] + p * rng.randint(-2, 2) for j in cols] for row in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, MOD_P])
+def test_packed_modp_rank_matches_the_list_elimination(p):
+    rng = random.Random(f"packed rank {p}")
+    for nrows, ncols in ((9, 4), (4, 9), (6, 6), (1, 5), (5, 1), (0, 0),
+                         (3, 0)):
+        for k in range(min(nrows, ncols) + 1):
+            for _ in range(3):
+                rows = _matrix_of_rank(rng, nrows, ncols, k, p)
+                if nrows == 0:
+                    rows = []
+                assert modp_rank(rows, p) == _list_modp_rank(rows, p) == k
+    for _ in range(20):
+        rows = [[rng.randint(-3 * p, 3 * p) for _ in range(7)]
+                for _ in range(rng.randint(1, 9))]
+        assert modp_rank(rows, p) == _list_modp_rank(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, MOD_P])
+def test_packed_modp_rank_slots_do_not_overflow(p):
+    """Many elimination steps with the largest entries and multipliers."""
+    rng = random.Random(f"overflow {p}")
+    dense = [[rng.randrange(p) for _ in range(85)] for _ in range(85)]
+    assert modp_rank(dense, p) == _list_modp_rank(dense, p)
+    # p - 1 off the diagonal: -(J - I) mod p, of full rank unless p | 129
+    ones = [[p - 1 if i != j else 0 for j in range(130)] for i in range(130)]
+    want = 130 if 129 % p else 129
+    assert modp_rank(ones, p) == _list_modp_rank(ones, p) == want
+    assert modp_rank([row[:20] for row in ones], p) == min(20, want)
 
 
 # small maps, rank-deficient ones included: both excluded quarticgen
@@ -736,3 +804,144 @@ def test_catalog_meaning_is_pinned():
     text = json.dumps(records, sort_keys=True, default=str)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4ca9316f052951853c94c9d08905e32c77bb8d2a31f02d81c133c7e513622582")
+
+
+# -- the compiled program against the recursive walk -----------------------------
+
+
+def _recursive_eval_grad(node, t, ring, value: bool = True):
+    """The recursive walk the compiled program replaced, kept as its
+    reference: value and sparse gradient {j: dF/dt_j}, walking a shared
+    subtree once per parent.  With value False it skips the products only
+    the value needs, which may be None."""
+    if isinstance(node, Param):
+        leaf = ring.leaf(node)
+        return leaf.scale(t[node.index]), {node.index: leaf}
+    if isinstance(node, Fixed):
+        return ring.fixed(node.form), {}
+    if isinstance(node, Sum):
+        vals, grads = zip(*(_recursive_eval_grad(p, t, ring, value)
+                            for p in node.parts))
+        total = reduce(add, vals) if value else None
+        grad: dict = {}
+        for g in grads:
+            for j, df in g.items():
+                grad[j] = grad[j] + df if j in grad else df
+        return total, grad
+    if isinstance(node, Prod):
+        vals, grads = zip(*(_recursive_eval_grad(p, t, ring)
+                            for p in node.parts))
+        k = len(vals)
+        prefix = [None] * (k + 1)
+        suffix = [None] * (k + 1)
+        prefix[0] = ring.one()
+        for i in range(k if value else k - 1):
+            prefix[i + 1] = prefix[i] * vals[i]
+        suffix[k] = ring.one()
+        for i in range(k - 1, 0, -1):
+            suffix[i] = vals[i] * suffix[i + 1]
+        grad = {}
+        for i, g in enumerate(grads):
+            if not g:
+                continue
+            around = prefix[i] * suffix[i + 1]
+            for j, df in g.items():
+                term = around * df
+                grad[j] = grad[j] + term if j in grad else term
+        return prefix[k], grad
+    if isinstance(node, Pow):
+        v, g = _recursive_eval_grad(node.base, t, ring)
+        if node.k == 0:
+            return ring.one(), {}
+        out = power(v, node.k, ring.one()) if value or not g else None
+        if not g:
+            return out, {}
+        shell = power(v, node.k - 1, ring.one()).scale(node.k)
+        return out, {j: shell * df for j, df in g.items()}
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def _residues(values) -> tuple:
+    return list(values.v), values.d
+
+
+def test_program_matches_the_recursive_walk():
+    checked = set()
+    for name, params in PINNED_SWEEP:
+        try:
+            pmap = build_map(name, **params)
+        except (AllZero, BadShape, UnknownName):
+            continue
+        rng = random.Random(f"program {name} {params}")
+        points = [[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                   for _ in range(pmap.m)]]
+        if pmap.witness is not None:
+            points.append([as_scalar(v) for v in pmap.witness])
+        program = pmap._program()
+        for t in points:
+            forms = canonicity._FormRing(pmap.n)
+            value, grad = _recursive_eval_grad(pmap.expr, t, forms)
+            assert program.value(t, forms) == value
+            got = program.gradient(t, forms)
+            assert sorted(got) == sorted(grad)
+            assert all(got[j] == grad[j] for j in grad)
+            assert all(got[j].items() == grad[j].items() for j in grad)
+            residues = [mod_p(v) for v in t]
+            points_ring = canonicity._PointRing(pmap.n, pmap.d)
+            value, grad = _recursive_eval_grad(pmap.expr, residues,
+                                               points_ring)
+            assert _residues(program.value(residues, points_ring)) == \
+                _residues(value)
+            got = program.gradient(residues, points_ring)
+            assert {j: _residues(v) for j, v in got.items()} == \
+                {j: _residues(v) for j, v in grad.items()}
+            checked.add(name)
+    assert checked == set(catalog_names())
+
+
+def test_shared_subtrees_compile_to_one_slot_each():
+    # wakeford n=3 d=4 reuses each of its three linear spans up to six times
+    assert len(build_map("wakeford", n=3, d=4)._program().ops) == 43
+    pmap = build_map("sextican")
+    program = pmap._program()
+    assert pmap._program() is program
+    pmap.expr = build_map("sextican").expr  # a replaced expression recompiles
+    assert pmap._program() is not program
+    assert pmap._program().expr is pmap.expr
+
+
+@pytest.mark.parametrize("expr", [
+    Pow(_lin(), -1), Pow(_lin(), 2.0), Pow(_lin(), "2"),
+    Sum((Pow(_lin(), 2), Sum(()))), Sum((Prod(()), Pow(_lin(), 2)))])
+def test_malformed_expressions_are_refused_without_hanging(expr):
+    """A negative power used to loop forever in the repeated squaring."""
+    pmap = ParamMap("neg", 2, 2, 2, expr)
+    raised = []
+
+    def run():
+        for call in (lambda: pmap.evaluate([1, 2]),
+                     lambda: pmap.gradient([1, 2]),
+                     lambda: jacobian_certify(pmap),
+                     lambda: jacobian_certify(pmap, witness=[1, 2])):
+            try:
+                call()
+            except BadShape as exc:
+                raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert len(raised) == 4
+
+
+def test_neat_omnibus_maps_certify_on_the_modular_path():
+    """Every neat omnibus map up to degree 24 gets its modular verdict at its
+    stored witness; a slip to the exact path would keep the verdicts but
+    lose the speed."""
+    forms = neat_upto(24)
+    assert len(forms) == 240
+    for f in forms:
+        pmap = build_map("omnibus", d=f.d, e=list(f.e),
+                         m=f.d + 1 - sum(ek + 1 for ek in f.e))
+        assert canonicity._full_rank_mod_p(pmap, pmap.witness), (f.d, f.e)
