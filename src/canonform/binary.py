@@ -27,8 +27,8 @@ from .forms import (Decomposition, Form, Term, binary_factor,
                     check_decomposable, linear_coeffs, linear_form,
                     monomial_form, parse_form, power_of_linear)
 from .linalg import mat_inverse, mat_solve
-from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, is_exact,
-                      scalar_is_zero, scalar_sqrt)
+from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
+                      scalar_sqrt)
 
 # -- Sylvester's algorithm ----------------------------------------------------
 
@@ -109,11 +109,8 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         if not terms:
             continue
         dec = Decomposition(terms, meta={"theorem": "sylvester", "order": order})
-        if not dec.verify(p, max(eps, 1e-7)):
-            continue
-        if not all(t.base.exact and is_exact(t.multiplier) for t in terms):
-            dec = dec.snapped(p) or dec
-        return dec
+        if (dec := dec.accepted(p, eps)) is not None:
+            return dec
     raise NotGeneric("no squarefree annihilator up to order d "
                      "(repeated-root case is out of scope)")
 
@@ -212,8 +209,8 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
             raise DegenerateInput("fixed-form system is inconsistent")
         fixed_terms = [Term(t, lin, d) for t, lin in zip(ts, spec.fixed)]
     dec = Decomposition(free_terms + fixed_terms,
-                        meta={"theorem": "mixed", "m": m, "r": r})
-    if not dec.verify(p, max(eps, 1e-7)):
+                        meta={"theorem": "mixed", "m": m, "r": r}).accepted(p, eps)
+    if dec is None:
         raise DegenerateInput("reconstruction check failed")
     return dec
 
@@ -253,9 +250,10 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         half = QQi(Fraction(1, 2))
         f = (a_side + b_side).scale(half)
         g = (a_side - b_side).scale(half * QQi(0, -1))
-        rho = f.raw((s, 0))
-        tau = g.raw((s, 0))
+        rho, tau = f.raw((s, 0)), g.raw((s, 0))
         w = scalar_sqrt(rho * rho + tau * tau)
+        if not w:
+            raise DegenerateInput("the rotation is undefined: rho^2 + tau^2 = 0")
         u, v = rho / w, -tau / w
         f2 = f.scale(u) - g.scale(v)
         g2 = f.scale(v) + g.scale(u)
@@ -263,10 +261,9 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         g2 = Form(2, s, {i: c for i, c in g2.items() if i != (s, 0)})
         dec = Decomposition([Term(1, f2, 2), Term(1, g2, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
-        snapped = dec.snapped(p)
-        if snapped is None and not dec.verify(p, max(eps, 1e-7)):
+        if (dec := dec.accepted(p, eps)) is None:
             raise DegenerateInput("reconstruction check failed")
-        out.append(snapped or dec)
+        out.append(dec)
     return out
 
 
@@ -425,8 +422,8 @@ def quartic_six_for_form(p: Form, eps: float = EPS_DEFAULT) -> list[Decompositio
         terms = [Term(scale_c * complex(t.multiplier),
                       t.base.approx().substitute(inv), t.power)
                  for t in rep.terms]
-        dec = Decomposition(terms, meta=dict(rep.meta))
-        if not dec.verify(p, max(eps, 1e-7)):
+        dec = Decomposition(terms, meta=dict(rep.meta)).accepted(p, eps)
+        if dec is None:
             raise DegenerateInput("reconstruction check failed")
         out.append(dec)
     return out
@@ -466,9 +463,9 @@ def quartic_two_fixed(p: Form, l1: Form, l2: Form,
         dec = Decomposition(
             [Term(mult, base.substitute(a_mat), 2), Term(t4, l1, 4), Term(t5, l2, 4)],
             meta={"theorem": "quartic-two-fixed", "branch": f"sign={sign}"})
-        if not dec.verify(p, max(eps, 1e-7)):
+        if (dec := dec.accepted(p, eps)) is None:
             raise DegenerateInput("reconstruction check failed")
-        out.append(dec.snapped(p) or dec)
+        out.append(dec)
     return out
 
 

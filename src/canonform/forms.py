@@ -130,7 +130,7 @@ class Form:
     def is_zero(self, eps: float = 0.0, scale: float = 1.0) -> bool:
         if self.exact or eps == 0.0:
             return not self._a
-        return all(abs(complex(v)) * multinomial(i) <= eps * max(scale, 1.0)
+        return all(abs(complex(v)) * multinomial(i) <= eps * scale
                    for i, v in self._a.items())
 
     def norm(self) -> float:
@@ -275,8 +275,8 @@ class Form:
 
     def snapped(self, max_den: int = SNAP_MAX_DEN) -> "Form":
         """Rational reconstruction of all coefficients (caller must verify)."""
-        return Form(self.n, self.d, {i: snap_scalar(v, max_den)
-                                     for i, v in self._a.items()})
+        return _trusted(self.n, self.d, {i: w for i, v in self._a.items()
+                                         if (w := snap_scalar(v, max_den))}, True)
 
     def chop(self, eps: float = EPS_DEFAULT, scale: float | None = None) -> "Form":
         """Drop coefficients below eps relative to the form's own scale."""
@@ -383,7 +383,7 @@ def forms_close(p: Form, q: Form, eps: float = EPS_DEFAULT) -> bool:
     diff = p - q
     if diff.exact:
         return not diff
-    return diff.is_zero(eps, scale=max(p.norm(), q.norm(), 1.0))
+    return diff.is_zero(eps, scale=max(p.norm(), q.norm()))
 
 
 # -- linear forms ---------------------------------------------------------------
@@ -832,6 +832,10 @@ def form_from_json(obj: dict) -> Form:
 
 # -- decompositions -------------------------------------------------------------------
 
+# Every decomposer's bound on the normwise backward error of an inexact
+# result (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
+ACCEPT_TOL = 1e-7
+
 
 def check_decomposable(p: Form, shape_ok: bool, need: str) -> None:
     """The entry check of a decomposer: ShapeMismatch(need) unless shape_ok,
@@ -885,6 +889,12 @@ class Decomposition:
 
     def verify(self, p: Form, eps: float = EPS_DEFAULT) -> bool:
         return forms_close(self.reconstruct(), p, eps)
+
+    def accepted(self, p: Form, eps: float = EPS_DEFAULT) -> "Decomposition | None":
+        """The exact snap when it rebuilds p, else self when it rebuilds p
+        within max(eps, ACCEPT_TOL) of the larger norm, else None."""
+        return self.snapped(p) or (self if self.verify(p, max(eps, ACCEPT_TOL))
+                                   else None)
 
     def term_forms(self) -> list[Form]:
         return [t.form() for t in self.terms]

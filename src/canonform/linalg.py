@@ -214,7 +214,7 @@ def approx_solve(rows: Matrix, rhs: Vector, eps: float = EPS_DEFAULT) -> Vector 
     a = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
     b = np.array([complex(v) for v in rhs], dtype=complex)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(a))), 1.0)
+    scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(a))))
     if float(np.max(np.abs(a @ x - b))) > 1e3 * eps * scale:
         return None
     return list(map(complex, x))

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (DegeneratePencil, DegenerateStage, PivotZero,
-                     ShapeMismatch, ZeroForm)
+import numpy as np
+
+from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
+                     PivotZero, ShapeMismatch, ZeroForm)
 from .forms import (Decomposition, Form, Term, biermann_point,
                     check_decomposable, forms_close, linear_coeffs,
                     linear_form, pad_form, restrict_form)
@@ -77,7 +79,7 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
     if p.d != 2:
         raise ShapeMismatch("completion of squares needs a quadratic form")
     n = p.n
-    scale = max(p.norm(), 1.0)
+    scale = p.norm()
     work = p
     out = []
     for k in range(n):
@@ -99,15 +101,17 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
 
 
 def uppertri(p: Form, eps: float = EPS_DEFAULT) -> TriangularSquares:
-    """Upper-triangular rows l_k = L_k / sqrt(a_k); exact when every pivot is
-    a square of a Gaussian rational, complex otherwise."""
-    pairs = uppertri_pairs(p, eps)
-    rows = []
-    for _, a, lrow in pairs:
+    """Upper-triangular rows l_k = L_k / sqrt(a_k), exact when every pivot is
+    a square in Q(i); DegenerateInput unless the rows are accepted for p."""
+    squares = []
+    for _, a, lrow in uppertri_pairs(p, eps):
         root = scalar_sqrt(a)
-        rows.append(lrow.scale(1 / root) if is_exact(root) and is_exact(a)
-                    and lrow.exact else lrow.approx().scale(1.0 / complex(root)))
-    return TriangularSquares(rows)
+        row = (lrow if is_exact(root) else lrow.approx()).scale(1 / root)
+        squares.append(Term(1, row, 2))
+    dec = Decomposition(squares).accepted(p, eps) if squares else Decomposition([])
+    if dec is None:
+        raise DegenerateInput("reconstruction check failed")
+    return TriangularSquares([t.base for t in dec.terms])
 
 
 # -- simultaneous diagonalization of a pencil -----------------------------------
@@ -130,9 +134,7 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
     mg = quadratic_matrix(g)
     char = pencil_charpoly(mg, mf)
     lead = char[-1]
-    scale = max(abs(complex(v)) for v in char) if any(
-        abs(complex(v)) for v in char) else 1.0
-    if scalar_is_zero(lead, eps ** 0.5, scale):
+    if scalar_is_zero(lead, eps ** 0.5, max(abs(complex(v)) for v in char)):
         raise DegeneratePencil("M_f is singular")
     roots = poly_roots([complex(v) for v in char])
     if len(roots) != n:
@@ -142,7 +144,6 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
         for j in range(i + 1, n):
             if abs(roots[i] - roots[j]) <= eps ** 0.5 * cscale:
                 raise DegeneratePencil("repeated pencil eigenvalues")
-    import numpy as np
     amf = np.array([[complex(v) for v in row] for row in mf])
     amg = np.array([[complex(v) for v in row] for row in mg])
     columns = []
@@ -156,7 +157,7 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
         if den != 0:
             c = num / den
         s = complex(v @ amf @ v)
-        if abs(s) <= eps * max(1.0, float(np.max(np.abs(amf)))):
+        if abs(s) <= eps * float(np.max(np.abs(amf))):
             raise DegeneratePencil("isotropic pencil eigenvector")
         columns.append(v / s ** 0.5)
         eigs.append(c)
@@ -180,12 +181,12 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
 
 def _eliminate(p: Form, kill: list[int], tol: float, scale: float) -> Form | None:
     """p without its monomials in the variables `kill`, or None if one of
-    them is more than noise: exact and nonzero, or above tol * max(scale, 1)."""
+    them is more than noise: exact and nonzero, or above tol * scale."""
     keep = {}
     for idx, v in p.items():
         if not any(idx[k] for k in kill):
             keep[idx] = v
-        elif (is_exact(v) and v) or abs(complex(v)) > tol * max(scale, 1.0):
+        elif (is_exact(v) and v) or abs(complex(v)) > tol * scale:
             return None
     return Form(p.n, p.d, keep)
 
@@ -258,11 +259,8 @@ def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         current = pad_form(restrict_form(q, list(range(2, len(live)))), n, live[2:]) \
             if len(live) > 2 else Form.zero(n, 3)
         offset += 2
-    if not terms:
-        raise ZeroForm(f"the cubic is zero to within the tolerance "
-                       f"{eps * max(p.norm(), 1.0):g}")
     dec = Decomposition(terms, meta={"theorem": "reichstein-full", "stages": stages})
-    if not dec.verify(p, max(eps, 1e-8)):
+    if (dec := dec.accepted(p, eps)) is None:
         raise DegeneratePencil("full reconstruction check failed")
     return dec
 
@@ -285,7 +283,7 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     for t in range(n - 1, 0, -1):
         h = current.partial(t)
         stage = n - t
-        if h.is_zero(eps, scale=max(p.norm(), 1.0)):
+        if h.is_zero(eps, scale=p.norm()):
             stages.append({"stage": stage, "eliminated": t + 1, "cubes": 0})
             continue
         try:
@@ -305,15 +303,12 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         current = _eliminate(current, [t], max(1e-7, eps), p.norm())
         if current is None:
             raise DegenerateStage(stage, "residual kept the eliminated variable")
-    if not current.is_zero(eps, scale=max(p.norm(), 1.0)):
+    if not current.is_zero(eps, scale=p.norm()):
         c = current.raw(tuple([3] + [0] * (n - 1)))
         terms.append(Term(c, linear_form([1] + [0] * (n - 1)), 3))
         stages.append({"stage": n, "eliminated": 1, "cubes": 1})
-    if not terms:
-        raise ZeroForm(f"the cubic is zero to within the tolerance "
-                       f"{eps * max(p.norm(), 1.0):g}")
     dec = Decomposition(terms, meta={"theorem": "slinky", "stages": stages})
-    if not dec.verify(p, max(eps, 1e-8)):
+    if (dec := dec.accepted(p, eps)) is None:
         raise DegenerateStage(n, "reconstruction check failed")
     return dec
 
@@ -380,7 +375,6 @@ def _diagonalize_any_quadratic(q: Form, floor: float) -> list[list[complex]]:
 
 
 def _independent(rows) -> bool:
-    import numpy as np
     return np.linalg.matrix_rank(np.array(rows), tol=1e-8) == len(rows)
 
 
@@ -493,7 +487,7 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     quadratic, and subtracts a zero-sum family of cubes.
     """
     check_decomposable(p, p.d == 3, "need a cubic form")
-    floor = 1e-12 * max(p.norm(), 1.0)
+    floor = 1e-12 * p.norm()
     raw_terms = _slowpoke_rec(p.approx(), eps, floor)
     terms = []
     for mu, coeffs in raw_terms:
@@ -505,11 +499,10 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         terms.append(Term(mu * lead ** 3, base, 3))
     if not terms:
         raise ZeroForm(f"the cubic is zero to within the tolerance {floor:g}")
-    dec = Decomposition(terms, meta={"theorem": "slowpoke"})
-    snapped = dec.snapped(p)
-    if snapped is None and not dec.verify(p, max(eps, 1e-7)):
+    dec = Decomposition(terms, meta={"theorem": "slowpoke"}).accepted(p, eps)
+    if dec is None:
         raise DegenerateStage(0, "slowpoke reconstruction check failed")
-    return snapped or dec
+    return dec
 
 
 # -- quartic lift ------------------------------------------------------------------------
@@ -551,7 +544,7 @@ def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     dec = Decomposition(terms, residual=residual,
                         meta={"theorem": "quartic-lift",
                               "stages": [{"stage": 1, "eliminated": n,
-                                          "powers": len(terms)}]})
-    if not dec.verify(p, max(eps, 1e-7)):
+                                          "powers": len(terms)}]}).accepted(p, eps)
+    if dec is None:
         raise DegenerateStage(1, "reconstruction check failed")
     return dec

@@ -274,14 +274,14 @@ def as_scalar(v) -> Scalar:
 def scalar_is_zero(v: Scalar, eps: float = EPS_DEFAULT, scale: float = 1.0) -> bool:
     if isinstance(v, QQi):
         return not v
-    return abs(v) <= eps * max(scale, 1.0)
+    return abs(v) <= eps * scale
 
 
 def scalars_close(a: Scalar, b: Scalar, eps: float = EPS_DEFAULT,
                   scale: float = 1.0) -> bool:
     if isinstance(a, QQi) and isinstance(b, QQi):
         return a == b
-    return abs(complex(a) - complex(b)) <= eps * max(scale, 1.0)
+    return abs(complex(a) - complex(b)) <= eps * scale
 
 
 # -- image modulo a prime -----------------------------------------------------

@@ -16,7 +16,7 @@ import canonform
 from canonform import cli, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
-from canonform.forms import parse_decomposition, var_names
+from canonform.forms import ACCEPT_TOL, parse_decomposition, var_names
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -816,25 +816,65 @@ def test_negative_seed_in_count_is_a_usage_error(capsys, monkeypatch, argv,
 
 
 _SCALED_P = "1e-12*x^3+2e-12*y^3+3e-12*x*y*z+5e-12*z^3+1e-12*x^2*z"
+_APPROX = ["--backend", "approx"]
 
 
-@pytest.mark.parametrize("argv,tol", [
-    (["--backend", "approx", "decompose", "reichstein", "1e-20*x*y*z"],
-     "1e-09"),
-    (["--backend", "approx", "decompose", "slinky", "1e-20*x*y*z"], "1e-09"),
-    (["--backend", "approx", "decompose", "slowpoke", "1e-20*x*y*z"],
-     "1e-12"),
-    (["decompose", "slowpoke", "1e-20*x^3+1e-20*y^3+1e-20*z^3"], "1e-12"),
-    (["--backend", "approx", "decompose", "reichstein", _SCALED_P, "--shear"],
-     "1e-09"),
-    (["--backend", "approx", "decompose", "slinky", _SCALED_P, "--shear"],
-     "1e-09"),
+def _assert_rebuilds(out, target):
+    """Every printed decomposition rebuilds target within ACCEPT_TOL of its
+    norm."""
+    assert out
+    for line in out.splitlines():
+        rebuilt = parse_decomposition(line).reconstruct().approx()
+        assert (rebuilt - target.approx()).norm() <= ACCEPT_TOL * target.norm()
+
+
+@pytest.mark.parametrize("flags,algo,scaled,twin,shear,code", [
+    (_APPROX, "reichstein", "1e-20*x*y*z", "x*y*z", False, 2),
+    (_APPROX, "slinky", "1e-20*x*y*z", "x*y*z", False, 2),
+    (_APPROX, "slowpoke", "1e-20*x*y*z", "x*y*z", False, 0),
+    ([], "slowpoke", "1e-20*x^3+1e-20*y^3+1e-20*z^3", "x^3+y^3+z^3", False, 0),
+    (_APPROX, "reichstein", _SCALED_P, "x^3+2*y^3+3*x*y*z+5*z^3+x^2*z", True, 0),
+    (_APPROX, "slinky", _SCALED_P, "x^3+2*y^3+3*x*y*z+5*z^3+x^2*z", True, 0),
 ])
-def test_cubic_below_the_tolerance_is_zero_form(capsys, argv, tol):
-    # every cube drops out under the tolerance; the input itself is nonzero
-    code, out, err = run_cli(argv, capsys=capsys)
+def test_scaling_a_cubic_keeps_its_verdict(capsys, flags, algo, scaled, twin,
+                                           shear, code):
+    # c*p gets the exit code of p, and each result rebuilds its own input
+    for text in (scaled, twin):
+        argv = flags + ["--seed", "0", "decompose", algo, text]
+        got, out, _ = run_cli(argv + ["--shear"] * shear, capsys=capsys)
+        assert got == code
+        if code == 0:
+            p = parse_form(text).approx()
+            _assert_rebuilds(out, cli._sheared(p, 0) if shear else p)
+
+
+def test_uppertri_below_norm_one_prints_rows_that_rebuild_the_input(capsys):
+    # the rows of a quadratic of norm 3e-15 were once dropped as zero
+    text = "1e-15*x^2+2e-15*x*y+3e-15*y^2"
+    code, out, err = run_cli(["--backend", "approx", "decompose", "uppertri",
+                              text], capsys=capsys)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2
+    _assert_rebuilds(" + ".join(out.splitlines()), parse_form(text))
+
+
+def test_quartic_six_below_norm_one_decomposes(capsys):
+    # binary_factor once found every coefficient of this quartic zero (exit 3)
+    text = "1e-12*x^4+2e-12*x^3*y+3e-12*x^2*y^2+5e-12*x*y^3+7e-12*y^4"
+    code, out, err = run_cli(_APPROX + ["decompose", "quartic-six", text],
+                             capsys=capsys)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 6
+    _assert_rebuilds(out, parse_form(text))
+
+
+@pytest.mark.parametrize("flags", [[], _APPROX])
+def test_two_squares_whose_rotation_cancels_is_degenerate_input(capsys, flags):
+    # rho^2 + tau^2 rounds to exactly 0, which once divided by zero (exit 3)
+    code, out, err = run_cli(flags + [
+        "decompose", "two-squares", "1e20*x^4+2*1e20*x^3*y+3*1e20*x^2*y^2"
+        "+5*1e20*x*y^3+7*1e20*y^4"], capsys=capsys)
     assert (code, out) == (2, "")
-    assert err == f"ZeroForm: the cubic is zero to within the tolerance {tol}\n"
+    assert err == ("DegenerateInput: the rotation is undefined: "
+                   "rho^2 + tau^2 = 0\n")
 
 
 def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):

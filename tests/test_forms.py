@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import itertools
 import json
+import math
 import operator
 import random
 from fractions import Fraction
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 from canonform import (QQi, ZeroForm, biermann_point, binary_factor, dim,
                        forms_close, index_set, linear_form, multinomial,
                        parse_form, power_of_linear, random_form)
-from canonform.errors import DegenerateStage, ParseError, ShapeMismatch
+from canonform import binary, multivar
+from canonform.errors import (CanonformError, DegenerateStage, ParseError,
+                              ShapeMismatch)
 from canonform.binary import sylvester_decompose, two_squares_all
-from canonform.forms import (Decomposition, Form, Term, _Reader,
+from canonform.forms import (ACCEPT_TOL, Decomposition, Form, Term, _Reader,
                              form_from_json, form_to_json, monomial_form,
                              parse_decomposition, parse_scalar)
 from canonform.linalg import exact_inverse
@@ -583,3 +587,95 @@ def test_snapped_candidate_that_does_not_fit_raises_as_before():
         Decomposition([Term(1 + 0j, x, 3), Term(1 + 0j, x, 2)]).snapped(target)
     wide = Decomposition([Term(1 + 0j, linear_form([1, 0, 0]).approx(), 3)])
     assert wide.snapped(target) is None
+
+
+# -- acceptance and scale -----------------------------------------------------------
+
+
+def test_verify_is_relative_below_norm_one():
+    # the two cubics differ by about 5x their own norm
+    p = parse_form("1e-9*x^3 + 2e-9*y^3").approx()
+    dec = Decomposition([Term(5e-9, linear_form([1.0, -1.0]), 3)])
+    assert not dec.verify(p, ACCEPT_TOL)
+    assert dec.accepted(p) is None
+
+
+def test_accepted_prefers_the_exact_snap():
+    target = parse_form(EX310)
+    dec = approx_of(parse_decomposition("5*(x+2*y)^3 - 3*(x+3*y)^3"))
+    got = dec.accepted(target)
+    assert got is not None and got.reconstruct() == target
+    assert dec.accepted(target.approx()) is dec
+
+
+def _reichstein_step(p):
+    dec, residual = multivar.reichstein_step(p)
+    return Decomposition(dec.terms, residual)
+
+
+# decompose algorithm: (n, d, call) for the scale property below
+_DECOMPOSERS = {
+    "sylvester": (2, 5, sylvester_decompose),
+    "mixed": (2, 4, lambda p: binary.mixed_decompose(
+        p, binary.MixedSpec([parse_form("x+2*y")], 2))),
+    "two-squares": (2, 4, two_squares_all),
+    "quartic-six": (2, 4, binary.quartic_six_for_form),
+    "quartic-two-fixed": (2, 4, lambda p: binary.quartic_two_fixed(
+        p, parse_form("x+y"), parse_form("x-3*y"))),
+    "uppertri": (3, 2, lambda p: Decomposition(
+        [Term(1, row, 2) for row in multivar.uppertri(p).rows])),
+    "reichstein": (3, 3, multivar.reichstein_full),
+    "reichstein-step": (3, 3, _reichstein_step),
+    "slinky": (3, 3, slinky),
+    "slowpoke": (3, 3, slowpoke),
+    "quartic-lift": (3, 4, quartic_lift),
+}
+
+
+@pytest.mark.parametrize("algo", list(_DECOMPOSERS))
+def test_every_decomposer_gives_c_times_p_the_verdict_of_p(algo):
+    """Each decomposer on c*p for four seeded p, both backends, c from 2^-40
+    to 1e20: a result rebuilds c*p within ACCEPT_TOL of its norm, a refusal
+    is a CanonformError, and the verdict is the one at c = 1."""
+    n, d, call = _DECOMPOSERS[algo]
+    successes = 0
+    for seed, exact in itertools.product(range(4), (True, False)):
+        base, verdicts = random_form(n, d, random.Random(seed)), []
+        for c in (1, 2.0 ** -40, 1e-12, 1e-20, 1e20):
+            p = (base.scale(QQi(Fraction(c))) if exact
+                 else base.approx().scale(complex(c)))
+            try:
+                result = call(p)
+            except CanonformError:
+                verdicts.append(False)
+                continue
+            for dec in result if isinstance(result, list) else [result]:
+                err = (dec.reconstruct().approx() - p.approx()).norm()
+                assert err <= ACCEPT_TOL * p.norm(), (seed, exact, c)
+            verdicts.append(True)
+        successes += verdicts[0]
+        # two-squares splits the leading constant onto one side only, so
+        # away from c = 1 its squares cancel; it is not yet scale invariant
+        if algo != "two-squares":
+            assert verdicts == verdicts[:1] * 5, (seed, exact, verdicts)
+    assert successes
+
+
+_dyadics = st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(-60, 20))
+_dyadic_cubics = st.lists(st.builds(complex, _dyadics, _dyadics),
+                          min_size=4, max_size=4).map(
+    lambda vs: Form(2, 3, dict(zip(index_set(2, 3), vs))))
+
+
+@given(p=_dyadic_cubics, r=_dyadic_cubics, near=st.floats(0, 2),
+       eps=st.sampled_from([1e-12, 1e-9, 1e-7]), k=st.integers(-80, 80))
+def test_form_zero_and_closeness_verdicts_are_scale_invariant(p, r, near, eps, k):
+    # r is rescaled to near * eps * |p|, on either side of the bound; scaling
+    # every input and the scale by 2^k keeps each verdict
+    c = 2.0 ** k
+    small = r.scale(near * eps * p.norm() / r.norm()) if r.norm() else r
+    scale = p.norm()
+    assert (small.scale(c).is_zero(eps, scale * c)
+            == small.is_zero(eps, scale))
+    assert (forms_close(p.scale(c), (p + small).scale(c), eps)
+            == forms_close(p, p + small, eps))

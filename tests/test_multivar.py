@@ -1,12 +1,14 @@
+import cmath
 import random
 
 import pytest
 
-from canonform import QQi, forms_close, monomial_form, parse_form, random_form
+from canonform import (QQi, forms_close, monomial_form, multivar, parse_form,
+                       random_form)
 from canonform.binary import sylvester_decompose
 from canonform.cli import main
-from canonform.errors import (DegeneratePencil, DegenerateStage, PivotZero,
-                              ZeroForm)
+from canonform.errors import (DegenerateInput, DegeneratePencil,
+                              DegenerateStage, PivotZero, ZeroForm)
 from canonform.forms import Form
 from canonform.multivar import (_eliminate, drab_family, pencil_diagonalize,
                                 quartic_lift, reichstein_full, reichstein_step,
@@ -55,6 +57,12 @@ class TestUppertri:
     def test_pivot_zero(self):
         with pytest.raises(PivotZero):
             uppertri(parse_form("x*y"))
+
+    def test_rows_that_miss_the_input_are_refused(self, monkeypatch):
+        # a wrong square root scales every row off; the check refuses them
+        monkeypatch.setattr(multivar, "scalar_sqrt", lambda v: 2.0 * cmath.sqrt(v))
+        with pytest.raises(DegenerateInput, match="reconstruction check failed"):
+            uppertri(parse_form("x^2 + 2*x*y + 3*y^2"))
 
     def test_reconstruction_and_uniqueness(self):
         rng = random.Random(30)
@@ -297,11 +305,12 @@ class TestEliminate:
     def test_refuses_a_float_above_the_bound(self):
         p = Form(2, 3, {(1, 2): 3e-6, (0, 3): 1.0})
         assert _eliminate(p, [0], 1e-6, 1.0) is None
-        # the bound is tol * max(scale, 1): a larger scale lets it through
+        # the bound is tol * scale: a larger scale lets it through
         assert _eliminate(p, [0], 1e-6, 10.0) == Form(2, 3, {(0, 3): 1.0})
-        # and a scale below 1 does not tighten it
+        # and a scale below 1 tightens it
         q = Form(2, 3, {(1, 2): 5e-7, (0, 3): 1.0})
-        assert _eliminate(q, [0], 1e-6, 0.01) == Form(2, 3, {(0, 3): 1.0})
+        assert _eliminate(q, [0], 1e-6, 1.0) == Form(2, 3, {(0, 3): 1.0})
+        assert _eliminate(q, [0], 1e-6, 0.01) is None
 
     def test_drops_float_noise_below_the_bound(self):
         p = Form(3, 2, {(2, 0, 0): 1e-9, (0, 1, 1): 2.0 + 1j,

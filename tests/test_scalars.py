@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from canonform import canonicity
 from canonform.scalars import (MOD_I, MOD_P, QQi, _NoImage, exact_sqrt,
-                               format_exact, mod_p, scalar_sqrt,
-                               scalar_to_json, snap_scalar, sqrt_fraction)
+                               format_exact, mod_p, scalar_is_zero,
+                               scalar_sqrt, scalar_to_json, scalars_close,
+                               snap_scalar, sqrt_fraction)
 
 
 def test_field_operations_are_exact():
@@ -310,3 +311,22 @@ def test_mod_p_has_no_image_for_inexact_values_or_a_denominator_of_p(v):
 def test_canonicity_reads_the_one_modular_image():
     assert canonicity.MOD_P is MOD_P
     assert canonicity.mod_p is mod_p and canonicity._NoImage is _NoImage
+
+
+# Dyadic values, so scaling by 2^k for |k| <= 80 stays exact in floats.
+dyadics = st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(-60, 20))
+dyadic_complex = st.builds(complex, dyadics, dyadics)
+tolerances = st.sampled_from([1e-12, 1e-9, 1e-7, 1e-3])
+
+
+@given(v=dyadic_complex, w=dyadic_complex, scale=dyadics.map(abs),
+       near=st.floats(0, 2), eps=tolerances, k=st.integers(-80, 80))
+def test_zero_and_closeness_verdicts_are_scale_invariant(v, w, scale, near, eps,
+                                                         k):
+    # there is no absolute floor: scaling the values and the scale by 2^k
+    # keeps every verdict; near * eps * scale sits on either side of the bound
+    c = 2.0 ** k
+    for u in (v, complex(near * eps * scale)):
+        assert scalar_is_zero(u * c, eps, scale * c) == scalar_is_zero(u, eps, scale)
+        assert (scalars_close(w * c, (w + u) * c, eps, scale * c)
+                == scalars_close(w, w + u, eps, scale))
