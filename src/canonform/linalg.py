@@ -21,12 +21,6 @@ def matrix_is_exact(rows: Matrix) -> bool:
     return all(is_exact(v) for row in rows for v in row)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum((row[k] * col[k] for k in range(1, len(col))), row[0] * col[0])
-             for col in bt] for row in a]
-
-
 # -- exact elimination --------------------------------------------------------
 
 

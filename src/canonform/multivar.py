@@ -11,6 +11,8 @@ n(n+1)/2 cubes.  Quartics lift the cubic construction by integration.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,11 +20,10 @@ import numpy as np
 
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
-from .forms import (Decomposition, Form, Term, biermann_point,
+from .forms import (ACCEPT_TOL, Decomposition, Form, Term, _monomials,
                     check_decomposable, forms_close, linear_coeffs,
-                    linear_form, pad_form, restrict_form)
-from .linalg import (Matrix, mat_inverse, mat_mul, pencil_charpoly,
-                     poly_roots)
+                    linear_form, multinomial, pad_form, restrict_form)
+from .linalg import Matrix, pencil_charpoly, poly_roots
 from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
                       scalar_sqrt)
 
@@ -88,15 +89,15 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
         idx_sq = [0] * n
         idx_sq[k] = 2
         a = work.raw(tuple(idx_sq))
-        present = any(idx[k] and not scalar_is_zero(v, eps, scale)
-                      for idx, v in work.items())
-        if not present:
-            continue
-        if scalar_is_zero(a, eps, scale):
-            raise PivotZero(k + 1)
-        lrow = linear_form(quadratic_row(work, k))
-        out.append((k, a, lrow))
-        work = work - (lrow * lrow).scale(QQi(1) / a if is_exact(a) else 1.0 / a)
+        if any(idx[k] and not scalar_is_zero(v, eps, scale) for idx, v in work.items()):
+            if scalar_is_zero(a, eps, scale):
+                raise PivotZero(k + 1)
+            lrow = linear_form(quadratic_row(work, k))
+            out.append((k, a, lrow))
+            work = work - (lrow * lrow).scale(QQi(1) / a if is_exact(a) else 1.0 / a)
+        # x_k has left the residual; on floats, drop the rounding it left
+        if (work := _eliminate(work, [k], max(ACCEPT_TOL, eps), scale)) is None:
+            raise DegenerateInput(f"the residual kept x{k + 1}")
     return out
 
 
@@ -314,6 +315,12 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
 
 
 # -- every cubic: the slowpoke construction ------------------------------------------
+#
+# The levels run on the cubic's coefficient tensor: the symmetric complex
+# n x n x n array T with T[i,j,k] = a(p; e_i+e_j+e_k), the stored coefficient,
+# so p(x) = sum T[i,j,k] x_i x_j x_k and p o M is T contracted with M on
+# each axis (Comon, Golub, Lim and Mourrain, SIAM J. Matrix Anal. Appl. 30,
+# 2008).  Form stays the representation outside the recursion.
 
 
 def drab_family(m: int) -> list[Form]:
@@ -330,43 +337,82 @@ def drab_family(m: int) -> list[Form]:
     return out
 
 
-def _diagonalize_any_quadratic(q: Form, floor: float) -> list[list[complex]]:
-    """Coefficients of complex linear forms m_k with q = sum m_k^2, rank many;
-    total over C."""
-    n = q.n
-    work = q.approx()
+@functools.cache
+def _cubic_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the n x n x n entries: the position of each one's monomial in
+    _monomials(n, 3) and its multinomial c(i); and the grid I(n, 3)."""
+    mons = _monomials(n, 3)
+    pos = {idx: r for r, idx in enumerate(mons)}
+    slots = np.empty((n, n, n), dtype=int)
+    for ijk in itertools.product(range(n), repeat=3):
+        slots[ijk] = pos[tuple(ijk.count(v) for v in range(n))]
+    mult = np.array([multinomial(idx) for idx in mons], dtype=float)[slots]
+    out = slots, mult, np.array(mons, dtype=float)
+    for a in out:
+        a.setflags(write=False)  # shared by every caller
+    return out
+
+
+def _cubic_tensor(p: Form) -> np.ndarray:
+    """The coefficient tensor of the cubic p."""
+    values = [complex(p.a(idx)) for idx in _monomials(p.n, 3)]
+    return np.array(values)[_cubic_slots(p.n)[0]]
+
+
+def _tensor_norm(t: np.ndarray) -> float:
+    """Form.norm of the tensor's cubic: its largest monomial coefficient."""
+    return float((np.abs(t) * _cubic_slots(len(t))[1]).max())
+
+
+def _tensor_substitute(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The tensor of p o M for x_i = sum_j M[i][j] x'_j.  The three
+    contractions round each entry's orders differently; their mean is the
+    nearest symmetric tensor."""
+    for _ in range(3):
+        t = np.tensordot(t, m, axes=(0, 0))
+    return sum(t.transpose(axes) for axes in itertools.permutations(range(3))) / 6
+
+
+def _tensor_values(t: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """p at each row of `points`."""
+    half = (points @ t.reshape(len(t), -1)).reshape(len(points), len(t), len(t))
+    return np.einsum("pjk,pj,pk->p", half, points, points)
+
+
+def _tensor_biermann(t: np.ndarray, eps: float) -> tuple[np.ndarray, complex] | None:
+    """biermann_point on the tensor: the first point of I(n, 3) where p is
+    above eps * norm * 4^3, with p's value there; None if there is none."""
+    grid = _cubic_slots(len(t))[2]
+    values = _tensor_values(t, grid)
+    hits = np.flatnonzero(np.abs(values) > eps * _tensor_norm(t) * 4.0 ** 3)
+    return (grid[hits[0]], complex(values[hits[0]])) if len(hits) else None
+
+
+def _diagonalize_any_quadratic(w: np.ndarray, floor: float) -> list[np.ndarray]:
+    """Rows m_k with W = sum m_k m_k^T, rank many, for the symmetric matrix W
+    of the quadratic x^T W x; total over C."""
+    n = len(w)
+    mult = 2.0 - np.eye(n)  # x_i x_j has coefficient 2 W_ij off the diagonal
     out = []
     for _ in range(n):
-        if work.is_zero(0.0) or work.norm() <= floor:
+        raw = np.abs(w) * mult
+        if not raw.any() or raw.max() <= floor:
             break
-        m = quadratic_matrix(work)
-        best_i, best = None, 0.0
-        for i in range(n):
-            v = abs(complex(m[i][i]))
-            if v > best:
-                best, best_i = v, i
-        w = None
-        if best > floor:
-            w = [0.0] * n
-            w[best_i] = 1.0
+        diag = np.abs(w.diagonal())
+        pick = np.zeros(n)
+        if diag.max() > floor:
+            pick[np.argmax(diag)] = 1.0
         else:
-            bi = bj = None
-            best = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = abs(complex(m[i][j]))
-                    if v > best:
-                        best, bi, bj = v, i, j
-            if bi is None or best <= floor:
+            off = np.triu(np.abs(w), 1)
+            bi, bj = np.unravel_index(np.argmax(off), off.shape)
+            if off[bi, bj] <= floor:
                 break
-            w = [0.0] * n
-            w[bi] = w[bj] = 1.0
-        qw = complex(work.evaluate(w))
-        mw = [sum(complex(m[i][j]) * w[j] for j in range(n)) for i in range(n)]
-        root = complex(qw) ** 0.5
-        out.append([v / root for v in mw])
-        mform = linear_form(out[-1])
-        work = (work - mform * mform).chop(1e-13)
+            pick[[bi, bj]] = 1.0
+        mw = w @ pick
+        out.append(mw / complex(pick @ mw) ** 0.5)
+        w = w - np.outer(out[-1], out[-1])
+        raw = np.abs(w) * mult
+        w = np.where(raw > 1e-13 * max(raw.max(), 1e-300), w, 0)
     # floor shrinks with each slowpoke level, so rounding noise can pass it;
     # the forms made from noise depend on the earlier ones and are dropped
     while out and not _independent(out):
@@ -378,105 +424,65 @@ def _independent(rows) -> bool:
     return np.linalg.matrix_rank(np.array(rows), tol=1e-8) == len(rows)
 
 
-def _complete_basis(rows: list[list[complex]], n: int) -> list[list[complex]]:
+def _complete_basis(rows: list[np.ndarray], n: int) -> np.ndarray:
     """Extend independent rows to an invertible n x n matrix with unit rows."""
-    mat = [list(r) for r in rows]
-    for j in range(n):
-        cand = [0.0 + 0j] * n
-        cand[j] = 1.0 + 0j
-        trial = mat + [cand]
-        if _independent(trial):
-            mat.append(cand)
+    mat = list(rows)
+    for unit in np.eye(n):
         if len(mat) == n:
             break
-    return mat
+        if _independent(mat + [unit]):
+            mat.append(unit)
+    return np.array(mat, dtype=complex)
 
 
-def _slowpoke_rec(p: Form, eps: float, floor: float) -> list[tuple[complex, list]]:
-    """Multipliers and linear-form coefficients (mu, l) with p = sum mu l^3."""
-    n = p.n
-    if p.norm() <= floor:
-        return []
+def _slowpoke_rec(t: np.ndarray, eps: float,
+                  floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers mu and linear-form coefficient rows l with p = sum mu l^3,
+    for the cubic of the tensor t."""
+    n = len(t)
+    none = np.zeros(0, dtype=complex), np.zeros((0, n), dtype=complex)
+    if _tensor_norm(t) <= floor:
+        return none
     if n == 1:
-        return [(complex(p.raw((3,))), [1.0 + 0j])]
-    try:
-        u = biermann_point(p, eps)
-    except ZeroForm:
-        return []  # p is below every grid test: noise the final check judges
-    c = complex(p.evaluate(u))
-    j0 = max(range(n), key=lambda j: u[j])
-    m1 = [[0.0 + 0j] * n for _ in range(n)]
-    for i in range(n):
-        m1[i][0] = complex(u[i])
-    col = 1
-    for j in range(n):
-        if j == j0:
-            continue
-        m1[j][col] = 1.0 + 0j
-        col += 1
-    p1 = p.substitute(m1).scale(1.0 / c)
+        return t.reshape(1), np.ones((1, 1), dtype=complex)
+    found = _tensor_biermann(t, eps)
+    if found is None:
+        return none  # p is below every grid test: noise the final check judges
+    u, c = found
+    j0 = int(np.argmax(u))
+    m1 = np.column_stack([u, np.delete(np.eye(n), j0, axis=1)]).astype(complex)
+    t1 = _tensor_substitute(t, m1) / c
 
     # clear the quadratic term: u_1 = y_1 - h_1(y_2..y_n)
-    h1 = [0.0 + 0j] * n
-    for j in range(1, n):
-        idx = [0] * n
-        idx[0] = 2
-        idx[j] = 1
-        h1[j] = complex(p1.raw(tuple(idx))) / 3.0
-    m2 = [[0.0 + 0j] * n for _ in range(n)]
-    m2[0][0] = 1.0 + 0j
-    for j in range(1, n):
-        m2[j][j] = 1.0 + 0j
-        m2[0][j] = -h1[j]
-    p2 = p1.substitute(m2)
+    m2 = np.eye(n, dtype=complex)
+    m2[0, 1:] = -t1[0, 0, 1:]
+    t2 = _tensor_substitute(t1, m2)
 
     # diagonalize the coefficient quadratic of y_1
-    raw = {}
-    for idx, v in p2.raw_items():
-        if idx[0] == 1:
-            raw[idx[1:]] = complex(v) / 3.0
-    h2_form = Form.from_raw(n - 1, 2, raw) if raw else Form.zero(n - 1, 2)
-    ms = _diagonalize_any_quadratic(h2_form, floor / max(abs(c), 1.0))
+    ms = _diagonalize_any_quadratic(t2[0, 1:, 1:], floor / max(abs(c), 1.0))
     rho = len(ms)
     r = rho + 1
-    cmat = _complete_basis(ms, n - 1)
-    cinv = mat_inverse(cmat)
-    m3 = [[0.0 + 0j] * n for _ in range(n)]
-    m3[0][0] = 1.0 + 0j
-    for i in range(n - 1):
-        for j in range(n - 1):
-            m3[i + 1][j + 1] = complex(cinv[i][j])
-    p3 = p2.substitute(m3)
+    m3 = np.eye(n, dtype=complex)
+    m3[1:, 1:] = np.linalg.inv(_complete_basis(ms, n - 1))
+    t3 = _tensor_substitute(t2, m3)
 
-    if rho == 0:
-        terms = [(1.0 + 0j, [1.0 + 0j] + [0.0 + 0j] * (n - 1))]
-    else:
-        fam = drab_family(rho)
-        sr = complex(r) ** 0.5
-        terms = []
-        for lf in fam:
-            coeffs = [1.0 + 0j] + [0.0 + 0j] * (n - 1)
-            fam_coeffs = linear_coeffs(lf)
-            for k in range(rho):
-                coeffs[1 + k] = sr * complex(fam_coeffs[k])
-            terms.append((1.0 / r, coeffs))
-    q = p3
-    for mu, coeffs in terms:
-        q = q - (linear_form(coeffs) ** 3).scale(mu)
+    rows = np.zeros((r, n), dtype=complex)
+    rows[:, 0] = 1.0
+    if rho:
+        fam = [linear_coeffs(lf) for lf in drab_family(rho)]
+        rows[:, 1:r] = math.sqrt(r) * np.array(fam, dtype=complex)
+    mus = np.full(r, 1.0 / r, dtype=complex)
+    q = t3 - np.einsum("k,ki,kj,kl->ijl", mus, rows, rows, rows)
 
     # residual lives in the tail variables; recurse
-    q = _eliminate(q, [0], max(1e-7, eps), p3.norm())
-    if q is None:
+    if np.abs(q[0]).max() > max(1e-7, eps) * _tensor_norm(t3):
         raise DegenerateStage(n, "slowpoke residual kept y_1")
-    q_tail = restrict_form(q, list(range(1, n)))
-    terms += [(mu, [0.0 + 0j] + coeffs) for mu, coeffs in
-              _slowpoke_rec(q_tail, eps, floor / max(abs(c), 1.0))]
+    sub_mus, sub_rows = _slowpoke_rec(q[1:, 1:, 1:], eps, floor / max(abs(c), 1.0))
+    mus = np.concatenate([mus, sub_mus])
+    rows = np.vstack([rows, np.pad(sub_rows, ((0, 0), (1, 0)))])
 
     # map back through m1 m2 m3 and rescale by c
-    mtot = mat_mul(mat_mul(m1, m2), m3)
-    minv = mat_inverse(mtot)
-    return [(c * mu, [sum(v * row[j] for v, row in zip(coeffs, minv))
-                      for j in range(n)]) for mu, coeffs in terms]
+    return c * mus, rows @ np.linalg.inv(m1 @ m2 @ m3)
 
 
 def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
@@ -488,9 +494,9 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     """
     check_decomposable(p, p.d == 3, "need a cubic form")
     floor = 1e-12 * p.norm()
-    raw_terms = _slowpoke_rec(p.approx(), eps, floor)
+    mus, rows = _slowpoke_rec(_cubic_tensor(p), eps, floor)
     terms = []
-    for mu, coeffs in raw_terms:
+    for mu, coeffs in zip(mus.tolist(), rows.tolist()):
         mag = max(abs(v) for v in coeffs) if coeffs else 0.0
         if mag == 0.0 or abs(mu) * mag ** 3 <= floor:
             continue

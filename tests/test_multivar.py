@@ -1,6 +1,7 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from canonform import (QQi, forms_close, monomial_form, multivar, parse_form,
@@ -9,7 +10,7 @@ from canonform.binary import sylvester_decompose
 from canonform.cli import main
 from canonform.errors import (DegenerateInput, DegeneratePencil,
                               DegenerateStage, PivotZero, ZeroForm)
-from canonform.forms import Form
+from canonform.forms import Form, biermann_point, index_set, linear_coeffs
 from canonform.multivar import (_eliminate, drab_family, pencil_diagonalize,
                                 quartic_lift, reichstein_full, reichstein_step,
                                 slinky, slowpoke, uppertri, uppertri_pairs)
@@ -81,6 +82,21 @@ class TestUppertri:
         p = random_form(4, 2, random.Random(31))
         for k, a, row in uppertri_pairs(p):
             assert min(row.used_vars()) == k
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_approximate_rows_are_supported_on_their_tail(self, n):
+        # rounding leaves x_k residue after each square; it must not reach
+        # the later rows
+        rng = random.Random(32 + n)
+        # a dominant diagonal keeps every pivot nonzero
+        diagonal = parse_form("+".join(f"40*x{k + 1}^2" for k in range(n)), n=n)
+        for _ in range(4):
+            p = (random_form(n, 2, rng) + diagonal).approx().scale(0.1)
+            pairs = uppertri_pairs(p)
+            assert len(pairs) == n
+            for k, _, row in pairs:
+                coeffs = linear_coeffs(row)
+                assert coeffs[k] and not any(coeffs[:k])
 
 
 class TestPencil:
@@ -265,6 +281,47 @@ class TestSlowpoke:
         assert dec.verify(p, 1e-7)
         assert main(["decompose", "slowpoke", text]) == 0
         assert capsys.readouterr().err == ""
+
+
+def _tensor_form(t):
+    """The cubic whose stored coefficients are the tensor's entries."""
+    coeffs = {}
+    for idx in index_set(len(t), 3):
+        i, j, k = [v for v, e in enumerate(idx) for _ in range(e)]
+        coeffs[idx] = complex(t[i, j, k])
+    return Form(len(t), 3, coeffs)
+
+
+class TestCubicTensor:
+    """slowpoke's array kernel against Form arithmetic."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_round_trip_substitution_and_values(self, n):
+        p = random_form(n, 3, random.Random(60 + n))
+        gen = np.random.default_rng(60 + n)
+        t = multivar._cubic_tensor(p)
+        assert _tensor_form(t) == p.approx()
+        m = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        want = p.approx().substitute(m.tolist())
+        got = _tensor_form(multivar._tensor_substitute(t, m))
+        assert (got - want).norm() <= 1e-12 * want.norm()
+        points = gen.standard_normal((5, n)) + 1j * gen.standard_normal((5, n))
+        want = np.array([complex(p.evaluate(pt.tolist())) for pt in points])
+        got = multivar._tensor_values(t, points)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_biermann_point_matches_the_form_scan(self, n):
+        rng = random.Random(70 + n)
+        cases = [random_form(n, 3, rng), random_form(n, 3, rng).approx().scale(0.3)]
+        # products of distinct variables vanish on the first grid points
+        cases += [monomial_form(n, tuple(int(k < 3) for k in range(n)))] if n >= 3 else []
+        cases += [parse_form("x1*x2*x3 + x2*x3*x4", n=n, d=3)] if n >= 4 else []
+        for p in cases:
+            u, c = multivar._tensor_biermann(multivar._cubic_tensor(p), 1e-9)
+            assert tuple(int(v) for v in u) == biermann_point(p, 1e-9)
+            assert abs(c - complex(p.evaluate(biermann_point(p)))) <= 1e-12 * p.norm()
+        assert multivar._tensor_biermann(np.zeros((n, n, n), complex), 1e-9) is None
 
 
 class TestQuarticLift:
