@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
@@ -26,9 +24,11 @@ from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
 from .forms import (Decomposition, Form, Term, binary_factor,
                     check_decomposable, linear_coeffs, linear_form,
                     monomial_form, parse_form, power_of_linear)
-from .linalg import mat_inverse, mat_solve
+from .linalg import LazyModule, mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
                       scalar_sqrt)
+
+np = LazyModule("numpy", globals(), "np")
 
 # -- Sylvester's algorithm ----------------------------------------------------
 

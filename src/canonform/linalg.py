@@ -9,9 +9,30 @@ relative to the matrix max-magnitude.
 
 from __future__ import annotations
 
-import numpy as np
+import importlib
 
 from .scalars import EPS_DEFAULT, QQi, Scalar, is_exact
+
+
+class LazyModule:
+    """Stands for a module until an attribute of it is first read.
+
+    That read imports the module and, if `namespace[alias]` still holds this
+    stand-in, rebinds it to the module, so later reads are plain global
+    lookups.  The exact paths (certify, enumerate) never import numpy.
+    """
+
+    def __init__(self, name: str, namespace: dict, alias: str):
+        self._name, self._namespace, self._alias = name, namespace, alias
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._name)
+        if self._namespace.get(self._alias) is self:
+            self._namespace[self._alias] = module
+        return getattr(module, attr)
+
+
+np = LazyModule("numpy", globals(), "np")
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]

@@ -11,10 +11,14 @@ import importlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from canonform import cli
+from tests_support import subprocess_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -31,6 +35,38 @@ def _bench_module(monkeypatch, name):
 
 def _span_targets(monkeypatch):
     return _bench_module(monkeypatch, "tracing").SPAN_TARGETS
+
+
+def _fresh(code, *args):
+    """Run code in a new interpreter that finds the bench modules the way
+    bench/run.py does (writing no bytecode there); return its JSON line."""
+    proc = subprocess.run([sys.executable, "-B", "-c", code, str(BENCH), *args],
+                          capture_output=True, env=subprocess_env(), text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# A child that runs a workload's warmup request, then its first argv[3]
+# rounds, through cli.main as bench/run.py does, and reports per request
+# whether numpy was imported before and after it.
+_NUMPY_PER_REQUEST = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import canonform.cli
+from workloads import Stream
+stream = Stream(sys.argv[2], 0)
+reqs = [stream.warmup()]
+for _ in range(int(sys.argv[3])):
+    reqs += [req for _, req in stream.next_round()]
+rows = []
+for req in reqs:
+    before = "numpy" in sys.modules
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = canonform.cli.main(list(req.argv))
+    rows.append((req.argv, code, before, "numpy" in sys.modules))
+print(json.dumps(rows))
+"""
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -104,3 +140,30 @@ def test_certify_round_stays_on_the_modular_path(monkeypatch):
                 seed=int(argv[argv.index("--seed") + 1]))
             witness = rep.witness
         assert canonicity._full_rank_mod_p(pmap, witness), argv
+
+
+def test_cli_import_loads_every_traced_module_but_not_numpy(monkeypatch):
+    # tracing.install reads sys.modules["canonform.<mod>"] for every target
+    # and wraps binary.np; numpy itself is left to the first request needing it
+    modules = sorted({f"canonform.{m}" for m, _, _ in _span_targets(monkeypatch)})
+    code = ("import json, sys; import canonform.cli;"
+            " print(json.dumps([[m for m in sys.argv[2:] if m not in sys.modules],"
+            " hasattr(sys.modules['canonform.binary'], 'np'),"
+            " 'numpy' in sys.modules]))")
+    assert _fresh(code, *modules) == [[], True, False]
+
+
+def test_certify_round_never_imports_numpy(monkeypatch):
+    rows = _fresh(_NUMPY_PER_REQUEST, "certify", "1")
+    round_argvs = [req.argv for req in
+                   _bench_module(monkeypatch, "workloads").certify_round()]
+    assert sorted(argv for argv, _, _, _ in rows[1:]) == sorted(round_argvs)
+    assert [argv for argv, _, _, after in rows if after] == []
+
+
+@pytest.mark.parametrize("workload", ["decompose", "count"])
+def test_warmup_pays_for_the_numpy_import(workload):
+    # the import then falls in the untimed warmup, not in a timed request
+    [(argv, code, before, after)] = _fresh(_NUMPY_PER_REQUEST, workload, "0")
+    assert (code, before, after) == (0, False, True), argv
+

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +16,7 @@ from canonform import cli, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
 from canonform.forms import ACCEPT_TOL, parse_decomposition, var_names
+from tests_support import subprocess_env
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -645,13 +645,6 @@ def test_form_starting_with_a_minus_sign_after_double_dash(capsys):
     assert (code, out, err) == (0, "y^3 - x^3\n", "")
 
 
-def subprocess_env():
-    """The environment for a child interpreter that imports this canonform."""
-    src = str(Path(canonform.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_closed_output_pipe_is_not_an_internal_error():
     env = subprocess_env()
     read_end, write_end = os.pipe()
@@ -681,6 +674,55 @@ def test_import_leaves_numpy_random_unimported():
     if before == "True":
         pytest.skip("this numpy imports numpy.random with numpy")
     assert after == "False"
+
+
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+import canonform, canonform.cli
+rows = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = canonform.cli.main(argv)
+    rows.append((code, out.getvalue(), "numpy" in sys.modules))
+print(json.dumps(rows))
+"""
+
+
+def _fresh_main(argvs):
+    """(exit, stdout, numpy imported) after each argv, run in turn through
+    main in one new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, json.dumps(argvs)],
+                          capture_output=True, env=subprocess_env(), text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(row) for row in json.loads(proc.stdout)]
+
+
+def test_exact_subcommands_start_without_numpy():
+    # certify, classify-hyperplane, enumerate and count s/S are exact; numpy
+    # would add more to a one-shot call's start-up than their work costs
+    rows = _fresh_main([["certify", "sextican"],
+                        ["classify-hyperplane", "1,2,3,4"],
+                        ["enumerate", "obstruction"],
+                        ["count", "s", "--d", "15"],
+                        ["count", "S", "--N", "30"]])
+    assert [code for code, _, _ in rows] == [0] * 5
+    assert rows[0][1] == "Certified (rank 7/7)\n"
+    assert [loaded for _, _, loaded in rows] == [False] * 5
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["--json", "decompose", "slowpoke", "x^3+y^3+z^3"],
+     "b7aebdff100ea9118daab21d51216abd7ac475fe2f1a1c697fa51b44fb203b95"),
+    (["--json", "--seed", "11", "count", "reps", "--d", "4", "--e", "2",
+      "--m", "2", "--trials", "300"],
+     "d37dbc18d9033e186f5bdcc4686745d89b3446ed2a7b1c7dd06e0630629c9d2d"),
+])
+def test_numeric_subcommands_import_numpy_on_first_use(argv, sha256):
+    [(code, out, loaded)] = _fresh_main([argv])
+    assert (code, loaded) == (0, True)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 # -- the shared parser -------------------------------------------------------

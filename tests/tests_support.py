@@ -1,6 +1,18 @@
-"""Shared helpers for comparing decompositions up to term order."""
+"""Shared test helpers: decompositions compared up to term order, and the
+environment of a child interpreter."""
 
+import os
+from pathlib import Path
+
+import canonform
 from canonform.forms import index_set
+
+
+def subprocess_env():
+    """The environment for a child interpreter that imports this canonform."""
+    src = str(Path(canonform.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def term_vectors(dec):
