@@ -65,14 +65,14 @@ def _squarefree_nodes(vectors, r: int, eps: float):
 
 
 def _solve_power_multipliers(p: Form, nodes, eps: float):
-    """Multipliers lambda_k with p = sum lambda_k (alpha_k x + beta_k y)^d."""
+    """Multipliers lambda_k with p = sum lambda_k (alpha_k x + beta_k y)^d,
+    or None when there are none or a float power of a node overflows."""
     d = p.d
-    rows = []
-    rhs = []
-    for j in range(d + 1):
-        rows.append([a ** (d - j) * b ** j for a, b in nodes])
-        rhs.append(p.a((d - j, j)))
-    return mat_solve(rows, rhs, eps)
+    try:
+        rows = [[a ** (d - j) * b ** j for a, b in nodes] for j in range(d + 1)]
+    except OverflowError:
+        return None
+    return mat_solve(rows, [p.a((d - j, j)) for j in range(d + 1)], eps)
 
 
 def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:

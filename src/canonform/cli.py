@@ -18,9 +18,9 @@ import sys
 from . import binary, canonicity, enumeration, multivar
 from .apolarity import apply_diff, hankel, hankel_kernel
 from .errors import CanonformError, ParseError
-from .forms import (Decomposition, Form, _monomial_text, binary_factor, dim,
-                    form_to_json, forms_close, index_set, monomial_form,
-                    multinomial, parse_form, parse_scalar, var_names)
+from .forms import (Decomposition, Form, Term, _monomial_text, binary_factor,
+                    dim, form_to_json, forms_close, index_set, multinomial,
+                    parse_form, parse_scalar, var_names)
 from .linalg import exact_det
 from .scalars import EPS_DEFAULT, QQi, scalar_to_json
 
@@ -362,20 +362,11 @@ def _hankel_kernel_ok() -> bool:
 def _drab_identities_ok() -> bool:
     for m in range(1, 9):
         fam = multivar.drab_family(m)
-        total = fam[0]
-        sq = fam[0] * fam[0]
-        for f in fam[1:]:
-            total = total + f
-            sq = sq + f * f
-        target = None
-        for k in range(m):
-            idx = [0] * m
-            idx[k] = 2
-            t = monomial_form(m, tuple(idx))
-            target = t if target is None else target + t
-        if not total.is_zero(1e-12, scale=1.0):
-            return False
-        if not forms_close(sq, target.approx(), 1e-12):
+        squares = Decomposition([Term(1, f, 2) for f in fam]).reconstruct()
+        target = Form.from_raw(m, 2, {tuple(2 * (j == k) for j in range(m)): 1
+                                      for k in range(m)})
+        if not (sum(fam[1:], fam[0]).is_zero(1e-12, scale=1.0)
+                and forms_close(squares, target.approx(), 1e-12)):
             return False
     return True
 

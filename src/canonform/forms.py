@@ -15,6 +15,7 @@ operations ((s/c)*c != s for some doubles) and change approximate results.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
@@ -23,9 +24,9 @@ from fractions import Fraction
 
 from .errors import ParseError, ShapeMismatch, ZeroForm
 from .linalg import cluster_roots, poly_roots
-from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar,
-                      _NoImage, _normalised, as_scalar, format_scalar,
-                      is_exact, mod_p, power, scalar_from_json,
+from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar, _ONE,
+                      _ZERO, _NoImage, _normalised, _over_lcm, as_scalar,
+                      format_scalar, is_exact, mod_p, power, scalar_from_json,
                       scalar_is_zero, scalar_to_json, snap_scalar)
 
 MultiIndex = tuple[int, ...]
@@ -204,8 +205,11 @@ class Form:
     def __pow__(self, k: int) -> "Form":
         if k < 0:
             raise ValueError("negative form power")
+        if self.exact and self.d == 1:
+            row = [self._a.get(i, _ZERO) for i in _monomials(self.n, 1)]
+            return _linear_powers(self.n, k, [(_ONE, row)])
         one = QQi(1) if self.exact else 1 + 0j
-        return power(self, k, Form(self.n, 0, {(0,) * self.n: one}))
+        return power(self, k, _trusted(self.n, 0, {(0,) * self.n: one}, self.exact))
 
     # -- evaluation and substitution ------------------------------------------
 
@@ -376,14 +380,59 @@ def _exact_product(p: Form, q: Form) -> Form:
     return _trusted(n, d, out, True)
 
 
+@functools.cache
+def _power_steps(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """(parent, k) for each monomial of degree 1..p in graded-lex order: it
+    is x_k, its first variable, times the monomial at place `parent` (0 is 1)."""
+    place, steps = {(0,) * n: 0}, []
+    for m in range(1, p + 1):
+        for idx in _monomials(n, m):
+            k = next(k for k, e in enumerate(idx) if e)
+            steps.append((place[idx[:k] + (idx[k] - 1,) + idx[k + 1:]], k))
+            place[idx] = len(place)
+    return tuple(steps)
+
+
+def _linear_powers(n: int, d: int, terms) -> Form:
+    """sum mu (c . x)^d over terms (mu, c) in one pass: the normalised
+    coefficient of x^i in (c . x)^d is prod c_k^i_k, one product from its
+    parent in _power_steps.  Exact terms are summed as Gaussian-integer
+    numerators over one common denominator, float ones as complex sums."""
+    size, exact, floats = dim(n, d), [], [0j] * dim(n, d)
+    for mu, coeffs in terms:
+        if is_exact(mu) and all(map(is_exact, coeffs)):
+            nums, lcm = _over_lcm(coeffs)
+            re, im = [mu.a], [mu.b]
+            for parent, k in _power_steps(n, d):
+                a, b, (c, e) = re[parent], im[parent], nums[k]
+                re.append(a * c - b * e)
+                im.append(a * e + b * c)
+            exact.append((re[-size:], im[-size:], mu.d * lcm ** d))
+        else:
+            row, cs = [complex(mu)], [complex(v) for v in coeffs]
+            for parent, k in _power_steps(n, d):
+                row.append(row[parent] * cs[k])
+            floats = [u + v for u, v in zip(floats, row[-size:])]
+    den = math.lcm(*(part for _, _, part in exact))
+    w = [den // part for _, _, part in exact]
+    re = [sum(map(int.__mul__, col, w)) for col in zip(*(t[0] for t in exact))]
+    im = [sum(map(int.__mul__, col, w)) for col in zip(*(t[1] for t in exact))]
+    mons = _monomials(n, d)
+    total = _trusted(n, d, {i: _normalised(x, y, den) for i, x, y
+                            in zip(mons, re, im) if x or y}, True)
+    approx = _trusted(n, d, {i: v for i, v in zip(mons, floats) if v}, False)
+    return total + approx if approx else total
+
+
 def forms_close(p: Form, q: Form, eps: float = EPS_DEFAULT) -> bool:
     """Coefficientwise agreement within eps times the larger form's scale."""
     if (p.n, p.d) != (q.n, q.d):
         return False
-    diff = p - q
-    if diff.exact:
-        return not diff
-    return diff.is_zero(eps, scale=max(p.norm(), q.norm()))
+    if p.exact and q.exact:
+        return p._a == q._a
+    cut, mine, theirs = eps * max(p.norm(), q.norm()), p._a, q._a
+    return all(abs(complex(mine.get(i, 0)) - complex(theirs.get(i, 0)))
+               * multinomial(i) <= cut for i in mine.keys() | theirs.keys())
 
 
 # -- linear forms ---------------------------------------------------------------
@@ -405,6 +454,8 @@ def linear_coeffs(f: Form) -> list[Scalar]:
 def power_of_linear(alpha, d: int) -> Form:
     """(alpha . x)^d computed directly: a(i) = alpha^i."""
     al = [as_scalar(v) for v in alpha]
+    if all(is_exact(v) for v in al):
+        return _linear_powers(len(al), d, [(_ONE, al)])
     n = len(al)
     coeffs = {}
     for idx in _monomials(n, d):
@@ -491,14 +542,18 @@ def _univariate_coeffs(p: Form) -> list[Scalar]:
 
 
 def _deflate_exact(u: list[QQi], t0: QQi) -> list[QQi] | None:
-    """Exact synthetic division of u by (t - t0); None unless t0 is a root."""
-    q = [QQi(0)] * (len(u) - 1)
-    carry = QQi(0)
-    for j in range(len(u) - 1, 0, -1):
-        carry = u[j] + t0 * carry
-        q[j - 1] = carry
-    rem = u[0] + t0 * carry
-    return q if not rem else None
+    """Exact synthetic division of u by (t - t0); None unless t0 is a root.
+    Horner's rule on Gaussian integers U = L u, t0 = T / D: each carry is
+    L D^k times that of division in QQi, normalised only at a root."""
+    (ta, tb, td), (nums, lcm) = (t0.a, t0.b, t0.d), _over_lcm(u)
+    carries, re, im, scale = [], 0, 0, 1
+    for c, e in reversed(nums):
+        re, im = re * ta - im * tb + c * scale, re * tb + im * ta + e * scale
+        carries.append((re, im, scale))
+        scale *= td
+    if re or im:
+        return None
+    return [_normalised(x, y, lcm * s) for x, y, s in reversed(carries[:-1])]
 
 
 def binary_factor(p: Form, eps: float = EPS_DEFAULT,
@@ -659,18 +714,19 @@ def _parse_rational(text: str) -> int | Fraction:
 class _Reader:
     """The tokens of one text, read by the grammar above.
 
-    A product reads as (coefficient, {variable: exponent}, base), where base
-    is None or (the products of a parenthesised form, its exponent); bases
-    are allowed only where the caller reads decomposition text.
+    A product reads as (int, Fraction or QQi coefficient, {variable:
+    exponent}, base), where base is None or (the products of a parenthesised
+    form, its exponent), allowed only where decomposition text is read.
     """
 
     def __init__(self, text: str, bases: bool = False):
-        self.tokens = []
-        for m in _TOKEN_RE.finditer(text.replace("−", "-").replace("–", "-")):
-            if m.lastgroup == "bad":
-                raise ParseError(f"unexpected character {m.group('bad')!r} "
-                                 f"at {m.start('bad')}")
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        text = text.replace("−", "-").replace("–", "-")
+        self.tokens = [("num", num) if num else ("name", name) if name
+                       else ("op", op) if op else ("bad", bad)
+                       for num, name, op, bad in _TOKEN_RE.findall(text)]
+        if any(kind == "bad" for kind, _ in self.tokens):
+            m = next(m for m in _TOKEN_RE.finditer(text) if m.lastgroup == "bad")
+            raise ParseError(f"unexpected character {m['bad']!r} at {m.start('bad')}")
         self.tokens.append(("end", ""))
         self.pos = 0
         self.bases = bases
@@ -692,13 +748,13 @@ class _Reader:
     def _sum(self, depth: int = 0) -> list:
         products = []
         while True:
-            sign = QQi(-1) if self._at("-") else QQi(1)
+            sign = -1 if self._at("-") else 1
             self.pos += self._at("+-")
             products.append(self._product(sign, depth))
             if not self._at("+-"):
                 return products
 
-    def _product(self, coeff: QQi, depth: int) -> tuple:
+    def _product(self, coeff: int, depth: int) -> tuple:
         expo: dict[int, int] = {}
         base = None
         while True:
@@ -721,7 +777,7 @@ class _Reader:
         kind, val = self.tokens[self.pos]
         self.pos += 1
         if kind == "num":
-            return "num", QQi(_parse_rational(val))
+            return "num", _parse_rational(val)
         if val == "i":
             return "num", QQi(0, 1)
         if kind == "name":
@@ -741,7 +797,7 @@ class _Reader:
         self.pos += 1
         k = self._exponent()
         if not any(expo or base for _, expo, base in inner):
-            return "num", sum((c for c, _, _ in inner), QQi(0)) ** k
+            return "num", sum(c for c, _, _ in inner) ** k
         if not self.bases or any(base for _, _, base in inner):
             raise ParseError("a parenthesised form is allowed only as the base "
                              "of a decomposition term")
@@ -783,11 +839,15 @@ def _form(products: list, n: int | None, d: int | None) -> Form:
         d = term_d
     elif term_d != d and any(c for c, _, _ in products):
         raise ParseError(f"form has degree {term_d}, d={d} given")
-    raw: dict[MultiIndex, Scalar] = {}
+    if n < 1 or d < 0:
+        raise ValueError(f"bad shape ({n}, {d})")
+    raw: dict[MultiIndex, int | Fraction | QQi] = {}
     for coeff, expo, _ in products:
         key = tuple(expo.get(v, 0) for v in range(n))
-        raw[key] = raw.get(key, QQi(0)) + coeff
-    return Form.from_raw(n, d, raw)
+        raw[key] = raw.get(key, 0) + coeff
+    # every nonzero sum has degree d, by the checks above
+    return _trusted(n, d, {i: as_scalar(c) / multinomial(i)
+                           for i, c in raw.items() if c}, True)
 
 
 def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
@@ -879,20 +939,32 @@ class Decomposition:
         raise ValueError("empty decomposition has no shape")
 
     def reconstruct(self) -> Form:
+        """The sum of the terms and the residual: the powers of linear
+        forms of the decomposition's shape in one pass (_linear_powers),
+        any other term as its Term.form()."""
         n, d = self.shape()
-        total = Form.zero(n, d)
+        linear, rest = [], []
         for t in self.terms:
-            total = total + t.form()
-        if self.residual is not None:
-            total = total + self.residual
-        return total
+            if t.base.d == 1 and t.base.n == n and t.power == d:
+                linear.append((as_scalar(t.multiplier), [
+                    t.base._a.get(i, _ZERO) for i in _monomials(n, 1)]))
+            else:
+                rest.append(t.form())
+        rest += [] if self.residual is None else [self.residual]
+        return sum(rest, _linear_powers(n, d, linear))
 
     def verify(self, p: Form, eps: float = EPS_DEFAULT) -> bool:
         return forms_close(self.reconstruct(), p, eps)
 
     def accepted(self, p: Form, eps: float = EPS_DEFAULT) -> "Decomposition | None":
         """The exact snap when it rebuilds p, else self when it rebuilds p
-        within max(eps, ACCEPT_TOL) of the larger norm, else None."""
+        within max(eps, ACCEPT_TOL) of the larger norm, else None; None
+        first when a multiplier or coefficient is infinite or NaN."""
+        forms = [t.base for t in self.terms] + ([self.residual] if self.residual else [])
+        values = [t.multiplier for t in self.terms] + [
+            v for f in forms for v in f._a.values()]
+        if not all(is_exact(v) or cmath.isfinite(v) for v in values):
+            return None
         return self.snapped(p) or (self if self.verify(p, max(eps, ACCEPT_TOL))
                                    else None)
 
@@ -1020,12 +1092,12 @@ def parse_decomposition(text: str, n: int | None = None) -> Decomposition:
     for coeff, expo, base in products:
         if base is None and len(expo) == 1:
             (v, k), = expo.items()
-            base = ([(QQi(1), {v: 1}, None)], k)
+            base = ([(1, {v: 1}, None)], k)
         elif base is None:
-            base = ([(QQi(1), expo, None)], 1)
+            base = ([(1, expo, None)], 1)
         elif expo:
             raise ParseError("a term is a scalar times a power of one form")
-        terms.append(Term(coeff, _form(base[0], n, None), base[1]))
+        terms.append(Term(as_scalar(coeff), _form(base[0], n, None), base[1]))
     if len(degrees := {t.base.d * t.power for t in terms}) > 1:
         raise ParseError(f"decomposition is not homogeneous: {sorted(degrees)}")
     return Decomposition(terms, meta={"theorem": "parsed"})

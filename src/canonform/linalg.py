@@ -10,8 +10,11 @@ relative to the matrix max-magnitude.
 from __future__ import annotations
 
 import importlib
+from itertools import chain
+from math import gcd, hypot
 
-from .scalars import EPS_DEFAULT, QQi, Scalar, is_exact
+from .scalars import (EPS_DEFAULT, QQi, Scalar, _ZERO, _normalised, _over_lcm,
+                      is_exact)
 
 
 class LazyModule:
@@ -46,28 +49,39 @@ def matrix_is_exact(rows: Matrix) -> bool:
 
 
 def exact_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, exact arithmetic."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    """Reduced row echelon form and pivot columns, exact arithmetic.
+
+    Fraction-free (after Bareiss, Math. Comp. 22, 1968): on rows of Gaussian
+    integers, a row is cleared as p * row - f * (pivot row) over its integer
+    content; each pivot row is divided by its pivot once at the end.
+    """
+    m = [_over_lcm(row)[0] for row in rows]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if any(m[i][c])), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = QQi(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(ncols)]
+        (pa, pb), top = m[r][c], m[r]
+        for i, row in enumerate(m):
+            fa, fb = row[c]
+            if i != r and (fa or fb):
+                row = [(pa * u - pb * v - fa * x + fb * y,
+                        pa * v + pb * u - fa * y - fb * x)
+                       for (u, v), (x, y) in zip(row, top)]
+                g = gcd(*chain.from_iterable(row))
+                m[i] = [(a // g, b // g) for a, b in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(m):
             break
-    return m, pivots
+    out = []
+    for row, c in zip(m, pivots):
+        (pa, pb), norm = row[c], row[c][0] ** 2 + row[c][1] ** 2
+        out.append([_normalised(x * pa + y * pb, y * pa - x * pb, norm)
+                    for x, y in row])
+    return out + [[_ZERO] * ncols for _ in m[len(pivots):]], pivots
 
 
 def exact_rank(rows: Matrix) -> int:
@@ -336,8 +350,7 @@ def poly_roots(coeffs: list[complex]) -> list[complex]:
 
 def chordal_distance(a: complex, b: complex) -> float:
     """Chordal metric between affine points on the projective line."""
-    na = (1.0 + abs(a) ** 2) ** 0.5
-    nb = (1.0 + abs(b) ** 2) ** 0.5
+    na, nb = hypot(1.0, abs(a)), hypot(1.0, abs(b))
     return abs(a - b) / (na * nb)
 
 

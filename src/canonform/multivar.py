@@ -62,10 +62,8 @@ class TriangularSquares:
 
     def reconstruct(self, n: int | None = None) -> Form:
         nn = n if n is not None else self.rows[0].n
-        total = Form.zero(nn, 2)
-        for row in self.rows:
-            total = total + row * row
-        return total
+        return Decomposition([Term(1, row, 2) for row in self.rows],
+                             Form.zero(nn, 2)).reconstruct()
 
 
 def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar, Form]]:
@@ -167,13 +165,10 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
     except np.linalg.LinAlgError:
         raise DegeneratePencil("dependent pencil eigenvectors") from None
     forms = [linear_form([complex(w[i][j]) for j in range(n)]) for i in range(n)]
-    diag = PencilDiag(forms, eigs)
-    recon = Form.zero(n, 2)
-    for lf in forms:
-        recon = recon + lf * lf
+    recon = Decomposition([Term(1, lf, 2) for lf in forms]).reconstruct()
     if not forms_close(recon, f.approx(), max(1e-6, eps)):
         raise DegeneratePencil("diagonalization failed to reconstruct f")
-    return diag
+    return PencilDiag(forms, eigs)
 
 
 # -- Reichstein's completion of the cube -------------------------------------------

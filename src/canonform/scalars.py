@@ -251,6 +251,14 @@ def _normalised(a: int, b: int, d: int) -> QQi:
 
 
 _ONE = _triple(1, 0, 1)
+_ZERO = _triple(0, 0, 1)
+
+
+def _over_lcm(values) -> tuple[list[tuple[int, int]], int]:
+    """QQi values as Gaussian-integer numerators (real, imaginary) over the
+    lcm of their denominators, and that lcm."""
+    lcm = math.lcm(*(v.d for v in values))
+    return [(v.a * (m := lcm // v.d), v.b * m) for v in values], lcm
 
 
 Scalar = QQi | complex

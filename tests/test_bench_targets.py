@@ -118,6 +118,27 @@ def test_decompose_pool_keeps_its_reference_digests(monkeypatch):
         assert checks.check(req, code, out.getvalue(), ref) is None, req.argv
 
 
+def test_every_decompose_pool_output_keeps_its_digest(monkeypatch):
+    """All 208 pool requests, exact and approximate, keep the sha256 of their
+    exit code and stdout ("{code}\\n{stdout}") recorded in
+    decompose_pool_digests.json at commit 47a256a, keyed "slot:variant"."""
+    pinned = json.loads((Path(__file__).parent /
+                         "decompose_pool_digests.json").read_text())
+    workloads = _bench_module(monkeypatch, "workloads")
+    got = {}
+    for slot in workloads.DECOMPOSE_SLOTS:
+        for v in range(workloads.DECOMPOSE_VARIANTS):
+            req = workloads.decompose_request(slot, v)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(req.argv))
+            got[f"{slot[0]}:{v}"] = hashlib.sha256(
+                f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    assert len(got) == 208
+    assert [k for k in pinned if got.get(k) != pinned[k]] == []
+    assert got.keys() == pinned.keys()
+
+
 def test_certify_round_stays_on_the_modular_path(monkeypatch):
     """Every map of the certify round has full rank mod p at the witness it
     certifies at; a slip to the exact path would keep the digests above but

@@ -16,6 +16,7 @@ from canonform.binary import (MixedSpec, count_reps_monte_carlo,
 from canonform.errors import (DegenerateLambda, LeadingZero, RepeatedRoot,
                               UnsupportedShape, ZeroForm)
 from canonform.forms import Form
+from canonform.linalg import chordal_distance
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 
@@ -147,6 +148,22 @@ class TestSylvester:
         p = parse_form("3/4*x^3 - (4+2*i)*x^2*y + 10471421586*x*y^2 + 7*y^3")
         dec = sylvester_decompose(p)
         assert dec.verify(p, 1e-7)
+
+    def test_an_overflowing_node_power_fails_its_order(self):
+        # (1e200)^2 overflows a complex power: that order has no multipliers
+        # and the search goes on, where it once stopped with exit 3
+        p = parse_form("x^3 + 3*x*y^2 + y^3")
+        nodes = [(1e200 + 0j, 1 + 0j), (1 + 0j, 2 + 0j), (1 + 0j, 3 + 0j)]
+        assert binary._solve_power_multipliers(p, nodes, 1e-9) is None
+
+    def test_chordal_distance_of_huge_points_does_not_overflow(self):
+        assert chordal_distance(1e200 + 0j, 0j) == pytest.approx(1.0)
+        assert chordal_distance(1e300j, 2e300j) == pytest.approx(0.0)
+        assert chordal_distance(3 + 4j, 3 + 4j) == 0.0
+        # the formula is unchanged where |a|^2 fits in a float
+        a, b = 0.3 - 2j, 1.5 + 0.25j
+        want = abs(a - b) / ((1 + abs(a) ** 2) ** 0.5 * (1 + abs(b) ** 2) ** 0.5)
+        assert chordal_distance(a, b) == pytest.approx(want, rel=1e-15)
 
     def test_even_degree_width(self):
         rng = random.Random(21)

@@ -947,6 +947,25 @@ def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):
     assert err == "DegenerateInput: reconstruction check failed\n"
 
 
+def test_quartic_six_with_a_non_finite_result_is_degenerate_input(capsys):
+    # a multiplier overflows to inf or nan, which the exact snap once tried
+    # to turn into a ratio (exit 3, ValueError)
+    code, out, err = run_cli(
+        ["decompose", "quartic-six", "--",
+         "-0.343e116*x^2*y^2 + 9*x*y^3 + 0.747e5*x^3*y"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "DegenerateInput: reconstruction check failed\n"
+
+
+def test_sylvester_with_a_huge_root_decomposes(capsys):
+    # the chordal distance once squared a root near 1e187 (exit 3)
+    text = "-y^6 + 4*x^5*y + 0.675e-93*x^3*y^3"
+    code, out, err = run_cli(["decompose", "sylvester", "--", text],
+                             capsys=capsys)
+    assert (code, err) == (0, "")
+    _assert_rebuilds(out, parse_form(text))
+
+
 @pytest.mark.parametrize("form,l2,message", [
     ("x^4 + y^4", "y", "coefficient a1 vanishes after the change of variables"),
     ("x^4 + x^3*y + y^4", "y",

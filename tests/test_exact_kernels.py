@@ -1,0 +1,198 @@
+"""The integer kernels of the exact paths against the QQi arithmetic they
+replace: closed-form powers of linear forms, the one-pass rebuild of a
+decomposition, fraction-free row reduction and the integer root test."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from canonform import QQi
+from canonform.forms import (Decomposition, Form, Term, _deflate_exact,
+                             _exact_product, index_set, linear_coeffs,
+                             power_of_linear)
+from canonform.linalg import exact_rref
+
+props = settings(max_examples=150, deadline=None, derandomize=True)
+
+# pairwise coprime denominators, so that the lcm of a row or form grows
+dens = st.sampled_from([1, 2, 3, 5, 7, 11, 13])
+exact_values = st.builds(lambda a, b, c, e: QQi(Fraction(a, c), Fraction(b, e)),
+                         st.integers(-30, 30), st.integers(-30, 30), dens, dens)
+float_values = st.builds(complex, st.floats(-8, 8), st.floats(-8, 8))
+
+
+def bits(p: Form):
+    return p.n, p.d, p.exact, {i: (v.a, v.b, v.d) if isinstance(v, QQi)
+                               else (v.real.hex(), v.imag.hex())
+                               for i, v in p._a.items()}
+
+
+@st.composite
+def forms(draw, n, d, exact=True):
+    """A form with some monomials absent; an absent variable is likely."""
+    values = exact_values if exact else float_values
+    return Form(n, d, {i: draw(values) for i in index_set(n, d)
+                       if draw(st.booleans())})
+
+
+# -- powers of linear forms ------------------------------------------------------
+
+
+@props
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(0, 7))
+def test_exact_linear_power_is_repeated_exact_product(data, n, k):
+    lin = data.draw(forms(n, 1))
+    want = Form(n, 0, {(0,) * n: QQi(1)})
+    for _ in range(k):
+        want = _exact_product(want, lin)
+    assert bits(lin ** k) == bits(want)
+    assert bits(power_of_linear(linear_coeffs(lin), k)) == bits(want)
+
+
+# -- the one-pass rebuild ----------------------------------------------------------
+
+
+def term_by_term(dec: Decomposition) -> Form:
+    """The rebuild as a sum of Term.form(), one Form addition at a time."""
+    n, d = dec.shape()
+    total = Form.zero(n, d)
+    for t in dec.terms:
+        total = total + t.form()
+    if dec.residual is not None:
+        total = total + dec.residual
+    return total
+
+
+@st.composite
+def decompositions(draw, exact):
+    """Powers of linear forms (some with zero multipliers, zero or sparse
+    bases), powers of quadratic bases where the degree is even, and maybe
+    a residual; exact or, with `exact` False, a mix of float and exact."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def backend():
+        return exact or draw(st.booleans())
+
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        mult = draw(st.one_of(exact_values, st.just(QQi(0))) if backend()
+                    else st.one_of(float_values, st.just(0j)))
+        if d % 2 == 0 and draw(st.integers(0, 3)) == 0:
+            terms.append(Term(mult, draw(forms(n, 2, backend())), d // 2))
+        else:
+            terms.append(Term(mult, draw(forms(n, 1, backend())), d))
+    residual = draw(st.none() | forms(n, d, backend()))
+    if not terms and residual is None:
+        residual = Form.zero(n, d)
+    return Decomposition(terms, residual)
+
+
+@props
+@given(dec=decompositions(exact=True))
+def test_exact_rebuild_is_the_term_by_term_sum(dec):
+    assert bits(dec.reconstruct()) == bits(term_by_term(dec))
+
+
+@props
+@given(dec=decompositions(exact=False))
+def test_float_rebuild_is_the_term_by_term_sum_to_rounding(dec):
+    got, want = dec.reconstruct(), term_by_term(dec)
+    parts = [t.form() for t in dec.terms] + [dec.residual or Form.zero(1, 0)]
+    scale = max(f.approx().norm() for f in parts)
+    assert (got.n, got.d) == (want.n, want.d)
+    for i in set(got._a) | set(want._a):
+        assert abs(complex(got.a(i)) - complex(want.a(i))) <= 1e-12 * scale
+
+
+# -- fraction-free elimination ----------------------------------------------------
+
+
+def qqi_rref(rows):
+    """Gauss-Jordan elimination over Q(i) in QQi arithmetic, the pivot row
+    normalised before it clears its column."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = QQi(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [m[i][j] - f * m[r][j] for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+@st.composite
+def matrices(draw):
+    """Sparse matrices up to 6 x 7; some rows combine earlier ones, so that
+    the rank falls short."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(0, 7))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            a, b = draw(exact_values), draw(exact_values)
+            u, v = rows[draw(st.integers(0, len(rows) - 1))], rows[-1]
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append([draw(exact_values) if draw(st.booleans()) else QQi(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+@props
+@given(rows=matrices())
+def test_fraction_free_rref_is_the_qqi_elimination(rows):
+    got, pivots = exact_rref(rows)
+    want, want_pivots = qqi_rref(rows)
+    assert pivots == want_pivots
+    assert [[(v.a, v.b, v.d) for v in row] for row in got] == \
+        [[(v.a, v.b, v.d) for v in row] for row in want]
+
+
+# -- the integer root test --------------------------------------------------------
+
+
+def qqi_deflate(u, t0):
+    """Synthetic division of u by (t - t0) in QQi: the quotient and u(t0)."""
+    q, carry = [QQi(0)] * (len(u) - 1), QQi(0)
+    for j in range(len(u) - 1, 0, -1):
+        carry = u[j] + t0 * carry
+        q[j - 1] = carry
+    return q, u[0] + t0 * carry
+
+
+@st.composite
+def polynomials_and_points(draw):
+    """u = (t - r_1)...(t - r_k) * (random factor), ascending, and t0 one
+    of the r_k or any value."""
+    roots = draw(st.lists(exact_values, max_size=4))
+    u = draw(st.lists(exact_values, min_size=1, max_size=4))
+    if not u[-1]:
+        u[-1] = QQi(1)
+    for r in roots:
+        u = [(u[j - 1] if j else QQi(0)) - (r * u[j] if j < len(u) else 0)
+             for j in range(len(u) + 1)]
+    t0 = draw(st.sampled_from(roots) if roots and draw(st.booleans())
+              else exact_values)
+    return u, t0
+
+
+@props
+@given(ut=polynomials_and_points())
+def test_integer_root_test_is_a_zero_qqi_deflation_remainder(ut):
+    u, t0 = ut
+    q, remainder = qqi_deflate(u, t0)
+    got = _deflate_exact(u, t0)
+    assert (got is None) == bool(remainder)
+    if got is not None:
+        assert [(v.a, v.b, v.d) for v in got] == [(v.a, v.b, v.d) for v in q]
