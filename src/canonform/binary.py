@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
 from .enumeration import shape_error
@@ -40,7 +39,8 @@ def _squarefree_nodes(vectors, r: int, eps: float):
     a handful of integer weights suffice when any squarefree member exists.
     A candidate h = const * prod(beta x - alpha y) is factored once; its
     projective nodes (alpha, beta), sorted, come back when every factor is
-    simple, and None when no candidate is squarefree.
+    simple, and None when no candidate is squarefree.  A zero candidate, or
+    one whose coefficients or roots are beyond float range, is skipped.
     """
     weights = range(1, r * (r + 2) + 2) if len(vectors) > 1 else ()
     combos = (kernel_vector_form([sum(v[j] * (k ** i) for i, v in enumerate(vectors))
@@ -48,7 +48,7 @@ def _squarefree_nodes(vectors, r: int, eps: float):
     for h in itertools.chain(map(kernel_vector_form, vectors), combos):
         try:
             _, factors = binary_factor(h, eps)
-        except ZeroForm:
+        except (ZeroForm, DegenerateInput, OverflowError):
             continue
         if any(mult != 1 for _, mult in factors):
             continue
@@ -181,7 +181,7 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
         if len(sylv.terms) > r:
             raise DegenerateInput(
                 f"Sylvester stage needs width <= {r}, got {len(sylv.terms)}")
-        scale_c = QQi(Fraction(math.factorial(d - m), math.factorial(d)))
+        scale_c = QQi(math.factorial(d - m)) / math.factorial(d)
         for t in sylv.terms:
             node = linear_coeffs(t.base)
             if f is not None:
@@ -247,7 +247,7 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
             else:
                 b_side = lin if b_side is None else b_side * lin
         a_side = a_side.scale(constant)
-        half = QQi(Fraction(1, 2))
+        half = QQi(1) / 2
         f = (a_side + b_side).scale(half)
         g = (a_side - b_side).scale(half * QQi(0, -1))
         rho, tau = f.raw((s, 0)), g.raw((s, 0))
@@ -344,6 +344,8 @@ def quartic_normalize(p: Form, eps: float = EPS_DEFAULT) -> QuarticNormal:
                 if g_src is None or g_dst is None:
                     continue
                 gd_inv = mat_inverse(g_dst)
+                if gd_inv is None:
+                    continue
                 mob = [[gd_inv[i][0] * g_src[0][j] + gd_inv[i][1] * g_src[1][j]
                         for j in range(2)] for i in range(2)]
                 image_d = (mob[0][0] * dd[0] + mob[0][1] * dd[1],
@@ -368,12 +370,12 @@ def quartic_normalize(p: Form, eps: float = EPS_DEFAULT) -> QuarticNormal:
 def quartic_six_reps(lam: Scalar, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     """The six (quadratic)^2 + c (linear)^4 representations of
     x^4 + 6 lambda x^2 y^2 + y^4."""
-    lam = as_scalar(lam if not isinstance(lam, Fraction) else QQi(lam))
+    lam = as_scalar(lam)
     one = QQi(1)
     for sign, label in ((one, "3*lambda + 1"), (-one, "3*lambda - 1")):
         if scalar_is_zero(3 * lam + sign, eps):
             raise DegenerateLambda(f"{label} = 0")
-    i_unit = QQi(0, Fraction(1))
+    i_unit = QQi(0, 1)
     x, y = linear_form([QQi(1), QQi(0)]), linear_form([QQi(0), QQi(1)])
     x2 = monomial_form(2, (2, 0))
     y2 = monomial_form(2, (0, 2))
@@ -417,6 +419,8 @@ def quartic_six_for_form(p: Form, eps: float = EPS_DEFAULT) -> list[Decompositio
     q = p.approx().substitute(transform)
     scale_c = q.raw((4, 0))
     inv = mat_inverse(transform)
+    if inv is None:
+        raise DegenerateInput("the normalizing transform is singular")
     out = []
     for rep in quartic_six_reps(normal.lam, eps):
         terms = [Term(scale_c * complex(t.multiplier),

@@ -362,9 +362,9 @@ def _exact_product(p: Form, q: Form) -> Form:
     n, d = p.n, p.d + q.d
     base, den, factors = d + 1, 1, []
     for f in (p, q):
-        lcm = math.lcm(*(v.d for v in f._a.values()))
-        scaled = ((i, lcm // v.d * multinomial(i), v) for i, v in f._a.items())
-        factors.append([(_pack(i, base), v.a * m, v.b * m) for i, m, v in scaled])
+        nums, lcm = _over_lcm(f._a.values())
+        factors.append([(_pack(i, base), a * (m := multinomial(i)), b * m)
+                        for i, (a, b) in zip(f._a, nums)])
         den *= lcm
     re, im = {}, {}
     for i, a, b in factors[0]:
@@ -454,17 +454,7 @@ def linear_coeffs(f: Form) -> list[Scalar]:
 def power_of_linear(alpha, d: int) -> Form:
     """(alpha . x)^d computed directly: a(i) = alpha^i."""
     al = [as_scalar(v) for v in alpha]
-    if all(is_exact(v) for v in al):
-        return _linear_powers(len(al), d, [(_ONE, al)])
-    n = len(al)
-    coeffs = {}
-    for idx in _monomials(n, d):
-        v: Scalar = QQi(1)
-        for k, e in enumerate(idx):
-            if e:
-                v = v * al[k] ** e
-        coeffs[idx] = v
-    return Form(n, d, coeffs)
+    return _linear_powers(len(al), d, [(_ONE, al)])
 
 
 def monomial_form(n: int, idx: MultiIndex, coeff=1) -> Form:
@@ -486,7 +476,7 @@ def random_form(n: int, d: int, rng, lo: int = -9, hi: int = 9,
     for idx in _monomials(n, d):
         re = rng.randint(lo, hi)
         im = rng.randint(lo, hi) if gaussian else 0
-        coeffs[idx] = QQi(Fraction(re), Fraction(im))
+        coeffs[idx] = QQi(re, im)
     return Form(n, d, coeffs)
 
 
@@ -575,58 +565,40 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
     constant: Scalar = u[m]
     if p.d - m > 0:
         factors.append((linear_form([QQi(1), QQi(0)]), p.d - m))
-    u = u[:m + 1]
+    work = u[:m + 1]
 
     roots: list[tuple[Scalar, int]] = []
     if p.exact:
         # clustered roots lose accuracy, so try a ladder of denominator bounds
         bounds = [b for b in (1, 12, 10**3, max_den) if b <= max_den] or [max_den]
-        work = list(u)
         while len(work) > 1:
-            approx = poly_roots([complex(v) for v in work])
             candidates = []
-            for z in approx:
+            for z in poly_roots(work):
                 for b in bounds:
                     t0 = snap_scalar(z, b)
                     if t0 not in candidates:
                         candidates.append(t0)
-            found = False
             for t0 in candidates:
                 count = 0
-                while len(work) > 1:
-                    nxt = _deflate_exact(work, t0)
-                    if nxt is None:
-                        break
-                    work = nxt
-                    count += 1
+                while len(work) > 1 and (nxt := _deflate_exact(work, t0)):
+                    work, count = nxt, count + 1
                 if count:
                     roots.append((t0, count))
-                    found = True
                     break
-            if not found:
+            else:
                 break
-        if len(work) > 1:
-            for z, mult in cluster_roots(poly_roots([complex(v) for v in work]),
-                                         eps ** 0.5):
-                roots.append((z, mult))
-    else:
-        roots = cluster_roots(poly_roots([complex(v) for v in u]), eps ** 0.5)
+    if len(work) > 1:
+        roots += cluster_roots(poly_roots(work), eps ** 0.5)
 
     for t0, mult in roots:
-        # root t0 of u gives the factor (y - t0 x), normalized to leading 1
-        if is_exact(t0):
-            if t0:
-                factors.append((linear_form([QQi(1), QQi(-1) / t0]), mult))
-                constant = constant * (-t0) ** mult
-            else:
-                factors.append((linear_form([QQi(0), QQi(1)]), mult))
+        # root t0 of u gives the factor (y - t0 x), normalized to leading 1;
+        # an exact root stays exact and a float root stays float
+        one = _ONE if is_exact(t0) else 1 + 0j
+        if t0:
+            factors.append((linear_form([one, -1 / t0]), mult))
+            constant = constant * (-t0) ** mult
         else:
-            z = complex(t0)
-            if z:
-                factors.append((linear_form([1 + 0j, -1 / z]), mult))
-                constant = constant * (-z) ** mult
-            else:
-                factors.append((linear_form([0j, 1 + 0j]), mult))
+            factors.append((linear_form([0 * one, one]), mult))
 
     def key(item):
         c = [complex(v) for v in linear_coeffs(item[0])]

@@ -9,10 +9,12 @@ relative to the matrix max-magnitude.
 
 from __future__ import annotations
 
+import cmath
 import importlib
 from itertools import chain
 from math import gcd, hypot
 
+from .errors import DegenerateInput
 from .scalars import (EPS_DEFAULT, QQi, Scalar, _ZERO, _normalised, _over_lcm,
                       is_exact)
 
@@ -254,9 +256,12 @@ def approx_det(rows: Matrix) -> complex:
         [[complex(v) for v in row] for row in rows], dtype=complex)))
 
 
-def approx_inverse(rows: Matrix) -> Matrix:
-    inv = np.linalg.inv(np.array(
-        [[complex(v) for v in row] for row in rows], dtype=complex))
+def approx_inverse(rows: Matrix) -> Matrix | None:
+    try:
+        inv = np.linalg.inv(np.array(
+            [[complex(v) for v in row] for row in rows], dtype=complex))
+    except np.linalg.LinAlgError:
+        return None
     return [[complex(v) for v in row] for row in inv]
 
 
@@ -323,12 +328,16 @@ def pencil_charpoly(mg: Matrix, mf: Matrix) -> Vector:
 _POLISH_STEPS = 2
 
 
-def poly_roots(coeffs: list[complex]) -> list[complex]:
-    """Roots of c_0 + c_1 t + ... + c_m t^m with c_m != 0 (companion matrix)."""
+def poly_roots(coeffs: list[Scalar]) -> list[complex]:
+    """Roots of c_0 + c_1 t + ... + c_m t^m with c_m != 0 (companion matrix);
+    DegenerateInput when a ratio c_j / c_m, so the matrix, is not finite
+    (c_m may be nonzero but below float range)."""
     c = [complex(v) for v in coeffs]
     m = len(c) - 1
     if m <= 0:
         return []
+    if not c[-1] or not all(cmath.isfinite(v / c[-1]) for v in c):
+        raise DegenerateInput("root polynomial beyond float range")
     if m == 1:
         return [-c[0] / c[1]]
     roots = [complex(z) for z in np.roots(c[::-1])]

@@ -131,10 +131,13 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
     mf = quadratic_matrix(f)
     mg = quadratic_matrix(g)
     char = pencil_charpoly(mg, mf)
-    lead = char[-1]
-    if scalar_is_zero(lead, eps ** 0.5, max(abs(complex(v)) for v in char)):
+    try:
+        scale = max(abs(complex(v)) for v in char)
+    except OverflowError:
+        raise DegeneratePencil("characteristic polynomial beyond float range") from None
+    if scalar_is_zero(char[-1], eps ** 0.5, scale):
         raise DegeneratePencil("M_f is singular")
-    roots = poly_roots([complex(v) for v in char])
+    roots = poly_roots(char)
     if len(roots) != n:
         raise DegeneratePencil("pencil characteristic polynomial degenerated")
     cscale = max(1.0, max(abs(z) for z in roots))

@@ -107,9 +107,7 @@ class QQi:
     def __sub__(self, other):
         if isinstance(other, QQi):
             c, e, f = other.a, other.b, other.d
-        elif isinstance(other, int):
-            return _triple(self.a - other * self.d, self.b, self.d)
-        elif isinstance(other, Fraction):
+        elif isinstance(other, _EXACT_PARTS):
             c, e, f = other.numerator, 0, other.denominator
         elif isinstance(other, _INEXACT):
             return complex(self) - other
@@ -127,9 +125,7 @@ class QQi:
         if isinstance(other, QQi):
             a, b, c, e = self.a, self.b, other.a, other.b
             return _normalised(a * c - b * e, a * e + b * c, self.d * other.d)
-        if isinstance(other, int):
-            return _normalised(self.a * other, self.b * other, self.d)
-        if isinstance(other, Fraction):
+        if isinstance(other, _EXACT_PARTS):
             n = other.numerator
             return _normalised(self.a * n, self.b * n,
                                self.d * other.denominator)
@@ -142,9 +138,7 @@ class QQi:
     def __truediv__(self, other):
         if isinstance(other, QQi):
             c, e, f = other.a, other.b, other.d
-        elif isinstance(other, int):
-            c, e, f = other, 0, 1
-        elif isinstance(other, Fraction):
+        elif isinstance(other, _EXACT_PARTS):
             c, e, f = other.numerator, 0, other.denominator
         elif isinstance(other, _INEXACT):
             return complex(self) / other
@@ -197,9 +191,7 @@ class QQi:
         if isinstance(other, QQi):
             return (self.a == other.a and self.b == other.b
                     and self.d == other.d)
-        if isinstance(other, int):
-            return not self.b and self.d == 1 and self.a == other
-        if isinstance(other, Fraction):
+        if isinstance(other, _EXACT_PARTS):
             return (not self.b and self.d == other.denominator
                     and self.a == other.numerator)
         if isinstance(other, _INEXACT):
@@ -321,34 +313,22 @@ def mod_p(v) -> int:
 
 # -- exact square roots -----------------------------------------------------
 
-def sqrt_fraction(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative Fraction, or None."""
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def exact_sqrt(z: QQi) -> QQi | None:
-    """A Gaussian-rational square root of z, or None if no exact one exists."""
-    if z.im == 0:
-        if z.re >= 0:
-            r = sqrt_fraction(z.re)
-            return QQi(r) if r is not None else None
-        r = sqrt_fraction(-z.re)
-        return QQi(Fraction(0), r) if r is not None else None
-    n = sqrt_fraction(z.norm2())
-    if n is None:
+    """A Gaussian-rational square root of z, or None if no exact one exists.
+
+    z = (a + b*i)/d has a root in Q(i) exactly when the Gaussian integer
+    w = z*d^2 has one in Z[i], and the root of z is that of w over d.  It
+    is u + v*i with u = isqrt((|w| + Re w)/2) >= 0 and v = Im w/(2u), or
+    v = isqrt(|w|) when u = 0; a candidate that does not square to w means
+    there is no root.
+    """
+    a, b, d = z.a * z.d, z.b * z.d, z.d
+    n = math.isqrt(a * a + b * b)
+    u = math.isqrt((n + a) // 2)
+    v = b // (2 * u) if u else math.isqrt(n)
+    if u * u - v * v != a or 2 * u * v != b:
         return None
-    c2 = (z.re + n) / 2
-    c = sqrt_fraction(c2)
-    if c is None or c == 0:
-        return None
-    w = QQi(c, z.im / (2 * c))
-    return w if w * w == z else None
+    return _normalised(u, v, d)
 
 
 def scalar_sqrt(v: Scalar) -> Scalar:

@@ -1,7 +1,8 @@
 """Checks that tie the benchmark's files to canonform, reading them only.
 
-bench/tracing.py wraps functions and methods by name; a renamed or deleted
-one breaks only traced benchmark runs, so it is checked here instead.  The
+bench/tracing.py wraps functions, methods and QQi operators by name; a
+renamed or deleted one breaks only traced benchmark runs, so it is checked
+here instead.  The
 certify round's outputs must keep the digests in bench/reference.json.
 """
 
@@ -80,6 +81,15 @@ def test_every_traced_name_resolves(monkeypatch):
         if obj is None:
             missing.append(f"canonform.{modname}.{target}")
     assert missing == []
+
+
+def test_every_counted_qqi_operator_resolves(monkeypatch):
+    # QQiCounter.install reads QQi.__dict__[name] for every counted operator
+    from canonform.scalars import QQi
+
+    ops = _bench_module(monkeypatch, "tracing").QQI_OPS
+    assert ops
+    assert [name for name in ops if name not in QQi.__dict__] == []
 
 
 def test_certify_round_keeps_its_reference_digests(monkeypatch):

@@ -13,7 +13,7 @@ from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               quartic_power_ratio, quartic_six_for_form,
                               quartic_six_reps, quartic_two_fixed,
                               sylvester_decompose, two_squares_all)
-from canonform.errors import (DegenerateLambda, LeadingZero, RepeatedRoot,
+from canonform.errors import (DegenerateInput, DegenerateLambda, LeadingZero, RepeatedRoot,
                               UnsupportedShape, ZeroForm)
 from canonform.forms import Form
 from canonform.linalg import chordal_distance
@@ -491,6 +491,13 @@ class TestQuartic:
         found = [(str(t.multiplier)) for d in decs for t in d.terms]
         assert "5" in found and "7" in found
         assert all(d.verify(p, 1e-9) for d in decs)
+
+    @pytest.mark.parametrize("l1,l2", [([1, 2], [2, 4]), ([1.0, 2.0], [2.0, 4.0])])
+    def test_two_fixed_proportional_forms_are_degenerate(self, l1, l2):
+        # a singular float matrix once reached np.linalg.inv (LinAlgError)
+        p = parse_form("x^4 + 3*x^3*y + x^2*y^2 + 2*x*y^3 + 5*y^4")
+        with pytest.raises(DegenerateInput, match="proportional"):
+            quartic_two_fixed(p, linear_form(l1), linear_form(l2))
 
     def test_two_fixed_random(self):
         rng = random.Random(27)

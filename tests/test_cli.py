@@ -966,6 +966,34 @@ def test_sylvester_with_a_huge_root_decomposes(capsys):
     _assert_rebuilds(out, parse_form(text))
 
 
+@pytest.mark.parametrize("text", [
+    "0.719e145*x^3*y^7 + 5*x^9*y + 0.72e62*x*y^9 + (5+4*i)*x^6*y^4",
+    "1e-200*x^4*y + 1e200*x*y^4 + x^2*y^3 + x^5",
+    "1e-300*x^7 + 1e300*x^2*y^5 + x^3*y^4 + y^7",
+])
+def test_sylvester_skips_kernel_forms_beyond_float_range(capsys, text):
+    # a kernel form whose leading coefficient is tiny next to the others, or
+    # below float range, once sent infinite ratios into numpy's companion
+    # matrix (exit 3, LinAlgError); one with a coefficient above float range
+    # once overflowed in its norm (exit 3, OverflowError)
+    code, out, err = run_cli(["decompose", "sylvester", "--", text],
+                             capsys=capsys)
+    assert code in (0, 2)
+    if code == 0:
+        _assert_rebuilds(out, parse_form(text))
+
+
+def test_reichstein_with_a_charpoly_beyond_float_range_is_degenerate(capsys):
+    # the pencil's exact characteristic polynomial once overflowed in
+    # complex() (exit 3, OverflowError)
+    code, out, err = run_cli(
+        ["decompose", "reichstein", "--", "-0.102e83*x1*x2^2 + 2*x1*x2*x3"
+         " + 0.106e143*x1^2*x3 + 4*x1^2*x2"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == ("DegeneratePencil: stage 0: characteristic polynomial "
+                   "beyond float range\n")
+
+
 @pytest.mark.parametrize("form,l2,message", [
     ("x^4 + y^4", "y", "coefficient a1 vanishes after the change of variables"),
     ("x^4 + x^3*y + y^4", "y",

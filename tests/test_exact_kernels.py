@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from canonform import QQi
 from canonform.forms import (Decomposition, Form, Term, _deflate_exact,
                              _exact_product, index_set, linear_coeffs,
-                             power_of_linear)
+                             linear_form, power_of_linear)
 from canonform.linalg import exact_rref
 
 props = settings(max_examples=150, deadline=None, derandomize=True)
@@ -48,6 +48,20 @@ def test_exact_linear_power_is_repeated_exact_product(data, n, k):
         want = _exact_product(want, lin)
     assert bits(lin ** k) == bits(want)
     assert bits(power_of_linear(linear_coeffs(lin), k)) == bits(want)
+
+
+@props
+@given(alpha=st.lists(float_values, min_size=1, max_size=4), k=st.integers(1, 12))
+def test_float_linear_power_is_repeated_product_to_rounding(alpha, k):
+    lin = linear_form(alpha)
+    want = lin
+    for _ in range(k - 1):
+        want = want * lin
+    got = power_of_linear(alpha, k)
+    assert (got.n, got.d, got.exact) == (want.n, want.d, want.exact)
+    cut = 1e-14 * max((abs(v) for v in want._a.values()), default=0.0)
+    assert all(abs(got.a(i) - want.a(i)) <= cut
+               for i in got._a.keys() | want._a.keys())
 
 
 # -- the one-pass rebuild ----------------------------------------------------------

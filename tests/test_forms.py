@@ -16,8 +16,8 @@ from canonform import (QQi, ZeroForm, biermann_point, binary_factor, dim,
                        forms_close, index_set, linear_form, multinomial,
                        parse_form, power_of_linear, random_form)
 from canonform import binary, multivar
-from canonform.errors import (CanonformError, DegenerateStage, ParseError,
-                              ShapeMismatch)
+from canonform.errors import (CanonformError, DegenerateInput, DegenerateStage,
+                              ParseError, ShapeMismatch)
 from canonform.binary import sylvester_decompose, two_squares_all
 from canonform.forms import (ACCEPT_TOL, Decomposition, Form, Term, _Reader,
                              form_from_json, form_to_json, monomial_form,
@@ -241,6 +241,23 @@ def test_binary_factor_x_power_and_reconstruction():
         c, fs = binary_factor(q)
         got = reconstruct(c, fs)
         assert forms_close(got.approx(), q.approx(), 1e-8)
+
+
+@pytest.mark.parametrize("text", ["1e200*x^3 + x*y^2 + 1e-200*y^3",
+                                  "x^3 + x*y^2 + 1e-400*y^3"])
+def test_binary_factor_refuses_a_root_polynomial_beyond_float_range(text):
+    # the companion matrix of p(1, t) would hold 1e400, or divide by the
+    # leading coefficient rounded to 0.0
+    with pytest.raises(DegenerateInput, match="beyond float range"):
+        binary_factor(parse_form(text))
+
+
+def test_binary_factor_keeps_exact_roots_exact_and_float_roots_float():
+    _, fs = binary_factor(parse_form("x^3 - x^2*y - 2*x*y^2 + 2*y^3"))
+    assert [f.exact for f, _ in fs] == [False, True, False]
+    assert str(fs[1][0]) == "x - y"
+    _, fs = binary_factor(parse_form("x*y + y^2").approx())
+    assert [(f.exact, str(f)) for f, _ in fs] == [(False, "y"), (False, "x + y")]
 
 
 def test_binary_factor_keeps_a_tiny_nonzero_root():

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from canonform import canonicity
 from canonform.scalars import (MOD_I, MOD_P, QQi, _NoImage, exact_sqrt,
                                format_exact, mod_p, scalar_is_zero,
                                scalar_sqrt, scalar_to_json, scalars_close,
-                               snap_scalar, sqrt_fraction)
+                               snap_scalar)
 
 
 def test_field_operations_are_exact():
@@ -46,9 +47,68 @@ def test_hash_matches_plain_numbers():
     assert hash(QQi(Fraction(1, 3))) == hash(Fraction(1, 3))
 
 
-def test_sqrt_fraction():
-    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_fraction(Fraction(2)) is None
+def _fraction_sqrt(z: QQi) -> QQi | None:
+    """exact_sqrt as computed on Fraction parts, kept as the oracle of the
+    integer-triple one."""
+    def root(f: Fraction) -> Fraction | None:
+        if f < 0:
+            return None
+        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+        if rn * rn == f.numerator and rd * rd == f.denominator:
+            return Fraction(rn, rd)
+        return None
+
+    if z.im == 0:
+        r = root(abs(z.re))
+        if r is None:
+            return None
+        return QQi(r) if z.re >= 0 else QQi(0, r)
+    n = root(z.norm2())
+    c = root((z.re + n) / 2) if n is not None else None
+    if not c:
+        return None
+    w = QQi(c, z.im / (2 * c))
+    return w if w * w == z else None
+
+
+def _triple(z: QQi | None):
+    return None if z is None else (z.a, z.b, z.d)
+
+
+_parts = st.builds(Fraction, st.integers(-10**6, 10**6),
+                   st.integers(1, 10**3) | st.integers(10**20, 10**30))
+_gaussian = st.builds(QQi, _parts, _parts)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(z=st.one_of(_gaussian.map(lambda w: w * w), _gaussian,
+                   _parts.map(lambda q: QQi(-q * q)),
+                   _parts.map(lambda q: QQi(-abs(q))), st.just(QQi(0))))
+def test_exact_sqrt_matches_the_fraction_oracle(z):
+    assert _triple(exact_sqrt(z)) == _triple(_fraction_sqrt(z))
+
+
+def test_exact_sqrt_of_rationals():
+    assert exact_sqrt(QQi(Fraction(9, 4))) == QQi(Fraction(3, 2))
+    assert exact_sqrt(QQi(2)) is None
+    assert exact_sqrt(QQi(Fraction(-9, 4))) == QQi(0, Fraction(3, 2))
+    assert exact_sqrt(QQi(0)) == QQi(0)
+
+
+@pytest.mark.parametrize("other", ["1", None, [1]])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv, operator.pow])
+def test_operations_with_a_non_number_raise_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(QQi(1), other)
+    with pytest.raises(TypeError):
+        op(other, QQi(1))
+
+
+@pytest.mark.parametrize("other", ["1", None, [1]])
+def test_a_non_number_is_never_equal(other):
+    assert (QQi(1) == other) is False
+    assert (QQi(1) != other) is True
 
 
 def test_exact_sqrt_gaussian():
