@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import add, mul
 
 from .enumeration import shape_error
@@ -111,6 +111,8 @@ class _FormRing:
     def fixed(self, form: Form) -> Form:
         return form
 
+    add_all = staticmethod(partial(reduce, add))  # reduce(add, values)
+
 
 class _PointRing:
     """Leaves of the expression program as their degree-tagged _Values at the
@@ -137,12 +139,24 @@ class _PointRing:
                     .scale(mod_p(a) * multinomial(i)) for i, a in form.items()),
                    _Values([0] * self.size, form.d))
 
+    def add_all(self, values: list) -> _Values:
+        """The parts added in one pass per point, each sum reduced once;
+        parts of unequal degrees raise _NoImage."""
+        if len(values) < 3:  # + is one pass already
+            return reduce(add, values)
+        if len({v.d for v in values}) > 1:
+            raise _NoImage
+        return _Values([sum(col) % MOD_P for col in zip(*[v.v for v in values])],
+                       values[0].d)
+
 
 class _Program:
     """An expression as a straight-line program (Baur and Strassen): one
     slot (kind, node, parts, positions of the parts that depend on some
     t_j) per distinct node object, after the slots of its parts.  The
     adjoint of a slot is dF/d(slot); None stands for the root's, 1."""
+
+    KINDS = (Param, Sum, Pow, Prod, Fixed)
 
     def __init__(self, expr):
         self.expr, self.ops = expr, []
@@ -162,23 +176,23 @@ class _Program:
         slot = slots.get(id(node))
         if slot is not None:
             return slot
-        for kind in (Param, Sum, Pow, Prod, Fixed):
-            if isinstance(node, kind):
-                break
-        else:
-            raise TypeError(f"unknown expression node {node!r}")
-        if (kind is Pow and (not isinstance(node.k, int) or node.k < 0)
-                or kind in (Sum, Prod) and not node.parts):
-            raise BadShape(f"a negative or non-int power, or no parts: {node!r}")
-        parts, live = [], []
-        for i, sub in enumerate((node.base,) if kind is Pow else
-                                node.parts if kind in (Sum, Prod) else ()):
-            parts.append(c := self._compile(sub, slots))
-            if (kind is not Pow or node.k) and (self.ops[c][0] is Param
-                                                or self.ops[c][3]):
-                live.append(i)
-        slots[id(node)] = slot = len(self.ops)
-        self.ops.append((kind, node, tuple(parts), tuple(live)))
+        kind = type(node)
+        if kind not in self.KINDS:  # a subclass compiles as its kind
+            kind = next((k for k in self.KINDS if isinstance(node, k)), None)
+            if kind is None:
+                raise TypeError(f"unknown expression node {node!r}")
+        parts, live, ops = [], [], self.ops
+        if kind is not Param and kind is not Fixed:
+            if (kind is Pow and (not isinstance(node.k, int) or node.k < 0)
+                    or kind is not Pow and not node.parts):
+                raise BadShape(f"a negative or non-int power, or no parts: {node!r}")
+            lives = kind is not Pow or node.k
+            for i, sub in enumerate((node.base,) if kind is Pow else node.parts):
+                parts.append(c := self._compile(sub, slots))
+                if lives and (ops[c][0] is Param or ops[c][3]):
+                    live.append(i)
+        slots[id(node)] = slot = len(ops)
+        ops.append((kind, node, tuple(parts), tuple(live)))
         return slot
 
     def _forward(self, t, ring, slots, leaves: dict) -> list:
@@ -188,15 +202,16 @@ class _Program:
         for s in slots:
             kind, node, parts, _ = self.ops[s]
             if kind is Param:
-                leaves[s] = ring.leaf(node)
-                vals[s] = leaves[s].scale(t[node.index])
+                leaf = leaves[s] = ring.leaf(node)
+                vals[s] = leaf.scale(t[node.index])
             elif kind is Fixed:
                 vals[s] = ring.fixed(node.form)
             elif kind is Pow:
                 vals[s] = vals[parts[0]] ** node.k if node.k else ring.one()
+            elif kind is Sum:
+                vals[s] = ring.add_all([vals[c] for c in parts])
             else:
-                vals[s] = reduce(add if kind is Sum else mul,
-                                 [vals[c] for c in parts])
+                vals[s] = reduce(mul, [vals[c] for c in parts])
         return vals
 
     def value(self, t, ring):
@@ -207,12 +222,15 @@ class _Program:
         reverse sweep of the adjoints reads, then that sweep."""
         leaves: dict = {}
         vals = self._forward(t, ring, self.needed, leaves)
-        adjoint, grad = {len(self.ops) - 1: None}, {}
-        for s in range(len(self.ops) - 1, -1, -1):
-            if s not in adjoint:  # no t_j below, or only below a 0th power
+        ops = self.ops
+        adjoint, grad = {len(ops) - 1: [None]}, {}
+        for s in range(len(ops) - 1, -1, -1):
+            a = adjoint.pop(s, None)  # its contributions, added in one pass
+            if a is None:  # no t_j below, or only below a 0th power
                 continue
-            a = adjoint.pop(s)
-            kind, node, parts, live = self.ops[s]
+            a = a[0] if len(a) == 1 else ring.add_all(
+                [ring.one() if out is None else out for out in a])
+            kind, node, parts, live = ops[s]
             if kind is Param:
                 df = _times(a, leaves[s] if s in leaves else ring.leaf(node))
                 j = node.index
@@ -229,10 +247,8 @@ class _Program:
                 outs = [_times(a, (vals[parts[0]] ** (node.k - 1)).scale(node.k))]
             else:
                 outs = [a] * len(live)
-            for c, out in zip([parts[i] for i in live], outs):
-                adjoint[c] = out if c not in adjoint else (
-                    (ring.one() if adjoint[c] is None else adjoint[c])
-                    + (ring.one() if out is None else out))
+            for i, out in zip(live, outs):
+                adjoint.setdefault(parts[i], []).append(out)
         return grad
 
 
@@ -499,8 +515,8 @@ def _build_notclebsch() -> ParamMap:
 
 def _omnibus_fixed_forms(m: int) -> list[Form]:
     """x, y, then x + (j - 2) y for j = 3..m, the first m of them."""
-    return ([linear_form([QQi(1), QQi(0)]), linear_form([QQi(0), QQi(1)])][:m]
-            + [linear_form([QQi(1), QQi(j - 2)]) for j in range(3, m + 1)])
+    return [linear_form([QQi(1), QQi(j - 2)] if j > 2 else [QQi(2 - j), QQi(j - 1)])
+            for j in range(1, m + 1)]
 
 
 def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:

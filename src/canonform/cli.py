@@ -216,6 +216,9 @@ def _cmd_certify(args) -> int:
         key = key.strip()
         params[key] = _catalog_param(args.name, key, val)
     pmap = canonicity.build_map(args.name, **params)
+    if not (args.witness or pmap.witness) and _below(
+            f"--trials for {args.name} (no stored witness)", args.trials, 1):
+        return 1
     witness = None
     if args.witness:
         try:

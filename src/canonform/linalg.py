@@ -13,6 +13,7 @@ import cmath
 import importlib
 from itertools import chain
 from math import gcd, hypot
+from struct import Struct
 
 from .errors import DegenerateInput
 from .scalars import (EPS_DEFAULT, QQi, Scalar, _ZERO, _normalised, _over_lcm,
@@ -91,21 +92,23 @@ def exact_rank(rows: Matrix) -> int:
 
 
 def modp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over the field of p elements, p prime.
+    """Rank of an integer matrix over the field of p elements, p a prime below 2^64.
 
-    Each row is packed into one int, column c in the c-th slot, so one
-    big-int multiply-add updates a row.  The pivot row is normalised to 1 at
-    the pivot and reduced mod p slot by slot, and each other row gets (-entry
-    mod p) times it, adding below p^2 to a slot; a slot that starts below p
-    thus stays below (min(rows, cols) + 1) p^2, within its width, and never
-    carries.  The finished column is shifted out of every row.
+    Each row is reduced mod p and packed into one int by one struct call, column c
+    in the c-th slot, so one big-int multiply-add updates a row.  The pivot row is
+    read up to its last nonzero slot, normalised to -1 at the pivot and reduced mod
+    p slot by slot, and each other row gets (entry mod p) times it, adding below p^2
+    to a slot; a slot that starts below p thus stays below (min(rows, cols) + 1) p^2,
+    within its width, and never carries.  Each finished column is shifted out.
     """
     ncols = len(rows[0]) if rows else 0
     width = (((min(len(rows), ncols) + 1) * p * p).bit_length() + 7) // 8
     bits, mask = 8 * width, (1 << 8 * width) - 1
-    m = [int.from_bytes(b"".join([(v % p).to_bytes(width, "little")
-                                  for v in row]), "little") for row in rows]
-    for left in range(ncols * bits, 0, -bits):
+    size = 1 << (((p - 1).bit_length() - 1) // 8).bit_length()  # a residue's code
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size] + "x" * (width - size)
+    pack = Struct("<" + code * ncols).pack
+    m = [int.from_bytes(pack(*[v % p for v in row]), "little") for row in rows]
+    for _ in range(ncols):
         for i, row in enumerate(m):
             if (row & mask) % p:
                 break
@@ -113,10 +116,10 @@ def modp_rank(rows: list[list[int]], p: int) -> int:
             m = [row >> bits for row in m]
             continue
         del m[i]
-        inv, pivot = pow(row & mask, -1, p), 0
-        for k in range(left - bits, -1, -bits):
+        inv, pivot = -pow(row & mask, -1, p), 0
+        for k in range((row.bit_length() - 1) // bits * bits, -1, -bits):
             pivot = pivot << bits | (row >> k & mask) * inv % p
-        m = [(r + f * pivot) >> bits if (f := -(r & mask) % p) else r >> bits
+        m = [(r + f * pivot) >> bits if (f := (r & mask) % p) else r >> bits
              for r in m]
     return len(rows) - len(m)
 

@@ -377,20 +377,18 @@ def snap_scalar(v: Scalar, max_den: int = SNAP_MAX_DEN) -> QQi:
 
 # -- text formatting --------------------------------------------------------
 
-def _format_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _part_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_exact(z: QQi) -> str:
     """Canonical text form: "p/q" when real, "(a+b*i)" otherwise."""
-    if z.im == 0:
-        return _format_fraction(z.re)
-    re = _format_fraction(z.re)
-    im = _format_fraction(abs(z.im))
-    sign = "+" if z.im > 0 else "-"
-    return f"({re}{sign}{im}*i)"
+    if not z.b:
+        return _part_text(z.a, z.d)
+    sign = "+" if z.b > 0 else "-"
+    return f"({_part_text(z.a, z.d)}{sign}{_part_text(abs(z.b), z.d)}*i)"
 
 
 def format_scalar(v: Scalar) -> str:
@@ -405,7 +403,7 @@ def format_scalar(v: Scalar) -> str:
 
 def scalar_to_json(v: Scalar) -> dict:
     if isinstance(v, QQi):
-        return {"re": _format_fraction(v.re), "im": _format_fraction(v.im)}
+        return {"re": _part_text(v.a, v.d), "im": _part_text(v.b, v.d)}
     z = complex(v)
     return {"re": z.real, "im": z.imag}
 

@@ -3,7 +3,12 @@
 bench/tracing.py wraps functions, methods and QQi operators by name; a
 renamed or deleted one breaks only traced benchmark runs, so it is checked
 here instead.  The
-certify round's outputs must keep the digests in bench/reference.json.
+certify round's outputs must keep the digests in bench/reference.json, and
+every decompose pool and certify catalog output the digest pinned in
+decompose_pool_digests.json and certify_catalog_digests.json.  After a change
+that moves outputs on purpose, re-record both files with
+
+    PYTHONPATH=src python tests/test_bench_targets.py
 """
 
 import contextlib
@@ -19,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from canonform import cli
-from tests_support import subprocess_env
+from tests_support import cli_digests, subprocess_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -128,25 +133,49 @@ def test_decompose_pool_keeps_its_reference_digests(monkeypatch):
         assert checks.check(req, code, out.getvalue(), ref) is None, req.argv
 
 
+def _pool_argvs(workloads) -> dict:
+    """Every decompose pool request's argv, keyed "slot:variant"."""
+    return {f"{slot[0]}:{v}": workloads.decompose_request(slot, v).argv
+            for slot in workloads.DECOMPOSE_SLOTS
+            for v in range(workloads.DECOMPOSE_VARIANTS)}
+
+
+def _catalog_argvs(workloads) -> dict:
+    """Every certify catalog request's argv, with --json and without it,
+    keyed by the argv's JSON text."""
+    out = {}
+    for req in workloads.certify_catalog():
+        text = [a for a in req.argv if a != "--json"]
+        out[json.dumps(req.argv)], out[json.dumps(text)] = req.argv, text
+    return out
+
+
+# (file under tests/, its argvs, their count)
+_PINNED = {"decompose_pool_digests.json": (_pool_argvs, 208),
+           "certify_catalog_digests.json": (_catalog_argvs, 2 * 377)}
+
+
+def _assert_pinned(monkeypatch, name):
+    argvs, count = _PINNED[name]
+    pinned = json.loads((Path(__file__).parent / name).read_text())
+    got = cli_digests(argvs(_bench_module(monkeypatch, "workloads")))
+    assert len(got) == count
+    assert [k for k in pinned if got.get(k) != pinned[k]] == []
+    assert got.keys() == pinned.keys()
+
+
 def test_every_decompose_pool_output_keeps_its_digest(monkeypatch):
     """All 208 pool requests, exact and approximate, keep the sha256 of their
     exit code and stdout ("{code}\\n{stdout}") recorded in
     decompose_pool_digests.json at commit 47a256a, keyed "slot:variant"."""
-    pinned = json.loads((Path(__file__).parent /
-                         "decompose_pool_digests.json").read_text())
-    workloads = _bench_module(monkeypatch, "workloads")
-    got = {}
-    for slot in workloads.DECOMPOSE_SLOTS:
-        for v in range(workloads.DECOMPOSE_VARIANTS):
-            req = workloads.decompose_request(slot, v)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(list(req.argv))
-            got[f"{slot[0]}:{v}"] = hashlib.sha256(
-                f"{code}\n{out.getvalue()}".encode()).hexdigest()
-    assert len(got) == 208
-    assert [k for k in pinned if got.get(k) != pinned[k]] == []
-    assert got.keys() == pinned.keys()
+    _assert_pinned(monkeypatch, "decompose_pool_digests.json")
+
+
+def test_every_certify_catalog_output_keeps_its_digest(monkeypatch):
+    """All 377 certify catalog requests, in text and with --json, keep the
+    sha256 of their exit code and stdout recorded in
+    certify_catalog_digests.json at commit b2fe4b7, keyed by the argv."""
+    _assert_pinned(monkeypatch, "certify_catalog_digests.json")
 
 
 def test_certify_round_stays_on_the_modular_path(monkeypatch):
@@ -198,3 +227,12 @@ def test_warmup_pays_for_the_numpy_import(workload):
     [(argv, code, before, after)] = _fresh(_NUMPY_PER_REQUEST, workload, "0")
     assert (code, before, after) == (0, False, True), argv
 
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as mp:
+        wl = _bench_module(mp, "workloads")
+        for name, (argvs, count) in _PINNED.items():
+            digests = cli_digests(argvs(wl))
+            assert len(digests) == count, name
+            (Path(__file__).parent / name).write_text(
+                json.dumps(digests, indent=1) + "\n")

@@ -325,7 +325,7 @@ def _matrix_of_rank(rng, nrows, ncols, k, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, MOD_P])
-def test_packed_modp_rank_matches_the_list_elimination(p):
+def test_packed_modp_rank_matches_the_list_elimination(monkeypatch, p):
     rng = random.Random(f"packed rank {p}")
     for nrows, ncols in ((9, 4), (4, 9), (6, 6), (1, 5), (5, 1), (0, 0),
                          (3, 0)):
@@ -339,6 +339,22 @@ def test_packed_modp_rank_matches_the_list_elimination(p):
         rows = [[rng.randint(-3 * p, 3 * p) for _ in range(7)]
                 for _ in range(rng.randint(1, 9))]
         assert modp_rank(rows, p) == _list_modp_rank(rows, p)
+    # sparse rows, at most 20% nonzero, with a zero row and a zero column:
+    # 20 rows give MOD_P slots wider than 8 bytes, small p narrower ones
+    for nrows, ncols in ((15, 15), (20, 20), (8, 14), (14, 8)):
+        for _ in range(4):
+            rows = [[rng.randint(-3 * p, 3 * p) if rng.random() < 0.15 else 0
+                     for _ in range(ncols)] for _ in range(nrows)]
+            rows[rng.randrange(nrows)] = [0] * ncols
+            zero = rng.randrange(ncols)
+            rows = [row[:zero] + [0] + row[zero + 1:] for row in rows]
+            assert sum(map(bool, sum(rows, []))) <= nrows * ncols // 5
+            assert modp_rank(rows, p) == _list_modp_rank(rows, p)
+    # uppertri n=5 at its stored witness: 15 x 15 at 16% nonzero
+    pmap = build_map("uppertri", n=5)
+    rows = modular_rows(monkeypatch, pmap, pmap.witness)
+    assert sum(map(bool, sum(rows, []))) == 35 and len(rows) == 15
+    assert modp_rank(rows, p) == _list_modp_rank(rows, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, MOD_P])
@@ -523,6 +539,10 @@ def _lin():
     return Sum((Param(0, (1, 0)), Param(1, (0, 1))))
 
 
+class _SubSum(Sum):
+    """A node of a subclass of a kind compiles as that kind."""
+
+
 # Binary quadratic maps in 3 parameters with their reports at t = (1, 2, 3),
 # from a search of 3 trials with seed 4, and what evaluate raises.  Only the
 # value-only map may get a modular verdict: its partials are quadratic.
@@ -537,6 +557,10 @@ HAND_BUILT_MAPS = {
                      TypeError, TypeError, TypeError),
     "value-only cubic": (
         Sum((Pow(_lin(), 2), Param(2, (1, 1)), Fixed(parse_form("x^3", n=2)))),
+        (3, "Certified", 0, [1, 2, 3]), (3, "Certified", 2, [3, 6, -5]),
+        ShapeMismatch),
+    "subclassed node": (
+        _SubSum((Pow(_lin(), 2), Param(2, (1, 1)), Fixed(parse_form("x^3", n=2)))),
         (3, "Certified", 0, [1, 2, 3]), (3, "Certified", 2, [3, 6, -5]),
         ShapeMismatch),
     "over degree": (_over_degree_map().expr,
@@ -566,7 +590,7 @@ def test_hand_built_maps_get_a_modular_verdict_only_when_sound(
             assert rep.witness == [QQi(v) for v in witness]
     with pytest.raises(evaluated):
         pmap.evaluate(t)
-    if name != "value-only cubic":
+    if name not in ("value-only cubic", "subclassed node"):
         # no modular verdict, and no rows ranked
         try:
             assert modular_rows(monkeypatch, pmap, t) is None

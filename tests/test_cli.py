@@ -831,6 +831,27 @@ def test_trials_below_the_least_are_usage_errors(capsys, argv, least, got):
     assert err == f"--trials must be at least {least}, got {got}\n"
 
 
+@pytest.mark.parametrize("name,param", [
+    ("sylwake", "s=2"), ("zerosum", "s=1"), ("hyperplane", "c=1,0,0,0"),
+    ("slinkymap", "n=2"), ("reichmap", "n=2")])
+def test_zero_trials_without_a_stored_witness_is_a_usage_error(capsys, tmp_path,
+                                                               name, param):
+    # such a map would try no witness at all and still report a verdict
+    code, out, err = run_cli(["certify", name, "--param", param,
+                              "--trials", "0"], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"--trials for {name} (no stored witness) must be at least 1, got 0\n"
+    code, out, _ = run_cli(["certify", name, "--param", param, "--trials", "1"],
+                           capsys=capsys)
+    assert code in (0, 2)
+    # a --witness file is checked alone, so it needs no trials
+    path = tmp_path / "witness.txt"
+    path.write_text("0 " * int(out.split("/")[-1].rstrip(")\n")))
+    code, out, err = run_cli(["certify", name, "--param", param, "--witness",
+                              str(path), "--trials", "0"], capsys=capsys)
+    assert (code, out.split(" (")[0], err) == (2, "NotFullRankAtWitness", "")
+
+
 @pytest.mark.parametrize("algo", ["reichstein", "slinky"])
 @pytest.mark.parametrize("flags", [[], ["--backend", "approx"]])
 @pytest.mark.parametrize("shear", [[], ["--shear"]])

@@ -277,6 +277,31 @@ def test_text_and_json_match_the_fraction_pair(x):
                           sort_keys=True))
 
 
+def _fraction_format(z: QQi) -> str:
+    """format_exact as it was written on Fraction parts: the oracle."""
+    re, im = Fraction(z.a, z.d), Fraction(z.b, z.d)
+    if im == 0:
+        return o_text(re)
+    return f"({o_text(re)}{'+' if im > 0 else '-'}{o_text(abs(im))}*i)"
+
+
+_text_ints = st.one_of(st.just(0), st.integers(-60, 60),
+                       st.integers(-2**90, -2**64), st.integers(2**64, 2**90))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(a=_text_ints, b=_text_ints,
+       d=st.one_of(st.integers(1, 60), st.integers(2**64, 2**72)),
+       g=st.integers(1, 30))
+def test_exact_text_matches_the_fraction_formatting(a, b, d, g):
+    # numerators times g over d times g: parts that share factors with the
+    # denominator, which the triple keeps unless all three share them
+    z = QQi(Fraction(a * g, d * g), Fraction(b, d * g))
+    assert str(z) == format_exact(z) == _fraction_format(z)
+    assert scalar_to_json(z) == {"re": o_text(Fraction(z.a, z.d)),
+                                 "im": o_text(Fraction(z.b, z.d))}
+
+
 @props
 @given(re=st.builds(Fraction, st.integers(-10**320, 10**320),
                     st.integers(1, 10**12)),

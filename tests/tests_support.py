@@ -1,11 +1,27 @@
-"""Shared test helpers: decompositions compared up to term order, and the
-environment of a child interpreter."""
+"""Shared test helpers: decompositions compared up to term order, the
+environment of a child interpreter, and digests of CLI outputs."""
 
+import contextlib
+import hashlib
+import io
 import os
 from pathlib import Path
 
 import canonform
+from canonform import cli
 from canonform.forms import index_set
+
+
+def cli_digests(argvs: dict) -> dict:
+    """{key: sha256 of "{exit code}\\n{stdout}"} for each key's argv, run
+    in-process through cli.main."""
+    got = {}
+    for key, argv in argvs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        got[key] = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    return got
 
 
 def subprocess_env():
