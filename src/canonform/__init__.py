@@ -4,50 +4,85 @@ Library plus command-line tool for Waring-type decompositions of binary and
 n-ary forms, completion of squares and cubes, mixed-power representations,
 Jacobian full-rank certification of canonical-form candidates, and the
 number-theoretic enumeration of the mixed-power families.
+
+Importing the package runs none of its submodules: the public names are
+served from them on first read (PEP 562), and each algorithm submodule is
+deferred, its code running into its module on the first read of its names.
 """
 
-from .apolarity import HankelMatrix, apply_diff, hankel, hankel_kernel, pair
-from .binary import (MixedSpec, QuarticNormal, count_reps_monte_carlo,
-                     mixed_decompose, quartic_normalize, quartic_six_for_form,
-                     quartic_six_reps, quartic_two_fixed, sylvester_decompose,
-                     two_squares_all)
-from .canonicity import (CertifyReport, ParamMap, build_map, catalog_names,
-                         hyperplane_classify, jacobian_certify, zerosum_verify)
-from .enumeration import (NeatForm, neat_enumerate, neat_upto, obstruction_A,
-                          partial_sum_S, s_of_d, smallest_in_A)
-from .errors import (AllZero, BadShape, CanonformError, DegenerateInput,
-                     DegenerateLambda, DegeneratePencil, DegenerateStage,
-                     LeadingZero, NormalizationFailed, NotGeneric, ParseError,
-                     PivotZero, RepeatedRoot, ShapeMismatch, UnknownName,
-                     UnsupportedShape, ZeroForm)
-from .forms import (Decomposition, Form, Term, biermann_point, binary_factor,
-                    dim, form_from_json, form_to_json, forms_close, index_set,
-                    linear_coeffs, linear_form, monomial_form, multinomial,
-                    parse_decomposition, parse_form, power_of_linear,
-                    random_form)
-from .multivar import (PencilDiag, TriangularSquares, pencil_diagonalize,
-                       quartic_lift, reichstein_full, reichstein_step, slinky,
-                       slowpoke, uppertri)
-from .scalars import EPS_DEFAULT, QQi, exact_sqrt, snap_scalar
+import importlib.util
+import sys
+from _thread import RLock
+from types import ModuleType
 
-__all__ = [
-    "AllZero", "BadShape", "CanonformError", "CertifyReport", "Decomposition",
-    "DegenerateInput", "DegenerateLambda", "DegeneratePencil",
-    "DegenerateStage", "EPS_DEFAULT", "Form", "HankelMatrix", "LeadingZero",
-    "MixedSpec", "NeatForm", "NormalizationFailed", "NotGeneric", "ParamMap",
-    "ParseError", "PencilDiag", "PivotZero", "QQi", "QuarticNormal",
-    "RepeatedRoot", "ShapeMismatch", "Term", "TriangularSquares",
-    "UnknownName", "UnsupportedShape", "ZeroForm", "apply_diff",
-    "biermann_point", "binary_factor", "build_map", "catalog_names",
-    "count_reps_monte_carlo", "dim", "exact_sqrt", "form_from_json",
-    "form_to_json", "forms_close", "hankel", "hankel_kernel",
-    "hyperplane_classify", "index_set", "jacobian_certify", "linear_coeffs",
-    "linear_form", "mixed_decompose", "monomial_form", "multinomial",
-    "neat_enumerate", "neat_upto", "obstruction_A", "pair",
-    "parse_decomposition", "parse_form", "partial_sum_S",
-    "pencil_diagonalize", "power_of_linear", "quartic_lift",
-    "quartic_normalize", "quartic_six_for_form", "quartic_six_reps",
-    "quartic_two_fixed", "random_form", "reichstein_full", "reichstein_step",
-    "s_of_d", "slinky", "slowpoke", "smallest_in_A", "snap_scalar",
-    "sylvester_decompose", "two_squares_all", "uppertri", "zerosum_verify",
-]
+_PUBLIC = {
+    "apolarity": "HankelMatrix apply_diff hankel hankel_kernel pair",
+    "binary": """MixedSpec QuarticNormal count_reps_monte_carlo mixed_decompose
+        quartic_normalize quartic_six_for_form quartic_six_reps
+        quartic_two_fixed sylvester_decompose two_squares_all""",
+    "canonicity": """CertifyReport ParamMap build_map catalog_names
+        hyperplane_classify jacobian_certify zerosum_verify""",
+    "enumeration": """NeatForm neat_enumerate neat_upto obstruction_A
+        partial_sum_S s_of_d smallest_in_A""",
+    "errors": """AllZero BadShape CanonformError DegenerateInput DegenerateLambda
+        DegeneratePencil DegenerateStage LeadingZero NormalizationFailed
+        NotGeneric ParseError PivotZero RepeatedRoot ShapeMismatch UnknownName
+        UnsupportedShape ZeroForm""",
+    "forms": """Decomposition Form Term biermann_point binary_factor dim
+        form_from_json form_to_json forms_close index_set linear_coeffs
+        linear_form monomial_form multinomial parse_decomposition parse_form
+        power_of_linear random_form""",
+    "multivar": """PencilDiag TriangularSquares pencil_diagonalize quartic_lift
+        reichstein_full reichstein_step slinky slowpoke uppertri""",
+    "scalars": "EPS_DEFAULT QQi exact_sqrt snap_scalar",
+}
+_OWNER = {name: mod for mod, names in _PUBLIC.items() for name in names.split()}
+__all__ = sorted(_OWNER)
+
+_LOCK = RLock()     # held while a deferred module's code runs
+_PENDING = set()    # the deferred modules whose code has not started
+
+
+class _Deferred(ModuleType):
+    """A submodule whose code has not run.  Reading a name it lacks, or
+    writing any name, runs the code first; dunder reads, which the import
+    machinery makes, do not."""
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
+        _run(self)
+        return ModuleType.__getattribute__(self, name)
+
+    def __setattr__(self, name, value):
+        _run(self)
+        ModuleType.__setattr__(self, name, value)
+
+
+def _run(module):
+    # a first reader that comes while the code runs waits here; one from
+    # the running thread (a circular import) sees the module half-built
+    with _LOCK:
+        if module.__name__ in _PENDING:
+            _PENDING.remove(module.__name__)
+            module.__spec__.loader.exec_module(module)
+            ModuleType.__setattr__(module, "__class__", ModuleType)
+
+
+for _name in ("apolarity", "binary", "canonicity", "enumeration", "multivar"):
+    _module = importlib.util.module_from_spec(
+        importlib.util.find_spec(f"{__name__}.{_name}"))
+    _module.__class__ = _Deferred
+    sys.modules[_module.__name__] = globals()[_name] = _module
+    _PENDING.add(_module.__name__)
+del _name, _module
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

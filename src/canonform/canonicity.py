@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from operator import add, mul
 
-from .enumeration import shape_error
+from . import enumeration
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, _monomials, dim,
                     linear_form, monomial_form, multinomial)
@@ -336,10 +336,10 @@ class CertifyReport:
                 "seed": self.seed, "trials": self.trials}
 
 
-def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
-    """Whether the Jacobian at t has full rank mod MOD_P, a proof of full
-    rank over Q(i); False also when t or a leaf has no image mod p, or a
-    partial is not homogeneous of the declared degree.
+def _rank_mod_p(pmap: ParamMap, t) -> int | None:
+    """The Jacobian's rank at t mod MOD_P, a lower bound on its rank over
+    Q(i); None when t or a leaf has no image mod p, or a partial is not
+    homogeneous of the declared degree.
 
     Row j holds dF/dt_j at the points I(n, d) with its degree, which every
     addition that built it checked, so a row of degree d is a degree-d
@@ -351,18 +351,24 @@ def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
         t = [mod_p(v) for v in pmap._coerce_t(t)]
         grad = pmap._program().gradient(t, _PointRing(pmap.n, pmap.d))
     except _NoImage:
-        return False
+        return None
     if any(df.d != pmap.d for df in grad.values()):
-        return False
+        return None
     zero = [0] * pmap.target
     rows = [grad[j].v if j in grad else zero for j in range(pmap.m)]
-    return modp_rank(rows, MOD_P) == pmap.target
+    return modp_rank(rows, MOD_P)
 
 
-def _rank_at(pmap: ParamMap, t, eps: float) -> int:
-    if _full_rank_mod_p(pmap, t):
-        return pmap.target
-    return mat_rank(pmap.jacobian_rows(t), eps)
+def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
+    return _rank_mod_p(pmap, t) == pmap.target
+
+
+def _rank_at(pmap: ParamMap, t, eps: float, exact: bool = True) -> int:
+    """The Jacobian's rank at t: mod p when full there or not `exact`, else over Q(i)."""
+    rank = _rank_mod_p(pmap, t)
+    if rank is None or (exact and rank < pmap.target):
+        return mat_rank(pmap.jacobian_rows(t), eps)
+    return rank
 
 
 def _witnesses(pmap: ParamMap, trials: int, seed: int):
@@ -383,11 +389,13 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
     """Certified iff the M x N(n,d) Jacobian has full rank at some witness.
 
     A given witness is checked alone; otherwise the catalog's stored witness
-    is tried first, then seeded random integer points in [-9, 9]^M.  Full
-    rank is proved mod MOD_P or in exact arithmetic for rational witnesses,
-    so Certified is a proof; the negative verdict only reports the
-    witnesses tried.  A map with no parameters is refused (BadShape): it
-    cannot have full rank, and it has no nonzero random witness.
+    is tried first, then seeded random integer points in [-9, 9]^M, each
+    ranked mod MOD_P (over Q(i) if it has no image mod p) until one has
+    full rank; if none has, the first of highest rank is ranked over Q(i).
+    Full rank mod p implies full rank, so Certified is a proof; the
+    negative verdict only reports the witnesses tried.  A map with no
+    parameters is refused (BadShape): it cannot have full rank, and it has
+    no nonzero random witness.
     """
     if pmap.m < 1:
         raise BadShape(f"{pmap.name} has no parameters")
@@ -402,13 +410,18 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
     tried = 0
     for t in _witnesses(pmap, trials, seed):
         tried += 1
-        rank = _rank_at(pmap, t, eps)
+        rank = _rank_at(pmap, t, eps, exact=False)
         if rank == target:
             return CertifyReport(pmap.name, t, rank, target, "Certified",
                                  seed, tried)
         if rank > best_rank:
             best_rank, best_witness = rank, t
-    verdict = "ExceptionalStructure" if pmap.noncanonical else "NotFullRankAtWitness"
+    if best_witness is not None and _rank_mod_p(pmap, best_witness) is not None:
+        # its rank is a modular lower bound; rank it over Q(i)
+        best_rank = mat_rank(pmap.jacobian_rows(best_witness), eps)
+    verdict = ("Certified" if best_rank == target
+               else "ExceptionalStructure" if pmap.noncanonical
+               else "NotFullRankAtWitness")
     return CertifyReport(pmap.name, best_witness, best_rank, target, verdict,
                          seed, tried)
 
@@ -521,7 +534,7 @@ def _omnibus_fixed_forms(m: int) -> list[Form]:
 
 def _build_omnibus(d: int, e: list[int], m: int) -> ParamMap:
     e = sorted((int(v) for v in e), reverse=True)
-    if reason := shape_error(d, e, m):
+    if reason := enumeration.shape_error(d, e, m):
         raise BadShape(reason)
     p = _Params(2)
     terms = [Prod((p.param(at=1), Pow(Fixed(lin), d)))

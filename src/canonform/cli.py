@@ -15,8 +15,7 @@ import os
 import random
 import sys
 
-from . import binary, canonicity, enumeration, multivar
-from .apolarity import apply_diff, hankel, hankel_kernel
+from . import apolarity, binary, canonicity, enumeration, multivar
 from .errors import CanonformError, ParseError
 from .forms import (Decomposition, Form, Term, _monomial_text, binary_factor,
                     dim, form_to_json, forms_close, index_set, multinomial,
@@ -357,7 +356,7 @@ def _factor_product_ok() -> bool:
 
 
 def _hankel_kernel_ok() -> bool:
-    basis = hankel_kernel(hankel(parse_form(_EX310), 2))
+    basis = apolarity.hankel_kernel(apolarity.hankel(parse_form(_EX310), 2))
     return (len(basis) == 1
             and [x * 6 for x in basis[0]] == [QQi(6), QQi(-5), QQi(1)])
 
@@ -383,13 +382,14 @@ _PAPER_EXAMPLES = [
      lambda: parse_form(_EX310).evaluate((1, 0)) == QQi(2)),
     ("binary_factor 6x^2-5xy+y^2 = (2x-y)(3x-y)", _factor_product_ok),
     ("h(D)p = 0 for the catalecticant kernel form",
-     lambda: apply_diff(parse_form("6*x^2 - 5*x*y + y^2"),
-                        parse_form(_EX310)).is_zero()),
+     lambda: apolarity.apply_diff(parse_form("6*x^2 - 5*x*y + y^2"),
+                                  parse_form(_EX310)).is_zero()),
     ("f(D)p = 160x^3+240x^2y-1680xy^2-3280y^3",
-     lambda: apply_diff(parse_form("3*x^2 - 2*x*y - y^2"), parse_form(_EX41))
+     lambda: apolarity.apply_diff(parse_form("3*x^2 - 2*x*y - y^2"),
+                                  parse_form(_EX41))
      == parse_form("160*x^3 + 240*x^2*y - 1680*x*y^2 - 3280*y^3")),
     ("Hankel A_2 = [[2,1,-7],[1,-7,-41]]",
-     lambda: hankel(parse_form(_EX310), 2).rows()
+     lambda: apolarity.hankel(parse_form(_EX310), 2).rows()
      == [[QQi(2), QQi(1), QQi(-7)], [QQi(1), QQi(-7), QQi(-41)]]),
     ("Hankel kernel contains (6,-5,1)", _hankel_kernel_ok),
     ("Sylvester: 5(x+2y)^3 - 3(x+3y)^3",

@@ -568,12 +568,13 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
     work = u[:m + 1]
 
     roots: list[tuple[Scalar, int]] = []
+    found = poly_roots(work)
     if p.exact:
         # clustered roots lose accuracy, so try a ladder of denominator bounds
         bounds = [b for b in (1, 12, 10**3, max_den) if b <= max_den] or [max_den]
-        while len(work) > 1:
+        while found:
             candidates = []
-            for z in poly_roots(work):
+            for z in found:
                 for b in bounds:
                     t0 = snap_scalar(z, b)
                     if t0 not in candidates:
@@ -584,11 +585,12 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
                     work, count = nxt, count + 1
                 if count:
                     roots.append((t0, count))
+                    found = poly_roots(work)
                     break
             else:
                 break
-    if len(work) > 1:
-        roots += cluster_roots(poly_roots(work), eps ** 0.5)
+    if found:
+        roots += cluster_roots(found, eps ** 0.5)
 
     for t0, mult in roots:
         # root t0 of u gives the factor (y - t0 x), normalized to leading 1;

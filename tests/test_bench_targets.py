@@ -17,14 +17,13 @@ import importlib
 import importlib.util
 import io
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from canonform import cli
-from tests_support import cli_digests, subprocess_env
+from tests_support import cli_digests, fresh_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,11 +45,7 @@ def _span_targets(monkeypatch):
 def _fresh(code, *args):
     """Run code in a new interpreter that finds the bench modules the way
     bench/run.py does (writing no bytecode there); return its JSON line."""
-    proc = subprocess.run([sys.executable, "-B", "-c", code, str(BENCH), *args],
-                          capture_output=True, env=subprocess_env(), text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return fresh_json(code, str(BENCH), *args)
 
 
 # A child that runs a workload's warmup request, then its first argv[3]

@@ -717,6 +717,35 @@ def test_only_the_witnesses_tried_are_drawn(monkeypatch, name, params, trials,
     assert len(calls) == pmap.m * random_tried
 
 
+# -- modular ranks first, one exact rank at most -------------------------------
+
+
+@pytest.mark.parametrize("name, params, verdict, rank, target, trials, witness, "
+                         "exact", [
+    # the 33 witnesses before the one that certifies fall short mod p
+    ("zerosum", {"s": 18}, "Certified", 37, 37, 34,
+     [-5, 9, 3, 2, 5, -8, 8, 4, -2, -9, 2, 7, -4, -3, 2, 6, -9, -2, 9, -2, -1,
+      -4, 4, -7, 9, 5, -2, 5, 7, -6, -3, -4, 5, -7, 4, 3, -1], 0),
+    # an excluded pattern: no witness has full rank, and the stored one, the
+    # first of highest rank mod p, is ranked over Q(i)
+    ("quarticgen", {"d": 24, "B": (0, 1, 2, 3)}, "NotFullRankAtWitness", 24,
+     25, 41, [1, 0, 0] + [1] * 22, 1),
+])
+def test_witness_search_ranks_mod_p_before_any_exact_rank(
+        monkeypatch, name, params, verdict, rank, target, trials, witness,
+        exact):
+    pmap = build_map(name, **params)
+    calls = []
+    rows = ParamMap.jacobian_rows
+    monkeypatch.setattr(ParamMap, "jacobian_rows",
+                        lambda self, t: calls.append(t) or rows(self, t))
+    rep = jacobian_certify(pmap)
+    assert (rep.verdict, rep.rank, rep.target, rep.trials) == (
+        verdict, rank, target, trials)
+    assert rep.witness == [QQi(v) for v in witness]
+    assert len(calls) == exact
+
+
 def _looped_hyperplane_classify(c, eps=EPS_DEFAULT, seed=0, trials=64):
     """hyperplane_classify as it was, with its own search and rank test."""
     c = canonicity._hyperplane_coefficients(c)

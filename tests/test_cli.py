@@ -16,7 +16,7 @@ from canonform import cli, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
 from canonform.forms import ACCEPT_TOL, parse_decomposition, var_names
-from tests_support import subprocess_env
+from tests_support import fresh_json, subprocess_env
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -664,16 +664,14 @@ def test_closed_output_pipe_is_not_an_internal_error():
 def test_import_leaves_numpy_random_unimported():
     # numpy 2 imports numpy.random on first use; importing it at start-up
     # would add to every CLI call's set-up time
-    code = ("import sys; import numpy; before = 'numpy.random' in sys.modules;"
+    code = ("import json, sys; import numpy;"
+            " before = 'numpy.random' in sys.modules;"
             " import canonform, canonform.cli;"
-            " print(before, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env=subprocess_env(), text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    before, after = proc.stdout.split()
-    if before == "True":
+            " print(json.dumps([before, 'numpy.random' in sys.modules]))")
+    before, after = fresh_json(code)
+    if before:
         pytest.skip("this numpy imports numpy.random with numpy")
-    assert after == "False"
+    assert not after
 
 
 _FRESH_MAIN = """
@@ -692,11 +690,7 @@ print(json.dumps(rows))
 def _fresh_main(argvs):
     """(exit, stdout, numpy imported) after each argv, run in turn through
     main in one new interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, json.dumps(argvs)],
-                          capture_output=True, env=subprocess_env(), text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return [tuple(row) for row in json.loads(proc.stdout)]
+    return [tuple(row) for row in fresh_json(_FRESH_MAIN, json.dumps(argvs))]
 
 
 def test_exact_subcommands_start_without_numpy():

@@ -1,10 +1,13 @@
-"""Shared test helpers: decompositions compared up to term order, the
-environment of a child interpreter, and digests of CLI outputs."""
+"""Shared test helpers: decompositions compared up to term order, a child
+interpreter that imports this canonform, and digests of CLI outputs."""
 
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import canonform
@@ -29,6 +32,16 @@ def subprocess_env():
     src = str(Path(canonform.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def fresh_json(code: str, *args: str):
+    """Run code in a new interpreter that imports this canonform and writes
+    no bytecode, with args as sys.argv[1:]; return its stdout read as JSON."""
+    proc = subprocess.run([sys.executable, "-B", "-c", code, *args],
+                          capture_output=True, env=subprocess_env(), text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def term_vectors(dec):
