@@ -5,9 +5,8 @@ n-ary forms, completion of squares and cubes, mixed-power representations,
 Jacobian full-rank certification of canonical-form candidates, and the
 number-theoretic enumeration of the mixed-power families.
 
-Importing the package runs none of its submodules: the public names are
-served from them on first read (PEP 562), and each algorithm submodule is
-deferred, its code running into its module on the first read of its names.
+Importing the package runs none of its submodules: public names are served
+from them on first read (PEP 562), and the algorithm submodules are deferred.
 """
 
 import importlib.util
@@ -37,22 +36,27 @@ _PUBLIC = {
     "scalars": "EPS_DEFAULT QQi exact_sqrt snap_scalar",
 }
 _OWNER = {name: mod for mod, names in _PUBLIC.items() for name in names.split()}
+_SUBMODULES = {*_PUBLIC, "cli", "linalg"}
 __all__ = sorted(_OWNER)
 
-_LOCK = RLock()     # held while a deferred module's code runs
-_PENDING = set()    # the deferred modules whose code has not started
+_LOCK = RLock()  # held while a deferred module's code runs
+_PENDING = {f"{__name__}.{name}" for name in  # the code has not started
+            ("apolarity", "binary", "canonicity", "enumeration", "multivar")}
 
 
 class _Deferred(ModuleType):
-    """A submodule whose code has not run.  Reading a name it lacks, or
-    writing any name, runs the code first; dunder reads, which the import
-    machinery makes, do not."""
+    """A submodule whose code has not run.  Reading a name it lacks or its
+    `__all__`, listing its names, or writing any name runs the code first;
+    other dunder reads, which the import machinery makes, do not."""
 
     def __getattr__(self, name):
-        if name.startswith("__"):
-            raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
-        _run(self)
+        if not name.startswith("__") or name == "__all__":
+            _run(self)
         return ModuleType.__getattribute__(self, name)
+
+    def __dir__(self):
+        _run(self)
+        return ModuleType.__dir__(self)
 
     def __setattr__(self, name, value):
         _run(self)
@@ -60,29 +64,33 @@ class _Deferred(ModuleType):
 
 
 def _run(module):
-    # a first reader that comes while the code runs waits here; one from
-    # the running thread (a circular import) sees the module half-built
+    # later first readers wait here (one from the running thread sees the
+    # module half-built); code that raises stays pending and raises again
     with _LOCK:
         if module.__name__ in _PENDING:
             _PENDING.remove(module.__name__)
-            module.__spec__.loader.exec_module(module)
+            try:
+                module.__spec__.loader.exec_module(module)
+            except BaseException:
+                _PENDING.add(module.__name__)
+                raise
             ModuleType.__setattr__(module, "__class__", ModuleType)
 
 
-for _name in ("apolarity", "binary", "canonicity", "enumeration", "multivar"):
-    _module = importlib.util.module_from_spec(
-        importlib.util.find_spec(f"{__name__}.{_name}"))
+for _name in _PENDING:
+    _module = importlib.util.module_from_spec(importlib.util.find_spec(_name))
     _module.__class__ = _Deferred
-    sys.modules[_module.__name__] = globals()[_name] = _module
-    _PENDING.add(_module.__name__)
+    sys.modules[_name] = globals()[_name.rpartition(".")[2]] = _module
 del _name, _module
 
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

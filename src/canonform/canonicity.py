@@ -359,10 +359,6 @@ def _rank_mod_p(pmap: ParamMap, t) -> int | None:
     return modp_rank(rows, MOD_P)
 
 
-def _full_rank_mod_p(pmap: ParamMap, t) -> bool:
-    return _rank_mod_p(pmap, t) == pmap.target
-
-
 def _rank_at(pmap: ParamMap, t, eps: float, exact: bool = True) -> int:
     """The Jacobian's rank at t: mod p when full there or not `exact`, else over Q(i)."""
     rank = _rank_mod_p(pmap, t)
@@ -405,11 +401,8 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
         rank = _rank_at(pmap, t, eps)
         verdict = "Certified" if rank == target else "NotFullRankAtWitness"
         return CertifyReport(pmap.name, t, rank, target, verdict, seed, 0)
-    best_rank = -1
-    best_witness = None
-    tried = 0
-    for t in _witnesses(pmap, trials, seed):
-        tried += 1
+    best_rank, best_witness, tried = -1, None, 0
+    for tried, t in enumerate(_witnesses(pmap, trials, seed), 1):
         rank = _rank_at(pmap, t, eps, exact=False)
         if rank == target:
             return CertifyReport(pmap.name, t, rank, target, "Certified",
@@ -417,7 +410,6 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
         if rank > best_rank:
             best_rank, best_witness = rank, t
     if best_witness is not None and _rank_mod_p(pmap, best_witness) is not None:
-        # its rank is a modular lower bound; rank it over Q(i)
         best_rank = mat_rank(pmap.jacobian_rows(best_witness), eps)
     verdict = ("Certified" if best_rank == target
                else "ExceptionalStructure" if pmap.noncanonical

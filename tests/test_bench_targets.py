@@ -194,7 +194,7 @@ def test_certify_round_stays_on_the_modular_path(monkeypatch):
                 pmap, trials=int(argv[argv.index("--trials") + 1]),
                 seed=int(argv[argv.index("--seed") + 1]))
             witness = rep.witness
-        assert canonicity._full_rank_mod_p(pmap, witness), argv
+        assert canonicity._rank_mod_p(pmap, witness) == pmap.target, argv
 
 
 def test_cli_import_loads_every_traced_module_but_not_numpy(monkeypatch):

@@ -398,9 +398,9 @@ def test_modular_first_rank_equals_exact_rank(case, values):
     t = [QQi(v) for v in values[:pmap.m]]
     exact = exact_rank(pmap.jacobian_rows(t))
     assert canonicity._rank_at(pmap, t, EPS_DEFAULT) == exact
-    # the modular verdict is only ever "full rank", and then it is right
-    if canonicity._full_rank_mod_p(pmap, t):
-        assert exact == pmap.target
+    # the modular rank, where there is one, is a lower bound
+    modular = canonicity._rank_mod_p(pmap, t)
+    assert modular is None or modular <= exact
     assert lasker_wakeford_full_rank(pmap, t) == (exact == pmap.target)
 
 
@@ -418,7 +418,7 @@ def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
              "NotFullRankAtWitness")):
         pmap = build_map(name, **params)
         t = [QQi(Fraction(v, MOD_P)) for v in witness]
-        assert not canonicity._full_rank_mod_p(pmap, t)
+        assert canonicity._rank_mod_p(pmap, t) is None
         calls.clear()
         rep = jacobian_certify(pmap, witness=t)
         assert calls == [pmap.m]
@@ -438,7 +438,7 @@ def test_modular_path_keeps_hyperplane_and_lasker_wakeford_verdicts(
         lw_cases.append((pmap, [QQi(rng.randint(-3, 3)) for _ in range(pmap.m)]))
     fast = ([hyperplane_classify(c, seed=s) for c in cs for s in (0, 1)],
             [lasker_wakeford_full_rank(pmap, t) for pmap, t in lw_cases])
-    monkeypatch.setattr(canonicity, "_full_rank_mod_p", lambda pmap, t: False)
+    monkeypatch.setattr(canonicity, "_rank_mod_p", lambda pmap, t: None)
     exact = ([hyperplane_classify(c, seed=s) for c in cs for s in (0, 1)],
              [lasker_wakeford_full_rank(pmap, t) for pmap, t in lw_cases])
     assert fast == exact
@@ -448,11 +448,11 @@ def test_modular_path_keeps_hyperplane_and_lasker_wakeford_verdicts(
 
 
 def modular_rows(monkeypatch, pmap, t):
-    """The rows _full_rank_mod_p ranks at t, or None if it ranks none."""
+    """The rows _rank_mod_p ranks at t, or None if it ranks none."""
     seen = []
     with monkeypatch.context() as m:
         m.setattr(canonicity, "modp_rank", lambda rows, p: seen.append(rows))
-        canonicity._full_rank_mod_p(pmap, t)
+        canonicity._rank_mod_p(pmap, t)
     return seen[0] if seen else None
 
 
@@ -505,7 +505,7 @@ def test_expression_above_the_declared_degree_gets_no_modular_verdict(
     monkeypatch.setattr(canonicity, "mat_rank", spy)
     t = [QQi(1), QQi(2), QQi(3)]
     assert modular_rows(monkeypatch, pmap, t) is None
-    assert not canonicity._full_rank_mod_p(pmap, t)
+    assert canonicity._rank_mod_p(pmap, t) is None
     # the exact rows read no quartic coefficient, so the rank is 0
     rep = jacobian_certify(pmap, witness=t)
     assert (rep.rank, rep.target, rep.verdict, rep.trials) == (
@@ -526,7 +526,7 @@ def _mixed_degree_map() -> ParamMap:
 def test_mixed_degree_expression_raises_on_every_path():
     pmap = _mixed_degree_map()
     t = [QQi(1), QQi(2), QQi(3)]
-    assert not canonicity._full_rank_mod_p(pmap, t)
+    assert canonicity._rank_mod_p(pmap, t) is None
     for run in (pmap.evaluate, pmap.jacobian_rows,
                 lambda t: jacobian_certify(pmap, witness=t),
                 lambda t: jacobian_certify(pmap),
@@ -594,7 +594,7 @@ def test_hand_built_maps_get_a_modular_verdict_only_when_sound(
         # no modular verdict, and no rows ranked
         try:
             assert modular_rows(monkeypatch, pmap, t) is None
-            assert canonicity._full_rank_mod_p(pmap, t) is False
+            assert canonicity._rank_mod_p(pmap, t) is None
         except TypeError:  # the unknown node may already raise here
             assert name == "unknown node"
 
@@ -768,7 +768,7 @@ def _looped_hyperplane_classify(c, eps=EPS_DEFAULT, seed=0, trials=64):
         t_free = [QQi(rng.randint(-9, 9)) for _ in range(3)]
         if not any(v for v in t_free):
             continue
-        if not canonicity._full_rank_mod_p(pmap, t_free):
+        if canonicity._rank_mod_p(pmap, t_free) != pmap.target:
             rows = [[df.a(i) for i in basis] for df in pmap.gradient(t_free)]
             if scalar_is_zero(mat_det(rows), eps):
                 continue
@@ -997,4 +997,5 @@ def test_neat_omnibus_maps_certify_on_the_modular_path():
     for f in forms:
         pmap = build_map("omnibus", d=f.d, e=list(f.e),
                          m=f.d + 1 - sum(ek + 1 for ek in f.e))
-        assert canonicity._full_rank_mod_p(pmap, pmap.witness), (f.d, f.e)
+        assert canonicity._rank_mod_p(pmap, pmap.witness) == pmap.target, (
+            f.d, f.e)

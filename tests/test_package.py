@@ -115,3 +115,45 @@ result = [type(mod).__name__, mod.smallest_in_A(4), mod.obstruction_A(4, 12)]
 """)
     assert result == ["module", 7, False]
     assert ran == ["enumeration"]
+
+
+
+def test_star_import_and_dir_run_a_deferred_module():
+    # the submodules define no __all__, so star import reads their names
+    # from __dict__, which holds only dunders until the code has run
+    result, ran = _ran("""
+names = {}
+exec("from canonform.multivar import *", names)
+result = [callable(names.get("slinky")), "s_of_d" in dir(canonform.enumeration)]
+""")
+    assert result == [True, True]
+    assert sorted(set(ran) & set(DEFERRED)) == ["enumeration", "multivar"]
+
+
+def test_bare_import_serves_every_submodule_as_an_attribute():
+    result, ran = _ran("""
+result = [name for name in ("errors", "forms", "linalg", "scalars", "cli")
+          if getattr(canonform, name) is not sys.modules["canonform." + name]]
+""")
+    assert result == []
+    assert ran == CORE
+    assert set(CORE) <= set(dir(canonform))
+
+
+def test_code_that_raises_stays_pending_and_raises_again():
+    result, ran = _ran("""
+mod = canonform.enumeration
+loader = mod.__spec__.loader
+def exec_module(module, run=loader.exec_module):
+    loader.exec_module = run
+    raise RuntimeError("first run")
+loader.exec_module = exec_module
+try:
+    mod.s_of_d
+    result = ["no error"]
+except RuntimeError as e:
+    result = [str(e)]
+result += [type(mod).__name__, mod.s_of_d(15), type(mod).__name__]
+""")
+    assert result == ["first run", "_Deferred", 2, "module"]
+    assert ran == ["enumeration"]
