@@ -6,7 +6,8 @@ Jacobian full-rank certification of canonical-form candidates, and the
 number-theoretic enumeration of the mixed-power families.
 
 Importing the package runs none of its submodules: public names are served
-from them on first read (PEP 562), and the algorithm submodules are deferred.
+from them on first read (PEP 562), and every submodule but errors, scalars,
+forms and cli is deferred.
 """
 
 import importlib.util
@@ -27,9 +28,10 @@ _PUBLIC = {
         DegeneratePencil DegenerateStage LeadingZero NormalizationFailed
         NotGeneric ParseError PivotZero RepeatedRoot ShapeMismatch UnknownName
         UnsupportedShape ZeroForm""",
-    "forms": """Decomposition Form Term biermann_point binary_factor dim
-        form_from_json form_to_json forms_close index_set linear_coeffs
-        linear_form monomial_form multinomial parse_decomposition parse_form
+    "decompositions": """Decomposition Term biermann_point binary_factor
+        parse_decomposition""",
+    "forms": """Form dim form_from_json form_to_json forms_close index_set
+        linear_coeffs linear_form monomial_form multinomial parse_form
         power_of_linear random_form""",
     "multivar": """PencilDiag TriangularSquares pencil_diagonalize quartic_lift
         reichstein_full reichstein_step slinky slowpoke uppertri""",
@@ -41,7 +43,22 @@ __all__ = sorted(_OWNER)
 
 _LOCK = RLock()  # held while a deferred module's code runs
 _PENDING = {f"{__name__}.{name}" for name in  # the code has not started
-            ("apolarity", "binary", "canonicity", "enumeration", "multivar")}
+            _SUBMODULES - {"cli", "errors", "forms", "scalars"}}
+
+
+class LazyModule:
+    """Stands for a module until an attribute of it is first read; that read
+    imports it and rebinds `namespace[alias]`, if it still holds this
+    stand-in, so later reads are plain global lookups."""
+
+    def __init__(self, name: str, namespace: dict, alias: str):
+        self._name, self._namespace, self._alias = name, namespace, alias
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._name)
+        if self._namespace.get(self._alias) is self:
+            self._namespace[self._alias] = module
+        return getattr(module, attr)
 
 
 class _Deferred(ModuleType):

@@ -15,15 +15,17 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import LazyModule
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
+from .decompositions import (Decomposition, Term, binary_factor,
+                             check_decomposable)
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
                      ShapeMismatch, UnsupportedShape, ZeroForm)
-from .forms import (Decomposition, Form, Term, binary_factor,
-                    check_decomposable, linear_coeffs, linear_form,
-                    monomial_form, parse_form, power_of_linear)
-from .linalg import LazyModule, mat_inverse, mat_solve
+from .forms import (Form, linear_coeffs, linear_form, monomial_form,
+                    parse_form, power_of_linear)
+from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
                       scalar_sqrt)
 

@@ -6,7 +6,7 @@ is the whole space at some point u.  At a rational witness the partials are
 first evaluated modulo the prime MOD_P at the N(n, d) points I(n, d), and
 those rows ranked; full rank there is a proof of full rank over the Gaussian
 rationals.  Otherwise the rank is computed exactly over the Gaussian
-rationals, so a Certified verdict is a proof for that witness either way.
+rationals (a float at its exact value), so Certified is a proof either way.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import random
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from operator import add, mul
+from struct import Struct
 
-from . import enumeration
+from . import enumeration, linalg
 from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, _monomials, dim,
                     linear_form, monomial_form, multinomial)
-from .linalg import mat_rank, modp_rank
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
                       is_exact, mod_p, scalars_close)
 
@@ -336,6 +336,39 @@ class CertifyReport:
                 "seed": self.seed, "trials": self.trials}
 
 
+def modp_rank(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over the field of p elements, p a prime below 2^64.
+
+    Each row is reduced mod p and packed into one int by one struct call, column c
+    in the c-th slot, so one big-int multiply-add updates a row.  The pivot row is
+    read up to its last nonzero slot, normalised to -1 at the pivot and reduced mod
+    p slot by slot, and each other row gets (entry mod p) times it, adding below p^2
+    to a slot; a slot that starts below p thus stays below (min(rows, cols) + 1) p^2,
+    within its width, and never carries.  Each finished column is shifted out.
+    """
+    ncols = len(rows[0]) if rows else 0
+    width = (((min(len(rows), ncols) + 1) * p * p).bit_length() + 7) // 8
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+    size = 1 << (((p - 1).bit_length() - 1) // 8).bit_length()  # a residue's code
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size] + "x" * (width - size)
+    pack = Struct("<" + code * ncols).pack
+    m = [int.from_bytes(pack(*[v % p for v in row]), "little") for row in rows]
+    for _ in range(ncols):
+        for i, row in enumerate(m):
+            if (row & mask) % p:
+                break
+        else:
+            m = [row >> bits for row in m]
+            continue
+        del m[i]
+        inv, pivot = -pow(row & mask, -1, p), 0
+        for k in range((row.bit_length() - 1) // bits * bits, -1, -bits):
+            pivot = pivot << bits | (row >> k & mask) * inv % p
+        m = [(r + f * pivot) >> bits if (f := (r & mask) % p) else r >> bits
+             for r in m]
+    return len(rows) - len(m)
+
+
 def _rank_mod_p(pmap: ParamMap, t) -> int | None:
     """The Jacobian's rank at t mod MOD_P, a lower bound on its rank over
     Q(i); None when t or a leaf has no image mod p, or a partial is not
@@ -359,24 +392,38 @@ def _rank_mod_p(pmap: ParamMap, t) -> int | None:
     return modp_rank(rows, MOD_P)
 
 
-def _rank_at(pmap: ParamMap, t, eps: float, exact: bool = True) -> int:
-    """The Jacobian's rank at t: mod p when full there or not `exact`, else over Q(i)."""
+def _dyadic(v) -> QQi:
+    """v as an exact scalar: a float or complex is read at its exact value."""
+    return v if is_exact(v := as_scalar(v)) else QQi(v.real, v.imag)
+
+
+def _exact_rank(pmap: ParamMap, t) -> int:
+    """The Jacobian's rank at t over Q(i), each float read at its exact value."""
+    rows = pmap.jacobian_rows(list(map(_dyadic, t)))
+    return linalg.exact_rank([list(map(_dyadic, row)) for row in rows])
+
+
+def _rank_at(pmap: ParamMap, t, exact: bool = True) -> tuple[int, bool]:
+    """The Jacobian's rank at t and whether it is the rank mod p: so when
+    that is full or not `exact`, else the rank over Q(i).  A float has no
+    image mod p, so a float witness is ranked over Q(i)."""
     rank = _rank_mod_p(pmap, t)
     if rank is None or (exact and rank < pmap.target):
-        return mat_rank(pmap.jacobian_rows(t), eps)
-    return rank
+        return _exact_rank(pmap, t), False
+    return rank, True
 
 
 def _witnesses(pmap: ParamMap, trials: int, seed: int):
-    """The stored witness, if any, then `trials` seeded nonzero integer
-    points of [-9, 9]^M; each is drawn only when it is asked for."""
+    """The stored witness, if any, then `trials` seeded nonzero integer points,
+    each drawn when asked for: the first 8 from [-9, 9]^M, each later 8 from
+    a range ten times wider, up to [-10^6, 10^6]^M."""
     if pmap.witness is not None:
         yield [as_scalar(v) for v in pmap.witness]
     rng = random.Random(seed)
-    for _ in range(trials):
-        t = []
+    for k in range(trials):
+        bound, t = min(9 * 10 ** min(k // 8, 6), 10 ** 6), []
         while not any(t):
-            t = [QQi(rng.randint(-9, 9)) for _ in range(pmap.m)]
+            t = [QQi(rng.randint(-bound, bound)) for _ in range(pmap.m)]
         yield t
 
 
@@ -384,33 +431,33 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
                      seed: int = 0, eps: float = EPS_DEFAULT) -> CertifyReport:
     """Certified iff the M x N(n,d) Jacobian has full rank at some witness.
 
-    A given witness is checked alone; otherwise the catalog's stored witness
-    is tried first, then seeded random integer points in [-9, 9]^M, each
-    ranked mod MOD_P (over Q(i) if it has no image mod p) until one has
-    full rank; if none has, the first of highest rank is ranked over Q(i).
-    Full rank mod p implies full rank, so Certified is a proof; the
-    negative verdict only reports the witnesses tried.  A map with no
-    parameters is refused (BadShape): it cannot have full rank, and it has
-    no nonzero random witness.
+    A given witness is checked alone; otherwise the stored witness is tried
+    first, then seeded random integer points (_witnesses), each ranked mod
+    MOD_P (over Q(i) if it has no image mod p) until one has full rank; if
+    none has, the first of highest rank is ranked over Q(i).  Every rank is
+    exact, a float read at its exact value, and eps is unused, so Certified
+    is a proof; the negative verdict only reports the witnesses tried.  A
+    map with no parameters is refused (BadShape): it cannot have full rank,
+    and it has no nonzero random witness.
     """
     if pmap.m < 1:
         raise BadShape(f"{pmap.name} has no parameters")
     target = pmap.target
     if witness is not None:
         t = [as_scalar(v) for v in witness]
-        rank = _rank_at(pmap, t, eps)
+        rank = _rank_at(pmap, t)[0]
         verdict = "Certified" if rank == target else "NotFullRankAtWitness"
         return CertifyReport(pmap.name, t, rank, target, verdict, seed, 0)
-    best_rank, best_witness, tried = -1, None, 0
+    best_rank, best_witness, modular, tried = -1, None, False, 0
     for tried, t in enumerate(_witnesses(pmap, trials, seed), 1):
-        rank = _rank_at(pmap, t, eps, exact=False)
+        rank, mod = _rank_at(pmap, t, exact=False)
         if rank == target:
             return CertifyReport(pmap.name, t, rank, target, "Certified",
                                  seed, tried)
         if rank > best_rank:
-            best_rank, best_witness = rank, t
-    if best_witness is not None and _rank_mod_p(pmap, best_witness) is not None:
-        best_rank = mat_rank(pmap.jacobian_rows(best_witness), eps)
+            best_rank, best_witness, modular = rank, t, mod
+    if modular:
+        best_rank = _exact_rank(pmap, best_witness)
     verdict = ("Certified" if best_rank == target
                else "ExceptionalStructure" if pmap.noncanonical
                else "NotFullRankAtWitness")
@@ -421,7 +468,7 @@ def jacobian_certify(pmap: ParamMap, witness=None, trials: int = 40,
 def lasker_wakeford_full_rank(pmap: ParamMap, t, eps: float = EPS_DEFAULT) -> bool:
     """Apolar reformulation: full rank at t iff only the zero form is apolar
     to every parameter partial, that is, iff the Jacobian has full rank."""
-    return _rank_at(pmap, t, eps) == pmap.target
+    return _rank_at(pmap, t)[0] == pmap.target
 
 
 # -- catalog --------------------------------------------------------------------

@@ -15,12 +15,11 @@ import os
 import random
 import sys
 
-from . import apolarity, binary, canonicity, enumeration, multivar
+from . import (apolarity, binary, canonicity, decompositions, enumeration,
+               linalg, multivar)
 from .errors import CanonformError, ParseError
-from .forms import (Decomposition, Form, Term, _monomial_text, binary_factor,
-                    dim, form_to_json, forms_close, index_set, multinomial,
-                    parse_form, parse_scalar, var_names)
-from .linalg import exact_det
+from .forms import (Form, _monomial_text, dim, form_to_json, forms_close,
+                    index_set, multinomial, parse_form, parse_scalar, var_names)
 from .scalars import EPS_DEFAULT, QQi, scalar_to_json
 
 _DECOMPOSE_ALGOS = ("sylvester", "mixed", "two-squares", "quartic-six",
@@ -179,8 +178,8 @@ def _cmd_decompose(args) -> int:
         result = multivar.reichstein_full(p, eps)
     elif algo == "reichstein-step":
         cubes, residual = multivar.reichstein_step(p, eps)
-        result = Decomposition(cubes.terms, residual=residual,
-                               meta=dict(cubes.meta))
+        result = decompositions.Decomposition(cubes.terms, residual=residual,
+                                              meta=dict(cubes.meta))
     elif algo == "slinky":
         result = multivar.slinky(p, eps)
     elif algo == "slowpoke":
@@ -199,7 +198,7 @@ def _sheared(p: Form, seed: int) -> Form:
     while True:
         m = [[QQi(rng.randint(-3, 3)) for _ in range(n)]
              for _ in range(n)]
-        if exact_det(m):
+        if linalg.exact_det(m):
             return p.substitute(m)
 
 
@@ -347,7 +346,7 @@ _EX41 = "-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 - 505*x*y^4 + 483*y^5"
 
 
 def _factor_product_ok() -> bool:
-    c, fs = binary_factor(parse_form("6*x^2 - 5*x*y + y^2"))
+    c, fs = decompositions.binary_factor(parse_form("6*x^2 - 5*x*y + y^2"))
     prod = None
     for f, mult in fs:
         t = f ** mult
@@ -364,7 +363,8 @@ def _hankel_kernel_ok() -> bool:
 def _drab_identities_ok() -> bool:
     for m in range(1, 9):
         fam = multivar.drab_family(m)
-        squares = Decomposition([Term(1, f, 2) for f in fam]).reconstruct()
+        squares = decompositions.Decomposition(
+            [decompositions.Term(1, f, 2) for f in fam]).reconstruct()
         target = Form.from_raw(m, 2, {tuple(2 * (j == k) for j in range(m)): 1
                                       for k in range(m)})
         if not (sum(fam[1:], fam[0]).is_zero(1e-12, scale=1.0)

@@ -1,8 +1,7 @@
 """Small dense linear algebra over both scalar backends, plus root finding.
 
 Exact routines run Gaussian elimination over the Gaussian rationals with no
-rounding, so rank decisions are proofs for the given matrix; `modp_rank`
-does the same over a prime field for integer matrices.  Approximate
+rounding, so rank decisions are proofs for the given matrix.  Approximate
 routines use fully pivoted elimination with rank decided at a threshold
 relative to the matrix max-magnitude.
 """
@@ -10,33 +9,13 @@ relative to the matrix max-magnitude.
 from __future__ import annotations
 
 import cmath
-import importlib
 from itertools import chain
 from math import gcd, hypot
-from struct import Struct
 
+from . import LazyModule
 from .errors import DegenerateInput
 from .scalars import (EPS_DEFAULT, QQi, Scalar, _ZERO, _normalised, _over_lcm,
                       is_exact)
-
-
-class LazyModule:
-    """Stands for a module until an attribute of it is first read.
-
-    That read imports the module and, if `namespace[alias]` still holds this
-    stand-in, rebinds it to the module, so later reads are plain global
-    lookups.  The exact paths (certify, enumerate) never import numpy.
-    """
-
-    def __init__(self, name: str, namespace: dict, alias: str):
-        self._name, self._namespace, self._alias = name, namespace, alias
-
-    def __getattr__(self, attr: str):
-        module = importlib.import_module(self._name)
-        if self._namespace.get(self._alias) is self:
-            self._namespace[self._alias] = module
-        return getattr(module, attr)
-
 
 np = LazyModule("numpy", globals(), "np")
 
@@ -89,39 +68,6 @@ def exact_rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 def exact_rank(rows: Matrix) -> int:
     return len(exact_rref(rows)[1])
-
-
-def modp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over the field of p elements, p a prime below 2^64.
-
-    Each row is reduced mod p and packed into one int by one struct call, column c
-    in the c-th slot, so one big-int multiply-add updates a row.  The pivot row is
-    read up to its last nonzero slot, normalised to -1 at the pivot and reduced mod
-    p slot by slot, and each other row gets (entry mod p) times it, adding below p^2
-    to a slot; a slot that starts below p thus stays below (min(rows, cols) + 1) p^2,
-    within its width, and never carries.  Each finished column is shifted out.
-    """
-    ncols = len(rows[0]) if rows else 0
-    width = (((min(len(rows), ncols) + 1) * p * p).bit_length() + 7) // 8
-    bits, mask = 8 * width, (1 << 8 * width) - 1
-    size = 1 << (((p - 1).bit_length() - 1) // 8).bit_length()  # a residue's code
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size] + "x" * (width - size)
-    pack = Struct("<" + code * ncols).pack
-    m = [int.from_bytes(pack(*[v % p for v in row]), "little") for row in rows]
-    for _ in range(ncols):
-        for i, row in enumerate(m):
-            if (row & mask) % p:
-                break
-        else:
-            m = [row >> bits for row in m]
-            continue
-        del m[i]
-        inv, pivot = -pow(row & mask, -1, p), 0
-        for k in range((row.bit_length() - 1) // bits * bits, -1, -bits):
-            pivot = pivot << bits | (row >> k & mask) * inv % p
-        m = [(r + f * pivot) >> bits if (f := (r & mask) % p) else r >> bits
-             for r in m]
-    return len(rows) - len(m)
 
 
 def exact_kernel(rows: Matrix) -> list[Vector]:
@@ -275,12 +221,6 @@ def mat_kernel(rows: Matrix, eps: float = EPS_DEFAULT) -> list[Vector]:
     if matrix_is_exact(rows):
         return exact_kernel(rows)
     return approx_kernel(rows, eps)
-
-
-def mat_rank(rows: Matrix, eps: float = EPS_DEFAULT) -> int:
-    if matrix_is_exact(rows):
-        return exact_rank(rows)
-    return approx_rank(rows, eps)
 
 
 def mat_solve(rows: Matrix, rhs: Vector, eps: float = EPS_DEFAULT) -> Vector | None:

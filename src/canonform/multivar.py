@@ -16,12 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import LazyModule
+from .decompositions import ACCEPT_TOL, Decomposition, Term, check_decomposable
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
-from .forms import (ACCEPT_TOL, Decomposition, Form, Term, _monomials,
-                    check_decomposable, forms_close, linear_coeffs,
-                    linear_form, multinomial, pad_form, restrict_form)
-from .linalg import LazyModule, Matrix, pencil_charpoly, poly_roots
+from .forms import (Form, _monomials, forms_close, linear_coeffs, linear_form,
+                    multinomial, pad_form, restrict_form)
+from .linalg import Matrix, pencil_charpoly, poly_roots
 from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
                       scalar_sqrt)
 

@@ -83,6 +83,26 @@ def test_every_traced_name_resolves(monkeypatch):
     assert missing == []
 
 
+def test_every_traced_name_resolves_in_a_fresh_interpreter():
+    # in-process, a traced run leaves the names it wrapped bound on their
+    # modules; a new process reads canonform.forms' moved names, and every
+    # deferred module's, through their first-read hooks
+    code = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import SPAN_TARGETS
+missing = []
+for modname, target, _group in SPAN_TARGETS:
+    obj = importlib.import_module("canonform." + modname)
+    for part in target.split("."):
+        obj = getattr(obj, part, None)
+    if obj is None:
+        missing.append(f"canonform.{modname}.{target}")
+print(json.dumps(missing))
+"""
+    assert _fresh(code) == []
+
+
 def test_every_counted_qqi_operator_resolves(monkeypatch):
     # QQiCounter.install reads QQi.__dict__[name] for every counted operator
     from canonform.scalars import QQi

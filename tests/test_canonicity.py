@@ -11,17 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canonform import QQi, canonicity, dim, parse_form
+from canonform import QQi, canonicity, dim, linalg, parse_form
 from canonform.canonicity import (MOD_P, CertifyReport, Fixed,
                                   HyperplaneVerdict, Param, ParamMap, Pow,
                                   Prod, Sum, build_map, catalog_names,
                                   hyperplane_classify, hyperplane_form,
                                   jacobian_certify, lasker_wakeford_full_rank,
-                                  zerosum_verify)
+                                  modp_rank, zerosum_verify)
 from canonform.enumeration import neat_upto
 from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
 from canonform.forms import index_set
-from canonform.linalg import exact_rank, mat_det, modp_rank
+from canonform.linalg import exact_rank, mat_det
 from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p, power,
                                scalar_is_zero)
 
@@ -397,21 +397,22 @@ def test_modular_first_rank_equals_exact_rank(case, values):
     pmap = build_map(name, **params)
     t = [QQi(v) for v in values[:pmap.m]]
     exact = exact_rank(pmap.jacobian_rows(t))
-    assert canonicity._rank_at(pmap, t, EPS_DEFAULT) == exact
-    # the modular rank, where there is one, is a lower bound
+    # the modular rank, where there is one, is a lower bound, and the rank
+    # is the modular one only when that is full
     modular = canonicity._rank_mod_p(pmap, t)
     assert modular is None or modular <= exact
+    assert canonicity._rank_at(pmap, t) == (exact, modular == pmap.target)
     assert lasker_wakeford_full_rank(pmap, t) == (exact == pmap.target)
 
 
 def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
     calls = []
 
-    def spy(rows, eps):
+    def spy(rows):
         calls.append(len(rows))
         return exact_rank(rows)
 
-    monkeypatch.setattr(canonicity, "mat_rank", spy)
+    monkeypatch.setattr(linalg, "exact_rank", spy)
     for name, params, witness, verdict in (
             ("sextican", {}, [1, 0, 0, 0, 0, 0, 1], "Certified"),
             ("quarticgen", {"d": 5, "B": (0, 1, 3, 4)}, [1, 0, 0, 1, 1, 1],
@@ -498,11 +499,11 @@ def test_expression_above_the_declared_degree_gets_no_modular_verdict(
     pmap = _over_degree_map()
     calls = []
 
-    def spy(rows, eps):
+    def spy(rows):
         calls.append(len(rows))
         return exact_rank(rows)
 
-    monkeypatch.setattr(canonicity, "mat_rank", spy)
+    monkeypatch.setattr(linalg, "exact_rank", spy)
     t = [QQi(1), QQi(2), QQi(3)]
     assert modular_rows(monkeypatch, pmap, t) is None
     assert canonicity._rank_mod_p(pmap, t) is None
@@ -614,7 +615,7 @@ STORED_WITNESS_MAPS = (
 
 
 def test_stored_witness_certificates_never_reach_exact_rank(monkeypatch):
-    def refuse(rows, eps):
+    def refuse(rows):
         raise AssertionError("the stored witness took the exact path")
 
     certified = 0
@@ -623,7 +624,7 @@ def test_stored_witness_certificates_never_reach_exact_rank(monkeypatch):
         if not jacobian_certify(pmap, witness=pmap.witness).certified:
             continue
         with monkeypatch.context() as m:
-            m.setattr(canonicity, "mat_rank", refuse)
+            m.setattr(linalg, "exact_rank", refuse)
             rep = jacobian_certify(pmap)
         assert rep.certified and rep.trials == 1
         certified += 1
@@ -652,16 +653,18 @@ def test_certified_rank_is_the_sympy_rank(name, params):
 
 
 def _eager_witnesses(pmap, trials, seed):
-    """The candidate list jacobian_certify used to build before trying any."""
-    candidates = []
-    if pmap.witness is not None:
-        candidates.append([as_scalar(v) for v in pmap.witness])
+    """The candidate list jacobian_certify used to build before trying any,
+    drawn from [-9, 9], then ten-fold wider ranges up to [-10^6, 10^6]."""
+    stored = [] if pmap.witness is None else [[as_scalar(v) for v in pmap.witness]]
+    bounds = [9] * 8 + [90] * 8 + [900] * 8 + [9000] * 8 + [90000] * 8 + [900000] * 8
+    drawn = []
     rng = random.Random(seed)
-    while len(candidates) < trials + (1 if pmap.witness is not None else 0):
-        t = [QQi(rng.randint(-9, 9)) for _ in range(pmap.m)]
+    while len(drawn) < trials:
+        bound = bounds[len(drawn)] if len(drawn) < len(bounds) else 10 ** 6
+        t = [QQi(rng.randint(-bound, bound)) for _ in range(pmap.m)]
         if any(v for v in t):
-            candidates.append(t)
-    return candidates
+            drawn.append(t)
+    return stored + drawn
 
 
 # stored witness or not; the one-parameter map draws all-zero points often
@@ -676,7 +679,7 @@ WITNESS_MAPS = [
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=st.sampled_from(range(len(WITNESS_MAPS))),
-       trials=st.sampled_from([0, 1, 12]), seed=st.integers(0, 10 ** 6))
+       trials=st.sampled_from([0, 1, 12, 60]), seed=st.integers(0, 10 ** 6))
 @example(case=4, trials=12, seed=0)  # draws 0 at the eighth point
 def test_witnesses_are_the_eager_candidate_list(case, trials, seed):
     pmap = WITNESS_MAPS[case]
@@ -722,10 +725,16 @@ def test_only_the_witnesses_tried_are_drawn(monkeypatch, name, params, trials,
 
 @pytest.mark.parametrize("name, params, verdict, rank, target, trials, witness, "
                          "exact", [
-    # the 33 witnesses before the one that certifies fall short mod p
-    ("zerosum", {"s": 18}, "Certified", 37, 37, 34,
-     [-5, 9, 3, 2, 5, -8, 8, 4, -2, -9, 2, 7, -4, -3, 2, 6, -9, -2, 9, -2, -1,
-      -4, 4, -7, 9, 5, -2, 5, 7, -6, -3, -4, 5, -7, 4, 3, -1], 0),
+    # the 8 witnesses from [-9, 9] fall short mod p, and the first from
+    # [-90, 90] certifies
+    ("zerosum", {"s": 18}, "Certified", 37, 37, 9,
+     [-88, -55, -52, -21, -5, -4, 4, -67, -4, 68, -81, -80, -21, -49, -52, 59,
+      -16, 2, 11, 50, -57, -15, -61, 32, -29, -78, -12, -45, 43, -72, -13, 13,
+      -6, -14, 16, -63, -65], 0),
+    ("zerosum", {"s": 22}, "Certified", 45, 45, 10,
+     [-53, 54, 13, 73, 84, 18, 43, 36, 83, -8, 37, 37, 72, 81, -39, 48, 66,
+      -34, -88, -3, 90, -9, -8, -81, 44, -53, -25, 64, -51, 7, 59, -15, 90, 30,
+      -74, -69, 42, -80, -74, -33, -57, -80, -14, -87, 24], 0),
     # an excluded pattern: no witness has full rank, and the stored one, the
     # first of highest rank mod p, is ranked over Q(i)
     ("quarticgen", {"d": 24, "B": (0, 1, 2, 3)}, "NotFullRankAtWitness", 24,
@@ -734,16 +743,36 @@ def test_only_the_witnesses_tried_are_drawn(monkeypatch, name, params, trials,
 def test_witness_search_ranks_mod_p_before_any_exact_rank(
         monkeypatch, name, params, verdict, rank, target, trials, witness,
         exact):
+    """Each witness tried is ranked mod p once, and at most one exact
+    Jacobian is built."""
     pmap = build_map(name, **params)
-    calls = []
-    rows = ParamMap.jacobian_rows
+    calls, modular = [], []
+    rows, rank_mod_p = ParamMap.jacobian_rows, canonicity._rank_mod_p
     monkeypatch.setattr(ParamMap, "jacobian_rows",
                         lambda self, t: calls.append(t) or rows(self, t))
+    monkeypatch.setattr(canonicity, "_rank_mod_p",
+                        lambda pmap, t: modular.append(t) or rank_mod_p(pmap, t))
     rep = jacobian_certify(pmap)
     assert (rep.verdict, rep.rank, rep.target, rep.trials) == (
         verdict, rank, target, trials)
     assert rep.witness == [QQi(v) for v in witness]
     assert len(calls) == exact
+    assert len(modular) == trials
+
+
+def test_float_witness_is_ranked_at_its_exact_value():
+    pmap = build_map("sextican")
+    rng = random.Random(71)
+    t = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(pmap.m)]
+    dyadic = [QQi(Fraction(v.real), Fraction(v.imag)) for v in t]
+    rep, want = (jacobian_certify(pmap, witness=w) for w in (t, dyadic))
+    assert (rep.verdict, rep.rank) == (want.verdict, want.rank) == ("Certified", 7)
+    assert rep.witness == t  # the report shows the witness as given
+    assert rep.to_json()["witness"] == [[v.real, v.imag] for v in t]
+    # g = 1e-300 y^2: its cube underflows in floats, not at its exact value
+    rep = jacobian_certify(pmap, witness=[1.0, 0, 0, 0, 0, 0, 1e-300])
+    assert (rep.verdict, rep.rank) == ("Certified", 7)
+    assert lasker_wakeford_full_rank(pmap, [1.0, 0, 0, 0, 0, 0, 1e-300])
 
 
 def _looped_hyperplane_classify(c, eps=EPS_DEFAULT, seed=0, trials=64):

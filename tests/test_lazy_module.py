@@ -1,4 +1,4 @@
-"""linalg.LazyModule: numpy is imported on the first attribute read."""
+"""canonform.LazyModule: numpy is imported on the first attribute read."""
 
 import builtins
 import sys
@@ -7,8 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from canonform import binary, linalg, multivar
-from canonform.linalg import LazyModule
+from canonform import LazyModule, binary, linalg, multivar
 
 
 @pytest.fixture

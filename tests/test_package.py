@@ -1,9 +1,9 @@
 """The package's public names and its deferred submodules.
 
-Importing canonform runs none of its submodules; apolarity, binary,
-canonicity, enumeration and multivar are registered in sys.modules and run,
-into the same module object, on the first read of a name they lack or the
-first write.  Each check of what has run uses a new interpreter.
+Importing canonform runs none of its submodules; all but errors, scalars,
+forms and cli are registered in sys.modules and run, into the same module
+object, on the first read of a name they lack or the first write.  Each
+check of what has run uses a new interpreter.
 """
 
 import importlib
@@ -13,8 +13,9 @@ import pytest
 import canonform
 from tests_support import fresh_json
 
-DEFERRED = ["apolarity", "binary", "canonicity", "enumeration", "multivar"]
-CORE = ["cli", "errors", "forms", "linalg", "scalars"]
+DEFERRED = ["apolarity", "binary", "canonicity", "decompositions",
+            "enumeration", "linalg", "multivar"]
+CORE = ["cli", "errors", "forms", "scalars"]
 
 _IMPORT = "import json, sys\nimport canonform\n"
 _REPORT = """
@@ -62,13 +63,15 @@ def test_bare_import_runs_no_submodule():
     assert ran == []
 
 
+BINARY = ["apolarity", "binary", "decompositions", "enumeration", "linalg"]
+
+
 @pytest.mark.parametrize("argv, runs", [
     (["certify", "sextican"], ["canonicity"]),
-    (["count", "reps", "--d", "4", "--e", "2", "--m", "2"],
-     ["apolarity", "binary", "enumeration"]),
-    (["decompose", "sylvester", "x^3 + 2*y^3"],
-     ["apolarity", "binary", "enumeration"]),
-    (["decompose", "slowpoke", "x^3 + y^3 + z^3"], ["multivar"]),
+    (["count", "reps", "--d", "4", "--e", "2", "--m", "2"], BINARY),
+    (["decompose", "sylvester", "x^3 + 2*y^3"], BINARY),
+    (["decompose", "slowpoke", "x^3 + y^3 + z^3"],
+     ["decompositions", "linalg", "multivar"]),
 ])
 def test_each_subcommand_runs_only_the_modules_it_uses(argv, runs):
     code, ran = _ran("import contextlib, io, canonform.cli\n"
@@ -76,6 +79,37 @@ def test_each_subcommand_runs_only_the_modules_it_uses(argv, runs):
                      "    result = canonform.cli.main(sys.argv[1:])", *argv)
     assert code == 0
     assert ran == sorted(CORE + runs)
+
+
+def test_cli_import_runs_only_the_form_core():
+    # certify never runs linalg or the decomposition half of the forms
+    result, ran = _ran("import canonform.cli\nresult = sorted(\n"
+                       "    m for m in sys.modules if m.startswith('canonform'))")
+    assert ran == CORE
+    assert result == sorted(["canonform"] + [f"canonform.{m}"
+                                             for m in CORE + DEFERRED])
+
+
+def test_forms_serves_the_decomposition_half():
+    from canonform import decompositions, forms
+
+    for name in forms._MOVED:
+        assert getattr(forms, name) is getattr(decompositions, name), name
+    assert {canonform._OWNER[name] for name in ("Decomposition", "Term",
+            "binary_factor", "biermann_point", "parse_decomposition")} == {
+        "decompositions"}
+    with pytest.raises(AttributeError,
+                       match="module 'canonform.forms' has no attribute 'poly_roots'"):
+        forms.poly_roots
+    # reading a moved name is what runs the module
+    result, ran = _ran("import canonform.forms as forms\n"
+                       "result = [sorted(n for n, m in sys.modules.items()\n"
+                       "          if n.startswith('canonform.') and\n"
+                       "          not isinstance(m, canonform._Deferred)),\n"
+                       "          forms.Decomposition.__module__]")
+    assert result == [["canonform.errors", "canonform.forms", "canonform.scalars"],
+                      "canonform.decompositions"]
+    assert ran == ["decompositions", "errors", "forms", "linalg", "scalars"]
 
 
 def test_concurrent_first_reads_run_the_code_once():
@@ -127,7 +161,9 @@ exec("from canonform.multivar import *", names)
 result = [callable(names.get("slinky")), "s_of_d" in dir(canonform.enumeration)]
 """)
     assert result == [True, True]
-    assert sorted(set(ran) & set(DEFERRED)) == ["enumeration", "multivar"]
+    # multivar imports from decompositions and linalg, which run with it
+    assert sorted(set(ran) & set(DEFERRED)) == ["decompositions", "enumeration",
+                                                "linalg", "multivar"]
 
 
 def test_bare_import_serves_every_submodule_as_an_attribute():
