@@ -29,16 +29,16 @@ _PUBLIC = {
         NotGeneric ParseError PivotZero RepeatedRoot ShapeMismatch UnknownName
         UnsupportedShape ZeroForm""",
     "decompositions": """Decomposition Term biermann_point binary_factor
-        parse_decomposition""",
-    "forms": """Form dim form_from_json form_to_json forms_close index_set
-        linear_coeffs linear_form monomial_form multinomial parse_form
+        form_from_json form_to_json forms_close parse_decomposition parse_form
         power_of_linear random_form""",
+    "forms": """Form dim index_set linear_coeffs linear_form monomial_form
+        multinomial""",
     "multivar": """PencilDiag TriangularSquares pencil_diagonalize quartic_lift
         reichstein_full reichstein_step slinky slowpoke uppertri""",
     "scalars": "EPS_DEFAULT QQi exact_sqrt snap_scalar",
 }
 _OWNER = {name: mod for mod, names in _PUBLIC.items() for name in names.split()}
-_SUBMODULES = {*_PUBLIC, "cli", "linalg"}
+_SUBMODULES = {*_PUBLIC, "cli", "commands", "linalg"}
 __all__ = sorted(_OWNER)
 
 _LOCK = RLock()  # held while a deferred module's code runs

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from . import LazyModule
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
 from .decompositions import (Decomposition, Term, binary_factor,
-                             check_decomposable)
+                             check_decomposable, parse_form, power_of_linear)
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
                      ShapeMismatch, UnsupportedShape, ZeroForm)
-from .forms import (Form, linear_coeffs, linear_form, monomial_form,
-                    parse_form, power_of_linear)
+from .forms import Form, linear_coeffs, linear_form, monomial_form
 from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
                       scalar_sqrt)
@@ -133,13 +132,11 @@ class MixedSpec:
         for f in self.fixed:
             if f.d != 1 or f.n != 2 or f.is_zero():
                 raise ShapeMismatch("fixed forms must be nonzero binary linear forms")
-        for i in range(len(self.fixed)):
-            for j in range(i + 1, len(self.fixed)):
-                a = linear_coeffs(self.fixed[i])
-                b = linear_coeffs(self.fixed[j])
-                if scalar_is_zero(a[0] * b[1] - a[1] * b[0], EPS_DEFAULT):
-                    raise DegenerateInput("fixed forms are not pairwise "
-                                          "non-proportional")
+        for f, g in itertools.combinations(self.fixed, 2):
+            a, b = linear_coeffs(f), linear_coeffs(g)
+            if scalar_is_zero(a[0] * b[1] - a[1] * b[0], EPS_DEFAULT):
+                raise DegenerateInput("fixed forms are not pairwise "
+                                      "non-proportional")
 
     @property
     def m(self) -> int:
@@ -171,10 +168,7 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
         f = g if f is None else f * g
 
     free_terms: list[Term] = []
-    if f is not None:
-        fp = apply_diff(f, p)
-    else:
-        fp = p
+    fp = p if f is None else apply_diff(f, p)
     if not fp.is_zero(eps, scale=p.norm()):
         try:
             sylv = sylvester_decompose(fp, eps)

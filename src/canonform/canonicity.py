@@ -11,6 +11,7 @@ rationals (a float at its exact value), so Certified is a proof either way.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from operator import add, mul
 from struct import Struct
 
 from . import enumeration, linalg
-from .errors import AllZero, BadShape, ShapeMismatch, UnknownName
+from .errors import AllZero, BadShape, DegenerateInput, ShapeMismatch, UnknownName
 from .forms import (Form, MultiIndex, _monomials, dim,
                     linear_form, monomial_form, multinomial)
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
@@ -392,14 +393,18 @@ def _rank_mod_p(pmap: ParamMap, t) -> int | None:
     return modp_rank(rows, MOD_P)
 
 
-def _dyadic(v) -> QQi:
-    """v as an exact scalar: a float or complex is read at its exact value."""
-    return v if is_exact(v := as_scalar(v)) else QQi(v.real, v.imag)
+def _dyadic(v, what: str = "a Jacobian entry") -> QQi:
+    """v as an exact scalar: a float or complex is read at its exact value;
+    a NaN or infinite one is DegenerateInput, which names it as `what`."""
+    if not (is_exact(v := as_scalar(v)) or cmath.isfinite(v)):
+        raise DegenerateInput(f"{what} is not finite: {v}")
+    return v if is_exact(v) else QQi(v.real, v.imag)
 
 
 def _exact_rank(pmap: ParamMap, t) -> int:
     """The Jacobian's rank at t over Q(i), each float read at its exact value."""
-    rows = pmap.jacobian_rows(list(map(_dyadic, t)))
+    rows = pmap.jacobian_rows([_dyadic(v, f"witness entry t{k}")
+                               for k, v in enumerate(t, 1)])
     return linalg.exact_rank([list(map(_dyadic, row)) for row in rows])
 
 
@@ -676,6 +681,8 @@ def _hyperplane_epsilon(c: list[Scalar], eps: float) -> Scalar | None:
 
 def _build_hyperplane(c) -> ParamMap:
     c = _hyperplane_coefficients(c)
+    # -c_i / c_pivot from c read exactly, so the modular rank decides the map
+    exact = [_dyadic(v, f"hyperplane coefficient c{k}") for k, v in enumerate(c, 1)]
     pivot = 3 if c[3] else max(k for k in range(4) if c[k])
     free = [k for k in range(4) if k != pivot]
     slot_mono = {0: (1, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1)}
@@ -683,8 +690,8 @@ def _build_hyperplane(c) -> ParamMap:
     def coord_expr(k: int):
         if k != pivot:
             return Param(free.index(k), slot_mono[k])
-        return Sum(tuple(Param(free.index(i), slot_mono[k], -c[i] / c[pivot])
-                         for i in free))
+        return Sum(tuple(Param(free.index(i), slot_mono[k],
+                               -exact[i] / exact[pivot]) for i in free))
 
     first = Sum((coord_expr(0), coord_expr(1)))
     second = Sum((coord_expr(2), coord_expr(3)))
@@ -696,12 +703,10 @@ def _build_hyperplane(c) -> ParamMap:
 def _build_zerosum(s: int) -> ParamMap:
     if s < 1:
         raise BadShape("zerosum needs s >= 1")
-    terms = []
-    for jj in range(s):
-        terms.append(Pow(Sum((Param(jj, (1, 0)), Param(s + 1 + jj, (0, 1)))), 2 * s))
+    terms = [Pow(Sum((Param(jj, (1, 0)), Param(s + 1 + jj, (0, 1)))), 2 * s)
+             for jj in range(s)]
     last_y = [Param(k, (0, 1), QQi(-1)) for k in range(2 * s + 1)]
-    last = Sum(tuple([Param(s, (1, 0))] + last_y))
-    terms.append(Pow(last, 2 * s))
+    terms.append(Pow(Sum(tuple([Param(s, (1, 0))] + last_y)), 2 * s))
     return ParamMap("zerosum", 2, 2 * s, 2 * s + 1, Sum(tuple(terms)),
                     params={"s": s})
 

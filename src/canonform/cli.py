@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 inconclusive or degenerate input,
 3 internal failure.  With --json and a fixed seed the output bytes are
-identical across runs.
+identical across runs.  The other subcommands' handlers are in
+canonform.commands, run on first use; this module serves its names too.
 """
 
 from __future__ import annotations
@@ -12,27 +13,16 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 
-from . import (apolarity, binary, canonicity, decompositions, enumeration,
-               linalg, multivar)
+from . import canonicity, commands
 from .errors import CanonformError, ParseError
-from .forms import (Form, _monomial_text, dim, form_to_json, forms_close,
-                    index_set, multinomial, parse_form, parse_scalar, var_names)
-from .scalars import EPS_DEFAULT, QQi, scalar_to_json
+from .forms import parse_scalar
+from .scalars import EPS_DEFAULT, scalar_to_json
 
 _DECOMPOSE_ALGOS = ("sylvester", "mixed", "two-squares", "quartic-six",
                     "quartic-two-fixed", "uppertri", "reichstein",
                     "reichstein-step", "slinky", "slowpoke", "quartic-lift")
-# the algorithms that --shear applies to; the others ignore it
-_SHEARING_ALGOS = ("uppertri", "reichstein", "reichstein-step", "slinky")
-
-
-def _read_form(text: str, n=None, d=None) -> Form:
-    if text == "-":
-        text = sys.stdin.read()
-    return _parse_float_range_form(text, n=n, d=d)
 
 
 def _fits_float(v, weight: int = 1) -> bool:
@@ -46,17 +36,6 @@ def _fits_float(v, weight: int = 1) -> bool:
         return math.isfinite(abs(complex(v)) * weight)
     except OverflowError:
         return False
-
-
-def _parse_float_range_form(text: str, n=None, d=None) -> Form:
-    """parse_form, refusing a coefficient that does not fit in a float."""
-    p = parse_form(text, n=n, d=d)
-    for idx, c in p.items():
-        if not _fits_float(c, multinomial(idx)):
-            raise ParseError(f"the coefficient of "
-                             f"{_monomial_text(idx, var_names(p.n))} does not "
-                             f"fit in a float")
-    return p
 
 
 def _hyperplane_c(value) -> list:
@@ -83,8 +62,7 @@ def _catalog_param(name: str, key: str, text: str):
     if name == "hyperplane" and key == "c":
         return _hyperplane_c(value)
     if key in _INT_LIST_PARAMS:
-        value = value if isinstance(value, list) else [value]
-        entries = value
+        entries = value = value if isinstance(value, list) else [value]
     elif isinstance(value, list):
         raise ParseError(f"--param {key} takes one integer, got {text!r}")
     else:
@@ -99,14 +77,6 @@ def _below(flag: str, value: int, least: int) -> bool:
     if value >= least:
         return False
     print(f"{flag} must be at least {least}, got {value}", file=sys.stderr)
-    return True
-
-
-def _above(flag: str, value: int, most: int) -> bool:
-    """Report a numeric option above its greatest allowed value."""
-    if value <= most:
-        return False
-    print(f"{flag} must be at most {most}, got {value}", file=sys.stderr)
     return True
 
 
@@ -131,75 +101,7 @@ def _emit(args, output) -> None:
         print(line)
 
 
-def _render(args, item):
-    """One decompose result, a decomposition or an uppertri row l_k (shown
-    as (l_k)^2), as a JSON payload or as text."""
-    if isinstance(item, Form):
-        return form_to_json(item) if args.json else f"({item})^2"
-    return item.to_json() if args.json else str(item)
-
-
 # -- subcommand handlers -----------------------------------------------------
-
-
-def _cmd_decompose(args) -> int:
-    p = _read_form(args.form)
-    if args.backend == "approx":
-        p = p.approx()
-    eps = args.epsilon
-    algo = args.algo
-    if args.shear and algo in _SHEARING_ALGOS:
-        p = _sheared(p, args.seed)
-    if algo == "sylvester":
-        result = binary.sylvester_decompose(p, eps)
-    elif algo == "mixed":
-        if not args.fixed:
-            print("mixed needs at least one --fixed form", file=sys.stderr)
-            return 1
-        fixed = [_parse_float_range_form(f, n=2, d=1) for f in args.fixed]
-        r = (p.d + 1 - len(fixed)) // 2
-        result = binary.mixed_decompose(p, binary.MixedSpec(fixed, r), eps)
-    elif algo == "two-squares":
-        result = binary.two_squares_all(p, eps)
-    elif algo == "quartic-six":
-        result = (binary.quartic_six_reps(parse_scalar(args.lam), eps)
-                  if args.lam is not None
-                  else binary.quartic_six_for_form(p, eps))
-    elif algo == "quartic-two-fixed":
-        if not (args.l1 and args.l2):
-            print("quartic-two-fixed needs --l1 and --l2", file=sys.stderr)
-            return 1
-        result = binary.quartic_two_fixed(
-            p, _parse_float_range_form(args.l1, n=2, d=1),
-            _parse_float_range_form(args.l2, n=2, d=1), eps)
-    elif algo == "uppertri":
-        result = multivar.uppertri(p, eps).rows
-    elif algo == "reichstein":
-        result = multivar.reichstein_full(p, eps)
-    elif algo == "reichstein-step":
-        cubes, residual = multivar.reichstein_step(p, eps)
-        result = decompositions.Decomposition(cubes.terms, residual=residual,
-                                              meta=dict(cubes.meta))
-    elif algo == "slinky":
-        result = multivar.slinky(p, eps)
-    elif algo == "slowpoke":
-        result = multivar.slowpoke(p, eps)
-    else:
-        result = multivar.quartic_lift(p, eps)
-    _emit(args, [_render(args, r) for r in result]
-          if isinstance(result, list) else _render(args, result))
-    return 0
-
-
-def _sheared(p: Form, seed: int) -> Form:
-    """Documented random change of variables applied before decomposing."""
-    rng = random.Random(seed)
-    n = p.n
-    while True:
-        m = [[QQi(rng.randint(-3, 3)) for _ in range(n)]
-             for _ in range(n)]
-        if linalg.exact_det(m):
-            return p.substitute(m)
 
 
 def _cmd_certify(args) -> int:
@@ -256,213 +158,6 @@ def _cmd_classify_hyperplane(args) -> int:
     return 0
 
 
-# The largest inputs `enumerate` takes; the library itself is unbounded.
-# The neat search grows about 70-fold per summand (r = 6 takes about 40 s),
-# and obstruction_A(d, n) may compute n binomials whose size grows with d
-# (the slowest d <= 100 found, 96, scans up to 10**4 in about 1.3 s).
-_ENUM_MAX_R = 6
-_ENUM_MAX_D = 100
-_ENUM_MAX_SCAN = 10 ** 4
-
-
-def _cmd_enumerate(args) -> int:
-    if args.what == "neat":
-        if _below("--r", args.r, 1) or _above("--r", args.r, _ENUM_MAX_R):
-            return 1
-        forms = enumeration.neat_enumerate(args.r)
-        _emit(args, [{"d": f.d, "e": list(f.e)} for f in forms] if args.json
-              else [f"d={f.d}  e={list(f.e)}" for f in forms]
-              + [f"total: {len(forms)}"])
-        return 0
-    if (_below("--d", args.d, 2) or _above("--d", args.d, _ENUM_MAX_D)
-            or _above("--max", args.max, _ENUM_MAX_SCAN)):
-        return 1
-    members = [n for n in range(1, args.max + 1)
-               if enumeration.obstruction_A(args.d, n)]
-    _emit(args, {"d": args.d, "max": args.max, "members": members}
-          if args.json else " ".join(map(str, members))
-          or f"no members of A_{args.d} up to {args.max}")
-    return 0
-
-
-# The largest inputs `count` takes; the library itself is unbounded.  A
-# degree-d power of a random line leaves the float range from d ~ 160, each
-# Monte Carlo trial is a Newton run, and s(d) finds divisors by trial
-# division up to sqrt(d) (0.7 s at 10**14; S(N) loops to sqrt(N)).
-_COUNT_MAX_D = 30
-_COUNT_MAX_TRIALS = 10 ** 6
-_COUNT_MAX_ARG = 10 ** 14
-
-
-def _cmd_count(args) -> int:
-    if args.what in ("s", "S"):
-        key, count = (("d", enumeration.s_of_d) if args.what == "s"
-                      else ("N", enumeration.partial_sum_S))
-        arg = getattr(args, key)
-        if arg is None:
-            print(f"count {args.what} needs --{key}", file=sys.stderr)
-            return 1
-        if (_below(f"--{key}", arg, 1)
-                or _above(f"--{key}", arg, _COUNT_MAX_ARG)):
-            return 1
-        value = count(arg)
-        _emit(args, {key: arg, args.what: value} if args.json else str(value))
-        return 0
-    if args.d is None or args.e is None:
-        print("count reps needs --d and --e", file=sys.stderr)
-        return 1
-    if args.trials is not None and _below("--trials", args.trials, 1):
-        return 1
-    if _below("--seed", args.seed, 0):  # numpy's generators take seeds >= 0
-        return 1
-    if _above("--d", args.d, _COUNT_MAX_D):
-        return 1
-    if args.trials is None:
-        flag, budget = (f"--trials (default for --d {args.d})",
-                        binary.default_trials(args.d))
-    else:
-        flag, budget = "--trials", args.trials
-    if _above(flag, budget, _COUNT_MAX_TRIALS):
-        return 1
-    e = _parse_param_value(args.e)
-    e = e if isinstance(e, list) else [e]
-    for v in e:
-        if not isinstance(v, int):
-            raise ParseError(f"--e entries must be integers, got {v}")
-    value = binary.count_reps_monte_carlo(args.d, e, args.m,
-                                          trials=args.trials, seed=args.seed)
-    _emit(args, {"d": args.d, "e": e, "m": args.m, "estimate": value,
-                 "flag": "ESTIMATE"} if args.json else
-          f"ESTIMATE: {value} representations (Monte Carlo, seed "
-          f"{args.seed}; never authoritative)")
-    return 0
-
-
-# -- verify-examples ------------------------------------------------------------
-
-
-_EX310 = "2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3"
-_EX41 = "-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 - 505*x*y^4 + 483*y^5"
-
-
-def _factor_product_ok() -> bool:
-    c, fs = decompositions.binary_factor(parse_form("6*x^2 - 5*x*y + y^2"))
-    prod = None
-    for f, mult in fs:
-        t = f ** mult
-        prod = t if prod is None else prod * t
-    return prod.scale(c) == parse_form("6*x^2 - 5*x*y + y^2") and len(fs) == 2
-
-
-def _hankel_kernel_ok() -> bool:
-    basis = apolarity.hankel_kernel(apolarity.hankel(parse_form(_EX310), 2))
-    return (len(basis) == 1
-            and [x * 6 for x in basis[0]] == [QQi(6), QQi(-5), QQi(1)])
-
-
-def _drab_identities_ok() -> bool:
-    for m in range(1, 9):
-        fam = multivar.drab_family(m)
-        squares = decompositions.Decomposition(
-            [decompositions.Term(1, f, 2) for f in fam]).reconstruct()
-        target = Form.from_raw(m, 2, {tuple(2 * (j == k) for j in range(m)): 1
-                                      for k in range(m)})
-        if not (sum(fam[1:], fam[0]).is_zero(1e-12, scale=1.0)
-                and forms_close(squares, target.approx(), 1e-12)):
-            return False
-    return True
-
-
-# The paper's worked examples that verify-examples replays, in order: a label
-# and a check that returns whether the example holds.
-_PAPER_EXAMPLES = [
-    ("index_set N(3,4) = 15 = 5 N(3,1)",
-     lambda: len(index_set(3, 4)) == 15 and dim(3, 4) == 5 * dim(3, 1)),
-    ("evaluate cubic at (1,0) = 2",
-     lambda: parse_form(_EX310).evaluate((1, 0)) == QQi(2)),
-    ("binary_factor 6x^2-5xy+y^2 = (2x-y)(3x-y)", _factor_product_ok),
-    ("h(D)p = 0 for the catalecticant kernel form",
-     lambda: apolarity.apply_diff(parse_form("6*x^2 - 5*x*y + y^2"),
-                                  parse_form(_EX310)).is_zero()),
-    ("f(D)p = 160x^3+240x^2y-1680xy^2-3280y^3",
-     lambda: apolarity.apply_diff(parse_form("3*x^2 - 2*x*y - y^2"),
-                                  parse_form(_EX41))
-     == parse_form("160*x^3 + 240*x^2*y - 1680*x*y^2 - 3280*y^3")),
-    ("Hankel A_2 = [[2,1,-7],[1,-7,-41]]",
-     lambda: apolarity.hankel(parse_form(_EX310), 2).rows()
-     == [[QQi(2), QQi(1), QQi(-7)], [QQi(1), QQi(-7), QQi(-41)]]),
-    ("Hankel kernel contains (6,-5,1)", _hankel_kernel_ok),
-    ("Sylvester: 5(x+2y)^3 - 3(x+3y)^3",
-     lambda: str(binary.sylvester_decompose(parse_form(_EX310)))
-     == "5*(x+2*y)^3 - 3*(x+3*y)^3"),
-    ("mixed coefficients {-4, 1, 7/2, 3/2}",
-     lambda: sorted(str(t.multiplier) for t in binary.mixed_decompose(
-         parse_form(_EX41), binary.MixedSpec(
-             [parse_form("x + y"), parse_form("-x + 3*y")], 2)).terms)
-     == sorted(["-4", "1", "7/2", "3/2"])),
-    ("Monte Carlo (4;[2,1];0) = 6",
-     lambda: binary.count_reps_monte_carlo(4, [2, 1], 0, seed=2026) == 6),
-    ("Monte Carlo (4;[2];2) = 2",
-     lambda: binary.count_reps_monte_carlo(4, [2], 2, seed=2026) == 2),
-    ("zero-sum family identities, m <= 8", _drab_identities_ok),
-    ("sextican certified at f=x^3, g=y^2 (rank 7/7)",
-     lambda: (rep := canonicity.jacobian_certify(
-         canonicity.build_map("sextican"))).certified
-     and rep.rank == 7 and rep.trials == 1),
-    ("uppertri certified at the delta witness",
-     lambda: (rep := canonicity.jacobian_certify(
-         canonicity.build_map("uppertri", n=4))).certified
-     and rep.trials == 1),
-    ("quarticgen excluded B never certified",
-     lambda: canonicity.jacobian_certify(
-         canonicity.build_map("quarticgen", d=5, B=(0, 1, 2, 3)),
-         trials=8, seed=1).verdict == "NotFullRankAtWitness"),
-    ("hyperplane (1,0,i,0) exceptional with eps=i",
-     lambda: (v := canonicity.hyperplane_classify(
-         [QQi(1), QQi(0), QQi(0, 1), QQi(0)])).kind == "Exceptional"
-     and v.epsilon == QQi(0, 1)),
-    ("zerosum degree 2 certified",
-     lambda: canonicity.zerosum_verify(1, trials=10, seed=0).certified),
-    ("zerosum degree 8 certified",
-     lambda: canonicity.zerosum_verify(4, trials=10, seed=0).certified),
-    ("omnibus(84;[42,28,12];0) has 85 = d+1 parameters",
-     lambda: (pmap := canonicity.build_map(
-         "omnibus", d=84, e=[42, 28, 12], m=0)).m == 85 == pmap.target),
-    ("s(15) = 2", lambda: enumeration.s_of_d(15) == 2),
-    ("s(99) = 3", lambda: enumeration.s_of_d(99) == 3),
-    ("s(7316000) = 12", lambda: enumeration.s_of_d(7316000) == 12),
-    ("neat r=2: (3;1,1), (4;2,1), (6;3,2)",
-     lambda: [(f.d, f.e) for f in enumeration.neat_enumerate(2)]
-     == [(3, (1, 1)), (4, (2, 1)), (6, (3, 2))]),
-    ("neat r=3: twenty-two forms",
-     lambda: len(enumeration.neat_enumerate(3)) == 22),
-    ("12 in A_4", lambda: enumeration.obstruction_A(4, 12)),
-    ("smallest of A_6, A_8, A_10, A_12, A_14, A_15",
-     lambda: all(enumeration.smallest_in_A(d) == n for d, n in
-                 {6: 10, 8: 1792, 10: 6, 12: 242, 14: 338, 15: 273}.items())),
-    ("A_p empty for p in {2,3,5,7}",
-     lambda: all(enumeration.smallest_in_A(p, 200) is None
-                 for p in (2, 3, 5, 7))),
-]
-
-
-def _cmd_verify_examples(args) -> int:
-    results = []
-    for label, check in _PAPER_EXAMPLES:
-        try:
-            ok = bool(check())
-        except Exception as exc:  # a failing example must not stop the replay
-            ok = False
-            label = f"{label} [{type(exc).__name__}: {exc}]"
-        results.append({"example": label, "pass": ok})
-    failures = sum(not r["pass"] for r in results)
-    _emit(args, {"results": results, "failures": failures} if args.json
-          else [f"{'PASS' if r['pass'] else 'FAIL'}  {r['example']}"
-                for r in results]
-          + [f"{len(results) - failures}/{len(results)} examples pass"])
-    return 0 if failures == 0 else 3
-
-
 # -- argument parsing -------------------------------------------------------------
 
 
@@ -500,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--lam", help="lambda for the quartic model (quartic-six)")
     p_dec.add_argument("--shear", action="store_true",
                        help="apply a seeded random change of variables first")
-    p_dec.set_defaults(func=_cmd_decompose)
+    p_dec.set_defaults(func="_cmd_decompose")
 
     p_cert = sub.add_parser("certify", help="Jacobian full-rank certification")
     p_cert.add_argument("name", help="catalog map name")
@@ -521,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--d", type=int, default=4, help="degree (obstruction)")
     p_enum.add_argument("--max", type=int, default=100,
                         help="scan bound (obstruction)")
-    p_enum.set_defaults(func=_cmd_enumerate)
+    p_enum.set_defaults(func="_cmd_enumerate")
 
     p_count = sub.add_parser("count", help="s(d), S(N), Monte Carlo estimates")
     p_count.add_argument("what", choices=("s", "S", "reps"))
@@ -531,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--m", type=int, default=0,
                          help="fixed-form count (reps)")
     p_count.add_argument("--trials", type=int, default=None)
-    p_count.set_defaults(func=_cmd_count)
+    p_count.set_defaults(func="_cmd_count")
 
     p_ver = sub.add_parser("verify-examples",
                            help="replay the worked examples and report pass/fail")
-    p_ver.set_defaults(func=_cmd_verify_examples)
+    p_ver.set_defaults(func="_cmd_verify_examples")
     return parser
 
 
@@ -559,7 +254,8 @@ def main(argv=None) -> int:
         print(f"--epsilon must be finite, got {args.epsilon}", file=sys.stderr)
         return 1
     try:
-        code = args.func(args)
+        func = args.func if callable(args.func) else getattr(commands, args.func)
+        code = func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -579,5 +275,14 @@ def main(argv=None) -> int:
         return 3
 
 
+def __getattr__(name):
+    # any other name is one of commands.py, which runs on its first read
+    if name.startswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(commands, name)
+
+
 if __name__ == "__main__":
+    # commands.py imports from this module: let it find this copy
+    sys.modules.setdefault("canonform.cli", sys.modules[__name__])
     sys.exit(main())

@@ -1,23 +1,386 @@
 """Decompositions of forms (terms, acceptance, text and JSON), Biermann
-points and the factoring of binary forms: what decomposers use and the
-certifier does not.  canonform.forms serves these names too.
+points and the factoring of binary forms, with the half of forms.py that
+they use and the certifier does not: the product and power kernels, the
+bodies of Form's substitution, evaluation, snapping and chopping, and form
+text and JSON.  canonform.forms serves these names too.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ShapeMismatch, ZeroForm
-from .forms import (Form, MultiIndex, _Reader, _form, _is_negative_scalar,
-                    _linear_powers, _monomials, _width, form_from_json,
-                    form_to_json, format_form, forms_close, linear_coeffs,
-                    linear_form, multinomial)
+from .forms import (Form, MultiIndex, _Reader, _monomials, _sum_into, _trusted,
+                    dim, linear_coeffs, linear_form, multinomial)
 from .linalg import cluster_roots, poly_roots
 from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar, _ONE,
                       _ZERO, _NoImage, _normalised, _over_lcm, as_scalar,
-                      format_scalar, is_exact, mod_p, scalar_from_json,
+                      format_scalar, is_exact, mod_p, power, scalar_from_json,
                       scalar_is_zero, scalar_to_json, snap_scalar)
+
+# -- products and powers of forms ------------------------------------------------
+
+
+@functools.cache
+def _pack(idx: MultiIndex, base: int) -> int:
+    """idx as the digits of one int in base: while every exponent stays
+    below base, a product monomial's code is the sum of its factors'."""
+    code = 0
+    for e in idx:
+        code = code * base + e
+    return code
+
+
+@functools.cache
+class _Codes(dict):
+    """Packed code in base d + 1 -> (index, multinomial) for shape (n, d),
+    entered when first read: a sparse product lists no other monomial."""
+
+    def __init__(self, n: int, d: int):
+        self.n, self.base = n, d + 1
+
+    def __missing__(self, code: int) -> tuple[MultiIndex, int]:
+        idx = tuple(code // self.base ** s % self.base
+                    for s in range(self.n - 1, -1, -1))
+        self[code] = entry = (idx, multinomial(idx))
+        return entry
+
+
+def _exact_product(p: Form, q: Form) -> Form:
+    """p * q for exact forms: each factor's actual coefficients as Gaussian
+    integers over the lcm of its denominators, summed as int pairs under
+    packed codes in base d + 1, each sum normalised once."""
+    n, d = p.n, p.d + q.d
+    base, den, factors = d + 1, 1, []
+    for f in (p, q):
+        nums, lcm = _over_lcm(f._a.values())
+        factors.append([(_pack(i, base), a * (m := multinomial(i)), b * m)
+                        for i, (a, b) in zip(f._a, nums)])
+        den *= lcm
+    re, im = {}, {}
+    for i, a, b in factors[0]:
+        for j, c, e in factors[1]:
+            k = i + j
+            re[k] = re.get(k, 0) + a * c - b * e
+            im[k] = im.get(k, 0) + a * e + b * c
+    table, out = _Codes(n, d), {}
+    for k, x in re.items():
+        if x or im[k]:
+            idx, m = table[k]
+            out[idx] = _normalised(x, im[k], den * m)
+    return _trusted(n, d, out, True)
+
+
+def _product(p: Form, q: Form) -> Form:
+    if p.n != q.n:
+        raise ShapeMismatch("variable counts differ")
+    if p.exact and q.exact:
+        return _exact_product(p, q)
+    # float sums keep graded-lex order of (i, j), which is descending
+    # code order; each sum is divided once by its multinomial
+    n, d = p.n, p.d + q.d
+    mine, theirs = (sorted(((_pack(i, d + 1), v * multinomial(i))
+                            for i, v in f._a.items()), reverse=True)
+                    for f in (p, q))
+    raw: dict[int, Scalar] = {}
+    for i, u in mine:
+        for j, v in theirs:
+            raw[i + j] = raw.get(i + j, 0) + u * v
+    table, out = _Codes(n, d), {}
+    for k, v in raw.items():
+        idx, m = table[k]
+        if s := v / m:
+            out[idx] = s
+    return _trusted(n, d, out, False)
+
+
+@functools.cache
+def _power_steps(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """(parent, k) for each monomial of degree 1..p in graded-lex order: it
+    is x_k, its first variable, times the monomial at place `parent` (0 is 1)."""
+    place, steps = {(0,) * n: 0}, []
+    for m in range(1, p + 1):
+        for idx in _monomials(n, m):
+            k = next(k for k, e in enumerate(idx) if e)
+            steps.append((place[idx[:k] + (idx[k] - 1,) + idx[k + 1:]], k))
+            place[idx] = len(place)
+    return tuple(steps)
+
+
+def _linear_powers(n: int, d: int, terms) -> Form:
+    """sum mu (c . x)^d over terms (mu, c) in one pass: the normalised
+    coefficient of x^i in (c . x)^d is prod c_k^i_k, one product from its
+    parent in _power_steps.  Exact terms are summed as Gaussian-integer
+    numerators over one common denominator, float ones as complex sums."""
+    size, exact, floats = dim(n, d), [], [0j] * dim(n, d)
+    for mu, coeffs in terms:
+        if is_exact(mu) and all(map(is_exact, coeffs)):
+            nums, lcm = _over_lcm(coeffs)
+            re, im = [mu.a], [mu.b]
+            for parent, k in _power_steps(n, d):
+                a, b, (c, e) = re[parent], im[parent], nums[k]
+                re.append(a * c - b * e)
+                im.append(a * e + b * c)
+            exact.append((re[-size:], im[-size:], mu.d * lcm ** d))
+        else:
+            row, cs = [complex(mu)], [complex(v) for v in coeffs]
+            for parent, k in _power_steps(n, d):
+                row.append(row[parent] * cs[k])
+            floats = [u + v for u, v in zip(floats, row[-size:])]
+    den = math.lcm(*(part for _, _, part in exact))
+    w = [den // part for _, _, part in exact]
+    re = [sum(map(int.__mul__, col, w)) for col in zip(*(t[0] for t in exact))]
+    im = [sum(map(int.__mul__, col, w)) for col in zip(*(t[1] for t in exact))]
+    mons = _monomials(n, d)
+    total = _trusted(n, d, {i: _normalised(x, y, den) for i, x, y
+                            in zip(mons, re, im) if x or y}, True)
+    approx = _trusted(n, d, {i: v for i, v in zip(mons, floats) if v}, False)
+    return total + approx if approx else total
+
+
+def _power(p: Form, k: int) -> Form:
+    if k < 0:
+        raise ValueError("negative form power")
+    if p.exact and p.d == 1:
+        row = [p._a.get(i, _ZERO) for i in _monomials(p.n, 1)]
+        return _linear_powers(p.n, k, [(_ONE, row)])
+    one = QQi(1) if p.exact else 1 + 0j
+    return power(p, k, _trusted(p.n, 0, {(0,) * p.n: one}, p.exact))
+
+
+def power_of_linear(alpha, d: int) -> Form:
+    """(alpha . x)^d computed directly: a(i) = alpha^i."""
+    al = [as_scalar(v) for v in alpha]
+    return _linear_powers(len(al), d, [(_ONE, al)])
+
+
+def forms_close(p: Form, q: Form, eps: float = EPS_DEFAULT) -> bool:
+    """Coefficientwise agreement within eps times the larger form's scale."""
+    if (p.n, p.d) != (q.n, q.d):
+        return False
+    if p.exact and q.exact:
+        return p._a == q._a
+    cut, mine, theirs = eps * max(p.norm(), q.norm()), p._a, q._a
+    return all(abs(complex(mine.get(i, 0)) - complex(theirs.get(i, 0)))
+               * multinomial(i) <= cut for i in mine.keys() | theirs.keys())
+
+
+# -- the bodies of Form.evaluate, substitute, partial, snapped and chop ----------
+
+
+def _evaluate(p: Form, point) -> Scalar:
+    if len(point) != p.n:
+        raise ShapeMismatch(f"point length {len(point)} != n={p.n}")
+    pt = [as_scalar(v) for v in point]
+    total: Scalar = QQi(0) if p.exact else 0j
+    for idx, rawc in p.raw_items():
+        term = rawc
+        for k, e in enumerate(idx):
+            if e:
+                term = term * pt[k] ** e
+        total = total + term
+    return total
+
+
+def _substitute(p: Form, m) -> Form:
+    if len(m) != p.n:
+        raise ShapeMismatch(f"matrix has {len(m)} rows, need {p.n}")
+    n_new = len(m[0])
+    rows = [[as_scalar(v) for v in row] for row in m]
+    lins = [linear_form(row) for row in rows]
+    unit_form = Form(n_new, 0, {(0,) * n_new: QQi(1)})
+    powers: list[list[Form]] = []
+    for k in range(p.n):
+        cache = [unit_form]
+        for _ in range(max((idx[k] for idx in p._a), default=0)):
+            cache.append(cache[-1] * lins[k])
+        powers.append(cache)
+    # terms[idx[:k]] is the product over the first k variables, shared by
+    # the monomials that start with those exponents
+    out, terms = Form.zero(n_new, p.d), {(): unit_form}
+    for idx, rawc in p.raw_items():
+        for k, e in enumerate(idx):
+            if (head := idx[:k + 1]) not in terms:
+                term = terms[idx[:k]]
+                terms[head] = (term if not e else powers[k][e]
+                               if term is unit_form else term * powers[k][e])
+        out = _sum_into(out._a, out, terms[idx].scale(rawc))
+    return out
+
+
+def _partial(p: Form, j: int) -> Form:
+    if p.d == 0:
+        raise ValueError("cannot differentiate a constant form")
+    a: dict[MultiIndex, Scalar] = {}
+    for idx, v in p._a.items():
+        e = idx[j]
+        if not e:
+            continue
+        new = idx[:j] + (e - 1,) + idx[j + 1:]
+        if p.exact:
+            a[new] = v * p.d  # c(idx) * e / c(new) == d
+        elif s := v * multinomial(idx) * e / multinomial(new):
+            a[new] = s
+    return _trusted(p.n, p.d - 1, a, p.exact)
+
+
+def _snapped(p: Form, max_den: int) -> Form:
+    return _trusted(p.n, p.d, {i: w for i, v in p._a.items()
+                               if (w := snap_scalar(v, max_den))}, True)
+
+
+def _chop(p: Form, eps: float, scale: float | None) -> Form:
+    if p.exact:
+        return p
+    cut = eps * max(p.norm() if scale is None else scale, 1e-300)
+    return _trusted(p.n, p.d, {i: v for i, v in p._a.items()
+                               if abs(complex(v)) * multinomial(i) > cut}, False)
+
+
+# -- random forms and variable embedding --------------------------------------------
+
+
+def random_form(n: int, d: int, rng, lo: int = -9, hi: int = 9,
+                gaussian: bool = False) -> Form:
+    """Random exact form: normalized coefficients are integers in [lo, hi].
+
+    With gaussian=True the coefficients are Gaussian integers t + u*i, the
+    convention used for the numeric experiments.
+    """
+    return Form(n, d, {idx: QQi(rng.randint(lo, hi),
+                                rng.randint(lo, hi) if gaussian else 0)
+                       for idx in _monomials(n, d)})
+
+
+def restrict_form(p: Form, keep: list[int]) -> Form:
+    """View p inside the variables `keep` (its support must lie there)."""
+    pos = {v: k for k, v in enumerate(keep)}
+    coeffs = {}
+    for idx, v in p._a.items():
+        new = [0] * len(keep)
+        for k, e in enumerate(idx):
+            if e and k not in pos:
+                raise ShapeMismatch(f"form uses variable {k} outside {keep}")
+            if e:
+                new[pos[k]] = e
+        coeffs[tuple(new)] = v
+    return Form(len(keep), p.d, coeffs)
+
+
+def pad_form(p: Form, n: int, at: list[int]) -> Form:
+    """Embed a form on variables `at` back into ambient dimension n."""
+    coeffs = {}
+    for idx, v in p._a.items():
+        new = [0] * n
+        for k, e in enumerate(idx):
+            new[at[k]] = e
+        coeffs[tuple(new)] = v
+    return Form(n, p.d, coeffs)
+
+
+# -- text format -------------------------------------------------------------------
+
+
+def var_names(n: int) -> list[str]:
+    if n <= 3:
+        return ["x", "y", "z"][:n]
+    return [f"x{k + 1}" for k in range(n)]
+
+
+def _monomial_text(idx: MultiIndex, names: list[str]) -> str:
+    return "*".join(names[k] if e == 1 else f"{names[k]}^{e}"
+                    for k, e in enumerate(idx) if e)
+
+
+def _is_negative_scalar(v: Scalar) -> bool:
+    if is_exact(v):
+        return v.im == 0 and v.re < 0
+    z = complex(v)
+    return z.imag == 0.0 and z.real < 0
+
+
+def format_form(p: Form, compact: bool = False) -> str:
+    if not p:
+        return "0"
+    names = var_names(p.n)
+    pieces = []
+    for idx, _ in p.items():
+        rawc = p.raw(idx)
+        mono = _monomial_text(idx, names)
+        neg = _is_negative_scalar(rawc)
+        mag = -rawc if neg else rawc
+        body = ((mono if mag == 1 else f"{format_scalar(mag)}*{mono}") if mono
+                else format_scalar(mag))
+        sign = ("-" if neg else "+") + " " * (not compact) if pieces else "-" * neg
+        pieces.append(sign + body)
+    return "".join(pieces) if compact else " ".join(pieces)
+
+
+def _width(products: list) -> int:
+    """One more than the largest variable index in products and their bases."""
+    width = 0
+    for _, expo, base in products:
+        width = max(width, max(expo, default=-1) + 1,
+                    _width(base[0]) if base else 0)
+    return width
+
+
+def _form(products: list, n: int | None, d: int | None) -> Form:
+    """The form that a sum of products without bases denotes."""
+    inferred_n = _width(products)
+    if n is None:
+        n = max(inferred_n, 1)
+    elif inferred_n > n:
+        raise ParseError(f"form uses {inferred_n} variables, n={n} given")
+    # a zero coefficient does not count toward the degree, unless all are zero
+    degrees = ({sum(e.values()) for c, e, _ in products if c}
+               or {sum(e.values()) for _, e, _ in products})
+    if len(degrees) > 1:
+        raise ParseError(f"form is not homogeneous: degrees {sorted(degrees)}")
+    term_d = degrees.pop()
+    if d is None:
+        d = term_d
+    elif term_d != d and any(c for c, _, _ in products):
+        raise ParseError(f"form has degree {term_d}, d={d} given")
+    if n < 1 or d < 0:
+        raise ValueError(f"bad shape ({n}, {d})")
+    raw: dict = {}  # int, Fraction or QQi sums
+    for coeff, expo, _ in products:
+        key = tuple(expo.get(v, 0) for v in range(n))
+        raw[key] = raw.get(key, 0) + coeff
+    # every nonzero sum has degree d, by the checks above
+    return _trusted(n, d, {i: as_scalar(c) / multinomial(i)
+                           for i, c in raw.items() if c}, True)
+
+
+def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
+    """Parse form text: products such as `coef*x1^a*x2^b` joined by +/-.
+
+    Variables are x, y, z (aliases of x1, x2, x3) or x1, x2, ...; a number
+    is an integer, p/q rational or decimal, i, or a parenthesised sum of
+    these such as (1+2*i) or (1+i)^2.
+    """
+    return _form(_Reader(text).read(), n, d)
+
+
+# -- JSON format ---------------------------------------------------------------------
+
+
+def form_to_json(p: Form) -> dict:
+    return {"n": p.n, "d": p.d, "coeffs": [dict(idx=list(i), **scalar_to_json(v))
+                                           for i, v in p.items()]}
+
+
+def form_from_json(obj: dict) -> Form:
+    coeffs = {tuple(c["idx"]): scalar_from_json(c) for c in obj["coeffs"]}
+    return Form(obj["n"], obj["d"], coeffs)
+
+
+# -- decompositions --------------------------------------------------------------
+
 
 # Every decomposer's bound on the normwise backward error of an inexact
 # result (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
@@ -99,16 +462,17 @@ class Decomposition:
         return [t.form() for t in self.terms]
 
     def snapped(self, target: Form, max_den: int = SNAP_MAX_DEN) -> "Decomposition | None":
-        """Exact rational reconstruction, accepted only if it rebuilds target."""
-        if not target.exact:
+        """Exact rational reconstruction, accepted only if it rebuilds target;
+        one that differs at a pure power x_j^d is refuted before the other
+        coefficients are snapped (_differs_mod_p with max_den)."""
+        if not target.exact or _differs_mod_p(self, target, max_den):
             return None
         terms = [Term(snap_scalar(t.multiplier, max_den), t.base.snapped(max_den),
                       t.power) for t in self.terms]
         residual = self.residual.snapped(max_den) if self.residual is not None else None
         cand = Decomposition(terms, residual, dict(self.meta))
-        if not _differs_mod_p(cand, target) and cand.reconstruct() == target:
-            return cand
-        return None
+        refuted = _differs_mod_p(cand, target) or cand.reconstruct() != target
+        return None if refuted else cand
 
     def __str__(self) -> str:
         return format_decomposition(self)
@@ -135,13 +499,17 @@ class Decomposition:
 _PROBE = 0x9E3779B97F4A7C15
 
 
-def _differs_mod_p(dec: Decomposition, target: Form) -> bool:
+def _differs_mod_p(dec: Decomposition, target: Form,
+                   max_den: int | None = None) -> bool:
     """Whether dec.reconstruct() != target is proved at one point mod MOD_P.
 
     Evaluation at a point and reduction mod MOD_P are ring maps, so values
     that differ there come from different forms.  False decides nothing: it
     is also the answer when a scalar has no image mod MOD_P or a part's
     shape does not fit target, which leaves those cases to the exact rebuild.
+    Given max_den, dec's snap is compared at each x_j^d coefficient in turn
+    instead, if dec has a float: that of mu b^k is mu times b's x_j^deg(b)
+    coefficient to the k, so each part snaps one coefficient per j.
     """
     n, d = target.n, target.d
     parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
@@ -150,14 +518,19 @@ def _differs_mod_p(dec: Decomposition, target: Form) -> bool:
     if not parts or any(f.n != n or k < 0 or f.d * k != d
                         for _, f, k in parts):
         return False
-    top = max(d, *(f.d for _, f, _ in parts))
-    powers = []
-    for k in range(1, n + 1):
-        u, row = k * _PROBE % MOD_P, [1]
-        for _ in range(top):
-            row.append(row[-1] * u % MOD_P)
-        powers.append(row)
+    if max_den is not None and all(is_exact(c) and f.exact for c, f, _ in parts):
+        return False  # the snap is dec, which the exact rebuild decides
     try:
+        if max_den is not None:
+            def pure(f, x):  # f's coefficient of x_j^deg(f), snapped, mod MOD_P
+                return mod_p(snap_scalar(f.a([f.d * e for e in x]), max_den))
+            mus = [mod_p(snap_scalar(c, max_den)) for c, _, _ in parts]
+            return any((sum(mu * pow(pure(f, x), k, MOD_P) for mu, (_, f, k)
+                            in zip(mus, parts)) - pure(target, x)) % MOD_P
+                       for x in _monomials(n, 1))  # x: x_j's exponents
+        top = max(d, *(f.d for _, f, _ in parts))
+        powers = [[pow(k * _PROBE, e, MOD_P) for e in range(top + 1)]
+                  for k in range(1, n + 1)]
         value = sum(mod_p(c) * pow(_value_mod_p(f, powers), k, MOD_P)
                     for c, f, k in parts) - _value_mod_p(target, powers)
     except _NoImage:

@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 from . import LazyModule
-from .decompositions import ACCEPT_TOL, Decomposition, Term, check_decomposable
+from .decompositions import (ACCEPT_TOL, Decomposition, Term, check_decomposable,
+                             forms_close, pad_form, restrict_form)
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
-from .forms import (Form, _monomials, forms_close, linear_coeffs, linear_form,
-                    multinomial, pad_form, restrict_form)
+from .forms import Form, _monomials, linear_coeffs, linear_form, multinomial
 from .linalg import Matrix, pencil_charpoly, poly_roots
 from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
                       scalar_sqrt)

@@ -19,7 +19,8 @@ from canonform.canonicity import (MOD_P, CertifyReport, Fixed,
                                   jacobian_certify, lasker_wakeford_full_rank,
                                   modp_rank, zerosum_verify)
 from canonform.enumeration import neat_upto
-from canonform.errors import AllZero, BadShape, ShapeMismatch, UnknownName
+from canonform.errors import (AllZero, BadShape, DegenerateInput, ShapeMismatch,
+                              UnknownName)
 from canonform.forms import index_set
 from canonform.linalg import exact_rank, mat_det
 from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p, power,
@@ -773,6 +774,34 @@ def test_float_witness_is_ranked_at_its_exact_value():
     rep = jacobian_certify(pmap, witness=[1.0, 0, 0, 0, 0, 0, 1e-300])
     assert (rep.verdict, rep.rank) == ("Certified", 7)
     assert lasker_wakeford_full_rank(pmap, [1.0, 0, 0, 0, 0, 0, 1e-300])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0)])
+@pytest.mark.parametrize("check", [
+    lambda pmap, t: jacobian_certify(pmap, witness=t),
+    lambda pmap, t: lasker_wakeford_full_rank(pmap, t)],
+    ids=["jacobian_certify", "lasker_wakeford_full_rank"])
+def test_non_finite_witness_is_degenerate_input_naming_the_entry(bad, check):
+    pmap = build_map("sextican")
+    with pytest.raises(DegenerateInput, match="witness entry t3 is not finite"):
+        check(pmap, [1, 0, bad, 0, 0, 0, 1])
+
+
+def test_float_hyperplane_is_certified_as_given_by_the_modular_rank(monkeypatch):
+    def refuse(pmap, t):
+        raise AssertionError("the float hyperplane took the exact path")
+
+    monkeypatch.setattr(canonicity, "_exact_rank", refuse)
+    pmap = build_map("hyperplane", c=[1.5, 0.0, 2.0, 1.0])
+    # the pivot is c4 = 1, so t4 = -1.5 t1 - 2 t3, read exactly
+    assert [p.coeff for p in pmap.expr.parts[1].base.parts[1].parts] == [
+        QQi(Fraction(-3, 2)), QQi(0), QQi(-2)]
+    assert pmap.params["c"] == ["(1.5+0j)", "0j", "(2+0j)", "(1+0j)"]
+    verdict = hyperplane_classify([1.5, 0.0, 2.0, 1.0])
+    assert verdict == HyperplaneVerdict(
+        "Canonical", witness=[QQi(3), QQi(4), QQi(-8), 11.5 + 0j])
+    with pytest.raises(DegenerateInput, match="coefficient c2 is not finite"):
+        build_map("hyperplane", c=[1.0, math.nan, 2.0, 1.0])
 
 
 def _looped_hyperplane_classify(c, eps=EPS_DEFAULT, seed=0, trials=64):

@@ -606,6 +606,64 @@ def test_snapped_candidate_that_does_not_fit_raises_as_before():
     assert wide.snapped(target) is None
 
 
+@st.composite
+def nudged_float_decompositions(draw):
+    """(a float decomposition, the exact form it was made from): bases of
+    degree 1 or 2, and one multiplier or coefficient, perhaps at a pure
+    power x_j^deg, perhaps nudged off its exact value."""
+    n, deg, power = (draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                     draw(st.integers(1, 3)))
+
+    def form(d):
+        return Form(n, d, {i: draw(gaussian) for i in index_set(n, d)
+                           if draw(st.booleans())})
+
+    exact = Decomposition([Term(draw(gaussian), form(deg), power)
+                           for _ in range(draw(st.integers(1, 3)))],
+                          form(deg * power) if draw(st.booleans()) else None,
+                          {"theorem": "test"})
+    dec = approx_of(exact)
+    nudge = complex(draw(gaussian)) / draw(st.sampled_from([1, 7, SNAP_MAX_DEN + 1]))
+    k = draw(st.integers(0, len(dec.terms)))
+    if k == len(dec.terms) or draw(st.booleans()):
+        f = dec.residual if k == len(dec.terms) else dec.terms[k].base
+        if f is not None:
+            idx = draw(st.sampled_from(index_set(f.n, f.d)))
+            f = f + Form(f.n, f.d, {idx: nudge})
+            if k == len(dec.terms):
+                dec.residual = f
+            else:
+                dec.terms[k] = Term(dec.terms[k].multiplier, f, power)
+    else:
+        dec.terms[k] = Term(dec.terms[k].multiplier + nudge, dec.terms[k].base, power)
+    return dec, exact.reconstruct()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=nudged_float_decompositions())
+def test_snapped_refuting_at_pure_powers_keeps_the_full_path_result(case):
+    dec, target = case
+    assert dec.snapped(target) == snapped_reference(dec, target)
+
+
+def test_snapped_refutes_at_a_pure_power_before_snapping_the_bases(monkeypatch):
+    target = parse_form(EX310)
+    dec = approx_of(parse_decomposition("5*(x+2*y)^3 - 3*(x+3*y)^3"))
+    snap = Form.snapped
+    calls = []
+    monkeypatch.setattr(Form, "snapped", lambda self, max_den=SNAP_MAX_DEN:
+                        calls.append(self) or snap(self, max_den))
+    # a y^3 coefficient off: refuted before any base is snapped
+    off = Decomposition(dec.terms[:1] + [Term(dec.terms[1].multiplier, dec.terms[1].base
+                                              + Form(2, 1, {(0, 1): 1 / 7 + 0j}), 3)])
+    assert off.snapped(target) is None and calls == []
+    # an x^2 y coefficient off: only the full path refutes it
+    mixed = Decomposition(dec.terms, Form(2, 3, {(2, 1): 1 / 7 + 0j}))
+    assert mixed.snapped(target) is None and len(calls) == 3
+    # the exact snap itself is found as before
+    assert dec.snapped(target).reconstruct() == target
+
+
 # -- acceptance and scale -----------------------------------------------------------
 
 

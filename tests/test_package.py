@@ -6,15 +6,18 @@ object, on the first read of a name they lack or the first write.  Each
 check of what has run uses a new interpreter.
 """
 
+import ast
 import importlib
+import json
+from pathlib import Path
 
 import pytest
 
 import canonform
 from tests_support import fresh_json
 
-DEFERRED = ["apolarity", "binary", "canonicity", "decompositions",
-            "enumeration", "linalg", "multivar"]
+DEFERRED = ["apolarity", "binary", "canonicity", "commands",
+            "decompositions", "enumeration", "linalg", "multivar"]
 CORE = ["cli", "errors", "forms", "scalars"]
 
 _IMPORT = "import json, sys\nimport canonform\n"
@@ -63,15 +66,19 @@ def test_bare_import_runs_no_submodule():
     assert ran == []
 
 
-BINARY = ["apolarity", "binary", "decompositions", "enumeration", "linalg"]
+BINARY = ["apolarity", "binary", "commands", "decompositions", "enumeration",
+          "linalg"]
 
 
 @pytest.mark.parametrize("argv, runs", [
     (["certify", "sextican"], ["canonicity"]),
+    (["classify-hyperplane", "1.5,0,2,1"], ["canonicity"]),
+    (["enumerate", "neat", "--r", "2"], ["commands", "enumeration"]),
+    (["count", "s", "--d", "15"], ["commands", "enumeration"]),
     (["count", "reps", "--d", "4", "--e", "2", "--m", "2"], BINARY),
     (["decompose", "sylvester", "x^3 + 2*y^3"], BINARY),
     (["decompose", "slowpoke", "x^3 + y^3 + z^3"],
-     ["decompositions", "linalg", "multivar"]),
+     ["commands", "decompositions", "linalg", "multivar"]),
 ])
 def test_each_subcommand_runs_only_the_modules_it_uses(argv, runs):
     code, ran = _ran("import contextlib, io, canonform.cli\n"
@@ -82,12 +89,58 @@ def test_each_subcommand_runs_only_the_modules_it_uses(argv, runs):
 
 
 def test_cli_import_runs_only_the_form_core():
-    # certify never runs linalg or the decomposition half of the forms
-    result, ran = _ran("import canonform.cli\nresult = sorted(\n"
-                       "    m for m in sys.modules if m.startswith('canonform'))")
+    # certify never runs linalg, the decompose half of the forms or the
+    # handlers of the other subcommands, and the names moved there are
+    # served, not defined, by forms and cli
+    result, ran = _ran("import canonform.cli\nresult = [sorted(\n"
+                       "    m for m in sys.modules if m.startswith('canonform')),\n"
+                       "    sorted(set(vars(canonform.forms)) & canonform.forms._MOVED),\n"
+                       "    '_cmd_decompose' in vars(canonform.cli)]")
     assert ran == CORE
-    assert result == sorted(["canonform"] + [f"canonform.{m}"
-                                             for m in CORE + DEFERRED])
+    assert result == [sorted(["canonform"] + [f"canonform.{m}"
+                                              for m in CORE + DEFERRED]), [], False]
+
+
+def _names_read_from(module: str) -> set:
+    """Every name the tests, bench/tracing.py's SPAN_TARGETS and
+    canonform.__all__ read from canonform.<module>, Class.method for a
+    method: what a test imports from it, or reads from a name bound to it."""
+    here = Path(__file__).parent
+    names = set()
+    for path in here.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == f"canonform.{module}":
+                names |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == module):
+                names.add(node.attr)
+    tracing = ast.parse((here.parent / "bench" / "tracing.py").read_text())
+    targets = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "SPAN_TARGETS")
+    names |= {target for owner, target, _ in ast.literal_eval(targets)
+              if owner == module}
+    return names | {name for name in canonform.__all__
+                    if canonform._OWNER[name] == module}
+
+
+@pytest.mark.parametrize("module, some", [
+    ("cli", {"main", "_sheared", "enumeration"}),
+    ("forms", {"Form.substitute", "parse_form", "form_to_json", "_exact_product"}),
+])
+def test_every_name_read_from_cli_and_forms_resolves(module, some):
+    names = sorted(_names_read_from(module) - {"poly_roots"})  # read to fail
+    assert some <= set(names)
+    missing, _ = _ran(f"""
+import canonform.{module} as mod
+result = []
+for name in json.loads(sys.argv[1]):
+    owner, _, attr = name.rpartition(".")
+    try:
+        getattr(getattr(mod, owner) if owner else mod, attr)
+    except AttributeError:
+        result.append(name)
+""", json.dumps(names))
+    assert missing == []
 
 
 def test_forms_serves_the_decomposition_half():
