@@ -132,11 +132,13 @@ class MixedSpec:
         for f in self.fixed:
             if f.d != 1 or f.n != 2 or f.is_zero():
                 raise ShapeMismatch("fixed forms must be nonzero binary linear forms")
-        for f, g in itertools.combinations(self.fixed, 2):
-            a, b = linear_coeffs(f), linear_coeffs(g)
-            if scalar_is_zero(a[0] * b[1] - a[1] * b[0], EPS_DEFAULT):
-                raise DegenerateInput("fixed forms are not pairwise "
-                                      "non-proportional")
+        for i in range(len(self.fixed)):
+            for j in range(i + 1, len(self.fixed)):
+                a = linear_coeffs(self.fixed[i])
+                b = linear_coeffs(self.fixed[j])
+                if scalar_is_zero(a[0] * b[1] - a[1] * b[0], EPS_DEFAULT):
+                    raise DegenerateInput("fixed forms are not pairwise "
+                                          "non-proportional")
 
     @property
     def m(self) -> int:
@@ -168,7 +170,10 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
         f = g if f is None else f * g
 
     free_terms: list[Term] = []
-    fp = p if f is None else apply_diff(f, p)
+    if f is not None:
+        fp = apply_diff(f, p)
+    else:
+        fp = p
     if not fp.is_zero(eps, scale=p.norm()):
         try:
             sylv = sylvester_decompose(fp, eps)

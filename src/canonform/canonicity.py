@@ -703,10 +703,12 @@ def _build_hyperplane(c) -> ParamMap:
 def _build_zerosum(s: int) -> ParamMap:
     if s < 1:
         raise BadShape("zerosum needs s >= 1")
-    terms = [Pow(Sum((Param(jj, (1, 0)), Param(s + 1 + jj, (0, 1)))), 2 * s)
-             for jj in range(s)]
+    terms = []
+    for jj in range(s):
+        terms.append(Pow(Sum((Param(jj, (1, 0)), Param(s + 1 + jj, (0, 1)))), 2 * s))
     last_y = [Param(k, (0, 1), QQi(-1)) for k in range(2 * s + 1)]
-    terms.append(Pow(Sum(tuple([Param(s, (1, 0))] + last_y)), 2 * s))
+    last = Sum(tuple([Param(s, (1, 0))] + last_y))
+    terms.append(Pow(last, 2 * s))
     return ParamMap("zerosum", 2, 2 * s, 2 * s + 1, Sum(tuple(terms)),
                     params={"s": s})
 

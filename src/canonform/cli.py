@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 inconclusive or degenerate input,
 3 internal failure.  With --json and a fixed seed the output bytes are
 identical across runs.  The other subcommands' handlers are in
-canonform.commands, run on first use; this module serves its names too.
+canonform.commands, run on first use; this module serves the names moved
+there too.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _catalog_param(name: str, key: str, text: str):
     if name == "hyperplane" and key == "c":
         return _hyperplane_c(value)
     if key in _INT_LIST_PARAMS:
-        entries = value = value if isinstance(value, list) else [value]
+        value = value if isinstance(value, list) else [value]
+        entries = value
     elif isinstance(value, list):
         raise ParseError(f"--param {key} takes one integer, got {text!r}")
     else:
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--lam", help="lambda for the quartic model (quartic-six)")
     p_dec.add_argument("--shear", action="store_true",
                        help="apply a seeded random change of variables first")
-    p_dec.set_defaults(func="_cmd_decompose")
+    p_dec.set_defaults(func=lambda a: commands._cmd_decompose(a))
 
     p_cert = sub.add_parser("certify", help="Jacobian full-rank certification")
     p_cert.add_argument("name", help="catalog map name")
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--d", type=int, default=4, help="degree (obstruction)")
     p_enum.add_argument("--max", type=int, default=100,
                         help="scan bound (obstruction)")
-    p_enum.set_defaults(func="_cmd_enumerate")
+    p_enum.set_defaults(func=lambda a: commands._cmd_enumerate(a))
 
     p_count = sub.add_parser("count", help="s(d), S(N), Monte Carlo estimates")
     p_count.add_argument("what", choices=("s", "S", "reps"))
@@ -226,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--m", type=int, default=0,
                          help="fixed-form count (reps)")
     p_count.add_argument("--trials", type=int, default=None)
-    p_count.set_defaults(func="_cmd_count")
+    p_count.set_defaults(func=lambda a: commands._cmd_count(a))
 
     p_ver = sub.add_parser("verify-examples",
                            help="replay the worked examples and report pass/fail")
-    p_ver.set_defaults(func="_cmd_verify_examples")
+    p_ver.set_defaults(func=lambda a: commands._cmd_verify_examples(a))
     return parser
 
 
@@ -254,8 +256,7 @@ def main(argv=None) -> int:
         print(f"--epsilon must be finite, got {args.epsilon}", file=sys.stderr)
         return 1
     try:
-        func = args.func if callable(args.func) else getattr(commands, args.func)
-        code = func(args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -275,9 +276,16 @@ def main(argv=None) -> int:
         return 3
 
 
+# names of commands.py, which runs on the first read of one here
+_MOVED = frozenset("""_COUNT_MAX_ARG _COUNT_MAX_D _COUNT_MAX_TRIALS _ENUM_MAX_D
+    _ENUM_MAX_R _ENUM_MAX_SCAN _EX310 _EX41 _PAPER_EXAMPLES _SHEARING_ALGOS
+    _above _cmd_count _cmd_decompose _cmd_enumerate _cmd_verify_examples
+    _drab_identities_ok _factor_product_ok _hankel_kernel_ok
+    _parse_float_range_form _read_form _render _sheared enumeration""".split())
+
+
 def __getattr__(name):
-    # any other name is one of commands.py, which runs on its first read
-    if name.startswith("__"):
+    if name not in _MOVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(commands, name)
 

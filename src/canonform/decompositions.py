@@ -11,6 +11,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import ParseError, ShapeMismatch, ZeroForm
 from .forms import (Form, MultiIndex, _Reader, _monomials, _sum_into, _trusted,
@@ -250,9 +251,12 @@ def random_form(n: int, d: int, rng, lo: int = -9, hi: int = 9,
     With gaussian=True the coefficients are Gaussian integers t + u*i, the
     convention used for the numeric experiments.
     """
-    return Form(n, d, {idx: QQi(rng.randint(lo, hi),
-                                rng.randint(lo, hi) if gaussian else 0)
-                       for idx in _monomials(n, d)})
+    coeffs = {}
+    for idx in _monomials(n, d):
+        re = rng.randint(lo, hi)
+        im = rng.randint(lo, hi) if gaussian else 0
+        coeffs[idx] = QQi(re, im)
+    return Form(n, d, coeffs)
 
 
 def restrict_form(p: Form, keep: list[int]) -> Form:
@@ -291,8 +295,13 @@ def var_names(n: int) -> list[str]:
 
 
 def _monomial_text(idx: MultiIndex, names: list[str]) -> str:
-    return "*".join(names[k] if e == 1 else f"{names[k]}^{e}"
-                    for k, e in enumerate(idx) if e)
+    parts = []
+    for k, e in enumerate(idx):
+        if e == 1:
+            parts.append(names[k])
+        elif e > 1:
+            parts.append(f"{names[k]}^{e}")
+    return "*".join(parts)
 
 
 def _is_negative_scalar(v: Scalar) -> bool:
@@ -312,10 +321,18 @@ def format_form(p: Form, compact: bool = False) -> str:
         mono = _monomial_text(idx, names)
         neg = _is_negative_scalar(rawc)
         mag = -rawc if neg else rawc
-        body = ((mono if mag == 1 else f"{format_scalar(mag)}*{mono}") if mono
-                else format_scalar(mag))
-        sign = ("-" if neg else "+") + " " * (not compact) if pieces else "-" * neg
-        pieces.append(sign + body)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{format_scalar(mag)}*{mono}"
+        else:
+            body = format_scalar(mag)
+        if not pieces:
+            pieces.append(f"-{body}" if neg else body)
+        elif compact:
+            pieces.append(f"-{body}" if neg else f"+{body}")
+        else:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
     return "".join(pieces) if compact else " ".join(pieces)
 
 
@@ -347,7 +364,7 @@ def _form(products: list, n: int | None, d: int | None) -> Form:
         raise ParseError(f"form has degree {term_d}, d={d} given")
     if n < 1 or d < 0:
         raise ValueError(f"bad shape ({n}, {d})")
-    raw: dict = {}  # int, Fraction or QQi sums
+    raw: dict[MultiIndex, int | Fraction | QQi] = {}
     for coeff, expo, _ in products:
         key = tuple(expo.get(v, 0) for v in range(n))
         raw[key] = raw.get(key, 0) + coeff
@@ -370,8 +387,11 @@ def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
 
 
 def form_to_json(p: Form) -> dict:
-    return {"n": p.n, "d": p.d, "coeffs": [dict(idx=list(i), **scalar_to_json(v))
-                                           for i, v in p.items()]}
+    return {
+        "n": p.n,
+        "d": p.d,
+        "coeffs": [dict(idx=list(i), **scalar_to_json(v)) for i, v in p.items()],
+    }
 
 
 def form_from_json(obj: dict) -> Form:
@@ -464,15 +484,16 @@ class Decomposition:
     def snapped(self, target: Form, max_den: int = SNAP_MAX_DEN) -> "Decomposition | None":
         """Exact rational reconstruction, accepted only if it rebuilds target;
         one that differs at a pure power x_j^d is refuted before the other
-        coefficients are snapped (_differs_mod_p with max_den)."""
-        if not target.exact or _differs_mod_p(self, target, max_den):
+        coefficients are snapped."""
+        if not target.exact or _snap_differs_at_pure_powers(self, target, max_den):
             return None
         terms = [Term(snap_scalar(t.multiplier, max_den), t.base.snapped(max_den),
                       t.power) for t in self.terms]
         residual = self.residual.snapped(max_den) if self.residual is not None else None
         cand = Decomposition(terms, residual, dict(self.meta))
-        refuted = _differs_mod_p(cand, target) or cand.reconstruct() != target
-        return None if refuted else cand
+        if not _differs_mod_p(cand, target) and cand.reconstruct() == target:
+            return cand
+        return None
 
     def __str__(self) -> str:
         return format_decomposition(self)
@@ -499,43 +520,68 @@ class Decomposition:
 _PROBE = 0x9E3779B97F4A7C15
 
 
-def _differs_mod_p(dec: Decomposition, target: Form,
-                   max_den: int | None = None) -> bool:
+def _parts(dec: Decomposition, target: Form) -> list | None:
+    """dec's parts (multiplier, form, power), its residual r as (1, r, 1), or
+    None when it has none or a part's shape does not fit target."""
+    parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
+    if dec.residual is not None:
+        parts.append((QQi(1), dec.residual, 1))
+    if not parts or any(f.n != target.n or k < 0 or f.d * k != target.d
+                        for _, f, k in parts):
+        return None
+    return parts
+
+
+def _differs_mod_p(dec: Decomposition, target: Form) -> bool:
     """Whether dec.reconstruct() != target is proved at one point mod MOD_P.
 
     Evaluation at a point and reduction mod MOD_P are ring maps, so values
     that differ there come from different forms.  False decides nothing: it
     is also the answer when a scalar has no image mod MOD_P or a part's
     shape does not fit target, which leaves those cases to the exact rebuild.
-    Given max_den, dec's snap is compared at each x_j^d coefficient in turn
-    instead, if dec has a float: that of mu b^k is mu times b's x_j^deg(b)
-    coefficient to the k, so each part snaps one coefficient per j.
     """
     n, d = target.n, target.d
-    parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
-    if dec.residual is not None:
-        parts.append((QQi(1), dec.residual, 1))
-    if not parts or any(f.n != n or k < 0 or f.d * k != d
-                        for _, f, k in parts):
+    if (parts := _parts(dec, target)) is None:
         return False
-    if max_den is not None and all(is_exact(c) and f.exact for c, f, _ in parts):
-        return False  # the snap is dec, which the exact rebuild decides
+    top = max(d, *(f.d for _, f, _ in parts))
+    powers = []
+    for k in range(1, n + 1):
+        u, row = k * _PROBE % MOD_P, [1]
+        for _ in range(top):
+            row.append(row[-1] * u % MOD_P)
+        powers.append(row)
     try:
-        if max_den is not None:
-            def pure(f, x):  # f's coefficient of x_j^deg(f), snapped, mod MOD_P
-                return mod_p(snap_scalar(f.a([f.d * e for e in x]), max_den))
-            mus = [mod_p(snap_scalar(c, max_den)) for c, _, _ in parts]
-            return any((sum(mu * pow(pure(f, x), k, MOD_P) for mu, (_, f, k)
-                            in zip(mus, parts)) - pure(target, x)) % MOD_P
-                       for x in _monomials(n, 1))  # x: x_j's exponents
-        top = max(d, *(f.d for _, f, _ in parts))
-        powers = [[pow(k * _PROBE, e, MOD_P) for e in range(top + 1)]
-                  for k in range(1, n + 1)]
         value = sum(mod_p(c) * pow(_value_mod_p(f, powers), k, MOD_P)
                     for c, f, k in parts) - _value_mod_p(target, powers)
     except _NoImage:
         return False
     return value % MOD_P != 0
+
+
+def _snap_differs_at_pure_powers(dec: Decomposition, target: Form,
+                                 max_den: int) -> bool:
+    """Whether dec snapped at max_den is proved to differ from target mod
+    MOD_P at a pure power x_j^d, j = 1..n in turn.
+
+    The x_j^d coefficient of mu b^k is mu times b's x_j^deg(b) coefficient
+    to the k, so each part snaps one coefficient per j.  False decides
+    nothing, as for _differs_mod_p; it is also the answer when every value
+    of dec is exact, since its snap is then dec itself.
+    """
+    parts = _parts(dec, target)
+    if parts is None or all(is_exact(c) and f.exact for c, f, _ in parts):
+        return False
+
+    def pure(f: Form, x: MultiIndex) -> int:  # x: the exponents of x_j
+        return mod_p(snap_scalar(f.a([f.d * e for e in x]), max_den))
+
+    try:
+        mus = [mod_p(snap_scalar(c, max_den)) for c, _, _ in parts]
+        return any((sum(mu * pow(pure(f, x), k, MOD_P)
+                        for mu, (_, f, k) in zip(mus, parts))
+                    - pure(target, x)) % MOD_P for x in _monomials(target.n, 1))
+    except _NoImage:
+        return False
 
 
 def _value_mod_p(p: Form, powers: list[list[int]]) -> int:

@@ -77,7 +77,8 @@ class Form:
         """coeffs maps multi-indices to normalized a(p;i) values."""
         if n < 1 or d < 0:
             raise ValueError(f"bad shape ({n}, {d})")
-        self.n, self.d = n, d
+        self.n = n
+        self.d = d
         items = [(tuple(i), as_scalar(v)) for i, v in (coeffs or {}).items()]
         approx = not all(is_exact(s) for _, s in items)
         clean: dict[MultiIndex, Scalar] = {}
@@ -109,7 +110,8 @@ class Form:
 
     def a(self, idx: MultiIndex) -> Scalar:
         """Normalized coefficient a(p;i); absent keys are zero."""
-        return self._a.get(tuple(idx), QQi(0) if self.exact else 0j)
+        default = QQi(0) if self.exact else 0j
+        return self._a.get(tuple(idx), default)
 
     def raw(self, idx: MultiIndex) -> Scalar:
         return self.a(idx) * multinomial(tuple(idx))
@@ -136,14 +138,22 @@ class Form:
                     for i, v in self._a.items()), default=0.0)
 
     def used_vars(self) -> list[int]:
-        return sorted({k for idx in self._a for k, e in enumerate(idx) if e})
+        used = set()
+        for idx in self._a:
+            for k, e in enumerate(idx):
+                if e:
+                    used.add(k)
+        return sorted(used)
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other: "Form") -> "Form":
+    def _require_same_shape(self, other: "Form"):
         if self.n != other.n or self.d != other.d:
             raise ShapeMismatch(
                 f"shape ({self.n},{self.d}) vs ({other.n},{other.d})")
+
+    def __add__(self, other: "Form") -> "Form":
+        self._require_same_shape(other)
         return _sum_into(dict(self._a), self, other)
 
     def __neg__(self) -> "Form":
@@ -218,7 +228,7 @@ class Form:
         return decompositions.format_form(self)
 
     def __repr__(self) -> str:
-        return f"Form({self.n}, {self.d}, {str(self)!r})"
+        return f"Form({self.n}, {self.d}, {decompositions.format_form(self)!r})"
 
 
 def _trusted(n: int, d: int, a: dict, exact: bool) -> Form:
@@ -306,7 +316,8 @@ class _Reader:
             m = next(m for m in _TOKEN_RE.finditer(text) if m.lastgroup == "bad")
             raise ParseError(f"unexpected character {m['bad']!r} at {m.start('bad')}")
         self.tokens.append(("end", ""))
-        self.pos, self.bases = 0, bases
+        self.pos = 0
+        self.bases = bases
 
     def read(self) -> list:
         if len(self.tokens) == 1:

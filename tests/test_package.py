@@ -95,10 +95,10 @@ def test_cli_import_runs_only_the_form_core():
     result, ran = _ran("import canonform.cli\nresult = [sorted(\n"
                        "    m for m in sys.modules if m.startswith('canonform')),\n"
                        "    sorted(set(vars(canonform.forms)) & canonform.forms._MOVED),\n"
-                       "    '_cmd_decompose' in vars(canonform.cli)]")
+                       "    sorted(set(vars(canonform.cli)) & canonform.cli._MOVED)]")
     assert ran == CORE
     assert result == [sorted(["canonform"] + [f"canonform.{m}"
-                                              for m in CORE + DEFERRED]), [], False]
+                                              for m in CORE + DEFERRED]), [], []]
 
 
 def _names_read_from(module: str) -> set:
@@ -163,6 +163,22 @@ def test_forms_serves_the_decomposition_half():
     assert result == [["canonform.errors", "canonform.forms", "canonform.scalars"],
                       "canonform.decompositions"]
     assert ran == ["decompositions", "errors", "forms", "linalg", "scalars"]
+
+
+def test_cli_serves_only_the_moved_handlers():
+    from canonform import cli, commands
+
+    for name in cli._MOVED:
+        assert getattr(cli, name) is getattr(commands, name), name
+    with pytest.raises(AttributeError,
+                       match="module 'canonform.cli' has no attribute 'poly_roots'"):
+        cli.poly_roots
+    # probing a name cli does not serve, one of commands.py's included, runs
+    # nothing
+    result, ran = _ran("import canonform.cli as cli\n"
+                       "result = [hasattr(cli, 'no_such'), hasattr(cli, 'parse_form')]")
+    assert result == [False, False]
+    assert ran == CORE
 
 
 def test_concurrent_first_reads_run_the_code_once():
