@@ -663,6 +663,8 @@ def _hyperplane_coefficients(c) -> list[Scalar]:
     c = [as_scalar(v) for v in c]
     if len(c) != 4:
         raise BadShape(f"hyperplane needs 4 coefficients c1..c4, got {len(c)}")
+    for k, v in enumerate(c, 1):
+        _dyadic(v, f"hyperplane coefficient c{k}")  # refuses a NaN or infinity
     if not any(c):
         raise AllZero("hyperplane coefficients are all zero")
     return c
@@ -682,7 +684,7 @@ def _hyperplane_epsilon(c: list[Scalar], eps: float) -> Scalar | None:
 def _build_hyperplane(c) -> ParamMap:
     c = _hyperplane_coefficients(c)
     # -c_i / c_pivot from c read exactly, so the modular rank decides the map
-    exact = [_dyadic(v, f"hyperplane coefficient c{k}") for k, v in enumerate(c, 1)]
+    exact = list(map(_dyadic, c))
     pivot = 3 if c[3] else max(k for k in range(4) if c[k])
     free = [k for k in range(4) if k != pivot]
     slot_mono = {0: (1, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1)}

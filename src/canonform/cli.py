@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 inconclusive or degenerate input,
 3 internal failure.  With --json and a fixed seed the output bytes are
 identical across runs.  The other subcommands' handlers are in
-canonform.commands, run on first use; this module serves the names moved
-there too.
+canonform.commands, run on first use.
 """
 
 from __future__ import annotations
@@ -268,26 +267,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except CanonformError as exc:
+    except (CanonformError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-# names of commands.py, which runs on the first read of one here
-_MOVED = frozenset("""_COUNT_MAX_ARG _COUNT_MAX_D _COUNT_MAX_TRIALS _ENUM_MAX_D
-    _ENUM_MAX_R _ENUM_MAX_SCAN _EX310 _EX41 _PAPER_EXAMPLES _SHEARING_ALGOS
-    _above _cmd_count _cmd_decompose _cmd_enumerate _cmd_verify_examples
-    _drab_identities_ok _factor_product_ok _hankel_kernel_ok
-    _parse_float_range_form _read_form _render _sheared enumeration""".split())
-
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(commands, name)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 points and the factoring of binary forms, with the half of forms.py that
 they use and the certifier does not: the product and power kernels, the
 bodies of Form's substitution, evaluation, snapping and chopping, and form
-text and JSON.  canonform.forms serves these names too.
+text and JSON.  canonform.forms serves the public names among these too.
 """
 
 from __future__ import annotations
@@ -491,9 +491,7 @@ class Decomposition:
                       t.power) for t in self.terms]
         residual = self.residual.snapped(max_den) if self.residual is not None else None
         cand = Decomposition(terms, residual, dict(self.meta))
-        if not _differs_mod_p(cand, target) and cand.reconstruct() == target:
-            return cand
-        return None
+        return cand if cand.reconstruct() == target else None
 
     def __str__(self) -> str:
         return format_decomposition(self)
@@ -514,62 +512,24 @@ class Decomposition:
         return cls(terms, residual, obj.get("meta", {}))
 
 
-# The fixed point of F_p^n at which a snapped candidate is compared with its
-# target has coordinates k * _PROBE mod MOD_P, k = 1..n: a constant, not a
-# random draw, so output and seed streams stay as they are.
-_PROBE = 0x9E3779B97F4A7C15
-
-
-def _parts(dec: Decomposition, target: Form) -> list | None:
-    """dec's parts (multiplier, form, power), its residual r as (1, r, 1), or
-    None when it has none or a part's shape does not fit target."""
-    parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
-    if dec.residual is not None:
-        parts.append((QQi(1), dec.residual, 1))
-    if not parts or any(f.n != target.n or k < 0 or f.d * k != target.d
-                        for _, f, k in parts):
-        return None
-    return parts
-
-
-def _differs_mod_p(dec: Decomposition, target: Form) -> bool:
-    """Whether dec.reconstruct() != target is proved at one point mod MOD_P.
-
-    Evaluation at a point and reduction mod MOD_P are ring maps, so values
-    that differ there come from different forms.  False decides nothing: it
-    is also the answer when a scalar has no image mod MOD_P or a part's
-    shape does not fit target, which leaves those cases to the exact rebuild.
-    """
-    n, d = target.n, target.d
-    if (parts := _parts(dec, target)) is None:
-        return False
-    top = max(d, *(f.d for _, f, _ in parts))
-    powers = []
-    for k in range(1, n + 1):
-        u, row = k * _PROBE % MOD_P, [1]
-        for _ in range(top):
-            row.append(row[-1] * u % MOD_P)
-        powers.append(row)
-    try:
-        value = sum(mod_p(c) * pow(_value_mod_p(f, powers), k, MOD_P)
-                    for c, f, k in parts) - _value_mod_p(target, powers)
-    except _NoImage:
-        return False
-    return value % MOD_P != 0
-
-
 def _snap_differs_at_pure_powers(dec: Decomposition, target: Form,
                                  max_den: int) -> bool:
     """Whether dec snapped at max_den is proved to differ from target mod
     MOD_P at a pure power x_j^d, j = 1..n in turn.
 
     The x_j^d coefficient of mu b^k is mu times b's x_j^deg(b) coefficient
-    to the k, so each part snaps one coefficient per j.  False decides
-    nothing, as for _differs_mod_p; it is also the answer when every value
-    of dec is exact, since its snap is then dec itself.
+    to the k, so each part snaps one coefficient per j; a residual r is the
+    part (1, r, 1).  Reduction mod MOD_P is a ring map, so coefficients that
+    differ there come from different forms.  False decides nothing: it is
+    the answer when a part's shape does not fit target, a scalar has no
+    image mod MOD_P, or every value of dec is exact, since its snap is then
+    dec itself.
     """
-    parts = _parts(dec, target)
-    if parts is None or all(is_exact(c) and f.exact for c, f, _ in parts):
+    parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
+    if dec.residual is not None:
+        parts.append((QQi(1), dec.residual, 1))
+    if all(is_exact(c) and f.exact for c, f, _ in parts) or any(
+            f.n != target.n or k < 0 or f.d * k != target.d for _, f, k in parts):
         return False
 
     def pure(f: Form, x: MultiIndex) -> int:  # x: the exponents of x_j
@@ -582,18 +542,6 @@ def _snap_differs_at_pure_powers(dec: Decomposition, target: Form,
                     - pure(target, x)) % MOD_P for x in _monomials(target.n, 1))
     except _NoImage:
         return False
-
-
-def _value_mod_p(p: Form, powers: list[list[int]]) -> int:
-    """p at the point whose coordinate powers are given, from the raw
-    coefficients a(i) * c(i), mod MOD_P."""
-    total = 0
-    for idx, v in p._a.items():
-        m = mod_p(v) * multinomial(idx)
-        for row, e in zip(powers, idx):
-            m = m * row[e] % MOD_P
-        total += m
-    return total % MOD_P
 
 
 def format_decomposition(dec: Decomposition) -> str:

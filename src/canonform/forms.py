@@ -11,8 +11,8 @@ function of its inputs.  Form(...) checks every index and value; the ring
 operations trust the indices they build and skip those checks.  Storage
 stays normalised: moving c(i) into the values would reorder float
 operations ((s/c)*c != s for some doubles) and change approximate results.
-The rest of the form code (products, powers, substitution, text and JSON)
-is in canonform.decompositions, run on first use; this module serves it.
+The rest of the form code (products, powers, substitution, text, JSON) is
+in canonform.decompositions, run on first use; forms serves its public names.
 """
 
 from __future__ import annotations
@@ -419,9 +419,7 @@ def parse_scalar(text: str) -> QQi:
 _MOVED = frozenset("""ACCEPT_TOL Decomposition Term biermann_point binary_factor
     check_decomposable format_decomposition format_form form_from_json form_to_json
     forms_close pad_form parse_decomposition parse_form power_of_linear random_form
-    restrict_form var_names _Codes _PROBE _deflate_exact _differs_mod_p
-    _exact_product _form _is_negative_scalar _linear_powers _monomial_text _pack
-    _power_steps _value_mod_p _width""".split())
+    restrict_form var_names""".split())
 
 
 def __getattr__(name):

@@ -104,7 +104,8 @@ def uppertri(p: Form, eps: float = EPS_DEFAULT) -> TriangularSquares:
     a square in Q(i); DegenerateInput unless the rows are accepted for p."""
     squares = []
     for _, a, lrow in uppertri_pairs(p, eps):
-        root = scalar_sqrt(a)
+        if not (root := scalar_sqrt(a)):
+            raise DegenerateInput("a pivot's square root is below float range")
         row = (lrow if is_exact(root) else lrow.approx()).scale(1 / root)
         squares.append(Term(1, row, 2))
     dec = Decomposition(squares).accepted(p, eps) if squares else Decomposition([])

@@ -804,6 +804,19 @@ def test_float_hyperplane_is_certified_as_given_by_the_modular_rank(monkeypatch)
         build_map("hyperplane", c=[1.0, math.nan, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(1, math.inf)])
+@pytest.mark.parametrize("check", [
+    hyperplane_classify, lambda c: build_map("hyperplane", c=c)],
+    ids=["hyperplane_classify", "build_map"])
+def test_infinite_hyperplane_coefficient_is_degenerate_input(bad, check):
+    # [1, inf, 2, 1] and [inf, 0, 0, 0] were once called Exceptional, the
+    # first with zero point (-1, -inf+nanj)
+    with pytest.raises(DegenerateInput, match="coefficient c2 is not finite"):
+        check([1.0, bad, 2.0, 1.0])
+    with pytest.raises(DegenerateInput, match="coefficient c1 is not finite"):
+        check([bad, 0, 0, 0])
+
+
 def _looped_hyperplane_classify(c, eps=EPS_DEFAULT, seed=0, trials=64):
     """hyperplane_classify as it was, with its own search and rank test."""
     c = canonicity._hyperplane_coefficients(c)

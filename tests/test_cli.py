@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import canonform
-from canonform import cli, forms_close, parse_form
+from canonform import cli, commands, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
 from canonform.forms import ACCEPT_TOL, parse_decomposition, var_names
@@ -417,7 +417,7 @@ def test_enumerate_above_its_caps_is_a_usage_error(capsys, argv, message):
 
 def test_enumerate_takes_inputs_at_its_caps(capsys, monkeypatch):
     scanned = []
-    monkeypatch.setattr(cli.enumeration, "obstruction_A",
+    monkeypatch.setattr(commands.enumeration, "obstruction_A",
                         lambda d, n: scanned.append((d, n)) or n == 7)
     code, out, _ = run_cli(["enumerate", "obstruction", "--d", "100",
                             "--max", "10000"], capsys=capsys)
@@ -901,7 +901,7 @@ def test_scaling_a_cubic_keeps_its_verdict(capsys, flags, algo, scaled, twin,
         assert got == code
         if code == 0:
             p = parse_form(text).approx()
-            _assert_rebuilds(out, cli._sheared(p, 0) if shear else p)
+            _assert_rebuilds(out, commands._sheared(p, 0) if shear else p)
 
 
 def test_uppertri_below_norm_one_prints_rows_that_rebuild_the_input(capsys):
@@ -1036,6 +1036,27 @@ def test_inputs_with_tiny_roots_or_noise_levels_decompose(capsys, argv):
     # slowpoke level that vanishes on the grid is noise
     code, out, err = run_cli(argv, capsys=capsys)
     assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "uppertri",
+     "0.5*x^2 + 1/5*y^2 + 4*x^2 + 1e300*x*y + 8/4*x*y"],
+    ["decompose", "quartic-two-fixed", "1e300*x^3*y + (2+5*i)*x*y^3",
+     "--l1", "x+2*y", "--l2", "3*x+y"],
+    ["decompose", "quartic-six", "-6*x^2*y^2 + (8+1*i)*x^3*y"
+     " + 1e300*x^2*y^2 + 0.5*x*y^3 + 1e-12*x^3*y"],
+    ["decompose", "slinky", "(-9+4*i)*x*y^2 + (9+4*i)*x*y^2 + 2/3*x^2*y"
+     " + 1e-300*y^3 + 1e300*x*y^2"],
+    ["decompose", "uppertri", "-2*x3^2 + 1e-300*x3*x4"],
+])
+def test_overflow_and_pivot_roots_below_float_range_are_degenerate(capsys,
+                                                                   argv):
+    # the first four once overflowed converting an exact value to a float
+    # (exit 3, OverflowError); the last took the square root of a pivot
+    # near 1e-601 as 0 and divided by it (exit 3, ZeroDivisionError)
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "internal error" not in err
 
 
 # algorithm: (variable counts, degrees, extra argv) for the fuzz below

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi
-from canonform.forms import (Decomposition, Form, Term, _deflate_exact,
-                             _exact_product, index_set, linear_coeffs,
-                             linear_form, power_of_linear)
+from canonform.decompositions import _deflate_exact, _exact_product
+from canonform.forms import (Decomposition, Form, Term, index_set,
+                             linear_coeffs, linear_form, power_of_linear)
 from canonform.linalg import exact_rref
 
 props = settings(max_examples=150, deadline=None, derandomize=True)

@@ -91,14 +91,13 @@ def test_each_subcommand_runs_only_the_modules_it_uses(argv, runs):
 def test_cli_import_runs_only_the_form_core():
     # certify never runs linalg, the decompose half of the forms or the
     # handlers of the other subcommands, and the names moved there are
-    # served, not defined, by forms and cli
+    # served, not defined, by forms
     result, ran = _ran("import canonform.cli\nresult = [sorted(\n"
                        "    m for m in sys.modules if m.startswith('canonform')),\n"
-                       "    sorted(set(vars(canonform.forms)) & canonform.forms._MOVED),\n"
-                       "    sorted(set(vars(canonform.cli)) & canonform.cli._MOVED)]")
+                       "    sorted(set(vars(canonform.forms)) & canonform.forms._MOVED)]")
     assert ran == CORE
     assert result == [sorted(["canonform"] + [f"canonform.{m}"
-                                              for m in CORE + DEFERRED]), [], []]
+                                              for m in CORE + DEFERRED]), []]
 
 
 def _names_read_from(module: str) -> set:
@@ -124,8 +123,8 @@ def _names_read_from(module: str) -> set:
 
 
 @pytest.mark.parametrize("module, some", [
-    ("cli", {"main", "_sheared", "enumeration"}),
-    ("forms", {"Form.substitute", "parse_form", "form_to_json", "_exact_product"}),
+    ("cli", {"main", "build_parser", "_catalog_param"}),
+    ("forms", {"Form.substitute", "parse_form", "form_to_json", "_Reader"}),
 ])
 def test_every_name_read_from_cli_and_forms_resolves(module, some):
     names = sorted(_names_read_from(module) - {"poly_roots"})  # read to fail
@@ -148,6 +147,9 @@ def test_forms_serves_the_decomposition_half():
 
     for name in forms._MOVED:
         assert getattr(forms, name) is getattr(decompositions, name), name
+    # a private name of decompositions is read from there
+    assert not any(name.startswith("_") for name in forms._MOVED)
+    assert not hasattr(forms, "_exact_product")
     assert {canonform._OWNER[name] for name in ("Decomposition", "Term",
             "binary_factor", "biermann_point", "parse_decomposition")} == {
         "decompositions"}
@@ -165,19 +167,18 @@ def test_forms_serves_the_decomposition_half():
     assert ran == ["decompositions", "errors", "forms", "linalg", "scalars"]
 
 
-def test_cli_serves_only_the_moved_handlers():
-    from canonform import cli, commands
+def test_cli_serves_no_commands_name():
+    from canonform import cli
 
-    for name in cli._MOVED:
-        assert getattr(cli, name) is getattr(commands, name), name
     with pytest.raises(AttributeError,
                        match="module 'canonform.cli' has no attribute 'poly_roots'"):
         cli.poly_roots
-    # probing a name cli does not serve, one of commands.py's included, runs
-    # nothing
+    # the handlers are read from commands; probing one of their names on cli,
+    # or any other name it lacks, runs nothing
     result, ran = _ran("import canonform.cli as cli\n"
-                       "result = [hasattr(cli, 'no_such'), hasattr(cli, 'parse_form')]")
-    assert result == [False, False]
+                       "result = [hasattr(cli, n) for n in ('_sheared', 'enumeration',\n"
+                       "          '_cmd_count', 'no_such', 'parse_form')]")
+    assert result == [False] * 5
     assert ran == CORE
 
 
