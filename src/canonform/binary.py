@@ -83,14 +83,13 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     catalecticant; its linear factors give the nodes, and the multipliers
     solve a Vandermonde system.  By Comas and Seiguer (Found. Comput. Math.
     11, 2011), when the first order r0 with a kernel has no squarefree kernel
-    form, no order below d - r0 + 2 has one, so exact input goes straight
-    there; approximate input, whose kernels are tolerance decisions, walks on
-    order by order.  A failed solve or check moves on to the next order.
+    form, no order below d - r0 + 2 has one, so the search goes straight
+    there.  A failed solve or check moves on to the next order.
     Exact inputs with rational nodes come back exact.
     """
     check_decomposable(p, p.n == 2,
                        "Sylvester's algorithm needs a binary form")
-    d, r, walk = p.d, 1, not p.exact
+    d, r, walk = p.d, 1, False
     while r <= d:
         order, r = r, r + 1
         kernel = hankel_kernel(hankel(p, order), eps)

@@ -273,13 +273,13 @@ _POLISH_STEPS = 2
 
 def poly_roots(coeffs: list[Scalar]) -> list[complex]:
     """Roots of c_0 + c_1 t + ... + c_m t^m with c_m != 0 (companion matrix);
-    DegenerateInput when a ratio c_j / c_m, so the matrix, is not finite
-    (c_m may be nonzero but below float range)."""
+    DegenerateInput when 1 / c_m or a ratio c_j / c_m, so the matrix, is not
+    finite (c_m may be nonzero but below float range)."""
     c = [complex(v) for v in coeffs]
     m = len(c) - 1
     if m <= 0:
         return []
-    if not c[-1] or not all(cmath.isfinite(v / c[-1]) for v in c):
+    if not c[-1] or not all(cmath.isfinite(v / c[-1]) for v in (1, *c)):
         raise DegenerateInput("root polynomial beyond float range")
     if m == 1:
         return [-c[0] / c[1]]

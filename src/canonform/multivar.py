@@ -92,7 +92,7 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
                 raise PivotZero(k + 1)
             lrow = linear_form(quadratic_row(work, k))
             out.append((k, a, lrow))
-            work = work - (lrow * lrow).scale(QQi(1) / a if is_exact(a) else 1.0 / a)
+            work = work - (lrow * lrow).scale(1 / a)
         # x_k has left the residual; on floats, drop the rounding it left
         if (work := _eliminate(work, [k], max(ACCEPT_TOL, eps), scale)) is None:
             raise DegenerateInput(f"the residual kept x{k + 1}")
@@ -159,10 +159,9 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
         den = complex(v @ amf @ v)
         if den != 0:
             c = num / den
-        s = complex(v @ amf @ v)
-        if abs(s) <= eps * float(np.max(np.abs(amf))):
+        if abs(den) <= eps * float(np.max(np.abs(amf))):
             raise DegeneratePencil("isotropic pencil eigenvector")
-        columns.append(v / s ** 0.5)
+        columns.append(v / den ** 0.5)
         eigs.append(c)
     vmat = np.array(columns).T
     try:
@@ -296,11 +295,11 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
             if scalar_is_zero(tail, eps, scale=max(abs(complex(v))
                                                    for v in linear_coeffs(lrow))):
                 raise DegenerateStage(stage, f"t_jn = 0 for row {k + 1}")
-            mult = 1 / (3 * a * tail) if not is_exact(a) else QQi(1) / (3 * a * tail)
+            mult = 1 / (3 * a * tail)
             base = pad_form(lrow, n, list(range(t + 1)))
             terms.append(Term(mult, base, 3))
             current = current - Term(mult, base, 3).form()
-        current = _eliminate(current, [t], max(1e-7, eps), p.norm())
+        current = _eliminate(current, [t], max(ACCEPT_TOL, eps), p.norm())
         if current is None:
             raise DegenerateStage(stage, "residual kept the eliminated variable")
     if not current.is_zero(eps, scale=p.norm()):
@@ -474,7 +473,7 @@ def _slowpoke_rec(t: np.ndarray, eps: float,
     q = t3 - np.einsum("k,ki,kj,kl->ijl", mus, rows, rows, rows)
 
     # residual lives in the tail variables; recurse
-    if np.abs(q[0]).max() > max(1e-7, eps) * _tensor_norm(t3):
+    if np.abs(q[0]).max() > max(ACCEPT_TOL, eps) * _tensor_norm(t3):
         raise DegenerateStage(n, "slowpoke residual kept y_1")
     sub_mus, sub_rows = _slowpoke_rec(q[1:, 1:, 1:], eps, floor / max(abs(c), 1.0))
     mus = np.concatenate([mus, sub_mus])

@@ -380,7 +380,10 @@ def snap_scalar(v: Scalar, max_den: int = SNAP_MAX_DEN) -> QQi:
 def _part_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, from one gcd."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError as exc:  # over Python's int-to-str digit limit
+        raise OverflowError(str(exc).partition(";")[0]) from None
 
 
 def format_exact(z: QQi) -> str:

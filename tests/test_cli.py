@@ -1048,15 +1048,24 @@ def test_inputs_with_tiny_roots_or_noise_levels_decompose(capsys, argv):
     ["decompose", "slinky", "(-9+4*i)*x*y^2 + (9+4*i)*x*y^2 + 2/3*x^2*y"
      " + 1e-300*y^3 + 1e300*x*y^2"],
     ["decompose", "uppertri", "-2*x3^2 + 1e-300*x3*x4"],
+    ["decompose", "quartic-lift", "--",
+     "1e-12*x^2*y*z + 0.5*x*y*z^2 + (-3)*x*y*z^2 + (-1)*x*y*z^2"
+     " + 3.14159*y^2*z^2 + 1e-300*x^2*z^2"],
+    ["decompose", "slinky", "9/6*x2^2*x4 + 3*x1^2*x2 + 1e-300*x1*x2*x5",
+     "--shear"],
 ])
 def test_overflow_and_pivot_roots_below_float_range_are_degenerate(capsys,
                                                                    argv):
     # the first four once overflowed converting an exact value to a float
-    # (exit 3, OverflowError); the last took the square root of a pivot
-    # near 1e-601 as 0 and divided by it (exit 3, ZeroDivisionError)
+    # (exit 3, OverflowError); the fifth took the square root of a pivot
+    # near 1e-601 as 0 and divided by it (exit 3, ZeroDivisionError); the
+    # sixth handed numpy's companion matrix a subnormal leading coefficient
+    # (exit 3, LinAlgError); the last built an exact coefficient past
+    # Python's int-to-str digit limit (exit 3, ValueError)
     code, out, err = run_cli(argv, capsys=capsys)
     assert (code, out) == (2, "")
     assert "internal error" not in err
+    assert "set_int_max_str_digits" not in err
 
 
 # algorithm: (variable counts, degrees, extra argv) for the fuzz below
