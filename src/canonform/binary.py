@@ -10,6 +10,7 @@ representation counts for other shapes.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -281,90 +282,39 @@ class QuarticNormal:
         return parse_form("x^4 + y^4") + monomial_form(2, (2, 2), 6 * self.lam)
 
 
-def _projective_zero(lin: Form) -> tuple[complex, complex]:
-    cx, cy = (complex(v) for v in linear_coeffs(lin))
-    return (-cy, cx)
-
-
-def _mobius_canonical(p1, p2, p3):
-    """2x2 map sending p1, p2, p3 to (1,0), (0,1), (1,1) projectively."""
-    rows = [[p2[1], -p2[0]], [p1[1], -p1[0]]]
-    w = [rows[0][0] * p3[0] + rows[0][1] * p3[1],
-         rows[1][0] * p3[0] + rows[1][1] * p3[1]]
-    if w[0] == 0 or w[1] == 0:
-        return None
-    return [[rows[0][0] / w[0], rows[0][1] / w[0]],
-            [rows[1][0] / w[1], rows[1][1] / w[1]]]
-
-
-def _proj_chordal(u, v) -> float:
-    nu = (abs(u[0]) ** 2 + abs(u[1]) ** 2) ** 0.5
-    nv = (abs(v[0]) ** 2 + abs(v[1]) ** 2) ** 0.5
-    return abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv)
-
-
 def quartic_normalize(p: Form, eps: float = EPS_DEFAULT) -> QuarticNormal:
     """Transform a quartic with distinct roots to x^4 + 6 lambda x^2 y^2 + y^4.
 
-    Pairs the four roots into {t, -t} and {1/t, -1/t} patterns; the cross
-    ratio pins t and three correspondences pin the Moebius map, which is then
-    accepted if the fourth root and the transformed coefficients agree.
+    The Jacobian of the root-pair quadratics f = l0 l1 and g = l2 l3 vanishes
+    on their common harmonic pair, the fixed points of the involution that
+    swaps each pair's roots; in coordinates X, Y vanishing there p is
+    a X^4 + b X^2 Y^2 + c Y^4, and scaling X by (c/a)^(1/4) balances it.
     """
     if p.n != 2 or p.d != 4:
         raise ShapeMismatch("need a binary quartic")
     _, factors = binary_factor(p, eps)
     if any(mult > 1 for _, mult in factors) or len(factors) != 4:
         raise RepeatedRoot("quartic normalization needs 4 distinct roots")
-    z = [_projective_zero(lin) for lin, _ in factors]
-    tol = max(eps, 1e-9) ** 0.5
-
-    def det2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    for (ia, ib), (ic, id_) in pairings:
-        for swap_b in (False, True):
-            for swap_d in (False, True):
-                a, b = (z[ia], z[ib]) if not swap_b else (z[ib], z[ia])
-                c, dd = (z[ic], z[id_]) if not swap_d else (z[id_], z[ic])
-                denom = det2(a, dd) * det2(b, c)
-                if denom == 0:
-                    continue
-                rho = det2(a, c) * det2(b, dd) / denom
-                sigma = complex(rho) ** 0.5
-                if sigma == 1:
-                    continue
-                t2 = (1 + sigma) / (1 - sigma)
-                t = complex(t2) ** 0.5
-                if t == 0:
-                    continue
-                targets = [(1 + 0j, t), (1 + 0j, -t), (t, 1 + 0j)]
-                g_src = _mobius_canonical(a, b, c)
-                g_dst = _mobius_canonical(*targets)
-                if g_src is None or g_dst is None:
-                    continue
-                gd_inv = mat_inverse(g_dst)
-                if gd_inv is None:
-                    continue
-                mob = [[gd_inv[i][0] * g_src[0][j] + gd_inv[i][1] * g_src[1][j]
-                        for j in range(2)] for i in range(2)]
-                image_d = (mob[0][0] * dd[0] + mob[0][1] * dd[1],
-                           mob[1][0] * dd[0] + mob[1][1] * dd[1])
-                if _proj_chordal(image_d, (t, -1 + 0j)) > tol:
-                    continue
-                transform = mat_inverse(mob)
-                if transform is None:
-                    continue
-                q = p.approx().substitute(transform)
-                scale = q.norm()
-                a0, a1 = q.raw((4, 0)), q.raw((3, 1))
-                a2, a3, a4 = q.raw((2, 2)), q.raw((1, 3)), q.raw((0, 4))
-                if (abs(a1) > tol * scale or abs(a3) > tol * scale
-                        or abs(a0 - a4) > tol * scale or abs(a0) <= tol * scale):
-                    continue
-                lam = (a2 / 6) / a0
-                return QuarticNormal(lam, tuple(tuple(row) for row in transform))
-    raise NormalizationFailed("no root pairing gave a consistent transform")
+    lins = [lin.approx() for lin, _ in factors]
+    f, g = lins[0] * lins[1], lins[2] * lins[3]
+    jac = f.partial(0) * g.partial(1) - f.partial(1) * g.partial(0)
+    # no tolerance: when every root is far out, J's end coefficients sit
+    # below eps times its norm; the checks below and the rebuild judge it
+    if len(axes := binary_factor(jac, 0.0)[1]) != 2:
+        raise NormalizationFailed("the root pairs have no two distinct "
+                                  "harmonic points")
+    inv = mat_inverse([[complex(v) for v in linear_coeffs(lin)]
+                       for lin, _ in axes])
+    if inv is None:
+        raise NormalizationFailed("the harmonic axes are dependent")
+    q = p.approx().substitute(inv)
+    a, b, c = (complex(q.raw(idx)) for idx in ((4, 0), (2, 2), (0, 4)))
+    if a == 0 or c == 0 or not cmath.isfinite(c / a):
+        raise NormalizationFailed("a X^4 + b X^2 Y^2 + c Y^4 has no finite "
+                                  "nonzero c/a")
+    s = (c / a) ** 0.25
+    transform = tuple((row[0] * s, row[1]) for row in inv)
+    return QuarticNormal(b * s * s / (6 * c), transform)
 
 
 def quartic_six_reps(lam: Scalar, eps: float = EPS_DEFAULT) -> list[Decomposition]:

@@ -34,7 +34,7 @@ class DegenerateLambda(CanonformError):
 
 
 class NormalizationFailed(CanonformError):
-    """No root pairing yields a consistent quartic normal form."""
+    """The harmonic axes of a quartic's root pairs give no finite normal form."""
 
 
 class UnsupportedShape(CanonformError):

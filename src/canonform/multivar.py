@@ -286,7 +286,7 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
             stages.append({"stage": stage, "eliminated": t + 1, "cubes": 0})
             continue
         try:
-            pairs = uppertri_pairs(restrict_form(h, list(range(t + 1))), eps)
+            pairs = uppertri_pairs(h, eps)
         except PivotZero as exc:
             raise DegenerateStage(stage, f"square completion pivot: {exc}") from exc
         stages.append({"stage": stage, "eliminated": t + 1, "cubes": len(pairs)})
@@ -296,9 +296,8 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
                                                    for v in linear_coeffs(lrow))):
                 raise DegenerateStage(stage, f"t_jn = 0 for row {k + 1}")
             mult = 1 / (3 * a * tail)
-            base = pad_form(lrow, n, list(range(t + 1)))
-            terms.append(Term(mult, base, 3))
-            current = current - Term(mult, base, 3).form()
+            terms.append(Term(mult, lrow, 3))
+            current = current - Term(mult, lrow, 3).form()
         current = _eliminate(current, [t], max(ACCEPT_TOL, eps), p.norm())
         if current is None:
             raise DegenerateStage(stage, "residual kept the eliminated variable")

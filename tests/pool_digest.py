@@ -1,0 +1,73 @@
+"""One digest over every benchmark pool request's CLI output.
+
+Runs the certify round, the decompose pool and the count pool of
+bench/workloads.py through cli.main in-process, each request in text and
+with --json, and prints the run count and one sha256 over
+(argv, exit code, stdout, stderr) of all runs.  Reads the bench modules
+only and writes nothing under bench/.  Usage:
+
+    PYTHONPATH=src python tests/pool_digest.py [--per FILE]
+
+--per FILE also writes {argv as JSON: sha256 of that run} to FILE, so two
+such files show which runs differ.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+from canonform import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _workloads():
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def pool_argvs() -> list[list[str]]:
+    """Every pool request's argv, in text and with --json."""
+    wl = _workloads()
+    out = []
+    for req in wl.certify_round() + wl.decompose_pool() + wl.count_pool():
+        text = [a for a in req.argv if a != "--json"]
+        out += [text, ["--json"] + text]
+    return out
+
+
+def run(argv: list[str]) -> bytes:
+    """The run's (argv, exit code, stdout, stderr) as one JSON line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return (json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--per", metavar="FILE",
+                        help="write a digest for each run to FILE")
+    args = parser.parse_args()
+    total, per = hashlib.sha256(), {}
+    for argv in pool_argvs():
+        line = run(argv)
+        total.update(line)
+        per[json.dumps(argv)] = hashlib.sha256(line).hexdigest()
+    print(len(per), total.hexdigest())
+    if args.per:
+        Path(args.per).write_text(json.dumps(per, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

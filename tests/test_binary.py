@@ -13,9 +13,9 @@ from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               quartic_power_ratio, quartic_six_for_form,
                               quartic_six_reps, quartic_two_fixed,
                               sylvester_decompose, two_squares_all)
-from canonform.errors import (DegenerateInput, DegenerateLambda, LeadingZero, NotGeneric, RepeatedRoot,
-                              UnsupportedShape, ZeroForm)
-from canonform.forms import Form
+from canonform.errors import (DegenerateInput, DegenerateLambda, LeadingZero, NormalizationFailed,
+                              NotGeneric, RepeatedRoot, UnsupportedShape, ZeroForm)
+from canonform.forms import ACCEPT_TOL, Form
 from canonform.linalg import chordal_distance
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
@@ -371,6 +371,15 @@ def quartic_invariants(p):
     return i2, j3
 
 
+def float_quartic(roots):
+    """prod (y - r x) over the four roots, with float coefficients."""
+    p = None
+    for root in roots:
+        lin = linear_form([-root - 0j, 1.0 + 0j])
+        p = lin if p is None else p * lin
+    return p
+
+
 class TestQuartic:
     def test_six_reps_at_zero(self):
         reps = quartic_six_reps(0)
@@ -403,14 +412,31 @@ class TestQuartic:
         assert any(abs(complex(qn0.lam) - w) < 1e-6 for w in orbit0)
 
     def test_normalize_reconstruction_contract(self):
+        # p o transform is c (x^4 + 6 lambda x^2 y^2 + y^4): no x^3 y or x y^3
+        # term and equal x^4 and y^4 terms, on exact, Gaussian and
+        # approximate input, a root at infinity and a close root pair
         rng = random.Random(24)
-        for _ in range(5):
-            p = random_form(2, 4, rng)
+        quartics = ([random_form(2, 4, rng) for _ in range(8)]
+                    + [random_form(2, 4, rng, gaussian=True) for _ in range(8)]
+                    + [random_form(2, 4, rng, gaussian=True).approx()
+                       for _ in range(8)]
+                    + [parse_form("2*x^3*y - 3*x^2*y^2 + 5*x*y^3 + 7*y^4"),
+                       float_quartic((0.0, 1e-3, 2.0, 3.0))])
+        for p in quartics:
             qn = quartic_normalize(p)
             q = p.approx().substitute([list(r) for r in qn.transform])
-            c = q.raw((4, 0))
-            target = qn.normal_form().approx().scale(c)
+            scale = q.norm()
+            a0, a1, a3, a4 = (q.raw((4 - j, j)) for j in (0, 1, 3, 4))
+            assert max(abs(a1), abs(a3), abs(a0 - a4)) <= 1e-9 * scale, p
+            target = qn.normal_form().approx().scale(a0)
             assert forms_close(q, target, 1e-6)
+
+    def test_normalize_refuses_a_non_finite_normal_form(self):
+        # the x^4 and y^4 coefficients in the harmonic axes overflow, which
+        # once came back as lambda = nan
+        p = parse_form("-0.343e116*x^2*y^2 + 9*x*y^3 + 0.747e5*x^3*y")
+        with pytest.raises(NormalizationFailed):
+            quartic_normalize(p)
 
     def test_repeated_root_rejected(self):
         with pytest.raises(RepeatedRoot):
@@ -435,10 +461,12 @@ class TestQuartic:
 
     def test_six_for_general_form(self):
         rng = random.Random(26)
-        p = random_form(2, 4, rng)
-        reps = quartic_six_for_form(p)
-        assert len(reps) == 6
-        assert all(r.verify(p, 1e-6) for r in reps)
+        for _ in range(40):
+            exact = random_form(2, 4, rng, gaussian=rng.random() < 0.5)
+            for p in (exact, exact.approx()):
+                reps = quartic_six_for_form(p)
+                assert len(reps) == 6
+                assert all(r.verify(p, ACCEPT_TOL) for r in reps), p
 
     def test_pullback_ratios_are_a_moebius_image(self):
         # the six t5/t4 ratios of a general quartic are the image of
@@ -472,10 +500,7 @@ class TestQuartic:
 
     def test_six_for_nearly_degenerate_quartic(self):
         # distinct roots separated by 1e-3 still normalize and pull back
-        p = None
-        for root in (0.0, 1e-3, 2.0, 3.0):
-            lin = linear_form([-root - 0j, 1.0 + 0j])
-            p = lin if p is None else p * lin
+        p = float_quartic((0.0, 1e-3, 2.0, 3.0))
         reps = quartic_six_for_form(p)
         assert len(reps) == 6
         assert all(r.verify(p, 1e-5) for r in reps)

@@ -222,49 +222,49 @@ _GOLDEN_DECOMPOSE = [
       '5*(x^2+(0-8/5*i)*x*y-y^2)^2 - 4*(x+(0-1*i)*y)^4\n'),
      '1fc1f6ef77a0b7e2eb26967e8f5d74247305d0a4b975cc88c756c8fffb462ed5'),
     (['decompose', 'quartic-six', 'x^4 + 2*x^3*y + 3*y^4'],
-     ('(0.0051387417299431325-0.005062671580013644*i)*'
-      '((27.623096667605402+11.321388368090252*i)*'
-      'x^2+(83.72393148559304+34.31444184038136*i)*x*'
-      'y+(75.95839185424646+31.131717936823705*i)*y^2)^2 + '
-      '(-0.2502655145159677+0.24656076806014116*i)*'
-      '((0.3831760269222353-1.9453013210763652*i)*'
-      'x+(0.6523642131267957-3.311911175163499*i)*y)^4\n'
-      '(0.0051387417299431325-0.005062671580013644*i)*'
-      '((-17.594979537830195-7.211341982160356*i)*'
-      'x^2+(12.940638350431831+5.3037497663343025*i)*x*'
-      'y+(-22.03167411762746-9.029731245786671*i)*y^2)^2 + '
-      '(-0.2502655145159677+0.24656076806014116*i)*'
-      '((-1.4351773640561198-0.28269428202694474*i)*'
-      'x+(1.302062178220548+0.2564738978227812*i)*y)^4\n'
-      '(-0.001698773309434573+0.0016736259198329724*i)*'
-      '((-10.511295326681278+20.922919578902288*i)*'
-      'x^2+(-23.01887705505716+10.63111869719478*i)*x*'
-      'y+(4.761957594522562-37.02027186442983*i)*y^2)^2 + '
-      '(0.006837515039377705-0.006736297499846616*i)*'
-      '((-1.0520013371338846-2.22799560310331*i)*'
-      'x+(1.9544263913473436-3.055437277340718*i)*y)^4\n'
-      '(0.0012767148949042065-0.0012578153473930614*i)*'
-      '((21.85240224309797+8.956256264344649*i)*'
-      'x^2+(21.704394100972152+8.895594794024719*i)*x*'
-      'y+(-12.904253739255132-5.288837451516377*i)*y^2)^2 + '
-      '(0.003862026835038926-0.003804856232620583*i)*'
-      '((0.5101239570202454+0.10048174489529055*i)*'
-      'x+(4.613973353384047+0.9088381109495769*i)*y)^4\n'
-      '(-0.001698773309434573+0.0016736259198329724*i)*'
-      '((7.196184620750877-22.28162516635608*i)*'
-      'x^2+(-8.936648214594952-23.72816268315476*i)*x*'
-      'y+(-22.589136614355162+29.713762401727706*i)*y^2)^2 + '
-      '(0.006837515039377705-0.006736297499846616*i)*'
-      '((-1.8183533909783551+1.6626070390494205*i)*'
-      'x+(0.6496979650937522+3.5683850729862803*i)*y)^4\n'
-      '(0.0012767148949042065-0.0012578153473930614*i)*'
-      '((-10.618019500334203-4.351819200785507*i)*'
-      'x^2+(-4.118360514296617-1.687919330088702*i)*x*'
-      'y+(37.24978098183984+15.266906610665265*i)*y^2)^2 + '
-      '(0.003862026835038926-0.003804856232620583*i)*'
-      '((-3.380478685132485-0.66587030894918*i)*'
-      'x+(-2.009848996942951-0.39589031530401453*i)*y)^4\n'),
-     'f7e0f962f0210c7c23c26052aa4ab18ff844958ee23d86984fae6b59ef204df7'),
+     ('(0.11147260975035606+1.5088070175156962e-18*i)*'
+      '((7.594242855261639-4.1660191217083054e-18*i)*'
+      'x^2+(23.01768973080157-1.1821510737445325e-16*i)*x*'
+      'y+(20.88275914817196-2.1427648599948225e-16*i)*y^2)^2 + '
+      '(-5.428906821888333-7.348148328677469e-17*i)*'
+      '((1.0+1.2653384971543908e-33*i)*'
+      'x+(1.702518339591199-8.830945514012026e-18*i)*y)^4\n'
+      '(0.11147260975035606+1.5088070175156962e-18*i)*'
+      '((4.837276184184784-2.937020168046177e-17*i)*'
+      'x^2+(-3.557687666877039+2.675442039675678e-17*i)*x*'
+      'y+(6.057028499395587-4.619171903335702e-17*i)*y^2)^2 + '
+      '(-5.428906821888333-7.348148328677469e-17*i)*'
+      '((0.7377660974712205-2.8234010318363768e-18*i)*'
+      'x+(-0.6693370143295323+1.708280172131481e-18*i)*y)^4\n'
+      '(0.027695250845715964+3.7486149217691844e-19*i)*'
+      '((-2.9191447902365835+1.2915399125310515e-17*i)*'
+      'x^2+(-1.1322347486032203+4.680120066130079e-17*i)*x*'
+      'y+(10.240846147171704-8.571253517651478e-17*i)*y^2)^2 + '
+      '(0.0837773589046401+1.1339455253387777e-18*i)*'
+      '((1.7377660974712206-2.8234010318363756e-18*i)*'
+      'x+(1.0331813252616666-7.122665341880545e-18*i)*y)^4\n'
+      '(-0.036850790354668525-4.98783792831638e-19*i)*'
+      '((-0.4557011854220856+5.938975799756939*i)*'
+      'x^2+(-4.392664993092272+4.723089707763441*i)*x*'
+      'y+(-2.4505566578928004-9.17338249630225*i)*y^2)^2 + '
+      '(0.14832340010502457+2.007590810347334e-18*i)*'
+      '((0.7377660974712205+1.0*i)*'
+      'x+(-0.6693370143295323+1.702518339591199*i)*y)^4\n'
+      '(0.027695250845715964+3.7486149217691844e-19*i)*'
+      '((6.007742419392413-2.1247437368727074e-17*i)*'
+      'x^2+(5.9670514791482665-6.952451066580814e-17*i)*x*'
+      'y+(-3.5476846763798116+2.0999487802159077e-17*i)*y^2)^2 + '
+      '(0.0837773589046401+1.1339455253387777e-18*i)*'
+      '((-0.26223390252877954-2.823401031836378e-18*i)*'
+      'x+(-2.371855353920731+1.0539225686143507e-17*i)*y)^4\n'
+      '(-0.036850790354668525-4.98783792831638e-19*i)*'
+      '((-0.4557011854220856-5.938975799756939*i)*'
+      'x^2+(-4.392664993092273-4.723089707763441*i)*x*'
+      'y+(-2.4505566578928004+9.17338249630225*i)*y^2)^2 + '
+      '(0.14832340010502457+2.007590810347334e-18*i)*'
+      '((0.7377660974712205-1.0*i)*'
+      'x+(-0.6693370143295323-1.702518339591199*i)*y)^4\n'),
+     '5c583d27eb49fe9c3c631fa39f27c9435cb87a4fc66270ae0115e7f077710988'),
     (['decompose', 'quartic-two-fixed',
       'x^4 + 4*x^3*y + 5*x^2*y^2 + 2*x*y^3 + y^4', '--l1', 'x', '--l2', 'y'],
      ('(x^2+2*x*y+1/2*y^2)^2 + 0*x^4 + 3/4*y^4\n'
@@ -962,14 +962,15 @@ def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):
     assert err == "DegenerateInput: reconstruction check failed\n"
 
 
-def test_quartic_six_with_a_non_finite_result_is_degenerate_input(capsys):
-    # a multiplier overflows to inf or nan, which the exact snap once tried
-    # to turn into a ratio (exit 3, ValueError)
+def test_quartic_six_with_a_non_finite_normal_form_fails_to_normalize(capsys):
+    # the x^4 and y^4 coefficients in the harmonic axes overflow; a multiplier
+    # of inf or nan once reached the exact snap (exit 3, ValueError)
     code, out, err = run_cli(
         ["decompose", "quartic-six", "--",
          "-0.343e116*x^2*y^2 + 9*x*y^3 + 0.747e5*x^3*y"], capsys=capsys)
     assert (code, out) == (2, "")
-    assert err == "DegenerateInput: reconstruction check failed\n"
+    assert err == ("NormalizationFailed: a X^4 + b X^2 Y^2 + c Y^4 has no "
+                   "finite nonzero c/a\n")
 
 
 def test_sylvester_with_a_huge_root_decomposes(capsys):
