@@ -259,7 +259,7 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         f2 = f.scale(u) - g.scale(v)
         g2 = f.scale(v) + g.scale(u)
         # the x^s coefficient of g2 is zero by construction; drop its noise
-        g2 = Form(2, s, {i: c for i, c in g2.items() if i != (s, 0)})
+        g2 = Form(2, s, {i: c for i, c in g2.items() if i != (s, 0)}, check=False)
         dec = Decomposition([Term(1, f2, 2), Term(1, g2, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
         if (dec := dec.accepted(p, eps)) is None:

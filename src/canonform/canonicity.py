@@ -6,7 +6,7 @@ is the whole space at some point u.  At a rational witness the partials are
 first evaluated modulo the prime MOD_P at the N(n, d) points I(n, d), and
 those rows ranked; full rank there is a proof of full rank over the Gaussian
 rationals.  Otherwise the rank is computed exactly over the Gaussian
-rationals (a float at its exact value), so Certified is a proof either way.
+rationals (each float at its exact value), so Certified is a proof either way.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from struct import Struct
 
 from . import enumeration, linalg
 from .errors import AllZero, BadShape, DegenerateInput, ShapeMismatch, UnknownName
-from .forms import (Form, MultiIndex, _monomials, dim,
+from .forms import (Form, MultiIndex, _monomials, _trusted, dim,
                     linear_form, monomial_form, multinomial)
 from .scalars import (EPS_DEFAULT, MOD_P, QQi, Scalar, _NoImage, as_scalar,
                       is_exact, mod_p, scalars_close)
@@ -97,20 +97,23 @@ def _monomial_values(mono: MultiIndex, d: int) -> tuple[int, ...]:
 
 
 class _FormRing:
-    """Leaves of the expression program as Forms over the scalar backend."""
+    """Leaves of the expression program as Forms over the scalar backend,
+    each float coefficient read at its exact value in an exact ring."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, exact: bool = False):
+        self.n, self.exact = n, exact
 
     def one(self) -> Form:
-        return Form(self.n, 0, {(0,) * self.n: QQi(1)})
+        return Form(self.n, 0, {(0,) * self.n: QQi(1)}, check=False)
 
     def leaf(self, param: Param) -> Form:
         mono = monomial_form(self.n, param.monomial)
-        return mono if param.coeff == 1 else mono.scale(param.coeff)
+        c = _dyadic(param.coeff) if self.exact else param.coeff
+        return mono if c == 1 else mono.scale(c)
 
     def fixed(self, form: Form) -> Form:
-        return form
+        return form if form.exact or not self.exact else _trusted(
+            form.n, form.d, {i: _dyadic(v) for i, v in form._a.items()}, True)
 
     add_all = staticmethod(partial(reduce, add))  # reduce(add, values)
 
@@ -291,15 +294,15 @@ class ParamMap:
 
     def evaluate(self, t) -> Form:
         t = self._coerce_t(t)
-        value = self._program().value(t, _FormRing(self.n))
+        value = self._program().value(t, _FormRing(self.n, all(map(is_exact, t))))
         if (value.n, value.d) != (self.n, self.d):
             raise ShapeMismatch("expression does not produce the declared shape")
         return value
 
     def gradient(self, t) -> list[Form]:
-        """[dF/dt_j at t for j in 0..M-1]."""
+        """[dF/dt_j at t for j in 0..M-1], exact at an exact t."""
         t = self._coerce_t(t)
-        grad = self._program().gradient(t, _FormRing(self.n))
+        grad = self._program().gradient(t, _FormRing(self.n, all(map(is_exact, t))))
         zero = Form.zero(self.n, self.d)
         return [grad.get(j, zero) for j in range(self.m)]
 
@@ -393,7 +396,7 @@ def _rank_mod_p(pmap: ParamMap, t) -> int | None:
     return modp_rank(rows, MOD_P)
 
 
-def _dyadic(v, what: str = "a Jacobian entry") -> QQi:
+def _dyadic(v, what: str = "a map coefficient") -> QQi:
     """v as an exact scalar: a float or complex is read at its exact value;
     a NaN or infinite one is DegenerateInput, which names it as `what`."""
     if not (is_exact(v := as_scalar(v)) or cmath.isfinite(v)):
@@ -403,9 +406,8 @@ def _dyadic(v, what: str = "a Jacobian entry") -> QQi:
 
 def _exact_rank(pmap: ParamMap, t) -> int:
     """The Jacobian's rank at t over Q(i), each float read at its exact value."""
-    rows = pmap.jacobian_rows([_dyadic(v, f"witness entry t{k}")
-                               for k, v in enumerate(t, 1)])
-    return linalg.exact_rank([list(map(_dyadic, row)) for row in rows])
+    return linalg.exact_rank(pmap.jacobian_rows(
+        [_dyadic(v, f"witness entry t{k}") for k, v in enumerate(t, 1)]))
 
 
 def _rank_at(pmap: ParamMap, t, exact: bool = True) -> tuple[int, bool]:

@@ -50,52 +50,54 @@ class _Codes(dict):
         return entry
 
 
-def _exact_product(p: Form, q: Form) -> Form:
-    """p * q for exact forms: each factor's actual coefficients as Gaussian
-    integers over the lcm of its denominators, summed as int pairs under
-    packed codes in base d + 1, each sum normalised once."""
-    n, d = p.n, p.d + q.d
-    base, den, factors = d + 1, 1, []
-    for f in (p, q):
-        nums, lcm = _over_lcm(f._a.values())
-        factors.append([(_pack(i, base), a * (m := multinomial(i)), b * m)
-                        for i, (a, b) in zip(f._a, nums)])
-        den *= lcm
-    re, im = {}, {}
-    for i, a, b in factors[0]:
-        for j, c, e in factors[1]:
+def _part(f: Form, base: int) -> tuple:
+    """f as a part (terms, exact, den): exact terms (code in base, re, im) are
+    actual coefficients over den, float ones (code, a(i))."""
+    if not f.exact:
+        return [(_pack(i, base), v) for i, v in f._a.items()], False, 1
+    nums, lcm = _over_lcm(f._a.values())
+    return [(_pack(i, base), a * (m := multinomial(i)), b * m)
+            for i, (a, b) in zip(f._a, nums)], True, lcm
+
+
+def _times(f: tuple, g: tuple, table: "_Codes") -> tuple:
+    """The part f * g: Gaussian-integer sums, normalised in _form_of, or float
+    sums in descending code order of (i, j), each divided by its multinomial."""
+    if f[1] and g[1]:
+        re, im = {}, {}
+        for i, a, b in f[0]:
+            for j, c, e in g[0]:
+                k = i + j
+                re[k] = re.get(k, 0) + a * c - b * e
+                im[k] = im.get(k, 0) + a * e + b * c
+        return ([(k, x, im[k]) for k, x in re.items() if x or im[k]], True,
+                f[2] * g[2])
+    mine, theirs = (sorted(
+        ((k, complex(a / den, b / den)) for k, a, b in terms) if exact else
+        ((k, v * table[k][1]) for k, v in terms), reverse=True)
+        for terms, exact, den in (f, g))
+    raw: dict[int, Scalar] = {}
+    for i, u in mine:
+        for j, v in theirs:
             k = i + j
-            re[k] = re.get(k, 0) + a * c - b * e
-            im[k] = im.get(k, 0) + a * e + b * c
-    table, out = _Codes(n, d), {}
-    for k, x in re.items():
-        if x or im[k]:
-            idx, m = table[k]
-            out[idx] = _normalised(x, im[k], den * m)
-    return _trusted(n, d, out, True)
+            raw[k] = raw.get(k, 0) + u * v
+    terms = [(k, s) for k, v in raw.items() if (s := v / table[k][1])]
+    return terms, not terms, 1
+
+
+def _form_of(part: tuple, n: int, d: int, table: "_Codes") -> Form:
+    terms, exact, den = part
+    if exact:
+        return _trusted(n, d, {(e := table[k])[0]: _normalised(a, b, den * e[1])
+                               for k, a, b in terms}, True)
+    return _trusted(n, d, {table[k][0]: v for k, v in terms}, False)
 
 
 def _product(p: Form, q: Form) -> Form:
     if p.n != q.n:
         raise ShapeMismatch("variable counts differ")
-    if p.exact and q.exact:
-        return _exact_product(p, q)
-    # float sums keep graded-lex order of (i, j), which is descending
-    # code order; each sum is divided once by its multinomial
-    n, d = p.n, p.d + q.d
-    mine, theirs = (sorted(((_pack(i, d + 1), v * multinomial(i))
-                            for i, v in f._a.items()), reverse=True)
-                    for f in (p, q))
-    raw: dict[int, Scalar] = {}
-    for i, u in mine:
-        for j, v in theirs:
-            raw[i + j] = raw.get(i + j, 0) + u * v
-    table, out = _Codes(n, d), {}
-    for k, v in raw.items():
-        idx, m = table[k]
-        if s := v / m:
-            out[idx] = s
-    return _trusted(n, d, out, False)
+    n, d, table = p.n, p.d + q.d, _Codes(p.n, p.d + q.d)
+    return _form_of(_times(_part(p, d + 1), _part(q, d + 1), table), n, d, table)
 
 
 @functools.cache
@@ -187,29 +189,61 @@ def _evaluate(p: Form, point) -> Scalar:
 
 
 def _substitute(p: Form, m) -> Form:
+    """p o M: each monomial's image is the part (_times) of its prefix's image
+    times a cached power of a row; exact rows share one lcm L, images L^d."""
     if len(m) != p.n:
         raise ShapeMismatch(f"matrix has {len(m)} rows, need {p.n}")
-    n_new = len(m[0])
-    rows = [[as_scalar(v) for v in row] for row in m]
+    n_new, rows = len(m[0]), [[as_scalar(v) for v in row] for row in m]
     lins = [linear_form(row) for row in rows]
-    unit_form = Form(n_new, 0, {(0,) * n_new: QQi(1)})
-    powers: list[list[Form]] = []
-    for k in range(p.n):
-        cache = [unit_form]
-        for _ in range(max((idx[k] for idx in p._a), default=0)):
-            cache.append(cache[-1] * lins[k])
-        powers.append(cache)
-    # terms[idx[:k]] is the product over the first k variables, shared by
-    # the monomials that start with those exponents
-    out, terms = Form.zero(n_new, p.d), {(): unit_form}
-    for idx, rawc in p.raw_items():
+    items = sorted(p._a.items(), reverse=True)  # as p.raw_items()
+    tops = [max((i[k] for i, _ in items), default=0) for k in range(p.n)]
+    if any(e and f.n != n_new for e, f in zip(tops, lins)):
+        raise ShapeMismatch("variable counts differ")
+    base, table = p.d + 1, _Codes(n_new, p.d)
+    lcm = math.lcm(*(v.d for f in lins if f.exact for v in f._a.values()))
+    unit, powers = ([(0, 1, 0)], True, 1), []
+    for f, top in zip(lins, tops):
+        row = ([(_pack(i, base), v.a * (w := lcm // v.d), v.b * w)
+                for i, v in f._a.items()], True, lcm) if f.exact else _part(f, base)
+        powers.append([unit])
+        for _ in range(top):
+            powers[-1].append(_times(powers[-1][-1], row, table))
+    # an exact form under exact rows sums Gaussian integers, a float form
+    # floats, and an exact form meeting a float row Forms, as it always did
+    exact = p.exact and all(f.exact for f, e in zip(lins, tops) if e)
+    nums, den = _over_lcm([v for _, v in items]) if exact else ((), 1)
+    prefix, acc = {(): unit}, {} if exact or not p.exact else Form.zero(n_new, p.d)
+    for j, (idx, v) in enumerate(items):
         for k, e in enumerate(idx):
-            if (head := idx[:k + 1]) not in terms:
-                term = terms[idx[:k]]
-                terms[head] = (term if not e else powers[k][e]
-                               if term is unit_form else term * powers[k][e])
-        out = _sum_into(out._a, out, terms[idx].scale(rawc))
-    return out
+            if (head := idx[:k + 1]) not in prefix:
+                part = prefix[idx[:k]]
+                prefix[head] = (part if not e else powers[k][e] if part is unit
+                                else _times(part, powers[k][e], table))
+        terms, part_exact, part_den = part = prefix[idx]
+        if exact:
+            ra, rb = (c * multinomial(idx) for c in nums[j])
+            for k, a, b in terms:
+                x, y = acc.get(k, (0, 0))
+                x, y = x + a * ra - b * rb, y + a * rb + b * ra
+                if x or y:
+                    acc[k] = x, y
+                else:
+                    del acc[k]
+        elif not p.exact:
+            rawc = v * multinomial(idx)
+            for k, w in (((k, complex(a / (dk := part_den * table[k][1]), b / dk))
+                          for k, a, b in terms) if part_exact else terms):
+                if s := acc.get(k, 0) + w * rawc:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        else:
+            acc = _sum_into(acc._a, acc, _form_of(part, n_new, p.d, table)
+                            .scale(v * multinomial(idx)))
+    if exact:
+        return _form_of(([(k, x, y) for k, (x, y) in acc.items()], True,
+                         den * lcm ** p.d), n_new, p.d, table)
+    return _form_of((acc.items(), False, 1), n_new, p.d, table) if not p.exact else acc
 
 
 def _partial(p: Form, j: int) -> Form:
@@ -271,7 +305,7 @@ def restrict_form(p: Form, keep: list[int]) -> Form:
             if e:
                 new[pos[k]] = e
         coeffs[tuple(new)] = v
-    return Form(len(keep), p.d, coeffs)
+    return Form(len(keep), p.d, coeffs, check=False)
 
 
 def pad_form(p: Form, n: int, at: list[int]) -> Form:

@@ -187,7 +187,7 @@ def _eliminate(p: Form, kill: list[int], tol: float, scale: float) -> Form | Non
             keep[idx] = v
         elif (is_exact(v) and v) or abs(complex(v)) > tol * scale:
             return None
-    return Form(p.n, p.d, keep)
+    return Form(p.n, p.d, keep, check=False)
 
 
 def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, Form]:

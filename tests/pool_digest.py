@@ -6,10 +6,13 @@ with --json, and prints the run count and one sha256 over
 (argv, exit code, stdout, stderr) of all runs.  Reads the bench modules
 only and writes nothing under bench/.  Usage:
 
-    PYTHONPATH=src python tests/pool_digest.py [--per FILE]
+    PYTHONPATH=src python tests/pool_digest.py [--per FILE] [--check DIGEST]
 
 --per FILE also writes {argv as JSON: sha256 of that run} to FILE, so two
-such files show which runs differ.
+such files show which runs differ.  --check DIGEST exits 1 unless the
+digest is DIGEST, naming the first run whose exit code and stdout differ
+from the digests pinned in decompose_pool_digests.json and
+certify_catalog_digests.json (or saying that no pinned run differs).
 """
 
 import argparse
@@ -23,7 +26,8 @@ from pathlib import Path
 
 from canonform import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def _workloads():
@@ -46,6 +50,19 @@ def pool_argvs() -> list[list[str]]:
     return out
 
 
+def pinned() -> dict:
+    """{argv as JSON: pinned sha256 of "{exit code}\n{stdout}"} for the
+    decompose pool (pinned by "slot:variant") and the certify catalog."""
+    wl = _workloads()
+    pins = json.loads((TESTS / "certify_catalog_digests.json").read_text())
+    pool = json.loads((TESTS / "decompose_pool_digests.json").read_text())
+    for slot in wl.DECOMPOSE_SLOTS:
+        for v in range(wl.DECOMPOSE_VARIANTS):
+            argv = wl.decompose_request(slot, v).argv
+            pins[json.dumps(argv)] = pool[f"{slot[0]}:{v}"]
+    return pins
+
+
 def run(argv: list[str]) -> bytes:
     """The run's (argv, exit code, stdout, stderr) as one JSON line."""
     out, err = io.StringIO(), io.StringIO()
@@ -58,15 +75,26 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--per", metavar="FILE",
                         help="write a digest for each run to FILE")
+    parser.add_argument("--check", metavar="DIGEST",
+                        help="exit 1 unless the digest is DIGEST")
     args = parser.parse_args()
-    total, per = hashlib.sha256(), {}
+    total, per, outputs = hashlib.sha256(), {}, {}
     for argv in pool_argvs():
         line = run(argv)
         total.update(line)
-        per[json.dumps(argv)] = hashlib.sha256(line).hexdigest()
+        per[key := json.dumps(argv)] = hashlib.sha256(line).hexdigest()
+        _, code, out, _ = json.loads(line)
+        outputs[key] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     print(len(per), total.hexdigest())
     if args.per:
         Path(args.per).write_text(json.dumps(per, indent=1) + "\n")
+    if args.check and total.hexdigest() != args.check:
+        pins = pinned()
+        first = next((k for k in outputs if k in pins and outputs[k] != pins[k]),
+                     None)
+        sys.exit(f"digest differs from {args.check}: " + (
+            f"first differing pinned run {first}" if first else
+            "no pinned run differs, so an unpinned run or stderr does"))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from canonform.canonicity import (MOD_P, CertifyReport, Fixed,
 from canonform.enumeration import neat_upto
 from canonform.errors import (AllZero, BadShape, DegenerateInput, ShapeMismatch,
                               UnknownName)
-from canonform.forms import index_set
+from canonform.forms import index_set, linear_form
 from canonform.linalg import exact_rank, mat_det
 from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p, power,
                                scalar_is_zero)
@@ -802,6 +802,45 @@ def test_float_hyperplane_is_certified_as_given_by_the_modular_rank(monkeypatch)
         "Canonical", witness=[QQi(3), QQi(4), QQi(-8), 11.5 + 0j])
     with pytest.raises(DegenerateInput, match="coefficient c2 is not finite"):
         build_map("hyperplane", c=[1.0, math.nan, 2.0, 1.0])
+
+
+def _hand_built(coeff) -> ParamMap:
+    """(0.1 t1 x + t2 y / 3)^2 + 0.7 t3 x (0.3 x + 0.2 y), with each float
+    coefficient passed through coeff."""
+    lin = Sum((Param(0, (1, 0), coeff(0.1)), Param(1, (0, 1), coeff(1 / 3))))
+    fixed = Fixed(linear_form([coeff(0.3), coeff(0.2)]))
+    return ParamMap("hand", 2, 2, 3, Sum((Pow(lin, 2), Prod((
+        Param(2, (1, 0), coeff(0.7)), fixed)))))
+
+
+@pytest.mark.parametrize("t", [[QQi(1), QQi(-2), QQi(3)],
+                               [0.5 + 0j, QQi(Fraction(-2, 3)), 3.0]])
+def test_hand_built_float_map_is_ranked_at_its_exact_coefficients(
+        monkeypatch, t):
+    """The rows _exact_rank ranks are the Jacobian of the map as given:
+    exact, and equal to those of the map built from the floats' exact
+    values, not the rounded float Jacobian read exactly."""
+    pmap = _hand_built(lambda v: v)
+    twin = _hand_built(lambda v: QQi(Fraction(v)))
+    exact_t = [v if type(v) is QQi else QQi(Fraction(v.real)) for v in t]
+    ranked = []
+    monkeypatch.setattr(linalg, "exact_rank",
+                        lambda rows: ranked.append(rows) or exact_rank(rows))
+    rep = jacobian_certify(pmap, witness=t)
+    assert (rep.verdict, rep.rank) == ("Certified", 3)
+    assert len(ranked) == 1
+    assert all(type(v) is QQi for row in ranked[0] for v in row)
+    assert ranked[0] == twin.jacobian_rows(exact_t)
+    # the float Jacobian, read exactly, is not the map's
+    rounded = [[QQi(Fraction(df.a(i).real)) for i in index_set(2, 2)]
+               for df in pmap.gradient([complex(v) for v in exact_t])]
+    assert rounded != ranked[0]
+
+
+def test_map_coefficient_that_is_not_finite_is_degenerate_input():
+    pmap = _hand_built(lambda v: math.nan if v == 0.7 else v)
+    with pytest.raises(DegenerateInput, match="a map coefficient is not finite"):
+        jacobian_certify(pmap, witness=[1, 2, 3])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(1, math.inf)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi
-from canonform.decompositions import _deflate_exact, _exact_product
+from canonform.decompositions import _deflate_exact
 from canonform.forms import (Decomposition, Form, Term, index_set,
                              linear_coeffs, linear_form, power_of_linear)
 from canonform.linalg import exact_rref
@@ -45,7 +45,7 @@ def test_exact_linear_power_is_repeated_exact_product(data, n, k):
     lin = data.draw(forms(n, 1))
     want = Form(n, 0, {(0,) * n: QQi(1)})
     for _ in range(k):
-        want = _exact_product(want, lin)
+        want = want * lin  # the exact product of two Forms
     assert bits(lin ** k) == bits(want)
     assert bits(power_of_linear(linear_coeffs(lin), k)) == bits(want)
 

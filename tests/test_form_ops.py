@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonform import QQi
-from canonform.forms import Form, _trusted, index_set, linear_form, multinomial
-from canonform.scalars import as_scalar
+from canonform import QQi, ShapeMismatch
+from canonform.forms import (Form, _sum_into, _trusted, index_set, linear_form,
+                             monomial_form, multinomial)
+from canonform.scalars import as_scalar, is_exact
 
 props = settings(max_examples=150, deadline=None, derandomize=True)
 # numpy warns where infinite values make nan, which both sides do alike
@@ -357,6 +358,218 @@ def test_substitution_keeps_tuple_keyed_bits_and_order(data, n, n_new, d, entrie
                  min_size=n, max_size=n))]
     assert ordered_bits(p.substitute(m)) == \
         ordered_bits(tuple_keyed_substitute(p, m))
+
+
+# -- the packed-code substitution against the chained products it replaced ------
+
+
+def validated(n, d, coeffs) -> Form:
+    """Form(n, d, coeffs) with every index check, as the constructor was
+    written before check=False: every value, then every index."""
+    if n < 1 or d < 0:
+        raise ValueError(f"bad shape ({n}, {d})")
+    items = [(tuple(i), as_scalar(v)) for i, v in coeffs.items()]
+    approx = not all(is_exact(s) for _, s in items)
+    clean = {}
+    for idx, s in items:
+        if approx:
+            s = complex(s)
+        if not s:
+            continue
+        if len(idx) != n or sum(idx) != d or any(e < 0 for e in idx):
+            raise ShapeMismatch(f"index {idx} does not fit shape ({n}, {d})")
+        clean[idx] = s
+    return _trusted(n, d, clean, not (approx and clean))
+
+
+def chained_substitute(p, m):
+    """Form.substitute as it was: validated linear forms and unit, each
+    monomial's image multiplied out of Form products (checked against
+    ref_mul above) one prefix at a time, each term scaled and added to a
+    running Form."""
+    if len(m) != p.n:
+        raise ShapeMismatch(f"matrix has {len(m)} rows, need {p.n}")
+    n_new = len(m[0])
+    rows = [[as_scalar(v) for v in row] for row in m]
+    lins = [validated(len(row), 1, {(0,) * j + (1,) + (0,) * (len(row) - j - 1):
+                                    as_scalar(v) / 1 for j, v in enumerate(row)})
+            for row in rows]
+    unit_form = validated(n_new, 0, {(0,) * n_new: QQi(1)})
+    powers = []
+    for k in range(p.n):
+        cache = [unit_form]
+        for _ in range(max((idx[k] for idx in p._a), default=0)):
+            cache.append(cache[-1] * lins[k])
+        powers.append(cache)
+    out, terms = validated(n_new, p.d, {}), {(): unit_form}
+    for idx, rawc in p.raw_items():
+        for k, e in enumerate(idx):
+            if (head := idx[:k + 1]) not in terms:
+                term = terms[idx[:k]]
+                terms[head] = (term if not e else powers[k][e]
+                               if term is unit_form else term * powers[k][e])
+        out = _sum_into(out._a, out, terms[idx].scale(rawc))
+    return out
+
+
+def shown(p: Form):
+    """Shape, tag and the coefficients in dict order, each value by type
+    and repr, so that a signed zero or a nan shows."""
+    return p.n, p.d, p.exact, [(i, type(v).__name__, repr(v))
+                               for i, v in p._a.items()]
+
+
+def outcome(run, *args):
+    """What run(*args) gives: its shown form, or its error's type and text."""
+    try:
+        return shown(run(*args))
+    except Exception as exc:  # the same error on both sides is the contract
+        return type(exc), str(exc)
+
+
+matrix_values = {"exact": wide_exact_values, "float": kernel_values,
+                 "numpy": outside_values,
+                 "mixed": st.one_of(wide_exact_values, kernel_values)}
+
+
+@props
+@given(data=st.data(), n=st.integers(1, 4), n_new=st.integers(1, 4),
+       d=st.integers(0, 4), form=st.sampled_from(["exact", "float"]),
+       entries=st.sampled_from(["exact", "float", "numpy", "mixed",
+                                "mixed rows"]))
+def test_substitution_matches_the_chained_products(data, n, n_new, d, form,
+                                                   entries):
+    p = data.draw(kernel_forms(n, d, wide_exact_values if form == "exact"
+                               else kernel_values))
+    if entries == "mixed rows":  # each row exact or float
+        kinds = data.draw(st.lists(st.sampled_from(["exact", "float"]),
+                                   min_size=n, max_size=n))
+    else:
+        kinds = [entries] * n
+    m = [[data.draw(matrix_values[kind]) for _ in range(n_new)]
+         for kind in kinds]
+    got = outcome(p.substitute, m)
+    assert got == outcome(chained_substitute, p, m)
+    assert not isinstance(got[0], type)
+
+
+@props
+@given(data=st.data(), n=st.integers(2, 4), n_new=st.integers(1, 4),
+       d=st.integers(2, 4))
+def test_float_form_under_exact_matrix_rounds_as_the_chained_products(
+        data, n, n_new, d):
+    """The shear of approximate input: each float is the exact image
+    coefficient rounded once, then times p's coefficient, as QQi's
+    complex() and Form.scale round it."""
+    p = Form(n, d, {i: data.draw(approx_values) for i in index_set(n, d)})
+    m = [[data.draw(wide_exact_values) for _ in range(n_new)]
+         for _ in range(n)]
+    assert shown(p.substitute(m)) == shown(chained_substitute(p, m))
+
+
+@pytest.mark.parametrize("values", [[QQi(1), QQi(-1), QQi(1)],
+                                    [1.0 + 0j, -1.0 + 0j, 1.0 + 0j]])
+def test_a_cancelled_coefficient_moves_to_the_end_as_before(values):
+    """x - y + z under x -> x1 + x2, y -> x1, z -> x1: the x1 sum cancels at
+    y and comes back at z, after x2, in the dict order of both versions."""
+    p = Form(3, 1, dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], values)))
+    m = [[QQi(1), QQi(1)], [QQi(1), QQi(0)], [QQi(1), QQi(0)]]
+    got = shown(p.substitute(m))
+    assert got == shown(chained_substitute(p, m))
+    assert [i for i, _, _ in got[3]] == [(0, 1), (1, 0)]
+
+
+@props
+@given(data=st.data(), n=st.integers(1, 3), d=st.integers(0, 3),
+       form=st.sampled_from(["exact", "float"]),
+       shape=st.sampled_from(["fewer rows", "more rows", "ragged", "empty row"]))
+def test_substitution_raises_as_the_chained_products_did(data, n, d, form,
+                                                         shape):
+    """A wrong row count raises before anything is built; a ragged row
+    raises where p uses its variable, and passes where p does not."""
+    p = data.draw(kernel_forms(n, d, wide_exact_values if form == "exact"
+                               else kernel_values))
+    widths = [n] * n
+    if shape == "fewer rows":
+        widths = widths[:-1]
+    elif shape == "more rows":
+        widths.append(n)
+    else:
+        widths[data.draw(st.integers(0, n - 1))] = (
+            0 if shape == "empty row" else data.draw(
+                st.sampled_from([k for k in range(1, n + 2) if k != n])))
+    m = [[data.draw(st.one_of(wide_exact_values, kernel_values))
+          for _ in range(w)] for w in widths]
+    assert outcome(p.substitute, m) == outcome(chained_substitute, p, m)
+
+
+def test_substitution_error_texts():
+    p = Form(2, 2, {(2, 0): QQi(1), (0, 2): QQi(3)})
+    with pytest.raises(ShapeMismatch, match="matrix has 1 rows, need 2"):
+        p.substitute([[1, 2]])
+    with pytest.raises(ShapeMismatch, match="variable counts differ"):
+        p.substitute([[1, 2], [3]])
+    with pytest.raises(ValueError, match=r"bad shape \(0, 1\)"):
+        p.substitute([[1, 2], []])
+    with pytest.raises(TypeError, match="cannot interpret 'a' as a scalar"):
+        p.substitute([[1, 2], [3, "a"]])
+    # x^2 under a ragged second row: y is not used, so nothing raises
+    assert Form(2, 2, {(2, 0): QQi(1)}).substitute([[1, 2], [3]]) == Form(
+        2, 2, {(2, 0): QQi(1), (1, 1): QQi(2), (0, 2): QQi(4)})
+
+
+# -- trusted constructors ----------------------------------------------------------
+
+constructor_values = st.one_of(wide_exact_values, kernel_values, outside_values,
+                               st.integers(-3, 3), st.just(Fraction(1, 3)),
+                               st.just(1e-170), st.just(float("-inf")))
+
+
+@props
+@given(data=st.data(), n=st.integers(1, 4), d=st.integers(0, 4))
+def test_constructors_give_what_the_validating_constructor_gives(data, n, d):
+    row = data.draw(st.lists(constructor_values, min_size=n, max_size=n))
+    units = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+    want = validated(n, 1, {i: as_scalar(v) / 1 for i, v in zip(units, row)})
+    assert shown(linear_form(row)) == shown(want)
+    assert shown(Form(n, 1, {i: as_scalar(v) / 1 for i, v in zip(units, row)})
+                 ) == shown(want)
+    assert shown(Form.zero(n, d)) == shown(validated(n, d, {}))
+    raw = {i: data.draw(constructor_values)
+           for i in data.draw(st.permutations(index_set(n, d)))
+           if data.draw(st.booleans())}
+    divided = {i: as_scalar(v) / multinomial(i) for i, v in raw.items()}
+    assert shown(Form.from_raw(n, d, raw)) == shown(validated(n, d, divided))
+    assert shown(Form(n, d, divided)) == shown(validated(n, d, divided))
+    idx, c = data.draw(st.sampled_from(index_set(n, d))), data.draw(
+        constructor_values)
+    assert shown(monomial_form(n, idx, c)) == shown(
+        validated(n, d, {idx: as_scalar(as_scalar(c) / multinomial(idx))}))
+
+
+def test_constructors_raise_as_the_validating_constructor_does():
+    for run in (lambda: linear_form([1, "a"]), lambda: Form(2, 1, {(1, 0): "a"}),
+                lambda: Form.from_raw(2, 1, {(1, 0): "a"}),
+                lambda: monomial_form(2, (1, 0), "a")):
+        with pytest.raises(TypeError, match="cannot interpret 'a' as a scalar"):
+            run()
+    for run in (lambda: linear_form([]), lambda: Form.zero(0, 1),
+                lambda: Form.zero(1, -1), lambda: Form(0, 1, {})):
+        with pytest.raises(ValueError, match="bad shape"):
+            run()
+    # user indices keep their checks: a wrong length or degree is
+    # ShapeMismatch, and a negative exponent fails in the multinomial
+    # before any shape check, as it did before the trusted constructors
+    for idx in [(1, 1, 0), (3,), (2, 0, 0, 1)]:
+        with pytest.raises(ShapeMismatch, match="does not fit shape"):
+            monomial_form(2, idx)
+    with pytest.raises(ShapeMismatch, match="does not fit shape"):
+        Form.from_raw(2, 2, {(1, 0): 1})
+    for idx in [(-1, 3), (3, -1)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            monomial_form(2, idx)
+    with pytest.raises(ShapeMismatch, match="does not fit shape"):
+        Form(2, 2, {(3, -1): 1})
 
 
 # -- expansion against sympy ------------------------------------------------------
