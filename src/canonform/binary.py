@@ -24,7 +24,7 @@ from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
                      ShapeMismatch, UnsupportedShape, ZeroForm)
-from .forms import Form, linear_coeffs, linear_form, monomial_form
+from .forms import Form, _trusted, linear_coeffs, linear_form, monomial_form
 from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
                       scalar_sqrt)
@@ -259,7 +259,7 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         f2 = f.scale(u) - g.scale(v)
         g2 = f.scale(v) + g.scale(u)
         # the x^s coefficient of g2 is zero by construction; drop its noise
-        g2 = Form(2, s, {i: c for i, c in g2.items() if i != (s, 0)}, check=False)
+        g2 = _trusted(2, s, {i: c for i, c in g2.items() if i != (s, 0)}, g2.exact)
         dec = Decomposition([Term(1, f2, 2), Term(1, g2, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
         if (dec := dec.accepted(p, eps)) is None:

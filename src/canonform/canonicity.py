@@ -97,14 +97,13 @@ def _monomial_values(mono: MultiIndex, d: int) -> tuple[int, ...]:
 
 
 class _FormRing:
-    """Leaves of the expression program as Forms over the scalar backend,
-    each float coefficient read at its exact value in an exact ring."""
+    """Leaves of the expression program as Forms; exact reads floats exactly."""
 
     def __init__(self, n: int, exact: bool = False):
         self.n, self.exact = n, exact
 
     def one(self) -> Form:
-        return Form(self.n, 0, {(0,) * self.n: QQi(1)}, check=False)
+        return _trusted(self.n, 0, {(0,) * self.n: QQi(1)}, True)
 
     def leaf(self, param: Param) -> Form:
         mono = monomial_form(self.n, param.monomial)
@@ -294,24 +293,26 @@ class ParamMap:
 
     def evaluate(self, t) -> Form:
         t = self._coerce_t(t)
-        value = self._program().value(t, _FormRing(self.n, all(map(is_exact, t))))
+        value = self._program().value(t, _FormRing(self.n))
         if (value.n, value.d) != (self.n, self.d):
             raise ShapeMismatch("expression does not produce the declared shape")
         return value
 
     def gradient(self, t) -> list[Form]:
-        """[dF/dt_j at t for j in 0..M-1], exact at an exact t."""
+        """[dF/dt_j at t for j in 0..M-1]."""
         t = self._coerce_t(t)
-        grad = self._program().gradient(t, _FormRing(self.n, all(map(is_exact, t))))
+        grad = self._program().gradient(t, _FormRing(self.n))
         zero = Form.zero(self.n, self.d)
         return [grad.get(j, zero) for j in range(self.m)]
 
     def partial(self, t, j: int) -> Form:
         return self.gradient(t)[j]
 
-    def jacobian_rows(self, t) -> list[list[Scalar]]:
-        idxs = _monomials(self.n, self.d)
-        return [[df.a(i) for i in idxs] for df in self.gradient(t)]
+    def jacobian_rows(self, t, exact: bool = False) -> list[list[Scalar]]:
+        """The gradient's rows; exact reads float Param and Fixed coefficients exactly."""
+        idxs, zero = _monomials(self.n, self.d), Form.zero(self.n, self.d)
+        grad = self._program().gradient(self._coerce_t(t), _FormRing(self.n, exact))
+        return [[grad.get(j, zero).a(i) for i in idxs] for j in range(self.m)]
 
 
 @dataclass
@@ -407,7 +408,7 @@ def _dyadic(v, what: str = "a map coefficient") -> QQi:
 def _exact_rank(pmap: ParamMap, t) -> int:
     """The Jacobian's rank at t over Q(i), each float read at its exact value."""
     return linalg.exact_rank(pmap.jacobian_rows(
-        [_dyadic(v, f"witness entry t{k}") for k, v in enumerate(t, 1)]))
+        [_dyadic(v, f"witness entry t{k}") for k, v in enumerate(t, 1)], exact=True))
 
 
 def _rank_at(pmap: ParamMap, t, exact: bool = True) -> tuple[int, bool]:

@@ -50,12 +50,12 @@ class _Codes(dict):
         return entry
 
 
-def _part(f: Form, base: int) -> tuple:
+def _part(f: Form, base: int, lcm: int = 0) -> tuple:
     """f as a part (terms, exact, den): exact terms (code in base, re, im) are
-    actual coefficients over den, float ones (code, a(i))."""
+    actual coefficients over den (lcm if given), float ones (code, a(i))."""
     if not f.exact:
         return [(_pack(i, base), v) for i, v in f._a.items()], False, 1
-    nums, lcm = _over_lcm(f._a.values())
+    nums, lcm = _over_lcm(f._a.values(), lcm)
     return [(_pack(i, base), a * (m := multinomial(i)), b * m)
             for i, (a, b) in zip(f._a, nums)], True, lcm
 
@@ -193,8 +193,7 @@ def _substitute(p: Form, m) -> Form:
     times a cached power of a row; exact rows share one lcm L, images L^d."""
     if len(m) != p.n:
         raise ShapeMismatch(f"matrix has {len(m)} rows, need {p.n}")
-    n_new, rows = len(m[0]), [[as_scalar(v) for v in row] for row in m]
-    lins = [linear_form(row) for row in rows]
+    n_new, lins = len(m[0]), [linear_form(row) for row in m]
     items = sorted(p._a.items(), reverse=True)  # as p.raw_items()
     tops = [max((i[k] for i, _ in items), default=0) for k in range(p.n)]
     if any(e and f.n != n_new for e, f in zip(tops, lins)):
@@ -203,8 +202,7 @@ def _substitute(p: Form, m) -> Form:
     lcm = math.lcm(*(v.d for f in lins if f.exact for v in f._a.values()))
     unit, powers = ([(0, 1, 0)], True, 1), []
     for f, top in zip(lins, tops):
-        row = ([(_pack(i, base), v.a * (w := lcm // v.d), v.b * w)
-                for i, v in f._a.items()], True, lcm) if f.exact else _part(f, base)
+        row = _part(f, base, lcm)
         powers.append([unit])
         for _ in range(top):
             powers[-1].append(_times(powers[-1][-1], row, table))
@@ -305,7 +303,7 @@ def restrict_form(p: Form, keep: list[int]) -> Form:
             if e:
                 new[pos[k]] = e
         coeffs[tuple(new)] = v
-    return Form(len(keep), p.d, coeffs, check=False)
+    return _trusted(len(keep), p.d, coeffs, p.exact)
 
 
 def pad_form(p: Form, n: int, at: list[int]) -> Form:

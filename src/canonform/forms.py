@@ -8,7 +8,7 @@ sequence, which is what the catalecticant construction consumes.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.  Form(...) checks every index and value; the ring
-operations and Form(..., check=False) trust the indices they build.  Storage
+operations trust the indices they build and skip those checks.  Storage
 stays normalised: moving c(i) into the values would reorder float
 operations ((s/c)*c != s for some doubles) and change approximate results.
 The rest of the form code (products, powers, substitution, text, JSON) is
@@ -73,10 +73,8 @@ class Form:
 
     __slots__ = ("n", "d", "_a", "exact")
 
-    def __init__(self, n: int, d: int, coeffs: dict | None = None, *,
-                 check: bool = True):
-        """coeffs maps multi-indices to normalized a(p;i) values; check=False
-        skips the index checks, for indices of shape (n, d) built here."""
+    def __init__(self, n: int, d: int, coeffs: dict | None = None):
+        """coeffs maps multi-indices to normalized a(p;i) values."""
         if n < 1 or d < 0:
             raise ValueError(f"bad shape ({n}, {d})")
         self.n = n
@@ -89,7 +87,7 @@ class Form:
                 s = complex(s)
             if not s:
                 continue
-            if check and (len(idx) != n or sum(idx) != d or any(e < 0 for e in idx)):
+            if len(idx) != n or sum(idx) != d or any(e < 0 for e in idx):
                 raise ShapeMismatch(f"index {idx} does not fit shape ({n}, {d})")
             clean[idx] = s
         self._a = clean
@@ -252,7 +250,7 @@ def _sum_into(out: dict, p: Form, q: Form) -> Form:
         else:
             out[idx] = s
     if mixed:
-        return Form(p.n, p.d, out, check=False)  # survivors pick the backend
+        return Form(p.n, p.d, out)  # mixed: survivors pick the backend
     return _trusted(p.n, p.d, out, p.exact and q.exact)
 
 
@@ -261,9 +259,13 @@ def _sum_into(out: dict, p: Form, q: Form) -> Form:
 
 def linear_form(coeffs) -> Form:
     """The degree-1 form sum_j coeffs[j] x_j."""
-    n = len(coeffs)  # c(i) = 1, but a float divided by it rounds as in from_raw
-    return Form(n, 1, {(0,) * j + (1,) + (0,) * (n - j - 1): v if is_exact(
-        v := as_scalar(c)) else v / 1 for j, c in enumerate(coeffs)}, check=False)
+    n, vals = len(coeffs), [as_scalar(c) for c in coeffs]
+    if not n:
+        raise ValueError("bad shape (0, 1)")
+    exact = all(map(is_exact, vals))  # a float is divided by c(i) = 1, as in from_raw
+    return _trusted(n, 1, {(0,) * j + (1,) + (0,) * (n - j - 1): s
+                           for j, v in enumerate(vals)
+                           if (s := v if exact else complex(v / 1))}, exact)
 
 
 def linear_coeffs(f: Form) -> list[Scalar]:

@@ -21,7 +21,7 @@ from .decompositions import (ACCEPT_TOL, Decomposition, Term, check_decomposable
                              forms_close, pad_form, restrict_form)
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
-from .forms import Form, _monomials, linear_coeffs, linear_form, multinomial
+from .forms import Form, _monomials, _trusted, linear_coeffs, linear_form, multinomial
 from .linalg import Matrix, pencil_charpoly, poly_roots
 from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
                       scalar_sqrt)
@@ -187,7 +187,7 @@ def _eliminate(p: Form, kill: list[int], tol: float, scale: float) -> Form | Non
             keep[idx] = v
         elif (is_exact(v) and v) or abs(complex(v)) > tol * scale:
             return None
-    return Form(p.n, p.d, keep, check=False)
+    return _trusted(p.n, p.d, keep, p.exact)
 
 
 def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, Form]:

@@ -246,10 +246,10 @@ _ONE = _triple(1, 0, 1)
 _ZERO = _triple(0, 0, 1)
 
 
-def _over_lcm(values) -> tuple[list[tuple[int, int]], int]:
+def _over_lcm(values, lcm: int = 0) -> tuple[list[tuple[int, int]], int]:
     """QQi values as Gaussian-integer numerators (real, imaginary) over the
-    lcm of their denominators, and that lcm."""
-    lcm = math.lcm(*(v.d for v in values))
+    lcm of their denominators (or over lcm, a multiple of it), and that lcm."""
+    lcm = lcm or math.lcm(*(v.d for v in values))
     return [(v.a * (m := lcm // v.d), v.b * m) for v in values], lcm
 
 

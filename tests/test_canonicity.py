@@ -750,7 +750,7 @@ def test_witness_search_ranks_mod_p_before_any_exact_rank(
     calls, modular = [], []
     rows, rank_mod_p = ParamMap.jacobian_rows, canonicity._rank_mod_p
     monkeypatch.setattr(ParamMap, "jacobian_rows",
-                        lambda self, t: calls.append(t) or rows(self, t))
+                        lambda self, t, **kw: calls.append(t) or rows(self, t, **kw))
     monkeypatch.setattr(canonicity, "_rank_mod_p",
                         lambda pmap, t: modular.append(t) or rank_mod_p(pmap, t))
     rep = jacobian_certify(pmap)
@@ -835,6 +835,11 @@ def test_hand_built_float_map_is_ranked_at_its_exact_coefficients(
     rounded = [[QQi(Fraction(df.a(i).real)) for i in index_set(2, 2)]
                for df in pmap.gradient([complex(v) for v in exact_t])]
     assert rounded != ranked[0]
+    # without exact=True the map keeps its floats, as before
+    assert not pmap.evaluate(exact_t).exact
+    assert not any(df.exact for df in pmap.gradient(exact_t))
+    assert pmap.jacobian_rows(exact_t) == [
+        [df.a(i) for i in index_set(2, 2)] for df in pmap.gradient(exact_t)]
 
 
 def test_map_coefficient_that_is_not_finite_is_degenerate_input():

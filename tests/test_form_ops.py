@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from canonform import QQi, ShapeMismatch
 from canonform.forms import (Form, _sum_into, _trusted, index_set, linear_form,
                              monomial_form, multinomial)
-from canonform.scalars import as_scalar, is_exact
+from canonform.scalars import as_scalar
 
 props = settings(max_examples=150, deadline=None, derandomize=True)
 # numpy warns where infinite values make nan, which both sides do alike
@@ -363,27 +363,8 @@ def test_substitution_keeps_tuple_keyed_bits_and_order(data, n, n_new, d, entrie
 # -- the packed-code substitution against the chained products it replaced ------
 
 
-def validated(n, d, coeffs) -> Form:
-    """Form(n, d, coeffs) with every index check, as the constructor was
-    written before check=False: every value, then every index."""
-    if n < 1 or d < 0:
-        raise ValueError(f"bad shape ({n}, {d})")
-    items = [(tuple(i), as_scalar(v)) for i, v in coeffs.items()]
-    approx = not all(is_exact(s) for _, s in items)
-    clean = {}
-    for idx, s in items:
-        if approx:
-            s = complex(s)
-        if not s:
-            continue
-        if len(idx) != n or sum(idx) != d or any(e < 0 for e in idx):
-            raise ShapeMismatch(f"index {idx} does not fit shape ({n}, {d})")
-        clean[idx] = s
-    return _trusted(n, d, clean, not (approx and clean))
-
-
 def chained_substitute(p, m):
-    """Form.substitute as it was: validated linear forms and unit, each
+    """Form.substitute as it was: linear forms and unit from Form(...), each
     monomial's image multiplied out of Form products (checked against
     ref_mul above) one prefix at a time, each term scaled and added to a
     running Form."""
@@ -391,17 +372,17 @@ def chained_substitute(p, m):
         raise ShapeMismatch(f"matrix has {len(m)} rows, need {p.n}")
     n_new = len(m[0])
     rows = [[as_scalar(v) for v in row] for row in m]
-    lins = [validated(len(row), 1, {(0,) * j + (1,) + (0,) * (len(row) - j - 1):
-                                    as_scalar(v) / 1 for j, v in enumerate(row)})
+    lins = [Form(len(row), 1, {(0,) * j + (1,) + (0,) * (len(row) - j - 1):
+                               as_scalar(v) / 1 for j, v in enumerate(row)})
             for row in rows]
-    unit_form = validated(n_new, 0, {(0,) * n_new: QQi(1)})
+    unit_form = Form(n_new, 0, {(0,) * n_new: QQi(1)})
     powers = []
     for k in range(p.n):
         cache = [unit_form]
         for _ in range(max((idx[k] for idx in p._a), default=0)):
             cache.append(cache[-1] * lins[k])
         powers.append(cache)
-    out, terms = validated(n_new, p.d, {}), {(): unit_form}
+    out, terms = Form(n_new, p.d, {}), {(): unit_form}
     for idx, rawc in p.raw_items():
         for k, e in enumerate(idx):
             if (head := idx[:k + 1]) not in terms:
@@ -530,21 +511,18 @@ constructor_values = st.one_of(wide_exact_values, kernel_values, outside_values,
 def test_constructors_give_what_the_validating_constructor_gives(data, n, d):
     row = data.draw(st.lists(constructor_values, min_size=n, max_size=n))
     units = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
-    want = validated(n, 1, {i: as_scalar(v) / 1 for i, v in zip(units, row)})
+    want = Form(n, 1, {i: as_scalar(v) / 1 for i, v in zip(units, row)})
     assert shown(linear_form(row)) == shown(want)
-    assert shown(Form(n, 1, {i: as_scalar(v) / 1 for i, v in zip(units, row)})
-                 ) == shown(want)
-    assert shown(Form.zero(n, d)) == shown(validated(n, d, {}))
+    assert shown(Form.zero(n, d)) == shown(Form(n, d, {}))
     raw = {i: data.draw(constructor_values)
            for i in data.draw(st.permutations(index_set(n, d)))
            if data.draw(st.booleans())}
     divided = {i: as_scalar(v) / multinomial(i) for i, v in raw.items()}
-    assert shown(Form.from_raw(n, d, raw)) == shown(validated(n, d, divided))
-    assert shown(Form(n, d, divided)) == shown(validated(n, d, divided))
+    assert shown(Form.from_raw(n, d, raw)) == shown(Form(n, d, divided))
     idx, c = data.draw(st.sampled_from(index_set(n, d))), data.draw(
         constructor_values)
     assert shown(monomial_form(n, idx, c)) == shown(
-        validated(n, d, {idx: as_scalar(as_scalar(c) / multinomial(idx))}))
+        Form(n, d, {idx: as_scalar(as_scalar(c) / multinomial(idx))}))
 
 
 def test_constructors_raise_as_the_validating_constructor_does():
