@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ShapeMismatch
 from .forms import Form, MultiIndex, Scalar, multinomial
 from .linalg import mat_kernel
-from .scalars import EPS_DEFAULT, QQi, format_scalar
+from .scalars import EPS_DEFAULT, QQi
 
 
 def pair(p: Form, q: Form) -> Scalar:
@@ -78,10 +78,6 @@ class HankelMatrix:
 
     def rows(self) -> list[list[Scalar]]:
         return [list(row) for row in self.entries]
-
-    def to_json(self) -> list:
-        """JSON array of arrays of scalar strings."""
-        return [[format_scalar(v) for v in row] for row in self.entries]
 
 
 def hankel(p: Form, r: int) -> HankelMatrix:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import LazyModule
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
 from .decompositions import (Decomposition, Term, binary_factor,
-                             check_decomposable, parse_form, power_of_linear)
+                             check_decomposable, parse_form)
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
@@ -154,8 +153,10 @@ def _flip(lin: Form) -> Form:
 def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decomposition:
     """Unique representation with spec.m fixed powers and spec.r free powers.
 
-    Differentiates away the fixed forms, Sylvester-decomposes the remainder,
-    rescales the free powers, then solves for the fixed multipliers.
+    Differentiates away the fixed forms and Sylvester-decomposes the
+    remainder for the free nodes; the free and fixed multipliers then solve
+    one power system.  Each base enters it divided by its largest-magnitude
+    coefficient, so no power dominates and exact inputs stay exact.
     """
     check_decomposable(p, p.n == 2,
                        "mixed decomposition needs a binary form")
@@ -169,12 +170,9 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
         g = _flip(lin)
         f = g if f is None else f * g
 
-    free_terms: list[Term] = []
-    if f is not None:
-        fp = apply_diff(f, p)
-    else:
-        fp = p
-    if not fp.is_zero(eps, scale=p.norm()):
+    bases: list[Form] = []  # at r = 0 the d + 1 fixed powers span every d-ic
+    fp = apply_diff(f, p) if f is not None and r else p
+    if r and not fp.is_zero(eps, scale=p.norm()):
         try:
             sylv = sylvester_decompose(fp, eps)
         except NotGeneric as exc:
@@ -182,36 +180,21 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
         if len(sylv.terms) > r:
             raise DegenerateInput(
                 f"Sylvester stage needs width <= {r}, got {len(sylv.terms)}")
-        scale_c = QQi(math.factorial(d - m)) / math.factorial(d)
-        for t in sylv.terms:
-            node = linear_coeffs(t.base)
-            if f is not None:
-                fu = f.evaluate(node)
-                if scalar_is_zero(fu, eps, scale=f.norm()):
-                    raise DegenerateInput("f vanishes at a Sylvester node")
-            else:
-                fu = QQi(1)
-            free_terms.append(Term(scale_c * t.multiplier / fu, t.base, d))
-
-    residual = p
-    for t in free_terms:
-        residual = residual - t.form()
-    fixed_terms: list[Term] = []
-    if m:
-        rows = []
-        rhs = []
-        cols = [power_of_linear(linear_coeffs(lin), d) for lin in spec.fixed]
-        for j in range(d + 1):
-            idx = (d - j, j)
-            rows.append([c.a(idx) for c in cols])
-            rhs.append(residual.a(idx))
-        ts = mat_solve(rows, rhs, eps)
-        if ts is None:
-            raise DegenerateInput("fixed-form system is inconsistent")
-        fixed_terms = [Term(t, lin, d) for t, lin in zip(ts, spec.fixed)]
-    dec = Decomposition(free_terms + fixed_terms,
-                        meta={"theorem": "mixed", "m": m, "r": r}).accepted(p, eps)
-    if dec is None:
+        bases = [t.base for t in sylv.terms]
+        if f is not None and any(
+                scalar_is_zero(f.evaluate(linear_coeffs(b)), eps, scale=f.norm())
+                for b in bases):
+            raise DegenerateInput("f vanishes at a Sylvester node")
+    bases += spec.fixed
+    nodes = [linear_coeffs(b) for b in bases]
+    scales = [max(node, key=abs) for node in nodes]
+    lambdas = _solve_power_multipliers(
+        p, [(a / s, b / s) for (a, b), s in zip(nodes, scales)], eps)
+    if lambdas is None:
+        raise DegenerateInput("multiplier system is inconsistent")
+    terms = [Term(lam / s ** d, b, d) for lam, s, b in zip(lambdas, scales, bases)]
+    dec = Decomposition(terms, meta={"theorem": "mixed", "m": m, "r": r})
+    if (dec := dec.accepted(p, eps)) is None:
         raise DegenerateInput("reconstruction check failed")
     return dec
 

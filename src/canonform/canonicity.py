@@ -305,9 +305,6 @@ class ParamMap:
         zero = Form.zero(self.n, self.d)
         return [grad.get(j, zero) for j in range(self.m)]
 
-    def partial(self, t, j: int) -> Form:
-        return self.gradient(t)[j]
-
     def jacobian_rows(self, t, exact: bool = False) -> list[list[Scalar]]:
         """The gradient's rows; exact reads float Param and Fixed coefficients exactly."""
         idxs, zero = _monomials(self.n, self.d), Form.zero(self.n, self.d)

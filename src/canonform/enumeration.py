@@ -49,10 +49,6 @@ class NeatForm:
     def r(self) -> int:
         return len(self.e)
 
-    @property
-    def powers(self) -> tuple[int, ...]:
-        return tuple(self.d // ek for ek in self.e)
-
 
 def divisors(n: int) -> list[int]:
     small, large = [], []

@@ -68,6 +68,13 @@ def multinomial(idx: MultiIndex) -> int:
     return c
 
 
+def _fitting(idx: MultiIndex, n: int, d: int) -> MultiIndex:
+    """idx, or ShapeMismatch unless it is an exponent index of shape (n, d)."""
+    if len(idx) != n or sum(idx) != d or any(e < 0 for e in idx):
+        raise ShapeMismatch(f"index {idx} does not fit shape ({n}, {d})")
+    return idx
+
+
 class Form:
     """Immutable homogeneous form; coefficients live in one scalar backend."""
 
@@ -85,11 +92,8 @@ class Form:
         for idx, s in items:
             if approx:
                 s = complex(s)
-            if not s:
-                continue
-            if len(idx) != n or sum(idx) != d or any(e < 0 for e in idx):
-                raise ShapeMismatch(f"index {idx} does not fit shape ({n}, {d})")
-            clean[idx] = s
+            if s:
+                clean[_fitting(idx, n, d)] = s
         self._a = clean
         # an empty form counts as exact whatever backend it came from
         self.exact = not (approx and clean)
@@ -103,8 +107,8 @@ class Form:
     @classmethod
     def from_raw(cls, n: int, d: int, raw: dict) -> "Form":
         """Build from actual monomial coefficients (divides out c(i))."""
-        return cls(n, d, {tuple(i): as_scalar(v) / multinomial(tuple(i))
-                          for i, v in raw.items()})
+        raw = {_fitting(tuple(i), n, d): v for i, v in raw.items()}
+        return cls(n, d, {i: as_scalar(v) / multinomial(i) for i, v in raw.items()})
 
     # -- accessors -----------------------------------------------------------
 

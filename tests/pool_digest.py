@@ -6,12 +6,15 @@ with --json, and prints the run count and one sha256 over
 (argv, exit code, stdout, stderr) of all runs.  Reads the bench modules
 only and writes nothing under bench/.  Usage:
 
-    PYTHONPATH=src python tests/pool_digest.py [--per FILE] [--check DIGEST]
+    PYTHONPATH=src python tests/pool_digest.py [--per FILE] [--against FILE]
+                                               [--check DIGEST]
 
 --per FILE also writes {argv as JSON: sha256 of that run} to FILE, so two
-such files show which runs differ.  --check DIGEST exits 1 unless the
-digest is DIGEST, naming the first run whose exit code and stdout differ
-from the digests pinned in decompose_pool_digests.json and
+such files show which runs differ.  --against FILE reads such a file saved
+earlier and lists the runs whose digest differs from it (or that only one
+side has), grouped by the pool request's "kind:slot".  --check DIGEST exits
+1 unless the digest is DIGEST, naming the first run whose exit code and
+stdout differ from the digests pinned in decompose_pool_digests.json and
 certify_catalog_digests.json (or saying that no pinned run differs).
 """
 
@@ -40,13 +43,25 @@ def _workloads():
     return module
 
 
-def pool_argvs() -> list[list[str]]:
-    """Every pool request's argv, in text and with --json."""
+def pool_argvs() -> dict[str, str]:
+    """{argv as JSON: "kind:slot"} for every pool request, in text and with
+    --json."""
     wl = _workloads()
-    out = []
+    out = {}
     for req in wl.certify_round() + wl.decompose_pool() + wl.count_pool():
         text = [a for a in req.argv if a != "--json"]
-        out += [text, ["--json"] + text]
+        for argv in (text, ["--json"] + text):
+            out[json.dumps(argv)] = f"{req.kind}:{req.slot}"
+    return out
+
+
+def differing(per: dict, saved: dict, slots: dict) -> dict[str, list[str]]:
+    """{"kind:slot": [argv as JSON, ...]} for the runs whose digest in per
+    and saved differs or that only one of them has."""
+    out = {}
+    for key in [k for k in per if per[k] != saved.get(k)] + [
+            k for k in saved if k not in per]:
+        out.setdefault(slots.get(key, "(not in the pool)"), []).append(key)
     return out
 
 
@@ -75,19 +90,30 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--per", metavar="FILE",
                         help="write a digest for each run to FILE")
+    parser.add_argument("--against", metavar="FILE",
+                        help="list the runs that differ from a saved --per FILE")
     parser.add_argument("--check", metavar="DIGEST",
                         help="exit 1 unless the digest is DIGEST")
     args = parser.parse_args()
     total, per, outputs = hashlib.sha256(), {}, {}
-    for argv in pool_argvs():
-        line = run(argv)
+    slots = pool_argvs()
+    for key in slots:
+        line = run(json.loads(key))
         total.update(line)
-        per[key := json.dumps(argv)] = hashlib.sha256(line).hexdigest()
+        per[key] = hashlib.sha256(line).hexdigest()
         _, code, out, _ = json.loads(line)
         outputs[key] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     print(len(per), total.hexdigest())
     if args.per:
         Path(args.per).write_text(json.dumps(per, indent=1) + "\n")
+    if args.against:
+        saved = json.loads(Path(args.against).read_text())
+        moved = differing(per, saved, slots)
+        print(sum(map(len, moved.values())), "runs differ from", args.against)
+        for slot, keys in moved.items():
+            print(f"{slot}: {len(keys)}")
+            for key in keys:
+                print("   ", key)
     if args.check and total.hexdigest() != args.check:
         pins = pinned()
         first = next((k for k in outputs if k in pins and outputs[k] != pins[k]),

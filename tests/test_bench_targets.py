@@ -182,8 +182,21 @@ def _assert_pinned(monkeypatch, name):
 def test_every_decompose_pool_output_keeps_its_digest(monkeypatch):
     """All 208 pool requests, exact and approximate, keep the sha256 of their
     exit code and stdout ("{code}\\n{stdout}") recorded in
-    decompose_pool_digests.json at commit 47a256a, keyed "slot:variant"."""
+    decompose_pool_digests.json, keyed "slot:variant"; CHANGES.md names
+    each output re-recorded on purpose."""
     _assert_pinned(monkeypatch, "decompose_pool_digests.json")
+
+
+def test_pool_digest_lists_the_moved_runs_by_slot():
+    # what pool_digest.py --against prints: runs whose digest moved, or that
+    # one side lacks, under the "kind:slot" they came from
+    import pool_digest
+
+    per = {"a": "1", "b": "2", "c": "3"}
+    saved = {"a": "1", "b": "9", "d": "4"}
+    slots = {"a": "decompose:s1", "b": "decompose:s1", "c": "count:s2"}
+    assert pool_digest.differing(per, saved, slots) == {
+        "decompose:s1": ["b"], "count:s2": ["c"], "(not in the pool)": ["d"]}
 
 
 def test_every_certify_catalog_output_keeps_its_digest(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,16 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonform import QQi, binary, forms_close, linear_form, parse_form, power_of_linear, random_form
-from canonform.apolarity import hankel
+from canonform import cli
+from canonform.apolarity import apply_diff, hankel
 from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               mixed_decompose, quartic_normalize,
                               quartic_power_ratio, quartic_six_for_form,
                               quartic_six_reps, quartic_two_fixed,
                               sylvester_decompose, two_squares_all)
-from canonform.errors import (DegenerateInput, DegenerateLambda, LeadingZero, NormalizationFailed,
-                              NotGeneric, RepeatedRoot, UnsupportedShape, ZeroForm)
-from canonform.forms import ACCEPT_TOL, Form
-from canonform.linalg import chordal_distance
+from canonform.decompositions import Decomposition, Term, parse_decomposition
+from canonform.errors import (CanonformError, DegenerateInput, DegenerateLambda, LeadingZero,
+                              NormalizationFailed, NotGeneric, RepeatedRoot, UnsupportedShape,
+                              ZeroForm)
+from canonform.forms import ACCEPT_TOL, Form, linear_coeffs
+from canonform.linalg import chordal_distance, mat_solve
+from canonform.scalars import EPS_DEFAULT, is_exact, scalar_is_zero
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 
@@ -251,6 +257,134 @@ class TestMixed:
         assert len(analytic) == 6
         assert all(r.verify(p, 1e-6) for r in analytic)
         assert count_reps_monte_carlo(4, [2, 1], 0, seed=31, form=p) == 6
+
+
+# -- the single multiplier solve against the three stages it replaced ----------
+
+
+def three_stage_mixed(p, spec, eps=EPS_DEFAULT):
+    """mixed_decompose as it was: Sylvester's multipliers for f(D)p rescaled
+    by (d-m)!/d! and 1/f(node), the free powers subtracted from p, and a
+    second solve for the fixed multipliers."""
+    d, m, r = p.d, spec.m, spec.r
+    f = None
+    for lin in spec.fixed:
+        g = binary._flip(lin)
+        f = g if f is None else f * g
+    free_terms = []
+    fp = apply_diff(f, p) if f is not None else p
+    if not fp.is_zero(eps, scale=p.norm()):
+        try:
+            sylv = sylvester_decompose(fp, eps)
+        except NotGeneric as exc:
+            raise DegenerateInput(f"Sylvester stage failed: {exc}") from exc
+        if len(sylv.terms) > r:
+            raise DegenerateInput(
+                f"Sylvester stage needs width <= {r}, got {len(sylv.terms)}")
+        scale_c = QQi(math.factorial(d - m)) / math.factorial(d)
+        for t in sylv.terms:
+            node = linear_coeffs(t.base)
+            if f is not None:
+                fu = f.evaluate(node)
+                if scalar_is_zero(fu, eps, scale=f.norm()):
+                    raise DegenerateInput("f vanishes at a Sylvester node")
+            else:
+                fu = QQi(1)
+            free_terms.append(Term(scale_c * t.multiplier / fu, t.base, d))
+    residual = p
+    for t in free_terms:
+        residual = residual - t.form()
+    fixed_terms = []
+    if m:
+        cols = [power_of_linear(linear_coeffs(lin), d) for lin in spec.fixed]
+        rows = [[c.a((d - j, j)) for c in cols] for j in range(d + 1)]
+        ts = mat_solve(rows, [residual.a((d - j, j)) for j in range(d + 1)], eps)
+        if ts is None:
+            raise DegenerateInput("fixed-form system is inconsistent")
+        fixed_terms = [Term(t, lin, d) for t, lin in zip(ts, spec.fixed)]
+    dec = Decomposition(free_terms + fixed_terms,
+                        meta={"theorem": "mixed", "m": m, "r": r}).accepted(p, eps)
+    if dec is None:
+        raise DegenerateInput("reconstruction check failed")
+    return dec
+
+
+def mixed_sweep(rng, draws):
+    """(p, spec) for each d = 2..10, each m with m + 2r = d + 1, each backend
+    and real or Gaussian coefficients: draws forms with coefficients in
+    +-[1, 99] and m pairwise independent fixed forms with integer
+    coefficients in [-5, 5]."""
+    def coeff():
+        return rng.choice((-1, 1)) * rng.randint(1, 99)
+
+    shapes = [(d, m) for d in range(2, 11) for m in range((d + 1) % 2, d + 2, 2)]
+    for (d, m), exact, gaussian, _ in itertools.product(
+            shapes, (True, False), (False, True), range(draws)):
+        fixed = []
+        while len(fixed) < m:
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            if (a, b) != (0, 0) and all(a * v - b * u for u, v in fixed):
+                fixed.append((a, b))
+        p = Form.from_raw(2, d, {(d - j, j): QQi(coeff(), coeff() if gaussian else 0)
+                                 for j in range(d + 1)})
+        yield (p if exact else p.approx(),
+               MixedSpec([linear_form(ab) for ab in fixed], (d + 1 - m) // 2))
+
+
+def test_one_multiplier_solve_matches_the_three_stages():
+    # exact results equal the old ones term for term, float results rebuild
+    # p, and nothing the three stages decomposed is refused
+    seen = {"exact": 0, "float": 0, "both refuse": 0, "only new": 0}
+    for p, spec in mixed_sweep(random.Random(39), 2):
+        try:
+            old = three_stage_mixed(p, spec)
+        except CanonformError:
+            old = None
+        try:
+            new = mixed_decompose(p, spec)
+        except CanonformError:
+            assert old is None, (p, spec.fixed)
+            seen["both refuse"] += 1
+            continue
+        if old is None:
+            seen["only new"] += 1
+            assert new.verify(p, ACCEPT_TOL)
+        elif all(is_exact(t.multiplier) and t.base.exact for t in old.terms):
+            seen["exact"] += 1
+            assert new.terms == old.terms, (p, spec.fixed)
+        else:
+            seen["float"] += 1
+            assert new.verify(p, ACCEPT_TOL), (p, spec.fixed)
+    assert min(seen.values()) > 0, seen
+
+
+def test_r_zero_is_the_fixed_solve_alone():
+    # m = d + 1 fixed powers span the binary d-ics; deg f = d + 1 once
+    # raised ShapeMismatch in the differentiation
+    spec = MixedSpec([parse_form("x", n=2), parse_form("y", n=2),
+                      parse_form("x + y")], 0)
+    dec = mixed_decompose(parse_form("x^2 + 3*x*y + y^2"), spec)
+    assert [(t.multiplier, str(t.base)) for t in dec.terms] == [
+        (QQi(Fraction(-1, 2)), "x"), (QQi(Fraction(-1, 2)), "y"),
+        (QQi(Fraction(3, 2)), "x + y")]
+
+
+def test_nine_fixed_powers_that_the_second_solve_lost(capsys):
+    # the three stages failed the reconstruction check here (exit 2); one
+    # solve over bases scaled to unit size decomposes it
+    src = ("(40-40*i)*x^9 + (-81-261*i)*x^8*y + (-1152+1440*i)*x^7*y^2 "
+           "+ (-7140-4788*i)*x^6*y^3 + (-7434+3906*i)*x^5*y^4 "
+           "+ (7812-3150*i)*x^4*y^5 + (-1260+2520*i)*x^3*y^6 "
+           "+ (-1944-3348*i)*x^2*y^7 + (-63-441*i)*x*y^8 + (-32-19*i)*y^9")
+    argv = ["decompose", "mixed", src, "--fixed", "5*x-4*y", "--fixed=-x",
+            "--fixed", "3*x-4*y", "--fixed=-5*x-3*y", "--fixed", "4*x+y",
+            "--fixed", "5*x+5*y", "--fixed=-x+5*y", "--fixed=-5*x-y"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    dec = parse_decomposition(out.strip())
+    assert len(dec.terms) == 9
+    assert forms_close(dec.reconstruct().approx(), parse_form(src), ACCEPT_TOL)
 
 
 def random_admissible_even_form(s, rng):

@@ -535,17 +535,14 @@ def test_constructors_raise_as_the_validating_constructor_does():
                 lambda: Form.zero(1, -1), lambda: Form(0, 1, {})):
         with pytest.raises(ValueError, match="bad shape"):
             run()
-    # user indices keep their checks: a wrong length or degree is
-    # ShapeMismatch, and a negative exponent fails in the multinomial
-    # before any shape check, as it did before the trusted constructors
-    for idx in [(1, 1, 0), (3,), (2, 0, 0, 1)]:
+    # user indices keep their checks: a wrong length or degree, or a
+    # negative exponent, is ShapeMismatch before the multinomial is read
+    for idx in [(1, 1, 0), (3,), (2, 0, 0, 1), (-1, 3), (3, -1)]:
         with pytest.raises(ShapeMismatch, match="does not fit shape"):
             monomial_form(2, idx)
-    with pytest.raises(ShapeMismatch, match="does not fit shape"):
-        Form.from_raw(2, 2, {(1, 0): 1})
-    for idx in [(-1, 3), (3, -1)]:
-        with pytest.raises(ValueError, match="non-negative"):
-            monomial_form(2, idx)
+    for idx in [(1, 0), (-1, 3), (3, -1)]:
+        with pytest.raises(ShapeMismatch, match="does not fit shape"):
+            Form.from_raw(2, 2, {idx: 1})
     with pytest.raises(ShapeMismatch, match="does not fit shape"):
         Form(2, 2, {(3, -1): 1})
 
