@@ -224,11 +224,11 @@ def _drab_identities_ok() -> bool:
     for m in range(1, 9):
         fam = multivar.drab_family(m)
         squares = decompositions.Decomposition(
-            [decompositions.Term(1, f, 2) for f in fam]).reconstruct()
+            [decompositions.Term(1, f, 2) for f in fam])
         target = Form.from_raw(m, 2, {tuple(2 * (j == k) for j in range(m)): 1
                                       for k in range(m)})
         if not (sum(fam[1:], fam[0]).is_zero(1e-12, scale=1.0)
-                and decompositions.forms_close(squares, target.approx(), 1e-12)):
+                and squares.verify(target.approx(), 1e-12)):
             return False
     return True
 

@@ -10,17 +10,21 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import LazyModule
 from .errors import ParseError, ShapeMismatch, ZeroForm
-from .forms import (Form, MultiIndex, _Reader, _monomials, _sum_into, _trusted,
-                    dim, linear_coeffs, linear_form, multinomial)
+from .forms import (_VAR_INDEX, Form, MultiIndex, _Reader, _monomials, _sum_into,
+                    _trusted, dim, linear_coeffs, linear_form, multinomial)
 from .linalg import cluster_roots, poly_roots
 from .scalars import (EPS_DEFAULT, MOD_P, SNAP_MAX_DEN, QQi, Scalar, _ONE,
-                      _ZERO, _NoImage, _normalised, _over_lcm, as_scalar,
+                      _INEXACT, _ZERO, _NoImage, _normalised, _over_lcm, as_scalar,
                       format_scalar, is_exact, mod_p, power, scalar_from_json,
                       scalar_is_zero, scalar_to_json, snap_scalar)
+
+np = LazyModule("numpy", globals(), "np")
 
 # -- products and powers of forms ------------------------------------------------
 
@@ -62,7 +66,7 @@ def _part(f: Form, base: int, lcm: int = 0) -> tuple:
 
 def _times(f: tuple, g: tuple, table: "_Codes") -> tuple:
     """The part f * g: Gaussian-integer sums, normalised in _form_of, or float
-    sums in descending code order of (i, j), each divided by its multinomial."""
+    sums (_float_sum), each divided by its multinomial."""
     if f[1] and g[1]:
         re, im = {}, {}
         for i, a, b in f[0]:
@@ -72,17 +76,22 @@ def _times(f: tuple, g: tuple, table: "_Codes") -> tuple:
                 im[k] = im.get(k, 0) + a * e + b * c
         return ([(k, x, im[k]) for k, x in re.items() if x or im[k]], True,
                 f[2] * g[2])
-    mine, theirs = (sorted(
+    raw = _float_sum(*(sorted(
         ((k, complex(a / den, b / den)) for k, a, b in terms) if exact else
         ((k, v * table[k][1]) for k, v in terms), reverse=True)
-        for terms, exact, den in (f, g))
-    raw: dict[int, Scalar] = {}
+        for terms, exact, den in (f, g)))
+    terms = [(k, s) for k, v in raw.items() if (s := v / table[k][1])]
+    return terms, not terms, 1
+
+
+def _float_sum(mine: list, theirs: list) -> dict:
+    """{i + j: sum of u * v} over (code, value) lists, summed in their order."""
+    raw: dict[int, complex] = {}
     for i, u in mine:
         for j, v in theirs:
             k = i + j
             raw[k] = raw.get(k, 0) + u * v
-    terms = [(k, s) for k, v in raw.items() if (s := v / table[k][1])]
-    return terms, not terms, 1
+    return raw
 
 
 def _form_of(part: tuple, n: int, d: int, table: "_Codes") -> Form:
@@ -97,7 +106,14 @@ def _product(p: Form, q: Form) -> Form:
     if p.n != q.n:
         raise ShapeMismatch("variable counts differ")
     n, d, table = p.n, p.d + q.d, _Codes(p.n, p.d + q.d)
-    return _form_of(_times(_part(p, d + 1), _part(q, d + 1), table), n, d, table)
+    if p.exact or q.exact:
+        return _form_of(_times(_part(p, d + 1), _part(q, d + 1), table), n, d, table)
+    # two float forms: _times's float sums, without the parts in between
+    raw = _float_sum(*(sorted(((_pack(i, d + 1), v * multinomial(i))
+                               for i, v in f._a.items()), reverse=True)
+                       for f in (p, q)))
+    return _trusted(n, d, {table[k][0]: s for k, v in raw.items()
+                           if (s := v / table[k][1])}, False)
 
 
 @functools.cache
@@ -400,9 +416,58 @@ def _form(products: list, n: int | None, d: int | None) -> Form:
     for coeff, expo, _ in products:
         key = tuple(expo.get(v, 0) for v in range(n))
         raw[key] = raw.get(key, 0) + coeff
-    # every nonzero sum has degree d, by the checks above
-    return _trusted(n, d, {i: as_scalar(c) / multinomial(i)
+    # every nonzero sum has degree d, by the checks above; c / c(i) is
+    # normalised once
+    return _trusted(n, d, {i: _normalised(c.a, c.b, c.d * multinomial(i))
+                           if isinstance(c, QQi) else _normalised(
+                               c.numerator, 0, c.denominator * multinomial(i))
                            for i, c in raw.items() if c}, True)
+
+
+# Plain form text, one match per term: an optional integer or p/q
+# coefficient, or a parenthesised (a) or (a±b*i), times x, y, z or xk with
+# optional exponents.  _scan reads it as _Reader does and leaves all else to it.
+_NUMBER, _POWER = r"[0-9]+(?:/[0-9]+)?", r"(x[1-9][0-9]*|[xyz])(?:\s*\^\s*([0-9]+))?"
+_POWER_RE, _TERM_RE = re.compile(_POWER, re.ASCII), re.compile(
+    rf"\s*([+-]?)\s*(?:(?:({_NUMBER})|\(\s*([+-]?)\s*({_NUMBER})\s*(?:([+-])\s*"
+    rf"({_NUMBER})\s*\*\s*i\s*)?\))\s*\*\s*)?({_POWER}(?:\s*\*\s*{_POWER})*)\s*",
+    re.ASCII)
+
+
+def _number(sign: str, text: str) -> int | Fraction:
+    num, _, den = text.partition("/")
+    value = Fraction(int(num), int(den)) if den else int(num)
+    return -value if sign == "-" else value
+
+
+@functools.lru_cache(maxsize=4096)
+def _exponents(text: str) -> dict[int, int]:
+    """{variable: exponent} of monomial text, summed as _Reader sums it: one
+    dict for every product of that text, which _form only reads."""
+    expo: dict[int, int] = {}
+    for name, k in _POWER_RE.findall(text):
+        var = _VAR_INDEX[name] if name in _VAR_INDEX else int(name[1:]) - 1
+        expo[var] = expo.get(var, 0) + (int(k) if k else 1)
+    return expo
+
+
+def _scan(text: str) -> list | None:
+    """_Reader(text).read() for plain form text, else None."""
+    products, pos = [], 0
+    try:
+        while pos < len(text) or not products:
+            m = _TERM_RE.match(text, pos)
+            if m is None or (products and not m[1]):  # signs join terms
+                return None
+            sign, whole, a_sign, a, b_sign, b, mono = m.groups()[:7]
+            coeff = _number(sign, whole or "1") if whole or not a else (
+                _number(a_sign, a) + (QQi(0, _number(b_sign, b)) if b else 0))
+            coeff = -coeff if a and sign == "-" else coeff
+            products.append((coeff, _exponents(mono), None))
+            pos = m.end()
+    except (ValueError, ZeroDivisionError):  # _Reader reports these
+        return None
+    return products
 
 
 def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
@@ -412,7 +477,7 @@ def parse_form(text: str, n: int | None = None, d: int | None = None) -> Form:
     is an integer, p/q rational or decimal, i, or a parenthesised sum of
     these such as (1+2*i) or (1+i)^2.
     """
-    return _form(_Reader(text).read(), n, d)
+    return _form(_scan(text) or _Reader(text).read(), n, d)
 
 
 # -- JSON format ---------------------------------------------------------------------
@@ -432,6 +497,20 @@ def form_from_json(obj: dict) -> Form:
 
 
 # -- decompositions --------------------------------------------------------------
+
+
+@functools.cache
+def _layout(n: int, d: int) -> tuple:
+    """For _monomials(n, d): the multinomials as floats, and the place of each
+    exponent among the powers 0..d of n coordinates, one after another."""
+    mons = _monomials(n, d)
+    return (np.array([multinomial(i) for i in mons], float),
+            np.array(mons).reshape(len(mons), n) + np.arange(n) * (d + 1))
+
+
+def _dense(f: Form) -> "np.ndarray":
+    """f's normalised coefficients as a complex array in _monomials order."""
+    return np.array([f._a.get(i, 0) for i in _monomials(f.n, f.d)], complex)
 
 
 # Every decomposer's bound on the normwise backward error of an inexact
@@ -496,7 +575,43 @@ class Decomposition:
         return sum(rest, _linear_powers(n, d, linear))
 
     def verify(self, p: Form, eps: float = EPS_DEFAULT) -> bool:
-        return forms_close(self.reconstruct(), p, eps)
+        """forms_close(self.reconstruct(), p, eps), on one complex array
+        (_rebuilt) when a value is a float and every part has p's shape."""
+        parts = [(t.multiplier, t.base, t.power) for t in self.terms] + (
+            [] if self.residual is None else [(1, self.residual, 1)])
+        if all(f.exact and not isinstance(c, _INEXACT) for c, f, _ in parts) or any(
+                (f.n, f.d * k) != (p.n, p.d) for _, f, k in parts):
+            return forms_close(self.reconstruct(), p, eps)
+        with np.errstate(all="ignore"):
+            mine, theirs = self._rebuilt(p.n, p.d), _dense(p)
+            # max error against max norm, weighted: a NaN fails, as in forms_close
+            err = abs(np.array([mine - theirs, mine, theirs])) * _layout(p.n, p.d)[0]
+            return bool(err[0].max() <= eps * err[1:].max())
+
+    def _rebuilt(self, n: int, d: int) -> "np.ndarray":
+        """The sum's normalised coefficients in _monomials(n, d) order: binary
+        terms by convolving actual coefficients, powers of linear forms at
+        once (each coordinate's powers 0..d gathered by exponent), any other
+        term as Term.form(), and the residual last."""
+        weights, at = _layout(n, d)
+        total, linear = np.zeros(len(weights), complex), []
+        for t in self.terms:
+            if t.base.d == 1:
+                linear.append(t)
+            elif n == 2 and t.power:
+                out = raw = _dense(t.base) * _layout(2, t.base.d)[0]
+                for _ in range(t.power - 1):
+                    out = np.convolve(out, raw)
+                total += complex(t.multiplier) * out / weights
+            else:
+                total += _dense(t.form())
+        if linear:
+            rows = np.array([t.base._a.get(i, 0) for t in linear
+                             for i in _monomials(n, 1)], complex)
+            rows = rows.reshape(len(linear), n, 1) ** np.arange(d + 1)
+            total += np.array([t.multiplier for t in linear], complex).dot(
+                rows.reshape(len(linear), -1).take(at, axis=1).prod(2))
+        return total if self.residual is None else total + _dense(self.residual)
 
     def accepted(self, p: Form, eps: float = EPS_DEFAULT) -> "Decomposition | None":
         """The exact snap when it rebuilds p, else self when it rebuilds p

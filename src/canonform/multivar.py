@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import LazyModule
 from .decompositions import (ACCEPT_TOL, Decomposition, Term, check_decomposable,
-                             forms_close, pad_form, restrict_form)
+                             pad_form, restrict_form)
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
 from .forms import Form, _monomials, _trusted, linear_coeffs, linear_form, multinomial
@@ -169,8 +169,8 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
     except np.linalg.LinAlgError:
         raise DegeneratePencil("dependent pencil eigenvectors") from None
     forms = [linear_form([complex(w[i][j]) for j in range(n)]) for i in range(n)]
-    recon = Decomposition([Term(1, lf, 2) for lf in forms]).reconstruct()
-    if not forms_close(recon, f.approx(), max(1e-6, eps)):
+    squares = Decomposition([Term(1, lf, 2) for lf in forms])
+    if not squares.verify(f.approx(), max(1e-6, eps)):
         raise DegeneratePencil("diagonalization failed to reconstruct f")
     return PencilDiag(forms, eigs)
 
@@ -364,9 +364,10 @@ def _tensor_norm(t: np.ndarray) -> float:
 def _tensor_substitute(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The tensor of p o M for x_i = sum_j M[i][j] x'_j.  The three
     contractions round each entry's orders differently; their mean is the
-    nearest symmetric tensor."""
+    nearest symmetric tensor.  Each contraction is the matrix product that
+    np.tensordot(t, m, axes=(0, 0)) runs."""
     for _ in range(3):
-        t = np.tensordot(t, m, axes=(0, 0))
+        t = np.dot(t.transpose(1, 2, 0).reshape(-1, len(m)), m).reshape(t.shape)
     return sum(t.transpose(axes) for axes in itertools.permutations(range(3))) / 6
 
 

@@ -7,7 +7,7 @@ with --json, and prints the run count and one sha256 over
 only and writes nothing under bench/.  Usage:
 
     PYTHONPATH=src python tests/pool_digest.py [--per FILE] [--against FILE]
-                                               [--check DIGEST]
+                                               [--check DIGEST] [--time N]
 
 --per FILE also writes {argv as JSON: sha256 of that run} to FILE, so two
 such files show which runs differ.  --against FILE reads such a file saved
@@ -16,6 +16,9 @@ side has), grouped by the pool request's "kind:slot".  --check DIGEST exits
 1 unless the digest is DIGEST, naming the first run whose exit code and
 stdout differ from the digests pinned in decompose_pool_digests.json and
 certify_catalog_digests.json (or saying that no pinned run differs).
+--time N then runs every request N more times and prints, for each
+"kind:slot", the median over those passes of the wall seconds its runs took
+(text and --json together).
 """
 
 import argparse
@@ -24,7 +27,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import statistics
 import sys
+import time
 from pathlib import Path
 
 from canonform import cli
@@ -86,6 +91,19 @@ def run(argv: list[str]) -> bytes:
     return (json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode()
 
 
+def slot_seconds(slots: dict, passes: int) -> dict[str, float]:
+    """{"kind:slot": median over passes of the wall seconds of its runs}."""
+    spent = {slot: [] for slot in slots.values()}
+    for _ in range(passes):
+        for times in spent.values():
+            times.append(0.0)
+        for key, slot in slots.items():
+            start = time.perf_counter()
+            run(json.loads(key))
+            spent[slot][-1] += time.perf_counter() - start
+    return {slot: statistics.median(times) for slot, times in spent.items()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--per", metavar="FILE",
@@ -94,6 +112,8 @@ def main() -> None:
                         help="list the runs that differ from a saved --per FILE")
     parser.add_argument("--check", metavar="DIGEST",
                         help="exit 1 unless the digest is DIGEST")
+    parser.add_argument("--time", metavar="N", type=int,
+                        help="print each slot's median seconds over N passes")
     args = parser.parse_args()
     total, per, outputs = hashlib.sha256(), {}, {}
     slots = pool_argvs()
@@ -114,6 +134,9 @@ def main() -> None:
             print(f"{slot}: {len(keys)}")
             for key in keys:
                 print("   ", key)
+    if args.time:
+        for slot, seconds in slot_seconds(slots, args.time).items():
+            print(f"{slot} {seconds:.6f}")
     if args.check and total.hexdigest() != args.check:
         pins = pinned()
         first = next((k for k in outputs if k in pins and outputs[k] != pins[k]),

@@ -14,7 +14,6 @@ that moves outputs on purpose, re-record both files with
 import contextlib
 import hashlib
 import importlib
-import importlib.util
 import io
 import json
 import sys
@@ -23,23 +22,13 @@ from pathlib import Path
 import pytest
 
 from canonform import cli
-from tests_support import cli_digests, fresh_json
+from tests_support import bench_module, cli_digests, fresh_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _bench_module(monkeypatch, name):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
-                                                  BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclasses
-    spec.loader.exec_module(module)
-    return module
-
-
 def _span_targets(monkeypatch):
-    return _bench_module(monkeypatch, "tracing").SPAN_TARGETS
+    return bench_module(monkeypatch, "tracing").SPAN_TARGETS
 
 
 def _fresh(code, *args):
@@ -107,14 +96,14 @@ def test_every_counted_qqi_operator_resolves(monkeypatch):
     # QQiCounter.install reads QQi.__dict__[name] for every counted operator
     from canonform.scalars import QQi
 
-    ops = _bench_module(monkeypatch, "tracing").QQI_OPS
+    ops = bench_module(monkeypatch, "tracing").QQI_OPS
     assert ops
     assert [name for name in ops if name not in QQi.__dict__] == []
 
 
 def test_certify_round_keeps_its_reference_digests(monkeypatch):
     refs = json.loads((BENCH / "reference.json").read_text())["requests"]
-    requests = _bench_module(monkeypatch, "workloads").certify_round()
+    requests = bench_module(monkeypatch, "workloads").certify_round()
     assert requests
     for req in requests:
         out = io.StringIO()
@@ -130,9 +119,9 @@ def test_decompose_pool_keeps_its_reference_digests(monkeypatch):
     """Every decompose request with an exact reference keeps its digest, and
     variant 0 of every slot passes the bench's own check."""
     refs = json.loads((BENCH / "reference.json").read_text())["requests"]
-    workloads = _bench_module(monkeypatch, "workloads")
+    workloads = bench_module(monkeypatch, "workloads")
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it
-    checks = _bench_module(monkeypatch, "checks")
+    checks = bench_module(monkeypatch, "checks")
     exact = [req for req in workloads.decompose_pool() if refs[req.key]["exact"]]
     assert exact
     first = [workloads.decompose_request(slot, 0)
@@ -173,7 +162,7 @@ _PINNED = {"decompose_pool_digests.json": (_pool_argvs, 208),
 def _assert_pinned(monkeypatch, name):
     argvs, count = _PINNED[name]
     pinned = json.loads((Path(__file__).parent / name).read_text())
-    got = cli_digests(argvs(_bench_module(monkeypatch, "workloads")))
+    got = cli_digests(argvs(bench_module(monkeypatch, "workloads")))
     assert len(got) == count
     assert [k for k in pinned if got.get(k) != pinned[k]] == []
     assert got.keys() == pinned.keys()
@@ -212,7 +201,7 @@ def test_certify_round_stays_on_the_modular_path(monkeypatch):
     lose the speed."""
     from canonform import canonicity
 
-    requests = _bench_module(monkeypatch, "workloads").certify_round()
+    requests = bench_module(monkeypatch, "workloads").certify_round()
     assert requests
     for req in requests:
         argv = list(req.argv)
@@ -244,7 +233,7 @@ def test_cli_import_loads_every_traced_module_but_not_numpy(monkeypatch):
 def test_certify_round_never_imports_numpy(monkeypatch):
     rows = _fresh(_NUMPY_PER_REQUEST, "certify", "1")
     round_argvs = [req.argv for req in
-                   _bench_module(monkeypatch, "workloads").certify_round()]
+                   bench_module(monkeypatch, "workloads").certify_round()]
     assert sorted(argv for argv, _, _, _ in rows[1:]) == sorted(round_argvs)
     assert [argv for argv, _, _, after in rows if after] == []
 
@@ -256,9 +245,20 @@ def test_warmup_pays_for_the_numpy_import(workload):
     assert (code, before, after) == (0, False, True), argv
 
 
+def test_pool_digest_times_each_slot_over_its_runs():
+    import pool_digest
+
+    argv = ["decompose", "sylvester", "x^3 + y^3"]
+    slots = {json.dumps(argv): "decompose:syl", json.dumps(["--json"] + argv):
+             "decompose:syl", json.dumps(["decompose", "uppertri", "x*y"]): "decompose:up"}
+    got = pool_digest.slot_seconds(slots, 3)
+    assert list(got) == ["decompose:syl", "decompose:up"]
+    assert all(0 < seconds < 5 for seconds in got.values())
+
+
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp:
-        wl = _bench_module(mp, "workloads")
+        wl = bench_module(mp, "workloads")
         for name, (argvs, count) in _PINNED.items():
             digests = cli_digests(argvs(wl))
             assert len(digests) == count, name

@@ -4,19 +4,17 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import canonform
 from canonform import cli, commands, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
-from canonform.forms import ACCEPT_TOL, parse_decomposition, var_names
-from tests_support import fresh_json, subprocess_env
+from canonform.forms import ACCEPT_TOL, parse_decomposition
+from tests_support import FUZZ_SHAPES, fresh_json, fuzz_argvs, subprocess_env
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -1069,61 +1067,15 @@ def test_overflow_and_pivot_roots_below_float_range_are_degenerate(capsys,
     assert "set_int_max_str_digits" not in err
 
 
-# algorithm: (variable counts, degrees, extra argv) for the fuzz below
-FUZZ_SHAPES = {
-    "sylvester": ((2,), (1, 2, 3, 4, 5, 6, 7), []),
-    "mixed": ((2,), (2, 3, 4, 5), ["--fixed", "x+2*y"]),
-    "two-squares": ((2,), (2, 4, 6), []),
-    "quartic-six": ((2,), (4,), []),
-    "quartic-two-fixed": ((2,), (4,), ["--l1", "x+y", "--l2", "x-3*y"]),
-    "uppertri": ((2, 3, 4), (2,), []),
-    "reichstein": ((3, 4), (3,), []),
-    "reichstein-step": ((3, 4), (3,), []),
-    "slinky": ((3, 4), (3,), []),
-    "slowpoke": ((3, 4, 5), (3,), []),
-    "quartic-lift": ((3,), (4,), []),
-}
-
-
-def _fuzz_coeff(rng):
-    return rng.choice([
-        lambda: f"({rng.randint(-9, 9)})",
-        lambda: f"({rng.randint(-9, 9)}/{rng.randint(1, 9)})",
-        lambda: f"({rng.randint(-9, 9)}+{rng.randint(1, 9)}*i)",
-        lambda: f"({rng.randint(-10**12, 10**12)})",
-        lambda: f"({rng.randint(-99, 99) / 10})",
-        lambda: "0"])()
-
-
-def _fuzz_form(rng, n, d):
-    names = var_names(n)
-    monos = [idx for idx in canonform.index_set(n, d) if rng.random() < 0.8]
-    return " + ".join(
-        _fuzz_coeff(rng) + "*" + "*".join(
-            f"{names[k]}^{e}" if e > 1 else names[k]
-            for k, e in enumerate(idx) if e)
-        for idx in monos or canonform.index_set(n, d)[:1])
-
-
 def test_seeded_decompose_fuzz_has_no_internal_error():
     """550 seeded random inputs, 50 per algorithm, on both backends and about
     a third with --shear: every one exits 0, 1 or 2, never 3."""
-    rng, algos = random.Random(1), list(FUZZ_SHAPES)
     seen, failures = set(), []
-    for i in range(550):
-        algo = algos[i % len(algos)]
-        ns, ds, extra = FUZZ_SHAPES[algo]
-        n, d = rng.choice(ns), rng.choice(ds)
-        backend = rng.choice(["exact", "approx"])
-        argv = ["--seed", str(rng.randint(0, 99)), "--backend", backend,
-                "decompose", algo] + extra
-        if rng.random() < 0.3:
-            argv.append("--shear")
-        argv += ["--", _fuzz_form(rng, n, d)]
+    for argv in fuzz_argvs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        seen.add((algo, backend, "--shear" in argv))
+        seen.add((argv[argv.index("decompose") + 1], argv[3], "--shear" in argv))
         if code == 3:
             failures.append((argv, err.getvalue()))
     assert not failures, failures[:3]

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 
 import numpy as np
@@ -309,6 +310,17 @@ class TestCubicTensor:
         want = np.array([complex(p.evaluate(pt.tolist())) for pt in points])
         got = multivar._tensor_values(t, points)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_substitution_is_the_tensordot_product_bit_for_bit(self, n):
+        gen = np.random.default_rng(80 + n)
+        t = gen.standard_normal((n, n, n)) + 1j * gen.standard_normal((n, n, n))
+        m = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        want = t
+        for _ in range(3):
+            want = np.tensordot(want, m, axes=(0, 0))
+        want = sum(want.transpose(axes) for axes in itertools.permutations(range(3))) / 6
+        assert np.array_equal(multivar._tensor_substitute(t, m), want)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_biermann_point_matches_the_form_scan(self, n):

@@ -1,18 +1,23 @@
 """Shared test helpers: decompositions compared up to term order, a child
-interpreter that imports this canonform, and digests of CLI outputs."""
+interpreter that imports this canonform, digests of CLI outputs and the
+seeded decompose fuzz."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import canonform
 from canonform import cli
-from canonform.forms import index_set
+from canonform.forms import index_set, var_names
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def cli_digests(argvs: dict) -> dict:
@@ -25,6 +30,17 @@ def cli_digests(argvs: dict) -> dict:
             code = cli.main(list(argv))
         got[key] = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
     return got
+
+
+def bench_module(monkeypatch, name):
+    """bench/<name>.py loaded as a module (writing no bytecode there)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def subprocess_env():
@@ -67,3 +83,56 @@ def multisets_match(a, b, tol=1e-6):
             return False
         left.pop(hit)
     return True
+
+
+# algorithm: (variable counts, degrees, extra argv) for the fuzz below
+FUZZ_SHAPES = {
+    "sylvester": ((2,), (1, 2, 3, 4, 5, 6, 7), []),
+    "mixed": ((2,), (2, 3, 4, 5), ["--fixed", "x+2*y"]),
+    "two-squares": ((2,), (2, 4, 6), []),
+    "quartic-six": ((2,), (4,), []),
+    "quartic-two-fixed": ((2,), (4,), ["--l1", "x+y", "--l2", "x-3*y"]),
+    "uppertri": ((2, 3, 4), (2,), []),
+    "reichstein": ((3, 4), (3,), []),
+    "reichstein-step": ((3, 4), (3,), []),
+    "slinky": ((3, 4), (3,), []),
+    "slowpoke": ((3, 4, 5), (3,), []),
+    "quartic-lift": ((3,), (4,), []),
+}
+
+
+def _fuzz_coeff(rng):
+    return rng.choice([
+        lambda: f"({rng.randint(-9, 9)})",
+        lambda: f"({rng.randint(-9, 9)}/{rng.randint(1, 9)})",
+        lambda: f"({rng.randint(-9, 9)}+{rng.randint(1, 9)}*i)",
+        lambda: f"({rng.randint(-10**12, 10**12)})",
+        lambda: f"({rng.randint(-99, 99) / 10})",
+        lambda: "0"])()
+
+
+def _fuzz_form(rng, n, d):
+    names = var_names(n)
+    monos = [idx for idx in index_set(n, d) if rng.random() < 0.8]
+    return " + ".join(
+        _fuzz_coeff(rng) + "*" + "*".join(
+            f"{names[k]}^{e}" if e > 1 else names[k]
+            for k, e in enumerate(idx) if e)
+        for idx in monos or index_set(n, d)[:1])
+
+
+def fuzz_argvs() -> list[list[str]]:
+    """550 seeded random decompose argvs, 50 per algorithm of FUZZ_SHAPES,
+    on both backends and about a third with --shear."""
+    rng, algos, out = random.Random(1), list(FUZZ_SHAPES), []
+    for i in range(550):
+        algo = algos[i % len(algos)]
+        ns, ds, extra = FUZZ_SHAPES[algo]
+        n, d = rng.choice(ns), rng.choice(ds)
+        backend = rng.choice(["exact", "approx"])
+        argv = ["--seed", str(rng.randint(0, 99)), "--backend", backend,
+                "decompose", algo] + extra
+        if rng.random() < 0.3:
+            argv.append("--shear")
+        out.append(argv + ["--", _fuzz_form(rng, n, d)])
+    return out
