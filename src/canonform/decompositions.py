@@ -117,42 +117,53 @@ def _product(p: Form, q: Form) -> Form:
 
 
 @functools.cache
-def _power_steps(n: int, p: int) -> tuple[tuple[int, int], ...]:
-    """(parent, k) for each monomial of degree 1..p in graded-lex order: it
-    is x_k, its first variable, times the monomial at place `parent` (0 is 1)."""
+def _power_steps(n: int, d: int, support: tuple[int, ...]) -> tuple:
+    """(parent, k) for each monomial of degree 1..d in the variables of
+    support, in graded-lex order: it is x_k, its first variable, times the
+    monomial at step `parent` (0 is 1); and the places in _monomials(n, d)
+    of the degree-d ones, which come last."""
     place, steps = {(0,) * n: 0}, []
-    for m in range(1, p + 1):
+    for m in range(1, d + 1):
         for idx in _monomials(n, m):
-            k = next(k for k, e in enumerate(idx) if e)
-            steps.append((place[idx[:k] + (idx[k] - 1,) + idx[k + 1:]], k))
-            place[idx] = len(place)
-    return tuple(steps)
+            if all(k in support for k, e in enumerate(idx) if e):
+                k = next(k for k, e in enumerate(idx) if e)
+                steps.append((place[idx[:k] + (idx[k] - 1,) + idx[k + 1:]], k))
+                place[idx] = len(place)
+    return tuple(steps), tuple(r for r, idx in enumerate(_monomials(n, d))
+                               if idx in place)
 
 
 def _linear_powers(n: int, d: int, terms) -> Form:
     """sum mu (c . x)^d over terms (mu, c) in one pass: the normalised
     coefficient of x^i in (c . x)^d is prod c_k^i_k, one product from its
     parent in _power_steps.  Exact terms are summed as Gaussian-integer
-    numerators over one common denominator, float ones as complex sums."""
+    numerators over one common denominator, each only over the monomials
+    in the variables where its c is nonzero; float ones as complex sums."""
     size, exact, floats = dim(n, d), [], [0j] * dim(n, d)
     for mu, coeffs in terms:
         if is_exact(mu) and all(map(is_exact, coeffs)):
+            support = tuple(k for k, c in enumerate(coeffs) if c)
+            steps, places = _power_steps(n, d, support)
             nums, lcm = _over_lcm(coeffs)
             re, im = [mu.a], [mu.b]
-            for parent, k in _power_steps(n, d):
+            for parent, k in steps:
                 a, b, (c, e) = re[parent], im[parent], nums[k]
                 re.append(a * c - b * e)
                 im.append(a * e + b * c)
-            exact.append((re[-size:], im[-size:], mu.d * lcm ** d))
+            first = len(re) - len(places)
+            exact.append((places, re[first:], im[first:], mu.d * lcm ** d))
         else:
             row, cs = [complex(mu)], [complex(v) for v in coeffs]
-            for parent, k in _power_steps(n, d):
+            for parent, k in _power_steps(n, d, tuple(range(n)))[0]:
                 row.append(row[parent] * cs[k])
             floats = [u + v for u, v in zip(floats, row[-size:])]
-    den = math.lcm(*(part for _, _, part in exact))
-    w = [den // part for _, _, part in exact]
-    re = [sum(map(int.__mul__, col, w)) for col in zip(*(t[0] for t in exact))]
-    im = [sum(map(int.__mul__, col, w)) for col in zip(*(t[1] for t in exact))]
+    den = math.lcm(*(part for *_, part in exact))
+    re, im = [0] * size, [0] * size
+    for places, xs, ys, part in exact:
+        w = den // part
+        for r, x, y in zip(places, xs, ys):
+            re[r] += x * w
+            im[r] += y * w
     mons = _monomials(n, d)
     total = _trusted(n, d, {i: _normalised(x, y, den) for i, x, y
                             in zip(mons, re, im) if x or y}, True)
@@ -509,8 +520,12 @@ def _layout(n: int, d: int) -> tuple:
 
 
 def _dense(f: Form) -> "np.ndarray":
-    """f's normalised coefficients as a complex array in _monomials order."""
-    return np.array([f._a.get(i, 0) for i in _monomials(f.n, f.d)], complex)
+    """f's normalised coefficients as a complex array in _monomials order,
+    made once per form (which is immutable) and read-only."""
+    if not hasattr(f, "_array"):
+        f._array = np.array([f._a.get(i, 0) for i in _monomials(f.n, f.d)], complex)
+        f._array.setflags(write=False)
+    return f._array
 
 
 # Every decomposer's bound on the normwise backward error of an inexact

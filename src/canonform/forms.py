@@ -78,7 +78,8 @@ def _fitting(idx: MultiIndex, n: int, d: int) -> MultiIndex:
 class Form:
     """Immutable homogeneous form; coefficients live in one scalar backend."""
 
-    __slots__ = ("n", "d", "_a", "exact")
+    # _array is decompositions._dense(self), set when first made
+    __slots__ = ("n", "d", "_a", "exact", "_array")
 
     def __init__(self, n: int, d: int, coeffs: dict | None = None):
         """coeffs maps multi-indices to normalized a(p;i) values."""

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from . import LazyModule
-from .decompositions import (ACCEPT_TOL, Decomposition, Term, check_decomposable,
-                             pad_form, restrict_form)
+from .decompositions import (ACCEPT_TOL, Decomposition, Term, _linear_powers,
+                             check_decomposable, pad_form, restrict_form)
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
 from .forms import Form, _monomials, _trusted, linear_coeffs, linear_form, multinomial
@@ -90,9 +90,10 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
         if any(idx[k] and not scalar_is_zero(v, eps, scale) for idx, v in work.items()):
             if scalar_is_zero(a, eps, scale):
                 raise PivotZero(k + 1)
-            lrow = linear_form(quadratic_row(work, k))
-            out.append((k, a, lrow))
-            work = work - (lrow * lrow).scale(1 / a)
+            row = quadratic_row(work, k)
+            out.append((k, a, lrow := linear_form(row)))
+            work = work + (_linear_powers(n, 2, [(-1 / a, row)]) if work.exact
+                           else -(lrow * lrow).scale(1 / a))
         # x_k has left the residual; on floats, drop the rounding it left
         if (work := _eliminate(work, [k], max(ACCEPT_TOL, eps), scale)) is None:
             raise DegenerateInput(f"the residual kept x{k + 1}")
@@ -203,7 +204,8 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
         raise ShapeMismatch("need at least two variables; n=1 is a single cube")
     f = p.partial(0)
     g = p.partial(1)
-    if f.is_zero(eps, scale=p.norm()) or g.is_zero(eps, scale=p.norm()):
+    scale = p.norm()
+    if f.is_zero(eps, scale=scale) or g.is_zero(eps, scale=scale):
         raise DegeneratePencil("a leading partial derivative vanishes")
     diag = pencil_diagonalize(f, g, eps)
     pw = p.approx()
@@ -220,7 +222,7 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
     q = pw
     for t in terms:
         q = q - t.form()
-    q = _eliminate(q, [0, 1], max(1e-6, eps), p.norm())
+    q = _eliminate(q, [0, 1], max(1e-6, eps), scale)
     if q is None:
         raise DegeneratePencil("reichstein residual: residual depends on "
                                "eliminated variables")
@@ -233,13 +235,14 @@ def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     stage-m cubes involve only x_(1+2m)..x_n."""
     check_decomposable(p, p.d == 3, "need a cubic form")
     n = p.n
+    scale = p.norm()
     terms = []
     stages = []
     current = p
     offset = 0
     while offset < n:
         live = list(range(offset, n))
-        if current.is_zero(eps, scale=p.norm()):
+        if current.is_zero(eps, scale=scale):
             break
         sub = restrict_form(current, live)
         if len(live) == 1:
@@ -276,13 +279,14 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     """
     check_decomposable(p, p.d == 3, "need a cubic form")
     n = p.n
+    scale = p.norm()
     current = p
     terms = []
     stages = []
     for t in range(n - 1, 0, -1):
         h = current.partial(t)
         stage = n - t
-        if h.is_zero(eps, scale=p.norm()):
+        if h.is_zero(eps, scale=scale):
             stages.append({"stage": stage, "eliminated": t + 1, "cubes": 0})
             continue
         try:
@@ -290,18 +294,23 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         except PivotZero as exc:
             raise DegenerateStage(stage, f"square completion pivot: {exc}") from exc
         stages.append({"stage": stage, "eliminated": t + 1, "cubes": len(pairs)})
+        exact, cubes = current.exact, []
         for k, a, lrow in pairs:
-            tail = linear_coeffs(lrow)[t]
-            if scalar_is_zero(tail, eps, scale=max(abs(complex(v))
-                                                   for v in linear_coeffs(lrow))):
+            coeffs = linear_coeffs(lrow)
+            if scalar_is_zero(tail := coeffs[t], eps,
+                              scale=max(abs(complex(v)) for v in coeffs)):
                 raise DegenerateStage(stage, f"t_jn = 0 for row {k + 1}")
             mult = 1 / (3 * a * tail)
             terms.append(Term(mult, lrow, 3))
-            current = current - Term(mult, lrow, 3).form()
-        current = _eliminate(current, [t], max(ACCEPT_TOL, eps), p.norm())
+            cubes.append((-mult, coeffs))
+            if not exact:
+                current = current - Term(mult, lrow, 3).form()
+        if exact:  # exact rows: the stage's cubes in one pass
+            current = current + _linear_powers(n, 3, cubes)
+        current = _eliminate(current, [t], max(ACCEPT_TOL, eps), scale)
         if current is None:
             raise DegenerateStage(stage, "residual kept the eliminated variable")
-    if not current.is_zero(eps, scale=p.norm()):
+    if not current.is_zero(eps, scale=scale):
         c = current.raw(tuple([3] + [0] * (n - 1)))
         terms.append(Term(c, linear_form([1] + [0] * (n - 1)), 3))
         stages.append({"stage": n, "eliminated": 1, "cubes": 1})
@@ -332,6 +341,14 @@ def drab_family(m: int) -> list[Form]:
         out.append(linear_form([complex(c) for c in coeffs]))
     out.append(linear_form([complex(-(1 + m * alpha))] * m))
     return out
+
+
+@functools.cache
+def _drab_rows(m: int) -> np.ndarray:
+    """The coefficient rows of drab_family(m), shared read-only by every caller."""
+    rows = np.array([linear_coeffs(lf) for lf in drab_family(m)], dtype=complex)
+    rows.setflags(write=False)
+    return rows
 
 
 @functools.cache
@@ -467,8 +484,7 @@ def _slowpoke_rec(t: np.ndarray, eps: float,
     rows = np.zeros((r, n), dtype=complex)
     rows[:, 0] = 1.0
     if rho:
-        fam = [linear_coeffs(lf) for lf in drab_family(rho)]
-        rows[:, 1:r] = math.sqrt(r) * np.array(fam, dtype=complex)
+        rows[:, 1:r] = math.sqrt(r) * _drab_rows(rho)
     mus = np.full(r, 1.0 / r, dtype=complex)
     q = t3 - np.einsum("k,ki,kj,kl->ijl", mus, rows, rows, rows)
 
@@ -477,7 +493,7 @@ def _slowpoke_rec(t: np.ndarray, eps: float,
         raise DegenerateStage(n, "slowpoke residual kept y_1")
     sub_mus, sub_rows = _slowpoke_rec(q[1:, 1:, 1:], eps, floor / max(abs(c), 1.0))
     mus = np.concatenate([mus, sub_mus])
-    rows = np.vstack([rows, np.pad(sub_rows, ((0, 0), (1, 0)))])
+    rows = np.vstack([rows, np.hstack([np.zeros((len(sub_rows), 1)), sub_rows])])
 
     # map back through m1 m2 m3 and rescale by c
     return c * mus, rows @ np.linalg.inv(m1 @ m2 @ m3)
@@ -519,8 +535,9 @@ def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         raise ShapeMismatch("need a quartic form")
     n = p.n
     last = n - 1
+    scale = p.norm()
     pn = p.partial(last)
-    if pn.is_zero(eps, scale=p.norm()):
+    if pn.is_zero(eps, scale=scale):
         raise DegenerateStage(1, "dp/dx_n = 0")
     if n == 1:
         c = pn.raw((3,))
@@ -542,7 +559,7 @@ def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     q = p.approx()
     for t in terms:
         q = q - t.form()
-    residual = _eliminate(q, [last], max(1e-6, eps), p.norm())
+    residual = _eliminate(q, [last], max(1e-6, eps), scale)
     if residual is None:
         raise DegenerateStage(1, "residual kept x_n")
     dec = Decomposition(terms, residual=residual,

@@ -18,7 +18,9 @@ stdout differ from the digests pinned in decompose_pool_digests.json and
 certify_catalog_digests.json (or saying that no pinned run differs).
 --time N then runs every request N more times and prints, for each
 "kind:slot", the median over those passes of the wall seconds its runs took
-(text and --json together).
+(text and --json together), and then the decompose slot whose median --json
+run sets bench/run.py's job_tail_ms at BENCHMARK.json's run_seconds (by
+run.py's own rounds_for and tail percentile, imported read-only).
 """
 
 import argparse
@@ -91,17 +93,42 @@ def run(argv: list[str]) -> bytes:
     return (json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode()
 
 
-def slot_seconds(slots: dict, passes: int) -> dict[str, float]:
-    """{"kind:slot": median over passes of the wall seconds of its runs}."""
+def slot_seconds(slots: dict, passes: int, runs: dict | None = None) -> dict[str, float]:
+    """{"kind:slot": median over passes of the wall seconds of its runs}; runs,
+    if given, gets {argv as JSON: [the seconds of each of its runs]}."""
     spent = {slot: [] for slot in slots.values()}
+    runs = {} if runs is None else runs
     for _ in range(passes):
         for times in spent.values():
             times.append(0.0)
         for key, slot in slots.items():
             start = time.perf_counter()
             run(json.loads(key))
-            spent[slot][-1] += time.perf_counter() - start
+            spent[slot][-1] += (seconds := time.perf_counter() - start)
+            runs.setdefault(key, []).append(seconds)
     return {slot: statistics.median(times) for slot, times in spent.items()}
+
+
+def tail_slot(slots: dict, runs: dict) -> tuple[str, float, float, int]:
+    """The decompose slot whose median --json run (over runs, from
+    slot_seconds) bench/run.py reports as job_tail_ms at BENCHMARK.json's
+    run_seconds, that median, the percentile and the run's request count:
+    every slot runs once a round, so its median counts once per round."""
+    single = {}
+    for key, slot in slots.items():
+        if slot.startswith("decompose:") and json.loads(key)[0] == "--json":
+            single.setdefault(slot, []).extend(runs[key])
+    single = {slot: statistics.median(times) for slot, times in single.items()}
+    sys.dont_write_bytecode = True  # bench/ is only read
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import run as bench_run
+    seconds = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    rounds = bench_run.rounds_for("decompose", seconds)
+    smoothed = [slot for slot in sorted(single, key=single.get) for _ in range(rounds)]
+    q = bench_run.tail_percentile(len(smoothed))
+    slot = bench_run._percentile(smoothed, q) if q else smoothed[-1]
+    return slot, single[slot], q or 100, len(smoothed)
 
 
 def main() -> None:
@@ -135,8 +162,12 @@ def main() -> None:
             for key in keys:
                 print("   ", key)
     if args.time:
-        for slot, seconds in slot_seconds(slots, args.time).items():
+        runs = {}
+        for slot, seconds in slot_seconds(slots, args.time, runs).items():
             print(f"{slot} {seconds:.6f}")
+        slot, seconds, q, n = tail_slot(slots, runs)
+        print(f"job_tail_ms is set by {slot} {seconds:.6f} "
+              f"(p{q:g} of {n} requests, median --json run)")
     if args.check and total.hexdigest() != args.check:
         pins = pinned()
         first = next((k for k in outputs if k in pins and outputs[k] != pins[k]),

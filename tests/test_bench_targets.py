@@ -256,6 +256,20 @@ def test_pool_digest_times_each_slot_over_its_runs():
     assert all(0 < seconds < 5 for seconds in got.values())
 
 
+def test_pool_digest_names_the_slot_that_sets_the_tail():
+    import pool_digest
+
+    slots, runs = {}, {}
+    for i in range(26):  # 26 slots of 16 rounds: p95 of 416 is the 25th slowest
+        argv = ["decompose", "slinky", f"x^3 + {i}*y^3"]
+        for key, seconds in ((json.dumps(["--json"] + argv), [i, i + 0.5, i + 1]),
+                             (json.dumps(argv), [100 - i] * 3)):
+            slots[key], runs[key] = f"decompose:s{i}", seconds
+    slots[json.dumps(["count", "s"])] = "count:s"  # not a decompose slot
+    runs[json.dumps(["count", "s"])] = [1000]
+    assert pool_digest.tail_slot(slots, runs) == ("decompose:s24", 24.5, 95.0, 416)
+
+
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp:
         wl = bench_module(mp, "workloads")

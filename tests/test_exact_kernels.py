@@ -1,17 +1,26 @@
 """The integer kernels of the exact paths against the QQi arithmetic they
 replace: closed-form powers of linear forms, the one-pass rebuild of a
-decomposition, fraction-free row reduction and the integer root test."""
+decomposition, the one-pass stages of slinky and completion of squares,
+fraction-free row reduction and the integer root test."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonform import QQi
-from canonform.decompositions import _deflate_exact
+from canonform import QQi, random_form
+from canonform.commands import _sheared
+from canonform.decompositions import (ACCEPT_TOL, _deflate_exact, _dense,
+                                      _linear_powers, check_decomposable)
+from canonform.errors import DegenerateInput, DegenerateStage, PivotZero
 from canonform.forms import (Decomposition, Form, Term, index_set,
                              linear_coeffs, linear_form, power_of_linear)
 from canonform.linalg import exact_rref
+from canonform.multivar import (_eliminate, quadratic_row, slinky,
+                                uppertri_pairs)
+from canonform.scalars import EPS_DEFAULT, scalar_is_zero
 
 props = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -62,6 +71,154 @@ def test_float_linear_power_is_repeated_product_to_rounding(alpha, k):
     cut = 1e-14 * max((abs(v) for v in want._a.values()), default=0.0)
     assert all(abs(got.a(i) - want.a(i)) <= cut
                for i in got._a.keys() | want._a.keys())
+
+
+def linear_power_by_products(mu, coeffs, d: int) -> Form:
+    """mu (c . x)^d as d exact Form products, one factor at a time."""
+    n = len(coeffs)
+    want = Form(n, 0, {(0,) * n: QQi(1)})
+    for _ in range(d):
+        want = want * linear_form(coeffs)
+    return want.scale(mu)
+
+
+@st.composite
+def supported_rows(draw, n):
+    """An exact row whose zeros follow one pattern: all zero, one variable,
+    a triangular range x_i..x_j, or any subset."""
+    kind = draw(st.sampled_from(["zero", "single", "range", "any"]))
+    if kind == "zero":
+        keep = set()
+    elif kind == "single":
+        keep = {draw(st.integers(0, n - 1))}
+    elif kind == "range":
+        i = draw(st.integers(0, n - 1))
+        keep = set(range(i, draw(st.integers(i, n - 1)) + 1))
+    else:
+        keep = {k for k in range(n) if draw(st.booleans())}
+    return [draw(exact_values) if k in keep else QQi(0) for k in range(n)]
+
+
+@props
+@given(data=st.data(), n=st.integers(1, 7), d=st.integers(0, 5))
+def test_linear_powers_over_supports_are_the_form_products(data, n, d):
+    terms = [(data.draw(exact_values), data.draw(supported_rows(n)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    want = Form.zero(n, d)
+    for mu, coeffs in terms:
+        want = want + linear_power_by_products(mu, coeffs, d)
+    for mu, coeffs in terms:
+        assert bits(power_of_linear(coeffs, d)) == \
+            bits(linear_power_by_products(QQi(1), coeffs, d))
+    if data.draw(st.booleans()):  # one float term: summed apart, added last
+        extra = (data.draw(float_values), data.draw(st.lists(
+            float_values, min_size=n, max_size=n)))
+        want = want + _linear_powers(n, d, [extra])
+        terms.insert(data.draw(st.integers(0, len(terms))), extra)
+    dec = Decomposition([Term(mu, linear_form(c), d) for mu, c in terms])
+    assert bits(_linear_powers(n, d, terms)) == bits(want)
+    assert bits(dec.reconstruct()) == bits(want)
+
+
+# -- slinky and completion of squares, one stage at a time ----------------------------
+
+
+def uppertri_pairs_by_terms(p: Form, eps: float = EPS_DEFAULT):
+    """uppertri_pairs subtracting each pivot square as its own Form product."""
+    n, scale, work, out = p.n, p.norm(), p, []
+    for k in range(n):
+        if work.is_zero(eps, scale=scale):
+            break
+        a = work.raw(tuple(2 * (j == k) for j in range(n)))
+        if any(idx[k] and not scalar_is_zero(v, eps, scale) for idx, v in work.items()):
+            if scalar_is_zero(a, eps, scale):
+                raise PivotZero(k + 1)
+            lrow = linear_form(quadratic_row(work, k))
+            out.append((k, a, lrow))
+            work = work - (lrow * lrow).scale(1 / a)
+        if (work := _eliminate(work, [k], max(ACCEPT_TOL, eps), scale)) is None:
+            raise DegenerateInput(f"the residual kept x{k + 1}")
+    return out
+
+
+def slinky_by_terms(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
+    """slinky subtracting each cube as its own Term.form(), before the check
+    against p."""
+    check_decomposable(p, p.d == 3, "need a cubic form")
+    n, current, terms, stages = p.n, p, [], []
+    for t in range(n - 1, 0, -1):
+        h, stage = current.partial(t), n - t
+        if h.is_zero(eps, scale=p.norm()):
+            stages.append({"stage": stage, "eliminated": t + 1, "cubes": 0})
+            continue
+        try:
+            pairs = uppertri_pairs_by_terms(h, eps)
+        except PivotZero as exc:
+            raise DegenerateStage(stage, f"square completion pivot: {exc}") from exc
+        stages.append({"stage": stage, "eliminated": t + 1, "cubes": len(pairs)})
+        for k, a, lrow in pairs:
+            tail = linear_coeffs(lrow)[t]
+            if not tail:
+                raise DegenerateStage(stage, f"t_jn = 0 for row {k + 1}")
+            terms.append(Term(1 / (3 * a * tail), lrow, 3))
+            current = current - terms[-1].form()
+        current = _eliminate(current, [t], max(ACCEPT_TOL, eps), p.norm())
+        if current is None:
+            raise DegenerateStage(stage, "residual kept the eliminated variable")
+    if current:
+        c = current.raw(tuple([3] + [0] * (n - 1)))
+        terms.append(Term(c, linear_form([1] + [0] * (n - 1)), 3))
+        stages.append({"stage": n, "eliminated": 1, "cubes": 1})
+    return Decomposition(terms, meta={"theorem": "slinky", "stages": stages})
+
+
+def gaussian_form(n: int, d: int, rng: random.Random) -> Form:
+    return Form(n, d, {i: QQi(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5])),
+                              Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7])))
+                       for i in index_set(n, d)})
+
+
+def seeded_inputs(d: int):
+    """(n, label, form): integer, Gaussian-rational and sheared exact input
+    for n = 3..7, from fixed seeds."""
+    for n in range(3, 8):
+        for seed in range(2):
+            rng = random.Random(f"{n}:{d}:{seed}")
+            integer = random_form(n, d, rng, lo=-99, hi=99)
+            yield n, f"integer-{seed}", integer
+            yield n, f"gauss-{seed}", gaussian_form(n, d, rng)
+            yield n, f"sheared-{seed}", _sheared(random_form(n, d, rng), seed)
+
+
+def outcome(run, p):
+    """run(p), or the type and text of the CanonformError it raised."""
+    try:
+        return run(p)
+    except (DegenerateStage, PivotZero) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n, label, p", list(seeded_inputs(2)))
+def test_uppertri_pairs_is_the_square_by_square_loop(n, label, p):
+    got, want = outcome(uppertri_pairs, p), outcome(uppertri_pairs_by_terms, p)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert [(k, a, bits(row)) for k, a, row in got] == \
+            [(k, a, bits(row)) for k, a, row in want]
+
+
+@pytest.mark.parametrize("n, label, p", list(seeded_inputs(3)))
+def test_slinky_is_the_cube_by_cube_loop(n, label, p):
+    want = outcome(slinky_by_terms, p)
+    if isinstance(want, tuple):
+        assert outcome(slinky, p) == want
+        return
+    assert want.reconstruct() == p  # exact: slinky accepts it as it is
+    got = slinky(p)
+    assert got.meta == want.meta
+    assert [(t.multiplier, bits(t.base), t.power) for t in got.terms] == \
+        [(t.multiplier, bits(t.base), t.power) for t in want.terms]
 
 
 # -- the one-pass rebuild ----------------------------------------------------------
@@ -117,6 +274,15 @@ def test_float_rebuild_is_the_term_by_term_sum_to_rounding(dec):
     assert (got.n, got.d) == (want.n, want.d)
     for i in set(got._a) | set(want._a):
         assert abs(complex(got.a(i)) - complex(want.a(i))) <= 1e-12 * scale
+
+
+def test_verify_converts_its_target_once():
+    p = random_form(3, 3, random.Random(5)).approx()
+    dec = Decomposition([Term(2.0 + 0j, linear_form([1.0, 2.0, 0.5]), 3)])
+    assert not dec.verify(p)
+    arr = _dense(p)
+    assert not dec.verify(p) and _dense(p) is arr and not arr.flags.writeable
+    assert arr.tolist() == [complex(p.a(i)) for i in index_set(3, 3)]
 
 
 # -- fraction-free elimination ----------------------------------------------------

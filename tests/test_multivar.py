@@ -214,6 +214,14 @@ def sorted_term_forms_list(pairs):
 
 
 class TestDrab:
+    def test_cached_rows_are_the_families_coefficients_read_only(self):
+        for m in range(1, 9):
+            rows = multivar._drab_rows(m)
+            want = np.array([linear_coeffs(lf) for lf in drab_family(m)], dtype=complex)
+            assert rows.tobytes() == want.tobytes() and rows.shape == want.shape
+            assert not rows.flags.writeable
+            assert multivar._drab_rows(m) is rows
+
     def test_identities_up_to_eight(self):
         for m in range(1, 9):
             fam = drab_family(m)
