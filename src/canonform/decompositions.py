@@ -66,7 +66,8 @@ def _part(f: Form, base: int, lcm: int = 0) -> tuple:
 
 def _times(f: tuple, g: tuple, table: "_Codes") -> tuple:
     """The part f * g: Gaussian-integer sums, normalised in _form_of, or float
-    sums (_float_sum), each divided by its multinomial."""
+    sums over the terms in descending code order, each divided by its
+    multinomial."""
     if f[1] and g[1]:
         re, im = {}, {}
         for i, a, b in f[0]:
@@ -76,22 +77,17 @@ def _times(f: tuple, g: tuple, table: "_Codes") -> tuple:
                 im[k] = im.get(k, 0) + a * e + b * c
         return ([(k, x, im[k]) for k, x in re.items() if x or im[k]], True,
                 f[2] * g[2])
-    raw = _float_sum(*(sorted(
+    mine, theirs = (sorted(
         ((k, complex(a / den, b / den)) for k, a, b in terms) if exact else
         ((k, v * table[k][1]) for k, v in terms), reverse=True)
-        for terms, exact, den in (f, g)))
-    terms = [(k, s) for k, v in raw.items() if (s := v / table[k][1])]
-    return terms, not terms, 1
-
-
-def _float_sum(mine: list, theirs: list) -> dict:
-    """{i + j: sum of u * v} over (code, value) lists, summed in their order."""
+        for terms, exact, den in (f, g))
     raw: dict[int, complex] = {}
     for i, u in mine:
         for j, v in theirs:
             k = i + j
             raw[k] = raw.get(k, 0) + u * v
-    return raw
+    terms = [(k, s) for k, v in raw.items() if (s := v / table[k][1])]
+    return terms, not terms, 1
 
 
 def _form_of(part: tuple, n: int, d: int, table: "_Codes") -> Form:
@@ -106,14 +102,7 @@ def _product(p: Form, q: Form) -> Form:
     if p.n != q.n:
         raise ShapeMismatch("variable counts differ")
     n, d, table = p.n, p.d + q.d, _Codes(p.n, p.d + q.d)
-    if p.exact or q.exact:
-        return _form_of(_times(_part(p, d + 1), _part(q, d + 1), table), n, d, table)
-    # two float forms: _times's float sums, without the parts in between
-    raw = _float_sum(*(sorted(((_pack(i, d + 1), v * multinomial(i))
-                               for i, v in f._a.items()), reverse=True)
-                       for f in (p, q)))
-    return _trusted(n, d, {table[k][0]: s for k, v in raw.items()
-                           if (s := v / table[k][1])}, False)
+    return _form_of(_times(_part(p, d + 1), _part(q, d + 1), table), n, d, table)
 
 
 @functools.cache

@@ -91,9 +91,8 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
             if scalar_is_zero(a, eps, scale):
                 raise PivotZero(k + 1)
             row = quadratic_row(work, k)
-            out.append((k, a, lrow := linear_form(row)))
-            work = work + (_linear_powers(n, 2, [(-1 / a, row)]) if work.exact
-                           else -(lrow * lrow).scale(1 / a))
+            out.append((k, a, linear_form(row)))
+            work = work + _linear_powers(n, 2, [(-1 / a, row)])
         # x_k has left the residual; on floats, drop the rounding it left
         if (work := _eliminate(work, [k], max(ACCEPT_TOL, eps), scale)) is None:
             raise DegenerateInput(f"the residual kept x{k + 1}")
@@ -208,21 +207,20 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
     if f.is_zero(eps, scale=scale) or g.is_zero(eps, scale=scale):
         raise DegeneratePencil("a leading partial derivative vanishes")
     diag = pencil_diagonalize(f, g, eps)
-    pw = p.approx()
-    terms = []
+    terms, cubes = [], []
     for lf, c in zip(diag.forms, diag.eigenvalues):
         coeffs = linear_coeffs(lf)
         a1, a2 = complex(coeffs[0]), complex(coeffs[1])
         cscale = max(abs(complex(v)) for v in coeffs)
         if abs(a1) <= eps ** 0.5 * cscale:
             raise DegeneratePencil("alpha_i1 = 0 for a pencil form")
-        if abs(a2 - c * a1) > 1e-6 * max(1.0, abs(a1), abs(a2)):
+        if abs(a2 - c * a1) > 1e-6 * cscale:
             raise DegeneratePencil("mixed-partials consistency check failed")
-        terms.append(Term(1.0 / (3 * a1), lf, 3))
-    q = pw
-    for t in terms:
-        q = q - t.form()
-    q = _eliminate(q, [0, 1], max(1e-6, eps), scale)
+        mult = 1.0 / (3 * a1)
+        terms.append(Term(mult, lf, 3))
+        cubes.append((-mult, coeffs))
+    q = _eliminate(p.approx() + _linear_powers(n, 3, cubes), [0, 1],
+                   max(1e-6, eps), scale)
     if q is None:
         raise DegeneratePencil("reichstein residual: residual depends on "
                                "eliminated variables")
@@ -294,7 +292,7 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         except PivotZero as exc:
             raise DegenerateStage(stage, f"square completion pivot: {exc}") from exc
         stages.append({"stage": stage, "eliminated": t + 1, "cubes": len(pairs)})
-        exact, cubes = current.exact, []
+        cubes = []
         for k, a, lrow in pairs:
             coeffs = linear_coeffs(lrow)
             if scalar_is_zero(tail := coeffs[t], eps,
@@ -303,11 +301,8 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
             mult = 1 / (3 * a * tail)
             terms.append(Term(mult, lrow, 3))
             cubes.append((-mult, coeffs))
-            if not exact:
-                current = current - Term(mult, lrow, 3).form()
-        if exact:  # exact rows: the stage's cubes in one pass
-            current = current + _linear_powers(n, 3, cubes)
-        current = _eliminate(current, [t], max(ACCEPT_TOL, eps), scale)
+        current = _eliminate(current + _linear_powers(n, 3, cubes), [t],
+                             max(ACCEPT_TOL, eps), scale)
         if current is None:
             raise DegenerateStage(stage, "residual kept the eliminated variable")
     if not current.is_zero(eps, scale=scale):
@@ -549,17 +544,17 @@ def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
         cubes = reichstein_full(pn, eps)
     except DegeneratePencil as exc:
         raise DegenerateStage(1, f"cubic stage failed: {exc}") from exc
-    terms = []
+    terms, powers = [], []
     for t in cubes.terms:
-        tail = linear_coeffs(t.base)[last]
-        if scalar_is_zero(tail, eps ** 0.5,
-                          scale=max(abs(complex(v)) for v in linear_coeffs(t.base))):
+        coeffs = linear_coeffs(t.base)
+        if scalar_is_zero(tail := coeffs[last], eps ** 0.5,
+                          scale=max(abs(complex(v)) for v in coeffs)):
             raise DegenerateStage(1, "a cube misses x_n (t_mn = 0)")
-        terms.append(Term(t.multiplier / (4 * tail), t.base, 4))
-    q = p.approx()
-    for t in terms:
-        q = q - t.form()
-    residual = _eliminate(q, [last], max(1e-6, eps), scale)
+        mult = t.multiplier / (4 * tail)
+        terms.append(Term(mult, t.base, 4))
+        powers.append((-mult, coeffs))
+    residual = _eliminate(p.approx() + _linear_powers(n, 4, powers), [last],
+                          max(1e-6, eps), scale)
     if residual is None:
         raise DegenerateStage(1, "residual kept x_n")
     dec = Decomposition(terms, residual=residual,

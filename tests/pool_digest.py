@@ -9,13 +9,15 @@ only and writes nothing under bench/.  Usage:
     PYTHONPATH=src python tests/pool_digest.py [--per FILE] [--against FILE]
                                                [--check DIGEST] [--time N]
 
---per FILE also writes {argv as JSON: sha256 of that run} to FILE, so two
-such files show which runs differ.  --against FILE reads such a file saved
-earlier and lists the runs whose digest differs from it (or that only one
-side has), grouped by the pool request's "kind:slot".  --check DIGEST exits
-1 unless the digest is DIGEST, naming the first run whose exit code and
-stdout differ from the digests pinned in decompose_pool_digests.json and
-certify_catalog_digests.json (or saying that no pinned run differs).
+--per FILE also writes {argv as JSON: [sha256 of that run, its exit code]}
+to FILE, so two such files show which runs differ.  --against FILE reads
+such a file saved earlier and lists the runs whose digest differs from it
+(or that only one side has), grouped by the pool request's "kind:slot",
+with how many of each slot's runs changed exit code (unknown against a
+file that holds only the digests, {argv as JSON: sha256}).  --check
+DIGEST exits 1 unless the digest is DIGEST, naming the first run whose exit
+code and stdout differ from the digests pinned in decompose_pool_digests.json
+and certify_catalog_digests.json (or saying that no pinned run differs).
 --time N then runs every request N more times and prints, for each
 "kind:slot", the median over those passes of the wall seconds its runs took
 (text and --json together), and then the decompose slot whose median --json
@@ -62,14 +64,31 @@ def pool_argvs() -> dict[str, str]:
     return out
 
 
+def _run_entry(value) -> tuple[str, int | None]:
+    """(digest, exit code) of a --per file's entry; an entry that holds only
+    the digest has exit code None."""
+    return (value, None) if isinstance(value, str) else tuple(value)
+
+
 def differing(per: dict, saved: dict, slots: dict) -> dict[str, list[str]]:
     """{"kind:slot": [argv as JSON, ...]} for the runs whose digest in per
     and saved differs or that only one of them has."""
     out = {}
-    for key in [k for k in per if per[k] != saved.get(k)] + [
+    for key in [k for k in per if k not in saved or
+                _run_entry(per[k])[0] != _run_entry(saved[k])[0]] + [
             k for k in saved if k not in per]:
         out.setdefault(slots.get(key, "(not in the pool)"), []).append(key)
     return out
+
+
+def exit_changes(keys: list[str], per: dict, saved: dict) -> int | None:
+    """How many of the runs keys that both per and saved have changed exit
+    code, or None if one of those runs has no exit code stored."""
+    codes = [(_run_entry(per[k])[1], _run_entry(saved[k])[1])
+             for k in keys if k in per and k in saved]
+    if any(None in pair for pair in codes):
+        return None
+    return sum(new != old for new, old in codes)
 
 
 def pinned() -> dict:
@@ -147,8 +166,8 @@ def main() -> None:
     for key in slots:
         line = run(json.loads(key))
         total.update(line)
-        per[key] = hashlib.sha256(line).hexdigest()
         _, code, out, _ = json.loads(line)
+        per[key] = [hashlib.sha256(line).hexdigest(), code]
         outputs[key] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     print(len(per), total.hexdigest())
     if args.per:
@@ -156,9 +175,15 @@ def main() -> None:
     if args.against:
         saved = json.loads(Path(args.against).read_text())
         moved = differing(per, saved, slots)
-        print(sum(map(len, moved.values())), "runs differ from", args.against)
+
+        def exits(keys):
+            changed = exit_changes(keys, per, saved)
+            return f"({'unknown' if changed is None else changed} changed exit code)"
+
+        print(sum(map(len, moved.values())), "runs differ from", args.against,
+              exits(sum(moved.values(), [])))
         for slot, keys in moved.items():
-            print(f"{slot}: {len(keys)}")
+            print(f"{slot}: {len(keys)}", exits(keys))
             for key in keys:
                 print("   ", key)
     if args.time:

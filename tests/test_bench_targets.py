@@ -178,14 +178,24 @@ def test_every_decompose_pool_output_keeps_its_digest(monkeypatch):
 
 def test_pool_digest_lists_the_moved_runs_by_slot():
     # what pool_digest.py --against prints: runs whose digest moved, or that
-    # one side lacks, under the "kind:slot" they came from
+    # one side lacks, under the "kind:slot" they came from, and how many of
+    # them changed exit code; a file of digests alone (the format before
+    # exit codes were stored) reads with its exit codes unknown
     import pool_digest
 
-    per = {"a": "1", "b": "2", "c": "3"}
-    saved = {"a": "1", "b": "9", "d": "4"}
-    slots = {"a": "decompose:s1", "b": "decompose:s1", "c": "count:s2"}
-    assert pool_digest.differing(per, saved, slots) == {
-        "decompose:s1": ["b"], "count:s2": ["c"], "(not in the pool)": ["d"]}
+    per = {"a": ["1", 0], "b": ["2", 0], "c": ["3", 2], "e": ["5", 2]}
+    saved = {"a": ["1", 0], "b": ["9", 0], "d": ["4", 0], "e": ["6", 0]}
+    old = {key: digest for key, (digest, _) in saved.items()}
+    slots = {"a": "decompose:s1", "b": "decompose:s1", "c": "count:s2",
+             "e": "decompose:s1"}
+    moved = {"decompose:s1": ["b", "e"], "count:s2": ["c"],
+             "(not in the pool)": ["d"]}
+    assert pool_digest.differing(per, saved, slots) == moved
+    assert pool_digest.differing(per, old, slots) == moved
+    assert [pool_digest.exit_changes(keys, per, saved)
+            for keys in moved.values()] == [1, 0, 0]
+    assert pool_digest.exit_changes(["b"], per, old) is None
+    assert pool_digest.exit_changes(["c", "d"], per, old) == 0
 
 
 def test_every_certify_catalog_output_keeps_its_digest(monkeypatch):

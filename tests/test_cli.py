@@ -339,12 +339,13 @@ _GOLDEN_DECOMPOSE = [
       '.9085602964160696+0.5245575317108244*i)*z)^4 + (0.12500000000000'
       '006+2.291172285850009e-17*i)*((0.5503212081491043+0.317728097665'
       '64547*i)*x+(-5.035552331398885e-17+0.577350269189626*i)*y+(0.908'
-      '5602964160695-0.5245575317108243*i)*z)^4 + (2.999999999999999+8.'
-      '326672684688674e-17*i)*z^4 + (x^4+(2.222222222222222+1.553270190'
-      '223357e-17*i)*x^3*y+(2.706168622523819e-16-1.0408340855860843e-1'
-      '7*i)*x^2*y^2+(-3.5735303605122226e-16+6.245004513516506e-17*i)*x'
-      '*y^3+(0.9583333333333333+5.075239658332559e-18*i)*y^4)\n'),
-     'f9310a2253fa770680651ab476ce1b390d2ad971851acb95ddfa6e71520e90cf'),
+      '5602964160695-0.5245575317108243*i)*z)^4 + (2.9999999999999996+8'
+      '.326672684688674e-17*i)*z^4 + ((1.0-6.938893903907228e-18*i)*x^4'
+      '+(2.222222222222222+2.895978387254865e-17*i)*x^3*y+(2.9143354396'
+      '41036e-16-5.204170427930421e-17*i)*x^2*y^2+(-3.5041414214731503e'
+      '-16+6.938893903907228e-17*i)*x*y^3+(0.9583333333333334+5.0752396'
+      '58332559e-18*i)*y^4)\n'),
+     'eef3f63e8cf2cb9df46b87d9adc120486878c2a951efb1b7233d1c28e93a6b58'),
     # float constructions whose exact snap is accepted
     (['decompose', 'sylvester', 'x^3+y^3'], 'y^3 + x^3\n',
      '78dc7b3b801213327a23709bd600792185009a326f2b2a99b0efa776a8be7814'),

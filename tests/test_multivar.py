@@ -12,9 +12,10 @@ from canonform.cli import main
 from canonform.errors import (DegenerateInput, DegeneratePencil,
                               DegenerateStage, PivotZero, ZeroForm)
 from canonform.forms import Form, biermann_point, index_set, linear_coeffs
-from canonform.multivar import (_eliminate, drab_family, pencil_diagonalize,
-                                quartic_lift, reichstein_full, reichstein_step,
-                                slinky, slowpoke, uppertri, uppertri_pairs)
+from canonform.multivar import (PencilDiag, _eliminate, drab_family,
+                                pencil_diagonalize, quartic_lift,
+                                reichstein_full, reichstein_step, slinky,
+                                slowpoke, uppertri, uppertri_pairs)
 
 
 def term_vectors(dec):
@@ -134,6 +135,19 @@ class TestReichstein:
     def test_diagonal_cubic_is_degenerate(self):
         with pytest.raises(DegeneratePencil):
             reichstein_step(parse_form("x^3 + y^3 + z^3"))
+
+    @pytest.mark.parametrize("scale", [1e20, 1.0, 1e-6, 1e-12, 1e-20])
+    def test_skewed_pencil_is_refused_at_every_scale(self, monkeypatch, scale):
+        # eigenvalues 0.1% off the pencil's fail the mixed-partials check
+        # alpha_i2 = c_i alpha_i1, however small the pencil's rows are
+        def skewed(f, g, eps):
+            diag = pencil_diagonalize(f, g, eps)
+            return PencilDiag(diag.forms, [c * 1.001 for c in diag.eigenvalues])
+
+        monkeypatch.setattr(multivar, "pencil_diagonalize", skewed)
+        p = random_form(3, 3, random.Random(1)).approx().scale(scale)
+        with pytest.raises(DegeneratePencil, match="mixed-partials"):
+            reichstein_step(p)
 
     def test_full_counts_and_stage_supports(self):
         rng = random.Random(34)
