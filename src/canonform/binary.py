@@ -11,7 +11,6 @@ representation counts for other shapes.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -128,6 +127,9 @@ class MixedSpec:
     def __init__(self, fixed, r: int):
         object.__setattr__(self, "fixed", tuple(fixed))
         object.__setattr__(self, "r", int(r))
+        if self.r < 0:
+            raise ShapeMismatch(f"need r >= 0 free powers (at most d + 1 "
+                                f"fixed forms); got r = {self.r}")
         for f in self.fixed:
             if f.d != 1 or f.n != 2 or f.is_zero():
                 raise ShapeMismatch("fixed forms must be nonzero binary linear forms")
@@ -333,17 +335,6 @@ def quartic_six_reps(lam: Scalar, eps: float = EPS_DEFAULT) -> list[Decompositio
     return reps
 
 
-def quartic_power_ratio(dec: Decomposition) -> complex | None:
-    """t5/t4 of the fourth-power linear form; None encodes infinity."""
-    for t in dec.terms:
-        if t.power == 4:
-            t4, t5 = (complex(v) for v in linear_coeffs(t.base))
-            if t4 == 0:
-                return None
-            return t5 / t4
-    raise ValueError("decomposition has no fourth-power term")
-
-
 def quartic_six_for_form(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     """Normalize a general quartic, take the six model representations, and
     pull them back through the inverse change of variables."""
@@ -410,91 +401,9 @@ def quartic_two_fixed(p: Form, l1: Form, l2: Form,
 
 
 # Newton starts run as one stacked system per batch of at most this many
-# trials; it caps memory only.  Each row's arithmetic reads only its own row,
-# so a count does not depend on it.
+# trials; it caps memory only.  Each row's arithmetic reads only its own row
+# and the generator draws rows in order, so a count does not depend on it.
 _MC_BATCH = 512
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constant pairs of count successive hash steps."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return list(zip(consts, consts[1:]))
-
-
-# numpy's SeedSequence hash (NEP 19) on its 4-word pool: 4 + 12 hashmix steps
-# (INIT_A, MULT_A) fill and mix the pool, with MIX_MULT_L/R (0xCA01F9DD,
-# 0x4973F715) in the mix; 8 steps (INIT_B, MULT_B) read out 4 uint64 words
-_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hash_step(value: np.ndarray, consts) -> np.ndarray:
-    xor, mult = next(consts)
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _seed_states(lo: int, hi: int) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, np.uint64) for s in lo .. hi - 1.
-
-    Seeds below 2**128 fill at most the 4-word pool, so their hash runs for
-    all of them at once in uint32 arithmetic, which wraps as numpy's does.
-    Larger seeds mix further words; numpy hashes those one at a time.
-    """
-    cut = min(max(lo, 1 << 128), hi)
-    words = np.frombuffer(b"".join(s.to_bytes(16, "little")
-                                   for s in range(lo, cut)),
-                          dtype="<u4").reshape(-1, 4).astype(np.uint32)
-    steps = iter(_POOL_HASH)
-    pool = [_hash_step(words[:, k], steps) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (0xCA01F9DD * pool[dst]
-                         - 0x4973F715 * _hash_step(pool[src], steps))
-                pool[dst] = mixed ^ (mixed >> 16)
-    steps = iter(_STATE_HASH)
-    state = np.stack([_hash_step(pool[k % 4], steps) for k in range(8)],
-                     axis=1).astype("<u4").view("<u8").astype(np.uint64)
-    rest = [np.random.SeedSequence(s).generate_state(4, np.uint64)
-            for s in range(cut, hi)]
-    return np.concatenate([state, np.array(rest, np.uint64).reshape(-1, 4)])
-
-
-@functools.cache
-def _given_state():
-    """A seed sequence class that hands PCG64 four precomputed words.
-
-    PCG64 seeds itself with one generate_state(4, np.uint64) call; an
-    instance answers it with the words it was given.
-
-    Built on first use, so that importing canonform leaves numpy.random
-    unimported.
-    """
-    class GivenState(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-    return GivenState
-
-
-def _mc_starts(seed: int, first: int, size: int, n: int) -> np.ndarray:
-    """Standard complex normal starts for trials first .. first + size - 1.
-
-    Row i is default_rng(seed + first + i + 1)'s standard_normal(n) plus
-    1j times a second standard_normal(n), drawn as one call of length 2n
-    from a PCG64 seeded with that seed's SeedSequence state.
-    """
-    gen, bits, given = np.random.Generator, np.random.PCG64, _given_state()
-    states = _seed_states(seed + first + 1, seed + first + size + 1)
-    buf = np.empty((size, 2 * n))
-    for words, row in zip(states, buf):
-        gen(bits(given(words))).standard_normal(out=row)
-    return buf[:, :n] + 1j * buf[:, n:]
 
 
 def _mc_system(d: int, e: list[int], fixed_forms, p: Form):
@@ -644,11 +553,12 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     """Estimated number of representations p = sum t_j l_j^d + sum f_k^(d/e_k).
 
     Seeded Newton iterations from random starts, deduplicated under
-    permutation of like summands and f^k ~ (zeta f)^k.  Trial t starts from
-    its own generator seeded seed + t + 1; starts run in stacked batches
-    and are read in trial order, stopping after `patience` trials in a row
-    find nothing new.  A batch never runs past the earliest trial at which
-    that stop could fall.  The result is an ESTIMATE, never authoritative.
+    permutation of like summands and f^k ~ (zeta f)^k.  One generator,
+    default_rng(seed), draws the random form, the extra fixed forms, then
+    one start per trial in trial order; starts run in stacked batches and
+    are read in trial order, stopping after `patience` trials in a row find
+    nothing new.  A batch never runs past the earliest trial at which that
+    stop could fall.  The result is an ESTIMATE, never authoritative.
     """
     e = sorted((int(v) for v in e), reverse=True)
     if reason := shape_error(d, e, m):
@@ -657,6 +567,9 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     if form is None:
         coeffs = rng.integers(-100, 101, size=(d + 1, 2))
         form = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
+    elif (form.n, form.d) != (2, d):
+        raise ShapeMismatch(f"need a binary form of degree {d}; "
+                            f"got n={form.n}, d={form.d}")
     p = form.approx()
     fixed_forms = [linear_form([QQi(1), QQi(0)]),
                    linear_form([QQi(0), QQi(1)])][:m]
@@ -686,7 +599,8 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     while first < trials:
         # no stop can fall before the last row of this batch
         size = min(_MC_BATCH, patience - since_new, trials - first)
-        z = _mc_starts(seed, first, size, nvars) * start_mag
+        buf = rng.standard_normal((size, 2 * nvars))
+        z = (buf[:, :nvars] + 1j * buf[:, nvars:]) * start_mag
         first += size
         rows = np.flatnonzero(_mc_newton(system, z, scale))
         r, _, powers = system(z[rows])

@@ -773,14 +773,6 @@ class HyperplaneVerdict:
     zero_point: tuple | None = None
 
 
-def hyperplane_form(t) -> Form:
-    """(t1 x + t2 y)^2 + (t3 x + t4 y)^2 for an explicit parameter 4-vector."""
-    t = [as_scalar(v) for v in t]
-    l1 = linear_form([t[0], t[1]])
-    l2 = linear_form([t[2], t[3]])
-    return l1 * l1 + l2 * l2
-
-
 def hyperplane_classify(c, eps: float = EPS_DEFAULT, seed: int = 0,
                         trials: int = 64) -> HyperplaneVerdict:
     """Decide whether the constraint sum c_j t_j = 0 leaves a canonical form.

@@ -15,17 +15,16 @@ from canonform import (QQi, apply_diff, binary_factor, forms_close,
                        linear_form, monomial_form, pair, parse_form,
                        power_of_linear, random_form)
 from canonform.binary import (MixedSpec, count_reps_monte_carlo,
-                              mixed_decompose, quartic_power_ratio,
-                              quartic_six_for_form, quartic_six_reps,
-                              quartic_two_fixed, sylvester_decompose,
-                              two_squares_all)
+                              mixed_decompose, quartic_six_for_form,
+                              quartic_six_reps, quartic_two_fixed,
+                              sylvester_decompose, two_squares_all)
 from canonform.canonicity import (build_map, hyperplane_classify,
-                                  hyperplane_form, jacobian_certify,
-                                  zerosum_verify)
+                                  jacobian_certify)
 from canonform.enumeration import (neat_enumerate, neat_upto,
                                    obstruction_A, s_of_d, smallest_in_A)
 from canonform.multivar import (drab_family, reichstein_full, slinky,
                                 slowpoke)
+from tests_support import hyperplane_form, quartic_power_ratio
 
 EX310 = "2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3"
 EX41 = "-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 - 505*x*y^4 + 483*y^5"

@@ -13,27 +13,19 @@ from canonform import cli
 from canonform.apolarity import apply_diff, hankel
 from canonform.binary import (MixedSpec, count_reps_monte_carlo,
                               mixed_decompose, quartic_normalize,
-                              quartic_power_ratio, quartic_six_for_form,
-                              quartic_six_reps, quartic_two_fixed,
-                              sylvester_decompose, two_squares_all)
+                              quartic_six_for_form, quartic_six_reps,
+                              quartic_two_fixed, sylvester_decompose,
+                              two_squares_all)
 from canonform.decompositions import Decomposition, Term, parse_decomposition
 from canonform.errors import (CanonformError, DegenerateInput, DegenerateLambda, LeadingZero,
-                              NormalizationFailed, NotGeneric, RepeatedRoot, UnsupportedShape,
-                              ZeroForm)
+                              NormalizationFailed, NotGeneric, RepeatedRoot, ShapeMismatch,
+                              UnsupportedShape, ZeroForm)
 from canonform.forms import ACCEPT_TOL, Form, linear_coeffs
 from canonform.linalg import chordal_distance, mat_solve
 from canonform.scalars import EPS_DEFAULT, is_exact, scalar_is_zero
+from tests_support import quartic_power_ratio
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
-
-
-def assert_starts_match_default_rng(seed, first, size, n):
-    starts = binary._mc_starts(seed, first, size, n)
-    assert starts.shape == (size, n)
-    for i, row in enumerate(starts):
-        rng = np.random.default_rng(seed + first + i + 1)
-        want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert row.tobytes() == want.tobytes(), (seed, first, i, n)
 
 
 def _row_mul(a, b):
@@ -226,7 +218,6 @@ class TestMixed:
             assert len(dec.terms) == 5
 
     def test_shape_mismatch(self):
-        from canonform.errors import ShapeMismatch
         with pytest.raises(ShapeMismatch):
             mixed_decompose(EX310, MixedSpec([parse_form("x + y")], 2))
 
@@ -697,7 +688,7 @@ class TestMonteCarlo:
         assert a == b
 
     def test_pinned_estimates(self):
-        assert count_reps_monte_carlo(6, [3, 2], 0, trials=2000, seed=0) == 32
+        assert count_reps_monte_carlo(6, [3, 2], 0, trials=2000, seed=0) == 34
         assert count_reps_monte_carlo(6, [3, 2], 0, trials=777, seed=0) == 31
         assert count_reps_monte_carlo(4, [2], 2, trials=400, seed=123) == 2
 
@@ -708,9 +699,11 @@ class TestMonteCarlo:
         assert count_reps_monte_carlo(4, [1], 3, seed=seed) == 1
 
     def test_count_does_not_depend_on_batch_size(self, monkeypatch):
-        # Neither budget is a multiple of 7, so the last batch is partial;
-        # (6;[2,1,1];0) pairs its two like summands in the dedup.
-        runs = [((4, [2], 2), 400, 123), ((6, [2, 1, 1], 0), 100, 2)]
+        # No budget is a multiple of 7, so the last batch is partial;
+        # (6;[2,1,1];0) pairs its two like summands in the dedup, and a
+        # seed above 2**128 feeds the same single generator.
+        runs = [((4, [2], 2), 400, 123), ((6, [2, 1, 1], 0), 100, 2),
+                ((4, [2, 1], 0), 300, 2 ** 160 + 3)]
         want = [count_reps_monte_carlo(*shape, trials=t, seed=s)
                 for shape, t, s in runs]
         for size in (1, 7):
@@ -720,8 +713,8 @@ class TestMonteCarlo:
             assert got == want, size
 
     @pytest.mark.parametrize("shape,kw,stop", [
-        ((4, [2, 1], 0), {"seed": 5}, 1291),
-        ((6, [3, 2], 0), {"trials": 2000, "seed": 0}, 1235),
+        ((4, [2, 1], 0), {"seed": 5}, 1290),
+        ((6, [3, 2], 0), {"trials": 2000, "seed": 0}, 1255),
     ])
     def test_batches_end_at_the_stop_trial(self, monkeypatch, shape, kw, stop):
         # Both runs stop on patience well inside their budget; no batch size
@@ -742,33 +735,40 @@ class TestMonteCarlo:
             assert max(rows) <= size
         assert len(counts) == 1
 
-    @pytest.mark.parametrize("n", [5, 7])
-    def test_starts_match_two_default_rng_draws(self, n):
-        for seed in (0, 1, 5, 123, 2026):
-            starts = binary._mc_starts(seed, 10, 3, n)
-            assert starts.shape == (3, n)
-            for i, row in enumerate(starts):
-                rng = np.random.default_rng(seed + 10 + i + 1)
-                want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                assert row.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("shape", [(4, [2], 2), (4, [2, 1], 0),
+                                       (6, [3, 2], 0)])
+    def test_starts_are_the_seed_generator_rows(self, monkeypatch, shape):
+        # After the random form's coefficients, the count's one generator
+        # draws each start as 2N standard normals: real parts, then
+        # imaginary parts.  m <= 2, so no fixed form is drawn in between.
+        d, e, m = shape
+        newton = binary._mc_newton
+        batches = []
 
-    @pytest.mark.parametrize("n", [2, 5, 31])
-    @pytest.mark.parametrize("size", [1, 12])
-    @pytest.mark.parametrize("seed", [2 ** 32 - 7, 2 ** 64 - 7, 2 ** 128 - 7,
-                                      2 ** 160 + 3])
-    def test_starts_match_default_rng_across_word_boundaries(self, seed,
-                                                             size, n):
-        # A batch of 12 from trial 0 crosses the boundary: seeds below it
-        # hash as a batch, seeds from 2**128 on one at a time.
-        assert_starts_match_default_rng(seed, 0, size, n)
+        def spy(system, z, scale):
+            batches.append(z.copy())
+            return newton(system, z, scale)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 200).flatmap(
-               lambda bits: st.integers(0, 2 ** bits - 1)),
-           first=st.integers(0, 10 ** 6),
-           size=st.integers(1, 6), n=st.integers(1, 8))
-    def test_starts_match_default_rng_for_any_seed(self, seed, first, size, n):
-        assert_starts_match_default_rng(seed, first, size, n)
+        monkeypatch.setattr(binary, "_mc_newton", spy)
+        seed = 41
+        count_reps_monte_carlo(d, e, m, trials=30, seed=seed)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.integers(-100, 101, size=(d + 1, 2))
+        p = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
+        scale = max(p.norm(), 1.0)
+        start_mag = np.array([scale] * m + [scale ** (ek / d) for ek in e
+                                            for _ in range(ek + 1)])
+        first = batches[0]
+        buf = rng.standard_normal((len(first), 2 * (d + 1)))
+        want = buf[:, :d + 1] + 1j * buf[:, d + 1:]
+        assert np.allclose(first / start_mag, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("text", ["x^3 + y^3", "x^4 + y^4 + z^4"])
+    def test_form_of_another_shape_is_refused(self, text):
+        # its coefficients were once read at the quartic's indices, as zeros
+        with pytest.raises(ShapeMismatch):
+            count_reps_monte_carlo(4, [2, 1], 0, trials=300,
+                                   form=parse_form(text))
 
     @pytest.mark.parametrize("seed", [-1, -2])
     def test_negative_seed_is_refused(self, seed):

@@ -15,9 +15,9 @@ from canonform import QQi, canonicity, dim, linalg, parse_form
 from canonform.canonicity import (MOD_P, CertifyReport, Fixed,
                                   HyperplaneVerdict, Param, ParamMap, Pow,
                                   Prod, Sum, build_map, catalog_names,
-                                  hyperplane_classify, hyperplane_form,
-                                  jacobian_certify, lasker_wakeford_full_rank,
-                                  modp_rank, zerosum_verify)
+                                  hyperplane_classify, jacobian_certify,
+                                  lasker_wakeford_full_rank, modp_rank,
+                                  zerosum_verify)
 from canonform.enumeration import neat_upto
 from canonform.errors import (AllZero, BadShape, DegenerateInput, ShapeMismatch,
                               UnknownName)
@@ -25,6 +25,7 @@ from canonform.forms import index_set, linear_form
 from canonform.linalg import exact_rank, mat_det
 from canonform.scalars import (EPS_DEFAULT, MOD_I, as_scalar, mod_p, power,
                                scalar_is_zero)
+from tests_support import hyperplane_form
 
 
 def test_unknown_name():

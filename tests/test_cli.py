@@ -1024,6 +1024,17 @@ def test_quartic_two_fixed_degenerate_exits(capsys, form, l2, message):
     assert err == f"DegenerateInput: {message}\n"
 
 
+def test_mixed_with_more_than_d_plus_one_fixed_forms_exits_2(capsys):
+    # four fixed forms on a linear form leave r = -1, and m + 2r = d + 1
+    # still holds; the spec itself refuses it
+    code, out, err = run_cli(["decompose", "mixed", "x+y", "--fixed", "x",
+                              "--fixed", "y", "--fixed", "x+y",
+                              "--fixed", "x-y"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == ("ShapeMismatch: need r >= 0 free powers (at most d + 1 "
+                   "fixed forms); got r = -1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "two-squares", "--", "1/8*x^2 - 207312311173*x*y + 3*y^2"],
     ["decompose", "sylvester", "--", "-650983368132*x + 4/7*y"],

@@ -1,6 +1,7 @@
 """Shared test helpers: decompositions compared up to term order, a child
-interpreter that imports this canonform, digests of CLI outputs and the
-seeded decompose fuzz."""
+interpreter that imports this canonform, digests of CLI outputs, the
+quartic power ratio, the hyperplane family's form and the seeded decompose
+fuzz."""
 
 import contextlib
 import hashlib
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import canonform
 from canonform import cli
-from canonform.forms import index_set, var_names
+from canonform.forms import index_set, linear_coeffs, linear_form, var_names
+from canonform.scalars import as_scalar
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -99,6 +101,25 @@ FUZZ_SHAPES = {
     "slowpoke": ((3, 4, 5), (3,), []),
     "quartic-lift": ((3,), (4,), []),
 }
+
+
+def quartic_power_ratio(dec) -> complex | None:
+    """t5/t4 of the fourth-power linear form; None encodes infinity."""
+    for t in dec.terms:
+        if t.power == 4:
+            t4, t5 = (complex(v) for v in linear_coeffs(t.base))
+            if t4 == 0:
+                return None
+            return t5 / t4
+    raise ValueError("decomposition has no fourth-power term")
+
+
+def hyperplane_form(t):
+    """(t1 x + t2 y)^2 + (t3 x + t4 y)^2 for an explicit parameter 4-vector."""
+    t = [as_scalar(v) for v in t]
+    l1 = linear_form([t[0], t[1]])
+    l2 = linear_form([t[2], t[3]])
+    return l1 * l1 + l2 * l2
 
 
 def _fuzz_coeff(rng):
