@@ -28,6 +28,36 @@ from tests_support import quartic_power_ratio
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 
 
+def mc_starts_and_generator_rows(shape, seed, trials=30, batch=None):
+    """The Newton starts of one count, each batch divided by its start
+    magnitudes, and the rows default_rng(seed) should have drawn for them
+    after the random form and the extra fixed forms."""
+    d, e, m = shape
+    newton = binary._mc_newton
+    batches = []
+
+    def spy(system, z, scale):
+        batches.append(z.copy())
+        return newton(system, z, scale)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binary, "_mc_newton", spy)
+        if batch is not None:
+            mp.setattr(binary, "_MC_BATCH", batch)
+        count_reps_monte_carlo(d, e, m, trials=trials, seed=seed)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-100, 101, size=(d + 1, 2))
+    p = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
+    for _ in range(m - 2):
+        rng.integers(-100, 101, size=4)
+    scale = max(p.norm(), 1.0)
+    start_mag = np.array([scale] * m + [scale ** (ek / d) for ek in e
+                                        for _ in range(ek + 1)])
+    buf = rng.standard_normal((sum(map(len, batches)), 2 * (d + 1)))
+    want = buf[:, :d + 1] + 1j * buf[:, d + 1:]
+    return [b / start_mag for b in batches], want
+
+
 def _row_mul(a, b):
     """Row-wise products of two stacks of raw coefficient vectors."""
     out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=complex)
@@ -735,33 +765,41 @@ class TestMonteCarlo:
             assert max(rows) <= size
         assert len(counts) == 1
 
+    @pytest.mark.parametrize("seed", [41, 2 ** 32 - 7, 2 ** 64 - 7,
+                                      2 ** 128 - 7, 2 ** 160 + 3])
     @pytest.mark.parametrize("shape", [(4, [2], 2), (4, [2, 1], 0),
                                        (6, [3, 2], 0)])
-    def test_starts_are_the_seed_generator_rows(self, monkeypatch, shape):
+    def test_starts_are_the_seed_generator_rows(self, shape, seed):
         # After the random form's coefficients, the count's one generator
         # draws each start as 2N standard normals: real parts, then
-        # imaginary parts.  m <= 2, so no fixed form is drawn in between.
-        d, e, m = shape
-        newton = binary._mc_newton
-        batches = []
+        # imaginary parts.  m <= 2, so no fixed form is drawn in between;
+        # seeds past each 32-bit word boundary feed that same generator.
+        batches, want = mc_starts_and_generator_rows(shape, seed)
+        assert len(batches) == 1
+        assert np.allclose(batches[0], want, rtol=1e-15, atol=0)
 
-        def spy(system, z, scale):
-            batches.append(z.copy())
-            return newton(system, z, scale)
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("shape", [(4, [2], 2), (4, [2, 1], 0),
+                                       (6, [3, 2], 0)])
+    def test_later_batches_continue_the_stream(self, shape, size):
+        # trial t starts from the stream's t-th row, however batches cut it
+        batches, want = mc_starts_and_generator_rows(shape, 5, batch=size)
+        assert [len(b) for b in batches][:-1] == [size] * (len(batches) - 1)
+        assert np.allclose(np.concatenate(batches), want, rtol=1e-15, atol=0)
 
-        monkeypatch.setattr(binary, "_mc_newton", spy)
-        seed = 41
-        count_reps_monte_carlo(d, e, m, trials=30, seed=seed)
-        rng = np.random.default_rng(seed)
-        coeffs = rng.integers(-100, 101, size=(d + 1, 2))
-        p = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
-        scale = max(p.norm(), 1.0)
-        start_mag = np.array([scale] * m + [scale ** (ek / d) for ek in e
-                                            for _ in range(ek + 1)])
-        first = batches[0]
-        buf = rng.standard_normal((len(first), 2 * (d + 1)))
-        want = buf[:, :d + 1] + 1j * buf[:, d + 1:]
-        assert np.allclose(first / start_mag, want, rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("shape", [(4, [1], 3), (6, [2], 4)])
+    def test_fixed_forms_are_drawn_before_the_starts(self, shape):
+        # m > 2: each extra fixed form takes 4 integers after the form's
+        batches, want = mc_starts_and_generator_rows(shape, 7)
+        assert np.allclose(np.concatenate(batches), want, rtol=1e-15, atol=0)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 200).flatmap(
+               lambda bits: st.integers(0, 2 ** bits - 1)))
+    def test_starts_are_the_generator_rows_for_any_seed(self, seed):
+        batches, want = mc_starts_and_generator_rows((4, [2, 1], 0), seed,
+                                                     trials=12)
+        assert np.allclose(np.concatenate(batches), want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("text", ["x^3 + y^3", "x^4 + y^4 + z^4"])
     def test_form_of_another_shape_is_refused(self, text):
