@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 from . import LazyModule
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
-from .decompositions import (Decomposition, Term, binary_factor,
+from .decompositions import (ACCEPT_TOL, Decomposition, Term, binary_factor,
                              check_decomposable, parse_form)
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
                      ShapeMismatch, UnsupportedShape, ZeroForm)
-from .forms import Form, _trusted, linear_coeffs, linear_form, monomial_form
+from .forms import Form, linear_coeffs, linear_form, monomial_form
 from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
                       scalar_sqrt)
@@ -207,20 +207,26 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
 def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     """All binom(2s-1, s) representations f^2 + g^2 with g missing x^s.
 
-    Each unordered split of the 2s distinct linear factors into two
-    s-products gives one representation after the rotation that kills the
-    x^s coefficient of the second square.
+    p = c A B for each unordered split of its 2s distinct linear factors,
+    each monic in x, into two s-products A and B.  With r = sqrt(c),
+    f = r (A + B)/2 and g = r (A - B)/(2i) give f^2 + g^2 = r^2 A B = p, and
+    g misses x^s because A and B both lead with x^s.  A float split is
+    refused when the rounding of its squares, about (s+1)^2 2^-52 (|f|^2 +
+    |g|^2), exceeds the accept tolerance times |p|: the squares then cancel
+    to p below what a float rebuild resolves.
     """
     check_decomposable(p, p.n == 2 and not p.d % 2,
                        "need a binary form of even degree")
     s = p.d // 2
     if scalar_is_zero(p.raw((p.d, 0)), eps, scale=p.norm()):
-        raise LeadingZero("p(1,0) = 0: the rotation normalization needs a "
-                          "nonzero leading coefficient")
+        raise LeadingZero("p(1,0) = 0: y divides p, so its linear factors "
+                          "are not all monic in x")
     constant, factors = binary_factor(p, eps)
     if any(mult > 1 for _, mult in factors):
         raise RepeatedRoot("two-squares enumeration needs 2s distinct roots")
     lins = [lin for lin, _ in factors]
+    half = scalar_sqrt(constant) / 2
+    noise, tol = (s + 1) ** 2 * 2.0 ** -52, max(eps, ACCEPT_TOL) * p.norm()
 
     out = []
     for rest in itertools.combinations(range(1, 2 * s), s - 1):
@@ -232,20 +238,13 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
                 a_side = lin if a_side is None else a_side * lin
             else:
                 b_side = lin if b_side is None else b_side * lin
-        a_side = a_side.scale(constant)
-        half = QQi(1) / 2
         f = (a_side + b_side).scale(half)
         g = (a_side - b_side).scale(half * QQi(0, -1))
-        rho, tau = f.raw((s, 0)), g.raw((s, 0))
-        w = scalar_sqrt(rho * rho + tau * tau)
-        if not w:
-            raise DegenerateInput("the rotation is undefined: rho^2 + tau^2 = 0")
-        u, v = rho / w, -tau / w
-        f2 = f.scale(u) - g.scale(v)
-        g2 = f.scale(v) + g.scale(u)
-        # the x^s coefficient of g2 is zero by construction; drop its noise
-        g2 = _trusted(2, s, {i: c for i, c in g2.items() if i != (s, 0)}, g2.exact)
-        dec = Decomposition([Term(1, f2, 2), Term(1, g2, 2)],
+        if not (f.exact and g.exact) and noise * (f.norm() ** 2
+                                                  + g.norm() ** 2) > tol:
+            raise DegenerateInput("the two squares cancel: their rounding "
+                                  "exceeds the reconstruction tolerance")
+        dec = Decomposition([Term(1, f, 2), Term(1, g, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
         if (dec := dec.accepted(p, eps)) is None:
             raise DegenerateInput("reconstruction check failed")
@@ -603,9 +602,8 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
         z = (buf[:, :nvars] + 1j * buf[:, nvars:]) * start_mag
         first += size
         rows = np.flatnonzero(_mc_newton(system, z, scale))
-        r, _, powers = system(z[rows])
-        ok = np.max(np.abs(r), axis=1) <= 1e-9 * scale
-        rows, ts, powers = rows[ok], z[rows[ok], :m], powers[ok]
+        _, _, powers = system(z[rows])
+        ts = z[rows, :m]
         dup = _signature_hits(ts, powers, found_ts, found_powers,
                               groups).any(axis=1)
         good = np.zeros(len(z), dtype=bool)

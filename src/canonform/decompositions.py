@@ -163,9 +163,6 @@ def _linear_powers(n: int, d: int, terms) -> Form:
 def _power(p: Form, k: int) -> Form:
     if k < 0:
         raise ValueError("negative form power")
-    if p.exact and p.d == 1:
-        row = [p._a.get(i, _ZERO) for i in _monomials(p.n, 1)]
-        return _linear_powers(p.n, k, [(_ONE, row)])
     one = QQi(1) if p.exact else 1 + 0j
     return power(p, k, _trusted(p.n, 0, {(0,) * p.n: one}, p.exact))
 

@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +16,8 @@ from canonform import cli, commands, forms_close, parse_form
 from canonform.cli import main
 from canonform.errors import ParseError
 from canonform.forms import ACCEPT_TOL, parse_decomposition
-from tests_support import FUZZ_SHAPES, fresh_json, fuzz_argvs, subprocess_env
+from tests_support import (FUZZ_SHAPES, exact_backward_error, fresh_json,
+                           fuzz_argvs, subprocess_env)
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -613,15 +616,22 @@ def test_dependent_pencil_eigenvectors_are_degenerate_input(capsys, algo):
 
 
 @pytest.mark.parametrize("backend", [[], ["--backend", "approx"]])
-def test_two_squares_that_miss_the_input_are_degenerate_input(capsys, backend):
-    # at height 1e12 every split rebuilds the input only to about 1e-4
-    form = ("531226592575*x1^6 - 253143392605*x1^5*x2 - 790449943128*x1^4*x2^2"
-            " + 171068877588*x1^3*x2^3 + 242840731257*x1^2*x2^4"
-            " - 354407936282*x1*x2^5 + 310406819769*x2^6")
+@pytest.mark.parametrize("form,splits", [
+    ("531226592575*x1^6 - 253143392605*x1^5*x2 - 790449943128*x1^4*x2^2"
+     " + 171068877588*x1^3*x2^3 + 242840731257*x1^2*x2^4"
+     " - 354407936282*x1*x2^5 + 310406819769*x2^6", 10),
+    ("1e20*x^4+2*1e20*x^3*y+3*1e20*x^2*y^2+5*1e20*x*y^3+7*1e20*y^4", 3),
+])
+def test_two_squares_far_from_norm_one_rebuild_the_input(capsys, backend,
+                                                         form, splits):
+    # with the leading constant on one side only, every split of the sextic
+    # once rebuilt it only to about 1e-4, and a rotation of the quartic's
+    # squares rounded to 0; both were refused
     code, out, err = run_cli(backend + ["decompose", "two-squares", form],
                              capsys=capsys)
-    assert (code, out) == (2, "")
-    assert "reconstruction check failed" in err
+    assert (code, err) == (0, "") and len(out.splitlines()) == splits
+    for line in out.splitlines():
+        assert exact_backward_error(line, parse_form(form)) <= ACCEPT_TOL
 
 
 @pytest.mark.parametrize("argv", [["decompose", "nosuch", "x"],
@@ -940,15 +950,41 @@ def test_quartic_six_below_norm_one_decomposes(capsys):
     _assert_rebuilds(out, parse_form(text))
 
 
-@pytest.mark.parametrize("flags", [[], _APPROX])
-def test_two_squares_whose_rotation_cancels_is_degenerate_input(capsys, flags):
-    # rho^2 + tau^2 rounds to exactly 0, which once divided by zero (exit 3)
-    code, out, err = run_cli(flags + [
-        "decompose", "two-squares", "1e20*x^4+2*1e20*x^3*y+3*1e20*x^2*y^2"
-        "+5*1e20*x*y^3+7*1e20*y^4"], capsys=capsys)
+def test_two_squares_that_cancel_is_degenerate_input(capsys):
+    # the squares are near 8.6e22, so a float rebuild of the split rounds the
+    # input's y^2 coefficient of 3 to 0
+    code, out, err = run_cli(["decompose", "two-squares", "--",
+                              "1/8*x^2 - 207312311173*x*y + 3*y^2"],
+                             capsys=capsys)
     assert (code, out) == (2, "")
-    assert err == ("DegenerateInput: the rotation is undefined: "
-                   "rho^2 + tau^2 = 0\n")
+    assert err == ("DegenerateInput: the two squares cancel: their rounding "
+                   "exceeds the reconstruction tolerance\n")
+
+
+def test_two_squares_rebuild_binary_forms_of_every_height(capsys):
+    """Two-squares of seeded integer binary forms of degrees 2, 4 and 6 and
+    heights 10, 1e6 and 1e12, on both backends: every printed split rebuilds
+    its input within ACCEPT_TOL, read exactly, and every refusal is a
+    repeated root, a zero leading coefficient or cancellation."""
+    rng, decomposed = random.Random(5), 0
+    for d, height in itertools.product((2, 4, 6), (10, 10**6, 10**12)):
+        for _ in range(8):
+            text = " + ".join(f"({rng.randint(-height, height)})*x^{d - j}*y^{j}"
+                              for j in range(d + 1))
+            for backend in ("exact", "approx"):
+                code, out, err = run_cli(["--backend", backend, "decompose",
+                                          "two-squares", "--", text],
+                                         capsys=capsys)
+                if code:
+                    assert err.startswith((
+                        "RepeatedRoot:", "LeadingZero:",
+                        "DegenerateInput: the two squares cancel:")), err
+                    continue
+                decomposed += 1
+                for line in out.splitlines():
+                    assert exact_backward_error(line, parse_form(text)) \
+                        <= ACCEPT_TOL, (text, backend, line)
+    assert decomposed >= 138
 
 
 def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):
@@ -1036,7 +1072,6 @@ def test_mixed_with_more_than_d_plus_one_fixed_forms_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["decompose", "two-squares", "--", "1/8*x^2 - 207312311173*x*y + 3*y^2"],
     ["decompose", "sylvester", "--", "-650983368132*x + 4/7*y"],
     ["decompose", "slowpoke", "--",
      "- 847344730712*x1*x4^2 + 9*x3^2*x5 - 9*x2*x3*x4 + x1*x2*x3"

@@ -274,6 +274,17 @@ def test_array_verify_agrees_at_half_and_twice_the_bound(n, residual, exact):
             assert verdicts(dec, p, eps) == (want, want), (n, d, factor)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_array_verify_agrees_on_a_power_of_a_ternary_quadratic(exact):
+    # a base that is neither linear nor binary enters the array as Term.form()
+    quad = parse_form("x^2+y^2+z^2")
+    dec, p = Decomposition([Term(1, quad.approx(), 2)]), quad * quad
+    for shift, want in ((0, True), (QQi(1, 1) / 10**6, False)):
+        target = p + monomial_form(3, (2, 1, 1), shift)
+        target = target if exact else target.approx()
+        assert verdicts(dec, target, ACCEPT_TOL) == (want, want)
+
+
 def test_array_verify_agrees_on_non_finite_values():
     rng, nan, inf = random.Random(7), float("nan"), float("inf")
     for n, d in ((2, 6), (3, 3)):

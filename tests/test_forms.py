@@ -729,10 +729,7 @@ def test_every_decomposer_gives_c_times_p_the_verdict_of_p(algo):
                 assert err <= ACCEPT_TOL * p.norm(), (seed, exact, c)
             verdicts.append(True)
         successes += verdicts[0]
-        # two-squares splits the leading constant onto one side only, so
-        # away from c = 1 its squares cancel; it is not yet scale invariant
-        if algo != "two-squares":
-            assert verdicts == verdicts[:1] * 5, (seed, exact, verdicts)
+        assert verdicts == verdicts[:1] * 5, (seed, exact, verdicts)
     assert successes
 
 

@@ -377,6 +377,17 @@ class TestQuarticLift:
         with pytest.raises(DegenerateStage):
             quartic_lift(parse_form("x^4", n=2, d=4))
 
+    @pytest.mark.parametrize("text,mult", [("3*x^4", 3), ("(1+2*i)*x^4", QQi(1, 2))])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_variable(self, text, mult, exact):
+        # one fourth power, c/4 x^4 from dp/dx = c x^3, and a zero residual
+        p = parse_form(text, n=1)
+        p = p if exact else p.approx()
+        dec = quartic_lift(p)
+        assert [(t.multiplier, t.base, t.power) for t in dec.terms] == [
+            (mult, parse_form("x", n=1), 4)]
+        assert dec.residual.is_zero() and dec.verify(p, 0.0)
+
     def test_parameter_count_identity(self):
         # N(n,3) + N(n-1,4) = N(n,4) justifies the residual bookkeeping
         from canonform import dim

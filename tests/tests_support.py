@@ -1,7 +1,7 @@
 """Shared test helpers: decompositions compared up to term order, a child
 interpreter that imports this canonform, digests of CLI outputs, the
-quartic power ratio, the hyperplane family's form and the seeded decompose
-fuzz."""
+exact backward error of printed output, the quartic power ratio, the
+hyperplane family's form and the seeded decompose fuzz."""
 
 import contextlib
 import hashlib
@@ -12,12 +12,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import canonform
 from canonform import cli
-from canonform.forms import index_set, linear_coeffs, linear_form, var_names
-from canonform.scalars import as_scalar
+from canonform.decompositions import Decomposition, Term, parse_decomposition
+from canonform.forms import (Form, index_set, linear_coeffs, linear_form,
+                             var_names)
+from canonform.scalars import QQi, as_scalar
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,6 +35,28 @@ def cli_digests(argvs: dict) -> dict:
             code = cli.main(list(argv))
         got[key] = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
     return got
+
+
+def _exact(v):
+    """A scalar at its exact value: a float as the rational it holds."""
+    if isinstance(v, QQi):
+        return v
+    v = complex(v)
+    return QQi(Fraction(v.real), Fraction(v.imag))
+
+
+def _exact_form(f: Form) -> Form:
+    return Form(f.n, f.d, {i: _exact(v) for i, v in f._a.items()})
+
+
+def exact_backward_error(line: str, target: Form) -> float:
+    """|rebuild - target| / |target| for one printed decomposition, its
+    floats read at their exact values and rebuilt over the Gaussian
+    rationals, as bench/checks.py does."""
+    dec = parse_decomposition(line, target.n)
+    rebuilt = Decomposition([Term(_exact(t.multiplier), _exact_form(t.base),
+                                  t.power) for t in dec.terms]).reconstruct()
+    return (rebuilt - _exact_form(target)).norm() / target.norm()
 
 
 def bench_module(monkeypatch, name):
