@@ -11,12 +11,14 @@ representation counts for other shapes.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import LazyModule
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
-from .decompositions import (ACCEPT_TOL, Decomposition, Term, binary_factor,
+from .decompositions import (Decomposition, Term, binary_factor,
                              check_decomposable, parse_form)
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
@@ -210,10 +212,7 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     p = c A B for each unordered split of its 2s distinct linear factors,
     each monic in x, into two s-products A and B.  With r = sqrt(c),
     f = r (A + B)/2 and g = r (A - B)/(2i) give f^2 + g^2 = r^2 A B = p, and
-    g misses x^s because A and B both lead with x^s.  A float split is
-    refused when the rounding of its squares, about (s+1)^2 2^-52 (|f|^2 +
-    |g|^2), exceeds the accept tolerance times |p|: the squares then cancel
-    to p below what a float rebuild resolves.
+    g misses x^s because A and B both lead with x^s.
     """
     check_decomposable(p, p.n == 2 and not p.d % 2,
                        "need a binary form of even degree")
@@ -226,24 +225,15 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
         raise RepeatedRoot("two-squares enumeration needs 2s distinct roots")
     lins = [lin for lin, _ in factors]
     half = scalar_sqrt(constant) / 2
-    noise, tol = (s + 1) ** 2 * 2.0 ** -52, max(eps, ACCEPT_TOL) * p.norm()
 
     out = []
     for rest in itertools.combinations(range(1, 2 * s), s - 1):
         group = (0,) + rest
-        a_side = None
-        b_side = None
-        for i, lin in enumerate(lins):
-            if i in group:
-                a_side = lin if a_side is None else a_side * lin
-            else:
-                b_side = lin if b_side is None else b_side * lin
+        a_side = functools.reduce(operator.mul, [lins[i] for i in group])
+        b_side = functools.reduce(operator.mul, [lin for i, lin in enumerate(lins)
+                                                 if i not in group])
         f = (a_side + b_side).scale(half)
         g = (a_side - b_side).scale(half * QQi(0, -1))
-        if not (f.exact and g.exact) and noise * (f.norm() ** 2
-                                                  + g.norm() ** 2) > tol:
-            raise DegenerateInput("the two squares cancel: their rounding "
-                                  "exceeds the reconstruction tolerance")
         dec = Decomposition([Term(1, f, 2), Term(1, g, 2)],
                             meta={"theorem": "two-squares", "split": list(group)})
         if (dec := dec.accepted(p, eps)) is None:

@@ -576,26 +576,30 @@ class Decomposition:
         return sum(rest, _linear_powers(n, d, linear))
 
     def verify(self, p: Form, eps: float = EPS_DEFAULT) -> bool:
-        """forms_close(self.reconstruct(), p, eps), on one complex array
-        (_rebuilt) when a value is a float and every part has p's shape."""
+        """forms_close(self.reconstruct(), p, eps), as _verdict decides it."""
+        return self._verdict(p, eps)[0]
+
+    def _verdict(self, p: Form, eps: float) -> tuple[bool, float]:
+        """verify's verdict, on _rebuilt's array when a value is a float and
+        every part has p's shape; R = max_i c(i) sum_k |T_k(i)| / |p| there, else 0."""
         parts = [(t.multiplier, t.base, t.power) for t in self.terms] + (
             [] if self.residual is None else [(1, self.residual, 1)])
         if all(f.exact and not isinstance(c, _INEXACT) for c, f, _ in parts) or any(
                 (f.n, f.d * k) != (p.n, p.d) for _, f, k in parts):
-            return forms_close(self.reconstruct(), p, eps)
+            return forms_close(self.reconstruct(), p, eps), 0.0
         with np.errstate(all="ignore"):
-            mine, theirs = self._rebuilt(p.n, p.d), _dense(p)
+            (mine, size), theirs = self._rebuilt(p.n, p.d), _dense(p)
             # max error against max norm, weighted: a NaN fails, as in forms_close
             err = abs(np.array([mine - theirs, mine, theirs])) * _layout(p.n, p.d)[0]
-            return bool(err[0].max() <= eps * err[1:].max())
+            return bool(err[0].max() <= eps * err[1:].max()), size.max() / err[2].max()
 
-    def _rebuilt(self, n: int, d: int) -> "np.ndarray":
-        """The sum's normalised coefficients in _monomials(n, d) order: binary
-        terms by convolving actual coefficients, powers of linear forms at
-        once (each coordinate's powers 0..d gathered by exponent), any other
-        term as Term.form(), and the residual last."""
+    def _rebuilt(self, n: int, d: int) -> tuple["np.ndarray", "np.ndarray"]:
+        """The sum's normalised coefficients in _monomials(n, d) order and its parts'
+        absolute values summed, as actual coefficients: binary terms by convolving
+        actual coefficients, powers of linear forms at once (each coordinate's powers
+        0..d gathered by exponent), any other term as Term.form(), residual last."""
         weights, at = _layout(n, d)
-        total, linear = np.zeros(len(weights), complex), []
+        parts, linear = [], []
         for t in self.terms:
             if t.base.d == 1:
                 linear.append(t)
@@ -603,28 +607,34 @@ class Decomposition:
                 out = raw = _dense(t.base) * _layout(2, t.base.d)[0]
                 for _ in range(t.power - 1):
                     out = np.convolve(out, raw)
-                total += complex(t.multiplier) * out / weights
+                parts.append(complex(t.multiplier) * out / weights)
             else:
-                total += _dense(t.form())
+                parts.append(_dense(t.form()))
+        total, size = sum(parts), sum(map(abs, parts))
         if linear:
             rows = np.array([t.base._a.get(i, 0) for t in linear
                              for i in _monomials(n, 1)], complex)
             rows = rows.reshape(len(linear), n, 1) ** np.arange(d + 1)
-            total += np.array([t.multiplier for t in linear], complex).dot(
-                rows.reshape(len(linear), -1).take(at, axis=1).prod(2))
-        return total if self.residual is None else total + _dense(self.residual)
+            rows = rows.reshape(len(linear), -1).take(at, axis=1).prod(2)
+            mults = np.array([t.multiplier for t in linear], complex)
+            total, size = total + mults.dot(rows), size + abs(mults).dot(abs(rows))
+        rest = [_dense(r) for r in [self.residual] if r is not None]
+        return total + sum(rest), (size + sum(map(abs, rest))) * weights
 
     def accepted(self, p: Form, eps: float = EPS_DEFAULT) -> "Decomposition | None":
-        """The exact snap when it rebuilds p, else self when it rebuilds p
-        within max(eps, ACCEPT_TOL) of the larger norm, else None; None
-        first when a multiplier or coefficient is infinite or NaN."""
+        """The exact snap when it rebuilds p, else self when it rebuilds p within
+        tol = max(eps, ACCEPT_TOL) of the larger norm with gamma u R <= tol/2, else
+        None, and None for an infinite or NaN value.  Parts that cancel by R
+        lose gamma u R |p| rebuilt: u = 2^-53, gamma = d + m for m parts of degree d."""
         forms = [t.base for t in self.terms] + ([self.residual] if self.residual else [])
         values = [t.multiplier for t in self.terms] + [
             v for f in forms for v in f._a.values()]
         if not all(is_exact(v) or cmath.isfinite(v) for v in values):
             return None
-        return self.snapped(p) or (self if self.verify(p, max(eps, ACCEPT_TOL))
-                                   else None)
+        if (snap := self.snapped(p)) is not None:
+            return snap
+        ok, ratio = self._verdict(p, tol := max(eps, ACCEPT_TOL))
+        return self if ok and (p.d + len(forms)) * ratio * 2.0 ** -52 <= tol else None
 
     def term_forms(self) -> list[Form]:
         return [t.form() for t in self.terms]

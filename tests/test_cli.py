@@ -17,7 +17,8 @@ from canonform.cli import main
 from canonform.errors import ParseError
 from canonform.forms import ACCEPT_TOL, parse_decomposition
 from tests_support import (FUZZ_SHAPES, exact_backward_error, fresh_json,
-                           fuzz_argvs, subprocess_env)
+                           fuzz_argvs, fuzz_runs, printed_errors,
+                           subprocess_env)
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -952,20 +953,20 @@ def test_quartic_six_below_norm_one_decomposes(capsys):
 
 def test_two_squares_that_cancel_is_degenerate_input(capsys):
     # the squares are near 8.6e22, so a float rebuild of the split rounds the
-    # input's y^2 coefficient of 3 to 0
+    # input's y^2 coefficient of 3 to 0: accepted() refuses them (R = 8.3e11)
     code, out, err = run_cli(["decompose", "two-squares", "--",
                               "1/8*x^2 - 207312311173*x*y + 3*y^2"],
                              capsys=capsys)
     assert (code, out) == (2, "")
-    assert err == ("DegenerateInput: the two squares cancel: their rounding "
-                   "exceeds the reconstruction tolerance\n")
+    assert err == "DegenerateInput: reconstruction check failed\n"
 
 
 def test_two_squares_rebuild_binary_forms_of_every_height(capsys):
     """Two-squares of seeded integer binary forms of degrees 2, 4 and 6 and
     heights 10, 1e6 and 1e12, on both backends: every printed split rebuilds
     its input within ACCEPT_TOL, read exactly, and every refusal is a
-    repeated root, a zero leading coefficient or cancellation."""
+    repeated root, a zero leading coefficient or a failed reconstruction
+    check (squares that cancel among them)."""
     rng, decomposed = random.Random(5), 0
     for d, height in itertools.product((2, 4, 6), (10, 10**6, 10**12)):
         for _ in range(8):
@@ -978,7 +979,7 @@ def test_two_squares_rebuild_binary_forms_of_every_height(capsys):
                 if code:
                     assert err.startswith((
                         "RepeatedRoot:", "LeadingZero:",
-                        "DegenerateInput: the two squares cancel:")), err
+                        "DegenerateInput: reconstruction check failed")), err
                     continue
                 decomposed += 1
                 for line in out.splitlines():
@@ -995,6 +996,27 @@ def test_quartic_six_that_misses_the_input_is_degenerate_input(capsys):
         capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "DegenerateInput: reconstruction check failed\n"
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_near_degenerate_quartics_print_nothing_that_misses(capsys, backend):
+    """x^4 - 2x^2y^2 + (1 - delta)y^4 has roots about sqrt(delta) apart, and
+    two of its six representations cancel by R ~ 24/delta.  Every line that
+    quartic-six prints rebuilds it within ACCEPT_TOL, read exactly.  At
+    delta = 1e-8 two lines once missed by 1.3e-7 and 1.6e-7, and it is now
+    refused; at 1e-6 all six are printed."""
+    for delta, want in (("1/1000000", 0), ("1/10000000", None),
+                        ("3/100000000", None), ("1/100000000", 2)):
+        argv = ["--backend", backend, "decompose", "quartic-six", "--",
+                f"x^4-2*x^2*y^2+(1-{delta})*y^4"]
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert want in (None, code), (delta, err)
+        if code:
+            assert (code, out, err) == (
+                2, "", "DegenerateInput: reconstruction check failed\n")
+            continue
+        errors = printed_errors(argv, out)
+        assert len(errors) == 6 and max(errors) <= ACCEPT_TOL, (delta, errors)
 
 
 def test_quartic_six_with_a_non_finite_normal_form_fails_to_normalize(capsys):
@@ -1118,14 +1140,45 @@ def test_seeded_decompose_fuzz_has_no_internal_error():
     """550 seeded random inputs, 50 per algorithm, on both backends and about
     a third with --shear: every one exits 0, 1 or 2, never 3."""
     seen, failures = set(), []
-    for argv in fuzz_argvs():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    for argv, code, _, err in fuzz_runs():
         seen.add((argv[argv.index("decompose") + 1], argv[3], "--shear" in argv))
         if code == 3:
-            failures.append((argv, err.getvalue()))
+            failures.append((argv, err))
     assert not failures, failures[:3]
     assert {a for a, _, _ in seen} == set(FUZZ_SHAPES)
     assert {(b, s) for _, b, s in seen} == {(b, s) for b in ("exact", "approx")
                                           for s in (False, True)}
+
+
+def test_seeded_decompose_fuzz_prints_what_rebuilds_its_input():
+    """Every exit-0 output of the 550 fuzz argvs, its floats read at their
+    exact values, rebuilds the form it decomposed within ACCEPT_TOL: the
+    sheared input on a --shear run of an algorithm that shears, and
+    uppertri's rows summed (tests_support.printed_errors)."""
+    errors = [(e, argv) for argv, code, out, _ in fuzz_runs() if code == 0
+              for e in printed_errors(argv, out)]
+    assert len(errors) >= 500
+    assert max(errors)[0] <= ACCEPT_TOL, max(errors)
+
+
+def test_fuzz_report_counts_flips_and_referees_a_slice(capsys):
+    import fuzz_report
+    fuzz_report.main(["--first", "22", "--both-backends", "--exact-referee"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "22 argvs"
+    counts = dict(line.split(": ", 1) for line in lines[1:12])
+    assert set(counts) == set(FUZZ_SHAPES)
+    assert sum(int(part.rsplit(" x", 1)[1]) for row in counts.values()
+               for part in row.split(", ")) == 22
+    at = lines.index("worst exact-read backward error of an exit-0 output:")
+    flips = next(i for i, line in enumerate(lines) if "argvs flip" in line)
+    assert all(float(line.split(": ")[1]) <= ACCEPT_TOL
+               for line in lines[at + 1:flips])
+    listed = [json.loads(line) for line in lines[flips + 1:]
+              if line.startswith("    ")]
+    assert lines[flips] == f"{len(listed)} of 22 argvs flip with the backend"
+    for argv in listed:
+        codes = {fuzz_report.on_backend(argv, b)[3]: run_cli(
+            fuzz_report.on_backend(argv, b), capsys=capsys)[0]
+            for b in ("exact", "approx")}
+        assert codes["exact"] != codes["approx"], argv

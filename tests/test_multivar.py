@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +216,37 @@ class TestSlinky:
     def test_degenerate_stage_reported(self):
         with pytest.raises(DegenerateStage):
             slinky(parse_form("x^3 + 3*x^2*y + y^3 - z^3 + x*y*z"))
+
+    def test_covariant_under_diagonal_scalings_and_reversal(self):
+        """The paper's "uniquely": diagonal scalings over Q(i) and the
+        reversal x_k -> x_(n+1-k) keep the supports x_i..x_j, so the cubes
+        of slinky(p o M) are those of slinky(p) composed with M, and p o M
+        is refused when p is."""
+        def cubes(p):
+            """slinky(p)'s term forms as a multiset, or None for a refusal."""
+            try:
+                return Counter(slinky(p).term_forms())
+            except DegenerateStage:
+                return None
+
+        rng, decomposed = random.Random(30), 0
+        for seed in range(40):
+            n = 3 + seed % 3
+            p = random_form(n, 3, random.Random(seed))
+            scalings = [[[QQi(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                       rng.randint(1, 9)), rng.randint(-3, 3))
+                          if j == k else QQi(0) for k in range(n)]
+                         for j in range(n)] for _ in range(2)]
+            reversal = [[QQi(int(j + k == n - 1)) for k in range(n)]
+                        for j in range(n)]
+            mine = cubes(p)
+            decomposed += mine is not None
+            # the last map is the reversal after the first scaling
+            for m in scalings + [reversal, scalings[0][::-1]]:
+                want = mine and Counter({f.substitute(m): k
+                                         for f, k in mine.items()})
+                assert cubes(p.substitute(m)) == want, (seed, m)
+        assert decomposed >= 30
 
 
 def sorted_term_forms_list(pairs):

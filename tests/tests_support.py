@@ -1,9 +1,10 @@
 """Shared test helpers: decompositions compared up to term order, a child
 interpreter that imports this canonform, digests of CLI outputs, the
 exact backward error of printed output, the quartic power ratio, the
-hyperplane family's form and the seeded decompose fuzz."""
+hyperplane family's form and the seeded decompose fuzz and its runs."""
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -16,8 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import canonform
-from canonform import cli
-from canonform.decompositions import Decomposition, Term, parse_decomposition
+from canonform import cli, commands
+from canonform.decompositions import (Decomposition, Term, parse_decomposition,
+                                      parse_form)
 from canonform.forms import (Form, index_set, linear_coeffs, linear_form,
                              var_names)
 from canonform.scalars import QQi, as_scalar
@@ -57,6 +59,31 @@ def exact_backward_error(line: str, target: Form) -> float:
     rebuilt = Decomposition([Term(_exact(t.multiplier), _exact_form(t.base),
                                   t.power) for t in dec.terms]).reconstruct()
     return (rebuilt - _exact_form(target)).norm() / target.norm()
+
+
+def printed_errors(argv: list[str], out: str) -> list[float]:
+    """exact_backward_error of each decomposition that the decompose argv
+    printed as text to out, against the form it decomposed: the input on
+    the argv's backend, sheared by commands._sheared on a --shear run of an
+    algorithm that shears, with uppertri's rows read as one sum of squares
+    (none for the zero form)."""
+    args = cli.build_parser().parse_args(argv)
+    p = parse_form(args.form)
+    p = p.approx() if args.backend == "approx" else p
+    if args.shear and args.algo in commands._SHEARING_ALGOS:
+        p = commands._sheared(p, args.seed)
+    lines = out.splitlines()
+    if args.algo == "uppertri" and lines:
+        lines = [" + ".join(lines)]
+    return [exact_backward_error(line, p) for line in lines]
+
+
+def cli_run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of argv run through cli.main in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def bench_module(monkeypatch, name):
@@ -182,3 +209,10 @@ def fuzz_argvs() -> list[list[str]]:
             argv.append("--shear")
         out.append(argv + ["--", _fuzz_form(rng, n, d)])
     return out
+
+
+@functools.cache
+def fuzz_runs() -> tuple:
+    """(argv, exit code, stdout, stderr) of each fuzz_argvs() argv, run
+    once per process through cli_run."""
+    return tuple((argv, *cli_run(argv)) for argv in fuzz_argvs())
