@@ -448,47 +448,49 @@ def _mc_system(d: int, e: list[int], fixed_forms, p: Form):
 def _solve_rows(jac: np.ndarray, r: np.ndarray):
     """Newton steps for a stack of systems, and the mask of rows solved.
 
-    One stacked solve; if it fails, each row is solved alone, so a singular
-    row retires only itself and every other row gets the step it would get
-    on its own.
+    One stacked solve; if it fails, slogdet's LU (the one solve runs) marks
+    the rows with an exactly zero pivot, and the others are solved again in
+    one stack, so a singular row retires only itself and every other row
+    gets the step it would get on its own.
     """
     try:
         return (np.linalg.solve(jac, r[..., None])[..., 0],
                 np.ones(len(r), dtype=bool))
     except np.linalg.LinAlgError:
         pass
+    solved = np.linalg.slogdet(jac)[0] != 0
     step = np.zeros_like(r)
-    solved = np.ones(len(r), dtype=bool)
-    for i in range(len(r)):
-        try:
-            step[i] = np.linalg.solve(jac[i], r[i])
-        except np.linalg.LinAlgError:
-            solved[i] = False
+    step[solved] = np.linalg.solve(jac[solved], r[solved, :, None])[..., 0]
     return step, solved
 
 
-def _mc_newton(system, z: np.ndarray, scale: float) -> np.ndarray:
-    """At most 60 Newton steps on each row of z, in place; the converged mask.
+def _mc_newton(system, z: np.ndarray, scale: float):
+    """At most 60 Newton steps on each row of z, in place.
 
-    Rows whose largest residual value (see _mc_system) reaches 1e-12*scale
-    leave the active set, as do rows whose solve fails, which count as not
-    converged.  Diverging rows overflow to inf or nan without a warning and
-    never converge.
+    Returns the converged mask and, for the converged rows in order, the
+    powers (see _mc_system) of the pass that found them converged.  Rows
+    whose largest residual value reaches 1e-12*scale leave the active set,
+    as do rows whose solve fails, which count as not converged.  Diverging
+    rows overflow to inf or nan without a warning and never converge.
     """
     converged = np.zeros(len(z), dtype=bool)
     active = np.arange(len(z))
+    powers = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(60):
-            r, jac, _ = system(z[active])
+            r, jac, pw = system(z[active])
+            if powers is None:
+                powers = np.empty_like(pw)  # the first pass holds every row
             done = np.max(np.abs(r), axis=1) <= 1e-12 * scale
             converged[active[done]] = True
+            powers[active[done]] = pw[done]
             active, r, jac = active[~done], r[~done], jac[~done]
             if not active.size:
                 break
             step, solved = _solve_rows(jac, r)
             active = active[solved]
             z[active] -= step[solved]
-    return converged
+    return converged, powers[converged]
 
 
 def _max_dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -585,29 +587,24 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     found_ts = np.empty((0, m), dtype=complex)
     found_powers = np.empty((0, len(e), d + 1), dtype=complex)
     since_new = first = 0
-    while first < trials:
+    while first < trials and since_new < patience:
         # no stop can fall before the last row of this batch
         size = min(_MC_BATCH, patience - since_new, trials - first)
         buf = rng.standard_normal((size, 2 * nvars))
         z = (buf[:, :nvars] + 1j * buf[:, nvars:]) * start_mag
         first += size
-        rows = np.flatnonzero(_mc_newton(system, z, scale))
-        _, _, powers = system(z[rows])
+        converged, powers = _mc_newton(system, z, scale)
+        rows = np.flatnonzero(converged)
         ts = z[rows, :m]
-        dup = _signature_hits(ts, powers, found_ts, found_powers,
-                              groups).any(axis=1)
-        good = np.zeros(len(z), dtype=bool)
-        good[rows] = True
-        for i, j in enumerate(np.cumsum(good) - 1):
-            if good[i] and not dup[j]:
-                found_ts = np.concatenate([found_ts, ts[j:j + 1]])
-                found_powers = np.concatenate([found_powers, powers[j:j + 1]])
-                dup[j + 1:] |= _signature_hits(ts[j + 1:], powers[j + 1:],
-                                               ts[j:j + 1], powers[j:j + 1],
-                                               groups)[:, 0]
-                since_new = 0
-                continue
-            since_new += 1
-            if since_new >= patience:
-                return len(found_ts)
+        fresh = np.flatnonzero(~_signature_hits(
+            ts, powers, found_ts, found_powers, groups).any(axis=1))
+        since_new += size
+        while fresh.size:
+            k, fresh = fresh[0], fresh[1:]
+            found_ts = np.concatenate([found_ts, ts[k:k + 1]])
+            found_powers = np.concatenate([found_powers, powers[k:k + 1]])
+            fresh = fresh[~_signature_hits(ts[fresh], powers[fresh],
+                                           ts[k:k + 1], powers[k:k + 1],
+                                           groups)[:, 0]]
+            since_new = size - 1 - rows[k]
     return len(found_ts)

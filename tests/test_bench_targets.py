@@ -198,6 +198,22 @@ def test_pool_digest_lists_the_moved_runs_by_slot():
     assert pool_digest.exit_changes(["c", "d"], per, old) == 0
 
 
+def test_count_digest_checks_a_slice_of_its_table(capsys):
+    # the first seed of each row of count_digest.py's table keeps the digest
+    # recorded at 8f94e0b, and --check exits 1 on another digest, naming
+    # the estimates off the table
+    import count_digest
+
+    table = [(shape, trials, dict([next(iter(seeds.items()))]))
+             for shape, trials, seeds in count_digest.TABLE]
+    want = "228275c90c2fbe964d439fe140b946ff0ab50447d233638462c0b44ddbfe4fd2"
+    count_digest.main(["--check", want], table)
+    assert capsys.readouterr().out == f"9 {want}\n"
+    with pytest.raises(SystemExit) as exc:
+        count_digest.main(["--check", want], [((4, [2], 2), None, {0: 3})])
+    assert "estimates off the table: ['4 2 2 None 0 2']" in exc.value.code
+
+
 def test_every_certify_catalog_output_keeps_its_digest(monkeypatch):
     """All 377 certify catalog requests, in text and with --json, keep the
     sha256 of their exit code and stdout recorded in

@@ -23,7 +23,7 @@ from canonform.errors import (CanonformError, DegenerateInput, DegenerateLambda,
 from canonform.forms import ACCEPT_TOL, Form, linear_coeffs
 from canonform.linalg import chordal_distance, mat_solve
 from canonform.scalars import EPS_DEFAULT, is_exact, scalar_is_zero
-from tests_support import quartic_power_ratio
+from tests_support import mc_draws, mc_reference_count, quartic_power_ratio
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 
@@ -45,11 +45,7 @@ def mc_starts_and_generator_rows(shape, seed, trials=30, batch=None):
         if batch is not None:
             mp.setattr(binary, "_MC_BATCH", batch)
         count_reps_monte_carlo(d, e, m, trials=trials, seed=seed)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(-100, 101, size=(d + 1, 2))
-    p = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
-    for _ in range(m - 2):
-        rng.integers(-100, 101, size=4)
+    rng, p, _ = mc_draws(d, m, seed)
     scale = max(p.norm(), 1.0)
     start_mag = np.array([scale] * m + [scale ** (ek / d) for ek in e
                                         for _ in range(ek + 1)])
@@ -742,12 +738,41 @@ class TestMonteCarlo:
                    for shape, t, s in runs]
             assert got == want, size
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([(4, [2], 2), (4, [2, 1], 0),
+                                  (6, [2, 1, 1], 0), (6, [2], 4),
+                                  (4, [1], 3)]),
+           seed=st.integers(0, 2 ** 64),
+           trials=st.integers(20, 200).filter(lambda t: t % 7),
+           batch=st.sampled_from([1, 7, 512]))
+    def test_count_matches_the_per_trial_reading(self, shape, seed, trials,
+                                                 batch):
+        # the estimate and the Newton rows run are those of reading every
+        # trial in order with its powers evaluated again (tests_support),
+        # and the powers Newton returns are those of the converged rows
+        newton, rows = binary._mc_newton, []
+
+        def spy(system, z, scale):
+            rows.append(len(z))
+            converged, powers = newton(system, z, scale)
+            assert np.array_equal(powers, system(z[converged])[2])
+            return converged, powers
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binary, "_MC_BATCH", batch)
+            want = mc_reference_count(*shape, trials=trials, seed=seed)
+            mp.setattr(binary, "_mc_newton", spy)
+            got = count_reps_monte_carlo(*shape, trials=trials, seed=seed)
+        assert (got, sum(rows)) == want
+
     @pytest.mark.parametrize("shape,kw,stop", [
         ((4, [2, 1], 0), {"seed": 5}, 1290),
         ((6, [3, 2], 0), {"trials": 2000, "seed": 0}, 1255),
+        ((4, [2], 2), {"seed": 5}, 1281),
+        ((6, [2], 4), {"trials": 3000, "seed": 1}, 868),
     ])
     def test_batches_end_at_the_stop_trial(self, monkeypatch, shape, kw, stop):
-        # Both runs stop on patience well inside their budget; no batch size
+        # Every run stops on patience well inside its budget; no batch size
         # may run a start past the stop trial or change the count.
         newton = binary._mc_newton
         counts = set()
@@ -813,15 +838,42 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             count_reps_monte_carlo(4, [2], 2, trials=5, seed=seed)
 
+    @staticmethod
+    def assert_rows_solved_alone(jac, r):
+        # each row gets the step it gets alone, or is retired when alone
+        # its solve raises
+        step, solved = binary._solve_rows(jac, r)
+        for i in range(len(r)):
+            try:
+                want = np.linalg.solve(jac[i], r[i])
+            except np.linalg.LinAlgError:
+                assert not solved[i] and not step[i].any(), i
+                continue
+            assert solved[i] and np.array_equal(step[i], want, equal_nan=True), i
+        return solved.tolist()
+
     def test_singular_row_retires_alone(self):
         rng = np.random.default_rng(3)
         jac = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
         jac[1, :, 4] = 0
         r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        step, solved = binary._solve_rows(jac, r)
-        assert solved.tolist() == [True, False, True]
-        for i in (0, 2):
-            assert np.array_equal(step[i], np.linalg.solve(jac[i], r[i]))
+        assert self.assert_rows_solved_alone(jac, r) == [True, False, True]
+
+        # every row singular: nothing is solved and no step is taken
+        dead = jac.copy()
+        dead[:, 2] = 0
+        assert self.assert_rows_solved_alone(dead, r) == [False] * 3
+
+        # rows holding nan or inf beside a singular one: solved alone they
+        # give nan steps without raising, and so they do in the stack
+        odd = np.concatenate([jac, jac[:3]])
+        odd[0, 1, 3] = np.nan
+        odd[2, 0, 0] = np.inf
+        odd[3, 4, :] = complex(np.inf, np.nan)
+        with np.errstate(invalid="ignore"):
+            assert self.assert_rows_solved_alone(
+                odd, np.concatenate([r, r[:3]])) == [True, False, True,
+                                                      True, False, True]
 
         # A start whose square block is zero has a singular Jacobian: Newton
         # retires that row and steps the others exactly as it would alone.
@@ -831,11 +883,11 @@ class TestMonteCarlo:
         z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         z[1, 2:] = 0
         stacked = z.copy()
-        converged = binary._mc_newton(system, stacked, 1.0)
+        converged, _ = binary._mc_newton(system, stacked, 1.0)
         assert not converged[1] and np.array_equal(stacked[1], z[1])
         for i in (0, 2):
             alone = z[i:i + 1].copy()
-            assert binary._mc_newton(system, alone, 1.0)[0] == converged[i]
+            assert binary._mc_newton(system, alone, 1.0)[0][0] == converged[i]
             assert np.array_equal(alone[0], stacked[i])
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
 """Shared test helpers: decompositions compared up to term order, a child
 interpreter that imports this canonform, digests of CLI outputs, the
 exact backward error of printed output, the quartic power ratio, the
-hyperplane family's form and the seeded decompose fuzz and its runs."""
+hyperplane family's form, the seeded decompose fuzz and its runs, and the
+per-trial reading of a Monte Carlo count."""
 
 import contextlib
 import functools
@@ -216,3 +217,68 @@ def fuzz_runs() -> tuple:
     """(argv, exit code, stdout, stderr) of each fuzz_argvs() argv, run
     once per process through cli_run."""
     return tuple((argv, *cli_run(argv)) for argv in fuzz_argvs())
+
+
+def mc_draws(d: int, m: int, seed: int):
+    """A Monte Carlo count's generator after it drew the random form and
+    the extra fixed forms, that form and the m fixed forms."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-100, 101, size=(d + 1, 2))
+    p = Form(2, d, {(d - j, j): complex(*coeffs[j]) for j in range(d + 1)})
+    fixed = [linear_form([QQi(1), QQi(0)]), linear_form([QQi(0), QQi(1)])][:m]
+    for _ in range(m - 2):
+        c = rng.integers(-100, 101, size=4)
+        fixed.append(linear_form([complex(c[0], c[1]), complex(c[2], c[3])]))
+    return rng, p, fixed
+
+
+def mc_reference_count(d: int, e: list[int], m: int, trials=None,
+                       seed: int = 0) -> tuple[int, int]:
+    """(estimate, Newton rows run) of count_reps_monte_carlo's random-form
+    count, read one trial at a time: each batch's converged rows are
+    evaluated again for their powers, and every trial in order either finds
+    a new class or adds to the run of trials with nothing new, so the stop
+    on patience may fall anywhere in a batch.  The reference for the
+    counter's reading by new finds."""
+    import numpy as np
+    from canonform import binary
+    e = sorted(e, reverse=True)
+    rng, form, fixed = mc_draws(d, m, seed)
+    p = form.approx()
+    system = binary._mc_system(d, e, fixed, p)
+    nvars, scale = d + 1, max(p.norm(), 1.0)
+    trials = binary.default_trials(d) if trials is None else trials
+    patience = max(120, trials // 5)
+    start_mag = np.array([scale] * m + [scale ** (ek / d) for ek in e
+                                        for _ in range(ek + 1)])
+    groups = [(e.index(ek), e.index(ek) + e.count(ek))
+              for ek in sorted(set(e), reverse=True)]
+    found_ts = np.empty((0, m), dtype=complex)
+    found_powers = np.empty((0, len(e), d + 1), dtype=complex)
+    since_new = first = 0
+    while first < trials:
+        size = min(binary._MC_BATCH, patience - since_new, trials - first)
+        buf = rng.standard_normal((size, 2 * nvars))
+        z = (buf[:, :nvars] + 1j * buf[:, nvars:]) * start_mag
+        first += size
+        rows = np.flatnonzero(binary._mc_newton(system, z, scale)[0])
+        _, _, powers = system(z[rows])
+        ts = z[rows, :m]
+        dup = binary._signature_hits(ts, powers, found_ts, found_powers,
+                                     groups).any(axis=1)
+        good = np.zeros(len(z), dtype=bool)
+        good[rows] = True
+        for i, j in enumerate(np.cumsum(good) - 1):
+            if good[i] and not dup[j]:
+                found_ts = np.concatenate([found_ts, ts[j:j + 1]])
+                found_powers = np.concatenate([found_powers, powers[j:j + 1]])
+                dup[j + 1:] |= binary._signature_hits(
+                    ts[j + 1:], powers[j + 1:], ts[j:j + 1], powers[j:j + 1],
+                    groups)[:, 0]
+                since_new = 0
+                continue
+            since_new += 1
+            if since_new >= patience:
+                return len(found_ts), first
+    return len(found_ts), first
