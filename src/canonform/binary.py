@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import LazyModule
 from .apolarity import apply_diff, hankel, hankel_kernel, kernel_vector_form
 from .decompositions import (Decomposition, Term, binary_factor,
-                             check_decomposable, parse_form)
+                             check_decomposable)
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
@@ -251,9 +251,6 @@ class QuarticNormal:
 
     lam: Scalar
     transform: tuple
-
-    def normal_form(self) -> Form:
-        return parse_form("x^4 + y^4") + monomial_form(2, (2, 2), 6 * self.lam)
 
 
 def quartic_normalize(p: Form, eps: float = EPS_DEFAULT) -> QuarticNormal:

@@ -73,12 +73,14 @@ def _catalog_param(name: str, key: str, text: str):
     return value
 
 
-def _below(flag: str, value: int, least: int) -> bool:
-    """Report a numeric option below its least allowed value."""
-    if value >= least:
-        return False
-    print(f"{flag} must be at least {least}, got {value}", file=sys.stderr)
-    return True
+class _Usage(Exception):
+    """A usage refusal: main prints its message to stderr and exits 1."""
+
+
+def _below(flag: str, value: int, least: int) -> None:
+    """Refuse a numeric option below its least allowed value."""
+    if value < least:
+        raise _Usage(f"{flag} must be at least {least}, got {value}")
 
 
 def _parse_param_value(text: str):
@@ -106,20 +108,17 @@ def _emit(args, output) -> None:
 
 
 def _cmd_certify(args) -> int:
-    if _below("--trials", args.trials, 0):
-        return 1
+    _below("--trials", args.trials, 0)
     params = {}
     for item in args.param or []:
         if "=" not in item:
-            print(f"--param needs key=value, got {item!r}", file=sys.stderr)
-            return 1
+            raise _Usage(f"--param needs key=value, got {item!r}")
         key, val = item.split("=", 1)
         key = key.strip()
         params[key] = _catalog_param(args.name, key, val)
     pmap = canonicity.build_map(args.name, **params)
-    if not (args.witness or pmap.witness) and _below(
-            f"--trials for {args.name} (no stored witness)", args.trials, 1):
-        return 1
+    if not (args.witness or pmap.witness):
+        _below(f"--trials for {args.name} (no stored witness)", args.trials, 1)
     witness = None
     if args.witness:
         try:
@@ -128,9 +127,7 @@ def _cmd_certify(args) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             reason = (exc.strerror if isinstance(exc, OSError)
                       else "not UTF-8 text")
-            print(f"cannot read --witness {args.witness}: {reason}",
-                  file=sys.stderr)
-            return 1
+            raise _Usage(f"cannot read --witness {args.witness}: {reason}")
         witness = [parse_scalar(tok) for tok in text.split()]
     report = canonicity.jacobian_certify(pmap, witness=witness,
                                          trials=args.trials, seed=args.seed,
@@ -240,21 +237,18 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.seed is None:
-        env_seed = os.environ.get("CANONFORM_SEED", "0")
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"$CANONFORM_SEED must be an integer, got {env_seed!r}",
-                  file=sys.stderr)
-            return 1
-    if args.epsilon <= 0:
-        print("--epsilon must be positive", file=sys.stderr)
-        return 1
-    if not math.isfinite(args.epsilon):
-        print(f"--epsilon must be finite, got {args.epsilon}", file=sys.stderr)
-        return 1
     try:
+        if args.seed is None:
+            env_seed = os.environ.get("CANONFORM_SEED", "0")
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise _Usage(f"$CANONFORM_SEED must be an integer, "
+                             f"got {env_seed!r}")
+        if args.epsilon <= 0:
+            raise _Usage("--epsilon must be positive")
+        if not math.isfinite(args.epsilon):
+            raise _Usage(f"--epsilon must be finite, got {args.epsilon}")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -263,6 +257,9 @@ def main(argv=None) -> int:
         # docs advise, so the flush at interpreter exit cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except _Usage as exc:
+        print(exc, file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

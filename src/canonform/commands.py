@@ -9,7 +9,7 @@ import sys
 
 from . import (apolarity, binary, canonicity, decompositions, enumeration,
                linalg, multivar)
-from .cli import _below, _emit, _fits_float, _parse_param_value
+from .cli import _Usage, _below, _emit, _fits_float, _parse_param_value
 from .errors import ParseError
 from .forms import Form, dim, index_set, multinomial, parse_scalar
 from .scalars import QQi
@@ -40,12 +40,10 @@ def _parse_float_range_form(text: str, n=None, d=None) -> Form:
     return p
 
 
-def _above(flag: str, value: int, most: int) -> bool:
-    """Report a numeric option above its greatest allowed value."""
-    if value <= most:
-        return False
-    print(f"{flag} must be at most {most}, got {value}", file=sys.stderr)
-    return True
+def _above(flag: str, value: int, most: int) -> None:
+    """Refuse a numeric option above its greatest allowed value."""
+    if value > most:
+        raise _Usage(f"{flag} must be at most {most}, got {value}")
 
 
 def _render(args, item):
@@ -68,8 +66,7 @@ def _cmd_decompose(args) -> int:
         result = binary.sylvester_decompose(p, eps)
     elif algo == "mixed":
         if not args.fixed:
-            print("mixed needs at least one --fixed form", file=sys.stderr)
-            return 1
+            raise _Usage("mixed needs at least one --fixed form")
         fixed = [_parse_float_range_form(f, n=2, d=1) for f in args.fixed]
         r = (p.d + 1 - len(fixed)) // 2
         result = binary.mixed_decompose(p, binary.MixedSpec(fixed, r), eps)
@@ -81,8 +78,7 @@ def _cmd_decompose(args) -> int:
                   else binary.quartic_six_for_form(p, eps))
     elif algo == "quartic-two-fixed":
         if not (args.l1 and args.l2):
-            print("quartic-two-fixed needs --l1 and --l2", file=sys.stderr)
-            return 1
+            raise _Usage("quartic-two-fixed needs --l1 and --l2")
         result = binary.quartic_two_fixed(
             p, _parse_float_range_form(args.l1, n=2, d=1),
             _parse_float_range_form(args.l2, n=2, d=1), eps)
@@ -127,16 +123,16 @@ _ENUM_MAX_SCAN = 10 ** 4
 
 def _cmd_enumerate(args) -> int:
     if args.what == "neat":
-        if _below("--r", args.r, 1) or _above("--r", args.r, _ENUM_MAX_R):
-            return 1
+        _below("--r", args.r, 1)
+        _above("--r", args.r, _ENUM_MAX_R)
         forms = enumeration.neat_enumerate(args.r)
         _emit(args, [{"d": f.d, "e": list(f.e)} for f in forms] if args.json
               else [f"d={f.d}  e={list(f.e)}" for f in forms]
               + [f"total: {len(forms)}"])
         return 0
-    if (_below("--d", args.d, 2) or _above("--d", args.d, _ENUM_MAX_D)
-            or _above("--max", args.max, _ENUM_MAX_SCAN)):
-        return 1
+    _below("--d", args.d, 2)
+    _above("--d", args.d, _ENUM_MAX_D)
+    _above("--max", args.max, _ENUM_MAX_SCAN)
     members = [n for n in range(1, args.max + 1)
                if enumeration.obstruction_A(args.d, n)]
     _emit(args, {"d": args.d, "max": args.max, "members": members}
@@ -160,30 +156,24 @@ def _cmd_count(args) -> int:
                       else ("N", enumeration.partial_sum_S))
         arg = getattr(args, key)
         if arg is None:
-            print(f"count {args.what} needs --{key}", file=sys.stderr)
-            return 1
-        if (_below(f"--{key}", arg, 1)
-                or _above(f"--{key}", arg, _COUNT_MAX_ARG)):
-            return 1
+            raise _Usage(f"count {args.what} needs --{key}")
+        _below(f"--{key}", arg, 1)
+        _above(f"--{key}", arg, _COUNT_MAX_ARG)
         value = count(arg)
         _emit(args, {key: arg, args.what: value} if args.json else str(value))
         return 0
     if args.d is None or args.e is None:
-        print("count reps needs --d and --e", file=sys.stderr)
-        return 1
-    if args.trials is not None and _below("--trials", args.trials, 1):
-        return 1
-    if _below("--seed", args.seed, 0):  # numpy's generators take seeds >= 0
-        return 1
-    if _above("--d", args.d, _COUNT_MAX_D):
-        return 1
+        raise _Usage("count reps needs --d and --e")
+    if args.trials is not None:
+        _below("--trials", args.trials, 1)
+    _below("--seed", args.seed, 0)  # numpy's generators take seeds >= 0
+    _above("--d", args.d, _COUNT_MAX_D)
     if args.trials is None:
         flag, budget = (f"--trials (default for --d {args.d})",
                         binary.default_trials(args.d))
     else:
         flag, budget = "--trials", args.trials
-    if _above(flag, budget, _COUNT_MAX_TRIALS):
-        return 1
+    _above(flag, budget, _COUNT_MAX_TRIALS)
     e = _parse_param_value(args.e)
     e = e if isinstance(e, list) else [e]
     for v in e:

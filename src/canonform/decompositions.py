@@ -636,9 +636,6 @@ class Decomposition:
         ok, ratio = self._verdict(p, tol := max(eps, ACCEPT_TOL))
         return self if ok and (p.d + len(forms)) * ratio * 2.0 ** -52 <= tol else None
 
-    def term_forms(self) -> list[Form]:
-        return [t.form() for t in self.terms]
-
     def snapped(self, target: Form, max_den: int = SNAP_MAX_DEN) -> "Decomposition | None":
         """Exact rational reconstruction, accepted only if it rebuilds target;
         one that differs at a pure power x_j^d is refuted before the other

@@ -61,11 +61,6 @@ class TriangularSquares:
 
     rows: list[Form]
 
-    def reconstruct(self, n: int | None = None) -> Form:
-        nn = n if n is not None else self.rows[0].n
-        return Decomposition([Term(1, row, 2) for row in self.rows],
-                             Form.zero(nn, 2)).reconstruct()
-
 
 def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar, Form]]:
     """Exact completion of squares: p = sum (1/a_k) L_k^2.
@@ -101,15 +96,18 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
 
 def uppertri(p: Form, eps: float = EPS_DEFAULT) -> TriangularSquares:
     """Upper-triangular rows l_k = L_k / sqrt(a_k), exact when every pivot is
-    a square in Q(i); DegenerateInput unless the rows are accepted for p."""
+    a square in Q(i); ZeroForm for a form that is zero to within eps, and
+    DegenerateInput unless the rows are accepted for p."""
+    check_decomposable(p, p.d == 2, "completion of squares needs a quadratic form")
     squares = []
     for _, a, lrow in uppertri_pairs(p, eps):
         if not (root := scalar_sqrt(a)):
             raise DegenerateInput("a pivot's square root is below float range")
         row = (lrow if is_exact(root) else lrow.approx()).scale(1 / root)
         squares.append(Term(1, row, 2))
-    dec = Decomposition(squares).accepted(p, eps) if squares else Decomposition([])
-    if dec is None:
+    if not squares:
+        raise ZeroForm(f"the quadratic is zero to within the tolerance {eps:g}")
+    if (dec := Decomposition(squares).accepted(p, eps)) is None:
         raise DegenerateInput("reconstruction check failed")
     return TriangularSquares([t.base for t in dec.terms])
 
@@ -256,8 +254,7 @@ def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
             terms.append(Term(t.multiplier, pad_form(t.base, n, live), t.power))
         stages.append({"stage": offset // 2, "cubes": len(dec.terms),
                        "eliminated": [offset + 1, offset + 2]})
-        current = pad_form(restrict_form(q, list(range(2, len(live)))), n, live[2:]) \
-            if len(live) > 2 else Form.zero(n, 3)
+        current = pad_form(q, n, live)
         offset += 2
     dec = Decomposition(terms, meta={"theorem": "reichstein-full", "stages": stages})
     if (dec := dec.accepted(p, eps)) is None:

@@ -20,7 +20,7 @@ from canonform.decompositions import Decomposition, Term, parse_decomposition
 from canonform.errors import (CanonformError, DegenerateInput, DegenerateLambda, LeadingZero,
                               NormalizationFailed, NotGeneric, RepeatedRoot, ShapeMismatch,
                               UnsupportedShape, ZeroForm)
-from canonform.forms import ACCEPT_TOL, Form, linear_coeffs
+from canonform.forms import ACCEPT_TOL, Form, linear_coeffs, monomial_form
 from canonform.linalg import chordal_distance, mat_solve
 from canonform.scalars import EPS_DEFAULT, is_exact, scalar_is_zero
 from tests_support import mc_draws, mc_reference_count, quartic_power_ratio
@@ -579,7 +579,9 @@ class TestQuartic:
             scale = q.norm()
             a0, a1, a3, a4 = (q.raw((4 - j, j)) for j in (0, 1, 3, 4))
             assert max(abs(a1), abs(a3), abs(a0 - a4)) <= 1e-9 * scale, p
-            target = qn.normal_form().approx().scale(a0)
+            normal = (parse_form("x^4 + y^4")
+                      + monomial_form(2, (2, 2), 6 * qn.lam))
+            target = normal.approx().scale(a0)
             assert forms_close(q, target, 1e-6)
 
     def test_normalize_refuses_a_non_finite_normal_form(self):

@@ -276,9 +276,6 @@ _GOLDEN_DECOMPOSE = [
      ('(x + y)^2\n'
       '(2*y)^2\n'),
      'de01862e995f37324c7af9958aa68ebebca358562601d4c00f1e73cc7d22e48f'),
-    (['decompose', 'uppertri', '0*x^2+0*y^2'],
-     '',
-     '37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570'),
     (['decompose', 'reichstein-step', 'x^3 + 3*x^2*y + 6*x*y^2 + 2*y^3'],
      ('-0.502896319656381*(-0.6628271480711835*x+0.9373791423113474*'
       'y)^3 + 0.2083064760691883*(1.600206290382531*'
@@ -414,6 +411,26 @@ def test_bad_enumeration_arguments_are_usage_errors(capsys, argv, message):
      "--max must be at most 10000, got 10001"),
 ])
 def test_enumerate_above_its_caps_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "sextican", "--param", "foo"],
+     "--param needs key=value, got 'foo'"),
+    (["--epsilon", "0", "count", "s", "--d", "3"], "--epsilon must be positive"),
+    (["--epsilon", "-1", "count", "s", "--d", "3"],
+     "--epsilon must be positive"),
+    (["decompose", "mixed", "x^3+y^3"], "mixed needs at least one --fixed form"),
+    (["decompose", "quartic-two-fixed", "x^4+y^4", "--l1", "x"],
+     "quartic-two-fixed needs --l1 and --l2"),
+    (["count", "s"], "count s needs --d"),
+    (["count", "S"], "count S needs --N"),
+    (["count", "reps", "--d", "4"], "count reps needs --d and --e"),
+    (["count", "reps", "--e", "2,1"], "count reps needs --d and --e"),
+])
+def test_missing_or_malformed_options_are_one_line_usage_errors(capsys, argv,
+                                                                message):
     code, out, err = run_cli(argv, capsys=capsys)
     assert (code, out, err) == (1, "", message + "\n")
 
@@ -864,6 +881,22 @@ def test_zero_cubic_is_degenerate_input(capsys, algo, flags, shear):
                              capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "ZeroForm: cannot decompose the zero form\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["decompose", "uppertri", "0*x^2+0*y^2"],
+     "cannot decompose the zero form"),
+    (["--json", "decompose", "uppertri", "0*x^2+0*y^2"],
+     "cannot decompose the zero form"),
+    (["--seed", "21", "--backend", "approx", "decompose", "uppertri", "--",
+      "(0/2)*x*y"], "cannot decompose the zero form"),
+    (["--epsilon", "5", "--backend", "approx", "decompose", "uppertri",
+      "x^2+y^2"], "the quadratic is zero to within the tolerance 5"),
+])
+def test_zero_quadratic_is_degenerate_input(capsys, argv, message):
+    # a form that is zero, exactly or to within --epsilon, has no rows
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (2, "", f"ZeroForm: {message}\n")
 
 
 @pytest.mark.parametrize("argv,env,got", [

@@ -11,6 +11,7 @@ from canonform import (QQi, forms_close, monomial_form, multivar, parse_form,
                        random_form)
 from canonform.binary import sylvester_decompose
 from canonform.cli import main
+from canonform.decompositions import Decomposition, Term
 from canonform.errors import (DegenerateInput, DegeneratePencil,
                               DegenerateStage, PivotZero, ZeroForm)
 from canonform.forms import Form, biermann_point, index_set, linear_coeffs
@@ -23,8 +24,8 @@ from canonform.multivar import (PencilDiag, _eliminate, drab_family,
 def term_vectors(dec):
     from canonform.forms import index_set
     out = []
-    for f in dec.term_forms():
-        fa = f.approx()
+    for t in dec.terms:
+        fa = t.form().approx()
         out.append(tuple(complex(fa.a(i)) for i in index_set(fa.n, fa.d)))
     return out
 
@@ -74,7 +75,9 @@ class TestUppertri:
         for n in (2, 3, 4):
             p = random_form(n, 2, rng)
             t1, t2 = uppertri(p), uppertri(p)
-            assert forms_close(t1.reconstruct(n), p.approx(), 1e-9)
+            assert forms_close(
+                Decomposition([Term(1, r, 2) for r in t1.rows]).reconstruct(),
+                p.approx(), 1e-9)
             squares1 = [r * r for r in t1.rows]
             squares2 = [r * r for r in t2.rows]
             negated = [(-r) * (-r) for r in t2.rows]
@@ -225,7 +228,7 @@ class TestSlinky:
         def cubes(p):
             """slinky(p)'s term forms as a multiset, or None for a refusal."""
             try:
-                return Counter(slinky(p).term_forms())
+                return Counter(t.form() for t in slinky(p).terms)
             except DegenerateStage:
                 return None
 

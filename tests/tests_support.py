@@ -66,15 +66,14 @@ def printed_errors(argv: list[str], out: str) -> list[float]:
     """exact_backward_error of each decomposition that the decompose argv
     printed as text to out, against the form it decomposed: the input on
     the argv's backend, sheared by commands._sheared on a --shear run of an
-    algorithm that shears, with uppertri's rows read as one sum of squares
-    (none for the zero form)."""
+    algorithm that shears, with uppertri's rows read as one sum of squares."""
     args = cli.build_parser().parse_args(argv)
     p = parse_form(args.form)
     p = p.approx() if args.backend == "approx" else p
     if args.shear and args.algo in commands._SHEARING_ALGOS:
         p = commands._sheared(p, args.seed)
     lines = out.splitlines()
-    if args.algo == "uppertri" and lines:
+    if args.algo == "uppertri":
         lines = [" + ".join(lines)]
     return [exact_backward_error(line, p) for line in lines]
 
@@ -117,8 +116,8 @@ def fresh_json(code: str, *args: str):
 
 def term_vectors(dec):
     out = []
-    for f in dec.term_forms():
-        fa = f.approx()
+    for t in dec.terms:
+        fa = t.form().approx()
         out.append(tuple(complex(fa.a(i)) for i in index_set(fa.n, fa.d)))
     return out
 
