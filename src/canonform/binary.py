@@ -89,7 +89,7 @@ def sylvester_decompose(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     Exact inputs with rational nodes come back exact.
     """
     check_decomposable(p, p.n == 2,
-                       "Sylvester's algorithm needs a binary form")
+                       "Sylvester's algorithm needs a binary form", eps)
     d, r, walk = p.d, 1, False
     while r <= d:
         order, r = r, r + 1
@@ -163,7 +163,7 @@ def mixed_decompose(p: Form, spec: MixedSpec, eps: float = EPS_DEFAULT) -> Decom
     coefficient, so no power dominates and exact inputs stay exact.
     """
     check_decomposable(p, p.n == 2,
-                       "mixed decomposition needs a binary form")
+                       "mixed decomposition needs a binary form", eps)
     d = p.d
     m, r = spec.m, spec.r
     if m + 2 * r != d + 1:
@@ -215,7 +215,7 @@ def two_squares_all(p: Form, eps: float = EPS_DEFAULT) -> list[Decomposition]:
     g misses x^s because A and B both lead with x^s.
     """
     check_decomposable(p, p.n == 2 and not p.d % 2,
-                       "need a binary form of even degree")
+                       "need a binary form of even degree", eps)
     s = p.d // 2
     if scalar_is_zero(p.raw((p.d, 0)), eps, scale=p.norm()):
         raise LeadingZero("p(1,0) = 0: y divides p, so its linear factors "
@@ -399,11 +399,12 @@ def _mc_system(d: int, e: list[int], fixed_forms, p: Form):
     exp(2 pi i/(d+1)): coefficients z_j (ascending y-exponent) have the
     values sum_j z_j w^(ij).  Products and powers are pointwise, and every
     array operation is elementwise within a row.  The values determine the
-    form, so the Newton steps are those of the coefficient equations.  The
-    returned function maps a (K, N) stack of unknowns, the multipliers t_j
-    then the coefficients of each f_k, to the (K, d+1) values of the
-    residual F(z) - p, the (K, d+1, N) Jacobians and the (K, len(e), d+1)
-    values of the powers f_k^(d/e_k).
+    form, so the Newton steps are those of the coefficient equations.  Of
+    the returned pair, the first maps a (K, d+1) stack of unknowns, the
+    multipliers t_j then the coefficients of each f_k, to the values of the
+    residual F(z) - p (K, d+1), the slopes (d/e_k) f_k^(d/e_k - 1) (len(e),
+    K, d+1) and the powers f_k^(d/e_k) (K, len(e), d+1); the second maps
+    slopes to the (K, d+1, d+1) Jacobians.
     """
     m = len(fixed_forms)
     idx = np.arange(d + 1)
@@ -419,27 +420,33 @@ def _mc_system(d: int, e: list[int], fixed_forms, p: Form):
                   for lin in fixed_forms]
     target = values(np.array([p.raw((d - j, j)) for j in range(d + 1)],
                              dtype=complex))
+    fixed_cols = np.array(fixed_vals).reshape(m, d + 1).T
+    blocks = [(k, j) for k, ek in enumerate(e) for j in range(ek + 1)]
 
-    def system(z):
+    def residual(z):
         res = np.zeros((len(z), d + 1), dtype=complex)
-        jac = np.empty((len(z), d + 1, z.shape[1]), dtype=complex)
+        slopes = np.empty((len(e), len(z), d + 1), dtype=complex)
         powers = np.empty((len(z), len(e), d + 1), dtype=complex)
         for i in range(m):
             res += z[:, i, None] * fixed_vals[i]
-            jac[:, :, i] = fixed_vals[i]
         at = m
         for k, ek in enumerate(e):
             f = values(z[:, at:at + ek + 1])
             lower = f if d == 2 * ek else f ** (d // ek - 1)
             np.multiply(lower, f, out=powers[:, k])
             res += powers[:, k]
-            slope = (d // ek) * lower
-            for j in range(ek + 1):
-                np.multiply(slope, waves[j], out=jac[:, :, at + j])
+            np.multiply(d // ek, lower, out=slopes[k])
             at += ek + 1
-        return res - target, jac, powers
+        return res - target, slopes, powers
 
-    return system
+    def jacobian(slopes):
+        jac = np.empty((slopes.shape[1], d + 1, d + 1), dtype=complex)
+        jac[:, :, :m] = fixed_cols
+        for col, (k, j) in enumerate(blocks, m):
+            np.multiply(slopes[k], waves[j], out=jac[:, :, col])
+        return jac
+
+    return residual, jacobian
 
 
 def _solve_rows(jac: np.ndarray, r: np.ndarray):
@@ -468,25 +475,33 @@ def _mc_newton(system, z: np.ndarray, scale: float):
     powers (see _mc_system) of the pass that found them converged.  Rows
     whose largest residual value reaches 1e-12*scale leave the active set,
     as do rows whose solve fails, which count as not converged.  Diverging
-    rows overflow to inf or nan without a warning and never converge.
+    rows overflow to inf or nan without a warning and never converge.  The
+    live rows step as one compact stack w, cut only when a row leaves; each
+    row is written back to z once, when it leaves or after the last pass.
     """
+    residual, jacobian = system
     converged = np.zeros(len(z), dtype=bool)
-    active = np.arange(len(z))
-    powers = None
+    live, w, powers = np.arange(len(z)), z.copy(), None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(60):
-            r, jac, pw = system(z[active])
+            r, slopes, pw = residual(w)
             if powers is None:
                 powers = np.empty_like(pw)  # the first pass holds every row
-            done = np.max(np.abs(r), axis=1) <= 1e-12 * scale
-            converged[active[done]] = True
-            powers[active[done]] = pw[done]
-            active, r, jac = active[~done], r[~done], jac[~done]
-            if not active.size:
+            done = (np.abs(r) <= 1e-12 * scale).all(axis=1)
+            if done.any():
+                left, keep = live[done], np.flatnonzero(~done)
+                converged[left] = True
+                powers[left], z[left] = pw[done], w[done]
+                live, w, r = live[keep], w.take(keep, 0), r.take(keep, 0)
+                slopes = slopes.take(keep, 1)
+            if not live.size:
                 break
-            step, solved = _solve_rows(jac, r)
-            active = active[solved]
-            z[active] -= step[solved]
+            step, solved = _solve_rows(jacobian(slopes), r)
+            if not solved.all():
+                z[live[~solved]] = w[~solved]
+                live, w, step = live[solved], w[solved], step[solved]
+            w -= step
+        z[live] = w
     return converged, powers[converged]
 
 
@@ -568,16 +583,11 @@ def count_reps_monte_carlo(d: int, e: list[int], m: int,
     system = _mc_system(d, e, fixed_forms, p)
     nvars = d + 1
     scale = max(p.norm(), 1.0)
-    if trials is None:
-        trials = default_trials(d)
+    trials = default_trials(d) if trials is None else trials
     patience = max(120, trials // 5)
 
-    start_mag = np.empty(nvars)
-    start_mag[:m] = scale
-    at = m
-    for ek in e:
-        start_mag[at:at + ek + 1] = scale ** (ek / d)
-        at += ek + 1
+    start_mag = np.array([scale] * m + [scale ** (ek / d) for ek in e
+                                        for _ in range(ek + 1)])
     groups = [(e.index(ek), e.index(ek) + e.count(ek))
               for ek in sorted(set(e), reverse=True)]
 

@@ -519,13 +519,16 @@ def _dense(f: Form) -> "np.ndarray":
 ACCEPT_TOL = 1e-7
 
 
-def check_decomposable(p: Form, shape_ok: bool, need: str) -> None:
+def check_decomposable(p: Form, shape_ok: bool, need: str, eps: float = 0.0) -> None:
     """The entry check of a decomposer: ShapeMismatch(need) unless shape_ok,
-    then ZeroForm for the zero form."""
+    then ZeroForm for the zero form, and for a float form at eps >= 1 (eps
+    is relative to its largest coefficient, so it is zero to within eps)."""
     if not shape_ok:
         raise ShapeMismatch(need)
     if p.is_zero():
         raise ZeroForm("cannot decompose the zero form")
+    if not p.exact and eps >= 1:
+        raise ZeroForm(f"the form is zero to within the tolerance {eps:g}")
 
 
 @dataclass
@@ -791,6 +794,8 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
         raise ZeroForm("cannot factor the zero form")
     u = [p.raw((p.d - j, j)) for j in range(p.d + 1)]  # u(t) = p(1, t)
     scale = p.norm()
+    if all(scalar_is_zero(v, eps, scale) for v in u):
+        raise ZeroForm(f"the form is zero to within the tolerance {eps:g}")
     m = max(j for j, v in enumerate(u) if not scalar_is_zero(v, eps, scale))
     factors: list[tuple[Form, int]] = []
     constant: Scalar = u[m]

@@ -229,7 +229,7 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
 def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     """Iterate the cube-completion: floor((n+1)^2/4) cubes for a general cubic;
     stage-m cubes involve only x_(1+2m)..x_n."""
-    check_decomposable(p, p.d == 3, "need a cubic form")
+    check_decomposable(p, p.d == 3, "need a cubic form", eps)
     n = p.n
     scale = p.norm()
     terms = []
@@ -272,7 +272,7 @@ def slinky(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     Stays exact on exact input: the cube of row L is taken as
     L^3 / (3 a t_n) where a is the pivot and t_n the trailing coefficient.
     """
-    check_decomposable(p, p.d == 3, "need a cubic form")
+    check_decomposable(p, p.d == 3, "need a cubic form", eps)
     n = p.n
     scale = p.norm()
     current = p
@@ -498,7 +498,7 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     Biermann point, clears the quadratic term, diagonalizes the coefficient
     quadratic, and subtracts a zero-sum family of cubes.
     """
-    check_decomposable(p, p.d == 3, "need a cubic form")
+    check_decomposable(p, p.d == 3, "need a cubic form", eps)
     floor = 1e-12 * p.norm()
     mus, rows = _slowpoke_rec(_cubic_tensor(p), eps, floor)
     terms = []

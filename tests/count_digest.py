@@ -4,15 +4,19 @@ Runs count_reps_monte_carlo on every (shape, trial budget, seed) of TABLE
 and prints the run count and one sha256 over the lines
 "d e m trials seed estimate", one per run, in table order.  Usage:
 
-    PYTHONPATH=src python tests/count_digest.py [--check DIGEST]
+    PYTHONPATH=src python tests/count_digest.py [--check DIGEST] [--time N]
 
 --check DIGEST exits 1 unless the digest is DIGEST, naming the runs whose
-estimate differs from the one listed in TABLE.
+estimate differs from the one listed in TABLE.  --time N then runs the
+table N more times in-process and prints, for each row, "d e m trials" and
+the median over those passes of the wall seconds its runs took.
 """
 
 import argparse
 import hashlib
+import statistics
 import sys
+import time
 
 from canonform.binary import count_reps_monte_carlo
 
@@ -39,6 +43,19 @@ def runs(table=TABLE):
                    listed)
 
 
+def row_seconds(table, passes: int) -> list[float]:
+    """Median over passes (each a run of the whole table) of the wall
+    seconds each row's runs take."""
+    spent = [[] for _ in table]
+    for _ in range(passes):
+        for times, ((d, e, m), trials, seeds) in zip(spent, table):
+            start = time.perf_counter()
+            for seed in seeds:
+                count_reps_monte_carlo(d, e, m, trials=trials, seed=seed)
+            times.append(time.perf_counter() - start)
+    return [statistics.median(times) for times in spent]
+
+
 def digest(lines) -> str:
     return hashlib.sha256("".join(f"{line}\n" for line in lines)
                           .encode()).hexdigest()
@@ -48,10 +65,16 @@ def main(argv=None, table=TABLE) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="DIGEST",
                         help="exit 1 unless the digest is DIGEST")
+    parser.add_argument("--time", metavar="N", type=int,
+                        help="print each row's median seconds over N passes")
     args = parser.parse_args(argv)
     done = list(runs(table))
     total = digest(line for line, _ in done)
     print(len(done), total)
+    if args.time:
+        for ((d, e, m), trials, _), seconds in zip(
+                table, row_seconds(table, args.time)):
+            print(f"{d} {','.join(map(str, e))} {m} {trials} {seconds:.6f}")
     if args.check and total != args.check:
         moved = [line for line, listed in done
                  if int(line.rsplit(" ", 1)[1]) != listed]

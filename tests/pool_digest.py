@@ -20,9 +20,11 @@ code and stdout differ from the digests pinned in decompose_pool_digests.json
 and certify_catalog_digests.json (or saying that no pinned run differs).
 --time N then runs every request N more times and prints, for each
 "kind:slot", the median over those passes of the wall seconds its runs took
-(text and --json together), and then the decompose slot whose median --json
+(text and --json together), then the decompose slot whose median --json
 run sets bench/run.py's job_tail_ms at BENCHMARK.json's run_seconds (by
-run.py's own rounds_for and tail percentile, imported read-only).
+run.py's own rounds_for and tail percentile, imported read-only), and then
+the count slot whose requests' median --json runs set the count workload's
+job_p50_ms (by run.py's own end_to_end, imported read-only).
 """
 
 import argparse
@@ -34,6 +36,7 @@ import json
 import statistics
 import sys
 import time
+import types
 from pathlib import Path
 
 from canonform import cli
@@ -128,6 +131,33 @@ def slot_seconds(slots: dict, passes: int, runs: dict | None = None) -> dict[str
     return {slot: statistics.median(times) for slot, times in spent.items()}
 
 
+def _bench_run():
+    """bench/run.py as a module, read only."""
+    sys.dont_write_bytecode = True
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import run
+    return run
+
+
+def p50_slot(slots: dict, runs: dict) -> tuple[str, float, int]:
+    """The count slot (or slots, joined by "/") of the requests whose
+    median --json run (over runs, from slot_seconds) is the median that
+    bench/run.py's end_to_end reports as job_p50_ms on the count workload,
+    that value in seconds, and the request count.  Every request runs once
+    a round, so the rounds do not move the median."""
+    keys = [key for key, slot in slots.items()
+            if slot.startswith("count:") and json.loads(key)[0] == "--json"]
+    bench_run = _bench_run()
+    results = [bench_run.Result(slots[key], types.SimpleNamespace(key=key), 0,
+                                "", seconds, 0.0)
+               for key in keys for seconds in runs[key]]
+    p50 = bench_run.end_to_end(results, 0, 0.0)["job_p50_ms"]["value"] / 1000
+    ranked = sorted(keys, key=lambda key: statistics.median(runs[key]))
+    middle = ranked[(len(ranked) - 1) // 2:len(ranked) // 2 + 1]
+    return "/".join(sorted({slots[key] for key in middle})), p50, len(keys)
+
+
 def tail_slot(slots: dict, runs: dict) -> tuple[str, float, float, int]:
     """The decompose slot whose median --json run (over runs, from
     slot_seconds) bench/run.py reports as job_tail_ms at BENCHMARK.json's
@@ -138,10 +168,7 @@ def tail_slot(slots: dict, runs: dict) -> tuple[str, float, float, int]:
         if slot.startswith("decompose:") and json.loads(key)[0] == "--json":
             single.setdefault(slot, []).extend(runs[key])
     single = {slot: statistics.median(times) for slot, times in single.items()}
-    sys.dont_write_bytecode = True  # bench/ is only read
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))
-    import run as bench_run
+    bench_run = _bench_run()
     seconds = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["run_seconds"]
     rounds = bench_run.rounds_for("decompose", seconds)
     smoothed = [slot for slot in sorted(single, key=single.get) for _ in range(rounds)]
@@ -193,6 +220,9 @@ def main() -> None:
         slot, seconds, q, n = tail_slot(slots, runs)
         print(f"job_tail_ms is set by {slot} {seconds:.6f} "
               f"(p{q:g} of {n} requests, median --json run)")
+        slot, seconds, n = p50_slot(slots, runs)
+        print(f"job_p50_ms is set by {slot} {seconds:.6f} "
+              f"(median of {n} requests' median --json runs)")
     if args.check and total.hexdigest() != args.check:
         pins = pinned()
         first = next((k for k in outputs if k in pins and outputs[k] != pins[k]),

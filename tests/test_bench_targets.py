@@ -214,6 +214,18 @@ def test_count_digest_checks_a_slice_of_its_table(capsys):
     assert "estimates off the table: ['4 2 2 None 0 2']" in exc.value.code
 
 
+def test_count_digest_times_each_row(capsys):
+    import count_digest
+
+    table = [((4, [2], 2), 30, {0: 2}), ((4, [2, 1], 0), 30, {0: 6, 1: 6})]
+    count_digest.main(["--time", "2"], table)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("3 ")
+    rows = [line.rsplit(" ", 1) for line in lines[1:]]
+    assert [row for row, _ in rows] == ["4 2 2 30", "4 2,1 0 30"]
+    assert all(0 < float(seconds) < 5 for _, seconds in rows)
+
+
 def test_every_certify_catalog_output_keeps_its_digest(monkeypatch):
     """All 377 certify catalog requests, in text and with --json, keep the
     sha256 of their exit code and stdout recorded in
@@ -294,6 +306,25 @@ def test_pool_digest_names_the_slot_that_sets_the_tail():
     slots[json.dumps(["count", "s"])] = "count:s"  # not a decompose slot
     runs[json.dumps(["count", "s"])] = [1000]
     assert pool_digest.tail_slot(slots, runs) == ("decompose:s24", 24.5, 95.0, 416)
+
+
+@pytest.mark.parametrize("names,want", [
+    ("aaabbbbccc", "count:b"),    # the 5th and 6th fastest are both b's
+    ("aaaaabbccc", "count:a/count:b"),
+])
+def test_pool_digest_names_the_count_slot_that_sets_the_median(names, want):
+    import pool_digest
+
+    slots, runs = {}, {}
+    for i, name in enumerate(names):  # request i's median --json run: i + 0.2
+        argv = ["--seed", str(i), "count", "reps", "--d", "4"]
+        for key, seconds in ((json.dumps(["--json"] + argv), [i, i + 0.2, i + 9]),
+                             (json.dumps(argv), [100 - i] * 3)):
+            slots[key], runs[key] = f"count:{name}", seconds
+    slots[json.dumps(["decompose", "x"])] = "decompose:x"  # not a count slot
+    runs[json.dumps(["decompose", "x"])] = [0.1]
+    slot, seconds, n = pool_digest.p50_slot(slots, runs)
+    assert (slot, n) == (want, 10) and seconds == pytest.approx(4.7)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ from canonform.errors import (CanonformError, DegenerateInput, DegenerateLambda,
 from canonform.forms import ACCEPT_TOL, Form, linear_coeffs, monomial_form
 from canonform.linalg import chordal_distance, mat_solve
 from canonform.scalars import EPS_DEFAULT, is_exact, scalar_is_zero
-from tests_support import mc_draws, mc_reference_count, quartic_power_ratio
+from tests_support import (mc_draws, mc_newton_reference, mc_reference_count,
+                           quartic_power_ratio)
 
 EX310 = parse_form("2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3")
 
@@ -757,7 +758,7 @@ class TestMonteCarlo:
         def spy(system, z, scale):
             rows.append(len(z))
             converged, powers = newton(system, z, scale)
-            assert np.array_equal(powers, system(z[converged])[2])
+            assert np.array_equal(powers, system[0](z[converged])[2])
             return converged, powers
 
         with pytest.MonkeyPatch.context() as mp:
@@ -892,6 +893,71 @@ class TestMonteCarlo:
             assert binary._mc_newton(system, alone, 1.0)[0][0] == converged[i]
             assert np.array_equal(alone[0], stacked[i])
 
+    @staticmethod
+    def assert_newton_rows_alone(system, z, scale):
+        # The compact active set returns, bit for bit, the flag, final z and
+        # powers of each row run alone and of the one-row loop reference.
+        # Returns the converged mask and the final z.
+        stacked = z.copy()
+        converged, powers = binary._mc_newton(system, stacked, scale)
+        want = mc_newton_reference(system, z, scale)
+        assert converged.tolist() == want[0].tolist()
+        assert stacked.tobytes() == want[1].tobytes()
+        assert powers.tobytes() == want[2].tobytes()
+        at = np.cumsum(converged) - 1
+        for i in range(len(z)):
+            alone = z[i:i + 1].copy()
+            flag, power = binary._mc_newton(system, alone, scale)
+            assert flag[0] == converged[i], i
+            assert alone.tobytes() == stacked[i:i + 1].tobytes(), i
+            assert power.tobytes() == powers[at[i]:at[i] + flag[0]].tobytes(), i
+        return converged, stacked
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([(4, [2], 2), (4, [2, 1], 0),
+                                  (6, [3, 2], 0), (6, [2], 4)]),
+           seed=st.integers(0, 2 ** 32))
+    def test_each_row_steps_as_it_would_alone(self, shape, seed):
+        # A stack of converging starts, a far start that cannot converge in
+        # 60 steps, a start whose first summand is zero (singular from the
+        # first pass) and nan and inf rows, in a seeded order.
+        d, e, m = shape
+        rng, form, fixed = mc_draws(d, m, seed)
+        system = binary._mc_system(d, e, fixed, form.approx())
+        scale = max(form.norm(), 1.0)
+        z = rng.standard_normal((11, d + 1)) + 1j * rng.standard_normal((11, d + 1))
+        z *= [scale] * m + [scale ** (ek / d) for ek in e for _ in range(ek + 1)]
+        z[6] *= 1e30
+        z[7, m:m + e[0] + 1] = 0
+        z[8], z[9, 0], z[10, -1] = np.nan, np.inf, complex(np.inf, np.nan)
+        order = rng.permutation(11)
+        converged, stacked = self.assert_newton_rows_alone(system, z[order],
+                                                           scale)
+        kind = dict(zip(order.tolist(), range(11)))
+        assert converged[[kind[i] for i in range(6)]].any()
+        assert not converged[[kind[i] for i in range(6, 11)]].any()
+        far, zero = stacked[kind[6]], stacked[kind[7]]
+        assert np.isfinite(far).all() and not np.array_equal(far, z[6])
+        assert np.array_equal(zero, z[7])
+
+    def test_a_row_retired_after_a_step_keeps_its_last_iterate(self):
+        # Newton on x^2 + 1, one unknown per row: from +-1 one step lands on
+        # x = 0, where the Jacobian 2x is singular, so the row leaves the
+        # active set holding 0; 1j converges at once with power -1, and 2
+        # (real) never converges.
+        def residual(z):
+            return z * z + 1, 2 * z[None], (z * z)[:, None]
+
+        def jacobian(slopes):
+            return slopes[0][:, :, None]
+
+        z = np.array([[1], [2], [1j], [-1], [np.nan]])
+        converged, stacked = self.assert_newton_rows_alone(
+            (residual, jacobian), z, 1.0)
+        assert converged.tolist() == [False, False, True, False, False]
+        assert stacked[[0, 3], 0].tolist() == [0, 0]
+        assert stacked[2, 0] == 1j and np.isfinite(stacked[1, 0])
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(d=st.integers(2, 30), data=st.data())
     def test_system_values_are_the_coefficient_system_evaluated(self, d,
@@ -915,14 +981,16 @@ class TestMonteCarlo:
         p = Form(2, d, {(d - j, j): complex(v)
                         for j, v in enumerate(gaussian(d + 1))})
         target = np.array([complex(p.raw((d - j, j))) for j in range(d + 1)])
-        system = binary._mc_system(d, e, [linear_form(list(map(complex, row)))
-                                          for row in lins], p)
+        residual, jacobian = binary._mc_system(
+            d, e, [linear_form(list(map(complex, row))) for row in lins], p)
+        res, slopes, powers = residual(z)
         evaluate = np.exp(2j * np.pi / (d + 1)
                           * np.outer(np.arange(d + 1), np.arange(d + 1)))
-        # the residual, Jacobian and powers hold their d+1 values on axis 1,
-        # 1 and 2
-        for got, want, axis in zip(system(z), coefficient_system(
-                d, e, lins, target, z), (1, 1, 2)):
+        # the residual, Jacobian (built from the residual pass's slopes) and
+        # powers hold their d+1 values on axis 1, 1 and 2
+        for got, want, axis in zip((res, jacobian(slopes), powers),
+                                   coefficient_system(d, e, lins, target, z),
+                                   (1, 1, 2)):
             want = np.moveaxis(evaluate @ np.moveaxis(want, axis, -2), -2,
                                axis)
             err = np.max(np.abs(got - want), axis=axis)

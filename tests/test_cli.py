@@ -899,6 +899,34 @@ def test_zero_quadratic_is_degenerate_input(capsys, argv, message):
     assert (code, out, err) == (2, "", f"ZeroForm: {message}\n")
 
 
+@pytest.mark.parametrize("eps,argv", [
+    ("5", ["reichstein", "x^3+y^3+z^3"]),
+    ("1", ["slinky", "x^3+y^3+z^3"]),
+    ("1", ["quartic-lift", "x^4+y^4+z^4"]),
+    ("5", ["sylvester", "x^3+y^3"]),
+    ("1", ["mixed", "x^4+y^4+x^2*y^2", "--fixed", "x", "--fixed", "y",
+           "--fixed", "x+y"]),
+    ("5", ["quartic-six", "x^4+y^4"]),
+])
+def test_epsilon_of_one_or_more_is_refused_on_the_approx_backend(capsys, eps,
+                                                                  argv):
+    # the tolerance is relative to the largest coefficient, so at 1 or more
+    # every float form is zero to within it (these once exited 3); exact
+    # arithmetic reads no tolerance
+    code, out, err = run_cli(["--epsilon", eps, "--backend", "approx",
+                              "decompose"] + argv, capsys=capsys)
+    assert (code, out, err) == (
+        2, "", f"ZeroForm: the form is zero to within the tolerance {eps}\n")
+    code, _, err = run_cli(["--epsilon", eps, "decompose"] + argv,
+                           capsys=capsys)
+    assert code != 3 and "ZeroForm" not in err
+
+
+def test_epsilon_above_one_leaves_exact_runs_alone(capsys):
+    assert run_cli(["--epsilon", "2", "decompose", "sylvester", "x^3+y^3"],
+                   capsys=capsys) == (0, "y^3 + x^3\n", "")
+
+
 @pytest.mark.parametrize("argv,env,got", [
     (["--seed", "-5", "count", "reps", "--d", "4", "--e", "2,1",
       "--trials", "5"], None, -5),

@@ -262,7 +262,7 @@ def mc_reference_count(d: int, e: list[int], m: int, trials=None,
         z = (buf[:, :nvars] + 1j * buf[:, nvars:]) * start_mag
         first += size
         rows = np.flatnonzero(binary._mc_newton(system, z, scale)[0])
-        _, _, powers = system(z[rows])
+        powers = system[0](z[rows])[2]
         ts = z[rows, :m]
         dup = binary._signature_hits(ts, powers, found_ts, found_powers,
                                      groups).any(axis=1)
@@ -281,3 +281,30 @@ def mc_reference_count(d: int, e: list[int], m: int, trials=None,
             if since_new >= patience:
                 return len(found_ts), first
     return len(found_ts), first
+
+
+def mc_newton_reference(system, z, scale):
+    """(converged mask, final z, powers of the converged rows) of
+    binary._mc_newton's at most 60 Newton steps, run one row at a time: each
+    row stops at its first pass whose largest residual value reaches
+    1e-12*scale, with its powers from that pass, or when its solve raises.
+    The reference for the counter's compact active set."""
+    import numpy as np
+    residual, jacobian = system
+    converged, z, powers = np.zeros(len(z), dtype=bool), z.copy(), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(z)):
+            row = z[i:i + 1].copy()
+            for _ in range(60):
+                r, slopes, pw = residual(row)
+                if np.max(np.abs(r)) <= 1e-12 * scale:
+                    converged[i] = True
+                    powers.append(pw[0])
+                    break
+                try:
+                    step = np.linalg.solve(jacobian(slopes), r[..., None])
+                except np.linalg.LinAlgError:
+                    break
+                row = row - step[..., 0]
+            z[i] = row[0]
+    return converged, z, np.array(powers).reshape(-1, *pw.shape[1:])
