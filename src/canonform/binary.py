@@ -135,13 +135,11 @@ class MixedSpec:
         for f in self.fixed:
             if f.d != 1 or f.n != 2 or f.is_zero():
                 raise ShapeMismatch("fixed forms must be nonzero binary linear forms")
-        for i in range(len(self.fixed)):
-            for j in range(i + 1, len(self.fixed)):
-                a = linear_coeffs(self.fixed[i])
-                b = linear_coeffs(self.fixed[j])
-                if scalar_is_zero(a[0] * b[1] - a[1] * b[0], EPS_DEFAULT):
-                    raise DegenerateInput("fixed forms are not pairwise "
-                                          "non-proportional")
+        for a, b in itertools.combinations(map(linear_coeffs, self.fixed), 2):
+            # relative to the coefficients' sizes, so scaling a form changes nothing
+            if scalar_is_zero(a[0] * b[1] - a[1] * b[0], EPS_DEFAULT,
+                              max(map(abs, a)) * max(map(abs, b))):
+                raise DegenerateInput("fixed forms are not pairwise non-proportional")
 
     @property
     def m(self) -> int:
@@ -261,8 +259,7 @@ def quartic_normalize(p: Form, eps: float = EPS_DEFAULT) -> QuarticNormal:
     swaps each pair's roots; in coordinates X, Y vanishing there p is
     a X^4 + b X^2 Y^2 + c Y^4, and scaling X by (c/a)^(1/4) balances it.
     """
-    if p.n != 2 or p.d != 4:
-        raise ShapeMismatch("need a binary quartic")
+    check_decomposable(p, p.n == 2 and p.d == 4, "need a binary quartic", eps)
     _, factors = binary_factor(p, eps)
     if any(mult > 1 for _, mult in factors) or len(factors) != 4:
         raise RepeatedRoot("quartic normalization needs 4 distinct roots")
@@ -346,8 +343,7 @@ def quartic_six_for_form(p: Form, eps: float = EPS_DEFAULT) -> list[Decompositio
 def quartic_two_fixed(p: Form, l1: Form, l2: Form,
                       eps: float = EPS_DEFAULT) -> list[Decomposition]:
     """The two representations (quadratic)^2 + t4 l1^4 + t5 l2^4."""
-    if p.n != 2 or p.d != 4:
-        raise ShapeMismatch("need a binary quartic")
+    check_decomposable(p, p.n == 2 and p.d == 4, "need a binary quartic", eps)
     for lin in (l1, l2):
         if lin.d != 1 or lin.n != 2:
             raise ShapeMismatch("fixed forms must be binary linear forms")

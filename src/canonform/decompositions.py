@@ -520,9 +520,10 @@ ACCEPT_TOL = 1e-7
 
 
 def check_decomposable(p: Form, shape_ok: bool, need: str, eps: float = 0.0) -> None:
-    """The entry check of a decomposer: ShapeMismatch(need) unless shape_ok,
-    then ZeroForm for the zero form, and for a float form at eps >= 1 (eps
-    is relative to its largest coefficient, so it is zero to within eps)."""
+    """The first call of every decomposer, deciding in this order: the shape
+    (ShapeMismatch(need) unless shape_ok), the zero form (ZeroForm), and the
+    tolerance (ZeroForm for a float form at eps >= 1: eps is relative to its
+    largest coefficient, so the form is zero to within eps)."""
     if not shape_ok:
         raise ShapeMismatch(need)
     if p.is_zero():
@@ -788,14 +789,9 @@ def binary_factor(p: Form, eps: float = EPS_DEFAULT,
     roots are split off exactly; anything irrational is factored numerically,
     with roots closer than sqrt(eps) merged in the chordal metric.
     """
-    if p.n != 2:
-        raise ShapeMismatch("binary_factor needs a binary form")
-    if p.is_zero():
-        raise ZeroForm("cannot factor the zero form")
+    check_decomposable(p, p.n == 2, "binary_factor needs a binary form", eps)
     u = [p.raw((p.d - j, j)) for j in range(p.d + 1)]  # u(t) = p(1, t)
-    scale = p.norm()
-    if all(scalar_is_zero(v, eps, scale) for v in u):
-        raise ZeroForm(f"the form is zero to within the tolerance {eps:g}")
+    scale = max(map(abs, u))  # not norm(), which may round above every |u_j|
     m = max(j for j, v in enumerate(u) if not scalar_is_zero(v, eps, scale))
     factors: list[tuple[Form, int]] = []
     constant: Scalar = u[m]

@@ -142,14 +142,6 @@ class Form:
         return max((abs(complex(v)) * multinomial(i)
                     for i, v in self._a.items()), default=0.0)
 
-    def used_vars(self) -> list[int]:
-        used = set()
-        for idx in self._a:
-            for k, e in enumerate(idx):
-                if e:
-                    used.add(k)
-        return sorted(used)
-
     # -- ring operations -----------------------------------------------------
 
     def _require_same_shape(self, other: "Form"):

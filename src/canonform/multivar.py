@@ -82,7 +82,7 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
         idx_sq = [0] * n
         idx_sq[k] = 2
         a = work.raw(tuple(idx_sq))
-        if any(idx[k] and not scalar_is_zero(v, eps, scale) for idx, v in work.items()):
+        if any(idx[k] and not scalar_is_zero(v, eps, scale) for idx, v in work.raw_items()):
             if scalar_is_zero(a, eps, scale):
                 raise PivotZero(k + 1)
             row = quadratic_row(work, k)
@@ -98,15 +98,13 @@ def uppertri(p: Form, eps: float = EPS_DEFAULT) -> TriangularSquares:
     """Upper-triangular rows l_k = L_k / sqrt(a_k), exact when every pivot is
     a square in Q(i); ZeroForm for a form that is zero to within eps, and
     DegenerateInput unless the rows are accepted for p."""
-    check_decomposable(p, p.d == 2, "completion of squares needs a quadratic form")
+    check_decomposable(p, p.d == 2, "completion of squares needs a quadratic form", eps)
     squares = []
     for _, a, lrow in uppertri_pairs(p, eps):
         if not (root := scalar_sqrt(a)):
             raise DegenerateInput("a pivot's square root is below float range")
         row = (lrow if is_exact(root) else lrow.approx()).scale(1 / root)
         squares.append(Term(1, row, 2))
-    if not squares:
-        raise ZeroForm(f"the quadratic is zero to within the tolerance {eps:g}")
     if (dec := Decomposition(squares).accepted(p, eps)) is None:
         raise DegenerateInput("reconstruction check failed")
     return TriangularSquares([t.base for t in dec.terms])
@@ -194,11 +192,9 @@ def reichstein_step(p: Form, eps: float = EPS_DEFAULT) -> tuple[Decomposition, F
     Simultaneously diagonalizes the first two partial derivatives; the cubes
     are L_i^3 / (3 alpha_i1) and the residual loses its first two variables.
     """
-    if p.d != 3:
-        raise ShapeMismatch("need a cubic form")
-    n = p.n
-    if n < 2:
+    if (n := p.n) < 2:
         raise ShapeMismatch("need at least two variables; n=1 is a single cube")
+    check_decomposable(p, p.d == 3, "need a cubic form", eps)
     f = p.partial(0)
     g = p.partial(1)
     scale = p.norm()
@@ -523,8 +519,7 @@ def slowpoke(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
 def quartic_lift(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
     """One stage of the quartic canonical form: a(n) = floor((n+1)^2/4) fourth
     powers plus a residual quartic in x_1..x_(n-1)."""
-    if p.d != 4:
-        raise ShapeMismatch("need a quartic form")
+    check_decomposable(p, p.d == 4, "need a quartic form", eps)
     n = p.n
     last = n - 1
     scale = p.norm()

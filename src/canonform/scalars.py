@@ -169,13 +169,6 @@ class QQi:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "QQi":
-        return _triple(self.a, -self.b, self.d)
-
-    def norm2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def __complex__(self) -> complex:
         # int true division rounds correctly, as float(Fraction) does, and
         # raises the same OverflowError for values beyond float range

@@ -24,7 +24,7 @@ from canonform.enumeration import (neat_enumerate, neat_upto,
                                    obstruction_A, s_of_d, smallest_in_A)
 from canonform.multivar import (drab_family, reichstein_full, slinky,
                                 slowpoke)
-from tests_support import hyperplane_form, quartic_power_ratio
+from tests_support import hyperplane_form, quartic_power_ratio, used_vars
 
 EX310 = "2*x^3 + 3*x^2*y - 21*x*y^2 - 41*y^3"
 EX41 = "-x^5 + 15*x^4*y - 170*x^3*y^2 + 390*x^2*y^3 - 505*x*y^4 + 483*y^5"
@@ -178,7 +178,7 @@ def test_criterion_07_slinky():
             dec = slinky(p)
             assert len(dec.terms) == n * (n + 1) // 2
             assert dec.reconstruct() == p
-            ranges = sorted((min(t.base.used_vars()), max(t.base.used_vars()))
+            ranges = sorted((min(used_vars(t.base)), max(used_vars(t.base)))
                             for t in dec.terms)
             assert ranges == sorted((i, j) for i in range(n)
                                     for j in range(i, n))

@@ -248,6 +248,21 @@ class TestMixed:
         with pytest.raises(ShapeMismatch):
             mixed_decompose(EX310, MixedSpec([parse_form("x + y")], 2))
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_proportionality_is_relative_to_the_forms_sizes(self, exact):
+        # small independent forms pass and large ones at an angle of about
+        # 1e-10 are refused on floats; exact forms keep their exact test
+        def spec(*texts):
+            fixed = [parse_form(t, n=2) for t in texts]
+            return MixedSpec(fixed if exact else [f.approx() for f in fixed], 1)
+
+        assert spec("1e-5*x", "1e-5*y").m == 2
+        if exact:
+            assert spec("1e5*x", "1e5*x + 1e-5*y").m == 2
+        else:
+            with pytest.raises(DegenerateInput, match="non-proportional"):
+                spec("1e5*x", "1e5*x + 1e-5*y")
+
     def test_recovers_a_known_combination_exactly(self):
         # build p from known multipliers and read them back (uniqueness)
         rng = random.Random(29)

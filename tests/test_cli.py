@@ -14,10 +14,11 @@ import pytest
 
 from canonform import cli, commands, forms_close, parse_form
 from canonform.cli import main
-from canonform.errors import ParseError
+from canonform.decompositions import binary_factor
+from canonform.errors import ParseError, ZeroForm
 from canonform.forms import ACCEPT_TOL, parse_decomposition
-from tests_support import (FUZZ_SHAPES, exact_backward_error, fresh_json,
-                           fuzz_argvs, fuzz_runs, printed_errors,
+from tests_support import (FUZZ_SHAPES, cli_run, exact_backward_error,
+                           fresh_json, fuzz_argvs, fuzz_runs, printed_errors,
                            subprocess_env)
 
 
@@ -891,12 +892,27 @@ def test_zero_cubic_is_degenerate_input(capsys, algo, flags, shear):
     (["--seed", "21", "--backend", "approx", "decompose", "uppertri", "--",
       "(0/2)*x*y"], "cannot decompose the zero form"),
     (["--epsilon", "5", "--backend", "approx", "decompose", "uppertri",
-      "x^2+y^2"], "the quadratic is zero to within the tolerance 5"),
+      "x^2+y^2"], "the form is zero to within the tolerance 5"),
+    (["decompose", "quartic-lift", "0*x^4+0*y^4"],
+     "cannot decompose the zero form"),
+    (["decompose", "reichstein-step", "0*x^3+0*y^3"],
+     "cannot decompose the zero form"),
+    (["decompose", "quartic-two-fixed", "0*x^4+0*y^4", "--l1", "x", "--l2",
+      "y"], "cannot decompose the zero form"),
+    (["decompose", "quartic-six", "0*x^4+0*y^4"],
+     "cannot decompose the zero form"),
 ])
-def test_zero_quadratic_is_degenerate_input(capsys, argv, message):
-    # a form that is zero, exactly or to within --epsilon, has no rows
+def test_zero_form_is_degenerate_input(capsys, argv, message):
+    # a form that is zero, exactly or to within --epsilon, is refused at the
+    # entry, before any stage can blame one of its coefficients
     code, out, err = run_cli(argv, capsys=capsys)
     assert (code, out, err) == (2, "", f"ZeroForm: {message}\n")
+
+
+# |a c(i)| of its y^4 coefficient rounds one ulp above |a| c(i), i.e. above
+# norm(), so a scan of its coefficients against eps * norm() finds one at 1
+_ULP_QUARTIC = ("(-6+3*i)*x^4 + (5+7*i)*x^3*y + (-8+9*i)*x^2*y^2 "
+                "+ (-7+8*i)*x*y^3 + (-4/4)*y^4")
 
 
 @pytest.mark.parametrize("eps,argv", [
@@ -907,19 +923,71 @@ def test_zero_quadratic_is_degenerate_input(capsys, argv, message):
     ("1", ["mixed", "x^4+y^4+x^2*y^2", "--fixed", "x", "--fixed", "y",
            "--fixed", "x+y"]),
     ("5", ["quartic-six", "x^4+y^4"]),
+    ("5", ["reichstein-step", "x^3+y^3+z^3"]),
+    ("5", ["quartic-two-fixed", "x^4+y^4+x^2*y^2+x^3*y+x*y^3", "--l1", "x",
+           "--l2", "y"]),
+    ("5", ["quartic-lift", "x^4+y^4+z^4"]),
+    ("1", ["uppertri", "x^2+y^2"]),
+    ("1", ["two-squares", "x^2+y^2"]),
+    ("1", ["slowpoke", "x^3+y^3+z^3"]),
+    ("1", ["quartic-six", "--", _ULP_QUARTIC]),
 ])
 def test_epsilon_of_one_or_more_is_refused_on_the_approx_backend(capsys, eps,
                                                                   argv):
     # the tolerance is relative to the largest coefficient, so at 1 or more
-    # every float form is zero to within it (these once exited 3); exact
-    # arithmetic reads no tolerance
+    # every float form is zero to within it (these once exited 3 or blamed
+    # the input); exact arithmetic reads no tolerance, but slowpoke's
+    # stages run in floats on both backends
     code, out, err = run_cli(["--epsilon", eps, "--backend", "approx",
                               "decompose"] + argv, capsys=capsys)
     assert (code, out, err) == (
         2, "", f"ZeroForm: the form is zero to within the tolerance {eps}\n")
     code, _, err = run_cli(["--epsilon", eps, "decompose"] + argv,
                            capsys=capsys)
-    assert code != 3 and "ZeroForm" not in err
+    assert code != 3 and ("ZeroForm" not in err or argv[0] == "slowpoke")
+
+
+def test_binary_factor_refuses_at_the_gate_not_by_a_rounded_scan():
+    with pytest.raises(ZeroForm, match="^the form is zero to within the "
+                                       "tolerance 1$"):
+        binary_factor(parse_form(_ULP_QUARTIC).approx(), 1.0)
+    # here every |a c(i)| rounds below norm(); just below 1, the largest
+    # still passes the tolerance and names the leading coefficient
+    p = parse_form("(7.834556374974579+5.07433029012183*i)*x^4 "
+                   "+ (-4.578116723730129-4.181606790494535*i)*x^3*y "
+                   "+ (-6.214218191905223+8.798853674107157*i)*x^2*y^2 "
+                   "+ (-3.722611405992871+1.944676636641466*i)*x*y^3 "
+                   "+ (-0.45663434767765665+2.607779305746174*i)*y^4").approx()
+    assert max(abs(v) for _, v in p.raw_items()) < p.norm()
+    assert sum(k for _, k in binary_factor(p, 1 - 2 ** -53)[1]) == 4
+
+
+def test_every_fuzz_argv_at_an_epsilon_of_one_or_more_is_refused_at_the_gate():
+    """At --epsilon 1 and 5 on the approx backend, each of the 550 fuzz argvs
+    exits 2 at check_decomposable: on the tolerance, or on the shape or the
+    zero form, which it decides first."""
+    wrong = []
+    for eps, argv in itertools.product(("1", "5"), fuzz_argvs()):
+        argv = ["--epsilon", eps] + argv
+        argv[argv.index("--backend") + 1] = "approx"
+        code, out, err = cli_run(argv)
+        gate = err in (f"ZeroForm: the form is zero to within the tolerance {eps}\n",
+                       "ZeroForm: cannot decompose the zero form\n") or (
+            err.startswith("ShapeMismatch: ") and err.count("\n") == 1)
+        if (code, out) != (2, "") or not gate:
+            wrong.append((argv, code, err))
+    assert not wrong, (len(wrong), wrong[:3])
+
+
+def test_fuzz_just_below_an_epsilon_of_one_reaches_no_internal_error():
+    # below 1 the largest coefficient passes the tolerance, so uppertri and
+    # slinky always find a pivot (slinky once exited 3 on 23 of these)
+    codes = {}
+    for argv in fuzz_argvs():
+        argv = ["--epsilon", repr(1 - 2 ** -53)] + argv
+        argv[argv.index("--backend") + 1] = "approx"
+        codes[tuple(argv)] = cli_run(argv)[0]
+    assert 3 not in codes.values(), [a for a, c in codes.items() if c == 3][:3]
 
 
 def test_epsilon_above_one_leaves_exact_runs_alone(capsys):

@@ -25,12 +25,11 @@ def test_field_operations_are_exact():
     assert -(-a) == a
 
 
-def test_powers_and_conjugate():
+def test_powers_and_inverse():
     i = QQi(0, 1)
     assert i ** 2 == QQi(-1)
     assert i ** 103 == QQi(0, -1)
     z = QQi(Fraction(3), Fraction(4))
-    assert z * z.conjugate() == QQi(z.norm2())
     assert z ** -1 == QQi(1) / z
 
 
@@ -63,7 +62,7 @@ def _fraction_sqrt(z: QQi) -> QQi | None:
         if r is None:
             return None
         return QQi(r) if z.re >= 0 else QQi(0, r)
-    n = root(z.norm2())
+    n = root(z.re * z.re + z.im * z.im)
     c = root((z.re + n) / 2) if n is not None else None
     if not c:
         return None
@@ -196,8 +195,6 @@ def test_field_operations_match_the_pair_oracle(x, y):
     assert same(z - w, o_sub(x, y))
     assert same(z * w, o_mul(x, y))
     assert same(-z, (-x[0], -x[1]))
-    assert same(z.conjugate(), (x[0], -x[1]))
-    assert z.norm2() == x[0] * x[0] + x[1] * x[1]
     assert bool(z) == (x != (0, 0))
     if any(y):
         assert same(z / w, o_div(x, y))

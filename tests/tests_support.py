@@ -114,6 +114,11 @@ def fresh_json(code: str, *args: str):
     return json.loads(proc.stdout)
 
 
+def used_vars(f: Form) -> list[int]:
+    """The variables that f's monomials use, in order."""
+    return sorted({k for idx, _ in f.items() for k, e in enumerate(idx) if e})
+
+
 def term_vectors(dec):
     out = []
     for t in dec.terms:
