@@ -23,7 +23,7 @@ from .decompositions import (Decomposition, Term, binary_factor,
 from .enumeration import shape_error
 from .errors import (DegenerateInput, DegenerateLambda, LeadingZero,
                      NormalizationFailed, NotGeneric, RepeatedRoot,
-                     ShapeMismatch, UnsupportedShape, ZeroForm)
+                     ShapeMismatch, UnsupportedShape)
 from .forms import Form, linear_coeffs, linear_form, monomial_form
 from .linalg import mat_inverse, mat_solve
 from .scalars import (EPS_DEFAULT, QQi, Scalar, as_scalar, scalar_is_zero,
@@ -50,7 +50,7 @@ def _squarefree_nodes(vectors, r: int, eps: float):
     for h in itertools.chain(map(kernel_vector_form, vectors), combos):
         try:
             _, factors = binary_factor(h, eps)
-        except (ZeroForm, DegenerateInput, OverflowError):
+        except (DegenerateInput, OverflowError):
             continue
         if any(mult != 1 for _, mult in factors):
             continue

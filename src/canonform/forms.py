@@ -4,7 +4,11 @@ A form p of degree d in n variables is stored densely as a map from exponent
 multi-indices to normalized coefficients: the monomial x^i carries the actual
 coefficient c(i) * a(i), where c(i) is the multinomial coefficient.  Binary
 forms written Sum binom(d,j) a_j x^(d-j) y^j therefore store exactly the a_j
-sequence, which is what the catalecticant construction consumes.
+sequence, which is what the catalecticant construction consumes.  In the
+same way a quadratic's stored a(e_i + e_j) are the entries M_ij of its
+symmetric matrix, p(x) = x^T M x, and a cubic's stored a(e_i + e_j + e_k)
+are the entries T_ijk of its symmetric coefficient tensor; multivar reads
+both as they are stored.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.  Form(...) checks every index and value; the ring

@@ -17,34 +17,24 @@ import math
 from dataclasses import dataclass
 
 from . import LazyModule
-from .decompositions import (ACCEPT_TOL, Decomposition, Term, _linear_powers,
-                             check_decomposable, pad_form, restrict_form)
+from .decompositions import (ACCEPT_TOL, Decomposition, Term, _dense,
+                             _linear_powers, check_decomposable, pad_form,
+                             restrict_form)
 from .errors import (DegenerateInput, DegeneratePencil, DegenerateStage,
                      PivotZero, ShapeMismatch, ZeroForm)
 from .forms import Form, _monomials, _trusted, linear_coeffs, linear_form, multinomial
 from .linalg import Matrix, pencil_charpoly, poly_roots
-from .scalars import (EPS_DEFAULT, QQi, Scalar, is_exact, scalar_is_zero,
-                      scalar_sqrt)
+from .scalars import EPS_DEFAULT, Scalar, is_exact, scalar_is_zero, scalar_sqrt
 
 np = LazyModule("numpy", globals(), "np")
 
-_HALF = QQi(1) / 2
-
 
 def quadratic_row(p: Form, i: int) -> list[Scalar]:
-    """Row i of the symmetric matrix M with p(x) = x^T M x."""
+    """Row i of the symmetric matrix M with p(x) = x^T M x: the stored
+    a(p; e_i + e_j), which are M's entries."""
     if p.d != 2:
         raise ShapeMismatch("need a quadratic form")
-    n = p.n
-    half = _HALF if p.exact else 0.5
-    row = []
-    for j in range(n):
-        idx = [0] * n
-        idx[i] += 1
-        idx[j] += 1
-        v = p.raw(tuple(idx))
-        row.append(v if i == j else v * half)
-    return row
+    return [p.a(tuple((k == i) + (k == j) for k in range(p.n))) for j in range(p.n)]
 
 
 def quadratic_matrix(p: Form) -> Matrix:
@@ -79,13 +69,12 @@ def uppertri_pairs(p: Form, eps: float = EPS_DEFAULT) -> list[tuple[int, Scalar,
     for k in range(n):
         if work.is_zero(eps, scale=scale):
             break
-        idx_sq = [0] * n
-        idx_sq[k] = 2
-        a = work.raw(tuple(idx_sq))
-        if any(idx[k] and not scalar_is_zero(v, eps, scale) for idx, v in work.raw_items()):
-            if scalar_is_zero(a, eps, scale):
+        row = quadratic_row(work, k)
+        # x_k x_j's actual coefficient is row[j] * 2 off the diagonal
+        if any(not scalar_is_zero(v if j == k else v * 2, eps, scale)
+               for j, v in enumerate(row)):
+            if scalar_is_zero(a := row[k], eps, scale):
                 raise PivotZero(k + 1)
-            row = quadratic_row(work, k)
             out.append((k, a, linear_form(row)))
             work = work + _linear_powers(n, 2, [(-1 / a, row)])
         # x_k has left the residual; on floats, drop the rounding it left
@@ -143,8 +132,7 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
         for j in range(i + 1, n):
             if abs(roots[i] - roots[j]) <= eps ** 0.5 * cscale:
                 raise DegeneratePencil("repeated pencil eigenvalues")
-    amf = np.array([[complex(v) for v in row] for row in mf])
-    amg = np.array([[complex(v) for v in row] for row in mg])
+    amf, amg = np.array(mf, complex), np.array(mg, complex)
     columns = []
     eigs = []
     for c in sorted(roots, key=lambda z: (z.real, z.imag)):
@@ -244,7 +232,7 @@ def reichstein_full(p: Form, eps: float = EPS_DEFAULT) -> Decomposition:
             break
         try:
             dec, q = reichstein_step(sub, eps)
-        except (DegeneratePencil, ShapeMismatch) as exc:
+        except DegeneratePencil as exc:
             raise DegeneratePencil(f"stage {offset // 2}: {exc}") from exc
         for t in dec.terms:
             terms.append(Term(t.multiplier, pad_form(t.base, n, live), t.power))
@@ -356,9 +344,8 @@ def _cubic_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cubic_tensor(p: Form) -> np.ndarray:
-    """The coefficient tensor of the cubic p."""
-    values = [complex(p.a(idx)) for idx in _monomials(p.n, 3)]
-    return np.array(values)[_cubic_slots(p.n)[0]]
+    """The coefficient tensor of the cubic p: its stored a(p; e_i+e_j+e_k)."""
+    return _dense(p)[_cubic_slots(p.n)[0]]
 
 
 def _tensor_norm(t: np.ndarray) -> float:

@@ -6,20 +6,26 @@ for a refusal, each error type (the name that starts its stderr).  Usage:
 
     PYTHONPATH=src python tests/fuzz_report.py [--both-backends]
                                                [--exact-referee] [--first N]
+                                               [--digest [--check DIGEST]]
 
 --both-backends runs each argv once on each backend, its own --backend
 flag replaced, and lists the argvs whose two exit codes differ, grouped by
 algorithm, direction and the refusing side's error type.  --exact-referee
 reads every exit-0 output at its exact printed values against the form it
 decomposed (tests_support.printed_errors) and prints the worst backward
-error per algorithm.  --first N runs only the first N argvs.
+error per algorithm.  --first N runs only the first N argvs.  --digest
+runs each argv again with --json and prints the text runs' count and one
+sha256 over their (argv, exit code, stdout, stderr), then the same for the
+text runs followed by the --json runs (tests_support.runs_digest); --check
+DIGEST exits 1 unless that last digest is DIGEST.
 """
 
 import argparse
 import collections
 import json
+import sys
 
-from tests_support import cli_run, fuzz_argvs, printed_errors
+from tests_support import cli_run, fuzz_argvs, printed_errors, runs_digest
 
 
 def algorithm(argv: list[str]) -> str:
@@ -64,12 +70,18 @@ def main(argv=None) -> None:
                         help="print the worst exact-read error per algorithm")
     parser.add_argument("--first", metavar="N", type=int,
                         help="run only the first N fuzz argvs")
+    parser.add_argument("--digest", action="store_true",
+                        help="print digests of the text and --json runs")
+    parser.add_argument("--check", metavar="DIGEST",
+                        help="with --digest, exit 1 unless the digest is DIGEST")
     args = parser.parse_args(argv)
+    if args.check and not args.digest:
+        parser.error("--check needs --digest")
     argvs = fuzz_argvs()[:args.first]
     counts = collections.defaultdict(collections.Counter)
     worst = collections.defaultdict(float)
-    for run in argvs:
-        code, out, err = cli_run(run)
+    done = [(run, *cli_run(run)) for run in argvs]
+    for run, code, out, err in done:
         counts[algorithm(run)][verdict(code, err)] += 1
         if args.exact_referee and code == 0:
             worst[algorithm(run)] = max([worst[algorithm(run)]]
@@ -89,6 +101,12 @@ def main(argv=None) -> None:
             print(f"{algo}: {', '.join(key)}: {len(runs)}")
             for run in runs:
                 print("   ", json.dumps(run))
+    if args.digest:
+        done += [(run, *cli_run(run)) for run in (["--json"] + a for a in argvs)]
+        print(len(argvs), "text runs", runs_digest(done[:len(argvs)]))
+        print(len(done), "runs", total := runs_digest(done))
+        if args.check and total != args.check:
+            sys.exit(f"digest differs from {args.check}")
 
 
 if __name__ == "__main__":

@@ -28,10 +28,8 @@ job_p50_ms (by run.py's own end_to_end, imported read-only).
 """
 
 import argparse
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 import statistics
 import sys
@@ -39,7 +37,7 @@ import time
 import types
 from pathlib import Path
 
-from canonform import cli
+from tests_support import cli_run, run_record
 
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
@@ -109,10 +107,7 @@ def pinned() -> dict:
 
 def run(argv: list[str]) -> bytes:
     """The run's (argv, exit code, stdout, stderr) as one JSON line."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return (json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode()
+    return run_record(argv, *cli_run(argv))
 
 
 def slot_seconds(slots: dict, passes: int, runs: dict | None = None) -> dict[str, float]:

@@ -19,7 +19,7 @@ from canonform.errors import ParseError, ZeroForm
 from canonform.forms import ACCEPT_TOL, parse_decomposition
 from tests_support import (FUZZ_SHAPES, cli_run, exact_backward_error,
                            fresh_json, fuzz_argvs, fuzz_runs, printed_errors,
-                           subprocess_env)
+                           runs_digest, subprocess_env)
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -1288,6 +1288,26 @@ def test_seeded_decompose_fuzz_prints_what_rebuilds_its_input():
               for e in printed_errors(argv, out)]
     assert len(errors) >= 500
     assert max(errors)[0] <= ACCEPT_TOL, max(errors)
+
+
+def test_seeded_decompose_fuzz_text_runs_keep_their_digest():
+    """The 550 fuzz argvs' text runs, as `fuzz_report.py --digest` prints
+    their digest: any moved exit code, stdout or stderr byte moves it."""
+    assert runs_digest(fuzz_runs()) == (
+        "76bb6e484496f760341b6f03403e1fe4492e85599c05f6e666da2c42fc927766")
+
+
+def test_fuzz_report_digest_covers_the_text_then_the_json_runs(capsys):
+    import fuzz_report
+    fuzz_report.main(["--first", "11", "--digest"])
+    *_, text, total = capsys.readouterr().out.splitlines()
+    json_runs = [(["--json"] + argv, *cli_run(["--json"] + argv))
+                 for argv in fuzz_argvs()[:11]]
+    assert text == f"11 text runs {runs_digest(fuzz_runs()[:11])}"
+    assert total == f"22 runs {runs_digest(fuzz_runs()[:11] + tuple(json_runs))}"
+    fuzz_report.main(["--first", "11", "--digest", "--check", total.split()[-1]])
+    with pytest.raises(SystemExit, match="digest differs from 0000"):
+        fuzz_report.main(["--first", "11", "--digest", "--check", "0" * 64])
 
 
 def test_fuzz_report_counts_flips_and_referees_a_slice(capsys):

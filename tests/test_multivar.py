@@ -16,9 +16,9 @@ from canonform.errors import (DegenerateInput, DegeneratePencil,
                               DegenerateStage, PivotZero, ZeroForm)
 from canonform.forms import Form, biermann_point, index_set, linear_coeffs
 from canonform.multivar import (PencilDiag, _eliminate, drab_family,
-                                pencil_diagonalize, quartic_lift,
-                                reichstein_full, reichstein_step, slinky,
-                                slowpoke, uppertri, uppertri_pairs)
+                                pencil_diagonalize, quadratic_matrix,
+                                quartic_lift, reichstein_full, reichstein_step,
+                                slinky, slowpoke, uppertri, uppertri_pairs)
 from tests_support import used_vars
 
 
@@ -47,6 +47,34 @@ def multisets_match(a, b, tol=1e-6):
             return False
         left.pop(hit)
     return True
+
+
+class TestQuadraticMatrix:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_matrix_rebuilds_the_quadratic(self, n):
+        # sum M_ij x_i x_j is p: exactly over Q(i), and within 1e-12 on
+        # floats, among them coefficients with a -0.0 part
+        rng = random.Random(90 + n)
+        xs = [monomial_form(n, tuple(int(k == i) for k in range(n))) for i in range(n)]
+        parts = [-0.0, 0.0, -0.0, 1.5, -2.25, 1e-3, 7e5]
+
+        def ratio():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        for _ in range(4):
+            exact = Form(n, 2, {idx: QQi(ratio(), ratio()) for idx in index_set(n, 2)})
+            floats = Form(n, 2, {idx: complex(rng.choice(parts), rng.choice(parts))
+                                 for idx in index_set(n, 2)})
+            for p in (exact, exact.approx(), floats):
+                m = quadratic_matrix(p)
+                assert all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
+                rebuilt = Form.zero(n, 2)
+                for i, j in itertools.product(range(n), repeat=2):
+                    rebuilt = rebuilt + (xs[i] * xs[j]).scale(m[i][j])
+                if p.exact:
+                    assert rebuilt == p
+                else:
+                    assert (rebuilt - p).norm() <= 1e-12 * p.norm()
 
 
 class TestUppertri:

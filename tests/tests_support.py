@@ -1,6 +1,6 @@
 """Shared test helpers: decompositions compared up to term order, a child
-interpreter that imports this canonform, digests of CLI outputs, the
-exact backward error of printed output, the quartic power ratio, the
+interpreter that imports this canonform, digests of CLI outputs and runs,
+the exact backward error of printed output, the quartic power ratio, the
 hyperplane family's form, the seeded decompose fuzz and its runs, and the
 per-trial reading of a Monte Carlo count."""
 
@@ -84,6 +84,20 @@ def cli_run(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_record(argv: list[str], code: int, out: str, err: str) -> bytes:
+    """One CLI run's (argv, exit code, stdout, stderr) as one JSON line."""
+    return (json.dumps([argv, code, out, err]) + "\n").encode()
+
+
+def runs_digest(runs) -> str:
+    """sha256 over the run_record of each (argv, exit code, stdout, stderr)
+    of runs, in order."""
+    total = hashlib.sha256()
+    for run in runs:
+        total.update(run_record(*run))
+    return total.hexdigest()
 
 
 def bench_module(monkeypatch, name):
