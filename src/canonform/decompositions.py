@@ -556,12 +556,14 @@ class Decomposition:
     residual: Form | None = None
     meta: dict = field(default_factory=dict)
 
+    def _parts(self) -> list[tuple[Scalar, Form, int]]:
+        """(multiplier, base, power) of each term, then (1, residual, 1)."""
+        return [(t.multiplier, t.base, t.power) for t in self.terms] + (
+            [] if self.residual is None else [(_ONE, self.residual, 1)])
+
     def shape(self) -> tuple[int, int]:
-        if self.terms:
-            t = self.terms[0]
-            return t.base.n, t.base.d * t.power
-        if self.residual is not None:
-            return self.residual.n, self.residual.d
+        for _, f, k in self._parts():
+            return f.n, f.d * k
         raise ValueError("empty decomposition has no shape")
 
     def reconstruct(self) -> Form:
@@ -586,8 +588,7 @@ class Decomposition:
     def _verdict(self, p: Form, eps: float) -> tuple[bool, float]:
         """verify's verdict, on _rebuilt's array when a value is a float and
         every part has p's shape; R = max_i c(i) sum_k |T_k(i)| / |p| there, else 0."""
-        parts = [(t.multiplier, t.base, t.power) for t in self.terms] + (
-            [] if self.residual is None else [(1, self.residual, 1)])
+        parts = self._parts()
         if all(f.exact and not isinstance(c, _INEXACT) for c, f, _ in parts) or any(
                 (f.n, f.d * k) != (p.n, p.d) for _, f, k in parts):
             return forms_close(self.reconstruct(), p, eps), 0.0
@@ -626,26 +627,45 @@ class Decomposition:
         return total + sum(rest), (size + sum(map(abs, rest))) * weights
 
     def accepted(self, p: Form, eps: float = EPS_DEFAULT) -> "Decomposition | None":
-        """The exact snap when it rebuilds p, else self when it rebuilds p within
-        tol = max(eps, ACCEPT_TOL) of the larger norm with gamma u R <= tol/2, else
-        None, and None for an infinite or NaN value.  Parts that cancel by R
-        lose gamma u R |p| rebuilt: u = 2^-53, gamma = d + m for m parts of degree d."""
-        forms = [t.base for t in self.terms] + ([self.residual] if self.residual else [])
-        values = [t.multiplier for t in self.terms] + [
-            v for f in forms for v in f._a.values()]
-        if not all(is_exact(v) or cmath.isfinite(v) for v in values):
+        """The exact snap when it rebuilds p (self when every multiplier is a QQi
+        and every form exact), else self when it rebuilds p within tol = max(eps,
+        ACCEPT_TOL) of the larger norm with gamma u R <= tol/2, else None, and
+        None for an infinite or NaN value.  Parts that cancel by R lose gamma u R
+        |p| rebuilt: u = 2^-53, gamma = d + m for m terms and a nonzero residual."""
+        parts = self._parts()
+        if not all(is_exact(v) or cmath.isfinite(v)
+                   for c, f, _ in parts for v in (c, *f._a.values())):
             return None
-        if (snap := self.snapped(p)) is not None:
+        exact = all(is_exact(c) and f.exact for c, f, _ in parts)
+        if not exact and (snap := self.snapped(p)) is not None:
             return snap
         ok, ratio = self._verdict(p, tol := max(eps, ACCEPT_TOL))
-        return self if ok and (p.d + len(forms)) * ratio * 2.0 ** -52 <= tol else None
+        gamma = p.d + len(self.terms) + bool(self.residual)
+        return self if ok and gamma * ratio * 2.0 ** -52 <= tol else None
 
     def snapped(self, target: Form, max_den: int = SNAP_MAX_DEN) -> "Decomposition | None":
-        """Exact rational reconstruction, accepted only if it rebuilds target;
-        one that differs at a pure power x_j^d is refuted before the other
-        coefficients are snapped."""
-        if not target.exact or _snap_differs_at_pure_powers(self, target, max_den):
+        """Exact rational reconstruction, accepted only if it rebuilds target.
+
+        The x_j^d coefficient of mu b^k is mu times b's x_j^deg(b) coefficient
+        to the k, so one snapped coefficient per part and j refutes mod MOD_P,
+        a ring map, a snap that differs from target at a pure power x_j^d,
+        before the bases are snapped.  That test is skipped when there is no part,
+        a part's shape does not fit target or a scalar has no image mod MOD_P."""
+        if not target.exact:
             return None
+        parts = self._parts()
+        if parts and all(f.n == target.n and k >= 0 and f.d * k == target.d
+                         for _, f, k in parts):
+            def pure(f: Form, x: MultiIndex) -> int:  # x: the exponents of x_j
+                return mod_p(snap_scalar(f.a([f.d * e for e in x]), max_den))
+            try:
+                mus = [mod_p(snap_scalar(c, max_den)) for c, _, _ in parts]
+                if any((sum(mu * pow(pure(f, x), k, MOD_P)
+                            for mu, (_, f, k) in zip(mus, parts))
+                        - pure(target, x)) % MOD_P for x in _monomials(target.n, 1)):
+                    return None
+            except _NoImage:
+                pass
         terms = [Term(snap_scalar(t.multiplier, max_den), t.base.snapped(max_den),
                       t.power) for t in self.terms]
         residual = self.residual.snapped(max_den) if self.residual is not None else None
@@ -669,38 +689,6 @@ class Decomposition:
                       t["power"]) for t in obj["terms"]]
         residual = form_from_json(obj["residual"]) if "residual" in obj else None
         return cls(terms, residual, obj.get("meta", {}))
-
-
-def _snap_differs_at_pure_powers(dec: Decomposition, target: Form,
-                                 max_den: int) -> bool:
-    """Whether dec snapped at max_den is proved to differ from target mod
-    MOD_P at a pure power x_j^d, j = 1..n in turn.
-
-    The x_j^d coefficient of mu b^k is mu times b's x_j^deg(b) coefficient
-    to the k, so each part snaps one coefficient per j; a residual r is the
-    part (1, r, 1).  Reduction mod MOD_P is a ring map, so coefficients that
-    differ there come from different forms.  False decides nothing: it is
-    the answer when a part's shape does not fit target, a scalar has no
-    image mod MOD_P, or every value of dec is exact, since its snap is then
-    dec itself.
-    """
-    parts = [(t.multiplier, t.base, t.power) for t in dec.terms]
-    if dec.residual is not None:
-        parts.append((QQi(1), dec.residual, 1))
-    if all(is_exact(c) and f.exact for c, f, _ in parts) or any(
-            f.n != target.n or k < 0 or f.d * k != target.d for _, f, k in parts):
-        return False
-
-    def pure(f: Form, x: MultiIndex) -> int:  # x: the exponents of x_j
-        return mod_p(snap_scalar(f.a([f.d * e for e in x]), max_den))
-
-    try:
-        mus = [mod_p(snap_scalar(c, max_den)) for c, _, _ in parts]
-        return any((sum(mu * pow(pure(f, x), k, MOD_P)
-                        for mu, (_, f, k) in zip(mus, parts))
-                    - pure(target, x)) % MOD_P for x in _monomials(target.n, 1))
-    except _NoImage:
-        return False
 
 
 def format_decomposition(dec: Decomposition) -> str:

@@ -125,8 +125,6 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
     if scalar_is_zero(char[-1], eps ** 0.5, scale):
         raise DegeneratePencil("M_f is singular")
     roots = poly_roots(char)
-    if len(roots) != n:
-        raise DegeneratePencil("pencil characteristic polynomial degenerated")
     cscale = max(1.0, max(abs(z) for z in roots))
     for i in range(n):
         for j in range(i + 1, n):
@@ -139,14 +137,11 @@ def pencil_diagonalize(f: Form, g: Form, eps: float = EPS_DEFAULT) -> PencilDiag
         mat = amg - c * amf
         _, _, vh = np.linalg.svd(mat)
         v = vh[-1].conj()
-        num = complex(v @ amg @ v)
         den = complex(v @ amf @ v)
-        if den != 0:
-            c = num / den
         if abs(den) <= eps * float(np.max(np.abs(amf))):
             raise DegeneratePencil("isotropic pencil eigenvector")
         columns.append(v / den ** 0.5)
-        eigs.append(c)
+        eigs.append(complex(v @ amg @ v) / den)
     vmat = np.array(columns).T
     try:
         w = np.linalg.inv(vmat)
